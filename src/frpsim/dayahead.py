@@ -7,9 +7,11 @@ startups and shutdowns are signed: a unit scheduled to come offline next hour
 carries a negative up award by construction. Systemwide requirements may be
 relaxed through shortfall slacks at the configured penalty.
 
-Prices come from a second solve: every binary is frozen at the incumbent and
-the continuous relaxation is re-solved, giving locational energy prices (duals
-of the bid equalities) and hourly ramp prices (duals of the requirement rows).
+Prices come from a second solve: the on/off binaries are frozen at the
+incumbent, which leaves the continuous start/stop variables one feasible
+value, and the continuous relaxation is re-solved, giving locational energy
+prices (duals of the bid equalities) and hourly ramp prices (duals of the
+requirement rows).
 
 A prior commitment schedule can be imposed as a floor on the on-binaries,
 which is how the stochastic pass's priority commitments are carried into the
@@ -24,7 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .stochastic_uc import add_commitment_block
+from .stochastic_uc import (
+    add_commitment_block,
+    commitment_logic_residual,
+    commitment_schedule,
+)
 
 __all__ = [
     "DamBidSet",
@@ -353,6 +359,9 @@ def clear_dam(
     mip = optim.require_optimal(
         optim.solve(model, gap_tol=gap_tol, time_limit=time_limit), "day-ahead clearing"
     )
+    u, v, w = commitment_schedule(
+        system.generators, mip.x, idx["u"], idx["v"], idx["w"], "day-ahead clearing"
+    )
     lp = optim.require_optimal(
         optim.fix_and_resolve(model, mip.x), "day-ahead pricing"
     )
@@ -372,9 +381,9 @@ def clear_dam(
         gen_ids=list(system.gen_ids),
         bus_ids=list(system.bus_ids),
         hours=hours,
-        u=np.round(x[idx["u"]]).astype(int),
-        v=np.round(x[idx["v"]]).astype(int),
-        w=np.round(x[idx["w"]]).astype(int),
+        u=u,
+        v=v,
+        w=w,
         p=x[idx["p"]],
         r_up=x[idx["r_up"]],
         r_dn=x[idx["r_dn"]],
@@ -406,8 +415,7 @@ def check_dam_outcome(system, outcome, bids, req, fix_commitments=None, tol=1e-6
 
     for i, g in enumerate(system.generators):
         u0 = 1 if g.initial.on else 0
-        seq = np.concatenate([[u0], out.u[i]])
-        track("logic", 1.0 if np.any(out.v[i] - out.w[i] != np.diff(seq)) else 0.0)
+        track("logic", commitment_logic_residual(g, out.u[i], out.v[i], out.w[i]))
         track("capacity", (out.p[i] - g.dispatch_range * out.u[i]).max(), -out.p[i].min())
         p0 = g.initial.dispatch_above_min
         prev, prev_u = p0, u0

@@ -1,13 +1,17 @@
 """Scenario-based stochastic unit commitment on the sub-period grid.
 
-One set of hourly commitment binaries is shared by every scenario; dispatch,
+One set of hourly commitment variables is shared by every scenario; dispatch,
 segment loading and curtailment are per scenario on the sub-period grid.
 Online ramp rates are scaled to the sub-period length, startup/shutdown
 ramps are not (they cap the jump at a transition, however short the step).
-Commitment is hourly by construction: binaries live on the hourly grid and
-sub-period constraints reference the hour they fall in, which also rules out
-phantom same-hour restart pairs that a literal sub-period encoding would
-admit.
+Commitment is hourly by construction: commitment variables live on the hourly
+grid and sub-period constraints reference the hour they fall in.
+
+The commitment block (`add_commitment_block`) is shared with the day-ahead
+market. Only the on/off variables are integer; start and stop variables are
+continuous and take 0/1 values at every integral on/off schedule (see that
+function for the argument). `commitment_schedule` checks this after each
+solve, and `commitment_logic_residual` audits a schedule without the solver.
 
 Curtailment is the only recourse slack, so a scenario whose net load falls
 faster than the committed fleet can back down may be infeasible; that raises
@@ -29,6 +33,8 @@ from .timegrid import TimeGrid
 __all__ = [
     "SucSolution",
     "add_commitment_block",
+    "commitment_schedule",
+    "commitment_logic_residual",
     "solve_suc",
     "check_suc_solution",
     "save_suc_solution",
@@ -39,10 +45,30 @@ __all__ = [
 def add_commitment_block(model, generators, hours, u_floor=None):
     """Hourly commitment variables and logic for every generator.
 
-    Adds on/start/stop binaries with no-load and startup costs in the
-    objective, the coupling logic, minimum up/down windows, and initial-state
-    forcing. ``u_floor`` (gens x hours, 0/1) raises the lower bound of the
-    on-binaries wherever it is 1, which is how a prior commitment schedule is
+    Adds on (``u``, binary), start (``v``) and stop (``w``) variables with
+    no-load and startup costs in the objective, and these rows per unit and
+    hour ``h``, with UT/DT the minimum up/down times:
+
+    - logic: ``u[h] - u[h-1] = v[h] - w[h]``, with ``u[-1]`` the initial state
+    - minup: ``sum(v[i] for i in max(0, h-UT+1)..h) <= u[h]``
+    - mindown: ``sum(w[i] for i in max(0, h-DT+1)..h) <= 1 - u[h]``
+    - initup/initdown: no stop (start) while the initial run (outage) is
+      shorter than UT (DT)
+
+    The windows are cut at hour 0 rather than starting at hour UT-1, so every
+    hour has a minup and a mindown row, and the one-hour terms give
+    ``v[h] <= u[h]`` and ``w[h] <= 1 - u[h]``. With the logic row, that fixes
+    ``v`` and ``w`` to 0/1 at every integral ``u``: an on hour has no stop and
+    starts exactly when the previous hour was off, an off hour has no start and
+    stops exactly when the previous hour was on. So ``v`` and ``w`` are
+    continuous in [0, 1] and the solver branches only on ``u``. The windows
+    also rule out a start and a stop in the same hour, and hold the minimum
+    times on horizons shorter than UT or DT. This is the min-up/down polytope of Rajan &
+    Takriti (IBM RC23628, 2005), as used in the tight and compact formulation
+    of Morales-Espana, Latorre & Ramos (IEEE TPWRS 28(4), 2013).
+
+    ``u_floor`` (gens x hours, 0/1) raises the lower bound of the
+    on-variables wherever it is 1, which is how a prior commitment schedule is
     held fixed. Returns (u, v, w) index arrays of shape (gens, hours).
     """
     n_g = len(generators)
@@ -55,8 +81,8 @@ def add_commitment_block(model, generators, hours, u_floor=None):
             u[i, h] = model.add_var(
                 f"u[{g.id},{h}]", lb=lb, ub=1.0, obj=g.no_load_cost, integer=True
             )
-            v[i, h] = model.add_binary(f"v[{g.id},{h}]", obj=g.startup_cost)
-            w[i, h] = model.add_binary(f"w[{g.id},{h}]")
+            v[i, h] = model.add_var(f"v[{g.id},{h}]", ub=1.0, obj=g.startup_cost)
+            w[i, h] = model.add_var(f"w[{g.id},{h}]", ub=1.0)
         u0 = 1 if g.initial.on else 0
         model.add_constr(
             f"logic[{g.id},0]", {u[i, 0]: 1.0, v[i, 0]: -1.0, w[i, 0]: 1.0}, "==", u0
@@ -68,12 +94,11 @@ def add_commitment_block(model, generators, hours, u_floor=None):
                 "==",
                 0.0,
             )
-        for h in range(g.min_up - 1, hours):
-            terms = {v[i, hp]: 1.0 for hp in range(h - g.min_up + 1, h + 1)}
+        for h in range(hours):
+            terms = {v[i, hp]: 1.0 for hp in range(max(0, h - g.min_up + 1), h + 1)}
             terms[u[i, h]] = -1.0
             model.add_constr(f"minup[{g.id},{h}]", terms, "<=", 0.0)
-        for h in range(g.min_down - 1, hours):
-            terms = {w[i, hp]: 1.0 for hp in range(h - g.min_down + 1, h + 1)}
+            terms = {w[i, hp]: 1.0 for hp in range(max(0, h - g.min_down + 1), h + 1)}
             terms[u[i, h]] = 1.0
             model.add_constr(f"mindown[{g.id},{h}]", terms, "<=", 1.0)
         if g.initial.on:
@@ -83,6 +108,52 @@ def add_commitment_block(model, generators, hours, u_floor=None):
             for h in range(min(g.min_down - g.initial.hours_off, hours)):
                 model.add_constr(f"initdown[{g.id},{h}]", {v[i, h]: 1.0}, "==", 0.0)
     return u, v, w
+
+
+def commitment_schedule(generators, x, u, v, w, context):
+    """Integral (u, v, w) schedule read from a solve of `add_commitment_block`.
+
+    ``u`` is rounded; ``v`` and ``w`` must equal the starts and stops that the
+    rounded ``u`` implies, to within 1e-6. The formulation guarantees this,
+    so a miss means the solver's tolerances let a fractional start or stop
+    through, and raises InfeasibleModelError rather than pricing it.
+    """
+    u_val = np.round(x[u]).astype(int)
+    u0 = np.array([[1 if g.initial.on else 0] for g in generators], dtype=int)
+    step = np.diff(np.concatenate([u0, u_val], axis=1), axis=1)
+    v_val, w_val = (step > 0).astype(int), (step < 0).astype(int)
+    miss = max(
+        np.abs(x[v] - v_val).max(initial=0.0), np.abs(x[w] - w_val).max(initial=0.0)
+    )
+    if miss > 1e-6:
+        raise optim.InfeasibleModelError(
+            f"{context}: start/stop variables are {miss:.3g} from the on/off schedule"
+        )
+    return u_val, v_val, w_val
+
+
+def commitment_logic_residual(g, u, v, w):
+    """Worst violation (0 or more, in unit-hours) of the commitment rules by
+    one unit's hourly 0/1 schedule.
+
+    Checks that starts and stops match the on/off changes from the initial
+    state, that no hour has both a start and a stop, and the minimum up/down
+    times, counting the hours the unit had been on or off before hour 0.
+    """
+    u, v, w = (np.asarray(a, dtype=int) for a in (u, v, w))
+    hours = len(u)
+    u0 = 1 if g.initial.on else 0
+    worst = float(np.abs(v - w - np.diff(np.concatenate([[u0], u]))).max(initial=0))
+    worst = max(worst, float(np.minimum(v, w).max(initial=0)))
+    for h in range(hours):
+        started = v[max(0, h - g.min_up + 1) : h + 1].sum()
+        stopped = w[max(0, h - g.min_down + 1) : h + 1].sum()
+        worst = max(worst, float(started - u[h]), float(stopped - (1 - u[h])))
+    if g.initial.on:
+        held = u[: max(0, min(g.min_up - g.initial.hours_on, hours))]
+    else:
+        held = 1 - u[: max(0, min(g.min_down - g.initial.hours_off, hours))]
+    return max(worst, float((1 - held).max(initial=0)))
 
 
 @dataclass
@@ -263,9 +334,9 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     x = res.x
-    u_val = np.round(x[u]).astype(int)
-    v_val = np.round(x[v]).astype(int)
-    w_val = np.round(x[w]).astype(int)
+    u_val, v_val, w_val = commitment_schedule(
+        system.generators, x, u, v, w, "stochastic commitment"
+    )
     p_val = np.stack([x[p] for p in p_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
     commitment_cost = float(
@@ -306,9 +377,9 @@ def check_suc_solution(system, scenarios, sol, tol=1e-6):
 
     for i, g in enumerate(system.generators):
         u0 = 1 if g.initial.on else 0
-        seq = np.concatenate([[u0], sol.u[i]])
-        if np.any(sol.v[i] - sol.w[i] != np.diff(seq)):
-            worst["logic"] = 1.0
+        worst["logic"] = max(
+            worst["logic"], commitment_logic_residual(g, sol.u[i], sol.v[i], sol.w[i])
+        )
         u_sub = np.repeat(sol.u[i], k_per_h)
         over = sol.p[:, i, :] - g.dispatch_range * u_sub[None, :]
         worst["capacity"] = max(worst["capacity"], float(over.max(initial=0.0)))

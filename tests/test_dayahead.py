@@ -121,6 +121,15 @@ def test_audit_clean_then_flags_tampering(pricing_system):
     out.r_up[0, 0] += 50.0
     worst = check_dam_outcome(pricing_system, out, bids, req)
     assert worst["frp_coupling"] > 1.0
+    # g2 (two-hour minimum down) stops at hour 0 and restarts at hour 1:
+    # consistent transitions, broken minimum down time
+    out = clear_dam(pricing_system, bids, req)
+    out.u[1], out.v[1], out.w[1] = [0, 1], [0, 1], [1, 0]
+    assert check_dam_outcome(pricing_system, out, bids, req)["logic"] >= 1.0
+    # a start and a stop in the same hour
+    out = clear_dam(pricing_system, bids, req)
+    out.v[1, 0] = out.w[1, 0] = 1
+    assert check_dam_outcome(pricing_system, out, bids, req)["logic"] >= 1.0
 
 
 def test_input_validation(two_gen_system):
