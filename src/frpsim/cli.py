@@ -95,7 +95,8 @@ def _cmd_suc_solve(args):
         f"objective {sol.objective:.2f} USD "
         f"(commitment {sol.commitment_cost:.2f}, "
         f"expected dispatch {sol.expected_dispatch_cost:.2f}); "
-        f"{sol.wall_time_s:.2f}s, peak rss {sol.peak_rss_mb:.0f} MB"
+        f"{sol.wall_time_s:.2f}s, {sol.screen_rounds} solve(s), "
+        f"{sol.flow_rows} flow rows"
     )
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import optim
+from . import network, optim
 from .stochastic_uc import (
     add_commitment_block,
     commitment_logic_residual,
@@ -81,13 +81,20 @@ class DamOutcome:
     objective: float
     pricing_objective: float
     mip_gap: float | None
+    # solves made while screening line flows (clearing and pricing together)
+    # and the flow rows they added
+    screen_rounds: int = 0
+    flow_rows: int = 0
 
     def dispatch_total(self, system):
         p_min = np.array([g.p_min for g in system.generators])
         return self.p + p_min[:, None] * self.u
 
 
-def _build(system, bids, req, fix_commitments):
+def _build(system, bids, req, fix_commitments, screen=None):
+    """The clearing model and its column indices. Line flows are registered
+    with ``screen`` (a `network.FlowScreen`) to be added where a solve breaks
+    them; without one, every flow row is built now."""
     hours = bids.hours
     gens = system.generators
     model = optim.Model("dam")
@@ -294,22 +301,18 @@ def _build(system, bids, req, fix_commitments):
             terms[d[n, h]] = -1.0
         model.add_constr(f"bal[{h}]", terms, "==", 0.0)
 
-    if len(system.lines):
-        psi = system.isf()
-        for li, line in enumerate(system.lines):
-            for h in range(hours):
-                terms = {}
-                for i in range(n_g):
-                    c = psi[li, bus_of[i]]
-                    if c != 0.0:
-                        terms[p[i, h]] = c
-                        terms[u[i, h]] = terms.get(u[i, h], 0.0) + c * p_min[i]
-                for n in range(n_b):
-                    if psi[li, n] != 0.0:
-                        terms[pc[n, h]] = psi[li, n]
-                        terms[d[n, h]] = -psi[li, n]
-                model.add_constr(f"flowhi[{line.id},{h}]", terms, "<=", line.flow_max)
-                model.add_constr(f"flowlo[{line.id},{h}]", dict(terms), ">=", line.flow_min)
+    full = screen is None  # the unscreened formulation: every flow row now
+    if full:
+        screen = network.FlowScreen(system)
+    screen.add_periods(
+        "",
+        np.concatenate([bus_of, bus_of, np.arange(n_b), np.arange(n_b)]),
+        np.vstack([p, u, pc, d]),
+        np.concatenate([np.ones(n_g), p_min, np.ones(n_b), -np.ones(n_b)]),
+        np.zeros((n_b, hours)),
+    )
+    if full:
+        screen.add_rows(model, screen.every_row())
 
     sf_up = np.empty(hours, dtype=int)
     sf_dn = np.empty(hours, dtype=int)
@@ -342,7 +345,8 @@ def clear_dam(
     """Clear the day-ahead market and price it.
 
     Returns a DamOutcome holding awards from the MIP incumbent and prices
-    from the frozen-binary re-solve.
+    from the frozen-binary re-solve. Line-flow rows are screened in both
+    solves (see `network`); ``dump_lp`` receives the final screened model.
     """
     if tuple(bids.buses) != tuple(system.bus_ids):
         raise ValueError("bid buses do not match system buses")
@@ -353,18 +357,28 @@ def clear_dam(
         want = (len(system.generators), bids.hours)
         if fix_commitments.shape != want:
             raise ValueError(f"fix_commitments shape must be {want}")
-    model, idx = _build(system, bids, req, fix_commitments)
-    if dump_lp:
-        model.write_lp(dump_lp)
-    mip = optim.require_optimal(
-        optim.solve(model, gap_tol=gap_tol, time_limit=time_limit), "day-ahead clearing"
-    )
-    u, v, w = commitment_schedule(
-        system.generators, mip.x, idx["u"], idx["v"], idx["w"], "day-ahead clearing"
-    )
-    lp = optim.require_optimal(
-        optim.fix_and_resolve(model, mip.x), "day-ahead pricing"
-    )
+    screen = network.FlowScreen(system)
+    model, idx = _build(system, bids, req, fix_commitments, screen)
+    try:
+        mip = optim.require_optimal(
+            screen.solve(
+                model,
+                lambda m: optim.solve(m, gap_tol=gap_tol, time_limit=time_limit),
+            ),
+            "day-ahead clearing",
+        )
+        u, v, w = commitment_schedule(
+            system.generators, mip.x, idx["u"], idx["v"], idx["w"], "day-ahead clearing"
+        )
+        # the incumbent meets every flow limit, so it stays optimal when the
+        # pricing solve adds rows; only the LP is re-solved
+        lp = optim.require_optimal(
+            screen.solve(model, lambda m: optim.fix_and_resolve(m, mip.x)),
+            "day-ahead pricing",
+        )
+    finally:
+        if dump_lp:
+            model.write_lp(dump_lp)
 
     hours = bids.hours
     n_b = len(system.buses)
@@ -397,6 +411,8 @@ def clear_dam(
         objective=float(mip.objective),
         pricing_objective=float(lp.objective),
         mip_gap=mip.mip_gap,
+        screen_rounds=screen.rounds,
+        flow_rows=len(screen.added),
     )
 
 
@@ -492,6 +508,8 @@ def save_dam_outcome(out, path):
         "objective_usd": out.objective,
         "pricing_objective_usd": out.pricing_objective,
         "mip_gap": out.mip_gap,
+        "screen_rounds": out.screen_rounds,
+        "flow_rows": out.flow_rows,
     }
     for name in _ARRAYS:
         doc[name] = getattr(out, name).tolist()
@@ -513,5 +531,7 @@ def load_dam_outcome(path):
         objective=doc["objective_usd"],
         pricing_objective=doc["pricing_objective_usd"],
         mip_gap=doc["mip_gap"],
+        screen_rounds=doc.get("screen_rounds", 0),
+        flow_rows=doc.get("flow_rows", 0),
         **kwargs,
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -182,6 +183,8 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "objective_usd": dam.objective,
             "shortfall_up_mw": float(dam.sf_up.sum()),
             "shortfall_dn_mw": float(dam.sf_dn.sum()),
+            "screen_rounds": dam.screen_rounds,
+            "flow_rows": dam.flow_rows,
         },
         "rtm": {
             "total_cost_usd": rtm.total_cost,
@@ -189,6 +192,8 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "dispatch_cost_usd": rtm.dispatch_cost,
             "curtailment_cost_usd": rtm.curtailment_cost,
             "shed_mwh": rtm.shed_mwh,
+            "screen_rounds": rtm.screen_rounds,
+            "flow_rows": rtm.flow_rows,
         },
         "settlement": {
             "mode": rep.mode,
@@ -214,8 +219,9 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
     suc_meta = {
         "objective_usd": suc.objective,
         "wall_time_s": suc.wall_time_s,
-        "peak_rss_mb": suc.peak_rss_mb,
         "mip_gap": suc.mip_gap,
+        "screen_rounds": suc.screen_rounds,
+        "flow_rows": suc.flow_rows,
     }
     cells = {}
     for method in wanted:
@@ -258,6 +264,22 @@ class RunResult:
         return not self.failed
 
 
+def _write_json(path, doc, **kwargs):
+    """Write ``doc`` to ``path`` through a temp file in the same directory,
+    so a crash mid-write leaves no partial file for a resume to take as
+    finished."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path), prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh, **kwargs)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _append_manifest(out_dir, entry):
     with open(os.path.join(out_dir, "manifest.jsonl"), "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -294,8 +316,7 @@ def run_experiment(system, cfg, out_dir, workers=1):
                     ref = json.load(fh)["cost_usd"]
             else:
                 ref = clairvoyant_cost(system, realized, gap_tol=cfg.gap_tol)
-                with open(ref_path, "w") as fh:
-                    json.dump({"day": day.name, "cost_usd": ref}, fh)
+                _write_json(ref_path, {"day": day.name, "cost_usd": ref})
             day_ctx[day.name] = (realized, ref)
         except Exception as exc:  # noqa: BLE001 - day isolation
             day_broken[day.name] = exc
@@ -339,8 +360,7 @@ def run_experiment(system, cfg, out_dir, workers=1):
             rec["clairvoyant_usd"] = day_ctx[day.name][1]
             path = os.path.join(cells_dir, cell_id + ".json")
             if not os.path.exists(path):  # never overwrite ledger entries
-                with open(path, "w") as fh:
-                    json.dump(rec, fh, sort_keys=True)
+                _write_json(path, rec, sort_keys=True)
                 result.done.append(cell_id)
                 _append_manifest(out_dir, {"event": "cell", "cell": cell_id, "status": "done"})
 

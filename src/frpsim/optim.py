@@ -33,6 +33,8 @@ class SolveResult:
     x: np.ndarray | None = None
     duals: dict | None = None  # row name -> d(obj)/d(rhs); LP solves only
     mip_gap: float | None = None
+    mip_node_count: int | None = None  # branch-and-bound nodes; MIP solves only
+    mip_dual_bound: float | None = None  # best proven bound; MIP solves only
     # bound multipliers from LP solves, indexed like the variables
     lower_bound_duals: np.ndarray | None = None
     upper_bound_duals: np.ndarray | None = None
@@ -173,6 +175,8 @@ def solve(model, gap_tol=1e-6, time_limit=None):
         objective=None if res.x is None else float(res.fun),
         x=None if res.x is None else np.asarray(res.x),
         mip_gap=getattr(res, "mip_gap", None),
+        mip_node_count=getattr(res, "mip_node_count", None),
+        mip_dual_bound=getattr(res, "mip_dual_bound", None),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import optim
+from . import network, optim
 from .scenarios import NetLoadProfile, draw_realization
 
 __all__ = ["RtmOutcome", "simulate_rtm", "stress_sweep"]
@@ -34,6 +34,8 @@ class RtmOutcome:
     dispatch_cost: float
     curtailment_cost: float
     shed_mwh: float
+    screen_rounds: int = 0  # solves made while screening line flows
+    flow_rows: int = 0  # line-flow rows the screening added
 
     @property
     def total_cost(self):
@@ -58,7 +60,10 @@ def _expand_commitment(dam, grid):
 
 
 def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
-    """Dispatch the committed fleet against one realized net-load profile."""
+    """Dispatch the committed fleet against one realized net-load profile.
+
+    Line-flow rows are screened (see `network`); ``dump_lp`` receives the
+    final screened model."""
     grid = realized.grid
     if grid.hours != dam.hours:
         raise ValueError("realized profile horizon does not match the DAM schedule")
@@ -145,31 +150,24 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
             f"bal[{k}]", terms, "==", -float((p_min * u[:, k]).sum())
         )
 
-    if len(system.lines):
-        psi = system.isf()
-        for li, line in enumerate(system.lines):
-            for k in range(n_t):
-                terms = {}
-                base = 0.0
-                for i in range(n_g):
-                    c = psi[li, bus_of[i]]
-                    if c != 0.0:
-                        terms[p[i, k]] = c
-                        base += c * p_min[i] * u[i, k]
-                for n in range(n_b):
-                    if psi[li, n] != 0.0:
-                        terms[pc[n, k]] = psi[li, n]
-                        terms[d[n, k]] = -psi[li, n]
-                model.add_constr(
-                    f"flowhi[{line.id},{k}]", terms, "<=", line.flow_max - base
-                )
-                model.add_constr(
-                    f"flowlo[{line.id},{k}]", dict(terms), ">=", line.flow_min - base
-                )
-
-    if dump_lp:
-        model.write_lp(dump_lp)
-    res = optim.require_optimal(optim.solve(model, gap_tol=gap_tol), "real-time dispatch")
+    # committed minimum output is data here, so it enters the flows as a
+    # fixed injection
+    fixed = np.zeros((n_b, n_t))
+    np.add.at(fixed, bus_of, p_min[:, None] * u)
+    screen = network.FlowScreen(system)
+    screen.add_periods(
+        "",
+        np.concatenate([bus_of, np.arange(n_b), np.arange(n_b)]),
+        np.vstack([p, pc, d]),
+        np.concatenate([np.ones(n_g), np.ones(n_b), -np.ones(n_b)]),
+        fixed,
+    )
+    try:
+        res = screen.solve(model, lambda m: optim.solve(m, gap_tol=gap_tol))
+    finally:
+        if dump_lp:
+            model.write_lp(dump_lp)
+    optim.require_optimal(res, "real-time dispatch")
 
     x = res.x
     p_val = x[p]
@@ -198,6 +196,8 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         dispatch_cost=float(res.objective) - curtail_cost,
         curtailment_cost=curtail_cost,
         shed_mwh=float(pc_val.sum() * scale),
+        screen_rounds=screen.rounds,
+        flow_rows=len(screen.added),
     )
 
 

@@ -122,9 +122,6 @@ class ScenarioSet:
     def n_scenarios(self):
         return self.values.shape[0]
 
-    def scenario_profile(self, s):
-        return NetLoadProfile(self.buses, self.grid, self.values[s])
-
 
 def _ar1_errors(rng, sigma, n_scenarios, rho):
     n, t = sigma.shape

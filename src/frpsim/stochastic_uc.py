@@ -21,13 +21,12 @@ InfeasibleModelError rather than returning garbage.
 from __future__ import annotations
 
 import json
-import resource
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import optim
+from . import network, optim
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -171,7 +170,8 @@ class SucSolution:
     expected_dispatch_cost: float
     mip_gap: float | None
     wall_time_s: float
-    peak_rss_mb: float
+    screen_rounds: int  # solves made while screening line flows
+    flow_rows: int  # line-flow rows the screening added
 
     def committed_hours(self):
         """(gens, hours) 0/1 commitment schedule for downstream fixing."""
@@ -184,10 +184,15 @@ class SucSolution:
         return self.p + p_min[None, :, None] * u_sub[None, :, :]
 
 
-def _add_dispatch_scenario(model, system, grid, u, v, w, tag, net_load, psi):
+def _add_dispatch_scenario(
+    model, system, grid, u, v, w, tag, net_load, psi, screen=None
+):
     """Per-scenario dispatch variables and constraints on the sub-period grid.
 
-    ``net_load`` has shape (buses, periods). Returns (p, pc) index arrays.
+    ``net_load`` has shape (buses, periods). The scenario's line flows are
+    registered with ``screen`` (a `network.FlowScreen`), which adds their
+    rows where a solve breaks them; given shift factors ``psi`` instead, every
+    flow row is built now. Returns (p, pc) index arrays.
     """
     gens = system.generators
     n_periods = grid.n_periods
@@ -277,46 +282,42 @@ def _add_dispatch_scenario(model, system, grid, u, v, w, tag, net_load, psi):
             terms[pc[n, k]] = 1.0
         model.add_constr(f"bal{tag}[{k}]", terms, "==", float(net_load[:, k].sum()))
 
-    if psi is not None and len(system.lines):
-        for li, line in enumerate(system.lines):
-            coef_g = psi[li, bus_of]
-            for k in range(n_periods):
-                h = k // k_per_h
-                base = float(psi[li] @ net_load[:, k])
-                terms = {}
-                for i in range(len(gens)):
-                    if coef_g[i] != 0.0:
-                        terms[p[i, k]] = coef_g[i]
-                        terms[u[i, h]] = terms.get(u[i, h], 0.0) + coef_g[i] * p_min[i]
-                for n in range(len(system.buses)):
-                    if psi[li, n] != 0.0:
-                        terms[pc[n, k]] = psi[li, n]
-                model.add_constr(
-                    f"flowhi{tag}[{line.id},{k}]", terms, "<=", line.flow_max + base
-                )
-                model.add_constr(
-                    f"flowlo{tag}[{line.id},{k}]", dict(terms), ">=", line.flow_min + base
-                )
+    if psi is not None:  # the unscreened formulation: every flow row now
+        screen = network.FlowScreen(system, psi)
+    if screen is not None:
+        n_b = len(system.buses)
+        screen.add_periods(
+            tag,
+            np.concatenate([bus_of, bus_of, np.arange(n_b)]),
+            np.vstack([p, u[:, np.arange(n_periods) // k_per_h], pc]),
+            np.concatenate([np.ones(len(gens)), p_min, np.ones(n_b)]),
+            -np.asarray(net_load, dtype=float),
+        )
+        if psi is not None:
+            screen.add_rows(model, screen.every_row())
     return p, pc
 
 
 def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     """Build and solve the two-stage commitment problem, returning the
-    commitment schedule plus per-scenario dispatch."""
+    commitment schedule plus per-scenario dispatch.
+
+    Line-flow rows are screened (see `network`); ``dump_lp`` receives the
+    final screened model."""
     grid = scenarios.grid
     if tuple(scenarios.buses) != tuple(system.bus_ids):
         raise ValueError("scenario buses do not match system buses")
     t0 = time.perf_counter()
     model = optim.Model("suc")
     u, v, w = add_commitment_block(model, system.generators, grid.hours)
-    psi = system.isf() if system.lines else None
+    screen = network.FlowScreen(system)
 
     p_idx, pc_idx = [], []
     for s in range(scenarios.n_scenarios):
         prob = scenarios.probabilities[s]
         mark = model.n_vars
         p, pc = _add_dispatch_scenario(
-            model, system, grid, u, v, w, f"@{s}", scenarios.values[s], psi
+            model, system, grid, u, v, w, f"@{s}", scenarios.values[s], None, screen
         )
         # weight this scenario's cost terms by its probability
         for j in range(mark, model.n_vars):
@@ -324,14 +325,15 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         p_idx.append(p)
         pc_idx.append(pc)
 
-    if dump_lp:
-        model.write_lp(dump_lp)
-    res = optim.require_optimal(
-        optim.solve(model, gap_tol=gap_tol, time_limit=time_limit),
-        "stochastic commitment",
-    )
+    try:
+        res = screen.solve(
+            model, lambda m: optim.solve(m, gap_tol=gap_tol, time_limit=time_limit)
+        )
+    finally:
+        if dump_lp:
+            model.write_lp(dump_lp)
+    optim.require_optimal(res, "stochastic commitment")
     wall = time.perf_counter() - t0
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     x = res.x
     u_val, v_val, w_val = commitment_schedule(
@@ -359,7 +361,8 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         expected_dispatch_cost=float(res.objective) - commitment_cost,
         mip_gap=res.mip_gap,
         wall_time_s=wall,
-        peak_rss_mb=rss_mb,
+        screen_rounds=screen.rounds,
+        flow_rows=len(screen.added),
     )
 
 
@@ -445,7 +448,8 @@ def save_suc_solution(sol, path):
         "expected_dispatch_cost_usd": sol.expected_dispatch_cost,
         "mip_gap": sol.mip_gap,
         "wall_time_s": sol.wall_time_s,
-        "peak_rss_mb": sol.peak_rss_mb,
+        "screen_rounds": sol.screen_rounds,
+        "flow_rows": sol.flow_rows,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -468,5 +472,7 @@ def load_suc_solution(path):
         expected_dispatch_cost=doc["expected_dispatch_cost_usd"],
         mip_gap=doc["mip_gap"],
         wall_time_s=doc["wall_time_s"],
-        peak_rss_mb=doc["peak_rss_mb"],
+        # files from before flow screening solved once and added no rows
+        screen_rounds=doc.get("screen_rounds", 1),
+        flow_rows=doc.get("flow_rows", 0),
     )

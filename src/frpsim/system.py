@@ -12,7 +12,7 @@ with the computed one by more than 1e-6).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -163,9 +163,6 @@ class PowerSystem:
 
     def bus_index(self, bus_id):
         return self.bus_ids.index(bus_id)
-
-    def gens_at(self, bus_id):
-        return [g for g in self.generators if g.bus == bus_id]
 
     def gen(self, gen_id):
         for g in self.generators:
@@ -531,8 +528,3 @@ def save_system(system, path):
         doc["isf"] = [[float(v) for v in row] for row in np.asarray(system.supplied_isf)]
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
-
-
-def strip_isf(system):
-    """Copy of ``system`` with any supplied shift factors dropped."""
-    return replace(system, supplied_isf=None, _isf_cache=None)

@@ -136,6 +136,32 @@ def test_resume_skips_finished_cells(tmp_path):
     assert sum(1 for m in manifest if m["event"] == "run-start") == 2
 
 
+def test_crash_mid_write_leaves_no_partial_cell(tmp_path, monkeypatch):
+    """A cell write that dies partway leaves no cells/<id>.json, which a
+    resume would take for finished; the resumed run finishes that cell."""
+    cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}))
+    out = tmp_path / "out"
+    real_dump = json.dump
+
+    def dies_on_p95(doc, fh, **kwargs):
+        if doc.get("method") == "p95":
+            fh.write(json.dumps(doc)[:40])
+            raise OSError("disk full")
+        return real_dump(doc, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dies_on_p95)
+    first = run_experiment(system, cfg, str(out))
+    assert "d1.p95" in first.failed and "d1.p95" not in first.done
+    assert sorted(os.listdir(out / "cells")) == sorted(c + ".json" for c in first.done)
+    assert os.path.exists(out / "clairvoyant.d1.json")
+
+    monkeypatch.undo()
+    second = run_experiment(system, cfg, str(out))
+    assert second.clean and second.done == ["d1.p95"]
+    assert aggregate(str(out))["d1.p95"]["method"] == "p95"
+    write_reports(str(out))
+
+
 def test_runs_are_deterministic(tmp_path):
     cfg, system = load_config(_write_inputs(tmp_path, DAYS))
     run_experiment(system, cfg, str(tmp_path / "a"))

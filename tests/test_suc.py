@@ -2,6 +2,8 @@
 weighting, the wait-and-see bound, the feasibility audit, and the shared
 commitment block (continuous start/stop variables against binary ones)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,13 +189,22 @@ def test_solution_round_trip(tmp_path, uc_oracle_case):
     assert np.array_equal(back.p, sol.p)
     assert back.objective == pytest.approx(sol.objective)
     assert back.mip_gap == sol.mip_gap
+    assert (back.screen_rounds, back.flow_rows) == (sol.screen_rounds, sol.flow_rows)
+    # a file written before flow screening carries peak_rss_mb and no
+    # screening counts; it still loads
+    doc = json.loads(path.read_text())
+    del doc["screen_rounds"], doc["flow_rows"]
+    path.write_text(json.dumps(doc | {"peak_rss_mb": 150.0}))
+    old = load_suc_solution(path)
+    assert (old.screen_rounds, old.flow_rows) == (1, 0)
+    assert not hasattr(old, "peak_rss_mb")
 
 
 def test_solver_metadata_recorded(uc_oracle_case):
     system, grid, scn = uc_oracle_case
     sol = solve_suc(system, scn)
     assert sol.wall_time_s > 0.0
-    assert sol.peak_rss_mb > 1.0
+    assert (sol.screen_rounds, sol.flow_rows) == (1, 0)  # no lines: one solve
     assert sol.mip_gap is not None and sol.mip_gap <= 1e-6 + 1e-12
 
 
