@@ -91,10 +91,8 @@ class DamOutcome:
         return self.p + p_min[:, None] * self.u
 
 
-def _build(system, bids, req, fix_commitments, screen=None):
-    """The clearing model and its column indices. Line flows are registered
-    with ``screen`` (a `network.FlowScreen`) to be added where a solve breaks
-    them; without one, every flow row is built now."""
+def _build(system, bids, req, fix_commitments):
+    """The clearing model, without line-flow rows, and its column indices."""
     hours = bids.hours
     gens = system.generators
     model = optim.Model("dam")
@@ -290,7 +288,6 @@ def _build(system, bids, req, fix_commitments, screen=None):
             model.add_constr(f"bid[{bid},{h}]", {d[n, h]: 1.0}, "==", bids.values[n, h])
 
     p_min = np.array([g.p_min for g in gens])
-    bus_of = [system.bus_index(g.bus) for g in gens]
     for h in range(hours):
         terms = {}
         for i in range(n_g):
@@ -300,19 +297,6 @@ def _build(system, bids, req, fix_commitments, screen=None):
             terms[pc[n, h]] = 1.0
             terms[d[n, h]] = -1.0
         model.add_constr(f"bal[{h}]", terms, "==", 0.0)
-
-    full = screen is None  # the unscreened formulation: every flow row now
-    if full:
-        screen = network.FlowScreen(system)
-    screen.add_periods(
-        "",
-        np.concatenate([bus_of, bus_of, np.arange(n_b), np.arange(n_b)]),
-        np.vstack([p, u, pc, d]),
-        np.concatenate([np.ones(n_g), p_min, np.ones(n_b), -np.ones(n_b)]),
-        np.zeros((n_b, hours)),
-    )
-    if full:
-        screen.add_rows(model, screen.every_row())
 
     sf_up = np.empty(hours, dtype=int)
     sf_dn = np.empty(hours, dtype=int)
@@ -357,13 +341,27 @@ def clear_dam(
         want = (len(system.generators), bids.hours)
         if fix_commitments.shape != want:
             raise ValueError(f"fix_commitments shape must be {want}")
+    model, idx = _build(system, bids, req, fix_commitments)
+    hours = bids.hours
+    gens = system.generators
+    n_b = len(system.buses)
+    bus_of = [system.bus_index(g.bus) for g in gens]
     screen = network.FlowScreen(system)
-    model, idx = _build(system, bids, req, fix_commitments, screen)
+    screen.add_periods(
+        "",
+        np.concatenate([bus_of, bus_of, np.arange(n_b), np.arange(n_b)]),
+        np.vstack([idx["p"], idx["u"], idx["pc"], idx["d"]]),
+        np.concatenate(
+            [np.ones(len(gens)), [g.p_min for g in gens], np.ones(n_b), -np.ones(n_b)]
+        ),
+        np.zeros((n_b, hours)),
+    )
     try:
         mip = optim.require_optimal(
             screen.solve(
                 model,
-                lambda m: optim.solve(m, gap_tol=gap_tol, time_limit=time_limit),
+                lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
+                time_limit,
             ),
             "day-ahead clearing",
         )
@@ -373,15 +371,13 @@ def clear_dam(
         # the incumbent meets every flow limit, so it stays optimal when the
         # pricing solve adds rows; only the LP is re-solved
         lp = optim.require_optimal(
-            screen.solve(model, lambda m: optim.fix_and_resolve(m, mip.x)),
+            screen.solve(model, lambda m, _: optim.fix_and_resolve(m, mip.x)),
             "day-ahead pricing",
         )
     finally:
         if dump_lp:
             model.write_lp(dump_lp)
 
-    hours = bids.hours
-    n_b = len(system.buses)
     lmp = np.empty((n_b, hours))
     for n in range(n_b):
         bid = system.buses[n].id
@@ -531,7 +527,7 @@ def load_dam_outcome(path):
         objective=doc["objective_usd"],
         pricing_objective=doc["pricing_objective_usd"],
         mip_gap=doc["mip_gap"],
-        screen_rounds=doc.get("screen_rounds", 0),
+        screen_rounds=doc.get("screen_rounds", 2),  # clearing + pricing
         flow_rows=doc.get("flow_rows", 0),
         **kwargs,
     )

@@ -19,10 +19,10 @@ skips finished cells, so an interrupted run resumes where it stopped.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -266,17 +266,19 @@ class RunResult:
 
 def _write_json(path, doc, **kwargs):
     """Write ``doc`` to ``path`` through a temp file in the same directory,
-    so a crash mid-write leaves no partial file for a resume to take as
-    finished."""
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path), prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    synced to disk before it is renamed into place, so a crash mid-write
+    leaves no partial file for a resume to take as finished. The file gets
+    the permissions of a plain ``open``."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "w") as fh:
             json.dump(doc, fh, **kwargs)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 

@@ -18,7 +18,11 @@ screened model are prices of the full one.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
+
+from . import optim
 
 __all__ = ["FLOW_TOL", "FlowScreen"]
 
@@ -117,12 +121,22 @@ class FlowScreen:
                 )
             self.added.add(key)
 
-    def solve(self, model, solve):
-        """Solve ``model`` with ``solve(model)``, add the rows its solution
-        breaks, and re-solve until none is broken. Returns the last result;
-        a solve that is not optimal ends the loop."""
+    def solve(self, model, solve, time_limit=None):
+        """Solve ``model`` with ``solve(model, time_left)``, add the rows its
+        solution breaks, and re-solve until none is broken. Returns the last
+        result; a solve that is not optimal ends the loop.
+
+        ``time_limit`` (seconds, or None for none) bounds all the rounds
+        together: each is passed what the earlier ones left, and a round with
+        nothing left returns status "limit" without solving."""
+        t0 = time.perf_counter()
         while True:
-            res = solve(model)
+            left = None
+            if time_limit is not None:
+                left = time_limit - (time.perf_counter() - t0)
+                if left <= 0:
+                    return optim.SolveResult(status="limit")
+            res = solve(model, left)
             self.rounds += 1
             new = self.violated(res.x) if res.ok else []
             if not new:

@@ -163,7 +163,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         fixed,
     )
     try:
-        res = screen.solve(model, lambda m: optim.solve(m, gap_tol=gap_tol))
+        res = screen.solve(model, lambda m, _: optim.solve(m, gap_tol=gap_tol))
     finally:
         if dump_lp:
             model.write_lp(dump_lp)

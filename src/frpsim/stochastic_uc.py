@@ -327,7 +327,9 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
 
     try:
         res = screen.solve(
-            model, lambda m: optim.solve(m, gap_tol=gap_tol, time_limit=time_limit)
+            model,
+            lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
+            time_limit,
         )
     finally:
         if dump_lp:

@@ -1,6 +1,8 @@
 """Day-ahead clearing: energy/ramp co-optimization, frozen-binary pricing,
 signed awards around unit shutdowns, and the residual audit."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,20 @@ def test_outcome_round_trip(tmp_path, pricing_system):
     assert np.allclose(back.r_up, out.r_up)
     assert np.allclose(back.lmp, out.lmp)
     assert back.objective == pytest.approx(out.objective)
+
+
+def test_outcome_file_keeps_screening_counts(tmp_path, two_gen_system):
+    out = clear_dam(
+        two_gen_system, _bids(two_gen_system, [70.0, 120.0]), zero_requirements(2)
+    )
+    path = tmp_path / "dam.json"
+    save_dam_outcome(out, path)
+    back = load_dam_outcome(path)
+    assert (back.screen_rounds, back.flow_rows) == (out.screen_rounds, out.flow_rows)
+    # a file written before flow screening has no counts; its DAM made two
+    # solves, clearing and pricing, and added no rows
+    doc = json.loads(path.read_text())
+    del doc["screen_rounds"], doc["flow_rows"]
+    path.write_text(json.dumps(doc))
+    old = load_dam_outcome(path)
+    assert (old.screen_rounds, old.flow_rows) == (2, 0)

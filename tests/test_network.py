@@ -63,9 +63,9 @@ def _full(monkeypatch):
     """Seed every screen with all of its rows: the unscreened formulation."""
     screened = network.FlowScreen.solve
 
-    def solve(self, model, solve_once):
+    def solve(self, model, solve_once, time_limit=None):
         self.add_rows(model, self.every_row())
-        return screened(self, model, solve_once)
+        return screened(self, model, solve_once, time_limit)
 
     monkeypatch.setattr(network.FlowScreen, "solve", solve)
 
@@ -136,19 +136,26 @@ def test_screened_dam_and_rtm_match_full(congested, monkeypatch):
     assert rtm.flow_rows >= 1 and rtm.screen_rounds >= 2
 
 
-def test_loop_stops_on_rows_already_in_the_model(congested):
-    """A solution that keeps breaking a row already added (solver tolerance)
-    ends the loop instead of adding the row again."""
-    screen = network.FlowScreen(congested)
-    n_b = len(congested.buses)
+def _overloaded(system):
+    """A one-period model of bus draws, its screen, and a point that
+    overloads l1_2 (200 MW drawn at b2)."""
+    screen = network.FlowScreen(system)
+    n_b = len(system.buses)
     model = optim.Model()
     d = np.array([[model.add_var(f"d{n}", lb=-np.inf)] for n in range(n_b)])
     screen.add_periods("", np.arange(n_b), d, -np.ones(n_b), np.zeros((n_b, 1)))
     x = np.zeros(n_b)
-    x[congested.bus_index("b2")] = 200.0  # 200 MW drawn at b2 overloads l1_2
+    x[system.bus_index("b2")] = 200.0
+    return screen, model, x
+
+
+def test_loop_stops_on_rows_already_in_the_model(congested):
+    """A solution that keeps breaking a row already added (solver tolerance)
+    ends the loop instead of adding the row again."""
+    screen, model, x = _overloaded(congested)
     calls = []
 
-    def stuck(m):
+    def stuck(m, _):
         calls.append(len(m.rows))
         return optim.SolveResult(status="optimal", objective=0.0, x=x)
 
@@ -156,6 +163,29 @@ def test_loop_stops_on_rows_already_in_the_model(congested):
     assert screen.rounds == 2 and len(calls) == 2
     assert calls[1] == len(screen.added) >= 1
     assert screen.violated(x) == []
+
+
+def test_time_limit_bounds_all_rounds(congested, monkeypatch):
+    """Each round gets the time the earlier ones left; with none left the
+    loop returns "limit" without solving again."""
+    screen, model, x = _overloaded(congested)
+    clock = [0.0]
+    monkeypatch.setattr(network.time, "perf_counter", lambda: clock[0])
+    budgets = []
+
+    def slow(m, left):
+        budgets.append(left)
+        clock[0] += 1.5
+        return optim.SolveResult(status="optimal", objective=0.0, x=x)
+
+    res = screen.solve(model, slow, time_limit=1.0)
+    assert budgets == [1.0] and res.status == "limit"
+    assert screen.rounds == 1 and len(screen.added) >= 1
+
+    budgets.clear()
+    screen, model, x = _overloaded(congested)
+    screen.solve(model, slow, time_limit=4.0)
+    assert budgets == [4.0, 2.5]  # the second round ends the loop: no new rows
 
 
 def test_no_lines_means_one_solve_per_model(two_gen_system, monkeypatch):
