@@ -194,7 +194,11 @@ def _cmd_sweep(args):
 
 def _cmd_run(args):
     cfg, system = harness.load_config(args.config)
-    result = harness.run_experiment(system, cfg, args.out, workers=args.workers)
+    try:
+        result = harness.run_experiment(system, cfg, args.out, workers=args.workers)
+    except harness.LedgerMismatchError as exc:
+        print(f"refusing to resume: {exc}", file=sys.stderr)
+        return 1
     print(
         f"cells done {len(result.done)}, skipped {len(result.skipped)}, "
         f"failed {len(result.failed)}; stochastic-pass solves {result.suc_pass_solves}"

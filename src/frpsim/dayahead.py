@@ -21,7 +21,7 @@ market run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,14 +85,45 @@ class DamOutcome:
     # and the flow rows they added
     screen_rounds: int = 0
     flow_rows: int = 0
+    # rows, cols, nnz and binaries of the clearing MILP in its last solve
+    size: dict = field(default_factory=dict)
 
     def dispatch_total(self, system):
         p_min = np.array([g.p_min for g in system.generators])
         return self.p + p_min[:, None] * self.u
 
 
+def _award_rows(g):
+    """The ramp-award rows of one unit for the hour pair (h, h+1), as
+    (sense, rhs, terms). A term is (variable, hour offset, coefficient) over
+    the unit's p, rup, rdn, u, v and w; the last two rows exist only while
+    h+2 is in the day."""
+    rd, ru, su, sd = g.ramp_down, g.ramp_up, g.startup_limit, g.shutdown_limit
+    p_min, p_max = g.p_min, g.p_max
+    return [
+        # fud_lo, fu_ramp, fu_cap
+        (">=", 0.0, [("rup", 0, 1.0), ("u", 0, rd), ("w", 1, -(rd - sd)), ("v", 1, -p_min)]),
+        ("<=", 0.0, [("rup", 0, 1.0), ("u", 1, -ru), ("v", 1, -(su - ru))]),
+        ("<=", 0.0, [("rup", 0, 1.0), ("u", 1, -p_max), ("u", 0, p_min)]),
+        # fd_ramp, fd_hi, fd_cap
+        (">=", 0.0, [("rdn", 0, 1.0), ("u", 1, ru), ("v", 1, -(ru - su))]),
+        ("<=", 0.0, [("rdn", 0, 1.0), ("u", 0, -rd), ("w", 1, -(sd - rd)), ("v", 1, p_min)]),
+        (">=", 0.0, [("rdn", 0, 1.0), ("u", 1, p_max), ("u", 0, -p_min)]),
+        # fup_lo, fup_hi, fdp_lo, fdp_hi
+        (">=", -p_min, [("rup", 0, 1.0), ("p", 0, 1.0), ("u", 1, -p_min)]),
+        ("<=", p_max, [("rup", 0, 1.0), ("p", 0, 1.0), ("u", 0, p_min), ("v", 1, -(su - p_max))]),
+        (">=", -p_min, [("rdn", 0, -1.0), ("p", 0, 1.0), ("u", 1, -p_min)]),
+        ("<=", p_max, [("rdn", 0, -1.0), ("p", 0, 1.0), ("u", 0, p_min), ("v", 1, -(su - p_max))]),
+        # fup_stop, fdp_stop
+        ("<=", p_max, [("rup", 0, 1.0), ("p", 0, 1.0), ("w", 2, p_max - sd)]),
+        ("<=", p_max, [("rdn", 0, -1.0), ("p", 0, 1.0), ("w", 2, p_max - sd)]),
+    ]
+
+
 def _build(system, bids, req, fix_commitments):
-    """The clearing model, without line-flow rows, and its column indices."""
+    """The clearing model, without line-flow rows, and its column and row
+    indices: the bid rows (buses, hours) give the LMPs, the requirement rows
+    (hours, up/down) the ramp prices."""
     hours = bids.hours
     gens = system.generators
     model = optim.Model("dam")
@@ -102,217 +133,107 @@ def _build(system, bids, req, fix_commitments):
     p = np.empty((n_g, hours), dtype=int)
     r_up = np.empty((n_g, hours), dtype=int)
     r_dn = np.empty((n_g, hours), dtype=int)
+    hs = np.arange(hours)
+    first = hs == 0
+    prev = (hs - 1).clip(0)
+    pairs = hs[:-1]  # hour h of each (h, h+1) pair
+    ramp_sense = np.tile(np.array(["<=", "<="]), (hours, 1))
+    ramp_sense[0, 1] = ">="
     for i, g in enumerate(gens):
-        for h in range(hours):
-            p[i, h] = model.add_var(f"p[{g.id},{h}]", ub=g.dispatch_range)
-            r_up[i, h] = model.add_var(f"rup[{g.id},{h}]", lb=-np.inf)
-            r_dn[i, h] = model.add_var(f"rdn[{g.id},{h}]", lb=-np.inf)
-            prev_up = 0.0
-            seg_terms = {p[i, h]: 1.0}
-            for s, seg in enumerate(g.segments):
-                j = model.add_var(
-                    f"pseg[{g.id},{s},{h}]", ub=seg.upper - prev_up, obj=seg.cost
-                )
-                seg_terms[j] = -1.0
-                prev_up = seg.upper
-            model.add_constr(f"segsum[{g.id},{h}]", seg_terms, "==", 0.0)
-            model.add_constr(
-                f"cap[{g.id},{h}]", {p[i, h]: 1.0, u[i, h]: -g.dispatch_range}, "<=", 0.0
-            )
+        # per hour: p, rup, rdn, then one column per offer segment
+        widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
+        cols = model.add_vars(
+            f"prr[{g.id}]", (hours, 3 + len(widths)),
+            lb=np.concatenate([[0.0, -np.inf, -np.inf], np.zeros(len(widths))]),
+            ub=np.concatenate([[g.dispatch_range, np.inf, np.inf], widths]),
+            obj=np.concatenate([[0.0, 0.0, 0.0], [seg.cost for seg in g.segments]]),
+        )
+        p[i], r_up[i], r_dn[i] = cols[:, 0], cols[:, 1], cols[:, 2]
+        pi, ui, vi, wi = p[i], u[i], v[i], w[i]
+        model.add_rows(
+            f"segcap[{g.id}]", np.array(["==", "<="]), 0.0,
+            *optim.stack_rows(
+                [(pi, 1.0)] + [(seg, -1.0) for seg in cols[:, 3:].T],
+                [(pi, 1.0), (ui, -g.dispatch_range)],
+            ),
+        )
 
+        # rampup, rampdn; hour 0 runs from the initial state
         p0 = g.initial.dispatch_above_min
         u0 = 1.0 if g.initial.on else 0.0
-        model.add_constr(
-            f"rampup[{g.id},0]",
-            {p[i, 0]: 1.0, v[i, 0]: -(g.startup_limit - g.p_min)},
-            "<=",
-            p0 + g.ramp_up * u0,
+        lift = -(g.startup_limit - g.p_min)
+        model.add_rows(
+            f"ramp[{g.id}]", ramp_sense,
+            np.column_stack([
+                np.where(first, p0 + g.ramp_up * u0, 0.0),
+                np.where(first, p0 - g.ramp_down * u0, 0.0),
+            ]),
+            *optim.stack_rows(
+                [
+                    (pi, 1.0),
+                    (np.where(first, vi, pi[prev]), np.where(first, lift, -1.0)),
+                    (ui[prev], np.where(first, 0.0, -g.ramp_up)),
+                    (vi, np.where(first, 0.0, lift)),
+                ],
+                [
+                    (pi[prev], 1.0),
+                    (np.where(first, wi, pi), np.where(first, -(g.ramp_down - p0), -1.0)),
+                    (ui[prev], np.where(first, 0.0, -g.ramp_down)),
+                    (wi, np.where(first, 0.0, -g.dispatch_range)),
+                ],
+            ),
         )
-        model.add_constr(
-            f"rampdn[{g.id},0]",
-            {p[i, 0]: 1.0, w[i, 0]: -(g.ramp_down - p0)},
-            ">=",
-            p0 - g.ramp_down * u0,
+        model.add_rows(
+            f"stopcap[{g.id}]", "<=", g.dispatch_range,
+            *optim.stack_rows(
+                [(pi[pairs], 1.0), (wi[pairs + 1], g.p_max - g.shutdown_limit)]
+            ),
         )
-        for h in range(1, hours):
-            model.add_constr(
-                f"rampup[{g.id},{h}]",
-                {
-                    p[i, h]: 1.0,
-                    p[i, h - 1]: -1.0,
-                    u[i, h - 1]: -g.ramp_up,
-                    v[i, h]: -(g.startup_limit - g.p_min),
-                },
-                "<=",
-                0.0,
-            )
-            model.add_constr(
-                f"rampdn[{g.id},{h}]",
-                {
-                    p[i, h - 1]: 1.0,
-                    p[i, h]: -1.0,
-                    u[i, h - 1]: -g.ramp_down,
-                    w[i, h]: -g.dispatch_range,
-                },
-                "<=",
-                0.0,
-            )
-        for h in range(hours - 1):
-            model.add_constr(
-                f"stopcap[{g.id},{h}]",
-                {p[i, h]: 1.0, w[i, h + 1]: g.p_max - g.shutdown_limit},
-                "<=",
-                g.dispatch_range,
-            )
 
         # ramp awards tied to the unit's feasible hour-to-hour movement
-        for h in range(hours - 1):
-            gid = g.id
-            model.add_constr(
-                f"fud_lo[{gid},{h}]",
-                {
-                    r_up[i, h]: 1.0,
-                    u[i, h]: g.ramp_down,
-                    w[i, h + 1]: -(g.ramp_down - g.shutdown_limit),
-                    v[i, h + 1]: -g.p_min,
-                },
-                ">=",
-                0.0,
-            )
-            model.add_constr(
-                f"fu_ramp[{gid},{h}]",
-                {
-                    r_up[i, h]: 1.0,
-                    u[i, h + 1]: -g.ramp_up,
-                    v[i, h + 1]: -(g.startup_limit - g.ramp_up),
-                },
-                "<=",
-                0.0,
-            )
-            model.add_constr(
-                f"fu_cap[{gid},{h}]",
-                {r_up[i, h]: 1.0, u[i, h + 1]: -g.p_max, u[i, h]: g.p_min},
-                "<=",
-                0.0,
-            )
-            model.add_constr(
-                f"fd_ramp[{gid},{h}]",
-                {
-                    r_dn[i, h]: 1.0,
-                    u[i, h + 1]: g.ramp_up,
-                    v[i, h + 1]: -(g.ramp_up - g.startup_limit),
-                },
-                ">=",
-                0.0,
-            )
-            model.add_constr(
-                f"fd_hi[{gid},{h}]",
-                {
-                    r_dn[i, h]: 1.0,
-                    u[i, h]: -g.ramp_down,
-                    w[i, h + 1]: -(g.shutdown_limit - g.ramp_down),
-                    v[i, h + 1]: g.p_min,
-                },
-                "<=",
-                0.0,
-            )
-            model.add_constr(
-                f"fd_cap[{gid},{h}]",
-                {r_dn[i, h]: 1.0, u[i, h + 1]: g.p_max, u[i, h]: -g.p_min},
-                ">=",
-                0.0,
-            )
-            model.add_constr(
-                f"fup_lo[{gid},{h}]",
-                {r_up[i, h]: 1.0, p[i, h]: 1.0, u[i, h + 1]: -g.p_min},
-                ">=",
-                -g.p_min,
-            )
-            model.add_constr(
-                f"fup_hi[{gid},{h}]",
-                {
-                    r_up[i, h]: 1.0,
-                    p[i, h]: 1.0,
-                    u[i, h]: g.p_min,
-                    v[i, h + 1]: -(g.startup_limit - g.p_max),
-                },
-                "<=",
-                g.p_max,
-            )
-            model.add_constr(
-                f"fdp_lo[{gid},{h}]",
-                {r_dn[i, h]: -1.0, p[i, h]: 1.0, u[i, h + 1]: -g.p_min},
-                ">=",
-                -g.p_min,
-            )
-            model.add_constr(
-                f"fdp_hi[{gid},{h}]",
-                {
-                    r_dn[i, h]: -1.0,
-                    p[i, h]: 1.0,
-                    u[i, h]: g.p_min,
-                    v[i, h + 1]: -(g.startup_limit - g.p_max),
-                },
-                "<=",
-                g.p_max,
-            )
-            if h < hours - 2:
-                model.add_constr(
-                    f"fup_stop[{gid},{h}]",
-                    {
-                        r_up[i, h]: 1.0,
-                        p[i, h]: 1.0,
-                        w[i, h + 2]: g.p_max - g.shutdown_limit,
-                    },
-                    "<=",
-                    g.p_max,
-                )
-                model.add_constr(
-                    f"fdp_stop[{gid},{h}]",
-                    {
-                        r_dn[i, h]: -1.0,
-                        p[i, h]: 1.0,
-                        w[i, h + 2]: g.p_max - g.shutdown_limit,
-                    },
-                    "<=",
-                    g.p_max,
-                )
+        var = {"p": pi, "rup": r_up[i], "rdn": r_dn[i], "u": ui, "v": vi, "w": wi}
+        rows = _award_rows(g)
+        cols, coefs = optim.stack_rows(*(
+            [(var[x][np.minimum(pairs + ahead, hours - 1)], c) for x, ahead, c in terms]
+            for _, _, terms in rows
+        ))
+        keep = np.ones((len(pairs), len(rows)), dtype=bool)
+        keep[:, -2:] = (pairs < hours - 2)[:, None]
+        model.add_rows(
+            f"award[{g.id}]",
+            np.broadcast_to([sense for sense, _, _ in rows], keep.shape)[keep],
+            np.broadcast_to([rhs for _, rhs, _ in rows], keep.shape)[keep],
+            cols[keep],
+            coefs[keep],
+        )
 
-    pc = np.empty((n_b, hours), dtype=int)
-    d = np.empty((n_b, hours), dtype=int)
-    for n in range(n_b):
-        bid = system.buses[n].id
-        for h in range(hours):
-            pc[n, h] = model.add_var(f"pc[{bid},{h}]", obj=system.curtailment_penalty)
-            d[n, h] = model.add_var(f"d[{bid},{h}]", lb=-np.inf)
-            model.add_constr(f"bid[{bid},{h}]", {d[n, h]: 1.0}, "==", bids.values[n, h])
+    pcd = model.add_vars(
+        "pcd", (n_b, hours, 2), lb=[0.0, -np.inf], obj=[system.curtailment_penalty, 0.0]
+    )
+    pc, d = pcd[..., 0], pcd[..., 1]
+    bid = model.add_rows("bid", "==", bids.values, d[..., None], 1.0)
 
     p_min = np.array([g.p_min for g in gens])
-    for h in range(hours):
-        terms = {}
-        for i in range(n_g):
-            terms[p[i, h]] = 1.0
-            terms[u[i, h]] = terms.get(u[i, h], 0.0) + p_min[i]
-        for n in range(n_b):
-            terms[pc[n, h]] = 1.0
-            terms[d[n, h]] = -1.0
-        model.add_constr(f"bal[{h}]", terms, "==", 0.0)
+    model.add_rows(
+        "bal", "==", 0.0,
+        np.concatenate([p, u, pc, d]).T,
+        np.concatenate([np.ones(n_g), p_min, np.ones(n_b), -np.ones(n_b)]),
+    )
 
-    sf_up = np.empty(hours, dtype=int)
-    sf_dn = np.empty(hours, dtype=int)
-    for h in range(hours):
-        sf_up[h] = model.add_var(f"sfup[{h}]", obj=system.frp_shortfall_penalty)
-        sf_dn[h] = model.add_var(f"sfdn[{h}]", obj=system.frp_shortfall_penalty)
-        terms = {r_up[i, h]: 1.0 for i in range(n_g)}
-        terms[sf_up[h]] = 1.0
-        model.add_constr(f"requp[{h}]", terms, ">=", req.up[h])
-        terms = {r_dn[i, h]: 1.0 for i in range(n_g)}
-        terms[sf_dn[h]] = 1.0
-        model.add_constr(f"reqdn[{h}]", terms, ">=", req.dn[h])
+    sf = model.add_vars("sf", (hours, 2), obj=system.frp_shortfall_penalty)
+    sf_up, sf_dn = sf[:, 0], sf[:, 1]
+    reqs = model.add_rows(
+        "req", ">=", np.column_stack([req.up, req.dn]),
+        np.stack([
+            np.column_stack([r_up.T, sf_up]),
+            np.column_stack([r_dn.T, sf_dn]),
+        ], axis=1),
+        1.0,
+    )
 
     idx = {
         "u": u, "v": v, "w": w, "p": p, "r_up": r_up, "r_dn": r_dn,
-        "pc": pc, "d": d, "sf_up": sf_up, "sf_dn": sf_dn,
+        "pc": pc, "d": d, "sf_up": sf_up, "sf_dn": sf_dn, "bid": bid, "req": reqs,
     }
     return model, idx
 
@@ -378,13 +299,8 @@ def clear_dam(
         if dump_lp:
             model.write_lp(dump_lp)
 
-    lmp = np.empty((n_b, hours))
-    for n in range(n_b):
-        bid = system.buses[n].id
-        for h in range(hours):
-            lmp[n, h] = lp.duals[f"bid[{bid},{h}]"]
-    price_up = np.array([lp.duals[f"requp[{h}]"] for h in range(hours)])
-    price_dn = np.array([lp.duals[f"reqdn[{h}]"] for h in range(hours)])
+    lmp = lp.duals[idx["bid"]]
+    price_up, price_dn = lp.duals[idx["req"]].T
 
     x = lp.x  # awards from the pricing solve share the MIP's binaries
     return DamOutcome(
@@ -409,6 +325,7 @@ def clear_dam(
         mip_gap=mip.mip_gap,
         screen_rounds=screen.rounds,
         flow_rows=len(screen.added),
+        size=mip.size,
     )
 
 
@@ -506,6 +423,7 @@ def save_dam_outcome(out, path):
         "mip_gap": out.mip_gap,
         "screen_rounds": out.screen_rounds,
         "flow_rows": out.flow_rows,
+        "size": out.size,
     }
     for name in _ARRAYS:
         doc[name] = getattr(out, name).tolist()
@@ -529,5 +447,6 @@ def load_dam_outcome(path):
         mip_gap=doc["mip_gap"],
         screen_rounds=doc.get("screen_rounds", 2),  # clearing + pricing
         flow_rows=doc.get("flow_rows", 0),
+        size=doc.get("size", {}),
         **kwargs,
     )

@@ -47,6 +47,7 @@ __all__ = [
     "DayInput",
     "ExperimentConfig",
     "RunResult",
+    "LedgerMismatchError",
     "load_config",
     "run_experiment",
     "clairvoyant_cost",
@@ -81,6 +82,12 @@ class ExperimentConfig:
         return TimeGrid(hours=hours, periods_per_hour=self.periods_per_hour)
 
     def digest(self):
+        """Hash of everything that decides a cell's numbers, the system
+        file's bytes included, so a ledger can refuse cells of another run."""
+        system_sha = None
+        if self.system_path is not None:
+            with open(self.system_path, "rb") as fh:
+                system_sha = hashlib.sha256(fh.read()).hexdigest()
         blob = json.dumps(
             {
                 "days": [[d.name, d.hourly_net_load.tolist()] for d in self.days],
@@ -92,7 +99,9 @@ class ExperimentConfig:
                 "master_seed": self.master_seed,
                 "oos": [self.oos_sigma_frac, self.oos_rho],
                 "gap_tol": self.gap_tol,
+                "time_limit": self.time_limit,
                 "settlement": self.settlement_mode,
+                "system_sha256": system_sha,
             },
             sort_keys=True,
         )
@@ -185,6 +194,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "shortfall_dn_mw": float(dam.sf_dn.sum()),
             "screen_rounds": dam.screen_rounds,
             "flow_rows": dam.flow_rows,
+            **dam.size,
         },
         "rtm": {
             "total_cost_usd": rtm.total_cost,
@@ -194,6 +204,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "shed_mwh": rtm.shed_mwh,
             "screen_rounds": rtm.screen_rounds,
             "flow_rows": rtm.flow_rows,
+            **rtm.size,
         },
         "settlement": {
             "mode": rep.mode,
@@ -222,6 +233,7 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
         "mip_gap": suc.mip_gap,
         "screen_rounds": suc.screen_rounds,
         "flow_rows": suc.flow_rows,
+        **suc.size,
     }
     cells = {}
     for method in wanted:
@@ -287,18 +299,44 @@ def _append_manifest(out_dir, entry):
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+class LedgerMismatchError(RuntimeError):
+    """The output directory holds a run of another config or system."""
+
+
+def _first_digest(out_dir):
+    """The config digest of the first run recorded in ``out_dir``, if any."""
+    path = os.path.join(out_dir, "manifest.jsonl")
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        for line in fh:
+            entry = json.loads(line)
+            if entry.get("event") == "run-start":
+                return entry["config_digest"]
+    return None
+
+
 def run_experiment(system, cfg, out_dir, workers=1):
     """Execute every cell of the configured grid, resuming past work.
 
     Returns a RunResult; failures are recorded and do not stop other cells.
+    Raises LedgerMismatchError, before solving anything, when ``out_dir``
+    holds a run whose config digest differs: its cells would not be cells of
+    this run. Use a fresh directory for a changed config or system.
     """
+    digest = cfg.digest()
+    recorded = _first_digest(out_dir)
+    if recorded is not None and recorded != digest:
+        raise LedgerMismatchError(
+            f"{out_dir} holds a run of config {recorded}, not {digest}; "
+            "use a fresh output directory"
+        )
     os.makedirs(out_dir, exist_ok=True)
     cells_dir = os.path.join(out_dir, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     result = RunResult(out_dir=out_dir)
     _append_manifest(
-        out_dir,
-        {"event": "run-start", "config_digest": cfg.digest(), "time": time.time()},
+        out_dir, {"event": "run-start", "config_digest": digest, "time": time.time()}
     )
 
     # realized trajectory and clairvoyant reference, one per day; a day whose
@@ -403,7 +441,12 @@ def _dispatch(system, cfg, job):
 
 
 def _record_failure(out_dir, result, job, exc):
+    """Mark the cells of a failed job failed, except those already in the
+    ledger: a job's cells are written one at a time, so a failure may come
+    after some of them are finished."""
     for cell_id in job[-1]:
+        if os.path.exists(os.path.join(out_dir, "cells", cell_id + ".json")):
+            continue
         result.failed[cell_id] = f"{type(exc).__name__}: {exc}"
         _append_manifest(
             out_dir,

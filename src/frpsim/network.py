@@ -18,6 +18,7 @@ screened model are prices of the full one.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -101,25 +102,24 @@ class FlowScreen:
         ]
 
     def add_rows(self, model, keys):
-        """Put the rows ``keys`` into ``model``."""
-        for key in keys:
-            b, line, k, side = key
+        """Put the rows ``keys`` into ``model``, in the order given."""
+        for b, run in itertools.groupby(keys, key=lambda key: key[0]):
+            run = list(run)
             tag, bus, cols, coefs, const = self.blocks[b]
-            psi = self.psi[line]
-            terms = {}
-            for n, j, c in zip(bus, cols[:, k], coefs):
-                terms[j] = terms.get(j, 0.0) + psi[n] * c
-            fixed = float(psi @ const[:, k])
-            ln = self.lines[line]
-            if side == "hi":
-                model.add_constr(
-                    f"flowhi{tag}[{ln.id},{k}]", terms, "<=", ln.flow_max - fixed
-                )
-            else:
-                model.add_constr(
-                    f"flowlo{tag}[{ln.id},{k}]", terms, ">=", ln.flow_min - fixed
-                )
-            self.added.add(key)
+            line = np.array([key[1] for key in run])
+            k = np.array([key[2] for key in run])
+            hi = np.array([key[3] == "hi" for key in run])
+            # one dot product per row, so that a row's right-hand side does
+            # not depend on which rows are added with it
+            fixed = np.array([self.psi[ln] @ const[:, kk] for ln, kk in zip(line, k)])
+            model.add_rows(
+                f"flow{tag}.{len(self.added)}",
+                np.where(hi, "<=", ">="),
+                np.where(hi, self.fmax[line, 0], self.fmin[line, 0]) - fixed,
+                cols[:, k].T,
+                self.psi[line][:, bus] * coefs,
+            )
+            self.added.update(run)
 
     def solve(self, model, solve, time_limit=None):
         """Solve ``model`` with ``solve(model, time_left)``, add the rows its

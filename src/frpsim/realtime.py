@@ -11,7 +11,7 @@ outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class RtmOutcome:
     shed_mwh: float
     screen_rounds: int = 0  # solves made while screening line flows
     flow_rows: int = 0  # line-flow rows the screening added
+    # rows, cols, nnz and binaries of the LP in its last solve
+    size: dict = field(default_factory=dict)
 
     @property
     def total_cost(self):
@@ -76,79 +78,62 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
 
     model = optim.Model("rtm")
     p = np.empty((n_g, n_t), dtype=int)
+    ks = np.arange(n_t)
+    first = ks == 0
+    prev = (ks - 1).clip(0)
+    sense = np.tile(np.array(["==", "<=", "<=", "<="]), (n_t, 1))
+    sense[0, 2] = ">="
     for i, g in enumerate(gens):
         ru = g.ramp_up * scale
         rd = g.ramp_down * scale
         p0 = g.initial.dispatch_above_min
         u0 = 1.0 if g.initial.on else 0.0
-        for k in range(n_t):
-            p[i, k] = model.add_var(
-                f"p[{g.id},{k}]", ub=g.dispatch_range * u[i, k]
-            )
-            prev_up = 0.0
-            seg_terms = {p[i, k]: 1.0}
-            for s, seg in enumerate(g.segments):
-                j = model.add_var(
-                    f"pseg[{g.id},{s},{k}]",
-                    ub=seg.upper - prev_up,
-                    obj=seg.cost * scale,
-                )
-                seg_terms[j] = -1.0
-                prev_up = seg.upper
-            model.add_constr(f"segsum[{g.id},{k}]", seg_terms, "==", 0.0)
-            if k == 0:
-                lift = (g.startup_limit - g.p_min) * v[i, 0]
-                model.add_constr(
-                    f"rampup[{g.id},0]", {p[i, 0]: 1.0}, "<=", p0 + ru * u0 + lift
-                )
-                floor = p0 - rd * u0 + (rd - p0) * w[i, 0]
-                model.add_constr(f"rampdn[{g.id},0]", {p[i, 0]: 1.0}, ">=", floor)
-            else:
-                lift = (g.startup_limit - g.p_min) * v[i, k]
-                model.add_constr(
-                    f"rampup[{g.id},{k}]",
-                    {p[i, k]: 1.0, p[i, k - 1]: -1.0},
-                    "<=",
-                    ru * u[i, k - 1] + lift,
-                )
-                drop = g.dispatch_range * w[i, k]
-                model.add_constr(
-                    f"rampdn[{g.id},{k}]",
-                    {p[i, k - 1]: 1.0, p[i, k]: -1.0},
-                    "<=",
-                    rd * u[i, k - 1] + drop,
-                )
-            if k < n_t - 1 and w[i, k + 1]:
-                model.add_constr(
-                    f"stopcap[{g.id},{k}]",
-                    {p[i, k]: 1.0},
-                    "<=",
-                    g.shutdown_limit - g.p_min,
-                )
+        # per period: p, capped by the commitment, then one column per
+        # offer segment
+        widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
+        pseg = model.add_vars(
+            f"p[{g.id}]", (n_t, 1 + len(widths)),
+            ub=np.column_stack([
+                g.dispatch_range * u[i], np.broadcast_to(widths, (n_t, len(widths)))
+            ]),
+            obj=np.concatenate([[0.0], [seg.cost * scale for seg in g.segments]]),
+        )
+        p[i] = pk = pseg[:, 0]
+        pk1 = p[i, prev]
+        # per period: segsum, rampup, rampdn and, before a shutdown, stopcap;
+        # the first period's ramp rows run from the initial state
+        lift = (g.startup_limit - g.p_min) * v[i]
+        up = ru * u[i, prev] + lift
+        up[0] = p0 + ru * u0 + lift[0]
+        dn = rd * u[i, prev] + g.dispatch_range * w[i]
+        dn[0] = p0 - rd * u0 + (rd - p0) * w[i, 0]
+        step = np.where(first, 0.0, -1.0)
+        cols, coefs = optim.stack_rows(
+            [(pk, 1.0)] + [(seg, -1.0) for seg in pseg[:, 1:].T],
+            [(pk, 1.0), (pk1, step)],
+            [(pk1, 1.0), (pk, step)],
+            [(pk, 1.0)],
+        )
+        rhs = np.column_stack([np.zeros(n_t), up, dn, np.full(n_t, g.shutdown_limit - g.p_min)])
+        keep = np.ones((n_t, 4), dtype=bool)
+        keep[:, 3] = np.append(w[i, 1:] != 0, False)
+        model.add_rows(f"disp[{g.id}]", sense[keep], rhs[keep], cols[keep], coefs[keep])
 
-    pc = np.empty((n_b, n_t), dtype=int)
-    d = np.empty((n_b, n_t), dtype=int)
-    for n in range(n_b):
-        bid = system.buses[n].id
-        for k in range(n_t):
-            pc[n, k] = model.add_var(
-                f"pc[{bid},{k}]", obj=system.curtailment_penalty * scale
-            )
-            d[n, k] = model.add_var(f"d[{bid},{k}]", lb=-np.inf)
-            model.add_constr(
-                f"load[{bid},{k}]", {d[n, k]: 1.0}, "==", realized.values[n, k]
-            )
+    pcd = model.add_vars(
+        "pcd", (n_b, n_t, 2), lb=[0.0, -np.inf],
+        obj=[system.curtailment_penalty * scale, 0.0],
+    )
+    pc, d = pcd[..., 0], pcd[..., 1]
+    load = model.add_rows("load", "==", realized.values, d[..., None], 1.0)
 
     p_min = np.array([g.p_min for g in gens])
     bus_of = [system.bus_index(g.bus) for g in gens]
-    for k in range(n_t):
-        terms = {p[i, k]: 1.0 for i in range(n_g)}
-        for n in range(n_b):
-            terms[pc[n, k]] = 1.0
-            terms[d[n, k]] = -1.0
-        model.add_constr(
-            f"bal[{k}]", terms, "==", -float((p_min * u[:, k]).sum())
-        )
+    # committed minimum output per period, summed along a contiguous row
+    model.add_rows(
+        "bal", "==", -np.ascontiguousarray((p_min[:, None] * u).T).sum(axis=1),
+        np.concatenate([p, pc, d]).T,
+        np.concatenate([np.ones(n_g), np.ones(n_b), -np.ones(n_b)]),
+    )
 
     # committed minimum output is data here, so it enters the flows as a
     # fixed injection
@@ -172,11 +157,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     x = res.x
     p_val = x[p]
     pc_val = x[pc]
-    lmp = np.empty((n_b, n_t))
-    for n in range(n_b):
-        bid = system.buses[n].id
-        for k in range(n_t):
-            lmp[n, k] = res.duals[f"load[{bid},{k}]"]
+    lmp = res.duals[load]
     curtail_cost = float(system.curtailment_penalty * scale * pc_val.sum())
     commitment_cost = float(
         sum(
@@ -198,6 +179,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         shed_mwh=float(pc_val.sum() * scale),
         screen_rounds=screen.rounds,
         flow_rows=len(screen.added),
+        size=res.size,
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,38 +74,42 @@ def add_commitment_block(model, generators, hours, u_floor=None):
     u = np.empty((n_g, hours), dtype=int)
     v = np.empty((n_g, hours), dtype=int)
     w = np.empty((n_g, hours), dtype=int)
+    hs = np.arange(hours)
+    first = hs == 0
     for i, g in enumerate(generators):
-        for h in range(hours):
-            lb = 1.0 if u_floor is not None and u_floor[i, h] else 0.0
-            u[i, h] = model.add_var(
-                f"u[{g.id},{h}]", lb=lb, ub=1.0, obj=g.no_load_cost, integer=True
-            )
-            v[i, h] = model.add_var(f"v[{g.id},{h}]", ub=1.0, obj=g.startup_cost)
-            w[i, h] = model.add_var(f"w[{g.id},{h}]", ub=1.0)
-        u0 = 1 if g.initial.on else 0
-        model.add_constr(
-            f"logic[{g.id},0]", {u[i, 0]: 1.0, v[i, 0]: -1.0, w[i, 0]: 1.0}, "==", u0
+        lb = np.zeros((hours, 3))
+        if u_floor is not None:
+            lb[:, 0] = np.asarray(u_floor[i], dtype=bool)
+        uvw = model.add_vars(
+            f"uvw[{g.id}]", (hours, 3), lb=lb, ub=1.0,
+            obj=[g.no_load_cost, g.startup_cost, 0.0], integer=[True, False, False],
         )
-        for h in range(1, hours):
-            model.add_constr(
-                f"logic[{g.id},{h}]",
-                {u[i, h]: 1.0, u[i, h - 1]: -1.0, v[i, h]: -1.0, w[i, h]: 1.0},
-                "==",
-                0.0,
-            )
-        for h in range(hours):
-            terms = {v[i, hp]: 1.0 for hp in range(max(0, h - g.min_up + 1), h + 1)}
-            terms[u[i, h]] = -1.0
-            model.add_constr(f"minup[{g.id},{h}]", terms, "<=", 0.0)
-            terms = {w[i, hp]: 1.0 for hp in range(max(0, h - g.min_down + 1), h + 1)}
-            terms[u[i, h]] = 1.0
-            model.add_constr(f"mindown[{g.id},{h}]", terms, "<=", 1.0)
+        u[i], v[i], w[i] = uvw.T
+        ui, vi, wi = u[i], v[i], w[i]
+        u0 = 1 if g.initial.on else 0
+        model.add_rows(
+            f"logic[{g.id}]", "==", np.where(first, u0, 0),
+            *optim.stack_rows(
+                [(ui, 1.0), (ui[hs - 1], np.where(first, 0.0, -1.0)), (vi, -1.0), (wi, 1.0)]
+            ),
+        )
+        # minup and mindown per hour: the v (w) terms of hours h-j, j < UT
+        # (DT), cut at hour 0, then the u[h] term
+        back = [(hs - j).clip(0) for j in range(min(max(g.min_up, g.min_down), hours))]
+        model.add_rows(
+            f"minupdown[{g.id}]", "<=", [0.0, 1.0],
+            *optim.stack_rows(
+                [(vi[b], (hs >= j) & (j < g.min_up)) for j, b in enumerate(back)]
+                + [(ui, -1.0)],
+                [(wi[b], (hs >= j) & (j < g.min_down)) for j, b in enumerate(back)]
+                + [(ui, 1.0)],
+            ),
+        )
         if g.initial.on:
-            for h in range(min(g.min_up - g.initial.hours_on, hours)):
-                model.add_constr(f"initup[{g.id},{h}]", {w[i, h]: 1.0}, "==", 0.0)
+            kind, held = "initup", wi[: max(0, min(g.min_up - g.initial.hours_on, hours))]
         else:
-            for h in range(min(g.min_down - g.initial.hours_off, hours)):
-                model.add_constr(f"initdown[{g.id},{h}]", {v[i, h]: 1.0}, "==", 0.0)
+            kind, held = "initdown", vi[: max(0, min(g.min_down - g.initial.hours_off, hours))]
+        model.add_rows(f"{kind}[{g.id}]", "==", 0.0, held[:, None], 1.0)
     return u, v, w
 
 
@@ -172,6 +176,8 @@ class SucSolution:
     wall_time_s: float
     screen_rounds: int  # solves made while screening line flows
     flow_rows: int  # line-flow rows the screening added
+    # rows, cols, nnz and binaries of the model in its last solve
+    size: dict = field(default_factory=dict)
 
     def committed_hours(self):
         """(gens, hours) 0/1 commitment schedule for downstream fixing."""
@@ -199,99 +205,84 @@ def _add_dispatch_scenario(
     k_per_h = grid.periods_per_hour
     scale = grid.period_hours  # sub-period ramp scaling and energy weight
     p = np.empty((len(gens), n_periods), dtype=int)
-    pc = np.empty((len(system.buses), n_periods), dtype=int)
+    ks = np.arange(n_periods)
+    first = ks == 0
+    h = ks // k_per_h  # the hour of each period
+    hp = (ks - 1).clip(0) // k_per_h  # the hour of the period before
+    new_hour = (ks > 0) & (h != hp)
+    hn = np.minimum(ks + 1, n_periods - 1) // k_per_h  # the hour of the next one
+    # a period whose successor opens a new hour carries a stopcap row
+    keep = np.ones((n_periods, 5), dtype=bool)
+    keep[:, 4] = (ks < n_periods - 1) & (hn != h)
+    sense = np.tile(np.array(["<=", "==", "<=", "<=", "<="]), (n_periods, 1))
+    sense[0, 3] = ">="
 
     for i, g in enumerate(gens):
-        seg_idx = []
-        for k in range(n_periods):
-            p[i, k] = model.add_var(f"p{tag}[{g.id},{k}]", ub=g.dispatch_range)
-            prev_up = 0.0
-            row = []
-            for s, seg in enumerate(g.segments):
-                j = model.add_var(
-                    f"pseg{tag}[{g.id},{s},{k}]",
-                    ub=seg.upper - prev_up,
-                    obj=seg.cost * scale,
-                )
-                row.append(j)
-                prev_up = seg.upper
-            seg_idx.append(row)
-        for k in range(n_periods):
-            h = k // k_per_h
-            terms = {p[i, k]: 1.0, u[i, h]: -g.dispatch_range}
-            model.add_constr(f"cap{tag}[{g.id},{k}]", terms, "<=", 0.0)
-            terms = {p[i, k]: 1.0}
-            for j in seg_idx[k]:
-                terms[j] = -1.0
-            model.add_constr(f"segsum{tag}[{g.id},{k}]", terms, "==", 0.0)
+        # per period: p, then one column per offer segment
+        widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
+        pseg = model.add_vars(
+            f"p{tag}[{g.id}]", (n_periods, 1 + len(widths)),
+            ub=np.concatenate([[g.dispatch_range], widths]),
+            obj=np.concatenate([[0.0], [seg.cost * scale for seg in g.segments]]),
+        )
+        p[i] = pk = pseg[:, 0]
+        pk1 = p[i, ks - 1]
+        ru = g.ramp_up * scale
+        rd = g.ramp_down * scale
+        p0 = g.initial.dispatch_above_min
+        u0 = 1.0 if g.initial.on else 0.0
+        lift = -(g.startup_limit - g.p_min)
+        # per period: cap, segsum, rampup, rampdn, stopcap; the first
+        # period's ramp rows run from the initial state
+        cols, coefs = optim.stack_rows(
+            [(pk, 1.0), (u[i, h], -g.dispatch_range)],
+            [(pk, 1.0)] + [(seg, -1.0) for seg in pseg[:, 1:].T],
+            [
+                (pk, 1.0),
+                (np.where(first, v[i, 0], pk1), np.where(first, lift, -1.0)),
+                (u[i, hp], np.where(first, 0.0, -ru)),
+                (v[i, h], np.where(new_hour, lift, 0.0)),
+            ],
+            [
+                (np.where(first, pk, pk1), 1.0),
+                (np.where(first, w[i, 0], pk), np.where(first, -(rd - p0), -1.0)),
+                (u[i, hp], np.where(first, 0.0, -rd)),
+                (w[i, h], np.where(new_hour, -g.dispatch_range, 0.0)),
+            ],
+            [(pk, 1.0), (w[i, hn], g.p_max - g.shutdown_limit)],
+        )
+        zero = np.zeros(n_periods)
+        rhs = np.column_stack([
+            zero, zero, np.where(first, p0 + ru * u0, 0.0),
+            np.where(first, p0 - rd * u0, 0.0), zero + g.dispatch_range,
+        ])
+        model.add_rows(
+            f"disp{tag}[{g.id}]", sense[keep], rhs[keep], cols[keep], coefs[keep]
+        )
 
-            ru = g.ramp_up * scale
-            rd = g.ramp_down * scale
-            if k == 0:
-                p0 = g.initial.dispatch_above_min
-                u0 = 1.0 if g.initial.on else 0.0
-                model.add_constr(
-                    f"rampup{tag}[{g.id},0]",
-                    {p[i, 0]: 1.0, v[i, 0]: -(g.startup_limit - g.p_min)},
-                    "<=",
-                    p0 + ru * u0,
-                )
-                model.add_constr(
-                    f"rampdn{tag}[{g.id},0]",
-                    {p[i, 0]: 1.0, w[i, 0]: -(rd - p0)},
-                    ">=",
-                    p0 - rd * u0,
-                )
-            else:
-                hp = (k - 1) // k_per_h
-                vterm = v[i, h] if h != hp else None
-                terms = {p[i, k]: 1.0, p[i, k - 1]: -1.0, u[i, hp]: -ru}
-                if vterm is not None:
-                    terms[vterm] = -(g.startup_limit - g.p_min)
-                model.add_constr(f"rampup{tag}[{g.id},{k}]", terms, "<=", 0.0)
-                terms = {p[i, k - 1]: 1.0, p[i, k]: -1.0, u[i, hp]: -rd}
-                if h != hp:
-                    terms[w[i, h]] = -g.dispatch_range
-                model.add_constr(f"rampdn{tag}[{g.id},{k}]", terms, "<=", 0.0)
-            if k < n_periods - 1:
-                hn = (k + 1) // k_per_h
-                if hn != h:
-                    model.add_constr(
-                        f"stopcap{tag}[{g.id},{k}]",
-                        {p[i, k]: 1.0, w[i, hn]: g.p_max - g.shutdown_limit},
-                        "<=",
-                        g.dispatch_range,
-                    )
-
-    for n in range(len(system.buses)):
-        for k in range(n_periods):
-            pc[n, k] = model.add_var(
-                f"pc{tag}[{system.buses[n].id},{k}]",
-                obj=system.curtailment_penalty * scale,
-            )
-
+    pc = model.add_vars(
+        f"pc{tag}", (len(system.buses), n_periods), obj=system.curtailment_penalty * scale
+    )
     p_min = np.array([g.p_min for g in gens])
     bus_of = [system.bus_index(g.bus) for g in gens]
-    for k in range(n_periods):
-        h = k // k_per_h
-        terms = {}
-        for i in range(len(gens)):
-            terms[p[i, k]] = 1.0
-            terms[u[i, h]] = terms.get(u[i, h], 0.0) + p_min[i]
-        for n in range(len(system.buses)):
-            terms[pc[n, k]] = 1.0
-        model.add_constr(f"bal{tag}[{k}]", terms, "==", float(net_load[:, k].sum()))
+    n_b = len(system.buses)
+    net_load = np.asarray(net_load, dtype=float)
+    # each period's total summed along a contiguous row, as net_load[:, k].sum()
+    model.add_rows(
+        f"bal{tag}", "==", np.ascontiguousarray(net_load.T).sum(axis=1),
+        np.concatenate([p, u[:, h], pc]).T,
+        np.concatenate([np.ones(len(gens)), p_min, np.ones(n_b)]),
+    )
 
     if psi is not None:  # the unscreened formulation: every flow row now
         screen = network.FlowScreen(system, psi)
     if screen is not None:
-        n_b = len(system.buses)
         screen.add_periods(
             tag,
             np.concatenate([bus_of, bus_of, np.arange(n_b)]),
-            np.vstack([p, u[:, np.arange(n_periods) // k_per_h], pc]),
+            np.vstack([p, u[:, h], pc]),
             np.concatenate([np.ones(len(gens)), p_min, np.ones(n_b)]),
-            -np.asarray(net_load, dtype=float),
+            -net_load,
         )
         if psi is not None:
             screen.add_rows(model, screen.every_row())
@@ -319,9 +310,7 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         p, pc = _add_dispatch_scenario(
             model, system, grid, u, v, w, f"@{s}", scenarios.values[s], None, screen
         )
-        # weight this scenario's cost terms by its probability
-        for j in range(mark, model.n_vars):
-            model.obj[j] *= prob
+        model.obj[mark:] *= prob  # weight this scenario's cost terms
         p_idx.append(p)
         pc_idx.append(pc)
 
@@ -365,6 +354,7 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         wall_time_s=wall,
         screen_rounds=screen.rounds,
         flow_rows=len(screen.added),
+        size=res.size,
     )
 
 
@@ -452,6 +442,7 @@ def save_suc_solution(sol, path):
         "wall_time_s": sol.wall_time_s,
         "screen_rounds": sol.screen_rounds,
         "flow_rows": sol.flow_rows,
+        "size": sol.size,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -477,4 +468,5 @@ def load_suc_solution(path):
         # files from before flow screening solved once and added no rows
         screen_rounds=doc.get("screen_rounds", 1),
         flow_rows=doc.get("flow_rows", 0),
+        size=doc.get("size", {}),
     )

@@ -22,8 +22,12 @@ def _bids(system, loads):
 
 
 def test_zero_requirement_matches_plain_commitment(two_gen_system):
-    """With no ramp requirement the market is an ordinary hourly commitment:
-    same objective as the scenario solver run on one certain scenario."""
+    """With no ramp requirement the market is an ordinary hourly commitment,
+    with the scenario solver's objective on one certain scenario, as long as
+    no unit with a minimum output starts (here g2, with none, starts at hour
+    1). Such a start breaks the match: the signed down award of a unit
+    starting next hour is capped at -p_min, so a zero requirement can still
+    buy down-capability shortfall at the penalty price."""
     loads = [70.0, 120.0, 95.0, 60.0]
     out = clear_dam(two_gen_system, _bids(two_gen_system, loads), zero_requirements(4))
     scn = scenario_set(two_gen_system, TimeGrid(4, 1), [loads])

@@ -11,6 +11,7 @@ from frpsim import save_system
 from frpsim.harness import (
     ALL_METHODS,
     PERCENTILE_METHODS,
+    LedgerMismatchError,
     aggregate,
     load_config,
     run_experiment,
@@ -160,6 +161,73 @@ def test_crash_mid_write_leaves_no_partial_cell(tmp_path, monkeypatch):
     assert second.clean and second.done == ["d1.p95"]
     assert aggregate(str(out))["d1.p95"]["method"] == "p95"
     write_reports(str(out))
+
+
+def test_failed_write_fails_only_the_unwritten_cells(tmp_path, monkeypatch):
+    """A stochastic job writes its cells one at a time. When the second
+    write fails, the first cell stays finished: in ``done``, not in
+    ``failed``, with one manifest line."""
+    cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}))
+    out = tmp_path / "out"
+    real_dump = json.dump
+
+    def dies_on_suc_free(doc, fh, **kwargs):
+        if doc.get("method") == "suc-free" and doc.get("day") == "d1":
+            raise OSError("disk full")
+        return real_dump(doc, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dies_on_suc_free)
+    result = run_experiment(system, cfg, str(out))
+    fixed = [c for c in result.done if c.startswith("d1.suc-fixed.")]
+    free = {c for c in result.failed if c.startswith("d1.suc-free.")}
+    assert len(fixed) == 4 and len(free) == 4
+    assert not any(c.startswith("d1.suc-fixed.") for c in result.failed)
+    assert all(os.path.exists(out / "cells" / f"{c}.json") for c in fixed)
+    assert not any(os.path.exists(out / "cells" / f"{c}.json") for c in free)
+    manifest = [
+        json.loads(ln) for ln in open(out / "manifest.jsonl").read().splitlines()
+    ]
+    for cell in fixed:
+        lines = [m for m in manifest if m.get("cell") == cell]
+        assert [m["status"] for m in lines] == ["done"]
+
+
+def test_resume_refuses_a_changed_system(tmp_path):
+    """Editing the system file between runs changes the config digest, and
+    the second run into the same directory stops before solving anything."""
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p95]")
+    cfg, system = load_config(path)
+    out = tmp_path / "out"
+    assert run_experiment(system, cfg, str(out)).clean
+    before = open(out / "manifest.jsonl").read()
+    digest = cfg.digest()
+
+    text = (tmp_path / "system.yaml").read_text()
+    assert text.count("usd_per_mwh: 55.0") == 1
+    (tmp_path / "system.yaml").write_text(text.replace("mwh: 55.0", "mwh: 56.0"))
+    cfg2, system2 = load_config(path)
+    assert cfg2.digest() != digest
+    with pytest.raises(LedgerMismatchError, match="fresh"):
+        run_experiment(system2, cfg2, str(out))
+    assert open(out / "manifest.jsonl").read() == before
+
+    assert run_experiment(system2, cfg2, str(tmp_path / "fresh")).clean
+    # the time limit is part of the digest too
+    cfg2.time_limit = 30.0
+    with pytest.raises(LedgerMismatchError):
+        run_experiment(system2, cfg2, str(tmp_path / "fresh"))
+
+
+def test_cell_records_carry_model_sizes(tmp_path):
+    cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}))
+    run_experiment(system, cfg, str(tmp_path / "out"))
+    cells = aggregate(str(tmp_path / "out"))
+    rec = cells["d1.suc-free.n2.rho0"]
+    for kind in ("suc", "dam", "rtm"):
+        size = rec[kind]
+        assert size["rows"] > 0 and size["cols"] > 0 and size["nnz"] >= size["rows"]
+    assert rec["suc"]["binaries"] == rec["dam"]["binaries"] == 2 * 4  # u per unit-hour
+    assert rec["rtm"]["binaries"] == 0
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -156,7 +156,7 @@ def test_loop_stops_on_rows_already_in_the_model(congested):
     calls = []
 
     def stuck(m, _):
-        calls.append(len(m.rows))
+        calls.append(m.n_rows)
         return optim.SolveResult(status="optimal", objective=0.0, x=x)
 
     screen.solve(model, stuck)

@@ -12,6 +12,7 @@ from frpsim.optim import (
     fix_and_resolve,
     require_optimal,
     solve,
+    stack_rows,
 )
 
 
@@ -75,10 +76,10 @@ def test_equality_dual_is_marginal_cost():
     m = Model()
     p1 = m.add_var("p1", lb=0, ub=60, obj=20.0)
     p2 = m.add_var("p2", lb=0, ub=60, obj=50.0)
-    m.add_constr("bal", {p1: 1.0, p2: 1.0}, "==", 80.0)
+    bal = m.add_constr("bal", {p1: 1.0, p2: 1.0}, "==", 80.0)
     r = solve(m)
     assert r.ok
-    assert r.duals["bal"] == pytest.approx(50.0)
+    assert r.duals[bal] == pytest.approx(50.0)
     assert r.x[p1] == pytest.approx(60.0)
     assert r.x[p2] == pytest.approx(20.0)
 
@@ -88,28 +89,28 @@ def test_geq_dual_sign_is_nonnegative_in_minimization():
     m = Model()
     x = m.add_var("x", lb=0.0, obj=2.0)
     y = m.add_var("y", lb=0.0, obj=3.0)
-    m.add_constr("req", {x: 1.0, y: 1.0}, ">=", 10.0)
+    req = m.add_constr("req", {x: 1.0, y: 1.0}, ">=", 10.0)
     r = solve(m)
     assert r.ok
-    assert r.duals["req"] == pytest.approx(2.0)  # cheapest way to serve one more unit
+    assert r.duals[req] == pytest.approx(2.0)  # cheapest way to serve one more unit
     # perturbation check: bump rhs and re-solve
     m2 = Model()
     x2 = m2.add_var("x", lb=0.0, obj=2.0)
     y2 = m2.add_var("y", lb=0.0, obj=3.0)
     m2.add_constr("req", {x2: 1.0, y2: 1.0}, ">=", 11.0)
     r2 = solve(m2)
-    assert r2.objective - r.objective == pytest.approx(r.duals["req"])
+    assert r2.objective - r.objective == pytest.approx(r.duals[req])
 
 
 def test_complementary_slackness():
     m = Model()
     x = m.add_var("x", lb=0, ub=100, obj=1.0)
-    m.add_constr("floor", {x: 1.0}, ">=", 5.0)
-    m.add_constr("roof", {x: 1.0}, "<=", 90.0)  # slack at optimum
+    floor = m.add_constr("floor", {x: 1.0}, ">=", 5.0)
+    roof = m.add_constr("roof", {x: 1.0}, "<=", 90.0)  # slack at optimum
     r = solve(m)
     assert r.ok
-    assert r.duals["floor"] == pytest.approx(1.0)
-    assert r.duals["roof"] == 0.0
+    assert r.duals[floor] == pytest.approx(1.0)
+    assert r.duals[roof] == 0.0
 
 
 def test_strong_duality_including_bound_terms():
@@ -117,11 +118,11 @@ def test_strong_duality_including_bound_terms():
     m = Model()
     n = 8
     xs = [m.add_var(f"x{j}", lb=0.0, ub=float(rng.uniform(1, 5)), obj=float(rng.uniform(-2, 4))) for j in range(n)]
-    m.add_constr("mix", {xs[j]: float(rng.uniform(0.2, 1.0)) for j in range(n)}, "==", 6.0)
-    m.add_constr("side", {xs[0]: 1.0, xs[3]: 2.0}, "<=", 4.0)
+    mix = m.add_constr("mix", {xs[j]: float(rng.uniform(0.2, 1.0)) for j in range(n)}, "==", 6.0)
+    side = m.add_constr("side", {xs[0]: 1.0, xs[3]: 2.0}, "<=", 4.0)
     r = solve(m)
     assert r.ok
-    dual_obj = r.duals["mix"] * 6.0 + r.duals["side"] * 4.0
+    dual_obj = r.duals[mix] * 6.0 + r.duals[side] * 4.0
     for j in range(n):
         if r.lower_bound_duals[j] != 0.0:
             dual_obj += r.lower_bound_duals[j] * m.lb[j]
@@ -156,12 +157,12 @@ def _small_uc_model():
     p = m.add_var("p", lb=0.0, ub=50.0, obj=10.0)
     q = m.add_var("q", lb=0.0, ub=100.0, obj=40.0)
     m.add_constr("cap", {p: 1.0, u: -50.0}, "<=", 0.0)
-    m.add_constr("bal", {p: 1.0, q: 1.0}, "==", 60.0)
-    return m, u
+    bal = m.add_constr("bal", {p: 1.0, q: 1.0}, "==", 60.0)
+    return m, u, bal
 
 
 def test_fix_and_resolve_recovers_duals_at_incumbent():
-    m, u = _small_uc_model()
+    m, u, bal = _small_uc_model()
     r = solve(m)
     assert r.ok
     # committing is worth it: 100 + 50*10 + 10*40 = 1000 < 60*40 = 2400
@@ -171,11 +172,11 @@ def test_fix_and_resolve_recovers_duals_at_incumbent():
     # binary cost becomes a constant; dispatch must not move
     assert lp.objective == pytest.approx(r.objective)
     assert lp.x[u] == pytest.approx(1.0)
-    assert lp.duals["bal"] == pytest.approx(40.0)  # q is marginal
+    assert lp.duals[bal] == pytest.approx(40.0)  # q is marginal
 
 
 def test_fix_and_resolve_at_suboptimal_incumbent_bounds_from_above():
-    m, u = _small_uc_model()
+    m, u, _ = _small_uc_model()
     opt = solve(m).objective
     x = np.zeros(m.n_vars)
     x[u] = 0.0  # force the unit off
@@ -186,7 +187,7 @@ def test_fix_and_resolve_at_suboptimal_incumbent_bounds_from_above():
 
 
 def test_write_lp_smoke(tmp_path):
-    m, _ = _small_uc_model()
+    m, _, _ = _small_uc_model()
     path = tmp_path / "uc.lp"
     m.write_lp(path)
     text = path.read_text()
@@ -194,3 +195,65 @@ def test_write_lp_smoke(tmp_path):
     assert "bal:" in text
     assert "General" in text
     assert "u" in text
+
+
+def test_row_blocks_match_scalar_rows():
+    """A block of rows, zero-padded, gives the matrix of the same rows added
+    one at a time: zero terms dropped, columns sorted within each row."""
+    scalar, block = Model(), Model()
+    for m in (scalar, block):
+        m.add_vars("x", (2, 3), ub=5.0, obj=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    x = np.arange(6).reshape(2, 3)
+    scalar.add_constr("a", {x[0, 2]: 1.0, x[0, 0]: -2.0}, "<=", 3.0)
+    scalar.add_constr("b", {x[0, 1]: 1.0}, ">=", 1.0)
+    scalar.add_constr("c", {x[1, 2]: 1.0, x[1, 0]: -2.0}, "<=", 4.0)
+    scalar.add_constr("d", {x[1, 1]: 1.0}, ">=", 2.0)
+    cols, coefs = stack_rows(
+        [(x[:, 2], 1.0), (x[:, 0], -2.0)],
+        [(x[:, 1], 1.0)],
+    )
+    assert cols.shape == (2, 2, 2) and coefs[0, 1].tolist() == [1.0, 0.0]
+    rows = block.add_rows("ab", np.array(["<=", ">="]), [[3.0, 1.0], [4.0, 2.0]], cols, coefs)
+    assert rows.tolist() == [[0, 1], [2, 3]]
+    (a, lo_a, hi_a), (b, lo_b, hi_b) = scalar._constraint_matrix(), block._constraint_matrix()
+    for got, want in ((b.indptr, a.indptr), (b.indices, a.indices), (b.data, a.data)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b)
+    assert a.nnz == 6
+
+
+def test_rows_after_a_solve_extend_the_matrix():
+    """The matrix is assembled once; a row added after a solve is appended to
+    it, and the LP duals come back indexed like the rows."""
+    m = Model()
+    x = m.add_vars("x", 2, ub=10.0, obj=[1.0, 2.0])
+    first = m.add_rows("floor", ">=", 4.0, x[None, :], 1.0)
+    r = solve(m)
+    assert r.ok and r.x.tolist() == [4.0, 0.0]
+    assert (r.rows, r.cols, r.nnz, r.binaries) == (1, 2, 2, 0)
+    assembled = m._constraint_matrix()[0]
+    cap = m.add_constr("cap", {int(x[0]): 1.0}, "<=", 1.0)
+    r = solve(m)
+    assert r.ok and r.objective == pytest.approx(1.0 + 2.0 * 3.0)
+    mat = m._constraint_matrix()[0]
+    assert mat.shape == (2, 2) and np.array_equal(mat[:1].toarray(), assembled.toarray())
+    assert r.duals[first[0]] == pytest.approx(2.0)
+    assert r.duals[cap] == pytest.approx(-1.0)
+
+
+def test_fix_and_resolve_reuses_the_matrix():
+    m, u, bal = _small_uc_model()
+    r = solve(m)
+    assert (r.rows, r.cols, r.nnz, r.binaries) == (2, 3, 4, 1)
+    mat = m._constraint_matrix()[0]
+    lp = fix_and_resolve(m, r.x)
+    assert m._constraint_matrix()[0] is mat
+    assert lp.duals.shape == (2,) and lp.binaries == 0
+    assert m.lb[u] == 0.0  # the pinning lives in the LP's bounds only
+
+
+def test_duplicate_variable_name_rejected():
+    m = Model()
+    m.add_vars("x", 3)
+    with pytest.raises(ValueError, match="duplicate"):
+        m.add_var("x")

@@ -3,6 +3,8 @@ and the CSV format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from frpsim import (
@@ -180,3 +182,31 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# source: percentile-90")
     assert "hour,up_mw,dn_mw" in text
+
+
+@st.composite
+def _forecasts(draw):
+    hours = draw(st.integers(1, 6))
+    k = draw(st.sampled_from([1, 2, 4]))
+    n_b = draw(st.integers(1, 3))
+    level = st.floats(-50.0, 400.0, allow_nan=False, allow_infinity=False)
+    hourly = np.array(
+        draw(st.lists(st.lists(level, min_size=hours, max_size=hours),
+                      min_size=n_b, max_size=n_b))
+    )
+    buses = tuple(f"b{n}" for n in range(n_b))
+    grid = TimeGrid(hours, k)
+    sigma = draw(st.floats(0.0, 0.3, allow_nan=False))
+    return NetLoadProfile.from_hourly(buses, hourly, grid), sigma
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_forecasts())
+def test_percentile_requirements_nest_pointwise(case):
+    """A higher coverage pads every step further, so the p90 requirement is
+    at most the p95 one, and that at most the p99 one, hour by hour."""
+    forecast, sigma = case
+    reqs = [percentile_requirements(forecast, sigma, c) for c in (0.90, 0.95, 0.99)]
+    for lower, higher in zip(reqs, reqs[1:]):
+        assert np.all(lower.up <= higher.up)
+        assert np.all(lower.dn <= higher.dn)

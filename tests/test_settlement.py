@@ -3,6 +3,8 @@ vs day-ahead-only, positive-part capability payments, make-whole top-ups."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frpsim import DamBidSet, NetLoadProfile, TimeGrid, clear_dam, simulate_rtm
 from frpsim.dayahead import DamOutcome
@@ -136,3 +138,91 @@ def test_csv_ledger(tmp_path):
     assert lines[1].split(",")[1] == "6600.00"
     assert lines[-1].split(",")[0] == "TOTAL"
     assert lines[-1].split(",")[-1] == "32.00"
+
+
+@st.composite
+def _settlement_days(draw):
+    """A single-bus day with random awards, prices and a realized dispatch
+    that respects each unit's commitment and capacity."""
+    hours = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([1, 2]))
+    gens = []
+    for n in range(draw(st.integers(1, 3))):
+        p_min = draw(st.sampled_from([0.0, 10.0]))
+        gens.append(make_gen(
+            f"g{n}", p_min=p_min, p_max=100.0,
+            segments=((40.0 - p_min, draw(st.sampled_from([10.0, 25.0]))),
+                      (100.0 - p_min, draw(st.sampled_from([30.0, 60.0])))),
+            no_load=draw(st.sampled_from([0.0, 5.0])),
+            startup=draw(st.sampled_from([0.0, 200.0])),
+        ))
+    system = single_bus_system(*gens)
+    n_g = len(gens)
+    price = st.floats(-20.0, 150.0, allow_nan=False)
+    frac = st.floats(0.0, 1.0, allow_nan=False)
+
+    def arr(strategy, shape):
+        return np.array(draw(st.lists(strategy, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    u = arr(st.integers(0, 1), (n_g, hours))
+    v = np.diff(np.concatenate([np.zeros((n_g, 1), int), u], axis=1), axis=1).clip(0)
+    span = np.array([g.dispatch_range for g in gens])[:, None]
+    dam = DamOutcome(
+        gen_ids=system.gen_ids, bus_ids=["b1"], hours=hours,
+        u=u, v=v, w=np.zeros_like(u),
+        p=arr(frac, (n_g, hours)) * span * u,
+        r_up=arr(st.floats(-30.0, 30.0), (n_g, hours)),
+        r_dn=arr(st.floats(-30.0, 30.0), (n_g, hours)),
+        sf_up=np.zeros(hours), sf_dn=np.zeros(hours),
+        curtail=np.zeros((1, hours)), demand=np.zeros((1, hours)),
+        lmp=arr(price, (1, hours)),
+        price_up=arr(st.floats(0.0, 100.0), (hours,)),
+        price_dn=arr(st.floats(0.0, 100.0), (hours,)),
+        objective=0.0, pricing_objective=0.0, mip_gap=0.0,
+    )
+    grid = TimeGrid(hours, k)
+    u_rt = np.repeat(u, k, axis=1)
+    rtm = RtmOutcome(
+        gen_ids=system.gen_ids, bus_ids=["b1"], grid=grid, u=u_rt,
+        p=arr(frac, (n_g, grid.n_periods)) * span * u_rt,
+        curtail=np.zeros((1, grid.n_periods)),
+        lmp=arr(price, (1, grid.n_periods)),
+        commitment_cost=0.0, dispatch_cost=0.0, curtailment_cost=0.0, shed_mwh=0.0,
+    )
+    return system, dam, rtm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_settlement_days())
+def test_make_whole_tops_up_to_as_bid_cost(day):
+    """Recounted unit by unit with plain loops: make-whole is
+    max(0, as-bid cost - market revenue), and revenue plus make-whole
+    covers the as-bid cost."""
+    system, dam, rtm = day
+    report = settle(system, dam, rtm, mode="two")
+    k = rtm.grid.periods_per_hour
+    dt = 1.0 / k
+    for i, g in enumerate(system.generators):
+        dam_mw = [dam.p[i, h] + g.p_min * dam.u[i, h] for h in range(dam.hours)]
+        revenue = sum(dam.lmp[0, h] * dam_mw[h] for h in range(dam.hours))
+        for t in range(rtm.grid.n_periods):
+            rt_mw = rtm.p[i, t] + g.p_min * rtm.u[i, t]
+            revenue += rtm.lmp[0, t] * (rt_mw - dam_mw[t // k]) * dt
+        for h in range(dam.hours):
+            revenue += dam.price_up[h] * max(dam.r_up[i, h], 0.0)
+            revenue += dam.price_dn[h] * max(dam.r_dn[i, h], 0.0)
+        cost = g.no_load_cost * dam.u[i].sum() + g.startup_cost * dam.v[i].sum()
+        for t in range(rtm.grid.n_periods):
+            left, below = rtm.p[i, t], 0.0
+            for seg in g.segments:
+                take = min(left, seg.upper - below)
+                cost += dt * take * seg.cost
+                left -= take
+                below = seg.upper
+        tol = 1e-6 * max(1.0, abs(cost), abs(revenue))
+        line = report.gen(g.id)
+        assert line.as_bid_cost == pytest.approx(cost, abs=tol)
+        assert line.revenue == pytest.approx(revenue, abs=tol)
+        assert line.make_whole == pytest.approx(max(0.0, cost - revenue), abs=tol)
+        assert line.revenue + line.make_whole >= cost - tol
