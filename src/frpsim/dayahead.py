@@ -87,6 +87,9 @@ class DamOutcome:
     flow_rows: int = 0
     # rows, cols, nnz and binaries of the clearing MILP in its last solve
     size: dict = field(default_factory=dict)
+    # highs_s, mip_node_count and mip_dual_bound of the clearing MILP over
+    # its screening rounds (see optim.MilpTotals); empty in older files
+    milp: dict = field(default_factory=dict)
 
     def dispatch_total(self, system):
         p_min = np.array([g.p_min for g in system.generators])
@@ -277,11 +280,14 @@ def clear_dam(
         ),
         np.zeros((n_b, hours)),
     )
+    totals = optim.MilpTotals()
     try:
         mip = optim.require_optimal(
             screen.solve(
                 model,
-                lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
+                lambda m, left: totals.add(
+                    optim.solve(m, gap_tol=gap_tol, time_limit=left)
+                ),
                 time_limit,
             ),
             "day-ahead clearing",
@@ -326,6 +332,7 @@ def clear_dam(
         screen_rounds=screen.rounds,
         flow_rows=len(screen.added),
         size=mip.size,
+        milp=totals.record,
     )
 
 
@@ -424,6 +431,7 @@ def save_dam_outcome(out, path):
         "screen_rounds": out.screen_rounds,
         "flow_rows": out.flow_rows,
         "size": out.size,
+        "milp": out.milp,
     }
     for name in _ARRAYS:
         doc[name] = getattr(out, name).tolist()
@@ -448,5 +456,6 @@ def load_dam_outcome(path):
         screen_rounds=doc.get("screen_rounds", 2),  # clearing + pricing
         flow_rows=doc.get("flow_rows", 0),
         size=doc.get("size", {}),
+        milp=doc.get("milp", {}),
         **kwargs,
     )

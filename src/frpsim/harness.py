@@ -77,17 +77,17 @@ class ExperimentConfig:
     time_limit: float | None = None
     settlement_mode: str = "two"
     system_path: str | None = None
+    # sha256 of the system file's bytes as `load_config` read them
+    system_sha256: str | None = None
 
     def grid(self, hours):
         return TimeGrid(hours=hours, periods_per_hour=self.periods_per_hour)
 
     def digest(self):
         """Hash of everything that decides a cell's numbers, the system
-        file's bytes included, so a ledger can refuse cells of another run."""
-        system_sha = None
-        if self.system_path is not None:
-            with open(self.system_path, "rb") as fh:
-                system_sha = hashlib.sha256(fh.read()).hexdigest()
+        file's bytes included, so a ledger can refuse cells of another run.
+        The bytes are those the system was loaded from: editing the file
+        later does not change the digest of this config."""
         blob = json.dumps(
             {
                 "days": [[d.name, d.hourly_net_load.tolist()] for d in self.days],
@@ -101,7 +101,7 @@ class ExperimentConfig:
                 "gap_tol": self.gap_tol,
                 "time_limit": self.time_limit,
                 "settlement": self.settlement_mode,
-                "system_sha256": system_sha,
+                "system_sha256": self.system_sha256,
             },
             sort_keys=True,
         )
@@ -116,6 +116,8 @@ def load_config(path):
     system_path = raw["system"]
     if not os.path.isabs(system_path):
         system_path = os.path.join(base, system_path)
+    with open(system_path, "rb") as fh:
+        system_sha = hashlib.sha256(fh.read()).hexdigest()
     system = load_system(system_path)
 
     methods = list(raw.get("methods", list(ALL_METHODS)))
@@ -145,6 +147,7 @@ def load_config(path):
         time_limit=raw.get("time_limit"),
         settlement_mode=str(raw.get("settlement", "two")),
         system_path=system_path,
+        system_sha256=system_sha,
     )
     return cfg, system
 
@@ -195,6 +198,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "screen_rounds": dam.screen_rounds,
             "flow_rows": dam.flow_rows,
             **dam.size,
+            **dam.milp,
         },
         "rtm": {
             "total_cost_usd": rtm.total_cost,
@@ -234,6 +238,7 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
         "screen_rounds": suc.screen_rounds,
         "flow_rows": suc.flow_rows,
         **suc.size,
+        **suc.milp,
     }
     cells = {}
     for method in wanted:

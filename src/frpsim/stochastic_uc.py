@@ -178,6 +178,9 @@ class SucSolution:
     flow_rows: int  # line-flow rows the screening added
     # rows, cols, nnz and binaries of the model in its last solve
     size: dict = field(default_factory=dict)
+    # highs_s, mip_node_count and mip_dual_bound over the screening rounds
+    # (see optim.MilpTotals); empty in files written before they were kept
+    milp: dict = field(default_factory=dict)
 
     def committed_hours(self):
         """(gens, hours) 0/1 commitment schedule for downstream fixing."""
@@ -314,10 +317,11 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         p_idx.append(p)
         pc_idx.append(pc)
 
+    totals = optim.MilpTotals()
     try:
         res = screen.solve(
             model,
-            lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
+            lambda m, left: totals.add(optim.solve(m, gap_tol=gap_tol, time_limit=left)),
             time_limit,
         )
     finally:
@@ -355,6 +359,7 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         screen_rounds=screen.rounds,
         flow_rows=len(screen.added),
         size=res.size,
+        milp=totals.record,
     )
 
 
@@ -443,6 +448,7 @@ def save_suc_solution(sol, path):
         "screen_rounds": sol.screen_rounds,
         "flow_rows": sol.flow_rows,
         "size": sol.size,
+        "milp": sol.milp,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -469,4 +475,5 @@ def load_suc_solution(path):
         screen_rounds=doc.get("screen_rounds", 1),
         flow_rows=doc.get("flow_rows", 0),
         size=doc.get("size", {}),
+        milp=doc.get("milp", {}),
     )

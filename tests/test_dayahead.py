@@ -174,10 +174,12 @@ def test_outcome_file_keeps_screening_counts(tmp_path, two_gen_system):
     save_dam_outcome(out, path)
     back = load_dam_outcome(path)
     assert (back.screen_rounds, back.flow_rows) == (out.screen_rounds, out.flow_rows)
+    assert back.milp == out.milp and out.milp["highs_s"] > 0.0
     # a file written before flow screening has no counts; its DAM made two
-    # solves, clearing and pricing, and added no rows
+    # solves, clearing and pricing, and added no rows. One written before the
+    # MILP totals were kept has none.
     doc = json.loads(path.read_text())
-    del doc["screen_rounds"], doc["flow_rows"]
+    del doc["screen_rounds"], doc["flow_rows"], doc["milp"]
     path.write_text(json.dumps(doc))
     old = load_dam_outcome(path)
-    assert (old.screen_rounds, old.flow_rows) == (2, 0)
+    assert (old.screen_rounds, old.flow_rows, old.milp) == (2, 0, {})

@@ -218,6 +218,18 @@ def test_resume_refuses_a_changed_system(tmp_path):
         run_experiment(system2, cfg2, str(tmp_path / "fresh"))
 
 
+def test_digest_is_taken_when_the_config_loads(tmp_path):
+    """The digest covers the system file as `load_config` read it: an edit
+    made afterwards does not change it, and a fresh load sees the edit."""
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]})
+    cfg, _ = load_config(path)
+    digest = cfg.digest()
+    system_file = tmp_path / "system.yaml"
+    system_file.write_text(system_file.read_text().replace("mwh: 55.0", "mwh: 56.0"))
+    assert cfg.digest() == digest
+    assert load_config(path)[0].digest() != digest
+
+
 def test_cell_records_carry_model_sizes(tmp_path):
     cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}))
     run_experiment(system, cfg, str(tmp_path / "out"))
@@ -228,6 +240,11 @@ def test_cell_records_carry_model_sizes(tmp_path):
         assert size["rows"] > 0 and size["cols"] > 0 and size["nnz"] >= size["rows"]
     assert rec["suc"]["binaries"] == rec["dam"]["binaries"] == 2 * 4  # u per unit-hour
     assert rec["rtm"]["binaries"] == 0
+    # what the MILP solves did: HiGHS seconds, nodes, and the proven bound
+    for kind in ("suc", "dam"):
+        assert rec[kind]["highs_s"] > 0.0
+        assert rec[kind]["mip_node_count"] >= 1
+        assert rec[kind]["mip_dual_bound"] == pytest.approx(rec[kind]["objective_usd"], rel=1e-6)
 
 
 def test_runs_are_deterministic(tmp_path):

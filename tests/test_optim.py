@@ -2,10 +2,13 @@
 conventions the pricing pass depends on."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning
 
+from frpsim import optim
 from frpsim.optim import (
     InfeasibleModelError,
     Model,
@@ -257,3 +260,70 @@ def test_duplicate_variable_name_rejected():
     m.add_vars("x", 3)
     with pytest.raises(ValueError, match="duplicate"):
         m.add_var("x")
+
+
+def _cover_model():
+    m = Model()
+    xs = [m.add_binary(f"x{i}", obj=1.0 + i) for i in range(3)]
+    m.add_constr("cover", {x: 1.0 for x in xs}, ">=", 2.0)
+    return m
+
+
+def test_milp_options_reach_highs(monkeypatch):
+    """Both heuristic switches reach the HiGHS call next to the gap, and
+    HiGHS accepts them: with every warning an error, a MILP still solves."""
+    seen = []
+    real = optim.milp
+
+    def milp(**kw):
+        seen.append(kw["options"])
+        return real(**kw)
+
+    monkeypatch.setattr(optim, "milp", milp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = solve(_cover_model(), gap_tol=1e-4)
+    assert r.ok and r.objective == pytest.approx(3.0)
+    (options,) = seen
+    assert options["mip_heuristic_run_root_reduced_cost"] is False
+    assert options["mip_heuristic_run_feasibility_jump"] is False
+    assert options["mip_rel_gap"] == 1e-4
+
+
+def test_an_option_highs_rejects_still_warns(monkeypatch):
+    """Only scipy's note on passing options through is silenced; HiGHS
+    refusing one (and so running without it) is not."""
+    monkeypatch.setitem(optim.MILP_OPTIONS, "mip_no_such_option", False)
+    with pytest.warns(OptimizeWarning, match="mip_no_such_option"):
+        assert solve(_cover_model()).ok
+
+
+def test_fix_and_resolve_pins_are_canonical(monkeypatch):
+    """A binary solved at -1e-12 is pinned at +0.0, not at -0.0."""
+    seen = []
+    real = optim.linprog
+
+    def linprog(c, **kw):
+        seen.append(np.asarray(kw["bounds"]))
+        return real(c, **kw)
+
+    monkeypatch.setattr(optim, "linprog", linprog)
+    m = Model()
+    b = m.add_binary("b", obj=1.0)
+    y = m.add_var("y", obj=2.0)
+    m.add_constr("c", {b: 1.0, y: 1.0}, ">=", 0.5)
+    r = fix_and_resolve(m, np.array([-1e-12, 0.5]))
+    assert r.ok and r.objective == pytest.approx(1.0)
+    (bounds,) = seen
+    assert bounds[b].tolist() == [0.0, 0.0]
+    assert not np.signbit(bounds[b]).any()
+
+
+def test_milp_totals_sum_the_rounds_and_keep_the_last_bound():
+    totals = optim.MilpTotals()
+    for secs, nodes, bound in ((0.5, 3, 10.0), (0.25, 1, 12.0)):
+        res = optim.SolveResult(
+            "optimal", highs_s=secs, mip_node_count=nodes, mip_dual_bound=bound
+        )
+        assert totals.add(res) is res
+    assert totals.record == {"highs_s": 0.75, "mip_node_count": 4, "mip_dual_bound": 12.0}

@@ -3,6 +3,7 @@ weighting, the wait-and-see bound, the feasibility audit, and the shared
 commitment block (continuous start/stop variables against binary ones)."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -190,13 +191,14 @@ def test_solution_round_trip(tmp_path, uc_oracle_case):
     assert back.objective == pytest.approx(sol.objective)
     assert back.mip_gap == sol.mip_gap
     assert (back.screen_rounds, back.flow_rows) == (sol.screen_rounds, sol.flow_rows)
+    assert back.milp == sol.milp and sol.milp["highs_s"] > 0.0
     # a file written before flow screening carries peak_rss_mb and no
-    # screening counts; it still loads
+    # screening counts or MILP totals; it still loads
     doc = json.loads(path.read_text())
-    del doc["screen_rounds"], doc["flow_rows"]
+    del doc["screen_rounds"], doc["flow_rows"], doc["milp"]
     path.write_text(json.dumps(doc | {"peak_rss_mb": 150.0}))
     old = load_suc_solution(path)
-    assert (old.screen_rounds, old.flow_rows) == (1, 0)
+    assert (old.screen_rounds, old.flow_rows, old.milp) == (1, 0, {})
     assert not hasattr(old, "peak_rss_mb")
 
 
@@ -314,21 +316,45 @@ def _same_optimum_with_binary_start_stop(model, v, w):
         assert abs(compact.objective - binary.objective) <= tol
 
 
+def _suc_and_dam_models(case):
+    """The one-scenario stochastic model (two periods an hour) and the market
+    model of a drawn case, each as (model, v, w)."""
+    system, loads, (up, dn) = case
+    hours = len(loads)
+    grid = TimeGrid(hours, 2)
+    suc = optim.Model("suc")
+    u, v, w = add_commitment_block(suc, system.generators, hours)
+    net = np.repeat(np.asarray(loads), 2)[None, :]
+    _add_dispatch_scenario(suc, system, grid, u, v, w, "@0", net, None)
+    bids = DamBidSet(system.bus_ids, [loads])
+    dam, idx = build_dam_model(system, bids, FrpRequirements(up, dn, "test"), None)
+    return [(suc, v, w), (dam, idx["v"], idx["w"])]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_commitment_cases())
 def test_continuous_start_stop_matches_binary(case):
     """Relaxing start/stop integrality loses nothing: the stochastic model
     and the market model (whose ramp awards reference start/stop) reach the
     optimum, or infeasibility, of their all-binary counterparts."""
-    system, loads, (up, dn) = case
-    hours = len(loads)
-    grid = TimeGrid(hours, 2)
-    model = optim.Model("suc")
-    u, v, w = add_commitment_block(model, system.generators, hours)
-    net = np.repeat(np.asarray(loads), 2)[None, :]
-    _add_dispatch_scenario(model, system, grid, u, v, w, "@0", net, None)
-    _same_optimum_with_binary_start_stop(model, v, w)
+    for model, v, w in _suc_and_dam_models(case):
+        _same_optimum_with_binary_start_stop(model, v, w)
 
-    bids = DamBidSet(system.bus_ids, [loads])
-    model, idx = build_dam_model(system, bids, FrpRequirements(up, dn, "test"), None)
-    _same_optimum_with_binary_start_stop(model, idx["v"], idx["w"])
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_commitment_cases())
+def test_milp_options_keep_the_optimum(case):
+    """Skipping HiGHS's two root heuristics (optim.MILP_OPTIONS) changes how
+    an incumbent is found, not what is proven: the stochastic and market
+    models reach the optimum within gap_tol, or the infeasibility, that
+    HiGHS reaches with its defaults."""
+    gap_tol = 1e-6
+    for model, _, _ in _suc_and_dam_models(case):
+        tuned = optim.solve(model, gap_tol=gap_tol)
+        with mock.patch.dict(optim.MILP_OPTIONS, clear=True):
+            plain = optim.solve(model, gap_tol=gap_tol)
+        assert tuned.status == plain.status
+        if plain.ok:
+            assert abs(tuned.objective - plain.objective) <= gap_tol * max(
+                1.0, abs(plain.objective)
+            )
