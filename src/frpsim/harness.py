@@ -162,16 +162,19 @@ def _day_profile(system, cfg, day):
     return forecast, bids
 
 
-def clairvoyant_cost(system, realized, gap_tol=1e-6):
+def clairvoyant_cost(system, realized, gap_tol=1e-6, time_limit=None):
     """Cost of a commitment chosen knowing the realized trajectory: the
-    stochastic pass run on that single certain scenario."""
+    stochastic pass run on that single certain scenario, within
+    ``time_limit`` seconds."""
     certain = ScenarioSet(
         buses=realized.buses,
         grid=realized.grid,
         values=realized.values[None, :, :],
         probabilities=np.array([1.0]),
     )
-    return stochastic_uc.solve_suc(system, certain, gap_tol=gap_tol).objective
+    return stochastic_uc.solve_suc(
+        system, certain, gap_tol=gap_tol, time_limit=time_limit
+    ).objective
 
 
 def _cell_id(day_name, method, n=None, rho=None):
@@ -239,6 +242,9 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
         "flow_rows": suc.flow_rows,
         **suc.size,
         **suc.milp,
+        "ev_usd": suc.ev_usd,
+        "eev_usd": suc.eev_usd,
+        "start_s": suc.start_s,
     }
     cells = {}
     for method in wanted:
@@ -360,7 +366,9 @@ def run_experiment(system, cfg, out_dir, workers=1):
                 with open(ref_path) as fh:
                     ref = json.load(fh)["cost_usd"]
             else:
-                ref = clairvoyant_cost(system, realized, gap_tol=cfg.gap_tol)
+                ref = clairvoyant_cost(
+                    system, realized, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit
+                )
                 _write_json(ref_path, {"day": day.name, "cost_usd": ref})
             day_ctx[day.name] = (realized, ref)
         except Exception as exc:  # noqa: BLE001 - day isolation

@@ -1,4 +1,4 @@
-"""Thin model-building layer over scipy's HiGHS MILP/LP interface.
+"""Thin model-building layer over HiGHS, as bundled with scipy.
 
 Passes build a `Model` from blocks: `add_vars` appends a block of columns
 and returns their indices in the block's shape, `add_rows` appends a block
@@ -10,7 +10,25 @@ CSR form once, on the first solve; rows added later are appended to it.
 `solve` runs branch and bound when integer variables are present and a plain
 LP otherwise; `fix_and_resolve` freezes every integer variable at an
 incumbent and re-solves the continuous relaxation of the same matrix to
-recover duals for pricing.
+recover duals for pricing; `complete` pins some columns and solves the rest
+as an LP, which turns a commitment into a complete MIP start.
+
+MILPs go through `milp`, which takes `scipy.optimize.milp`'s keywords and
+returns its result fields but calls scipy's bundled HiGHS binding
+(``scipy.optimize._highspy._core._Highs``) itself, because only the binding
+accepts a MIP start (``setSolution``). HiGHS gets the CSC arrays scipy would
+give it, and options are set one by one, so one HiGHS rejects is named in an
+OptimizeWarning. The binding is private to scipy: `pyproject.toml` requires
+the tested scipy, and a test checks that every method used is there. LPs
+stay on `scipy.optimize.linprog`, whose duals the pricing and real-time
+passes read.
+
+A MIP start changes where branch and bound starts, not what it proves. HiGHS
+checks the start against the rows, bounds and integrality and keeps it only
+as a first incumbent; it still stops only when the gap between the best
+incumbent and the dual bound is within ``gap_tol``, so the answer is an
+optimum of the model within ``gap_tol`` with or without the start. A start
+that is infeasible is dropped.
 
 Every MILP is handed `MILP_OPTIONS`, which turn off two of HiGHS's root
 primal heuristics: the reduced-cost sub-MIP and feasibility jump. On the
@@ -39,7 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, OptimizeWarning, linprog
+from scipy.optimize._highspy import _core as _highs
 
 # HiGHS options for every MILP, on top of mip_rel_gap and time_limit; see the
 # module docstring for why skipping these heuristics is sound
@@ -66,7 +85,7 @@ class SolveResult:
     mip_gap: float | None = None
     mip_node_count: int | None = None  # branch-and-bound nodes; MIP solves only
     mip_dual_bound: float | None = None  # best proven bound; MIP solves only
-    highs_s: float | None = None  # seconds inside HiGHS; MIP solves only
+    highs_s: float | None = None  # seconds inside HiGHS; `milp` calls only
     # bound multipliers from LP solves, indexed like the variables
     lower_bound_duals: np.ndarray | None = None
     upper_bound_duals: np.ndarray | None = None
@@ -363,15 +382,124 @@ class Model:
             fh.write("\n".join(lines) + "\n")
 
 
-_MILP_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
-_LP_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
+_H = _highs.HighsModelStatus
+# HiGHS model status -> scipy.optimize.milp's status code: 0 optimal, 1 limit,
+# 2 infeasible, 3 unbounded, 4 anything else
+_HIGHS_STATUS = {
+    _H.kOptimal: 0, _H.kTimeLimit: 1, _H.kIterationLimit: 1,
+    _H.kInfeasible: 2, _H.kModelError: 2, _H.kUnbounded: 3,
+}
+_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
 
 
-def solve(model, gap_tol=1e-6, time_limit=None):
+def milp(c, *, integrality, bounds, constraints, options, start=None):
+    """`scipy.optimize.milp` on scipy's bundled HiGHS binding, plus a MIP start.
+
+    Takes scipy's keywords (``constraints`` a list of at most one
+    `LinearConstraint`) and hands HiGHS the CSC arrays scipy would. Each
+    option is set on its own; one HiGHS rejects raises an OptimizeWarning
+    that names it, and HiGHS runs without it. ``start`` is a complete
+    solution passed to ``setSolution``: HiGHS keeps it as its first incumbent
+    if it is feasible, and drops it otherwise.
+
+    Returns scipy's result fields: ``status`` (0 optimal, 1 time or iteration
+    limit, 2 infeasible, 3 unbounded, 4 other), ``x`` and ``fun`` (None
+    without a solution; a MIP stopped at a limit returns its incumbent), and
+    ``mip_gap``, ``mip_node_count`` and ``mip_dual_bound``, which are None
+    for a model without integers or without a solution.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    integrality = np.broadcast_to(integrality, c.shape).astype(np.int32)
+    lb = np.broadcast_to(bounds.lb, c.shape).astype(np.float64)
+    ub = np.broadcast_to(bounds.ub, c.shape).astype(np.float64)
+    if constraints:
+        (con,) = constraints
+        a = sparse.csc_array(con.A)
+        row_lo = np.atleast_1d(con.lb).astype(np.float64)
+        row_hi = np.atleast_1d(con.ub).astype(np.float64)
+    else:
+        a = sparse.csc_array((0, c.size))
+        row_lo = row_hi = np.empty(0)
+    highs = _highs._Highs()
+    highs.setOptionValue("log_to_console", False)
+    for key, val in options.items():
+        if highs.setOptionValue(key, val) != _highs.HighsStatus.kOk:
+            warnings.warn(
+                f"HiGHS rejected option {key}={val!r}; solving without it",
+                OptimizeWarning, stacklevel=2,
+            )
+    res = OptimizeResult(
+        status=4, x=None, fun=None, mip_gap=None, mip_node_count=None, mip_dual_bound=None
+    )
+    loaded = highs.passModel(
+        c.size, a.shape[0], a.nnz, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lo, row_hi,
+        a.indptr, a.indices, a.data.astype(np.float64), integrality,
+    )
+    if loaded == _highs.HighsStatus.kError:
+        res.status = _HIGHS_STATUS[_H.kModelError]
+        return res
+    if start is not None:
+        sol = _highs.HighsSolution()
+        sol.col_value = np.asarray(start, dtype=np.float64)
+        highs.setSolution(sol)
+    ran = highs.run()
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    res.status = _HIGHS_STATUS.get(model_status, 4)
+    is_mip = bool(integrality.any())
+    stopped = model_status in (_H.kTimeLimit, _H.kIterationLimit, _H.kSolutionLimit)
+    incumbent = is_mip and stopped and info.objective_function_value < _highs.kHighsInf
+    if ran == _highs.HighsStatus.kError or not (model_status == _H.kOptimal or incumbent):
+        return res
+    res.x = np.array(highs.getSolution().col_value)
+    res.fun = info.objective_function_value
+    if is_mip:
+        res.mip_gap = info.mip_gap
+        res.mip_node_count = info.mip_node_count
+        res.mip_dual_bound = info.mip_dual_bound
+    return res
+
+
+def _run_milp(model, lb, ub, integer, options, start=None):
+    """Hand ``model`` with column bounds ``lb``/``ub`` and integer columns
+    ``integer`` to `milp`, as a SolveResult."""
+    mat, lo, hi = model._constraint_matrix()
+    t0 = time.perf_counter()
+    res = milp(
+        c=model.obj.copy(),
+        constraints=[LinearConstraint(mat, lo, hi)] if mat.shape[0] else [],
+        integrality=integer.astype(int),
+        bounds=Bounds(lb, ub),
+        options=options,
+        start=start,
+    )
+    highs_s = time.perf_counter() - t0
+    status = _STATUS.get(res.status, "error")
+    if res.x is None and status == "optimal":
+        status = "error"
+    return SolveResult(
+        status=status,
+        objective=None if res.x is None else float(res.fun),
+        x=None if res.x is None else np.asarray(res.x),
+        mip_gap=res.mip_gap,
+        mip_node_count=res.mip_node_count,
+        mip_dual_bound=res.mip_dual_bound,
+        highs_s=highs_s,
+        rows=mat.shape[0],
+        cols=mat.shape[1],
+        nnz=mat.nnz,
+        binaries=int(integer.sum()),
+    )
+
+
+def solve(model, gap_tol=1e-6, time_limit=None, start=None):
     """Solve to proven optimality (within ``gap_tol`` for MIPs).
 
     Pure-LP models are routed through `linprog` so the result carries duals;
     models with integer variables never do (fix_and_resolve exists for that).
+    ``start`` (a complete solution, e.g. from `complete`) is handed to HiGHS
+    as a MIP start; see the module docstring for why that is sound.
     """
     if model.n_vars == 0:
         return SolveResult(
@@ -381,44 +509,24 @@ def solve(model, gap_tol=1e-6, time_limit=None):
     integer = model.integer
     if not integer.any():
         return _solve_lp(model, model.lb, model.ub, time_limit)
-
-    mat, lo, hi = model._constraint_matrix()
     options = {"mip_rel_gap": gap_tol, **MILP_OPTIONS}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    with warnings.catch_warnings():
-        # scipy does not know the MILP_OPTIONS keys and says it passes them
-        # on verbatim; an option HiGHS itself rejects still warns
-        warnings.filterwarnings(
-            "ignore",
-            message=r"Unrecognized options detected: .* passed to HiGHS verbatim",
-            category=RuntimeWarning,
-        )
-        t0 = time.perf_counter()
-        res = milp(
-            c=model.obj.copy(),
-            constraints=[LinearConstraint(mat, lo, hi)] if mat.shape[0] else [],
-            integrality=integer.astype(int),
-            bounds=Bounds(model.lb.copy(), model.ub.copy()),
-            options=options,
-        )
-        highs_s = time.perf_counter() - t0
-    status = _MILP_STATUS.get(res.status, "error")
-    if res.x is None and status == "optimal":
-        status = "error"
-    return SolveResult(
-        status=status,
-        objective=None if res.x is None else float(res.fun),
-        x=None if res.x is None else np.asarray(res.x),
-        mip_gap=getattr(res, "mip_gap", None),
-        mip_node_count=getattr(res, "mip_node_count", None),
-        mip_dual_bound=getattr(res, "mip_dual_bound", None),
-        highs_s=highs_s,
-        rows=mat.shape[0],
-        cols=mat.shape[1],
-        nnz=mat.nnz,
-        binaries=int(integer.sum()),
-    )
+    return _run_milp(model, model.lb.copy(), model.ub.copy(), integer, options, start)
+
+
+def complete(model, cols, values, time_limit=None):
+    """The cheapest completion of a partial solution: columns ``cols`` pinned
+    at ``values``, every other column continuous, solved as an LP on the
+    model's current rows in a HiGHS instance of its own (freed on return).
+
+    With every integer column pinned at an integral value, an optimal
+    result's ``x`` is a complete MIP start for `solve`. The result carries no
+    duals or MIP fields."""
+    lb, ub = model.lb.copy(), model.ub.copy()
+    lb[cols] = ub[cols] = values
+    options = {} if time_limit is None else {"time_limit": float(time_limit)}
+    return _run_milp(model, lb, ub, np.zeros(model.n_vars, dtype=bool), options)
 
 
 def fix_and_resolve(model, x):
@@ -451,7 +559,7 @@ def _solve_lp(model, lb, ub, time_limit):
         options=options,
         **kwargs,
     )
-    status = _LP_STATUS.get(res.status, "error")
+    status = _STATUS.get(res.status, "error")
     size = {"rows": mat.shape[0], "cols": mat.shape[1], "nnz": mat.nnz, "binaries": 0}
     if status != "optimal":
         return SolveResult(status=status, **size)

@@ -16,6 +16,20 @@ solve, and `commitment_logic_residual` audits a schedule without the solver.
 Curtailment is the only recourse slack, so a scenario whose net load falls
 faster than the committed fleet can back down may be infeasible; that raises
 InfeasibleModelError rather than returning garbage.
+
+With more than one scenario, `solve_suc` first solves the expected-value (EV)
+problem: the same commitment on the probability-weighted mean net load
+(Birge, "The value of the stochastic solution in stochastic linear programs
+with fixed recourse", Math. Programming 24, 1982). Its commitment, completed
+by the cheapest dispatch of every scenario (`optim.complete`), is a feasible
+point of the stochastic model whenever that dispatch exists, and is handed
+to HiGHS as a MIP start. Without it HiGHS's root cuts often close the bound
+long before any heuristic finds an incumbent, and the solve waits on an
+analytic-centre computation. The start uses only the in-sample scenarios
+and leaves the proof to ``gap_tol`` unchanged (see `optim`); a completion
+that is infeasible gives no start. The completion's cost is the expected
+cost of the EV solution, so ``eev_usd - objective`` is the value of the
+stochastic solution.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network, optim
+from .scenarios import ScenarioSet
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -181,6 +196,13 @@ class SucSolution:
     # highs_s, mip_node_count and mip_dual_bound over the screening rounds
     # (see optim.MilpTotals); empty in files written before they were kept
     milp: dict = field(default_factory=dict)
+    # the expected-value start (see the module docstring): the EV objective
+    # (None if the EV problem has no optimum), the cost of its completion in
+    # the last round (None if infeasible), and the seconds spent on both; all
+    # None for one scenario and in files written before they were kept
+    ev_usd: float | None = None
+    eev_usd: float | None = None
+    start_s: float | None = None
 
     def committed_hours(self):
         """(gens, hours) 0/1 commitment schedule for downstream fixing."""
@@ -292,20 +314,14 @@ def _add_dispatch_scenario(
     return p, pc
 
 
-def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
-    """Build and solve the two-stage commitment problem, returning the
-    commitment schedule plus per-scenario dispatch.
-
-    Line-flow rows are screened (see `network`); ``dump_lp`` receives the
-    final screened model."""
+def _build(system, scenarios):
+    """The stochastic model without flow rows: returns it, its (u, v, w)
+    commitment columns, the per-scenario (p, pc) columns and the
+    `network.FlowScreen` holding its flows."""
     grid = scenarios.grid
-    if tuple(scenarios.buses) != tuple(system.bus_ids):
-        raise ValueError("scenario buses do not match system buses")
-    t0 = time.perf_counter()
     model = optim.Model("suc")
     u, v, w = add_commitment_block(model, system.generators, grid.hours)
     screen = network.FlowScreen(system)
-
     p_idx, pc_idx = [], []
     for s in range(scenarios.n_scenarios):
         prob = scenarios.probabilities[s]
@@ -316,14 +332,68 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         model.obj[mark:] *= prob  # weight this scenario's cost terms
         p_idx.append(p)
         pc_idx.append(pc)
+    return model, (u, v, w), p_idx, pc_idx, screen
 
-    totals = optim.MilpTotals()
+
+def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
+    """Build and solve the two-stage commitment problem, returning the
+    commitment schedule plus per-scenario dispatch.
+
+    Line-flow rows are screened (see `network`); ``dump_lp`` receives the
+    final screened model. With more than one scenario the MILP is started
+    from the expected-value solution (see the module docstring).
+    ``time_limit`` bounds the whole call: the EV solve, the completions and
+    every screening round."""
+    if tuple(scenarios.buses) != tuple(system.bus_ids):
+        raise ValueError("scenario buses do not match system buses")
+    t0 = time.perf_counter()
+    if scenarios.n_scenarios == 1:
+        return _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp)
+    mean = ScenarioSet(
+        buses=scenarios.buses,
+        grid=scenarios.grid,
+        values=np.tensordot(scenarios.probabilities, scenarios.values, axes=1)[None],
+        probabilities=np.array([1.0]),
+    )
     try:
-        res = screen.solve(
-            model,
-            lambda m, left: totals.add(optim.solve(m, gap_tol=gap_tol, time_limit=left)),
-            time_limit,
-        )
+        ev = _solve(system, mean, gap_tol, time_limit, t0)
+    except optim.InfeasibleModelError:
+        ev = None  # no EV commitment: solve cold
+    ev_s = time.perf_counter() - t0
+    return _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp, ev, ev_s)
+
+
+def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev_s=None):
+    """`solve_suc` proper, with ``time_limit`` counted from ``t0``. Given
+    ``ev``, the EV solution that took ``ev_s`` seconds, each round's MILP
+    starts from its commitment; without it the start fields stay None."""
+    grid = scenarios.grid
+    model, (u, v, w), p_idx, pc_idx, screen = _build(system, scenarios)
+    totals = optim.MilpTotals()
+    start = {"ev_usd": None, "eev_usd": None, "start_s": ev_s}
+    if ev is not None:
+        start["ev_usd"] = ev.objective
+        uvw = np.concatenate([u, v, w], axis=None)
+        uvw_ev = np.concatenate([ev.u, ev.v, ev.w], axis=None)
+
+    def solve_round(m, left):
+        if ev is None:
+            return totals.add(optim.solve(m, gap_tol=gap_tol, time_limit=left))
+        # complete the EV commitment against this round's rows
+        t = time.perf_counter()
+        done = optim.complete(m, uvw, uvw_ev, left)
+        spent = time.perf_counter() - t
+        start["start_s"] += spent
+        start["eev_usd"] = done.objective if done.ok else None
+        if left is not None:
+            left -= spent
+            if left <= 0:
+                return optim.SolveResult(status="limit")
+        return totals.add(optim.solve(m, gap_tol=gap_tol, time_limit=left, start=done.x))
+
+    left = None if time_limit is None else time_limit - (time.perf_counter() - t0)
+    try:
+        res = screen.solve(model, solve_round, left)
     finally:
         if dump_lp:
             model.write_lp(dump_lp)
@@ -360,6 +430,7 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         flow_rows=len(screen.added),
         size=res.size,
         milp=totals.record,
+        **start,
     )
 
 
@@ -449,6 +520,9 @@ def save_suc_solution(sol, path):
         "flow_rows": sol.flow_rows,
         "size": sol.size,
         "milp": sol.milp,
+        "ev_usd": sol.ev_usd,
+        "eev_usd": sol.eev_usd,
+        "start_s": sol.start_s,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -476,4 +550,7 @@ def load_suc_solution(path):
         flow_rows=doc.get("flow_rows", 0),
         size=doc.get("size", {}),
         milp=doc.get("milp", {}),
+        ev_usd=doc.get("ev_usd"),
+        eev_usd=doc.get("eev_usd"),
+        start_s=doc.get("start_s"),
     )

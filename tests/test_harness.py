@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from frpsim import save_system
+from frpsim import save_system, stochastic_uc
 from frpsim.harness import (
     ALL_METHODS,
     PERCENTILE_METHODS,
@@ -245,6 +245,28 @@ def test_cell_records_carry_model_sizes(tmp_path):
         assert rec[kind]["highs_s"] > 0.0
         assert rec[kind]["mip_node_count"] >= 1
         assert rec[kind]["mip_dual_bound"] == pytest.approx(rec[kind]["objective_usd"], rel=1e-6)
+    # the expected-value start of the two-scenario commitment
+    suc = rec["suc"]
+    assert suc["ev_usd"] <= suc["objective_usd"] * (1 + 1e-6) <= suc["eev_usd"] * (1 + 2e-6)
+    assert 0.0 < suc["start_s"] < suc["wall_time_s"]
+
+
+def test_clairvoyant_reference_gets_the_time_limit(tmp_path, monkeypatch):
+    """The per-day reference is a full stochastic solve; the config's time
+    limit bounds it as it bounds every other solve."""
+    seen = []
+    real = stochastic_uc.solve_suc
+
+    def solve_suc(system, scenarios, **kwargs):
+        seen.append((scenarios.n_scenarios, kwargs.get("time_limit")))
+        return real(system, scenarios, **kwargs)
+
+    monkeypatch.setattr(stochastic_uc, "solve_suc", solve_suc)
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="time_limit: 45.0")
+    cfg, system = load_config(path)
+    run_experiment(system, cfg, str(tmp_path / "out"))
+    assert (1, 45.0) in seen  # the reference: one certain scenario
+    assert {limit for _, limit in seen} == {45.0}
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -39,6 +39,10 @@ FROZEN = {
     "dam-ramp-toy": "ca32a19645c38aa6",
     "dam-ramp-toy-pricing": "0c76e99fa446acef",
     "suc-ramp-toy-4pph": "4436b639a63a8e63",
+    # the expected-value MILP and the LP completing its commitment, solved
+    # ahead of the stochastic MILP to give it a start; that MILP is unchanged
+    "suc-ramp-toy-4pph-ev": "a56ee0d84849ee9d",
+    "suc-ramp-toy-4pph-completion": "27735dfca1b99af9",
     "suc-congested": "fe2e928c7a197d05",
     "dam-congested-pricing": "5bae08edbe0d97b3",
     "rtm-congested": "955c204e09f19da1",
@@ -109,7 +113,8 @@ def test_ramp_toy_dam_and_pricing(solver_inputs):
 
 def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs):
     """Three scenarios at four periods an hour: the within-hour ramp rows,
-    the hour-boundary start/stop terms and the probability weights."""
+    the hour-boundary start/stop terms and the probability weights. The
+    expected-value MILP and the completion of its commitment come first."""
     system = load_system(case_path("ramp_toy"))
     grid = TimeGrid(5, 4)
     base = np.repeat([150.0, 190.0, 280.0, 320.0, 240.0], 4)
@@ -118,7 +123,11 @@ def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs):
         system, grid, [base, base + ramp, base - ramp], probs=[0.5, 0.3, 0.2]
     )
     solve_suc(system, scen)
-    assert [d for _, d in solver_inputs] == [FROZEN["suc-ramp-toy-4pph"]]
+    assert [d for _, d in solver_inputs] == [
+        FROZEN["suc-ramp-toy-4pph-ev"],
+        FROZEN["suc-ramp-toy-4pph-completion"],
+        FROZEN["suc-ramp-toy-4pph"],
+    ]
 
 
 def test_congested_suc_after_its_flow_rows(congested, solver_inputs):  # noqa: F811

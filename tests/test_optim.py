@@ -6,7 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeWarning
+from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning
+from scipy.optimize import milp as scipy_milp
 
 from frpsim import optim
 from frpsim.optim import (
@@ -327,3 +328,84 @@ def test_milp_totals_sum_the_rounds_and_keep_the_last_bound():
         )
         assert totals.add(res) is res
     assert totals.record == {"highs_s": 0.75, "mip_node_count": 4, "mip_dual_bound": 12.0}
+
+
+def test_private_highs_binding_has_every_method_used():
+    """`optim.milp` calls scipy's private HiGHS binding; a scipy that moves
+    or renames any part of it fails here, not mid-run."""
+    from scipy.optimize._highspy import _core
+
+    for name in ("setOptionValue", "passModel", "setSolution", "run",
+                 "getModelStatus", "getInfo", "getSolution"):
+        assert callable(getattr(_core._Highs, name)), name
+    for name in ("HighsSolution", "HighsModelStatus", "HighsStatus", "MatrixFormat",
+                 "ObjSense", "kHighsInf"):
+        assert hasattr(_core, name), name
+    info = _core._Highs().getInfo()
+    for name in ("objective_function_value", "mip_gap", "mip_node_count", "mip_dual_bound"):
+        assert hasattr(info, name), name
+    assert hasattr(_core.HighsSolution(), "col_value")
+
+
+def _knapsack_kwargs(options=None, integer=True, cap_frac=1 / 3):
+    rng = np.random.default_rng(0)
+    values = rng.integers(5, 40, 30).astype(float)
+    weights = rng.integers(3, 30, 30).astype(float)
+    return dict(
+        c=-values,
+        integrality=np.full(30, int(integer)),
+        bounds=Bounds(0.0, 1.0),
+        constraints=[LinearConstraint(weights[None], -np.inf, cap_frac * weights.sum())],
+        options=options or {},
+    )
+
+
+@pytest.mark.parametrize(
+    "case, kwargs",
+    [
+        ("optimal", _knapsack_kwargs()),
+        ("infeasible", _knapsack_kwargs(cap_frac=-1.0)),
+        ("time-limit", _knapsack_kwargs({"time_limit": 0.0})),
+        ("lp-only", _knapsack_kwargs(integer=False)),
+    ],
+)
+def test_milp_gives_scipy_shaped_results(case, kwargs):
+    """Status, solution and MIP fields as scipy.optimize.milp gives them
+    for the same call."""
+    ours, theirs = optim.milp(**kwargs), scipy_milp(**kwargs)
+    assert ours.status == theirs.status == {
+        "optimal": 0, "infeasible": 2, "time-limit": 1, "lp-only": 0
+    }[case]
+    assert (ours.x is None) == (theirs.x is None)
+    if theirs.x is not None:
+        assert np.array_equal(ours.x, theirs.x)
+        assert ours.fun == theirs.fun
+    for key in ("mip_gap", "mip_node_count", "mip_dual_bound"):
+        assert getattr(ours, key) == getattr(theirs, key)
+    if case == "lp-only":
+        assert ours.mip_node_count is None and ours.mip_gap is None
+
+
+def test_milp_keeps_a_feasible_start_and_drops_an_infeasible_one():
+    """Stopped before any search, HiGHS returns the start as its incumbent;
+    given time it proves the optimum, whatever the start."""
+    start = np.zeros(30)
+    stopped = optim.milp(**_knapsack_kwargs({"time_limit": 0.0}), start=start)
+    assert stopped.status == 1 and np.array_equal(stopped.x, start)
+    best = optim.milp(**_knapsack_kwargs()).fun
+    for start in (np.zeros(30), np.ones(30)):  # feasible, then over capacity
+        res = optim.milp(**_knapsack_kwargs(), start=start)
+        assert res.status == 0 and res.fun == pytest.approx(best)
+
+
+def test_complete_pins_columns_and_solves_the_rest():
+    """The completion of a cover with one column pinned is an LP: the others
+    take the cheapest fractional fill, and it carries no MIP fields."""
+    m = _cover_model()
+    done = optim.complete(m, np.array([2]), np.array([1.0]))
+    assert done.ok and done.objective == pytest.approx(3.0 + 1.0)
+    assert done.x.tolist() == pytest.approx([1.0, 0.0, 1.0])
+    assert done.mip_node_count is None and done.binaries == 0
+    assert not optim.complete(m, np.array([0, 1, 2]), np.zeros(3)).ok  # cover broken
+    # as a start, the pinned completion leaves the proven optimum alone
+    assert solve(m, start=done.x).objective == pytest.approx(3.0)

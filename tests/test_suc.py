@@ -23,9 +23,9 @@ from frpsim import (
 from frpsim.dayahead import _build as build_dam_model
 from frpsim.dayahead import check_dam_outcome
 from frpsim.requirements import zero_requirements
+from frpsim import stochastic_uc
 from frpsim.stochastic_uc import (
-    _add_dispatch_scenario,
-    add_commitment_block,
+    _build,
     check_suc_solution,
     commitment_schedule,
     load_suc_solution,
@@ -316,16 +316,14 @@ def _same_optimum_with_binary_start_stop(model, v, w):
         assert abs(compact.objective - binary.objective) <= tol
 
 
-def _suc_and_dam_models(case):
-    """The one-scenario stochastic model (two periods an hour) and the market
-    model of a drawn case, each as (model, v, w)."""
+def _suc_and_dam_models(case, scenarios=None):
+    """The stochastic model (two periods an hour) and the market model of a
+    drawn case, each as (model, v, w). The stochastic model has one scenario
+    at the case's loads, or the given ``scenarios``."""
     system, loads, (up, dn) = case
-    hours = len(loads)
-    grid = TimeGrid(hours, 2)
-    suc = optim.Model("suc")
-    u, v, w = add_commitment_block(suc, system.generators, hours)
-    net = np.repeat(np.asarray(loads), 2)[None, :]
-    _add_dispatch_scenario(suc, system, grid, u, v, w, "@0", net, None)
+    if scenarios is None:
+        scenarios = scenario_set(system, TimeGrid(len(loads), 2), [np.repeat(loads, 2)])
+    suc, (_, v, w), *_ = _build(system, scenarios)
     bids = DamBidSet(system.bus_ids, [loads])
     dam, idx = build_dam_model(system, bids, FrpRequirements(up, dn, "test"), None)
     return [(suc, v, w), (dam, idx["v"], idx["w"])]
@@ -358,3 +356,141 @@ def test_milp_options_keep_the_optimum(case):
             assert abs(tuned.objective - plain.objective) <= gap_tol * max(
                 1.0, abs(plain.objective)
             )
+
+
+@st.composite
+def _scenario_cases(draw):
+    """A drawn commitment case and 2-4 weighted net-load scenarios around
+    its loads, at two periods an hour."""
+    case = draw(_commitment_cases())
+    system, loads, _ = case
+    grid = TimeGrid(len(loads), 2)
+    n = draw(st.integers(2, 4))
+    shift = st.lists(
+        st.integers(-40, 40).map(float), min_size=grid.n_periods, max_size=grid.n_periods
+    )
+    values = [np.clip(np.repeat(loads, 2) + draw(shift), 0.0, None) for _ in range(n)]
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+    return case, scenario_set(system, grid, values, probs=weights / weights.sum())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_scenario_cases())
+def test_ev_start_keeps_the_optimum(drawn):
+    """`solve_suc` starts HiGHS from the completed expected-value commitment;
+    the same model solved cold reaches the same optimum within gap_tol, or
+    the same failure. Where the start exists, EV <= optimum <= EEV (Birge
+    1982): the mean scenario underestimates, the EV commitment is feasible."""
+    case, scen = drawn
+    gap_tol = 1e-6
+    (model, _, _), _ = _suc_and_dam_models(case, scen)
+    cold = optim.solve(model, gap_tol=gap_tol)
+    try:
+        warm = solve_suc(case[0], scen, gap_tol=gap_tol)
+    except InfeasibleModelError:
+        assert not cold.ok
+        return
+    assert cold.ok
+    tol = gap_tol * max(1.0, abs(cold.objective))
+    assert abs(warm.objective - cold.objective) <= tol
+    if warm.eev_usd is not None:
+        assert warm.ev_usd <= warm.objective + tol
+        assert warm.objective <= warm.eev_usd + tol
+
+
+def _spy_solves(monkeypatch):
+    """Record ("solve" | "complete", time budget, start given) per call."""
+    calls = []
+    real_solve, real_complete = optim.solve, optim.complete
+
+    def solve(model, gap_tol=1e-6, time_limit=None, start=None):
+        calls.append(("solve", time_limit, start is not None))
+        return real_solve(model, gap_tol=gap_tol, time_limit=time_limit, start=start)
+
+    def complete(model, cols, values, time_limit=None):
+        calls.append(("complete", time_limit, False))
+        return real_complete(model, cols, values, time_limit)
+
+    monkeypatch.setattr(optim, "solve", solve)
+    monkeypatch.setattr(optim, "complete", complete)
+    return calls
+
+
+def test_ev_start_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
+    """Two scenarios: the EV MILP, the completion of its commitment, then
+    the stochastic MILP from that start. One scenario solves alone."""
+    system, grid, scn = uc_oracle_case
+    calls = _spy_solves(monkeypatch)
+    sol = solve_suc(system, scn)
+    assert [(kind, start) for kind, _, start in calls] == [
+        ("solve", False), ("complete", False), ("solve", True)
+    ]
+    assert sol.ev_usd <= sol.objective + 1e-6 <= sol.eev_usd + 2e-6
+    assert 0.0 < sol.start_s < sol.wall_time_s
+    calls.clear()
+    one = scenario_set(system, grid, scn.values[:1], probs=[1.0])
+    alone = solve_suc(system, one)
+    assert [kind for kind, _, _ in calls] == ["solve"]
+    assert (alone.ev_usd, alone.eev_usd, alone.start_s) == (None, None, None)
+    # saved and loaded; files written before the start was kept load None
+    path = tmp_path / "suc.json"
+    save_suc_solution(sol, path)
+    back = load_suc_solution(path)
+    assert (back.ev_usd, back.eev_usd, back.start_s) == (sol.ev_usd, sol.eev_usd, sol.start_s)
+    doc = json.loads(path.read_text())
+    for key in ("ev_usd", "eev_usd", "start_s"):
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    old = load_suc_solution(path)
+    assert (old.ev_usd, old.eev_usd, old.start_s) == (None, None, None)
+
+
+def test_infeasible_ev_completion_solves_cold(monkeypatch):
+    """The mean load (52.5 MW) commits the cheap unit, whose 50 MW minimum
+    costs nothing (EV: 2.5 MW above it at 10 = 25), but which cannot back
+    down to the low scenario's 5 MW: the completion is infeasible, so the
+    MILP gets no start and commits the flexible unit alone, as a cold solve
+    does: 0.5 * 5 * 50 + 0.5 * 100 * 50 = 2625."""
+    cheap = make_gen("cheap", p_min=50.0, p_max=100.0, segments=((50.0, 10.0),))
+    flexible = make_gen("flex", p_max=100.0, segments=((100.0, 50.0),))
+    system = single_bus_system(cheap, flexible)
+    scn = scenario_set(system, TimeGrid(1, 1), [[5.0], [100.0]])
+    calls = _spy_solves(monkeypatch)
+    sol = solve_suc(system, scn)
+    assert [(kind, start) for kind, _, start in calls] == [
+        ("solve", False), ("complete", False), ("solve", False)
+    ]
+    assert sol.ev_usd == pytest.approx(25.0) and sol.eev_usd is None
+    assert sol.objective == pytest.approx(2625.0)
+    assert sol.u.tolist() == [[0], [1]]
+    (model, _, _), _ = _suc_and_dam_models((system, [52.5], ([0.0], [0.0])), scn)
+    cold = optim.solve(model)
+    assert cold.objective == pytest.approx(sol.objective)
+
+
+def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypatch):
+    """Every HiGHS call is charged to one clock: the EV MILP gets the whole
+    limit, the completion what it left, the stochastic MILP what is left
+    after both; with nothing left the MILP is not run and the solve fails."""
+    system, _, scn = uc_oracle_case
+    clock = [0.0]
+    monkeypatch.setattr(stochastic_uc.time, "perf_counter", lambda: clock[0])
+    calls = _spy_solves(monkeypatch)
+    inner_solve, inner_complete = optim.solve, optim.complete
+
+    def tick(fn):
+        def timed(*args, **kwargs):
+            clock[0] += 1.0
+            return fn(*args, **kwargs)
+        return timed
+
+    monkeypatch.setattr(optim, "solve", tick(inner_solve))
+    monkeypatch.setattr(optim, "complete", tick(inner_complete))
+    solve_suc(system, scn, time_limit=10.0)
+    assert [(kind, left) for kind, left, _ in calls] == [
+        ("solve", 10.0), ("complete", 9.0), ("solve", 8.0)
+    ]
+    calls.clear()
+    with pytest.raises(InfeasibleModelError, match="limit"):
+        solve_suc(system, scn, time_limit=1.5)
+    assert [(kind, left) for kind, left, _ in calls] == [("solve", 1.5), ("complete", 0.5)]
