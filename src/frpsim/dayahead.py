@@ -1,11 +1,14 @@
 """Deterministic hourly day-ahead clearing with flexible-ramp awards.
 
 Co-optimizes energy and hourly up/down ramping capability against fixed
-bid-in net demand. Ramp awards are tied to what the unit could actually do
-between consecutive hours given its commitment path, so awards around
-startups and shutdowns are signed: a unit scheduled to come offline next hour
-carries a negative up award by construction. Systemwide requirements may be
-relaxed through shortfall slacks at the configured penalty.
+bid-in net demand. A unit's energy rows (capacity, offer segments, ramp
+limits and the shutdown cap) come from `dispatch.add_unit_rows` at one
+period an hour: the rows of the stochastic pass. Ramp awards are tied to
+what the unit could actually do between consecutive hours given its
+commitment path, so awards around startups and shutdowns are signed: a unit
+scheduled to come offline next hour carries a negative up award by
+construction. Systemwide requirements may be relaxed through shortfall
+slacks at the configured penalty.
 
 Prices come from a second solve: the on/off binaries are frozen at the
 incumbent, which leaves the continuous start/stop variables one feasible
@@ -25,12 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network, optim
+from . import dispatch, network, optim
 from .stochastic_uc import (
     add_commitment_block,
     commitment_logic_residual,
     commitment_schedule,
 )
+from .timegrid import TimeGrid
 
 __all__ = [
     "DamBidSet",
@@ -126,7 +130,8 @@ def _award_rows(g):
 def _build(system, bids, req, fix_commitments):
     """The clearing model, without line-flow rows, and its column and row
     indices: the bid rows (buses, hours) give the LMPs, the requirement rows
-    (hours, up/down) the ramp prices."""
+    (hours, up/down) the ramp prices, and "inj" holds the bus injections
+    (bus, cols, coefs) as `network.FlowScreen.add_periods` takes them."""
     hours = bids.hours
     gens = system.generators
     model = optim.Model("dam")
@@ -136,12 +141,8 @@ def _build(system, bids, req, fix_commitments):
     p = np.empty((n_g, hours), dtype=int)
     r_up = np.empty((n_g, hours), dtype=int)
     r_dn = np.empty((n_g, hours), dtype=int)
-    hs = np.arange(hours)
-    first = hs == 0
-    prev = (hs - 1).clip(0)
-    pairs = hs[:-1]  # hour h of each (h, h+1) pair
-    ramp_sense = np.tile(np.array(["<=", "<="]), (hours, 1))
-    ramp_sense[0, 1] = ">="
+    grid = TimeGrid(hours, 1)
+    pairs = np.arange(hours - 1)  # hour h of each (h, h+1) pair
     for i, g in enumerate(gens):
         # per hour: p, rup, rdn, then one column per offer segment
         widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
@@ -153,45 +154,9 @@ def _build(system, bids, req, fix_commitments):
         )
         p[i], r_up[i], r_dn[i] = cols[:, 0], cols[:, 1], cols[:, 2]
         pi, ui, vi, wi = p[i], u[i], v[i], w[i]
-        model.add_rows(
-            f"segcap[{g.id}]", np.array(["==", "<="]), 0.0,
-            *optim.stack_rows(
-                [(pi, 1.0)] + [(seg, -1.0) for seg in cols[:, 3:].T],
-                [(pi, 1.0), (ui, -g.dispatch_range)],
-            ),
-        )
-
-        # rampup, rampdn; hour 0 runs from the initial state
-        p0 = g.initial.dispatch_above_min
-        u0 = 1.0 if g.initial.on else 0.0
-        lift = -(g.startup_limit - g.p_min)
-        model.add_rows(
-            f"ramp[{g.id}]", ramp_sense,
-            np.column_stack([
-                np.where(first, p0 + g.ramp_up * u0, 0.0),
-                np.where(first, p0 - g.ramp_down * u0, 0.0),
-            ]),
-            *optim.stack_rows(
-                [
-                    (pi, 1.0),
-                    (np.where(first, vi, pi[prev]), np.where(first, lift, -1.0)),
-                    (ui[prev], np.where(first, 0.0, -g.ramp_up)),
-                    (vi, np.where(first, 0.0, lift)),
-                ],
-                [
-                    (pi[prev], 1.0),
-                    (np.where(first, wi, pi), np.where(first, -(g.ramp_down - p0), -1.0)),
-                    (ui[prev], np.where(first, 0.0, -g.ramp_down)),
-                    (wi, np.where(first, 0.0, -g.dispatch_range)),
-                ],
-            ),
-        )
-        model.add_rows(
-            f"stopcap[{g.id}]", "<=", g.dispatch_range,
-            *optim.stack_rows(
-                [(pi[pairs], 1.0), (wi[pairs + 1], g.p_max - g.shutdown_limit)]
-            ),
-        )
+        # the energy rows at one period an hour, in the market's row order
+        blocks = {f"segcap[{g.id}]": [1, 0], f"ramp[{g.id}]": [2, 3], f"stopcap[{g.id}]": [4]}
+        dispatch.add_unit_rows(model, g, grid, blocks, pi, cols[:, 3:], ui, vi, wi)
 
         # ramp awards tied to the unit's feasible hour-to-hour movement
         var = {"p": pi, "rup": r_up[i], "rdn": r_dn[i], "u": ui, "v": vi, "w": wi}
@@ -216,12 +181,13 @@ def _build(system, bids, req, fix_commitments):
     pc, d = pcd[..., 0], pcd[..., 1]
     bid = model.add_rows("bid", "==", bids.values, d[..., None], 1.0)
 
-    p_min = np.array([g.p_min for g in gens])
-    model.add_rows(
-        "bal", "==", 0.0,
-        np.concatenate([p, u, pc, d]).T,
-        np.concatenate([np.ones(n_g), p_min, np.ones(n_b), -np.ones(n_b)]),
-    )
+    # the injections: output above minimum, committed minimum, curtailment
+    # and cleared demand
+    bus_of = [system.bus_index(g.bus) for g in gens]
+    bus = np.concatenate([bus_of, bus_of, np.arange(n_b), np.arange(n_b)])
+    cols = np.concatenate([p, u, pc, d])
+    coefs = np.concatenate([np.ones(n_g), [g.p_min for g in gens], np.ones(n_b), -np.ones(n_b)])
+    model.add_rows("bal", "==", 0.0, cols.T, coefs)
 
     sf = model.add_vars("sf", (hours, 2), obj=system.frp_shortfall_penalty)
     sf_up, sf_dn = sf[:, 0], sf[:, 1]
@@ -237,6 +203,7 @@ def _build(system, bids, req, fix_commitments):
     idx = {
         "u": u, "v": v, "w": w, "p": p, "r_up": r_up, "r_dn": r_dn,
         "pc": pc, "d": d, "sf_up": sf_up, "sf_dn": sf_dn, "bid": bid, "req": reqs,
+        "inj": (bus, cols, coefs),
     }
     return model, idx
 
@@ -267,19 +234,8 @@ def clear_dam(
             raise ValueError(f"fix_commitments shape must be {want}")
     model, idx = _build(system, bids, req, fix_commitments)
     hours = bids.hours
-    gens = system.generators
-    n_b = len(system.buses)
-    bus_of = [system.bus_index(g.bus) for g in gens]
     screen = network.FlowScreen(system)
-    screen.add_periods(
-        "",
-        np.concatenate([bus_of, bus_of, np.arange(n_b), np.arange(n_b)]),
-        np.vstack([idx["p"], idx["u"], idx["pc"], idx["d"]]),
-        np.concatenate(
-            [np.ones(len(gens)), [g.p_min for g in gens], np.ones(n_b), -np.ones(n_b)]
-        ),
-        np.zeros((n_b, hours)),
-    )
+    screen.add_periods("", *idx["inj"], np.zeros((len(system.buses), hours)))
     totals = optim.MilpTotals()
     try:
         mip = optim.require_optimal(
@@ -339,77 +295,54 @@ def clear_dam(
 def check_dam_outcome(system, outcome, bids, req, fix_commitments=None, tol=1e-6):
     """Solver-independent residual audit of a cleared outcome.
 
-    Returns worst-case violations in MW per constraint family; every value
-    should be <= tol on a healthy outcome.
+    Returns worst-case violations in MW per constraint family (the physical
+    ones from `dispatch.physical_residuals`); every value should be <= tol
+    on a healthy outcome.
     """
     out = outcome
-    hours = out.hours
-    worst = {}
+    worst = dispatch.physical_residuals(
+        system, TimeGrid(out.hours, 1), out.u, out.v, out.w,
+        out.p[None], out.curtail[None], out.demand[None],
+    )
+    worst["logic"] = commitment_logic_residual(system.generators, out.u, out.v, out.w)
 
-    def track(key, *vals):
-        worst[key] = max(worst.get(key, 0.0), *(float(v) for v in vals))
-
-    for i, g in enumerate(system.generators):
-        u0 = 1 if g.initial.on else 0
-        track("logic", commitment_logic_residual(g, out.u[i], out.v[i], out.w[i]))
-        track("capacity", (out.p[i] - g.dispatch_range * out.u[i]).max(), -out.p[i].min())
-        p0 = g.initial.dispatch_above_min
-        prev, prev_u = p0, u0
-        for h in range(hours):
-            su = (g.startup_limit - g.p_min) * out.v[i, h]
-            track("ramp", out.p[i, h] - (prev + g.ramp_up * prev_u + su))
-            if h == 0:
-                floor = p0 - g.ramp_down * u0 + (g.ramp_down - p0) * out.w[i, 0]
-            else:
-                floor = prev - g.ramp_down * prev_u - g.dispatch_range * out.w[i, h]
-            track("ramp", floor - out.p[i, h])
-            if h < hours - 1:
-                cap = g.dispatch_range + (g.shutdown_limit - g.p_max) * out.w[i, h + 1]
-                track("ramp", out.p[i, h] - cap)
-            prev, prev_u = out.p[i, h], out.u[i, h]
-
-        for h in range(hours - 1):
-            ru, rd, ph = out.r_up[i, h], out.r_dn[i, h], out.p[i, h]
-            un, uh = out.u[i, h + 1], out.u[i, h]
-            vn, wn = out.v[i, h + 1], out.w[i, h + 1]
-            track(
-                "frp_coupling",
-                (-g.ramp_down * uh + (g.ramp_down - g.shutdown_limit) * wn + g.p_min * vn) - ru,
-                ru - (g.ramp_up * un + (g.startup_limit - g.ramp_up) * vn),
-                ru - (g.p_max * un - g.p_min * uh),
-                (-g.ramp_up * un + (g.ramp_up - g.startup_limit) * vn) - rd,
-                rd - (g.ramp_down * uh + (g.shutdown_limit - g.ramp_down) * wn - g.p_min * vn),
-                (-g.p_max * un + g.p_min * uh) - rd,
-                (-g.p_min + g.p_min * un) - (ru + ph),
-                (ru + ph) - (g.p_max - g.p_min * uh + (g.startup_limit - g.p_max) * vn),
-                (-g.p_min + g.p_min * un) - (ph - rd),
-                (ph - rd) - (g.p_max - g.p_min * uh + (g.startup_limit - g.p_max) * vn),
-            )
-            if h < hours - 2:
-                wnn = out.w[i, h + 2]
-                cap = g.shutdown_limit * wnn + g.p_max * (1 - wnn)
-                track("frp_coupling", (ru + ph) - cap, (ph - rd) - cap)
-
-    total = out.dispatch_total(system)
-    inj = np.zeros((len(system.buses), hours))
-    for i, g in enumerate(system.generators):
-        inj[system.bus_index(g.bus)] += total[i]
-    inj += out.curtail - out.demand
-    track("balance", np.abs(inj.sum(axis=0)).max())
-    track("demand_match", np.abs(out.demand - bids.values).max())
-    if len(system.lines):
-        flows = system.isf() @ inj
-        fmax = np.array([ln.flow_max for ln in system.lines])[:, None]
-        fmin = np.array([ln.flow_min for ln in system.lines])[:, None]
-        track("flow", (flows - fmax).max(), (fmin - flows).max())
-
-    short_up = req.up - (out.r_up.sum(axis=0) + out.sf_up)
-    short_dn = req.dn - (out.r_dn.sum(axis=0) + out.sf_dn)
-    track("frp_requirement", short_up.max(), short_dn.max())
-    track("shortfall_sign", -out.sf_up.min(), -out.sf_dn.min())
+    # the award rows over every (h, h+1) pair: hour h, then hour h+1 ("n")
+    rd, ru, su, sd, p_min, p_max = (
+        dispatch.unit_params(system.generators, name)
+        for name in ("ramp_down", "ramp_up", "startup_limit", "shutdown_limit", "p_min", "p_max")
+    )
+    up, dn, ph = out.r_up[:, :-1], out.r_dn[:, :-1], out.p[:, :-1]
+    uh, un, vn, wn = out.u[:, :-1], out.u[:, 1:], out.v[:, 1:], out.w[:, 1:]
+    top = p_max - p_min * uh + (su - p_max) * vn
+    # the hour before a stop at h+2 holds at most the shutdown limit
+    stop = out.w[:, 2:]
+    held = sd * stop + p_max * (1 - stop)
+    coupling = [
+        (-rd * uh + (rd - sd) * wn + p_min * vn) - up,
+        up - (ru * un + (su - ru) * vn),
+        up - (p_max * un - p_min * uh),
+        (-ru * un + (ru - su) * vn) - dn,
+        dn - (rd * uh + (sd - rd) * wn - p_min * vn),
+        (-p_max * un + p_min * uh) - dn,
+        (-p_min + p_min * un) - (up + ph),
+        (up + ph) - top,
+        (-p_min + p_min * un) - (ph - dn),
+        (ph - dn) - top,
+        (up + ph)[:, :-1] - held,
+        (ph - dn)[:, :-1] - held,
+    ]
+    checks = {
+        "frp_coupling": max(c.max(initial=0.0) for c in coupling),
+        "demand_match": np.abs(out.demand - bids.values).max(),
+        "frp_requirement": max(
+            (req.up - (out.r_up.sum(axis=0) + out.sf_up)).max(),
+            (req.dn - (out.r_dn.sum(axis=0) + out.sf_dn)).max(),
+        ),
+        "shortfall_sign": max(-out.sf_up.min(), -out.sf_dn.min()),
+    }
     if fix_commitments is not None:
-        track("commitment_floor", (np.asarray(fix_commitments) - out.u).max())
-    return worst
+        checks["commitment_floor"] = (np.asarray(fix_commitments) - out.u).max()
+    return worst | {key: max(0.0, float(val)) for key, val in checks.items()}
 
 
 # -- file io -----------------------------------------------------------------

@@ -1,0 +1,187 @@
+"""Unit dispatch physics shared by the stochastic commitment (SUC), the
+day-ahead market (DAM) and real-time redispatch (RTM).
+
+`add_unit_rows` writes one unit's dispatch rows once, on any `TimeGrid`.
+The SUC adds all of them on its sub-period grid and the DAM at one period an
+hour, both with commitment as columns; the RTM takes commitment as data.
+Each caller adds the rows in its own blocks and order.
+`physical_residuals` audits a solution against the same physics, written
+from the inequalities rather than from the rows, vectorised over
+scenarios, units and periods; `bus_injections` is the one map from unit
+output to bus injections.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from operator import attrgetter
+
+import numpy as np
+
+from . import optim
+
+__all__ = [
+    "unit_columns", "add_unit_rows", "unit_params", "bus_injections", "physical_residuals",
+]
+
+
+def unit_columns(model, name, g, grid):
+    """The dispatch columns of unit ``g`` on ``grid``: per period, ``p``
+    (output above minimum, at most ``DR``), then one column per offer
+    segment, costed for the period's length. Returns their indices, shape
+    (periods, 1 + segments)."""
+    widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
+    return model.add_vars(
+        name, (grid.n_periods, 1 + len(widths)),
+        ub=np.concatenate([[g.dispatch_range], widths]),
+        obj=np.concatenate([[0.0], [seg.cost * grid.period_hours for seg in g.segments]]),
+    )
+
+
+def add_unit_rows(model, g, grid, blocks, p, seg, u, v, w, fixed=False):
+    """Add the dispatch rows of unit ``g`` on ``grid`` to ``model``. Per
+    period ``k`` of hour ``h``, with ``p`` the output above minimum, ramp
+    rates scaled to the period length and ``DR = p_max - p_min``:
+
+    - cap: ``p[k] <= DR * u[h]``
+    - segsum: ``p[k]`` equals the sum of the unit's offer segments
+    - rampup: ``p[k] - p[k-1] <= ru * u[h(k-1)] + (startup_limit - p_min) *
+      v[h]``, the start term only in an hour's first period
+    - rampdn: ``p[k-1] - p[k] <= rd * u[h(k-1)] + DR * w[h]``, the stop term
+      only in an hour's first period
+    - stopcap, in the last period before hour ``h+1``: ``p[k] <= DR -
+      (p_max - shutdown_limit) * w[h+1]``
+
+    The first period runs from the initial state: ``p[0] <= p0 + ru * u0 +
+    (startup_limit - p_min) * v[0]`` and ``p[0] >= p0 - rd * u0 + (rd - p0)
+    * w[0]``.
+
+    ``blocks`` maps each row-block name to the rows it holds, as indices
+    into (cap, segsum, rampup, rampdn, stopcap); a block holds them period by
+    period and, within a period, in the order given. ``p`` (periods,) and
+    ``seg`` (periods, segments) are column indices, and so are ``u``, ``v``
+    and ``w`` (hours,) unless ``fixed``: then they are the unit's 0/1
+    schedule, their terms move into the right-hand side, the cap row becomes
+    the upper bound of ``p``, and a stopcap row is kept only where the next
+    hour stops the unit.
+    """
+    n = grid.n_periods
+    ks = np.arange(n)
+    first = ks == 0
+    opens = ks % grid.periods_per_hour == 0  # an hour's first period
+    h = ks // grid.periods_per_hour
+    prev = (ks - 1).clip(0)
+    hn = h[np.minimum(ks + 1, n - 1)]  # the hour of the next period
+    ru = g.ramp_up * grid.period_hours
+    rd = g.ramp_down * grid.period_hours
+    p0 = g.initial.dispatch_above_min
+    u0 = 1.0 if g.initial.on else 0.0
+    lift = -(g.startup_limit - g.p_min)
+    # (sense, rhs, terms); a term is (variable, index, coefficient)
+    rows = [
+        ("<=", 0.0, [("p", ks, 1.0), ("u", h, -g.dispatch_range)]),
+        ("==", 0.0, [("p", ks, 1.0)] + [("seg", (ks, j), -1.0) for j in range(seg.shape[1])]),
+        ("<=", np.where(first, p0 + ru * u0, 0.0), [
+            ("p", ks, 1.0),
+            ("p", prev, np.where(first, 0.0, -1.0)),
+            ("u", h[prev], np.where(first, 0.0, -ru)),
+            ("v", h, np.where(opens, lift, 0.0)),
+        ]),
+        (np.where(first, ">=", "<="), np.where(first, p0 - rd * u0, 0.0), [
+            ("p", prev, 1.0),
+            ("p", ks, np.where(first, 0.0, -1.0)),
+            ("u", h[prev], np.where(first, 0.0, -rd)),
+            ("w", h, np.where(first, -(rd - p0), np.where(opens, -g.dispatch_range, 0.0))),
+        ]),
+        ("<=", g.dispatch_range, [("p", ks, 1.0), ("w", hn, g.p_max - g.shutdown_limit)]),
+    ]
+    var = {"p": p, "seg": seg, "u": u, "v": v, "w": w}
+    families, rhs = [], []
+    for _, b, terms in rows:
+        b = np.broadcast_to(np.asarray(b, dtype=float), n).copy()
+        fam = []
+        for x, at, coef in terms:
+            if fixed and x in ("u", "v", "w"):
+                b -= coef * var[x][at]
+            else:
+                fam.append((var[x][at], coef))
+        families.append(fam)
+        rhs.append(b)
+    keep = np.ones((n, len(rows)), dtype=bool)
+    keep[:, 4] = (ks < n - 1) & (hn != h)
+    if fixed:
+        keep[:, 4] &= w[hn] != 0
+        model.ub[p] = rhs[0]
+    sense = np.column_stack([np.broadcast_to(s, n) for s, _, _ in rows])
+    table = (sense, np.column_stack(rhs), *optim.stack_rows(*families), keep)
+    for name, picked in blocks.items():
+        *block, kept = (a[:, picked] for a in table)
+        model.add_rows(name, *(a[kept] for a in block))
+
+
+def unit_params(generators, name):
+    """Attribute ``name`` (dotted, e.g. "initial.dispatch_above_min") of
+    every unit as a float column, shape (units, 1)."""
+    get = attrgetter(name)
+    return np.array([float(get(g)) for g in generators])[:, None]
+
+
+def bus_injections(system, gen_mw):
+    """Unit output (..., units, periods) summed onto buses: (..., buses,
+    periods), unit by unit in system order."""
+    gen_mw = np.asarray(gen_mw, dtype=float)
+    inj = np.zeros(gen_mw.shape[:-2] + (len(system.buses), gen_mw.shape[-1]))
+    bus_of = [system.bus_index(g.bus) for g in system.generators]
+    np.add.at(inj, (Ellipsis, bus_of, slice(None)), gen_mw)
+    return inj
+
+
+def physical_residuals(system, grid, u, v, w, p, curtail, load):
+    """Worst violations (MW, 0 when none) of the dispatch physics by a
+    solution on ``grid``: output above minimum ``p`` (scenarios, units,
+    periods) under the hourly 0/1 commitment ``u``, ``v``, ``w`` (units,
+    hours), with ``curtail`` and ``load`` (scenarios, buses, periods).
+
+    Keys: "capacity" (``0 <= p <= DR * u`` and ``curtail >= 0``), "ramp"
+    (ramp-up and ramp-down from the initial state and between periods, with
+    the startup and shutdown allowances in an hour's first period, and the
+    shutdown limit in the period before a stop), "balance" (the worst
+    absolute net injection summed over buses) and "flow" (line limits).
+    """
+    gens = system.generators
+    k_per_h = grid.periods_per_hour
+    col = partial(unit_params, gens)
+    span, p_min = col("dispatch_range"), col("p_min")
+    ru = col("ramp_up") * grid.period_hours
+    rd = col("ramp_down") * grid.period_hours
+    p0 = col("initial.dispatch_above_min")
+    u0 = col("initial.on")
+    opens = np.arange(grid.n_periods) % k_per_h == 0
+    on = np.repeat(u, k_per_h, axis=1)
+    starts = np.repeat(v, k_per_h, axis=1) * opens
+    stops = np.repeat(w, k_per_h, axis=1) * opens
+
+    before = np.concatenate([np.broadcast_to(p0, p.shape[:-1] + (1,)), p[..., :-1]], axis=-1)
+    was_on = np.concatenate([u0, on[:, :-1]], axis=1)
+    up = before + ru * was_on + (col("startup_limit") - p_min) * starts
+    floor = before - rd * was_on - span * stops
+    # a stop in the first period may take the unit from p0 straight to 0
+    floor[..., 0] = (p0 - rd * u0 + (rd - p0) * w[:, :1])[:, 0]
+    # the period before a stop holds at most the shutdown limit
+    stop_next = np.zeros(on.shape, dtype=bool)
+    stop_next[:, :-1] = stops[:, 1:] != 0
+    held = np.where(stop_next, p - (col("shutdown_limit") - p_min), 0.0)
+
+    inj = bus_injections(system, p + p_min * on) + curtail - load
+    worst = {
+        "capacity": max(0.0, (p - span * on).max(), -p.min(), -np.min(curtail)),
+        "ramp": max(0.0, (p - up).max(), (floor - p).max(), held.max()),
+        "balance": np.abs(inj.sum(axis=-2)).max(),
+        "flow": 0.0,
+    }
+    if len(system.lines):
+        flows = system.isf() @ inj
+        fmax = np.array([ln.flow_max for ln in system.lines])[:, None]
+        fmin = np.array([ln.flow_min for ln in system.lines])[:, None]
+        worst["flow"] = max(0.0, (flows - fmax).max(), (fmin - flows).max())
+    return {key: float(val) for key, val in worst.items()}

@@ -3,9 +3,9 @@
 Passes build a `Model` from blocks: `add_vars` appends a block of columns
 and returns their indices in the block's shape, `add_rows` appends a block
 of rows given as padded (rows, terms) arrays of column indices and
-coefficients, with zero coefficients dropped. The scalar `add_var` and
-`add_constr` are one-element blocks. The constraint matrix is assembled into
-CSR form once, on the first solve; rows added later are appended to it.
+coefficients, with zero coefficients dropped; a block of shape ``()`` is one
+column or row. The constraint matrix is assembled into CSR form once, on the
+first solve; rows added later are appended to it.
 
 `solve` runs branch and bound when integer variables are present and a plain
 LP otherwise; `fix_and_resolve` freezes every integer variable at an
@@ -86,9 +86,6 @@ class SolveResult:
     mip_node_count: int | None = None  # branch-and-bound nodes; MIP solves only
     mip_dual_bound: float | None = None  # best proven bound; MIP solves only
     highs_s: float | None = None  # seconds inside HiGHS; `milp` calls only
-    # bound multipliers from LP solves, indexed like the variables
-    lower_bound_duals: np.ndarray | None = None
-    upper_bound_duals: np.ndarray | None = None
     # size of the model handed to HiGHS; binaries counts integer columns
     rows: int | None = None
     cols: int | None = None
@@ -237,13 +234,6 @@ class Model:
         self._var_blocks.append((name, start, shape))
         return np.arange(start, stop).reshape(shape)
 
-    def add_var(self, name, lb=0.0, ub=np.inf, obj=0.0, integer=False):
-        """Register one variable, returning its column index."""
-        return int(self.add_vars(name, (), lb, ub, obj, integer))
-
-    def add_binary(self, name, obj=0.0):
-        return self.add_var(name, lb=0.0, ub=1.0, obj=obj, integer=True)
-
     def add_rows(self, name, sense, rhs, cols, coefs):
         """Add a block of rows ``sum(coefs[..., t] * x[cols[..., t]]) <sense> rhs``.
 
@@ -269,16 +259,6 @@ class Model:
         self._n_rows += n
         self._row_blocks.append((name, start, shape))
         return np.arange(start, start + n).reshape(shape)
-
-    def add_constr(self, name, terms, sense, rhs):
-        """Add one row. ``terms`` maps column index to coefficient (or is an
-        iterable of such pairs). Returns the row index."""
-        if isinstance(terms, dict):
-            terms = terms.items()
-        terms = list(terms)
-        cols = np.array([j for j, _ in terms], dtype=np.int64)
-        coefs = np.array([c for _, c in terms], dtype=float)
-        return int(self.add_rows(name, sense, rhs, cols, coefs))
 
     # -- matrix assembly ---------------------------------------------------
 
@@ -573,8 +553,6 @@ def _solve_lp(model, lb, ub, time_limit):
         objective=float(res.fun),
         x=np.asarray(res.x),
         duals=duals,
-        lower_bound_duals=np.asarray(res.lower.marginals),
-        upper_bound_duals=np.asarray(res.upper.marginals),
         **size,
     )
 

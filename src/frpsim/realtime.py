@@ -3,10 +3,12 @@
 Commitments are frozen at the day-ahead schedule; dispatch re-optimizes over
 the whole day's sub-period grid in a single LP with curtailment as the only
 slack (priced at the systemwide penalty, which stands in for the value of
-lost load). Real-time locational prices are the duals of the per-bus realized
-load equalities. A realized trajectory the committed fleet cannot ramp down
-to raises InfeasibleModelError; that is a modeling problem, not a market
-outcome.
+lost load). The dispatch rows come from `dispatch.add_unit_rows` with the
+commitment as data, so the LP has no commitment columns. Real-time
+locational prices are the duals of the per-bus realized load equalities. A
+realized trajectory the committed fleet cannot ramp down to raises
+InfeasibleModelError; that is a modeling problem, not a market outcome.
+`check_rtm_outcome` audits a dispatch without the solver.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network, optim
+from . import dispatch, network, optim
 from .scenarios import NetLoadProfile, draw_realization
+from .stochastic_uc import commitment_cost
 
-__all__ = ["RtmOutcome", "simulate_rtm", "stress_sweep"]
+__all__ = ["RtmOutcome", "simulate_rtm", "check_rtm_outcome", "stress_sweep"]
 
 
 @dataclass
@@ -74,50 +77,18 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     gens = system.generators
     n_g, n_b, n_t = len(gens), len(system.buses), grid.n_periods
     scale = grid.period_hours
-    u, v, w = _expand_commitment(dam, grid)
+    u, _, _ = _expand_commitment(dam, grid)
 
     model = optim.Model("rtm")
     p = np.empty((n_g, n_t), dtype=int)
-    ks = np.arange(n_t)
-    first = ks == 0
-    prev = (ks - 1).clip(0)
-    sense = np.tile(np.array(["==", "<=", "<=", "<="]), (n_t, 1))
-    sense[0, 2] = ">="
     for i, g in enumerate(gens):
-        ru = g.ramp_up * scale
-        rd = g.ramp_down * scale
-        p0 = g.initial.dispatch_above_min
-        u0 = 1.0 if g.initial.on else 0.0
-        # per period: p, capped by the commitment, then one column per
-        # offer segment
-        widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
-        pseg = model.add_vars(
-            f"p[{g.id}]", (n_t, 1 + len(widths)),
-            ub=np.column_stack([
-                g.dispatch_range * u[i], np.broadcast_to(widths, (n_t, len(widths)))
-            ]),
-            obj=np.concatenate([[0.0], [seg.cost * scale for seg in g.segments]]),
+        pseg = dispatch.unit_columns(model, f"p[{g.id}]", g, grid)
+        p[i] = pseg[:, 0]
+        # commitment is data: the cap row becomes p's bound
+        dispatch.add_unit_rows(
+            model, g, grid, {f"disp[{g.id}]": [1, 2, 3, 4]},
+            p[i], pseg[:, 1:], dam.u[i], dam.v[i], dam.w[i], fixed=True,
         )
-        p[i] = pk = pseg[:, 0]
-        pk1 = p[i, prev]
-        # per period: segsum, rampup, rampdn and, before a shutdown, stopcap;
-        # the first period's ramp rows run from the initial state
-        lift = (g.startup_limit - g.p_min) * v[i]
-        up = ru * u[i, prev] + lift
-        up[0] = p0 + ru * u0 + lift[0]
-        dn = rd * u[i, prev] + g.dispatch_range * w[i]
-        dn[0] = p0 - rd * u0 + (rd - p0) * w[i, 0]
-        step = np.where(first, 0.0, -1.0)
-        cols, coefs = optim.stack_rows(
-            [(pk, 1.0)] + [(seg, -1.0) for seg in pseg[:, 1:].T],
-            [(pk, 1.0), (pk1, step)],
-            [(pk1, 1.0), (pk, step)],
-            [(pk, 1.0)],
-        )
-        rhs = np.column_stack([np.zeros(n_t), up, dn, np.full(n_t, g.shutdown_limit - g.p_min)])
-        keep = np.ones((n_t, 4), dtype=bool)
-        keep[:, 3] = np.append(w[i, 1:] != 0, False)
-        model.add_rows(f"disp[{g.id}]", sense[keep], rhs[keep], cols[keep], coefs[keep])
 
     pcd = model.add_vars(
         "pcd", (n_b, n_t, 2), lb=[0.0, -np.inf],
@@ -126,27 +97,16 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     pc, d = pcd[..., 0], pcd[..., 1]
     load = model.add_rows("load", "==", realized.values, d[..., None], 1.0)
 
-    p_min = np.array([g.p_min for g in gens])
-    bus_of = [system.bus_index(g.bus) for g in gens]
+    # the injections: output above minimum, curtailment and load; the
+    # committed minimum output is data here, so it is a fixed injection
+    floor = np.array([[g.p_min] for g in gens]) * u
+    bus = np.concatenate([[system.bus_index(g.bus) for g in gens], np.arange(n_b), np.arange(n_b)])
+    cols = np.concatenate([p, pc, d])
+    coefs = np.concatenate([np.ones(n_g), np.ones(n_b), -np.ones(n_b)])
     # committed minimum output per period, summed along a contiguous row
-    model.add_rows(
-        "bal", "==", -np.ascontiguousarray((p_min[:, None] * u).T).sum(axis=1),
-        np.concatenate([p, pc, d]).T,
-        np.concatenate([np.ones(n_g), np.ones(n_b), -np.ones(n_b)]),
-    )
-
-    # committed minimum output is data here, so it enters the flows as a
-    # fixed injection
-    fixed = np.zeros((n_b, n_t))
-    np.add.at(fixed, bus_of, p_min[:, None] * u)
+    model.add_rows("bal", "==", -np.ascontiguousarray(floor.T).sum(axis=1), cols.T, coefs)
     screen = network.FlowScreen(system)
-    screen.add_periods(
-        "",
-        np.concatenate([bus_of, np.arange(n_b), np.arange(n_b)]),
-        np.vstack([p, pc, d]),
-        np.concatenate([np.ones(n_g), np.ones(n_b), -np.ones(n_b)]),
-        fixed,
-    )
+    screen.add_periods("", bus, cols, coefs, dispatch.bus_injections(system, floor))
     try:
         res = screen.solve(model, lambda m, _: optim.solve(m, gap_tol=gap_tol))
     finally:
@@ -159,12 +119,6 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     pc_val = x[pc]
     lmp = res.duals[load]
     curtail_cost = float(system.curtailment_penalty * scale * pc_val.sum())
-    commitment_cost = float(
-        sum(
-            g.no_load_cost * dam.u[i].sum() + g.startup_cost * dam.v[i].sum()
-            for i, g in enumerate(gens)
-        )
-    )
     return RtmOutcome(
         gen_ids=list(system.gen_ids),
         bus_ids=list(system.bus_ids),
@@ -173,7 +127,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         p=p_val,
         curtail=pc_val,
         lmp=lmp,
-        commitment_cost=commitment_cost,
+        commitment_cost=commitment_cost(gens, dam.u, dam.v),
         dispatch_cost=float(res.objective) - curtail_cost,
         curtailment_cost=curtail_cost,
         shed_mwh=float(pc_val.sum() * scale),
@@ -181,6 +135,24 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         flow_rows=len(screen.added),
         size=res.size,
     )
+
+
+def check_rtm_outcome(system, dam, rtm, realized):
+    """Solver-independent residual audit of a real-time dispatch against the
+    realized net load, under the DAM commitment it was given.
+
+    Returns worst-case violations in MW per constraint family (see
+    `dispatch.physical_residuals`), plus "commitment", the largest gap
+    between ``rtm.u`` and the DAM schedule on the real-time grid; every
+    value should be ~0 on a healthy outcome.
+    """
+    u, _, _ = _expand_commitment(dam, rtm.grid)
+    worst = dispatch.physical_residuals(
+        system, rtm.grid, dam.u, dam.v, dam.w,
+        rtm.p[None], rtm.curtail[None], realized.values[None],
+    )
+    worst["commitment"] = float(np.abs(rtm.u - u).max())
+    return worst
 
 
 def stress_sweep(system, dams_by_method, forecast, sigma_fracs, rho, seed, day="day0"):

@@ -2,10 +2,13 @@
 
 One set of hourly commitment variables is shared by every scenario; dispatch,
 segment loading and curtailment are per scenario on the sub-period grid.
-Online ramp rates are scaled to the sub-period length, startup/shutdown
-ramps are not (they cap the jump at a transition, however short the step).
-Commitment is hourly by construction: commitment variables live on the hourly
-grid and sub-period constraints reference the hour they fall in.
+Each unit's dispatch rows come from `dispatch.add_unit_rows`, shared with
+the day-ahead and real-time passes: online ramp rates are scaled to the
+sub-period length, startup/shutdown ramps are not (they cap the jump at a
+transition, however short the step). Commitment is hourly by construction:
+commitment variables live on the hourly grid and sub-period constraints
+reference the hour they fall in. `check_suc_solution` audits a solution
+against the same physics without the solver (`dispatch.physical_residuals`).
 
 The commitment block (`add_commitment_block`) is shared with the day-ahead
 market. Only the on/off variables are integer; start and stop variables are
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network, optim
+from . import dispatch, network, optim
 from .scenarios import ScenarioSet
 from .timegrid import TimeGrid
 
@@ -49,6 +52,7 @@ __all__ = [
     "add_commitment_block",
     "commitment_schedule",
     "commitment_logic_residual",
+    "commitment_cost",
     "solve_suc",
     "check_suc_solution",
     "save_suc_solution",
@@ -150,28 +154,40 @@ def commitment_schedule(generators, x, u, v, w, context):
     return u_val, v_val, w_val
 
 
-def commitment_logic_residual(g, u, v, w):
+def commitment_logic_residual(generators, u, v, w):
     """Worst violation (0 or more, in unit-hours) of the commitment rules by
-    one unit's hourly 0/1 schedule.
+    an hourly 0/1 schedule (units, hours).
 
     Checks that starts and stops match the on/off changes from the initial
     state, that no hour has both a start and a stop, and the minimum up/down
-    times, counting the hours the unit had been on or off before hour 0.
+    times, counting the hours each unit had been on or off before hour 0.
     """
     u, v, w = (np.asarray(a, dtype=int) for a in (u, v, w))
-    hours = len(u)
-    u0 = 1 if g.initial.on else 0
-    worst = float(np.abs(v - w - np.diff(np.concatenate([[u0], u]))).max(initial=0))
-    worst = max(worst, float(np.minimum(v, w).max(initial=0)))
-    for h in range(hours):
-        started = v[max(0, h - g.min_up + 1) : h + 1].sum()
-        stopped = w[max(0, h - g.min_down + 1) : h + 1].sum()
-        worst = max(worst, float(started - u[h]), float(stopped - (1 - u[h])))
-    if g.initial.on:
-        held = u[: max(0, min(g.min_up - g.initial.hours_on, hours))]
-    else:
-        held = 1 - u[: max(0, min(g.min_down - g.initial.hours_off, hours))]
-    return max(worst, float((1 - held).max(initial=0)))
+    hs = np.arange(u.shape[1])
+    on0, up, down, ran, rested = (
+        dispatch.unit_params(generators, name).astype(int)
+        for name in ("initial.on", "min_up", "min_down", "initial.hours_on", "initial.hours_off")
+    )
+    run_v, run_w = (np.concatenate([np.zeros_like(on0), x.cumsum(axis=1)], axis=1) for x in (v, w))
+    # the starts (stops) of the last UT (DT) hours, the window cut at hour 0
+    started = run_v[:, 1:] - np.take_along_axis(run_v, (hs - up + 1).clip(0), axis=1)
+    stopped = run_w[:, 1:] - np.take_along_axis(run_w, (hs - down + 1).clip(0), axis=1)
+    # the initial run (outage) holds the unit on (off) until it lasts UT (DT)
+    held = hs < np.where(on0, up - ran, down - rested)
+    return float(max(
+        np.abs(v - w - np.diff(np.concatenate([on0, u], axis=1), axis=1)).max(initial=0),
+        np.minimum(v, w).max(initial=0),
+        (started - u).max(initial=0),
+        (stopped - (1 - u)).max(initial=0),
+        (held & (u != on0)).max(initial=0),
+    ))
+
+
+def commitment_cost(generators, u, v):
+    """No-load plus startup cost of an hourly 0/1 schedule (units, hours)."""
+    return float(sum(
+        g.no_load_cost * u[i].sum() + g.startup_cost * v[i].sum() for i, g in enumerate(generators)
+    ))
 
 
 @dataclass
@@ -227,88 +243,36 @@ def _add_dispatch_scenario(
     """
     gens = system.generators
     n_periods = grid.n_periods
-    k_per_h = grid.periods_per_hour
-    scale = grid.period_hours  # sub-period ramp scaling and energy weight
+    scale = grid.period_hours  # the energy weight of a period
+    h = np.arange(n_periods) // grid.periods_per_hour  # the hour of each period
     p = np.empty((len(gens), n_periods), dtype=int)
-    ks = np.arange(n_periods)
-    first = ks == 0
-    h = ks // k_per_h  # the hour of each period
-    hp = (ks - 1).clip(0) // k_per_h  # the hour of the period before
-    new_hour = (ks > 0) & (h != hp)
-    hn = np.minimum(ks + 1, n_periods - 1) // k_per_h  # the hour of the next one
-    # a period whose successor opens a new hour carries a stopcap row
-    keep = np.ones((n_periods, 5), dtype=bool)
-    keep[:, 4] = (ks < n_periods - 1) & (hn != h)
-    sense = np.tile(np.array(["<=", "==", "<=", "<=", "<="]), (n_periods, 1))
-    sense[0, 3] = ">="
-
     for i, g in enumerate(gens):
-        # per period: p, then one column per offer segment
-        widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
-        pseg = model.add_vars(
-            f"p{tag}[{g.id}]", (n_periods, 1 + len(widths)),
-            ub=np.concatenate([[g.dispatch_range], widths]),
-            obj=np.concatenate([[0.0], [seg.cost * scale for seg in g.segments]]),
-        )
-        p[i] = pk = pseg[:, 0]
-        pk1 = p[i, ks - 1]
-        ru = g.ramp_up * scale
-        rd = g.ramp_down * scale
-        p0 = g.initial.dispatch_above_min
-        u0 = 1.0 if g.initial.on else 0.0
-        lift = -(g.startup_limit - g.p_min)
-        # per period: cap, segsum, rampup, rampdn, stopcap; the first
-        # period's ramp rows run from the initial state
-        cols, coefs = optim.stack_rows(
-            [(pk, 1.0), (u[i, h], -g.dispatch_range)],
-            [(pk, 1.0)] + [(seg, -1.0) for seg in pseg[:, 1:].T],
-            [
-                (pk, 1.0),
-                (np.where(first, v[i, 0], pk1), np.where(first, lift, -1.0)),
-                (u[i, hp], np.where(first, 0.0, -ru)),
-                (v[i, h], np.where(new_hour, lift, 0.0)),
-            ],
-            [
-                (np.where(first, pk, pk1), 1.0),
-                (np.where(first, w[i, 0], pk), np.where(first, -(rd - p0), -1.0)),
-                (u[i, hp], np.where(first, 0.0, -rd)),
-                (w[i, h], np.where(new_hour, -g.dispatch_range, 0.0)),
-            ],
-            [(pk, 1.0), (w[i, hn], g.p_max - g.shutdown_limit)],
-        )
-        zero = np.zeros(n_periods)
-        rhs = np.column_stack([
-            zero, zero, np.where(first, p0 + ru * u0, 0.0),
-            np.where(first, p0 - rd * u0, 0.0), zero + g.dispatch_range,
-        ])
-        model.add_rows(
-            f"disp{tag}[{g.id}]", sense[keep], rhs[keep], cols[keep], coefs[keep]
+        pseg = dispatch.unit_columns(model, f"p{tag}[{g.id}]", g, grid)
+        p[i] = pseg[:, 0]
+        dispatch.add_unit_rows(
+            model, g, grid, {f"disp{tag}[{g.id}]": [0, 1, 2, 3, 4]},
+            p[i], pseg[:, 1:], u[i], v[i], w[i],
         )
 
     pc = model.add_vars(
         f"pc{tag}", (len(system.buses), n_periods), obj=system.curtailment_penalty * scale
     )
-    p_min = np.array([g.p_min for g in gens])
     bus_of = [system.bus_index(g.bus) for g in gens]
     n_b = len(system.buses)
     net_load = np.asarray(net_load, dtype=float)
+    # the injections: output above minimum, committed minimum, curtailment
+    bus = np.concatenate([bus_of, bus_of, np.arange(n_b)])
+    cols = np.concatenate([p, u[:, h], pc])
+    coefs = np.concatenate([np.ones(len(gens)), [g.p_min for g in gens], np.ones(n_b)])
     # each period's total summed along a contiguous row, as net_load[:, k].sum()
     model.add_rows(
-        f"bal{tag}", "==", np.ascontiguousarray(net_load.T).sum(axis=1),
-        np.concatenate([p, u[:, h], pc]).T,
-        np.concatenate([np.ones(len(gens)), p_min, np.ones(n_b)]),
+        f"bal{tag}", "==", np.ascontiguousarray(net_load.T).sum(axis=1), cols.T, coefs
     )
 
     if psi is not None:  # the unscreened formulation: every flow row now
         screen = network.FlowScreen(system, psi)
     if screen is not None:
-        screen.add_periods(
-            tag,
-            np.concatenate([bus_of, bus_of, np.arange(n_b)]),
-            np.vstack([p, u[:, h], pc]),
-            np.concatenate([np.ones(len(gens)), p_min, np.ones(n_b)]),
-            -net_load,
-        )
+        screen.add_periods(tag, bus, cols, coefs, -net_load)
         if psi is not None:
             screen.add_rows(model, screen.every_row())
     return p, pc
@@ -406,12 +370,7 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     )
     p_val = np.stack([x[p] for p in p_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
-    commitment_cost = float(
-        sum(
-            g.no_load_cost * u_val[i].sum() + g.startup_cost * v_val[i].sum()
-            for i, g in enumerate(system.generators)
-        )
-    )
+    fixed_cost = commitment_cost(system.generators, u_val, v_val)
     return SucSolution(
         gen_ids=list(system.gen_ids),
         bus_ids=list(system.bus_ids),
@@ -422,8 +381,8 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
         p=p_val,
         curtail=pc_val,
         objective=float(res.objective),
-        commitment_cost=commitment_cost,
-        expected_dispatch_cost=float(res.objective) - commitment_cost,
+        commitment_cost=fixed_cost,
+        expected_dispatch_cost=float(res.objective) - fixed_cost,
         mip_gap=res.mip_gap,
         wall_time_s=wall,
         screen_rounds=screen.rounds,
@@ -437,62 +396,15 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
 def check_suc_solution(system, scenarios, sol, tol=1e-6):
     """Residuals of the physical constraints at the returned solution.
 
-    Returns a dict of worst-case violations (MW); all entries should be ~0.
-    Used by tests as a solver-independent feasibility audit.
+    Returns a dict of worst-case violations (MW, see
+    `dispatch.physical_residuals`) and the worst commitment-logic violation;
+    all entries should be ~0. Used by tests as a solver-independent
+    feasibility audit.
     """
-    grid = sol.grid
-    k_per_h = grid.periods_per_hour
-    scale = grid.period_hours
-    total = sol.dispatch_total(system)  # (S,G,T)
-    worst = {"balance": 0.0, "flow": 0.0, "capacity": 0.0, "ramp": 0.0, "logic": 0.0}
-
-    for i, g in enumerate(system.generators):
-        u0 = 1 if g.initial.on else 0
-        worst["logic"] = max(
-            worst["logic"], commitment_logic_residual(g, sol.u[i], sol.v[i], sol.w[i])
-        )
-        u_sub = np.repeat(sol.u[i], k_per_h)
-        over = sol.p[:, i, :] - g.dispatch_range * u_sub[None, :]
-        worst["capacity"] = max(worst["capacity"], float(over.max(initial=0.0)))
-        ru = g.ramp_up * scale
-        rd = g.ramp_down * scale
-        p0 = g.initial.dispatch_above_min
-        for s in range(sol.p.shape[0]):
-            prev, prev_u = p0, u0
-            for k in range(grid.n_periods):
-                h = k // k_per_h
-                at_hour_start = k % k_per_h == 0
-                su = (g.startup_limit - g.p_min) if at_hour_start and sol.v[i, h] else 0.0
-                up_cap = prev + ru * prev_u + su
-                if k == 0:
-                    dn_floor = p0 - rd * u0 + (rd - p0) * sol.w[i, 0]
-                else:
-                    sd = g.dispatch_range if at_hour_start and sol.w[i, h] else 0.0
-                    dn_floor = prev - rd * prev_u - sd
-                val = sol.p[s, i, k]
-                worst["ramp"] = max(worst["ramp"], val - up_cap, dn_floor - val)
-                if k + 1 < grid.n_periods and (k + 1) % k_per_h == 0:
-                    hn = (k + 1) // k_per_h
-                    cap = g.dispatch_range + (g.shutdown_limit - g.p_max) * sol.w[i, hn]
-                    worst["ramp"] = max(worst["ramp"], val - cap)
-                prev = val
-                prev_u = sol.u[i, h]
-
-    for s in range(sol.p.shape[0]):
-        inj = np.zeros((len(system.buses), grid.n_periods))
-        for i, g in enumerate(system.generators):
-            inj[system.bus_index(g.bus)] += total[s, i]
-        inj += sol.curtail[s] - scenarios.values[s]
-        worst["balance"] = max(worst["balance"], float(np.abs(inj.sum(axis=0)).max()))
-        if len(system.lines):
-            flows = system.isf() @ inj
-            fmax = np.array([ln.flow_max for ln in system.lines])[:, None]
-            fmin = np.array([ln.flow_min for ln in system.lines])[:, None]
-            worst["flow"] = max(
-                worst["flow"],
-                float((flows - fmax).max(initial=0.0)),
-                float((fmin - flows).max(initial=0.0)),
-            )
+    worst = dispatch.physical_residuals(
+        system, sol.grid, sol.u, sol.v, sol.w, sol.p, sol.curtail, scenarios.values
+    )
+    worst["logic"] = commitment_logic_residual(system.generators, sol.u, sol.v, sol.w)
     violations = {k: val for k, val in worst.items() if val > tol}
     return worst if not violations else worst | {"violations": violations}
 

@@ -27,6 +27,7 @@ from frpsim import (
     solve_suc,
 )
 from frpsim.data import case_path
+from frpsim.requirements import zero_requirements
 
 from conftest import scenario_set
 from test_network import LOAD, congested  # noqa: F401 - the fixture is used
@@ -46,6 +47,13 @@ FROZEN = {
     "suc-congested": "fe2e928c7a197d05",
     "dam-congested-pricing": "5bae08edbe0d97b3",
     "rtm-congested": "955c204e09f19da1",
+    # frozen before the three passes shared one dispatch-row builder: the
+    # last solve of each model of a day whose market stops two units, so
+    # the DAM stop terms and the RTM stop-cap rows are both reached
+    "dam-stops": "2f16c85dff3e7020",
+    "dam-stops-pricing": "2b035f0f2843b668",
+    "rtm-stops-2pph": "5993230d68063026",
+    "suc-stops-2pph": "161eeeca9eac8926",
 }
 
 
@@ -154,11 +162,36 @@ def test_congested_dam_pricing_and_rtm(congested, solver_inputs):  # noqa: F811
     assert solver_inputs[-1] == ("lp", FROZEN["rtm-congested"])
 
 
+def test_ieee14_with_stops_dam_pricing_rtm_and_suc(solver_inputs):
+    """ieee14 through a load that rises and falls: the DAM starts three
+    units and stops two, at hours 3 and 4, and every model screens flows.
+    The RTM and SUC run at two periods an hour on the bid load."""
+    system = load_system(case_path("ieee14"))
+    bids = DamBidSet(
+        system.bus_ids, np.asarray(LOAD)[:, [2]] * [1.0, 1.6, 2.2, 1.4, 0.8, 0.6]
+    )
+    dam = clear_dam(system, bids, zero_requirements(6))
+    assert (dam.v.sum(), dam.w.sum()) == (3, 2) and dam.w[:, 1:].sum() == 2
+    assert [kind for kind, _ in solver_inputs] == ["milp", "milp", "lp"]
+    assert solver_inputs[1:] == [
+        ("milp", FROZEN["dam-stops"]), ("lp", FROZEN["dam-stops-pricing"])
+    ]
+    grid = TimeGrid(6, 2)
+    values = np.repeat(bids.values, 2, axis=1)
+    del solver_inputs[:]
+    simulate_rtm(system, dam, NetLoadProfile(system.bus_ids, grid, values))
+    assert [kind for kind, _ in solver_inputs] == ["lp"] * 4
+    assert solver_inputs[-1][1] == FROZEN["rtm-stops-2pph"]
+    del solver_inputs[:]
+    solve_suc(system, scenario_set(system, grid, values[None]))
+    assert [kind for kind, _ in solver_inputs] == ["milp"] * 4
+    assert solver_inputs[-1][1] == FROZEN["suc-stops-2pph"]
+
+
 def test_write_lp_names_every_row_and_column_once(tmp_path, two_gen_system):
     """The LP dump of a small DAM, its names built from the blocks: one
     line per row under "Subject To", one bound per column, no name twice."""
     from frpsim.dayahead import _build
-    from frpsim.requirements import zero_requirements
 
     bids = DamBidSet(two_gen_system.bus_ids, [[60.0, 120.0, 90.0]])
     model, _ = _build(two_gen_system, bids, zero_requirements(3), None)

@@ -21,6 +21,7 @@ from frpsim import (
 )
 from frpsim.data import case_path
 from frpsim.dayahead import check_dam_outcome
+from frpsim.realtime import check_rtm_outcome
 from frpsim.requirements import zero_requirements
 from frpsim.stochastic_uc import check_suc_solution
 
@@ -83,13 +84,6 @@ def _same_objective(a, b):
     assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
 
 
-def _flow_residual(system, injections):
-    flows = system.isf() @ injections
-    fmax = np.array([ln.flow_max for ln in system.lines])[:, None]
-    fmin = np.array([ln.flow_min for ln in system.lines])[:, None]
-    return float(max((flows - fmax).max(), (fmin - flows).max(), 0.0))
-
-
 def test_screened_suc_matches_full(congested, monkeypatch):
     grid = TimeGrid(6, 1)
     load = np.asarray(LOAD)
@@ -126,14 +120,13 @@ def test_screened_dam_and_rtm_match_full(congested, monkeypatch):
     rtm, rtm_full = _both(monkeypatch, lambda: simulate_rtm(congested, dam, realized))
     _same_objective(rtm.total_cost, rtm_full.total_cost)
     assert np.allclose(rtm.lmp, rtm_full.lmp, atol=TOL)
-    inj = np.zeros((len(congested.buses), grid.n_periods))
-    total = rtm.dispatch_total(congested)
-    for i, g in enumerate(congested.generators):
-        inj[congested.bus_index(g.bus)] += total[i]
-    inj += rtm.curtail - realized.values
-    assert np.abs(inj.sum(axis=0)).max() <= TOL
-    assert _flow_residual(congested, inj) <= TOL
+    worst = check_rtm_outcome(congested, dam, rtm, realized)
+    assert max(worst.values()) <= TOL, worst
     assert rtm.flow_rows >= 1 and rtm.screen_rounds >= 2
+    # 10 MW more at b1 and less at b2 in the last period overloads l1_2
+    rtm.p[:2, -1] += [10.0, -10.0]
+    worst = check_rtm_outcome(congested, dam, rtm, realized)
+    assert worst["flow"] > 1.0 and worst["balance"] <= TOL, worst
 
 
 def _overloaded(system):
@@ -142,7 +135,7 @@ def _overloaded(system):
     screen = network.FlowScreen(system)
     n_b = len(system.buses)
     model = optim.Model()
-    d = np.array([[model.add_var(f"d{n}", lb=-np.inf)] for n in range(n_b)])
+    d = model.add_vars("d", (n_b, 1), lb=-np.inf)
     screen.add_periods("", np.arange(n_b), d, -np.ones(n_b), np.zeros((n_b, 1)))
     x = np.zeros(n_b)
     x[system.bus_index("b2")] = 200.0

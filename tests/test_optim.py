@@ -29,8 +29,8 @@ def test_empty_model_is_trivially_optimal():
 
 def test_single_var_lp():
     m = Model()
-    x = m.add_var("x", lb=0.0, obj=1.0)
-    m.add_constr("floor", {x: 1.0}, ">=", 3.0)
+    x = m.add_vars("x", (), obj=1.0)
+    m.add_rows("floor", ">=", 3.0, [x], 1.0)
     r = solve(m)
     assert r.ok
     assert r.objective == pytest.approx(3.0)
@@ -39,17 +39,17 @@ def test_single_var_lp():
 
 def test_duplicate_row_name_rejected():
     m = Model()
-    x = m.add_var("x")
-    m.add_constr("c", {x: 1.0}, "<=", 1.0)
+    x = m.add_vars("x", ())
+    m.add_rows("c", "<=", 1.0, [x], 1.0)
     with pytest.raises(ValueError, match="duplicate"):
-        m.add_constr("c", {x: 1.0}, "<=", 2.0)
+        m.add_rows("c", "<=", 2.0, [x], 1.0)
 
 
 def test_unknown_sense_rejected():
     m = Model()
-    x = m.add_var("x")
+    x = m.add_vars("x", ())
     with pytest.raises(ValueError, match="sense"):
-        m.add_constr("c", {x: 1.0}, "<", 1.0)
+        m.add_rows("c", "<", 1.0, [x], 1.0)
 
 
 def test_knapsack_matches_enumeration():
@@ -59,8 +59,8 @@ def test_knapsack_matches_enumeration():
     cap = 11.0
 
     m = Model("knapsack")
-    xs = [m.add_binary(f"x{i}", obj=-values[i]) for i in range(len(values))]
-    m.add_constr("cap", {x: w for x, w in zip(xs, weights)}, "<=", cap)
+    xs = m.add_vars("x", len(values), ub=1.0, obj=-np.array(values), integer=True)
+    m.add_rows("cap", "<=", cap, xs, weights)
     r = solve(m)
     assert r.ok
 
@@ -78,39 +78,34 @@ def test_knapsack_matches_enumeration():
 def test_equality_dual_is_marginal_cost():
     # cheap unit saturates, expensive unit is marginal: price = 50
     m = Model()
-    p1 = m.add_var("p1", lb=0, ub=60, obj=20.0)
-    p2 = m.add_var("p2", lb=0, ub=60, obj=50.0)
-    bal = m.add_constr("bal", {p1: 1.0, p2: 1.0}, "==", 80.0)
+    p = m.add_vars("p", 2, ub=60.0, obj=[20.0, 50.0])
+    bal = m.add_rows("bal", "==", 80.0, p, 1.0)
     r = solve(m)
     assert r.ok
     assert r.duals[bal] == pytest.approx(50.0)
-    assert r.x[p1] == pytest.approx(60.0)
-    assert r.x[p2] == pytest.approx(20.0)
+    assert r.x[p] == pytest.approx([60.0, 20.0])
 
 
 def test_geq_dual_sign_is_nonnegative_in_minimization():
     """duals[] is d(obj)/d(rhs), so a binding >= row must price >= 0."""
-    m = Model()
-    x = m.add_var("x", lb=0.0, obj=2.0)
-    y = m.add_var("y", lb=0.0, obj=3.0)
-    req = m.add_constr("req", {x: 1.0, y: 1.0}, ">=", 10.0)
-    r = solve(m)
+
+    def cover(rhs):
+        m = Model()
+        req = m.add_rows("req", ">=", rhs, m.add_vars("xy", 2, obj=[2.0, 3.0]), 1.0)
+        return solve(m), req
+
+    (r, req), (r2, _) = cover(10.0), cover(11.0)
     assert r.ok
     assert r.duals[req] == pytest.approx(2.0)  # cheapest way to serve one more unit
     # perturbation check: bump rhs and re-solve
-    m2 = Model()
-    x2 = m2.add_var("x", lb=0.0, obj=2.0)
-    y2 = m2.add_var("y", lb=0.0, obj=3.0)
-    m2.add_constr("req", {x2: 1.0, y2: 1.0}, ">=", 11.0)
-    r2 = solve(m2)
     assert r2.objective - r.objective == pytest.approx(r.duals[req])
 
 
 def test_complementary_slackness():
     m = Model()
-    x = m.add_var("x", lb=0, ub=100, obj=1.0)
-    floor = m.add_constr("floor", {x: 1.0}, ">=", 5.0)
-    roof = m.add_constr("roof", {x: 1.0}, "<=", 90.0)  # slack at optimum
+    x = m.add_vars("x", (), ub=100.0, obj=1.0)
+    # the roof is slack at the optimum
+    floor, roof = m.add_rows("floor_roof", np.array([">=", "<="]), [5.0, 90.0], [[x], [x]], 1.0)
     r = solve(m)
     assert r.ok
     assert r.duals[floor] == pytest.approx(1.0)
@@ -118,27 +113,30 @@ def test_complementary_slackness():
 
 
 def test_strong_duality_including_bound_terms():
+    """The row duals and the bound multipliers they imply, the reduced costs
+    ``c - A'y`` (at the lower bound where positive, the upper where
+    negative), price the optimum exactly."""
     rng = np.random.default_rng(7)
     m = Model()
     n = 8
-    xs = [m.add_var(f"x{j}", lb=0.0, ub=float(rng.uniform(1, 5)), obj=float(rng.uniform(-2, 4))) for j in range(n)]
-    mix = m.add_constr("mix", {xs[j]: float(rng.uniform(0.2, 1.0)) for j in range(n)}, "==", 6.0)
-    side = m.add_constr("side", {xs[0]: 1.0, xs[3]: 2.0}, "<=", 4.0)
+    x = m.add_vars("x", n, ub=rng.uniform(1, 5, n), obj=rng.uniform(-2, 4, n))
+    a = np.zeros((2, n))
+    a[0] = rng.uniform(0.2, 1.0, n)  # mix
+    a[1, [0, 3]] = [1.0, 2.0]  # side
+    b = np.array([6.0, 4.0])
+    rows = m.add_rows("mix_side", np.array(["==", "<="]), b, np.stack([x, x]), a)
     r = solve(m)
     assert r.ok
-    dual_obj = r.duals[mix] * 6.0 + r.duals[side] * 4.0
-    for j in range(n):
-        if r.lower_bound_duals[j] != 0.0:
-            dual_obj += r.lower_bound_duals[j] * m.lb[j]
-        if r.upper_bound_duals[j] != 0.0:
-            dual_obj += r.upper_bound_duals[j] * m.ub[j]
-    assert dual_obj == pytest.approx(r.objective, abs=1e-8)
+    y = r.duals[rows]
+    reduced = m.obj - a.T @ y
+    bounds = np.where(reduced > 0.0, m.lb, m.ub)
+    assert y @ b + reduced @ bounds == pytest.approx(r.objective, abs=1e-8)
 
 
 def test_infeasible_lp_reported_and_raises():
     m = Model()
-    x = m.add_var("x", lb=0.0, ub=1.0)
-    m.add_constr("impossible", {x: 1.0}, ">=", 2.0)
+    x = m.add_vars("x", (), ub=1.0)
+    m.add_rows("impossible", ">=", 2.0, [x], 1.0)
     r = solve(m)
     assert r.status == "infeasible"
     assert not r.ok
@@ -148,8 +146,8 @@ def test_infeasible_lp_reported_and_raises():
 
 def test_infeasible_mip_reported():
     m = Model()
-    b = m.add_binary("b")
-    m.add_constr("gap", {b: 2.0}, "==", 1.0)
+    b = m.add_vars("b", (), ub=1.0, integer=True)
+    m.add_rows("gap", "==", 1.0, [b], 2.0)
     assert solve(m).status == "infeasible"
 
 
@@ -157,11 +155,11 @@ def _small_uc_model():
     """One binary unit (fixed cost 100, marginal 10, cap 50) plus an expensive
     always-on unit (marginal 40, cap 100); demand 60."""
     m = Model("uc")
-    u = m.add_binary("u", obj=100.0)
-    p = m.add_var("p", lb=0.0, ub=50.0, obj=10.0)
-    q = m.add_var("q", lb=0.0, ub=100.0, obj=40.0)
-    m.add_constr("cap", {p: 1.0, u: -50.0}, "<=", 0.0)
-    bal = m.add_constr("bal", {p: 1.0, q: 1.0}, "==", 60.0)
+    u = m.add_vars("u", (), ub=1.0, obj=100.0, integer=True)
+    p = m.add_vars("p", (), ub=50.0, obj=10.0)
+    q = m.add_vars("q", (), ub=100.0, obj=40.0)
+    m.add_rows("cap", "<=", 0.0, [p, u], [1.0, -50.0])
+    bal = m.add_rows("bal", "==", 60.0, [p, q], 1.0)
     return m, u, bal
 
 
@@ -204,14 +202,14 @@ def test_write_lp_smoke(tmp_path):
 def test_row_blocks_match_scalar_rows():
     """A block of rows, zero-padded, gives the matrix of the same rows added
     one at a time: zero terms dropped, columns sorted within each row."""
-    scalar, block = Model(), Model()
-    for m in (scalar, block):
+    single, block = Model(), Model()
+    for m in (single, block):
         m.add_vars("x", (2, 3), ub=5.0, obj=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     x = np.arange(6).reshape(2, 3)
-    scalar.add_constr("a", {x[0, 2]: 1.0, x[0, 0]: -2.0}, "<=", 3.0)
-    scalar.add_constr("b", {x[0, 1]: 1.0}, ">=", 1.0)
-    scalar.add_constr("c", {x[1, 2]: 1.0, x[1, 0]: -2.0}, "<=", 4.0)
-    scalar.add_constr("d", {x[1, 1]: 1.0}, ">=", 2.0)
+    single.add_rows("a", "<=", 3.0, [x[0, 2], x[0, 0]], [1.0, -2.0])
+    single.add_rows("b", ">=", 1.0, [x[0, 1]], 1.0)
+    single.add_rows("c", "<=", 4.0, [x[1, 2], x[1, 0]], [1.0, -2.0])
+    single.add_rows("d", ">=", 2.0, [x[1, 1]], 1.0)
     cols, coefs = stack_rows(
         [(x[:, 2], 1.0), (x[:, 0], -2.0)],
         [(x[:, 1], 1.0)],
@@ -219,7 +217,7 @@ def test_row_blocks_match_scalar_rows():
     assert cols.shape == (2, 2, 2) and coefs[0, 1].tolist() == [1.0, 0.0]
     rows = block.add_rows("ab", np.array(["<=", ">="]), [[3.0, 1.0], [4.0, 2.0]], cols, coefs)
     assert rows.tolist() == [[0, 1], [2, 3]]
-    (a, lo_a, hi_a), (b, lo_b, hi_b) = scalar._constraint_matrix(), block._constraint_matrix()
+    (a, lo_a, hi_a), (b, lo_b, hi_b) = single._constraint_matrix(), block._constraint_matrix()
     for got, want in ((b.indptr, a.indptr), (b.indices, a.indices), (b.data, a.data)):
         assert np.array_equal(got, want)
     assert np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b)
@@ -236,7 +234,7 @@ def test_rows_after_a_solve_extend_the_matrix():
     assert r.ok and r.x.tolist() == [4.0, 0.0]
     assert (r.rows, r.cols, r.nnz, r.binaries) == (1, 2, 2, 0)
     assembled = m._constraint_matrix()[0]
-    cap = m.add_constr("cap", {int(x[0]): 1.0}, "<=", 1.0)
+    cap = m.add_rows("cap", "<=", 1.0, [x[0]], 1.0)
     r = solve(m)
     assert r.ok and r.objective == pytest.approx(1.0 + 2.0 * 3.0)
     mat = m._constraint_matrix()[0]
@@ -260,13 +258,13 @@ def test_duplicate_variable_name_rejected():
     m = Model()
     m.add_vars("x", 3)
     with pytest.raises(ValueError, match="duplicate"):
-        m.add_var("x")
+        m.add_vars("x", ())
 
 
 def _cover_model():
     m = Model()
-    xs = [m.add_binary(f"x{i}", obj=1.0 + i) for i in range(3)]
-    m.add_constr("cover", {x: 1.0 for x in xs}, ">=", 2.0)
+    x = m.add_vars("x", 3, ub=1.0, obj=[1.0, 2.0, 3.0], integer=True)
+    m.add_rows("cover", ">=", 2.0, x, 1.0)
     return m
 
 
@@ -310,9 +308,9 @@ def test_fix_and_resolve_pins_are_canonical(monkeypatch):
 
     monkeypatch.setattr(optim, "linprog", linprog)
     m = Model()
-    b = m.add_binary("b", obj=1.0)
-    y = m.add_var("y", obj=2.0)
-    m.add_constr("c", {b: 1.0, y: 1.0}, ">=", 0.5)
+    b = m.add_vars("b", (), ub=1.0, obj=1.0, integer=True)
+    y = m.add_vars("y", (), obj=2.0)
+    m.add_rows("c", ">=", 0.5, [b, y], 1.0)
     r = fix_and_resolve(m, np.array([-1e-12, 0.5]))
     assert r.ok and r.objective == pytest.approx(1.0)
     (bounds,) = seen

@@ -1,5 +1,8 @@
 """Real-time redispatch: consistency with the day-ahead schedule, curtailment
-pricing, infeasible ramp-downs, and the stress sweep's pairing guarantees."""
+pricing, infeasible ramp-downs, the residual audit, and the stress sweep's
+pairing guarantees."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from frpsim import (
     simulate_rtm,
     stress_sweep,
 )
+from frpsim.realtime import check_rtm_outcome
 from frpsim.requirements import zero_requirements
 
 from conftest import make_gen, single_bus_system
@@ -82,6 +86,46 @@ def test_cannot_back_down_raises():
     dam = _dam(system, [60.0, 60.0])
     with pytest.raises(InfeasibleModelError, match="real-time"):
         simulate_rtm(system, dam, _profile(system, TimeGrid(2, 1), [10.0, 10.0]))
+
+
+def test_audit_clean_then_flags_tampering():
+    """g2 stops at hour 1 with a 30 MW shutdown limit, so it leaves hour 0
+    at 10 MW above minimum. The audit passes the dispatch, then flags a
+    break of the stop cap, of g1's 30 MW half-hour ramps up and down, and of
+    the balance; each break but the last keeps the balance."""
+    g1 = make_gen("g1", p_max=100.0, segments=((100.0, 30.0),), ramp_up=60.0,
+                  ramp_down=60.0, on=True, p0=50.0)
+    g3 = make_gen("g3", p_max=80.0, segments=((80.0, 32.0),), no_load=1.0,
+                  ramp_up=40.0, on=True, p0=10.0)
+    g2 = make_gen("g2", p_min=20.0, p_max=60.0, segments=((40.0, 60.0),),
+                  no_load=650.0, shutdown_limit=30.0, on=True, p0=0.0, hours_on=5)
+    system = single_bus_system(g1, g3, g2)
+    dam = _dam(system, [170.0, 50.0])
+    assert dam.w[2].tolist() == [0, 1]
+    realized = _profile(system, TimeGrid(2, 2), [160.0, 170.0, 60.0, 50.0])
+    rtm = simulate_rtm(system, dam, realized)
+    assert np.allclose(rtm.p, [[80, 90, 60, 50], [30, 40, 0, 0], [30, 10, 0, 0]])
+    assert np.allclose(rtm.curtail, [[0, 10, 0, 0]])
+    worst = check_rtm_outcome(system, dam, rtm, realized)
+    assert max(worst.values()) <= 1e-6, worst
+
+    def audit(p=(), curtail=()):
+        """The audit after adding MW at (unit or bus, period) positions."""
+        out = copy.deepcopy(rtm)
+        for at, mw in p:
+            out.p[at] += mw
+        for at, mw in curtail:
+            out.curtail[at] += mw
+        return check_rtm_outcome(system, dam, out, realized)
+
+    for key, mw, worst in [
+        ("ramp", 5.0, audit(p=[((2, 1), 5.0)], curtail=[((0, 1), -5.0)])),  # stop cap
+        ("ramp", 5.0, audit(p=[((0, 0), 5.0), ((1, 0), -5.0)])),  # g1 up 35 MW
+        ("ramp", 10.0, audit(p=[((0, 2), -10.0)], curtail=[((0, 2), 10.0)])),  # down 40
+        ("balance", 7.0, audit(curtail=[((0, 3), 7.0)])),
+    ]:
+        assert worst[key] == pytest.approx(mw), worst
+        assert all(val <= 1e-6 for k, val in worst.items() if k != key), worst
 
 
 def test_horizon_and_bus_validation(two_gen_system):

@@ -143,6 +143,15 @@ def test_audit_flags_a_doctored_solution(uc_oracle_case):
     assert sol.u[0, 0] == sol.u[0, 1] == 1
     sol.v[0, 1] = sol.w[0, 1] = 1
     assert check_suc_solution(system, scn, sol)["violations"]["logic"] >= 1.0
+    # g2 5 MW below its minimum, the 10 MW it gives up curtailed: balanced and
+    # within its ramps, so only the lower capacity limit is broken
+    sol = solve_suc(system, scn)
+    assert sol.p[0, 1, 1] == pytest.approx(5.0)
+    sol.p[0, 1, 1] -= 10.0
+    sol.curtail[0, 0, 1] += 10.0
+    assert check_suc_solution(system, scn, sol)["violations"] == {
+        "capacity": pytest.approx(5.0)
+    }
 
 
 def test_subhourly_flat_load_costs_same_as_hourly():
