@@ -94,6 +94,9 @@ class DamOutcome:
     # highs_s, mip_node_count and mip_dual_bound of the clearing MILP over
     # its screening rounds (see optim.MilpTotals); empty in older files
     milp: dict = field(default_factory=dict)
+    # highs_s and simplex_iterations of the pricing LP over its screening
+    # rounds (see optim.LpTotals); empty in older files
+    pricing_lp: dict = field(default_factory=dict)
 
     def dispatch_total(self, system):
         p_min = np.array([g.p_min for g in system.generators])
@@ -236,7 +239,7 @@ def clear_dam(
     hours = bids.hours
     screen = network.FlowScreen(system)
     screen.add_periods("", *idx["inj"], np.zeros((len(system.buses), hours)))
-    totals = optim.MilpTotals()
+    totals, pricing = optim.MilpTotals(), optim.LpTotals()
     try:
         mip = optim.require_optimal(
             screen.solve(
@@ -254,7 +257,7 @@ def clear_dam(
         # the incumbent meets every flow limit, so it stays optimal when the
         # pricing solve adds rows; only the LP is re-solved
         lp = optim.require_optimal(
-            screen.solve(model, lambda m, _: optim.fix_and_resolve(m, mip.x)),
+            screen.solve(model, lambda m, _: pricing.add(optim.fix_and_resolve(m, mip.x))),
             "day-ahead pricing",
         )
     finally:
@@ -289,6 +292,7 @@ def clear_dam(
         flow_rows=len(screen.added),
         size=mip.size,
         milp=totals.record,
+        pricing_lp=pricing.record,
     )
 
 
@@ -365,6 +369,7 @@ def save_dam_outcome(out, path):
         "flow_rows": out.flow_rows,
         "size": out.size,
         "milp": out.milp,
+        "pricing_lp": out.pricing_lp,
     }
     for name in _ARRAYS:
         doc[name] = getattr(out, name).tolist()
@@ -390,5 +395,6 @@ def load_dam_outcome(path):
         flow_rows=doc.get("flow_rows", 0),
         size=doc.get("size", {}),
         milp=doc.get("milp", {}),
+        pricing_lp=doc.get("pricing_lp", {}),
         **kwargs,
     )

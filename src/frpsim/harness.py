@@ -116,9 +116,10 @@ def load_config(path):
     system_path = raw["system"]
     if not os.path.isabs(system_path):
         system_path = os.path.join(base, system_path)
+    # hash and parse the same bytes, so the digest is that of this system
     with open(system_path, "rb") as fh:
-        system_sha = hashlib.sha256(fh.read()).hexdigest()
-    system = load_system(system_path)
+        data = fh.read()
+    system = load_system(system_path, data=data)
 
     methods = list(raw.get("methods", list(ALL_METHODS)))
     for m in methods:
@@ -147,7 +148,7 @@ def load_config(path):
         time_limit=raw.get("time_limit"),
         settlement_mode=str(raw.get("settlement", "two")),
         system_path=system_path,
-        system_sha256=system_sha,
+        system_sha256=hashlib.sha256(data).hexdigest(),
     )
     return cfg, system
 
@@ -162,19 +163,32 @@ def _day_profile(system, cfg, day):
     return forecast, bids
 
 
+def _suc_record(suc):
+    """What one `solve_suc` did: wall time, gap, screening, model size and
+    its HiGHS record (see optim.MilpTotals)."""
+    return {
+        "wall_time_s": suc.wall_time_s,
+        "mip_gap": suc.mip_gap,
+        "screen_rounds": suc.screen_rounds,
+        "flow_rows": suc.flow_rows,
+        **suc.size,
+        **suc.milp,
+    }
+
+
 def clairvoyant_cost(system, realized, gap_tol=1e-6, time_limit=None):
     """Cost of a commitment chosen knowing the realized trajectory: the
     stochastic pass run on that single certain scenario, within
-    ``time_limit`` seconds."""
+    ``time_limit`` seconds. Returns the reference's record: the cost as
+    ``cost_usd``, plus what the solve did (`_suc_record`)."""
     certain = ScenarioSet(
         buses=realized.buses,
         grid=realized.grid,
         values=realized.values[None, :, :],
         probabilities=np.array([1.0]),
     )
-    return stochastic_uc.solve_suc(
-        system, certain, gap_tol=gap_tol, time_limit=time_limit
-    ).objective
+    sol = stochastic_uc.solve_suc(system, certain, gap_tol=gap_tol, time_limit=time_limit)
+    return {"cost_usd": sol.objective, **_suc_record(sol)}
 
 
 def _cell_id(day_name, method, n=None, rho=None):
@@ -202,6 +216,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "flow_rows": dam.flow_rows,
             **dam.size,
             **dam.milp,
+            "pricing_lp": dam.pricing_lp,
         },
         "rtm": {
             "total_cost_usd": rtm.total_cost,
@@ -212,6 +227,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "screen_rounds": rtm.screen_rounds,
             "flow_rows": rtm.flow_rows,
             **rtm.size,
+            **rtm.lp,
         },
         "settlement": {
             "mode": rep.mode,
@@ -236,12 +252,7 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
     req = suc_requirements(suc, scen)
     suc_meta = {
         "objective_usd": suc.objective,
-        "wall_time_s": suc.wall_time_s,
-        "mip_gap": suc.mip_gap,
-        "screen_rounds": suc.screen_rounds,
-        "flow_rows": suc.flow_rows,
-        **suc.size,
-        **suc.milp,
+        **_suc_record(suc),
         "ev_usd": suc.ev_usd,
         "eev_usd": suc.eev_usd,
         "start_s": suc.start_s,
@@ -361,16 +372,15 @@ def run_experiment(system, cfg, out_dir, workers=1):
                 forecast, cfg.oos_sigma_frac, cfg.oos_rho, cfg.master_seed,
                 labels=("out-of-sample", day.name),
             )
+            # a resume reads only the cost, so a file of the cost alone will do
             ref_path = os.path.join(out_dir, f"clairvoyant.{day.name}.json")
-            if os.path.exists(ref_path):
-                with open(ref_path) as fh:
-                    ref = json.load(fh)["cost_usd"]
-            else:
-                ref = clairvoyant_cost(
+            if not os.path.exists(ref_path):
+                rec = clairvoyant_cost(
                     system, realized, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit
                 )
-                _write_json(ref_path, {"day": day.name, "cost_usd": ref})
-            day_ctx[day.name] = (realized, ref)
+                _write_json(ref_path, {"day": day.name, **rec})
+            with open(ref_path) as fh:
+                day_ctx[day.name] = (realized, json.load(fh)["cost_usd"])
         except Exception as exc:  # noqa: BLE001 - day isolation
             day_broken[day.name] = exc
 

@@ -85,7 +85,8 @@ class SolveResult:
     mip_gap: float | None = None
     mip_node_count: int | None = None  # branch-and-bound nodes; MIP solves only
     mip_dual_bound: float | None = None  # best proven bound; MIP solves only
-    highs_s: float | None = None  # seconds inside HiGHS; `milp` calls only
+    highs_s: float | None = None  # seconds inside HiGHS
+    simplex_iterations: int | None = None  # LP solves only
     # size of the model handed to HiGHS; binaries counts integer columns
     rows: int | None = None
     cols: int | None = None
@@ -116,6 +117,20 @@ class MilpTotals:
         self.record["highs_s"] += res.highs_s or 0.0
         self.record["mip_node_count"] += res.mip_node_count or 0
         self.record["mip_dual_bound"] = res.mip_dual_bound
+        return res
+
+
+class LpTotals:
+    """What the LP solves of one model did, over its screening rounds: HiGHS
+    seconds and simplex iterations, summed. `add` passes each result
+    through, like `MilpTotals.add`."""
+
+    def __init__(self):
+        self.record = {"highs_s": 0.0, "simplex_iterations": 0}
+
+    def add(self, res):
+        self.record["highs_s"] += res.highs_s or 0.0
+        self.record["simplex_iterations"] += res.simplex_iterations or 0
         return res
 
 
@@ -532,6 +547,7 @@ def _solve_lp(model, lb, ub, time_limit):
     options = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
+    t0 = time.perf_counter()
     res = linprog(
         model.obj.copy(),
         bounds=np.column_stack([lb, ub]),
@@ -540,9 +556,12 @@ def _solve_lp(model, lb, ub, time_limit):
         **kwargs,
     )
     status = _STATUS.get(res.status, "error")
-    size = {"rows": mat.shape[0], "cols": mat.shape[1], "nnz": mat.nnz, "binaries": 0}
+    fields = {
+        "highs_s": time.perf_counter() - t0, "simplex_iterations": int(res.nit),
+        "rows": mat.shape[0], "cols": mat.shape[1], "nnz": mat.nnz, "binaries": 0,
+    }
     if status != "optimal":
-        return SolveResult(status=status, **size)
+        return SolveResult(status=status, **fields)
     duals = np.empty(mat.shape[0])
     if len(eq_rows):
         duals[eq_rows] = res.eqlin.marginals
@@ -553,7 +572,7 @@ def _solve_lp(model, lb, ub, time_limit):
         objective=float(res.fun),
         x=np.asarray(res.x),
         duals=duals,
-        **size,
+        **fields,
     )
 
 

@@ -41,6 +41,8 @@ class RtmOutcome:
     flow_rows: int = 0  # line-flow rows the screening added
     # rows, cols, nnz and binaries of the LP in its last solve
     size: dict = field(default_factory=dict)
+    # highs_s and simplex_iterations over the screening rounds (optim.LpTotals)
+    lp: dict = field(default_factory=dict)
 
     @property
     def total_cost(self):
@@ -107,8 +109,9 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     model.add_rows("bal", "==", -np.ascontiguousarray(floor.T).sum(axis=1), cols.T, coefs)
     screen = network.FlowScreen(system)
     screen.add_periods("", bus, cols, coefs, dispatch.bus_injections(system, floor))
+    totals = optim.LpTotals()
     try:
-        res = screen.solve(model, lambda m, _: optim.solve(m, gap_tol=gap_tol))
+        res = screen.solve(model, lambda m, _: totals.add(optim.solve(m, gap_tol=gap_tol)))
     finally:
         if dump_lp:
             model.write_lp(dump_lp)
@@ -134,6 +137,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         screen_rounds=screen.rounds,
         flow_rows=len(screen.added),
         size=res.size,
+        lp=totals.record,
     )
 
 

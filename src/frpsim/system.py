@@ -429,14 +429,19 @@ def _parse_generator(raw, pos):
     )
 
 
-def load_system(path, validate=True):
+def load_system(path, validate=True, data=None):
     """Parse a system YAML file. Raises SystemFileError on malformed input and
-    ValidationError (listing every violation) on invariant failures."""
-    with open(path) as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise SystemFileError(f"{path}: not valid YAML ({exc})") from exc
+    ValidationError (listing every violation) on invariant failures.
+
+    ``data``, if given, is the file's bytes as already read; they are parsed
+    instead of opening ``path``, which then only names the file in errors."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        raw = yaml.safe_load(data)
+    except yaml.YAMLError as exc:
+        raise SystemFileError(f"{path}: not valid YAML ({exc})") from exc
     if not isinstance(raw, dict):
         raise SystemFileError(f"{path}: expected a mapping at top level")
     version = raw.get("format_version", FORMAT_VERSION)

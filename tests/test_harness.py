@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, the append-only cell ledger, resume,
 percentile/scenario grid bookkeeping, and worker-pool equivalence."""
 
+import hashlib
 import json
 import os
 
@@ -192,6 +193,27 @@ def test_failed_write_fails_only_the_unwritten_cells(tmp_path, monkeypatch):
         assert [m["status"] for m in lines] == ["done"]
 
 
+def test_load_config_reads_the_system_file_once(tmp_path, monkeypatch):
+    """The digest and the system come from one read of the file, so an edit
+    between two reads cannot pair the digest of one file with another."""
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]})
+    system_file = str(tmp_path / "system.yaml")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    cfg, system = load_config(path)
+    monkeypatch.undo()
+    assert opened.count(system_file) == 1
+    assert [g.id for g in system.generators] == ["g1", "g2"]
+    with open(system_file, "rb") as fh:
+        assert cfg.system_sha256 == hashlib.sha256(fh.read()).hexdigest()
+
+
 def test_resume_refuses_a_changed_system(tmp_path):
     """Editing the system file between runs changes the config digest, and
     the second run into the same directory stops before solving anything."""
@@ -240,6 +262,10 @@ def test_cell_records_carry_model_sizes(tmp_path):
         assert size["rows"] > 0 and size["cols"] > 0 and size["nnz"] >= size["rows"]
     assert rec["suc"]["binaries"] == rec["dam"]["binaries"] == 2 * 4  # u per unit-hour
     assert rec["rtm"]["binaries"] == 0
+    # what the LP solves did: the real-time LP's and the DAM pricing LP's
+    # HiGHS seconds and simplex iterations, over their screening rounds
+    for lp in (rec["rtm"], rec["dam"]["pricing_lp"]):
+        assert lp["highs_s"] > 0.0 and lp["simplex_iterations"] >= 1
     # what the MILP solves did: HiGHS seconds, nodes, and the proven bound
     for kind in ("suc", "dam"):
         assert rec[kind]["highs_s"] > 0.0
@@ -267,6 +293,33 @@ def test_clairvoyant_reference_gets_the_time_limit(tmp_path, monkeypatch):
     run_experiment(system, cfg, str(tmp_path / "out"))
     assert (1, 45.0) in seen  # the reference: one certain scenario
     assert {limit for _, limit in seen} == {45.0}
+
+
+def test_clairvoyant_file_records_the_solve(tmp_path):
+    """The per-day reference file holds what its solve did; a resume reads
+    only its cost, so a file holding nothing else still resumes."""
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p95]")
+    cfg, system = load_config(path)
+    out = tmp_path / "out"
+    assert run_experiment(system, cfg, str(out)).clean
+    ref_file = out / "clairvoyant.d1.json"
+    ref = json.loads(ref_file.read_text())
+    assert ref["day"] == "d1"
+    assert ref["rows"] > 0 and ref["cols"] > 0 and ref["nnz"] >= ref["rows"]
+    assert ref["binaries"] == 2 * 4  # u per unit-hour
+    assert ref["highs_s"] > 0.0 and ref["mip_node_count"] >= 1
+    assert ref["mip_dual_bound"] == pytest.approx(ref["cost_usd"], rel=1e-6)
+    assert ref["wall_time_s"] >= ref["highs_s"]
+    cost = aggregate(str(out))["d1.p95"]["clairvoyant_usd"]
+    assert cost == ref["cost_usd"]
+
+    # a file from before the record was kept: the cost alone
+    ref_file.write_text(json.dumps({"day": "d1", "cost_usd": 1234.5}))
+    os.remove(out / "cells" / "d1.p95.json")
+    again = run_experiment(system, cfg, str(out))
+    assert again.clean and again.done == ["d1.p95"]
+    assert aggregate(str(out))["d1.p95"]["clairvoyant_usd"] == 1234.5
+    assert json.loads(ref_file.read_text()) == {"day": "d1", "cost_usd": 1234.5}
 
 
 def test_runs_are_deterministic(tmp_path):

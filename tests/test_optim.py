@@ -328,6 +328,34 @@ def test_milp_totals_sum_the_rounds_and_keep_the_last_bound():
     assert totals.record == {"highs_s": 0.75, "mip_node_count": 4, "mip_dual_bound": 12.0}
 
 
+def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
+    """An LP's result carries the seconds of its `linprog` call and the
+    simplex iterations linprog reports (``nit``)."""
+    seen = []
+    real = optim.linprog
+
+    def linprog(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(optim, "linprog", linprog)
+    # a transportation LP, 3 supplies by 4 demands, that presolve leaves
+    # to the simplex
+    m = Model()
+    x = m.add_vars("x", (3, 4), obj=[[4, 6, 9, 5], [7, 3, 8, 6], [5, 8, 4, 7]])
+    m.add_rows("supply", "<=", [30.0, 40.0, 35.0], x, 1.0)
+    m.add_rows("demand", ">=", [20.0, 25.0, 30.0, 15.0], x.T, 1.0)
+    r = optim.solve(m)
+    (res,) = seen
+    assert r.ok and r.highs_s > 0.0
+    assert r.simplex_iterations == res.nit >= 1
+    totals = optim.LpTotals()
+    assert totals.add(r) is r and totals.add(r) is r
+    assert totals.record == {
+        "highs_s": 2 * r.highs_s, "simplex_iterations": 2 * r.simplex_iterations
+    }
+
+
 def test_private_highs_binding_has_every_method_used():
     """`optim.milp` calls scipy's private HiGHS binding; a scipy that moves
     or renames any part of it fails here, not mid-run."""

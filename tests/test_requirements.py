@@ -1,12 +1,17 @@
 """Requirement rules: extremes of served net-load steps, percentile padding,
 and the CSV format."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import frpsim
 from frpsim import (
     NetLoadProfile,
     TimeGrid,
@@ -111,6 +116,39 @@ def test_percentile_pad_single_bus():
     assert req.dn[0] == pytest.approx(max(0.0, -(100.0 - z * sigma.sum())))
     assert req.up[1] == 0.0 and req.dn[1] == 0.0
     assert req.source == "percentile-95"
+
+
+@pytest.mark.parametrize(
+    "coverage, z",
+    [(0.90, 1.6448536269514722), (0.95, 1.959963984540054), (0.99, 2.5758293035489004)],
+)
+def test_percentile_quantile_is_bit_exact(coverage, z):
+    """With a flat forecast and unit sigma sum the pad is z itself, so the
+    requirement shows the quantile to the last bit; norm.ppf is the oracle."""
+    grid = TimeGrid(hours=2, periods_per_hour=1)
+    fc = NetLoadProfile(("b1",), grid, np.array([[1.0, 1.0]]))
+    req = percentile_requirements(fc, sigma_frac=0.5, coverage=coverage)
+    assert req.up[0] == req.dn[0] == z
+    assert z == norm.ppf(0.5 * (1.0 + coverage))
+
+
+def test_package_import_leaves_out_scipy_stats():
+    """scipy.stats costs every frp-sim process about half a second and 21 MB
+    at start-up; nothing in the package may import it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frpsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    code = (
+        "import sys, frpsim, frpsim.harness, frpsim.cli\n"
+        "assert frpsim.__file__.startswith(sys.argv[1]), frpsim.__file__\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_percentile_example_value():
