@@ -24,6 +24,7 @@ market run.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,9 @@ class DamOutcome:
     # highs_s and simplex_iterations of the pricing LP over its screening
     # rounds (see optim.LpTotals); empty in older files
     pricing_lp: dict = field(default_factory=dict)
+    # seconds spent building the clearing model before its first solve,
+    # outside HiGHS; None in older files
+    build_s: float | None = None
 
     def dispatch_total(self, system):
         p_min = np.array([g.p_min for g in system.generators])
@@ -235,10 +239,12 @@ def clear_dam(
         want = (len(system.generators), bids.hours)
         if fix_commitments.shape != want:
             raise ValueError(f"fix_commitments shape must be {want}")
+    t_build = time.perf_counter()
     model, idx = _build(system, bids, req, fix_commitments)
     hours = bids.hours
     screen = network.FlowScreen(system)
     screen.add_periods("", *idx["inj"], np.zeros((len(system.buses), hours)))
+    build_s = time.perf_counter() - t_build
     totals, pricing = optim.MilpTotals(), optim.LpTotals()
     try:
         mip = optim.require_optimal(
@@ -293,6 +299,7 @@ def clear_dam(
         size=mip.size,
         milp=totals.record,
         pricing_lp=pricing.record,
+        build_s=build_s,
     )
 
 
@@ -370,6 +377,7 @@ def save_dam_outcome(out, path):
         "size": out.size,
         "milp": out.milp,
         "pricing_lp": out.pricing_lp,
+        "build_s": out.build_s,
     }
     for name in _ARRAYS:
         doc[name] = getattr(out, name).tolist()
@@ -396,5 +404,6 @@ def load_dam_outcome(path):
         size=doc.get("size", {}),
         milp=doc.get("milp", {}),
         pricing_lp=doc.get("pricing_lp", {}),
+        build_s=doc.get("build_s"),
         **kwargs,
     )

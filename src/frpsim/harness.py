@@ -171,6 +171,7 @@ def _suc_record(suc):
         "mip_gap": suc.mip_gap,
         "screen_rounds": suc.screen_rounds,
         "flow_rows": suc.flow_rows,
+        "build_s": suc.build_s,
         **suc.size,
         **suc.milp,
     }
@@ -214,6 +215,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "shortfall_dn_mw": float(dam.sf_dn.sum()),
             "screen_rounds": dam.screen_rounds,
             "flow_rows": dam.flow_rows,
+            "build_s": dam.build_s,
             **dam.size,
             **dam.milp,
             "pricing_lp": dam.pricing_lp,
@@ -226,6 +228,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "shed_mwh": rtm.shed_mwh,
             "screen_rounds": rtm.screen_rounds,
             "flow_rows": rtm.flow_rows,
+            "build_s": rtm.build_s,
             **rtm.size,
             **rtm.lp,
         },

@@ -13,15 +13,22 @@ incumbent and re-solves the continuous relaxation of the same matrix to
 recover duals for pricing; `complete` pins some columns and solves the rest
 as an LP, which turns a commitment into a complete MIP start.
 
-MILPs go through `milp`, which takes `scipy.optimize.milp`'s keywords and
-returns its result fields but calls scipy's bundled HiGHS binding
-(``scipy.optimize._highspy._core._Highs``) itself, because only the binding
-accepts a MIP start (``setSolution``). HiGHS gets the CSC arrays scipy would
-give it, and options are set one by one, so one HiGHS rejects is named in an
-OptimizeWarning. The binding is private to scipy: `pyproject.toml` requires
-the tested scipy, and a test checks that every method used is there. LPs
-stay on `scipy.optimize.linprog`, whose duals the pricing and real-time
-passes read.
+Every solve goes through scipy's bundled HiGHS binding
+(``scipy.optimize._highspy._core._Highs``), loaded from scipy's install
+without running ``scipy/optimize/__init__.py``: that package init (linprog,
+minimize, scipy.linalg, scipy.fft, ...) costs every process about 19 MB and
+0.12 s, and the binding needs only numpy. If the binding is already in
+``sys.modules`` (someone imported `scipy.optimize` first) it is reused, and
+once loaded here it is the module a later ``import scipy.optimize`` finds, so
+there is one `_Highs` per process either way. MILPs go through `milp`, which
+takes `scipy.optimize.milp`'s keywords and returns its result fields, plus a
+MIP start (``setSolution``); LPs go through `linprog`, which takes
+`scipy.optimize.linprog`'s keywords and hands HiGHS exactly what linprog
+would, so the duals the pricing and real-time passes read are linprog's.
+Both share one HiGHS run (`_run_highs`): options are set one by one, so one
+HiGHS rejects is named in an OptimizeWarning. The binding is private to
+scipy: `pyproject.toml` requires the tested scipy, and a test checks that
+every method used is there.
 
 A MIP start changes where branch and bound starts, not what it proves. HiGHS
 checks the start against the rows, bounds and integrality and keeps it only
@@ -29,6 +36,16 @@ as a first incumbent; it still stops only when the gap between the best
 incumbent and the dual bound is within ``gap_tol``, so the answer is an
 optimum of the model within ``gap_tol`` with or without the start. A start
 that is infeasible is dropped.
+
+A started MILP runs with MIP presolve off. Only the warm stochastic
+commitment passes a start; on it presolve was 0.09-0.18 s of each solve, and
+HiGHS's restarts presolve the reduced model anyway. Presolve changes how
+HiGHS gets to the proof, not what it proves, so the answer is still an
+optimum within ``gap_tol``. It costs memory: presolve removes the
+``p = sum of segments`` alias (a column and a row per unit, period and
+scenario) and, on networks, parallel curtailment columns, so without it
+HiGHS holds the whole model, 7-16 MB more at its peak on the benchmark's
+warm SUCs. Cold MILPs (expected value, clairvoyant, DAM) keep presolve.
 
 Every MILP is handed `MILP_OPTIONS`, which turn off two of HiGHS's root
 primal heuristics: the reduced-cost sub-MIP and feasibility jump. On the
@@ -38,8 +55,8 @@ them is sound:
 
 - the optimality proof is unchanged: HiGHS still stops only when the gap
   between incumbent and dual bound is within ``gap_tol``;
-- only primal heuristics are skipped; presolve, cuts, the other heuristics
-  and branching are as before;
+- only primal heuristics are skipped; presolve (but for a started MILP,
+  above), cuts, the other heuristics and branching are as before;
 - the models are feasible by construction (every SUC, DAM and clairvoyant
   model carries curtailment slack, every DAM also FRP shortfall slack), so
   an incumbent is never hard to find, which is all the two heuristics do.
@@ -51,14 +68,69 @@ binding ``>=`` rows come out nonnegative in a minimization.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, OptimizeWarning, linprog
-from scipy.optimize._highspy import _core as _highs
+
+
+def _load_highs():
+    """scipy's HiGHS binding module, without ``scipy.optimize``'s package init.
+
+    The extension is loaded from ``<scipy>/optimize/_highspy/_core`` under its
+    dotted name and registered in ``sys.modules``, so a later
+    ``import scipy.optimize`` reuses it instead of loading it twice."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    path = next(
+        (base + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.exists(base + s)),
+        None,
+    )
+    if path is None:
+        raise ImportError(f"no HiGHS binding at {base}*")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_highs = _load_highs()
+
+
+class Bounds(NamedTuple):
+    """Column bounds, as `scipy.optimize.Bounds` carries them."""
+
+    lb: object
+    ub: object
+
+
+class LinearConstraint(NamedTuple):
+    """``lb <= A @ x <= ub``, as `scipy.optimize.LinearConstraint` carries it."""
+
+    A: object
+    lb: object
+    ub: object
+
+
+class OptimizeResult(SimpleNamespace):
+    """The fields of `scipy.optimize.OptimizeResult` that `milp` and
+    `linprog` fill, as attributes."""
 
 # HiGHS options for every MILP, on top of mip_rel_gap and time_limit; see the
 # module docstring for why skipping these heuristics is sound
@@ -378,24 +450,77 @@ class Model:
 
 
 _H = _highs.HighsModelStatus
-# HiGHS model status -> scipy.optimize.milp's status code: 0 optimal, 1 limit,
+# HiGHS model status -> scipy's status code: 0 optimal, 1 limit,
 # 2 infeasible, 3 unbounded, 4 anything else
 _HIGHS_STATUS = {
     _H.kOptimal: 0, _H.kTimeLimit: 1, _H.kIterationLimit: 1,
     _H.kInfeasible: 2, _H.kModelError: 2, _H.kUnbounded: 3,
 }
 _STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
+# what scipy.optimize.linprog(method="highs") sets on HiGHS besides presolve,
+# the time limit and log_to_console (off in every run): no debug checks, no
+# output, the dual simplex
+_LP_OPTIONS = {"highs_debug_level": 0, "output_flag": False, "simplex_strategy": 1}
+# linprog's tolerance when it checks an optimal solution: sqrt(1e-9) * 10
+_LP_CHECK_TOL = np.sqrt(1e-9) * 10
+
+
+def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
+    """Run a fresh HiGHS on ``min c @ x`` subject to ``row_lo <= a @ x <= row_hi``
+    (``a`` CSC) and ``lb <= x <= ub``.
+
+    ``integrality`` None hands HiGHS an LP with no integrality vector, as
+    linprog does; otherwise it is one int32 per column, as milp hands it.
+    Each option is set on its own; one HiGHS rejects raises an
+    OptimizeWarning that names it, and HiGHS runs without it. ``start`` is a
+    complete solution for ``setSolution``. Returns the HiGHS instance (None
+    when it holds nothing to read: the model was refused or the run failed)
+    and its model status."""
+    highs = _highs._Highs()
+    highs.setOptionValue("log_to_console", False)
+    for key, val in options.items():
+        if highs.setOptionValue(key, val) != _highs.HighsStatus.kOk:
+            # imported only here: it loads all of scipy.optimize
+            from scipy.optimize import OptimizeWarning
+
+            warnings.warn(
+                f"HiGHS rejected option {key}={val!r}; solving without it",
+                OptimizeWarning, stacklevel=3,
+            )
+    data = a.data.astype(np.float64)
+    if integrality is None:
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+        lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, data
+        loaded = highs.passModel(lp)
+    else:
+        loaded = highs.passModel(
+            c.size, a.shape[0], a.nnz, int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lo, row_hi,
+            a.indptr, a.indices, data, integrality,
+        )
+    if loaded == _highs.HighsStatus.kError:
+        return None, _H.kModelError
+    if start is not None:
+        sol = _highs.HighsSolution()
+        sol.col_value = np.asarray(start, dtype=np.float64)
+        highs.setSolution(sol)
+    if highs.run() == _highs.HighsStatus.kError:
+        return None, highs.getModelStatus()
+    return highs, highs.getModelStatus()
 
 
 def milp(c, *, integrality, bounds, constraints, options, start=None):
     """`scipy.optimize.milp` on scipy's bundled HiGHS binding, plus a MIP start.
 
     Takes scipy's keywords (``constraints`` a list of at most one
-    `LinearConstraint`) and hands HiGHS the CSC arrays scipy would. Each
-    option is set on its own; one HiGHS rejects raises an OptimizeWarning
-    that names it, and HiGHS runs without it. ``start`` is a complete
-    solution passed to ``setSolution``: HiGHS keeps it as its first incumbent
-    if it is feasible, and drops it otherwise.
+    `LinearConstraint`) and hands HiGHS the CSC arrays scipy would. Options
+    and ``start`` are as in `_run_highs`: HiGHS keeps the start as its first
+    incumbent if it is feasible, and drops it otherwise.
 
     Returns scipy's result fields: ``status`` (0 optimal, 1 time or iteration
     limit, 2 infeasible, 3 unbounded, 4 other), ``x`` and ``fun`` (None
@@ -415,37 +540,18 @@ def milp(c, *, integrality, bounds, constraints, options, start=None):
     else:
         a = sparse.csc_array((0, c.size))
         row_lo = row_hi = np.empty(0)
-    highs = _highs._Highs()
-    highs.setOptionValue("log_to_console", False)
-    for key, val in options.items():
-        if highs.setOptionValue(key, val) != _highs.HighsStatus.kOk:
-            warnings.warn(
-                f"HiGHS rejected option {key}={val!r}; solving without it",
-                OptimizeWarning, stacklevel=2,
-            )
+    highs, model_status = _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start)
     res = OptimizeResult(
-        status=4, x=None, fun=None, mip_gap=None, mip_node_count=None, mip_dual_bound=None
+        status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None,
+        mip_gap=None, mip_node_count=None, mip_dual_bound=None,
     )
-    loaded = highs.passModel(
-        c.size, a.shape[0], a.nnz, int(_highs.MatrixFormat.kColwise),
-        int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lo, row_hi,
-        a.indptr, a.indices, a.data.astype(np.float64), integrality,
-    )
-    if loaded == _highs.HighsStatus.kError:
-        res.status = _HIGHS_STATUS[_H.kModelError]
+    if highs is None:
         return res
-    if start is not None:
-        sol = _highs.HighsSolution()
-        sol.col_value = np.asarray(start, dtype=np.float64)
-        highs.setSolution(sol)
-    ran = highs.run()
-    model_status = highs.getModelStatus()
     info = highs.getInfo()
-    res.status = _HIGHS_STATUS.get(model_status, 4)
     is_mip = bool(integrality.any())
     stopped = model_status in (_H.kTimeLimit, _H.kIterationLimit, _H.kSolutionLimit)
     incumbent = is_mip and stopped and info.objective_function_value < _highs.kHighsInf
-    if ran == _highs.HighsStatus.kError or not (model_status == _H.kOptimal or incumbent):
+    if not (model_status == _H.kOptimal or incumbent):
         return res
     res.x = np.array(highs.getSolution().col_value)
     res.fun = info.objective_function_value
@@ -453,6 +559,63 @@ def milp(c, *, integrality, bounds, constraints, options, start=None):
         res.mip_gap = info.mip_gap
         res.mip_node_count = info.mip_node_count
         res.mip_dual_bound = info.mip_dual_bound
+    return res
+
+
+def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options=None):
+    """`scipy.optimize.linprog(method="highs")` on the same HiGHS binding.
+
+    Takes linprog's keywords (``bounds`` an (n, 2) array; ``options`` with
+    ``presolve``, default True, and ``time_limit``) and hands HiGHS what
+    linprog does: the CSC matrix of ``A_ub`` stacked over ``A_eq``, rows
+    ``-inf <= A_ub @ x <= b_ub`` and ``b_eq <= A_eq @ x <= b_eq``, and
+    linprog's options (`_LP_OPTIONS`).
+
+    Returns linprog's ``status`` (codes as `milp`), ``x`` and ``fun`` (None
+    without an optimum), ``nit`` (simplex, else interior-point, iterations)
+    and ``ineqlin.marginals`` and ``eqlin.marginals`` (the row duals, None
+    without an optimum). As linprog does, an optimum that breaks a row or a
+    bound by more than `_LP_CHECK_TOL` is status 4. linprog's bound
+    marginals, slacks and messages are left out.
+    """
+    c = np.array(c, dtype=np.float64)
+    a = sparse.csc_array(sparse.vstack([
+        sparse.coo_array((0, c.size) if m is None else m, dtype=np.float64) for m in (A_ub, A_eq)
+    ]))
+    b_ub, b_eq = (
+        np.empty(0) if b is None else np.asarray(b, dtype=np.float64) for b in (b_ub, b_eq)
+    )
+    row_lo = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
+    row_hi = np.concatenate([b_ub, b_eq])
+    lb, ub = np.array(bounds, dtype=np.float64).T.copy()
+    options = dict(options or {})
+    options["presolve"] = "on" if options.get("presolve", True) else "off"
+    highs, model_status = _run_highs(
+        c, a, row_lo, row_hi, lb, ub, None, {**options, **_LP_OPTIONS}
+    )
+    res = OptimizeResult(
+        status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None, nit=0,
+        ineqlin=OptimizeResult(marginals=None), eqlin=OptimizeResult(marginals=None),
+    )
+    if highs is None:
+        return res
+    info = highs.getInfo()
+    res.nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if model_status != _H.kOptimal:
+        return res
+    sol = highs.getSolution()
+    res.x = np.array(sol.col_value)
+    res.fun = info.objective_function_value
+    duals = np.array(sol.row_dual)
+    res.ineqlin.marginals, res.eqlin.marginals = duals[: b_ub.size], duals[b_ub.size :]
+    slack = row_hi - np.array(sol.row_value)
+    if (
+        np.isnan(res.fun) or np.isnan(res.x).any() or np.isnan(slack).any()
+        or (res.x < lb - _LP_CHECK_TOL).any() or (res.x > ub + _LP_CHECK_TOL).any()
+        or (slack[: b_ub.size] < -_LP_CHECK_TOL).any()
+        or (np.abs(slack[b_ub.size :]) > _LP_CHECK_TOL).any()
+    ):
+        res.status = 4
     return res
 
 
@@ -494,7 +657,8 @@ def solve(model, gap_tol=1e-6, time_limit=None, start=None):
     Pure-LP models are routed through `linprog` so the result carries duals;
     models with integer variables never do (fix_and_resolve exists for that).
     ``start`` (a complete solution, e.g. from `complete`) is handed to HiGHS
-    as a MIP start; see the module docstring for why that is sound.
+    as a MIP start, with MIP presolve off; see the module docstring for why
+    both are sound.
     """
     if model.n_vars == 0:
         return SolveResult(
@@ -507,6 +671,8 @@ def solve(model, gap_tol=1e-6, time_limit=None, start=None):
     options = {"mip_rel_gap": gap_tol, **MILP_OPTIONS}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
+    if start is not None:
+        options["presolve"] = "off"
     return _run_milp(model, model.lb.copy(), model.ub.copy(), integer, options, start)
 
 
@@ -551,7 +717,6 @@ def _solve_lp(model, lb, ub, time_limit):
     res = linprog(
         model.obj.copy(),
         bounds=np.column_stack([lb, ub]),
-        method="highs",
         options=options,
         **kwargs,
     )

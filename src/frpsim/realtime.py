@@ -13,6 +13,7 @@ InfeasibleModelError; that is a modeling problem, not a market outcome.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,8 @@ class RtmOutcome:
     size: dict = field(default_factory=dict)
     # highs_s and simplex_iterations over the screening rounds (optim.LpTotals)
     lp: dict = field(default_factory=dict)
+    # seconds spent building the LP before its first solve, outside HiGHS
+    build_s: float | None = None
 
     @property
     def total_cost(self):
@@ -79,6 +82,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     gens = system.generators
     n_g, n_b, n_t = len(gens), len(system.buses), grid.n_periods
     scale = grid.period_hours
+    t_build = time.perf_counter()
     u, _, _ = _expand_commitment(dam, grid)
 
     model = optim.Model("rtm")
@@ -109,6 +113,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     model.add_rows("bal", "==", -np.ascontiguousarray(floor.T).sum(axis=1), cols.T, coefs)
     screen = network.FlowScreen(system)
     screen.add_periods("", bus, cols, coefs, dispatch.bus_injections(system, floor))
+    build_s = time.perf_counter() - t_build
     totals = optim.LpTotals()
     try:
         res = screen.solve(model, lambda m, _: totals.add(optim.solve(m, gap_tol=gap_tol)))
@@ -138,6 +143,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         flow_rows=len(screen.added),
         size=res.size,
         lp=totals.record,
+        build_s=build_s,
     )
 
 

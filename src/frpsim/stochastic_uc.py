@@ -212,6 +212,9 @@ class SucSolution:
     # highs_s, mip_node_count and mip_dual_bound over the screening rounds
     # (see optim.MilpTotals); empty in files written before they were kept
     milp: dict = field(default_factory=dict)
+    # seconds spent building the stochastic model before its first solve,
+    # outside HiGHS; None in files written before it was kept
+    build_s: float | None = None
     # the expected-value start (see the module docstring): the EV objective
     # (None if the EV problem has no optimum), the cost of its completion in
     # the last round (None if infeasible), and the seconds spent on both; all
@@ -332,7 +335,9 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     ``ev``, the EV solution that took ``ev_s`` seconds, each round's MILP
     starts from its commitment; without it the start fields stay None."""
     grid = scenarios.grid
+    t_build = time.perf_counter()
     model, (u, v, w), p_idx, pc_idx, screen = _build(system, scenarios)
+    build_s = time.perf_counter() - t_build
     totals = optim.MilpTotals()
     start = {"ev_usd": None, "eev_usd": None, "start_s": ev_s}
     if ev is not None:
@@ -389,6 +394,7 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
         flow_rows=len(screen.added),
         size=res.size,
         milp=totals.record,
+        build_s=build_s,
         **start,
     )
 
@@ -432,6 +438,7 @@ def save_suc_solution(sol, path):
         "flow_rows": sol.flow_rows,
         "size": sol.size,
         "milp": sol.milp,
+        "build_s": sol.build_s,
         "ev_usd": sol.ev_usd,
         "eev_usd": sol.eev_usd,
         "start_s": sol.start_s,
@@ -462,6 +469,7 @@ def load_suc_solution(path):
         flow_rows=doc.get("flow_rows", 0),
         size=doc.get("size", {}),
         milp=doc.get("milp", {}),
+        build_s=doc.get("build_s"),
         ev_usd=doc.get("ev_usd"),
         eev_usd=doc.get("eev_usd"),
         start_s=doc.get("start_s"),

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import frpsim
 from frpsim import (
     Bus,
     CostSegment,
@@ -12,6 +17,21 @@ from frpsim import (
     ScenarioSet,
     TimeGrid,
 )
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports frpsim from this
+    checkout, with ``sys.argv[1]`` its source directory and ``args`` after
+    it; returns the standard output, stripped."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frpsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code, src, *args], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout.strip()
 
 
 def make_gen(gid, bus="b1", p_min=0.0, p_max=100.0, segments=None,

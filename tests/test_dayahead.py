@@ -176,11 +176,13 @@ def test_outcome_file_keeps_screening_counts(tmp_path, two_gen_system):
     assert (back.screen_rounds, back.flow_rows) == (out.screen_rounds, out.flow_rows)
     assert back.milp == out.milp and out.milp["highs_s"] > 0.0
     assert back.pricing_lp == out.pricing_lp and out.pricing_lp["highs_s"] > 0.0
+    assert back.build_s == out.build_s > 0.0
     # a file written before flow screening has no counts; its DAM made two
     # solves, clearing and pricing, and added no rows. One written before the
-    # MILP and pricing-LP totals were kept has none.
+    # MILP and pricing-LP totals and the build seconds were kept has none.
     doc = json.loads(path.read_text())
-    del doc["screen_rounds"], doc["flow_rows"], doc["milp"], doc["pricing_lp"]
+    del doc["screen_rounds"], doc["flow_rows"], doc["milp"], doc["pricing_lp"], doc["build_s"]
     path.write_text(json.dumps(doc))
     old = load_dam_outcome(path)
     assert (old.screen_rounds, old.flow_rows, old.milp, old.pricing_lp) == (2, 0, {}, {})
+    assert old.build_s is None

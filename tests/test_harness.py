@@ -275,6 +275,10 @@ def test_cell_records_carry_model_sizes(tmp_path):
     suc = rec["suc"]
     assert suc["ev_usd"] <= suc["objective_usd"] * (1 + 1e-6) <= suc["eev_usd"] * (1 + 2e-6)
     assert 0.0 < suc["start_s"] < suc["wall_time_s"]
+    # the seconds spent building each model, outside HiGHS
+    for kind in ("suc", "dam", "rtm"):
+        assert rec[kind]["build_s"] > 0.0
+    assert suc["build_s"] + suc["highs_s"] < suc["wall_time_s"]
 
 
 def test_clairvoyant_reference_gets_the_time_limit(tmp_path, monkeypatch):

@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, OptimizeWarning
+from scipy.optimize import linprog as scipy_linprog
 from scipy.optimize import milp as scipy_milp
 
 from frpsim import optim
@@ -18,6 +20,8 @@ from frpsim.optim import (
     solve,
     stack_rows,
 )
+
+from conftest import run_python
 
 
 def test_empty_model_is_trivially_optimal():
@@ -270,7 +274,8 @@ def _cover_model():
 
 def test_milp_options_reach_highs(monkeypatch):
     """Both heuristic switches reach the HiGHS call next to the gap, and
-    HiGHS accepts them: with every warning an error, a MILP still solves."""
+    HiGHS accepts them: with every warning an error, a MILP still solves.
+    A started MILP also runs with presolve off; a cold one keeps it."""
     seen = []
     real = optim.milp
 
@@ -282,11 +287,16 @@ def test_milp_options_reach_highs(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = solve(_cover_model(), gap_tol=1e-4)
+        warm = solve(_cover_model(), gap_tol=1e-4, start=np.ones(3))
     assert r.ok and r.objective == pytest.approx(3.0)
-    (options,) = seen
-    assert options["mip_heuristic_run_root_reduced_cost"] is False
-    assert options["mip_heuristic_run_feasibility_jump"] is False
-    assert options["mip_rel_gap"] == 1e-4
+    assert warm.ok and warm.objective == pytest.approx(3.0)
+    cold, started = seen
+    for options in (cold, started):
+        assert options["mip_heuristic_run_root_reduced_cost"] is False
+        assert options["mip_heuristic_run_feasibility_jump"] is False
+        assert options["mip_rel_gap"] == 1e-4
+    assert "presolve" not in cold
+    assert started["presolve"] == "off"
 
 
 def test_an_option_highs_rejects_still_warns(monkeypatch):
@@ -357,20 +367,120 @@ def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
 
 
 def test_private_highs_binding_has_every_method_used():
-    """`optim.milp` calls scipy's private HiGHS binding; a scipy that moves
-    or renames any part of it fails here, not mid-run."""
+    """`optim.milp` and `optim.linprog` call scipy's private HiGHS binding; a
+    scipy that moves or renames any part of it fails here, not mid-run."""
     from scipy.optimize._highspy import _core
 
+    assert _core is optim._highs
     for name in ("setOptionValue", "passModel", "setSolution", "run",
                  "getModelStatus", "getInfo", "getSolution"):
         assert callable(getattr(_core._Highs, name)), name
-    for name in ("HighsSolution", "HighsModelStatus", "HighsStatus", "MatrixFormat",
-                 "ObjSense", "kHighsInf"):
+    for name in ("HighsLp", "HighsSolution", "HighsModelStatus", "HighsStatus",
+                 "MatrixFormat", "ObjSense", "kHighsInf"):
         assert hasattr(_core, name), name
     info = _core._Highs().getInfo()
-    for name in ("objective_function_value", "mip_gap", "mip_node_count", "mip_dual_bound"):
+    for name in ("objective_function_value", "mip_gap", "mip_node_count", "mip_dual_bound",
+                 "simplex_iteration_count", "ipm_iteration_count"):
         assert hasattr(info, name), name
-    assert hasattr(_core.HighsSolution(), "col_value")
+    for name in ("col_value", "row_value", "row_dual"):
+        assert hasattr(_core.HighsSolution(), name), name
+    lp = _core.HighsLp()
+    for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
+                 "row_lower_", "row_upper_"):
+        assert hasattr(lp, name), name
+    for name in ("num_col_", "num_row_", "format_", "start_", "index_", "value_"):
+        assert hasattr(lp.a_matrix_, name), name
+
+
+def test_solves_leave_out_scipy_optimize():
+    """scipy.optimize's package init (linprog, minimize, scipy.linalg, ...)
+    costs every frp-sim process about 19 MB and 0.12 s; an LP and a MILP
+    solve with only the HiGHS binding loaded."""
+    code = (
+        "import sys, numpy as np, frpsim, frpsim.harness, frpsim.cli\n"
+        "from frpsim import optim\n"
+        "assert frpsim.__file__.startswith(sys.argv[1]), frpsim.__file__\n"
+        "for integer in (False, True):\n"
+        "    m = optim.Model()\n"
+        "    x = m.add_vars('x', 3, ub=1.0, obj=[1.0, 2.0, 3.0], integer=integer)\n"
+        "    m.add_rows('cover', '>=', 1.5, x, 1.0)\n"
+        "    r = optim.solve(m)\n"
+        "    assert r.ok and r.objective == (3.0 if integer else 2.0), r\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']\n"
+        "             and not m.startswith(optim._highs.__name__)))"
+    )
+    assert run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("first", ["frpsim", "scipy.optimize"])
+def test_one_highs_binding_whichever_imports_first(first):
+    """frp-sim loads the binding under scipy's name, so scipy.optimize
+    imported before or after it finds the same module: one `_Highs` class,
+    a binding loaded first is reused, and scipy's own linprog still works."""
+    code = (
+        "import importlib, sys\n"
+        "importlib.import_module(sys.argv[2])\n"
+        "first = sys.modules['scipy.optimize._highspy._core']\n"
+        "import scipy.optimize\n"
+        "from frpsim import optim\n"
+        "from scipy.optimize._highspy import _core\n"
+        "assert _core is first is optim._highs and _core._Highs is optim._highs._Highs\n"
+        "print(scipy.optimize.linprog([1.0], bounds=[(2.0, 3.0)]).fun)"
+    )
+    assert run_python(code, first) == "2.0"
+
+
+def _lp_kwargs(case):
+    """linprog's keywords for a 3 x 4 transportation LP with <= supply rows,
+    >= demand rows (negated into A_ub, as `optim` hands them) and one
+    equality, or a variant of it."""
+    cost = np.array([[4, 6, 9, 5], [7, 3, 8, 6], [5, 8, 4, 7]], dtype=float)
+    supply, demand = np.array([30.0, 40.0, 35.0]), np.array([20.0, 25.0, 30.0, 15.0])
+    cells = np.arange(12).reshape(3, 4)
+    a_ub = np.zeros((7, 12))
+    for i in range(3):
+        a_ub[i, cells[i]] = 1.0
+    for j in range(4):
+        a_ub[3 + j, cells[:, j]] = -1.0
+    a_eq = np.zeros((1, 12))
+    a_eq[0, cells[0]] = 1.0  # supply 0 ships exactly 20
+    if case == "unbounded":  # a cell that pays to ship and no supply caps
+        cost[1, 1] = -1.0
+        a_ub[1, cells[1, 1]] = 0.0
+    bounds = np.column_stack([np.zeros(12), np.full(12, np.inf)])
+    kwargs = dict(
+        A_ub=sparse.csr_matrix(a_ub), b_ub=np.concatenate([supply, -demand]),
+        A_eq=sparse.csr_matrix(a_eq), b_eq=np.array([20.0]), bounds=bounds,
+        options={"presolve": True},
+    )
+    if case == "infeasible":  # more demand than supply
+        kwargs["b_ub"] = np.concatenate([supply, -demand - 40.0])
+    elif case == "time-limit":
+        kwargs["options"]["time_limit"] = 0.0
+    return cost.ravel(), kwargs
+
+
+@pytest.mark.parametrize(
+    "case, status",
+    [("optimal", 0), ("infeasible", 2), ("unbounded", 3), ("time-limit", 1)],
+)
+def test_linprog_equals_scipy_field_by_field(case, status):
+    """`optim.linprog` hands HiGHS what scipy's linprog does, so every field
+    the pricing and real-time passes read is the same, bit for bit."""
+    c, kwargs = _lp_kwargs(case)
+    ours, theirs = optim.linprog(c, **kwargs), scipy_linprog(c, method="highs", **kwargs)
+    assert ours.status == theirs.status == status
+    assert ours.nit == theirs.nit
+    assert (ours.x is None) == (theirs.x is None)
+    if theirs.x is not None:
+        assert np.array_equal(ours.x, theirs.x) and ours.fun == theirs.fun
+    else:
+        assert ours.fun is None
+    for key in ("ineqlin", "eqlin"):
+        mine, scipys = getattr(ours, key).marginals, getattr(theirs, key).marginals
+        assert (mine is None) == (scipys is None)
+        if scipys is not None:
+            assert np.array_equal(mine, scipys)
 
 
 def _knapsack_kwargs(options=None, integer=True, cap_frac=1 / 3):

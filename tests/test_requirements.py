@@ -1,9 +1,7 @@
 """Requirement rules: extremes of served net-load steps, percentile padding,
 and the CSV format."""
 
-import os
-import subprocess
-import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-import frpsim
 from frpsim import (
     NetLoadProfile,
     TimeGrid,
@@ -25,8 +22,9 @@ from frpsim.requirements import (
     save_requirements,
     zero_requirements,
 )
+from frpsim.scenarios import ScenarioSet
 
-from conftest import make_gen, scenario_set, single_bus_system
+from conftest import make_gen, run_python, scenario_set, single_bus_system
 
 
 def _big_system():
@@ -135,20 +133,12 @@ def test_percentile_quantile_is_bit_exact(coverage, z):
 def test_package_import_leaves_out_scipy_stats():
     """scipy.stats costs every frp-sim process about half a second and 21 MB
     at start-up; nothing in the package may import it."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(frpsim.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    ))
     code = (
         "import sys, frpsim, frpsim.harness, frpsim.cli\n"
         "assert frpsim.__file__.startswith(sys.argv[1]), frpsim.__file__\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, src], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
 
 
 def test_percentile_example_value():
@@ -248,3 +238,37 @@ def test_percentile_requirements_nest_pointwise(case):
     for lower, higher in zip(reqs, reqs[1:]):
         assert np.all(lower.up <= higher.up)
         assert np.all(lower.dn <= higher.dn)
+
+
+@st.composite
+def _scenario_draws(draw):
+    n_s = draw(st.integers(1, 5))
+    n_b = draw(st.integers(1, 3))
+    grid = TimeGrid(draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 4])))
+    shape = (n_s, n_b, grid.n_periods)
+
+    def tensor(lo, hi):
+        level = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+        flat = draw(st.lists(level, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(flat).reshape(shape)
+
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_s, max_size=n_s)))
+    order = draw(st.permutations(range(n_s)))
+    return grid, tensor(-50.0, 400.0), tensor(0.0, 60.0), weights / weights.sum(), order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scenario_draws())
+def test_suc_requirements_ignore_scenario_order(case):
+    """Scenarios are a set: permuting them, their probabilities and the
+    solution's curtailment together gives the same requirement arrays.
+    `suc_requirements` reads only the curtailment of the solution."""
+    grid, values, curtail, probs, order = case
+    buses = tuple(f"b{n}" for n in range(values.shape[1]))
+    order = list(order)
+    reqs = [
+        suc_requirements(SimpleNamespace(curtail=c), ScenarioSet(buses, grid, v, p))
+        for v, c, p in ((values, curtail, probs), (values[order], curtail[order], probs[order]))
+    ]
+    assert np.array_equal(reqs[0].up, reqs[1].up)
+    assert np.array_equal(reqs[0].dn, reqs[1].dn)

@@ -201,13 +201,14 @@ def test_solution_round_trip(tmp_path, uc_oracle_case):
     assert back.mip_gap == sol.mip_gap
     assert (back.screen_rounds, back.flow_rows) == (sol.screen_rounds, sol.flow_rows)
     assert back.milp == sol.milp and sol.milp["highs_s"] > 0.0
+    assert back.build_s == sol.build_s and 0.0 < sol.build_s < sol.wall_time_s
     # a file written before flow screening carries peak_rss_mb and no
-    # screening counts or MILP totals; it still loads
+    # screening counts, MILP totals or build seconds; it still loads
     doc = json.loads(path.read_text())
-    del doc["screen_rounds"], doc["flow_rows"], doc["milp"]
+    del doc["screen_rounds"], doc["flow_rows"], doc["milp"], doc["build_s"]
     path.write_text(json.dumps(doc | {"peak_rss_mb": 150.0}))
     old = load_suc_solution(path)
-    assert (old.screen_rounds, old.flow_rows, old.milp) == (1, 0, {})
+    assert (old.screen_rounds, old.flow_rows, old.milp, old.build_s) == (1, 0, {}, None)
     assert not hasattr(old, "peak_rss_mb")
 
 

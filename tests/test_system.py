@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frpsim import (
     Bus,
@@ -65,8 +67,9 @@ def test_isf_triangle_split():
     assert np.allclose(psi[:, 0], 0.0)
 
 
-def _isf_by_angle_solve(buses, lines, slack):
-    """Independent oracle: per-bus unit injection, solve angles, read flows."""
+def _flows_by_angle_solve(buses, lines, slack, injections):
+    """Independent oracle: DC line flows of per-bus ``injections``, the slack
+    taking up the balance, by solving for the bus angles."""
     ids = [b.id for b in buses]
     n = len(ids)
     idx = {b: i for i, b in enumerate(ids)}
@@ -79,15 +82,20 @@ def _isf_by_angle_solve(buses, lines, slack):
         b_bus[i, j] -= y
         b_bus[j, i] -= y
     keep = [i for i in range(n) if i != idx[slack]]
-    psi = np.zeros((len(lines), n))
-    for col in keep:
-        rhs = np.zeros(n)
-        rhs[col] = 1.0
-        theta = np.zeros(n)
-        theta[keep] = np.linalg.solve(b_bus[np.ix_(keep, keep)], rhs[keep])
-        for li, ln in enumerate(lines):
-            psi[li, col] = (theta[idx[ln.from_bus]] - theta[idx[ln.to_bus]]) / ln.reactance
-    return psi
+    theta = np.zeros(n)
+    theta[keep] = np.linalg.solve(b_bus[np.ix_(keep, keep)], np.asarray(injections)[keep])
+    return np.array([
+        (theta[idx[ln.from_bus]] - theta[idx[ln.to_bus]]) / ln.reactance for ln in lines
+    ])
+
+
+def _isf_by_angle_solve(buses, lines, slack):
+    """Independent oracle: per-bus unit injection, solve angles, read flows."""
+    return np.column_stack([
+        _flows_by_angle_solve(buses, lines, slack, np.eye(len(buses))[col])
+        if buses[col].id != slack else np.zeros(len(lines))
+        for col in range(len(buses))
+    ])
 
 
 def test_isf_matches_angle_oracle_on_mesh():
@@ -105,6 +113,37 @@ def test_isf_matches_angle_oracle_on_mesh():
     want = _isf_by_angle_solve(buses, lines, "b0")
     assert np.max(np.abs(psi - want)) < 1e-9
     assert np.max(np.abs(psi[:, 0])) == 0.0
+
+
+@st.composite
+def _connected_networks(draw):
+    """A random spanning tree plus random extra lines (parallel ones too),
+    random reactances, a random slack bus and random injections."""
+    n = draw(st.integers(2, 10))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    ends += draw(st.lists(pairs, max_size=2 * n))
+    slack = draw(st.integers(0, n - 1))
+    buses = tuple(Bus(f"b{i}", slack=(i == slack)) for i in range(n))
+    lines = tuple(
+        _line(f"l{k}", f"b{i}", f"b{j}", draw(st.floats(0.01, 1.0)))
+        for k, (i, j) in enumerate(ends)
+    )
+    injections = np.array(draw(st.lists(st.floats(-500.0, 500.0), min_size=n, max_size=n)))
+    return buses, lines, f"b{slack}", injections
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_connected_networks())
+def test_isf_matches_angle_solve_on_random_networks(case):
+    """On any connected network the slack column is zero and the shift
+    factors give the flows of a DC angle solve for any injections."""
+    buses, lines, slack, injections = case
+    psi = compute_isf(buses, lines)
+    assert not psi[:, [b.id for b in buses].index(slack)].any()
+    want = _flows_by_angle_solve(buses, lines, slack, injections)
+    scale = max(1.0, float(np.abs(injections).sum()))
+    assert np.max(np.abs(psi @ injections - want), initial=0.0) <= 1e-9 * scale
 
 
 def test_isf_disconnected_names_island():
