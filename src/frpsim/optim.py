@@ -7,6 +7,12 @@ coefficients, with zero coefficients dropped; a block of shape ``()`` is one
 column or row. The constraint matrix is assembled into CSR form once, on the
 first solve; rows added later are appended to it.
 
+The matrix is a `Csr`: plain numpy arrays, built, sliced and turned into the
+CSC HiGHS takes with numpy alone (`_csr`, `_take_rows`, `_csc`). Each step
+gives the arrays scipy.sparse would, bit for bit (a test compares them), so
+HiGHS receives what it did when scipy.sparse built them, without the 20 MB
+that scipy.sparse and the scipy._lib chain under it cost every process.
+
 `solve` runs branch and bound when integer variables are present and a plain
 LP otherwise; `fix_and_resolve` freezes every integer variable at an
 incumbent and re-solves the continuous relaxation of the same matrix to
@@ -15,7 +21,7 @@ as an LP, which turns a commitment into a complete MIP start.
 
 Every solve goes through scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core._Highs``), loaded from scipy's install
-without running ``scipy/optimize/__init__.py``: that package init (linprog,
+without importing scipy: ``scipy.optimize``'s package init (linprog,
 minimize, scipy.linalg, scipy.fft, ...) costs every process about 19 MB and
 0.12 s, and the binding needs only numpy. If the binding is already in
 ``sys.modules`` (someone imported `scipy.optimize` first) it is reused, and
@@ -26,7 +32,9 @@ MIP start (``setSolution``); LPs go through `linprog`, which takes
 `scipy.optimize.linprog`'s keywords and hands HiGHS exactly what linprog
 would, so the duals the pricing and real-time passes read are linprog's.
 Both share one HiGHS run (`_run_highs`): options are set one by one, so one
-HiGHS rejects is named in an OptimizeWarning. The binding is private to
+HiGHS rejects is named in an OptimizeWarning, and ``highs_s`` on every
+result is the seconds of HiGHS's ``run`` alone, without handing the model
+over or copying the solution back. The binding is private to
 scipy: `pyproject.toml` requires the tested scipy, and a test checks that
 every method used is there.
 
@@ -79,20 +87,23 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-import scipy
-from scipy import sparse
 
 
 def _load_highs():
-    """scipy's HiGHS binding module, without ``scipy.optimize``'s package init.
+    """scipy's HiGHS binding module, without importing scipy.
 
-    The extension is loaded from ``<scipy>/optimize/_highspy/_core`` under its
-    dotted name and registered in ``sys.modules``, so a later
-    ``import scipy.optimize`` reuses it instead of loading it twice."""
+    The extension is found from scipy's install location (``find_spec`` of a
+    top-level package runs none of it), loaded from
+    ``<scipy>/optimize/_highspy/_core`` under its dotted name and registered
+    in ``sys.modules``, so a later ``import scipy.optimize`` reuses it instead
+    of loading it twice."""
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed; frpsim needs its HiGHS binding")
+    base = os.path.join(spec.submodule_search_locations[0], "optimize", "_highspy", "_core")
     path = next(
         (base + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.exists(base + s)),
         None,
@@ -130,7 +141,97 @@ class LinearConstraint(NamedTuple):
 
 class OptimizeResult(SimpleNamespace):
     """The fields of `scipy.optimize.OptimizeResult` that `milp` and
-    `linprog` fill, as attributes."""
+    `linprog` fill, as attributes, plus ``highs_s``: the seconds of the
+    HiGHS run alone."""
+
+
+class Csr(NamedTuple):
+    """A sparse matrix as numpy CSR arrays: row ``r`` holds the entries
+    ``indptr[r]:indptr[r + 1]`` of ``indices`` (columns) and ``data``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+
+def _empty(n_cols):
+    return Csr(np.zeros(0), np.zeros(0, np.int32), np.zeros(1, np.int32), (0, n_cols))
+
+
+def _indptr(counts):
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+
+
+def _csr(data, indices, counts, n_cols):
+    """Canonical CSR of rows given in order, ``counts[r]`` entries for row
+    ``r``: each row's entries sorted by column (stably) and duplicates summed
+    left to right in the order given, as scipy's ``sum_duplicates`` sums them
+    wherever its per-row sort keeps that order. A sum that cancels stays as
+    an explicit zero."""
+    n_rows = len(counts)
+    key = np.repeat(np.arange(n_rows, dtype=np.int64), counts) * n_cols + indices
+    order = np.argsort(key, kind="stable")
+    key, data = key[order], data[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    summed = data[first]
+    # ufunc.at adds unbuffered, in index order: ((a + b) + c) + ...
+    np.add.at(summed, np.cumsum(first)[~first] - 1, data[~first])
+    rows, indices = np.divmod(key[first], max(n_cols, 1))
+    return Csr(
+        summed, indices.astype(np.int32), _indptr(np.bincount(rows, minlength=n_rows)),
+        (n_rows, n_cols),
+    )
+
+
+def _vstack(top, bottom):
+    """``top`` over ``bottom``, as wide as the wider of the two."""
+    return Csr(
+        np.concatenate([top.data, bottom.data]),
+        np.concatenate([top.indices, bottom.indices]),
+        np.concatenate([top.indptr, top.indptr[-1] + bottom.indptr[1:]]),
+        (top.shape[0] + bottom.shape[0], max(top.shape[1], bottom.shape[1])),
+    )
+
+
+def _take_rows(mat, rows):
+    """The rows ``rows`` of ``mat``, in that order."""
+    starts = mat.indptr[rows]
+    counts = mat.indptr[rows + 1] - starts
+    indptr = _indptr(counts)
+    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+    return Csr(mat.data[take], mat.indices[take], indptr, (len(rows), mat.shape[1]))
+
+
+def _as_csr(a):
+    """A `Csr` of ``a``: a `Csr`, anything with ``tocsr()`` (its arrays as
+    they are) or a dense array (its nonzeros in row-major order)."""
+    if isinstance(a, Csr):
+        return a
+    if hasattr(a, "tocsr"):
+        m = a.tocsr()
+        return Csr(m.data, m.indices, m.indptr, m.shape)
+    a = np.atleast_2d(np.asarray(a))
+    rows, cols = np.nonzero(a)
+    return Csr(
+        a[rows, cols], cols.astype(np.int32),
+        _indptr(np.bincount(rows, minlength=a.shape[0])), a.shape,
+    )
+
+
+def _csc(mat):
+    """``(indptr, indices, data)`` of ``mat`` in CSC form, each column's
+    entries in row order: what scipy's ``csr_tocsc`` gives."""
+    order = np.argsort(mat.indices, kind="stable")
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int32), np.diff(mat.indptr))
+    counts = np.bincount(mat.indices, minlength=mat.shape[1])
+    return _indptr(counts), rows[order], mat.data[order].astype(np.float64)
+
 
 # HiGHS options for every MILP, on top of mip_rel_gap and time_limit; see the
 # module docstring for why skipping these heuristics is sound
@@ -257,7 +358,7 @@ class Model:
         self._n_rows = 0
         # rows not yet in the matrix, per block: (sense, rhs, cols, coefs, terms per row)
         self._pending = []
-        self._mat = sparse.csr_matrix((0, 0))  # the assembled rows
+        self._mat = _empty(0)  # the assembled rows
         self._sense = np.zeros(0, dtype=np.int8)
         self._rhs = np.zeros(0)
         self._lo = self._hi = np.zeros(0)
@@ -358,30 +459,14 @@ class Model:
                 np.concatenate(part) for part in zip(*self._pending)
             )
             self._pending = []
-            new = sparse.csr_matrix(
-                (data, idx, np.concatenate([[0], np.cumsum(counts)])),
-                shape=(len(rhs), self._n),
-            )
-            new.sum_duplicates()
-            old = self._mat
-            self._mat = sparse.csr_matrix(
-                (
-                    np.concatenate([old.data, new.data]),
-                    np.concatenate([old.indices, new.indices]),
-                    np.concatenate([old.indptr, old.indptr[-1] + new.indptr[1:]]),
-                ),
-                shape=(self._n_rows, self._n),
-            )
+            self._mat = _vstack(self._mat, _csr(data, idx, counts, self._n))
             self._sense = np.concatenate([self._sense, codes])
             self._rhs = np.concatenate([self._rhs, rhs])
             self._lo = np.where(self._sense == _LE, -np.inf, self._rhs)
             self._hi = np.where(self._sense == _GE, np.inf, self._rhs)
             self._lp = None
         elif self._mat.shape[1] != self._n:  # columns added since
-            old = self._mat
-            self._mat = sparse.csr_matrix(
-                (old.data, old.indices, old.indptr), shape=(self._n_rows, self._n)
-            )
+            self._mat = self._mat._replace(shape=(self._n_rows, self._n))
             self._lp = None
         return self._mat, self._lo, self._hi
 
@@ -394,11 +479,11 @@ class Model:
             eq = self._sense == _EQ
             ub_rows, eq_rows = np.flatnonzero(~eq), np.flatnonzero(eq)
             flip = np.where(self._sense[ub_rows] == _GE, -1.0, 1.0)
-            a_ub = mat[ub_rows]
-            a_ub.data *= np.repeat(flip, np.diff(a_ub.indptr))
+            a_ub = _take_rows(mat, ub_rows)
+            a_ub = a_ub._replace(data=a_ub.data * np.repeat(flip, np.diff(a_ub.indptr)))
             self._lp = (
                 mat, a_ub, flip * self._rhs[ub_rows], ub_rows, flip,
-                mat[eq_rows], self._rhs[eq_rows], eq_rows,
+                _take_rows(mat, eq_rows), self._rhs[eq_rows], eq_rows,
             )
         return self._lp
 
@@ -467,15 +552,15 @@ _LP_CHECK_TOL = np.sqrt(1e-9) * 10
 
 def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
     """Run a fresh HiGHS on ``min c @ x`` subject to ``row_lo <= a @ x <= row_hi``
-    (``a`` CSC) and ``lb <= x <= ub``.
+    (``a`` a `Csr`, handed over as its CSC) and ``lb <= x <= ub``.
 
     ``integrality`` None hands HiGHS an LP with no integrality vector, as
     linprog does; otherwise it is one int32 per column, as milp hands it.
     Each option is set on its own; one HiGHS rejects raises an
     OptimizeWarning that names it, and HiGHS runs without it. ``start`` is a
     complete solution for ``setSolution``. Returns the HiGHS instance (None
-    when it holds nothing to read: the model was refused or the run failed)
-    and its model status."""
+    when it holds nothing to read: the model was refused or the run failed),
+    its model status and the seconds ``run`` took (0.0 if it never ran)."""
     highs = _highs._Highs()
     highs.setOptionValue("log_to_console", False)
     for key, val in options.items():
@@ -487,7 +572,7 @@ def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
                 f"HiGHS rejected option {key}={val!r}; solving without it",
                 OptimizeWarning, stacklevel=3,
             )
-    data = a.data.astype(np.float64)
+    indptr, indices, data = _csc(a)
     if integrality is None:
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = c.size
@@ -495,30 +580,34 @@ def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
         lp.row_lower_, lp.row_upper_ = row_lo, row_hi
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, data
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
         loaded = highs.passModel(lp)
     else:
         loaded = highs.passModel(
             c.size, a.shape[0], a.nnz, int(_highs.MatrixFormat.kColwise),
             int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lo, row_hi,
-            a.indptr, a.indices, data, integrality,
+            indptr, indices, data, integrality,
         )
     if loaded == _highs.HighsStatus.kError:
-        return None, _H.kModelError
+        return None, _H.kModelError, 0.0
     if start is not None:
         sol = _highs.HighsSolution()
         sol.col_value = np.asarray(start, dtype=np.float64)
         highs.setSolution(sol)
-    if highs.run() == _highs.HighsStatus.kError:
-        return None, highs.getModelStatus()
-    return highs, highs.getModelStatus()
+    t0 = time.perf_counter()
+    ran = highs.run()
+    seconds = time.perf_counter() - t0
+    if ran == _highs.HighsStatus.kError:
+        return None, highs.getModelStatus(), seconds
+    return highs, highs.getModelStatus(), seconds
 
 
 def milp(c, *, integrality, bounds, constraints, options, start=None):
     """`scipy.optimize.milp` on scipy's bundled HiGHS binding, plus a MIP start.
 
     Takes scipy's keywords (``constraints`` a list of at most one
-    `LinearConstraint`) and hands HiGHS the CSC arrays scipy would. Options
+    `LinearConstraint`, its ``A`` a `Csr`, a dense array or anything with
+    ``tocsr()``) and hands HiGHS the CSC arrays scipy would. Options
     and ``start`` are as in `_run_highs`: HiGHS keeps the start as its first
     incumbent if it is feasible, and drops it otherwise.
 
@@ -526,7 +615,7 @@ def milp(c, *, integrality, bounds, constraints, options, start=None):
     limit, 2 infeasible, 3 unbounded, 4 other), ``x`` and ``fun`` (None
     without a solution; a MIP stopped at a limit returns its incumbent), and
     ``mip_gap``, ``mip_node_count`` and ``mip_dual_bound``, which are None
-    for a model without integers or without a solution.
+    for a model without integers or without a solution; and ``highs_s``.
     """
     c = np.asarray(c, dtype=np.float64)
     integrality = np.broadcast_to(integrality, c.shape).astype(np.int32)
@@ -534,16 +623,18 @@ def milp(c, *, integrality, bounds, constraints, options, start=None):
     ub = np.broadcast_to(bounds.ub, c.shape).astype(np.float64)
     if constraints:
         (con,) = constraints
-        a = sparse.csc_array(con.A)
+        a = _as_csr(con.A)
         row_lo = np.atleast_1d(con.lb).astype(np.float64)
         row_hi = np.atleast_1d(con.ub).astype(np.float64)
     else:
-        a = sparse.csc_array((0, c.size))
+        a = _empty(c.size)
         row_lo = row_hi = np.empty(0)
-    highs, model_status = _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start)
+    highs, model_status, highs_s = _run_highs(
+        c, a, row_lo, row_hi, lb, ub, integrality, options, start
+    )
     res = OptimizeResult(
         status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None,
-        mip_gap=None, mip_node_count=None, mip_dual_bound=None,
+        mip_gap=None, mip_node_count=None, mip_dual_bound=None, highs_s=highs_s,
     )
     if highs is None:
         return res
@@ -566,7 +657,8 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options=No
     """`scipy.optimize.linprog(method="highs")` on the same HiGHS binding.
 
     Takes linprog's keywords (``bounds`` an (n, 2) array; ``options`` with
-    ``presolve``, default True, and ``time_limit``) and hands HiGHS what
+    ``presolve``, default True, and ``time_limit``; ``A_ub`` and ``A_eq`` as
+    `milp` takes ``A``) and hands HiGHS what
     linprog does: the CSC matrix of ``A_ub`` stacked over ``A_eq``, rows
     ``-inf <= A_ub @ x <= b_ub`` and ``b_eq <= A_eq @ x <= b_eq``, and
     linprog's options (`_LP_OPTIONS`).
@@ -574,14 +666,12 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options=No
     Returns linprog's ``status`` (codes as `milp`), ``x`` and ``fun`` (None
     without an optimum), ``nit`` (simplex, else interior-point, iterations)
     and ``ineqlin.marginals`` and ``eqlin.marginals`` (the row duals, None
-    without an optimum). As linprog does, an optimum that breaks a row or a
-    bound by more than `_LP_CHECK_TOL` is status 4. linprog's bound
-    marginals, slacks and messages are left out.
+    without an optimum), and ``highs_s``. As linprog does, an optimum that
+    breaks a row or a bound by more than `_LP_CHECK_TOL` is status 4.
+    linprog's bound marginals, slacks and messages are left out.
     """
     c = np.array(c, dtype=np.float64)
-    a = sparse.csc_array(sparse.vstack([
-        sparse.coo_array((0, c.size) if m is None else m, dtype=np.float64) for m in (A_ub, A_eq)
-    ]))
+    a = _vstack(*(_empty(c.size) if m is None else _as_csr(m) for m in (A_ub, A_eq)))
     b_ub, b_eq = (
         np.empty(0) if b is None else np.asarray(b, dtype=np.float64) for b in (b_ub, b_eq)
     )
@@ -590,12 +680,13 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options=No
     lb, ub = np.array(bounds, dtype=np.float64).T.copy()
     options = dict(options or {})
     options["presolve"] = "on" if options.get("presolve", True) else "off"
-    highs, model_status = _run_highs(
+    highs, model_status, highs_s = _run_highs(
         c, a, row_lo, row_hi, lb, ub, None, {**options, **_LP_OPTIONS}
     )
     res = OptimizeResult(
         status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None, nit=0,
         ineqlin=OptimizeResult(marginals=None), eqlin=OptimizeResult(marginals=None),
+        highs_s=highs_s,
     )
     if highs is None:
         return res
@@ -623,7 +714,6 @@ def _run_milp(model, lb, ub, integer, options, start=None):
     """Hand ``model`` with column bounds ``lb``/``ub`` and integer columns
     ``integer`` to `milp`, as a SolveResult."""
     mat, lo, hi = model._constraint_matrix()
-    t0 = time.perf_counter()
     res = milp(
         c=model.obj.copy(),
         constraints=[LinearConstraint(mat, lo, hi)] if mat.shape[0] else [],
@@ -632,7 +722,6 @@ def _run_milp(model, lb, ub, integer, options, start=None):
         options=options,
         start=start,
     )
-    highs_s = time.perf_counter() - t0
     status = _STATUS.get(res.status, "error")
     if res.x is None and status == "optimal":
         status = "error"
@@ -643,7 +732,7 @@ def _run_milp(model, lb, ub, integer, options, start=None):
         mip_gap=res.mip_gap,
         mip_node_count=res.mip_node_count,
         mip_dual_bound=res.mip_dual_bound,
-        highs_s=highs_s,
+        highs_s=res.highs_s,
         rows=mat.shape[0],
         cols=mat.shape[1],
         nnz=mat.nnz,
@@ -713,7 +802,6 @@ def _solve_lp(model, lb, ub, time_limit):
     options = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    t0 = time.perf_counter()
     res = linprog(
         model.obj.copy(),
         bounds=np.column_stack([lb, ub]),
@@ -722,7 +810,7 @@ def _solve_lp(model, lb, ub, time_limit):
     )
     status = _STATUS.get(res.status, "error")
     fields = {
-        "highs_s": time.perf_counter() - t0, "simplex_iterations": int(res.nit),
+        "highs_s": res.highs_s, "simplex_iterations": int(res.nit),
         "rows": mat.shape[0], "cols": mat.shape[1], "nnz": mat.nnz, "binaries": 0,
     }
     if status != "optimal":

@@ -58,7 +58,7 @@ FROZEN = {
 
 
 def _canonical(a):
-    m = sparse.csr_array(a)
+    m = sparse.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
     m.sum_duplicates()
     return [m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data]
 

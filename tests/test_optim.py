@@ -2,6 +2,7 @@
 conventions the pricing pass depends on."""
 
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -228,6 +229,14 @@ def test_row_blocks_match_scalar_rows():
     assert a.nnz == 6
 
 
+def _dense(mat):
+    """``mat`` (an `optim.Csr`) as a dense array."""
+    out = np.zeros(mat.shape)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    np.add.at(out, (rows, mat.indices), mat.data)
+    return out
+
+
 def test_rows_after_a_solve_extend_the_matrix():
     """The matrix is assembled once; a row added after a solve is appended to
     it, and the LP duals come back indexed like the rows."""
@@ -242,7 +251,7 @@ def test_rows_after_a_solve_extend_the_matrix():
     r = solve(m)
     assert r.ok and r.objective == pytest.approx(1.0 + 2.0 * 3.0)
     mat = m._constraint_matrix()[0]
-    assert mat.shape == (2, 2) and np.array_equal(mat[:1].toarray(), assembled.toarray())
+    assert mat.shape == (2, 2) and np.array_equal(_dense(mat)[:1], _dense(assembled))
     assert r.duals[first[0]] == pytest.approx(2.0)
     assert r.duals[cap] == pytest.approx(-1.0)
 
@@ -339,7 +348,7 @@ def test_milp_totals_sum_the_rounds_and_keep_the_last_bound():
 
 
 def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
-    """An LP's result carries the seconds of its `linprog` call and the
+    """An LP's result carries the seconds of its HiGHS run and the
     simplex iterations linprog reports (``nit``)."""
     seen = []
     real = optim.linprog
@@ -410,6 +419,128 @@ def test_solves_leave_out_scipy_optimize():
         "             and not m.startswith(optim._highs.__name__)))"
     )
     assert run_python(code) == "[]"
+
+
+def test_solves_leave_out_scipy():
+    """scipy.sparse and scipy.special, with the scipy._lib chain they share,
+    cost every frp-sim process about 20 MB; the package, an LP, a MILP and
+    the percentile rule run with only the HiGHS binding loaded from scipy."""
+    code = (
+        "import sys, numpy as np, frpsim, frpsim.harness, frpsim.cli\n"
+        "from frpsim import NetLoadProfile, TimeGrid, optim, percentile_requirements\n"
+        "assert frpsim.__file__.startswith(sys.argv[1]), frpsim.__file__\n"
+        "for integer in (False, True):\n"
+        "    m = optim.Model()\n"
+        "    x = m.add_vars('x', 3, ub=1.0, obj=[1.0, 2.0, 3.0], integer=integer)\n"
+        "    m.add_rows('cover', '>=', 1.5, x, 1.0)\n"
+        "    r = optim.solve(m)\n"
+        "    assert r.ok and r.objective == (3.0 if integer else 2.0), r\n"
+        "fc = NetLoadProfile(('b1',), TimeGrid(2, 1), np.array([[1.0, 2.0]]))\n"
+        "assert percentile_requirements(fc, 0.1, 0.95).up[0] > 1.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             and not m.startswith(optim._highs.__name__)))"
+    )
+    assert run_python(code) == "[]"
+
+
+def test_highs_s_is_the_run_inside_the_solve():
+    """``highs_s`` times HiGHS's run alone, so it is positive and within the
+    wall time of the `optim.solve` call that holds it, LP and MILP alike."""
+    for integer in (False, True):
+        m = Model()
+        x = m.add_vars("x", (3, 4), obj=[[4, 6, 9, 5], [7, 3, 8, 6], [5, 8, 4, 7]],
+                       integer=integer)
+        m.add_rows("supply", "<=", [30.0, 40.0, 35.0], x, 1.0)
+        m.add_rows("demand", ">=", [20.0, 25.0, 30.0, 15.0], x.T, 1.0)
+        t0 = time.perf_counter()
+        r = solve(m)
+        wall = time.perf_counter() - t0
+        assert r.ok and 0.0 < r.highs_s <= wall
+
+
+def _bits(a):
+    """The bytes of ``a``, integer arrays widened to int64, so -0.0 and 0.0
+    differ and int32 and int64 indices do not."""
+    a = np.asarray(a)
+    return (a.astype(np.int64) if a.dtype.kind in "iu" else a).tobytes()
+
+
+def _compressed(m):
+    return m.indptr, m.indices, m.data
+
+
+def _same(ours, theirs):
+    """Equal arrays, in order, bit for bit."""
+    assert [_bits(a) for a in ours] == [_bits(a) for a in theirs]
+
+
+def _random_rows(seed):
+    """Rows as `Model.add_rows` hands them to `optim._csr`: (data, columns,
+    entries per row, columns in all). Row 0 holds four terms on one column
+    whose sum depends on its order; row 1 a pair that cancels to an explicit
+    zero; some rows are empty and the last three columns are never used.
+
+    Short rows (at most 16 entries) carry arbitrary floats. scipy sorts a
+    row's entries with ``std::sort``, which in libstdc++ is stable only up to
+    16 entries (insertion sort); longer rows therefore carry small integers,
+    whose sums are exact in any order, so the comparison tests the sort and
+    not the order in which scipy happens to add a long row's duplicates."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = 40, 30
+    counts = rng.integers(0, 17, n_rows)
+    picked = rng.choice(np.arange(2, n_rows), 10, replace=False)
+    counts[picked[:6]] = 0
+    counts[picked[6:]] = rng.integers(30, 80, 4)
+    counts[0], counts[1] = 5, 3
+    cols = rng.integers(0, n_cols - 3, counts.sum())
+    data = rng.standard_normal(counts.sum()) * 10.0 ** rng.integers(-6, 7, counts.sum())
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    for r in np.flatnonzero(counts > 16):
+        data[starts[r]:starts[r + 1]] = rng.integers(-4, 5, counts[r])
+    cols[0:5] = [7, 2, 7, 7, 7]
+    data[0:5] = [1e16, 0.5, 1.0, -1e16, 3.0]  # (1e16 + 1) - 1e16 + 3 = 3
+    cols[5:8] = [4, 9, 4]
+    data[5:8] = [2.5, 1.0, -2.5]
+    return data, cols, counts, n_cols
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_csr_arrays_equal_scipy_sparse(seed):
+    """`optim` assembles, slices and converts its matrix with numpy alone;
+    each step gives scipy.sparse's arrays bit for bit: canonical rows
+    (columns sorted, duplicates summed in order, cancelled sums kept as
+    explicit zeros), row subsets, the CSC `milp` hands HiGHS and the stacked
+    CSC `linprog` hands it."""
+    data, cols, counts, n_cols = _random_rows(seed)
+    ours = optim._csr(data, cols, counts, n_cols)
+    theirs = sparse.csr_matrix(
+        (data, cols, np.concatenate([[0], np.cumsum(counts)])), shape=(len(counts), n_cols)
+    )
+    theirs.sum_duplicates()
+    assert ours.shape == theirs.shape and ours.nnz == theirs.nnz
+    _same(_compressed(ours), _compressed(theirs))
+    # row 0: 0.5 at column 2, 3.0 at 7; row 1: the explicit zero at 4, 1.0 at 9
+    assert ours.indices[:4].tolist() == [2, 7, 4, 9]
+    _same([ours.data[:4]], [[0.5, 3.0, 0.0, 1.0]])
+    assert (ours.indptr[1:] == ours.indptr[:-1]).sum() >= 6
+    assert ours.indices.max() < ours.shape[1] - 3
+
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, len(counts), 60)  # repeats, empty rows and all
+    for pick in (rows, np.sort(np.unique(rows)), np.array([], dtype=np.int64)):
+        part = optim._take_rows(ours, pick)
+        assert part.shape == theirs[pick].shape
+        _same(_compressed(part), _compressed(theirs[pick]))
+
+    _same(optim._csc(ours), _compressed(theirs.tocsc()))
+    top, bottom = rows[:30], rows[30:]
+    stacked = optim._vstack(optim._take_rows(ours, top), optim._take_rows(ours, bottom))
+    _same(optim._csc(stacked), _compressed(sparse.csc_array(sparse.vstack([
+        sparse.coo_array(theirs[top], dtype=np.float64),
+        sparse.coo_array(theirs[bottom], dtype=np.float64),
+    ]))))
+    dense = theirs.toarray()
+    _same(optim._csc(optim._as_csr(dense)), _compressed(sparse.csc_array(dense)))
 
 
 @pytest.mark.parametrize("first", ["frpsim", "scipy.optimize"])

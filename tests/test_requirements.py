@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import norm
 
 from frpsim import (
@@ -19,6 +20,7 @@ from frpsim import (
 from frpsim.requirements import (
     FrpRequirements,
     load_requirements,
+    ndtri,
     save_requirements,
     zero_requirements,
 )
@@ -128,6 +130,33 @@ def test_percentile_quantile_is_bit_exact(coverage, z):
     req = percentile_requirements(fc, sigma_frac=0.5, coverage=coverage)
     assert req.up[0] == req.dn[0] == z
     assert z == norm.ppf(0.5 * (1.0 + coverage))
+
+
+def test_ndtri_port_equals_scipy_bit_for_bit():
+    """The cephes port gives scipy.special.ndtri's quantile to the last bit
+    over the whole of (0, 1): uniform and evenly spaced points, both tails
+    down to the smallest subnormal, both sides of the branch points exp(-2)
+    and exp(-32), the coverage levels the corpus uses, the ends and outside
+    (nan)."""
+    rng = np.random.default_rng(0)
+    tail = 10.0 ** -rng.uniform(0.0, 300.0, 20_000)
+    edges = [np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0)]
+    points = np.concatenate([
+        rng.random(50_000),
+        np.linspace(0.0, 1.0, 30_001),
+        tail,
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 20_000),
+        [5e-324, np.nextafter(1.0, 0.0), 0.5, -0.5, 1.5, np.nan],
+        [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)] + edges,
+        [0.5 * (1.0 + c) for c in (0.90, 0.95, 0.99)],
+    ])
+    ours = np.array([ndtri(float(y)) for y in points])
+    assert points.size > 100_000
+    assert _bits_or_nan(ours) == _bits_or_nan(scipy_ndtri(points))
+
+
+def _bits_or_nan(a):
+    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 def test_package_import_leaves_out_scipy_stats():
