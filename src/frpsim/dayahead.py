@@ -110,7 +110,9 @@ class DamOutcome:
 def _award_rows(g):
     """The ramp-award rows of one unit for the hour pair (h, h+1), as
     (sense, rhs, terms). A term is (variable, hour offset, coefficient) over
-    the unit's p, rup, rdn, u, v and w; the last two rows exist only while
+    the unit's p, rup, rdn, u, v and w, where p, the output above minimum,
+    is the sum of the unit's segment columns and its term stands for one
+    term per segment (see `dispatch`); the last two rows exist only while
     h+2 is in the day."""
     rd, ru, su, sd = g.ramp_down, g.ramp_up, g.startup_limit, g.shutdown_limit
     p_min, p_max = g.p_min, g.p_max
@@ -145,31 +147,26 @@ def _build(system, bids, req, fix_commitments):
     u, v, w = add_commitment_block(model, gens, hours, u_floor=fix_commitments)
 
     n_g, n_b = len(gens), len(system.buses)
-    p = np.empty((n_g, hours), dtype=int)
+    seg = []
     r_up = np.empty((n_g, hours), dtype=int)
     r_dn = np.empty((n_g, hours), dtype=int)
     grid = TimeGrid(hours, 1)
     pairs = np.arange(hours - 1)  # hour h of each (h, h+1) pair
     for i, g in enumerate(gens):
-        # per hour: p, rup, rdn, then one column per offer segment
-        widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
-        cols = model.add_vars(
-            f"prr[{g.id}]", (hours, 3 + len(widths)),
-            lb=np.concatenate([[0.0, -np.inf, -np.inf], np.zeros(len(widths))]),
-            ub=np.concatenate([[g.dispatch_range, np.inf, np.inf], widths]),
-            obj=np.concatenate([[0.0, 0.0, 0.0], [seg.cost for seg in g.segments]]),
-        )
-        p[i], r_up[i], r_dn[i] = cols[:, 0], cols[:, 1], cols[:, 2]
-        pi, ui, vi, wi = p[i], u[i], v[i], w[i]
+        seg.append(dispatch.unit_columns(model, f"p[{g.id}]", g, grid))
+        r_up[i], r_dn[i] = model.add_vars(f"rr[{g.id}]", (hours, 2), lb=-np.inf).T
         # the energy rows at one period an hour, in the market's row order
-        blocks = {f"segcap[{g.id}]": [1, 0], f"ramp[{g.id}]": [2, 3], f"stopcap[{g.id}]": [4]}
-        dispatch.add_unit_rows(model, g, grid, blocks, pi, cols[:, 3:], ui, vi, wi)
+        blocks = {f"cap[{g.id}]": [0], f"ramp[{g.id}]": [1, 2], f"stopcap[{g.id}]": [3]}
+        dispatch.add_unit_rows(model, g, grid, blocks, seg[i], u[i], v[i], w[i])
 
-        # ramp awards tied to the unit's feasible hour-to-hour movement
-        var = {"p": pi, "rup": r_up[i], "rdn": r_dn[i], "u": ui, "v": vi, "w": wi}
+        # ramp awards tied to the unit's feasible hour-to-hour movement; as
+        # in add_unit_rows, p has one column (term) per segment
+        var = {"p": seg[i].T, "rup": r_up[i][None], "rdn": r_dn[i][None],
+               "u": u[i][None], "v": v[i][None], "w": w[i][None]}
         rows = _award_rows(g)
         cols, coefs = optim.stack_rows(*(
-            [(var[x][np.minimum(pairs + ahead, hours - 1)], c) for x, ahead, c in terms]
+            [(col, c) for x, ahead, c in terms
+             for col in var[x][:, np.minimum(pairs + ahead, hours - 1)]]
             for _, _, terms in rows
         ))
         keep = np.ones((len(pairs), len(rows)), dtype=bool)
@@ -190,10 +187,13 @@ def _build(system, bids, req, fix_commitments):
 
     # the injections: output above minimum, committed minimum, curtailment
     # and cleared demand
+    seg_bus, seg_cols = dispatch.segment_entries(system, seg)
     bus_of = [system.bus_index(g.bus) for g in gens]
-    bus = np.concatenate([bus_of, bus_of, np.arange(n_b), np.arange(n_b)])
-    cols = np.concatenate([p, u, pc, d])
-    coefs = np.concatenate([np.ones(n_g), [g.p_min for g in gens], np.ones(n_b), -np.ones(n_b)])
+    bus = np.concatenate([seg_bus, bus_of, np.arange(n_b), np.arange(n_b)])
+    cols = np.concatenate([seg_cols, u, pc, d])
+    coefs = np.concatenate(
+        [np.ones(len(seg_bus)), [g.p_min for g in gens], np.ones(n_b), -np.ones(n_b)]
+    )
     model.add_rows("bal", "==", 0.0, cols.T, coefs)
 
     sf = model.add_vars("sf", (hours, 2), obj=system.frp_shortfall_penalty)
@@ -208,7 +208,7 @@ def _build(system, bids, req, fix_commitments):
     )
 
     idx = {
-        "u": u, "v": v, "w": w, "p": p, "r_up": r_up, "r_dn": r_dn,
+        "u": u, "v": v, "w": w, "seg": seg, "r_up": r_up, "r_dn": r_dn,
         "pc": pc, "d": d, "sf_up": sf_up, "sf_dn": sf_dn, "bid": bid, "req": reqs,
         "inj": (bus, cols, coefs),
     }
@@ -281,7 +281,7 @@ def clear_dam(
         u=u,
         v=v,
         w=w,
-        p=x[idx["p"]],
+        p=np.stack([x[s].sum(axis=-1) for s in idx["seg"]]),
         r_up=x[idx["r_up"]],
         r_dn=x[idx["r_dn"]],
         sf_up=x[idx["sf_up"]],

@@ -9,6 +9,13 @@ Each caller adds the rows in its own blocks and order.
 from the inequalities rather than from the rows, vectorised over
 scenarios, units and periods; `bus_injections` is the one map from unit
 output to bus injections.
+
+A unit's output above minimum ``p`` has no column: every row and injection
+reading it holds one term per offer-segment column (`unit_columns`). This
+substitutes ``p`` out of a model with a row ``p = sum of segments``; ``p``
+costs nothing, so feasible points map one-to-one at the same objective, and
+``0 <= p <= DR`` is implied, as the segment widths add up to ``DR`` (to
+1e-9 MW, which `system` checks). Each unit saves a column and a row a period.
 """
 
 from __future__ import annotations
@@ -21,30 +28,30 @@ import numpy as np
 from . import optim
 
 __all__ = [
-    "unit_columns", "add_unit_rows", "unit_params", "bus_injections", "physical_residuals",
+    "unit_columns", "add_unit_rows", "segment_entries", "unit_params", "bus_injections",
+    "physical_residuals",
 ]
 
 
 def unit_columns(model, name, g, grid):
-    """The dispatch columns of unit ``g`` on ``grid``: per period, ``p``
-    (output above minimum, at most ``DR``), then one column per offer
-    segment, costed for the period's length. Returns their indices, shape
-    (periods, 1 + segments)."""
+    """The dispatch columns of unit ``g`` on ``grid``: per period, one
+    column per offer segment, at most its width and costed for the period's
+    length. The unit's output above minimum is their sum. Returns their
+    indices, shape (periods, segments)."""
     widths = np.diff([seg.upper for seg in g.segments], prepend=0.0)
     return model.add_vars(
-        name, (grid.n_periods, 1 + len(widths)),
-        ub=np.concatenate([[g.dispatch_range], widths]),
-        obj=np.concatenate([[0.0], [seg.cost * grid.period_hours for seg in g.segments]]),
+        name, (grid.n_periods, len(widths)), ub=widths,
+        obj=[seg.cost * grid.period_hours for seg in g.segments],
     )
 
 
-def add_unit_rows(model, g, grid, blocks, p, seg, u, v, w, fixed=False):
+def add_unit_rows(model, g, grid, blocks, seg, u, v, w, fixed=False):
     """Add the dispatch rows of unit ``g`` on ``grid`` to ``model``. Per
-    period ``k`` of hour ``h``, with ``p`` the output above minimum, ramp
-    rates scaled to the period length and ``DR = p_max - p_min``:
+    period ``k`` of hour ``h``, with ``p[k]`` the output above minimum (one
+    term per segment column, each with ``p``'s coefficient), ramp rates
+    scaled to the period length and ``DR = p_max - p_min``:
 
     - cap: ``p[k] <= DR * u[h]``
-    - segsum: ``p[k]`` equals the sum of the unit's offer segments
     - rampup: ``p[k] - p[k-1] <= ru * u[h(k-1)] + (startup_limit - p_min) *
       v[h]``, the start term only in an hour's first period
     - rampdn: ``p[k-1] - p[k] <= rd * u[h(k-1)] + DR * w[h]``, the stop term
@@ -57,12 +64,12 @@ def add_unit_rows(model, g, grid, blocks, p, seg, u, v, w, fixed=False):
     * w[0]``.
 
     ``blocks`` maps each row-block name to the rows it holds, as indices
-    into (cap, segsum, rampup, rampdn, stopcap); a block holds them period by
-    period and, within a period, in the order given. ``p`` (periods,) and
-    ``seg`` (periods, segments) are column indices, and so are ``u``, ``v``
-    and ``w`` (hours,) unless ``fixed``: then they are the unit's 0/1
-    schedule, their terms move into the right-hand side, the cap row becomes
-    the upper bound of ``p``, and a stopcap row is kept only where the next
+    into (cap, rampup, rampdn, stopcap); a block holds them period by period
+    and, within a period, in the order given. ``seg`` (periods, segments)
+    holds column indices, and so do ``u``, ``v`` and ``w`` (hours,) unless
+    ``fixed``: then they are the unit's 0/1 schedule, their terms move into
+    the right-hand side, the cap row becomes an upper bound of 0 on the
+    segments of off periods, and a stopcap row is kept only where the next
     hour stops the unit.
     """
     n = grid.n_periods
@@ -80,7 +87,6 @@ def add_unit_rows(model, g, grid, blocks, p, seg, u, v, w, fixed=False):
     # (sense, rhs, terms); a term is (variable, index, coefficient)
     rows = [
         ("<=", 0.0, [("p", ks, 1.0), ("u", h, -g.dispatch_range)]),
-        ("==", 0.0, [("p", ks, 1.0)] + [("seg", (ks, j), -1.0) for j in range(seg.shape[1])]),
         ("<=", np.where(first, p0 + ru * u0, 0.0), [
             ("p", ks, 1.0),
             ("p", prev, np.where(first, 0.0, -1.0)),
@@ -95,28 +101,37 @@ def add_unit_rows(model, g, grid, blocks, p, seg, u, v, w, fixed=False):
         ]),
         ("<=", g.dispatch_range, [("p", ks, 1.0), ("w", hn, g.p_max - g.shutdown_limit)]),
     ]
-    var = {"p": p, "seg": seg, "u": u, "v": v, "w": w}
+    # each variable's columns, one line per term: p has one per segment
+    var = {"p": seg.T, "u": u[None], "v": v[None], "w": w[None]}
     families, rhs = [], []
     for _, b, terms in rows:
         b = np.broadcast_to(np.asarray(b, dtype=float), n).copy()
         fam = []
         for x, at, coef in terms:
             if fixed and x in ("u", "v", "w"):
-                b -= coef * var[x][at]
+                b -= coef * var[x][0, at]
             else:
-                fam.append((var[x][at], coef))
+                fam.extend((col, coef) for col in var[x][:, at])
         families.append(fam)
         rhs.append(b)
     keep = np.ones((n, len(rows)), dtype=bool)
-    keep[:, 4] = (ks < n - 1) & (hn != h)
+    keep[:, 3] = (ks < n - 1) & (hn != h)
     if fixed:
-        keep[:, 4] &= w[hn] != 0
-        model.ub[p] = rhs[0]
+        keep[:, 3] &= w[hn] != 0
+        model.ub[seg[u[h] == 0]] = 0.0
     sense = np.column_stack([np.broadcast_to(s, n) for s, _, _ in rows])
     table = (sense, np.column_stack(rhs), *optim.stack_rows(*families), keep)
     for name, picked in blocks.items():
         *block, kept = (a[:, picked] for a in table)
         model.add_rows(name, *(a[kept] for a in block))
+
+
+def segment_entries(system, segs):
+    """Each unit's (periods, segments) columns ``segs`` as injection entries
+    at its bus: (bus (E,), cols (E, periods)), as `network` takes them."""
+    counts = [s.shape[1] for s in segs]
+    bus = np.repeat([system.bus_index(g.bus) for g in system.generators], counts)
+    return bus, np.concatenate([s.T for s in segs])
 
 
 def unit_params(generators, name):

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -364,86 +366,56 @@ def run_experiment(system, cfg, out_dir, workers=1):
         out_dir, {"event": "run-start", "config_digest": digest, "time": time.time()}
     )
 
-    # realized trajectory and clairvoyant reference, one per day; a day whose
-    # reference cannot even be computed fails all of its cells up front
-    day_ctx = {}
-    day_broken = {}
-    for day in cfg.days:
-        try:
-            forecast, _ = _day_profile(system, cfg, day)
-            realized = draw_realization(
-                forecast, cfg.oos_sigma_frac, cfg.oos_rho, cfg.master_seed,
-                labels=("out-of-sample", day.name),
-            )
-            # a resume reads only the cost, so a file of the cost alone will do
-            ref_path = os.path.join(out_dir, f"clairvoyant.{day.name}.json")
-            if not os.path.exists(ref_path):
-                rec = clairvoyant_cost(
-                    system, realized, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit
-                )
-                _write_json(ref_path, {"day": day.name, **rec})
-            with open(ref_path) as fh:
-                day_ctx[day.name] = (realized, json.load(fh)["cost_usd"])
-        except Exception as exc:  # noqa: BLE001 - day isolation
-            day_broken[day.name] = exc
-
-    suc_wanted = [m for m in cfg.methods if m in SUC_METHODS]
-    jobs = []
-    for day in cfg.days:
-        if day.name in day_broken:
-            ids = [
-                _cell_id(day.name, m, n, rho)
-                for m in suc_wanted
-                for n in cfg.n_scenarios
-                for rho in cfg.rho
-            ] + [_cell_id(day.name, m) for m in cfg.methods if m in PERCENTILE_METHODS]
-            _record_failure(out_dir, result, (None, ids), day_broken[day.name])
-            continue
-        realized = day_ctx[day.name][0]
-        if suc_wanted:
-            for n in cfg.n_scenarios:
-                for rho in cfg.rho:
-                    ids = [_cell_id(day.name, m, n, rho) for m in suc_wanted]
-                    jobs.append(("suc", day, n, rho, suc_wanted, realized, ids))
-        for m in cfg.methods:
-            if m in PERCENTILE_METHODS:
-                ids = [_cell_id(day.name, m)]
-                jobs.append(("pct", day, m, None, None, realized, ids))
-
-    pending = []
-    for job in jobs:
-        ids = job[-1]
-        fresh = [c for c in ids if not os.path.exists(os.path.join(cells_dir, c + ".json"))]
-        if fresh:
-            pending.append(job)
-        result.skipped.extend(c for c in ids if c not in fresh)
-
-    def consume(job, outcome):
-        kind, day, *_ = job
-        cells, n_solves = outcome
-        result.suc_pass_solves += n_solves
-        for cell_id, rec in cells.items():
-            rec["clairvoyant_usd"] = day_ctx[day.name][1]
-            path = os.path.join(cells_dir, cell_id + ".json")
-            if not os.path.exists(path):  # never overwrite ledger entries
-                _write_json(path, rec, sort_keys=True)
-                result.done.append(cell_id)
-                _append_manifest(out_dir, {"event": "cell", "cell": cell_id, "status": "done"})
-
     if workers > 1:
-        # _dispatch is module-level so the job closure survives pickling
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(job, pool.submit(_dispatch, system, cfg, job)) for job in pending]
-            for job, fut in futures:
-                try:
-                    consume(job, fut.result())
-                except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-                    _record_failure(out_dir, result, job, exc)
+        from concurrent.futures import ProcessPoolExecutor  # 2 MB a serial run skips
+
+        executor = ProcessPoolExecutor(max_workers=workers)
     else:
-        for job in pending:
+        executor = contextlib.nullcontext(_Serial())
+    with executor as pool:
+        # every day's realized trajectory and clairvoyant reference first;
+        # what is submitted is module-level, so that it survives pickling
+        refs = []
+        for day in cfg.days:
+            path = os.path.join(out_dir, f"clairvoyant.{day.name}.json")
+            solve = not os.path.exists(path)
+            refs.append((day, path, pool.submit(_day_reference, system, cfg, day, solve)))
+        # a day's cells are submitted once its reference is written; a day
+        # whose reference cannot even be computed fails all of them up front
+        futures = []  # (job, the clairvoyant cost of its day, future)
+        for day, path, ref in refs:
             try:
-                consume(job, _dispatch(system, cfg, job))
-            except Exception as exc:  # noqa: BLE001
+                realized, rec = ref.result()
+                if rec is not None:
+                    _write_json(path, {"day": day.name, **rec})
+                # a resume reads only the cost, so a file of the cost alone will do
+                with open(path) as fh:
+                    cost = json.load(fh)["cost_usd"]
+            except Exception as exc:  # noqa: BLE001 - day isolation
+                ids = [c for job in _day_jobs(cfg, day, None) for c in job[-1]]
+                _record_failure(out_dir, result, (None, ids), exc)
+                continue
+            for job in _day_jobs(cfg, day, realized):
+                ids = job[-1]
+                fresh = [c for c in ids if not os.path.exists(f"{cells_dir}/{c}.json")]
+                if fresh:
+                    futures.append((job, cost, pool.submit(_dispatch, system, cfg, job)))
+                result.skipped.extend(c for c in ids if c not in fresh)
+
+        for job, cost, fut in futures:
+            try:
+                cells, n_solves = fut.result()
+                result.suc_pass_solves += n_solves
+                for cell_id, rec in cells.items():
+                    rec["clairvoyant_usd"] = cost
+                    path = os.path.join(cells_dir, cell_id + ".json")
+                    if not os.path.exists(path):  # never overwrite ledger entries
+                        _write_json(path, rec, sort_keys=True)
+                        result.done.append(cell_id)
+                        _append_manifest(
+                            out_dir, {"event": "cell", "cell": cell_id, "status": "done"}
+                        )
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the point
                 _record_failure(out_dir, result, job, exc)
 
     _append_manifest(
@@ -457,6 +429,38 @@ def run_experiment(system, cfg, out_dir, workers=1):
         },
     )
     return result
+
+
+class _Serial:
+    """The stand-in for a process pool at ``workers=1``: a submitted call
+    runs in this process when its result is asked for."""
+
+    def submit(self, fn, *args, **kwargs):
+        return SimpleNamespace(result=partial(fn, *args, **kwargs))
+
+
+def _day_reference(system, cfg, day, solve):
+    """A day's realized trajectory and, if ``solve``, the record of its
+    clairvoyant reference (else None)."""
+    forecast, _ = _day_profile(system, cfg, day)
+    realized = draw_realization(
+        forecast, cfg.oos_sigma_frac, cfg.oos_rho, cfg.master_seed,
+        labels=("out-of-sample", day.name),
+    )
+    kw = {"gap_tol": cfg.gap_tol, "time_limit": cfg.time_limit}
+    return realized, clairvoyant_cost(system, realized, **kw) if solve else None
+
+
+def _day_jobs(cfg, day, realized):
+    """The jobs of one day, as (kind, day, a, b, methods, realized, cell
+    ids): one per stochastic-pass group (scenario count ``a``, rho ``b``)
+    and one per percentile method ``a``."""
+    suc = [m for m in cfg.methods if m in SUC_METHODS]
+    for n, rho in itertools.product(cfg.n_scenarios, cfg.rho) if suc else ():
+        yield ("suc", day, n, rho, suc, realized, [_cell_id(day.name, m, n, rho) for m in suc])
+    for m in cfg.methods:
+        if m in PERCENTILE_METHODS:
+            yield ("pct", day, m, None, None, realized, [_cell_id(day.name, m)])
 
 
 def _dispatch(system, cfg, job):

@@ -49,11 +49,11 @@ A started MILP runs with MIP presolve off. Only the warm stochastic
 commitment passes a start; on it presolve was 0.09-0.18 s of each solve, and
 HiGHS's restarts presolve the reduced model anyway. Presolve changes how
 HiGHS gets to the proof, not what it proves, so the answer is still an
-optimum within ``gap_tol``. It costs memory: presolve removes the
-``p = sum of segments`` alias (a column and a row per unit, period and
-scenario) and, on networks, parallel curtailment columns, so without it
-HiGHS holds the whole model, 7-16 MB more at its peak on the benchmark's
-warm SUCs. Cold MILPs (expected value, clairvoyant, DAM) keep presolve.
+optimum within ``gap_tol``. Unit output has no alias column (see
+`dispatch`), so without presolve HiGHS peaks only 0.3-1.4 MB higher on the
+corpus's 16-scenario SUCs; on an 8-scenario ieee14 SUC, whose parallel
+per-bus curtailment columns presolve would merge, about 12 MB higher. Cold
+MILPs (expected value, clairvoyant, DAM) keep presolve.
 
 Every MILP is handed `MILP_OPTIONS`, which turn off two of HiGHS's root
 primal heuristics: the reduced-cost sub-MIP and feasibility jump. On the

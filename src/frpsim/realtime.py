@@ -80,20 +80,19 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     if tuple(realized.buses) != tuple(system.bus_ids):
         raise ValueError("realized profile buses do not match system buses")
     gens = system.generators
-    n_g, n_b, n_t = len(gens), len(system.buses), grid.n_periods
+    n_b, n_t = len(system.buses), grid.n_periods
     scale = grid.period_hours
     t_build = time.perf_counter()
     u, _, _ = _expand_commitment(dam, grid)
 
     model = optim.Model("rtm")
-    p = np.empty((n_g, n_t), dtype=int)
+    seg = []
     for i, g in enumerate(gens):
-        pseg = dispatch.unit_columns(model, f"p[{g.id}]", g, grid)
-        p[i] = pseg[:, 0]
-        # commitment is data: the cap row becomes p's bound
+        seg.append(dispatch.unit_columns(model, f"p[{g.id}]", g, grid))
+        # commitment is data: the cap row becomes the segments' bounds
         dispatch.add_unit_rows(
-            model, g, grid, {f"disp[{g.id}]": [1, 2, 3, 4]},
-            p[i], pseg[:, 1:], dam.u[i], dam.v[i], dam.w[i], fixed=True,
+            model, g, grid, {f"disp[{g.id}]": [1, 2, 3]},
+            seg[i], dam.u[i], dam.v[i], dam.w[i], fixed=True,
         )
 
     pcd = model.add_vars(
@@ -106,9 +105,10 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     # the injections: output above minimum, curtailment and load; the
     # committed minimum output is data here, so it is a fixed injection
     floor = np.array([[g.p_min] for g in gens]) * u
-    bus = np.concatenate([[system.bus_index(g.bus) for g in gens], np.arange(n_b), np.arange(n_b)])
-    cols = np.concatenate([p, pc, d])
-    coefs = np.concatenate([np.ones(n_g), np.ones(n_b), -np.ones(n_b)])
+    seg_bus, seg_cols = dispatch.segment_entries(system, seg)
+    bus = np.concatenate([seg_bus, np.arange(n_b), np.arange(n_b)])
+    cols = np.concatenate([seg_cols, pc, d])
+    coefs = np.concatenate([np.ones(len(seg_bus)), np.ones(n_b), -np.ones(n_b)])
     # committed minimum output per period, summed along a contiguous row
     model.add_rows("bal", "==", -np.ascontiguousarray(floor.T).sum(axis=1), cols.T, coefs)
     screen = network.FlowScreen(system)
@@ -123,7 +123,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     optim.require_optimal(res, "real-time dispatch")
 
     x = res.x
-    p_val = x[p]
+    p_val = np.stack([x[s].sum(axis=-1) for s in seg])
     pc_val = x[pc]
     lmp = res.duals[load]
     curtail_cost = float(system.curtailment_penalty * scale * pc_val.sum())

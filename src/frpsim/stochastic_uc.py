@@ -242,19 +242,17 @@ def _add_dispatch_scenario(
     ``net_load`` has shape (buses, periods). The scenario's line flows are
     registered with ``screen`` (a `network.FlowScreen`), which adds their
     rows where a solve breaks them; given shift factors ``psi`` instead, every
-    flow row is built now. Returns (p, pc) index arrays.
+    flow row is built now. Returns its segment columns per unit and pc.
     """
     gens = system.generators
     n_periods = grid.n_periods
     scale = grid.period_hours  # the energy weight of a period
     h = np.arange(n_periods) // grid.periods_per_hour  # the hour of each period
-    p = np.empty((len(gens), n_periods), dtype=int)
+    seg = []
     for i, g in enumerate(gens):
-        pseg = dispatch.unit_columns(model, f"p{tag}[{g.id}]", g, grid)
-        p[i] = pseg[:, 0]
+        seg.append(dispatch.unit_columns(model, f"p{tag}[{g.id}]", g, grid))
         dispatch.add_unit_rows(
-            model, g, grid, {f"disp{tag}[{g.id}]": [0, 1, 2, 3, 4]},
-            p[i], pseg[:, 1:], u[i], v[i], w[i],
+            model, g, grid, {f"disp{tag}[{g.id}]": [0, 1, 2, 3]}, seg[i], u[i], v[i], w[i],
         )
 
     pc = model.add_vars(
@@ -264,9 +262,10 @@ def _add_dispatch_scenario(
     n_b = len(system.buses)
     net_load = np.asarray(net_load, dtype=float)
     # the injections: output above minimum, committed minimum, curtailment
-    bus = np.concatenate([bus_of, bus_of, np.arange(n_b)])
-    cols = np.concatenate([p, u[:, h], pc])
-    coefs = np.concatenate([np.ones(len(gens)), [g.p_min for g in gens], np.ones(n_b)])
+    seg_bus, seg_cols = dispatch.segment_entries(system, seg)
+    bus = np.concatenate([seg_bus, bus_of, np.arange(n_b)])
+    cols = np.concatenate([seg_cols, u[:, h], pc])
+    coefs = np.concatenate([np.ones(len(seg_bus)), [g.p_min for g in gens], np.ones(n_b)])
     # each period's total summed along a contiguous row, as net_load[:, k].sum()
     model.add_rows(
         f"bal{tag}", "==", np.ascontiguousarray(net_load.T).sum(axis=1), cols.T, coefs
@@ -278,28 +277,28 @@ def _add_dispatch_scenario(
         screen.add_periods(tag, bus, cols, coefs, -net_load)
         if psi is not None:
             screen.add_rows(model, screen.every_row())
-    return p, pc
+    return seg, pc
 
 
 def _build(system, scenarios):
     """The stochastic model without flow rows: returns it, its (u, v, w)
-    commitment columns, the per-scenario (p, pc) columns and the
+    commitment columns, the per-scenario (segment, pc) columns and the
     `network.FlowScreen` holding its flows."""
     grid = scenarios.grid
     model = optim.Model("suc")
     u, v, w = add_commitment_block(model, system.generators, grid.hours)
     screen = network.FlowScreen(system)
-    p_idx, pc_idx = [], []
+    seg_idx, pc_idx = [], []
     for s in range(scenarios.n_scenarios):
         prob = scenarios.probabilities[s]
         mark = model.n_vars
-        p, pc = _add_dispatch_scenario(
+        seg, pc = _add_dispatch_scenario(
             model, system, grid, u, v, w, f"@{s}", scenarios.values[s], None, screen
         )
         model.obj[mark:] *= prob  # weight this scenario's cost terms
-        p_idx.append(p)
+        seg_idx.append(seg)
         pc_idx.append(pc)
-    return model, (u, v, w), p_idx, pc_idx, screen
+    return model, (u, v, w), seg_idx, pc_idx, screen
 
 
 def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
@@ -336,7 +335,7 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     starts from its commitment; without it the start fields stay None."""
     grid = scenarios.grid
     t_build = time.perf_counter()
-    model, (u, v, w), p_idx, pc_idx, screen = _build(system, scenarios)
+    model, (u, v, w), seg_idx, pc_idx, screen = _build(system, scenarios)
     build_s = time.perf_counter() - t_build
     totals = optim.MilpTotals()
     start = {"ev_usd": None, "eev_usd": None, "start_s": ev_s}
@@ -373,7 +372,7 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     u_val, v_val, w_val = commitment_schedule(
         system.generators, x, u, v, w, "stochastic commitment"
     )
-    p_val = np.stack([x[p] for p in p_idx])
+    p_val = np.stack([[x[s].sum(axis=-1) for s in seg] for seg in seg_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
     fixed_cost = commitment_cost(system.generators, u_val, v_val)
     return SucSolution(

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from frpsim import save_system, stochastic_uc
+from frpsim import harness, save_system, stochastic_uc
 from frpsim.harness import (
     ALL_METHODS,
     PERCENTILE_METHODS,
@@ -19,7 +19,7 @@ from frpsim.harness import (
     write_reports,
 )
 
-from conftest import make_gen, single_bus_system
+from conftest import make_gen, run_python, single_bus_system
 
 
 def _write_inputs(tmp_path, loads_by_day, extra=""):
@@ -369,3 +369,70 @@ days:
     assert set(result.failed) == {"doomed.suc-free.n2.rho0", "doomed.p95"}
     manifest = open(tmp_path / "out" / "manifest.jsonl").read()
     assert '"status": "failed"' in manifest
+
+
+_clairvoyant_cost = harness.clairvoyant_cost
+
+
+def _clairvoyant_cost_with_pid(*args, **kwargs):
+    """`clairvoyant_cost`, its record marked with the process that ran it;
+    module-level, so that a pool can pickle it."""
+    return {**_clairvoyant_cost(*args, **kwargs), "pid": os.getpid()}
+
+
+def test_pool_solves_the_references_in_its_workers(tmp_path, monkeypatch):
+    """With workers > 1 the clairvoyant references are pool jobs too, so
+    the workers fork from a parent that has solved nothing."""
+    monkeypatch.setattr(harness, "clairvoyant_cost", _clairvoyant_cost_with_pid)
+    cfg, system = load_config(_write_inputs(tmp_path, DAYS, extra="methods: [p95]"))
+    out = tmp_path / "out"
+    result = run_experiment(system, cfg, str(out), workers=2)
+    assert result.clean and sorted(result.done) == ["d1.p95", "d2.p95"]
+    pids = {json.loads((out / f"clairvoyant.{d}.json").read_text())["pid"] for d in DAYS}
+    assert os.getpid() not in pids
+    for day in DAYS:
+        ref = json.loads((out / f"clairvoyant.{day}.json").read_text())
+        assert aggregate(str(out))[f"{day}.p95"]["clairvoyant_usd"] == ref["cost_usd"]
+
+
+def test_pool_fails_a_day_whose_reference_fails(tmp_path):
+    """As at workers=1, a day whose clairvoyant reference cannot be solved
+    fails every one of its cells without running them; other days run."""
+    g = make_gen("g1", p_min=50.0, p_max=100.0, min_up=24, on=True, p0=0.0, hours_on=1)
+    save_system(single_bus_system(g), tmp_path / "system.yaml")
+    (tmp_path / "config.yaml").write_text(
+        """
+system: system.yaml
+master_seed: 5
+n_scenarios: [2]
+rho: [0.0]
+methods: [suc-free, p95]
+days:
+  - name: doomed
+    hourly_net_load_mw: {b1: [10.0, 10.0]}
+  - name: fine
+    hourly_net_load_mw: {b1: [70.0, 80.0]}
+"""
+    )
+    cfg, system = load_config(tmp_path / "config.yaml")
+    out = tmp_path / "out"
+    result = run_experiment(system, cfg, str(out), workers=2)
+    assert set(result.failed) == {"doomed.suc-free.n2.rho0", "doomed.p95"}
+    assert "InfeasibleModelError" in result.failed["doomed.p95"]
+    assert sorted(result.done) == ["fine.p95", "fine.suc-free.n2.rho0"]
+    assert not (out / "clairvoyant.doomed.json").exists()
+    entries = [json.loads(line) for line in open(out / "manifest.jsonl")]
+    failed = [e["cell"] for e in entries if e.get("status") == "failed"]
+    assert sorted(failed) == sorted(result.failed)
+
+
+def test_import_leaves_out_the_process_pool():
+    """The process pool is imported only when a run asks for workers, so a
+    serial run and the CLI do not load multiprocessing (about 2 MB)."""
+    code = (
+        "import sys, frpsim, frpsim.harness, frpsim.cli\n"
+        "assert frpsim.__file__.startswith(sys.argv[1]), frpsim.__file__\n"
+        "print(sorted(m for m in sys.modules if m in ('concurrent.futures.process', 'queue')\n"
+        "             or m.split('.')[0] == 'multiprocessing'))"
+    )
+    assert run_python(code) == "[]"

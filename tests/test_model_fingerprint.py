@@ -32,28 +32,28 @@ from frpsim.requirements import zero_requirements
 from conftest import scenario_set
 from test_network import LOAD, congested  # noqa: F401 - the fixture is used
 
-# The two pricing digests were re-frozen when fix_and_resolve began pinning
-# integers with np.round(x) + 0.0: rounding a binary solved at, say, -1e-12
-# gave a -0.0 bound, equal to 0.0 as a number but not as bytes. Both pricing
-# LPs had such a pin; every other array of theirs is unchanged.
+# Every digest was re-frozen when a unit's output above minimum became the
+# sum of its offer-segment columns: each model lost its p column and its
+# p = sum-of-segments row per unit and period (see `dispatch`), so every
+# matrix changed. The optima did not (test_dispatch_equivalence), but the
+# ieee14 models below reach them through one screening round more or less.
 FROZEN = {
-    "dam-ramp-toy": "ca32a19645c38aa6",
-    "dam-ramp-toy-pricing": "0c76e99fa446acef",
-    "suc-ramp-toy-4pph": "4436b639a63a8e63",
+    "dam-ramp-toy": "4819bd4d7da200a8",
+    "dam-ramp-toy-pricing": "e09e4c3f8e9a3fa5",
+    "suc-ramp-toy-4pph": "70e561363349bf32",
     # the expected-value MILP and the LP completing its commitment, solved
-    # ahead of the stochastic MILP to give it a start; that MILP is unchanged
-    "suc-ramp-toy-4pph-ev": "a56ee0d84849ee9d",
-    "suc-ramp-toy-4pph-completion": "27735dfca1b99af9",
-    "suc-congested": "fe2e928c7a197d05",
-    "dam-congested-pricing": "5bae08edbe0d97b3",
-    "rtm-congested": "955c204e09f19da1",
-    # frozen before the three passes shared one dispatch-row builder: the
-    # last solve of each model of a day whose market stops two units, so
+    # ahead of the stochastic MILP to give it a start
+    "suc-ramp-toy-4pph-ev": "27c3c29774712947",
+    "suc-ramp-toy-4pph-completion": "f2d3f5c8b159f6e1",
+    "suc-congested": "0caca64cfc6a0c56",
+    "dam-congested-pricing": "f2f29f6edc444fe5",
+    "rtm-congested": "60a2b27519b56898",
+    # the last solve of each model of a day whose market stops two units, so
     # the DAM stop terms and the RTM stop-cap rows are both reached
-    "dam-stops": "2f16c85dff3e7020",
-    "dam-stops-pricing": "2b035f0f2843b668",
-    "rtm-stops-2pph": "5993230d68063026",
-    "suc-stops-2pph": "161eeeca9eac8926",
+    "dam-stops": "f07ec05724b77972",
+    "dam-stops-pricing": "4b0fdc32f93c384f",
+    "rtm-stops-2pph": "9d29d74f0d62ecd3",
+    "suc-stops-2pph": "ebf10b6cc5e3c02d",
 }
 
 
@@ -172,19 +172,19 @@ def test_ieee14_with_stops_dam_pricing_rtm_and_suc(solver_inputs):
     )
     dam = clear_dam(system, bids, zero_requirements(6))
     assert (dam.v.sum(), dam.w.sum()) == (3, 2) and dam.w[:, 1:].sum() == 2
-    assert [kind for kind, _ in solver_inputs] == ["milp", "milp", "lp"]
-    assert solver_inputs[1:] == [
+    assert [kind for kind, _ in solver_inputs] == ["milp", "milp", "milp", "lp"]
+    assert solver_inputs[2:] == [
         ("milp", FROZEN["dam-stops"]), ("lp", FROZEN["dam-stops-pricing"])
     ]
     grid = TimeGrid(6, 2)
     values = np.repeat(bids.values, 2, axis=1)
     del solver_inputs[:]
     simulate_rtm(system, dam, NetLoadProfile(system.bus_ids, grid, values))
-    assert [kind for kind, _ in solver_inputs] == ["lp"] * 4
+    assert [kind for kind, _ in solver_inputs] == ["lp"] * 3
     assert solver_inputs[-1][1] == FROZEN["rtm-stops-2pph"]
     del solver_inputs[:]
     solve_suc(system, scenario_set(system, grid, values[None]))
-    assert [kind for kind, _ in solver_inputs] == ["milp"] * 4
+    assert [kind for kind, _ in solver_inputs] == ["milp"] * 3
     assert solver_inputs[-1][1] == FROZEN["suc-stops-2pph"]
 
 
