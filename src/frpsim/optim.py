@@ -30,13 +30,15 @@ there is one `_Highs` per process either way. MILPs go through `milp`, which
 takes `scipy.optimize.milp`'s keywords and returns its result fields, plus a
 MIP start (``setSolution``); LPs go through `linprog`, which takes
 `scipy.optimize.linprog`'s keywords and hands HiGHS exactly what linprog
-would, so the duals the pricing and real-time passes read are linprog's.
-Both share one HiGHS run (`_run_highs`): options are set one by one, so one
-HiGHS rejects is named in an OptimizeWarning, and ``highs_s`` on every
-result is the seconds of HiGHS's ``run`` alone, without handing the model
-over or copying the solution back. The binding is private to
-scipy: `pyproject.toml` requires the tested scipy, and a test checks that
-every method used is there.
+would, so the duals the pricing and real-time passes read are linprog's. Both
+take `Csr` matrices and full-length arrays only, and are kept as the boundary
+where the benchmark's tracing and the model fingerprints read each solve.
+Both share one HiGHS run (`_run_highs`), and `_pass_model` alone hands HiGHS
+a model, to solve or for `Model.write_lp`. Options are set one by one, so one
+HiGHS rejects is named in an OptimizeWarning; ``highs_s`` on every result is
+the seconds of HiGHS's ``run`` alone. The binding is private to scipy:
+`pyproject.toml` requires the tested scipy, and a test checks that every
+method used is there.
 
 A MIP start changes where branch and bound starts, not what it proves. HiGHS
 checks the start against the rows, bounds and integrality and keeps it only
@@ -79,6 +81,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import re
 import sys
 import time
 import warnings
@@ -208,22 +211,6 @@ def _take_rows(mat, rows):
     return Csr(mat.data[take], mat.indices[take], indptr, (len(rows), mat.shape[1]))
 
 
-def _as_csr(a):
-    """A `Csr` of ``a``: a `Csr`, anything with ``tocsr()`` (its arrays as
-    they are) or a dense array (its nonzeros in row-major order)."""
-    if isinstance(a, Csr):
-        return a
-    if hasattr(a, "tocsr"):
-        m = a.tocsr()
-        return Csr(m.data, m.indices, m.indptr, m.shape)
-    a = np.atleast_2d(np.asarray(a))
-    rows, cols = np.nonzero(a)
-    return Csr(
-        a[rows, cols], cols.astype(np.int32),
-        _indptr(np.bincount(rows, minlength=a.shape[0])), a.shape,
-    )
-
-
 def _csc(mat):
     """``(indptr, indices, data)`` of ``mat`` in CSC form, each column's
     entries in row order: what scipy's ``csr_tocsc`` gives."""
@@ -242,6 +229,19 @@ MILP_OPTIONS = {
 
 _SENSES = ("<=", ">=", "==")
 _LE, _GE, _EQ = range(3)
+
+
+def _lp_names(blocks, n):
+    """One name per column or row: the block name and the position in the
+    block, ``[``/``]`` written ``(``/``)`` and any other character outside
+    ``A-Za-z0-9_.,@()`` (which LP readers reserve or refuse, such as a space
+    or a colon in a unit id) written ``_``."""
+    names = [None] * n
+    for name, start, shape in blocks:
+        name = re.sub(r"[^A-Za-z0-9_.,@()]", "_", name.replace("[", "(").replace("]", ")"))
+        for k, at in enumerate(np.ndindex(*shape)):
+            names[start + k] = f"{name}({','.join(map(str, at))})" if shape else name
+    return names
 
 
 class InfeasibleModelError(RuntimeError):
@@ -487,51 +487,24 @@ class Model:
             )
         return self._lp
 
-    def _names_of(self, blocks, n):
-        names = [None] * n
-        for name, start, shape in blocks:
-            if not shape:
-                names[start] = name
-                continue
-            for k, at in enumerate(np.ndindex(*shape)):
-                names[start + k] = f"{name}[{','.join(map(str, at))}]"
-        return names
-
     def write_lp(self, path):
-        """Dump the model in CPLEX LP text format (debugging aid). Names are
-        the block name and the position in the block."""
-        var_names = self._names_of(self._var_blocks, self._n)
-        row_names = self._names_of(self._row_blocks, self._n_rows)
-        mat, _, _ = self._constraint_matrix()
-
-        def term(j, c, lead):
-            sign = "-" if c < 0 else ("" if lead else "+")
-            return f"{sign} {abs(c):.12g} {var_names[j]}"
-
-        lines = ["\\ " + self.name, "Minimize", " obj:"]
-        objterms = [
-            term(j, c, j == 0) for j, c in enumerate(self.obj) if c != 0.0
-        ] or ["0 x_nothing"]
-        lines[-1] += " " + " ".join(objterms)
-        lines.append("Subject To")
-        for r, name in enumerate(row_names):
-            lo, hi = mat.indptr[r], mat.indptr[r + 1]
-            expr = " ".join(
-                term(j, c, i == 0)
-                for i, (j, c) in enumerate(zip(mat.indices[lo:hi], mat.data[lo:hi]))
-            )
-            op = ("<=", ">=", "=")[self._sense[r]]
-            lines.append(f" {name}: {expr or '0 ' + var_names[0]} {op} {self._rhs[r]:.12g}")
-        lines.append("Bounds")
-        for j, vname in enumerate(var_names):
-            lines.append(f" {self.lb[j]:.12g} <= {vname} <= {self.ub[j]:.12g}")
-        ints = [var_names[j] for j in np.flatnonzero(self.integer)]
-        if ints:
-            lines.append("General")
-            lines.append(" " + " ".join(ints))
-        lines.append("End")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Dump the model to ``path`` as an LP file written by HiGHS, whatever
+        its extension (debugging aid), which ``readModel`` loads back; names
+        are `_lp_names`. Raises OSError naming ``path`` if it cannot be written."""
+        mat, lo, hi = self._constraint_matrix()
+        highs = _pass_model(self.obj, mat, lo, hi, self.lb, self.ub, self.integer.astype(np.int32))
+        if highs is not None:
+            for j, name in enumerate(_lp_names(self._var_blocks, self._n)):
+                highs.passColName(j, name)
+            for r, name in enumerate(_lp_names(self._row_blocks, self._n_rows)):
+                highs.passRowName(r, name)
+        tmp = f"{os.fspath(path)}.lp"  # HiGHS takes the format from the extension
+        with open(tmp, "w"):  # fails on a missing directory, where HiGHS would crash
+            pass
+        if highs is None or highs.writeModel(tmp) == _highs.HighsStatus.kError:
+            os.remove(tmp)
+            raise OSError(f"HiGHS could not write the model to {path}")
+        os.replace(tmp, path)
 
 
 _H = _highs.HighsModelStatus
@@ -550,19 +523,32 @@ _LP_OPTIONS = {"highs_debug_level": 0, "output_flag": False, "simplex_strategy":
 _LP_CHECK_TOL = np.sqrt(1e-9) * 10
 
 
-def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
-    """Run a fresh HiGHS on ``min c @ x`` subject to ``row_lo <= a @ x <= row_hi``
-    (``a`` a `Csr`, handed over as its CSC) and ``lb <= x <= ub``.
-
-    ``integrality`` None hands HiGHS an LP with no integrality vector, as
-    linprog does; otherwise it is one int32 per column, as milp hands it.
-    Each option is set on its own; one HiGHS rejects raises an
-    OptimizeWarning that names it, and HiGHS runs without it. ``start`` is a
-    complete solution for ``setSolution``. Returns the HiGHS instance (None
-    when it holds nothing to read: the model was refused or the run failed),
-    its model status and the seconds ``run`` took (0.0 if it never ran)."""
+def _pass_model(c, a, row_lo, row_hi, lb, ub, integrality):
+    """The only hand-off to HiGHS: a fresh one, console logging off, holding
+    ``min c @ x`` subject to ``row_lo <= a @ x <= row_hi`` (``a`` a `Csr`,
+    handed over as its CSC), ``lb <= x <= ub`` and ``integrality`` (int32 per
+    column, all zero for an LP). None if HiGHS refuses the model."""
     highs = _highs._Highs()
     highs.setOptionValue("log_to_console", False)
+    indptr, indices, data = _csc(a)
+    loaded = highs.passModel(
+        c.size, a.shape[0], a.nnz, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lo, row_hi,
+        indptr, indices, data, integrality,
+    )
+    return None if loaded == _highs.HighsStatus.kError else highs
+
+
+def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
+    """Run HiGHS on the model `_pass_model` hands it. Each option is set on
+    its own; one HiGHS rejects raises an OptimizeWarning that names it, and
+    HiGHS runs without it. ``start`` is a complete solution for
+    ``setSolution``. Returns the HiGHS instance (None when it holds nothing
+    to read: the model was refused or the run failed), its model status and
+    the seconds ``run`` took (0.0 if it never ran)."""
+    highs = _pass_model(c, a, row_lo, row_hi, lb, ub, integrality)
+    if highs is None:
+        return None, _H.kModelError, 0.0
     for key, val in options.items():
         if highs.setOptionValue(key, val) != _highs.HighsStatus.kOk:
             # imported only here: it loads all of scipy.optimize
@@ -572,24 +558,6 @@ def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
                 f"HiGHS rejected option {key}={val!r}; solving without it",
                 OptimizeWarning, stacklevel=3,
             )
-    indptr, indices, data = _csc(a)
-    if integrality is None:
-        lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
-        lp.row_lower_, lp.row_upper_ = row_lo, row_hi
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
-        loaded = highs.passModel(lp)
-    else:
-        loaded = highs.passModel(
-            c.size, a.shape[0], a.nnz, int(_highs.MatrixFormat.kColwise),
-            int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lo, row_hi,
-            indptr, indices, data, integrality,
-        )
-    if loaded == _highs.HighsStatus.kError:
-        return None, _H.kModelError, 0.0
     if start is not None:
         sol = _highs.HighsSolution()
         sol.col_value = np.asarray(start, dtype=np.float64)
@@ -605,10 +573,10 @@ def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
 def milp(c, *, integrality, bounds, constraints, options, start=None):
     """`scipy.optimize.milp` on scipy's bundled HiGHS binding, plus a MIP start.
 
-    Takes scipy's keywords (``constraints`` a list of at most one
-    `LinearConstraint`, its ``A`` a `Csr`, a dense array or anything with
-    ``tocsr()``) and hands HiGHS the CSC arrays scipy would. Options
-    and ``start`` are as in `_run_highs`: HiGHS keeps the start as its first
+    Takes scipy's keywords, each array one entry per column (``integrality``
+    int32) and ``constraints`` exactly one `LinearConstraint` whose ``A`` is
+    a `Csr`, and hands HiGHS the CSC arrays scipy would. Options and
+    ``start`` are as in `_run_highs`: HiGHS keeps the start as its first
     incumbent if it is feasible, and drops it otherwise.
 
     Returns scipy's result fields: ``status`` (0 optimal, 1 time or iteration
@@ -617,20 +585,9 @@ def milp(c, *, integrality, bounds, constraints, options, start=None):
     ``mip_gap``, ``mip_node_count`` and ``mip_dual_bound``, which are None
     for a model without integers or without a solution; and ``highs_s``.
     """
-    c = np.asarray(c, dtype=np.float64)
-    integrality = np.broadcast_to(integrality, c.shape).astype(np.int32)
-    lb = np.broadcast_to(bounds.lb, c.shape).astype(np.float64)
-    ub = np.broadcast_to(bounds.ub, c.shape).astype(np.float64)
-    if constraints:
-        (con,) = constraints
-        a = _as_csr(con.A)
-        row_lo = np.atleast_1d(con.lb).astype(np.float64)
-        row_hi = np.atleast_1d(con.ub).astype(np.float64)
-    else:
-        a = _empty(c.size)
-        row_lo = row_hi = np.empty(0)
+    (con,) = constraints
     highs, model_status, highs_s = _run_highs(
-        c, a, row_lo, row_hi, lb, ub, integrality, options, start
+        c, con.A, con.lb, con.ub, bounds.lb, bounds.ub, integrality, options, start
     )
     res = OptimizeResult(
         status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None,
@@ -653,15 +610,15 @@ def milp(c, *, integrality, bounds, constraints, options, start=None):
     return res
 
 
-def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options=None):
+def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options):
     """`scipy.optimize.linprog(method="highs")` on the same HiGHS binding.
 
-    Takes linprog's keywords (``bounds`` an (n, 2) array; ``options`` with
-    ``presolve``, default True, and ``time_limit``; ``A_ub`` and ``A_eq`` as
-    `milp` takes ``A``) and hands HiGHS what
+    Takes linprog's keywords (``A_ub`` and ``A_eq`` each a `Csr` or left
+    out, the other arrays full length, ``bounds`` (n, 2); ``options`` with
+    ``presolve``, a bool, and perhaps ``time_limit``) and hands HiGHS what
     linprog does: the CSC matrix of ``A_ub`` stacked over ``A_eq``, rows
-    ``-inf <= A_ub @ x <= b_ub`` and ``b_eq <= A_eq @ x <= b_eq``, and
-    linprog's options (`_LP_OPTIONS`).
+    ``-inf <= A_ub @ x <= b_ub`` and ``b_eq <= A_eq @ x <= b_eq``, no
+    integer column, and linprog's options (`_LP_OPTIONS`).
 
     Returns linprog's ``status`` (codes as `milp`), ``x`` and ``fun`` (None
     without an optimum), ``nit`` (simplex, else interior-point, iterations)
@@ -670,18 +627,14 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options=No
     breaks a row or a bound by more than `_LP_CHECK_TOL` is status 4.
     linprog's bound marginals, slacks and messages are left out.
     """
-    c = np.array(c, dtype=np.float64)
-    a = _vstack(*(_empty(c.size) if m is None else _as_csr(m) for m in (A_ub, A_eq)))
-    b_ub, b_eq = (
-        np.empty(0) if b is None else np.asarray(b, dtype=np.float64) for b in (b_ub, b_eq)
-    )
+    a = _vstack(*(_empty(c.size) if m is None else m for m in (A_ub, A_eq)))
+    b_ub, b_eq = (np.empty(0) if b is None else b for b in (b_ub, b_eq))
     row_lo = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
     row_hi = np.concatenate([b_ub, b_eq])
-    lb, ub = np.array(bounds, dtype=np.float64).T.copy()
-    options = dict(options or {})
-    options["presolve"] = "on" if options.get("presolve", True) else "off"
+    lb, ub = bounds.T.copy()
+    options = {**options, "presolve": "on" if options["presolve"] else "off", **_LP_OPTIONS}
     highs, model_status, highs_s = _run_highs(
-        c, a, row_lo, row_hi, lb, ub, None, {**options, **_LP_OPTIONS}
+        c, a, row_lo, row_hi, lb, ub, np.zeros(c.size, np.int32), options
     )
     res = OptimizeResult(
         status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None, nit=0,
@@ -716,8 +669,8 @@ def _run_milp(model, lb, ub, integer, options, start=None):
     mat, lo, hi = model._constraint_matrix()
     res = milp(
         c=model.obj.copy(),
-        constraints=[LinearConstraint(mat, lo, hi)] if mat.shape[0] else [],
-        integrality=integer.astype(int),
+        constraints=[LinearConstraint(mat, lo, hi)],
+        integrality=integer.astype(np.int32),
         bounds=Bounds(lb, ub),
         options=options,
         start=start,

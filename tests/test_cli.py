@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frpsim import save_system
+from frpsim import optim, save_system
 from frpsim.cli import main
 from frpsim.data import case_path
 
@@ -115,6 +115,26 @@ def test_percentile_req_and_arg_errors(workdir):
         main(["frp-req", "--method", "suc", "--out", str(workdir / "x.csv")])
     with pytest.raises(SystemExit, match="requires"):
         main(["frp-req", "--method", "p90", "--out", str(workdir / "x.csv")])
+
+
+def test_dam_clear_dumps_an_lp_highs_loads(workdir):
+    """``dam-clear --dump-lp`` writes the clearing model as an LP file that
+    HiGHS reads back and solves to the objective the market cleared at."""
+    fc = str(workdir / "forecast.csv")
+    assert main(["frp-req", "--method", "p90", "--forecast", fc,
+                 "--out", str(workdir / "req.csv")]) == 0
+    assert main([
+        "dam-clear", "--system", str(workdir / "system.yaml"), "--bids", fc,
+        "--req", str(workdir / "req.csv"), "--out", str(workdir / "dam.json"),
+        "--dump-lp", str(workdir / "dam.lp"),
+    ]) == 0
+    highs = optim._highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("mip_rel_gap", 1e-6)
+    assert highs.readModel(str(workdir / "dam.lp")) == optim._highs.HighsStatus.kOk
+    assert highs.run() == optim._highs.HighsStatus.kOk
+    cleared = json.loads((workdir / "dam.json").read_text())["objective_usd"]
+    assert highs.getInfo().objective_function_value == pytest.approx(cleared, rel=1e-6)
 
 
 def test_bad_profile_header(workdir):

@@ -9,6 +9,7 @@ coefficients, bit for bit. A formulation change that moves one on purpose
 updates the frozen value with a word on why.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -188,21 +189,76 @@ def test_ieee14_with_stops_dam_pricing_rtm_and_suc(solver_inputs):
     assert solver_inputs[-1][1] == FROZEN["suc-stops-2pph"]
 
 
-def test_write_lp_names_every_row_and_column_once(tmp_path, two_gen_system):
-    """The LP dump of a small DAM, its names built from the blocks: one
-    line per row under "Subject To", one bound per column, no name twice."""
+def _loads_as(model, path):
+    """Read the LP file ``path`` back into a fresh HiGHS and require
+    ``model``: its column and row counts, every name once, and, with the
+    columns (which the reader reorders) matched by name, exactly its costs,
+    bounds and integrality; its row bounds and coefficients within 1e-9
+    relative (the writer rounds them) and its optimum. Returns the model
+    read, as HiGHS's ``getLp`` gives it."""
+    highs = optim._highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == optim._highs.HighsStatus.kOk
+    lp = highs.getLp()
+    assert (lp.num_col_, lp.num_row_) == (model.n_vars, model.n_rows)
+    assert len(set(lp.col_names_)) == lp.num_col_ and len(set(lp.row_names_)) == lp.num_row_
+    assert list(lp.row_names_) == optim._lp_names(model._row_blocks, model.n_rows)
+    at = {name: j for j, name in enumerate(lp.col_names_)}
+    order = [at[name] for name in optim._lp_names(model._var_blocks, model.n_vars)]
+    for got, want in ((lp.col_cost_, model.obj), (lp.col_lower_, model.lb),
+                      (lp.col_upper_, model.ub)):
+        assert np.array_equal(np.asarray(got)[order], want)
+    integer = np.array([int(t) for t in lp.integrality_] or [0] * lp.num_col_, bool)
+    assert np.array_equal(integer[order], model.integer)  # an LP reads back none
+    mat, lo, hi = model._constraint_matrix()
+    np.testing.assert_allclose(lp.row_lower_, lo, rtol=1e-9)
+    np.testing.assert_allclose(lp.row_upper_, hi, rtol=1e-9)
+    read, want = np.zeros((2, lp.num_row_, lp.num_col_))
+    cols = np.repeat(np.arange(lp.num_col_), np.diff(lp.a_matrix_.start_))
+    read[np.asarray(lp.a_matrix_.index_), cols] = lp.a_matrix_.value_
+    want[np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices] = mat.data
+    np.testing.assert_allclose(read[:, order], want, rtol=1e-9)
+    highs.setOptionValue("mip_rel_gap", 1e-6)
+    assert highs.run() == optim._highs.HighsStatus.kOk
+    objective = highs.getInfo().objective_function_value
+    assert objective == pytest.approx(optim.solve(model).objective, rel=1e-6)
+    return lp
+
+
+@pytest.mark.parametrize("unit", ["g1", "g 1:a"])
+def test_write_lp_round_trips_a_dam(tmp_path, two_gen_system, unit):
+    """The LP dump of a small DAM (free ``rr`` columns, binaries, ``>=``
+    rows) loads back into HiGHS as the same model, also when a unit id holds
+    characters an LP file cannot: ``[``/``]`` become ``(``/``)``, a space or
+    a colon ``_``."""
     from frpsim.dayahead import _build
 
-    bids = DamBidSet(two_gen_system.bus_ids, [[60.0, 120.0, 90.0]])
-    model, _ = _build(two_gen_system, bids, zero_requirements(3), None)
-    path = tmp_path / "dam.lp"
-    model.write_lp(path)
-    lines = path.read_text().splitlines()
-    rows = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
-    bounds = lines[lines.index("Bounds") + 1 : lines.index("General")]
-    row_names = [ln.split(":")[0].strip() for ln in rows]
-    col_names = [ln.split("<=")[1].strip() for ln in bounds]
-    assert len(row_names) == len(set(row_names)) == model.n_rows
-    assert len(col_names) == len(set(col_names)) == model.n_vars
-    general = lines[lines.index("General") + 1].split()
-    assert set(general) <= set(col_names) and len(general) == model.n_integer
+    g1, g2 = two_gen_system.generators
+    system = dataclasses.replace(two_gen_system, generators=(
+        dataclasses.replace(g1, id=unit), g2
+    ))
+    bids = DamBidSet(system.bus_ids, [[60.0, 120.0, 90.0]])
+    model, _ = _build(system, bids, zero_requirements(3), None)
+    model.write_lp(tmp_path / "dam.lp")
+    lp = _loads_as(model, tmp_path / "dam.lp")
+    assert f"rr({unit.replace(' ', '_').replace(':', '_')})(2,1)" in lp.col_names_
+
+
+def test_write_lp_round_trips_a_screened_suc(tmp_path, congested, monkeypatch):  # noqa: F811
+    """The dump `solve_suc` writes of a congested SUC is its final screened
+    model, flow rows included, and loads back into HiGHS as that model."""
+    dumped = []
+    real = optim.Model.write_lp
+
+    def write_lp(self, path):
+        dumped.append(self)
+        real(self, path)
+
+    monkeypatch.setattr(optim.Model, "write_lp", write_lp)
+    load = np.asarray(LOAD)
+    scen = scenario_set(congested, TimeGrid(6, 1), np.stack([load, 1.04 * load]))
+    sol = solve_suc(congested, scen, dump_lp=tmp_path / "suc.lp")
+    assert sol.flow_rows >= 1
+    (model,) = dumped
+    lp = _loads_as(model, tmp_path / "suc.lp")
+    assert sum(name.startswith("flow") for name in lp.row_names_) == sol.flow_rows

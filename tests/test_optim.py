@@ -2,6 +2,7 @@
 conventions the pricing pass depends on."""
 
 import itertools
+import re
 import time
 import warnings
 
@@ -193,15 +194,23 @@ def test_fix_and_resolve_at_suboptimal_incumbent_bounds_from_above():
     assert lp.objective >= opt - 1e-9
 
 
-def test_write_lp_smoke(tmp_path):
+def test_write_lp_raises_naming_a_path_it_cannot_write(tmp_path):
+    """The dump is an LP file whatever the path's extension (HiGHS picks its
+    format from it). A path in a missing directory (on which HiGHS itself
+    would crash) and names that collide once mapped to LP-safe ones (which
+    HiGHS refuses to write) each raise OSError naming the path, and leave no
+    file."""
     m, _, _ = _small_uc_model()
-    path = tmp_path / "uc.lp"
-    m.write_lp(path)
-    text = path.read_text()
-    assert "Minimize" in text
-    assert "bal:" in text
-    assert "General" in text
-    assert "u" in text
+    m.write_lp(tmp_path / "uc.txt")
+    assert (tmp_path / "uc.txt").read_text().startswith("\\ File written by HiGHS .lp")
+    missing = tmp_path / "missing" / "uc.lp"
+    with pytest.raises(OSError, match=re.escape(str(missing))):
+        m.write_lp(missing)
+    m.add_vars("a b", ())
+    m.add_vars("a:b", ())  # both are written "a_b"
+    with pytest.raises(OSError, match=re.escape(str(tmp_path / "uc.lp"))):
+        m.write_lp(tmp_path / "uc.lp")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["uc.txt"]
 
 
 def test_row_blocks_match_scalar_rows():
@@ -376,16 +385,18 @@ def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
 
 
 def test_private_highs_binding_has_every_method_used():
-    """`optim.milp` and `optim.linprog` call scipy's private HiGHS binding; a
-    scipy that moves or renames any part of it fails here, not mid-run."""
+    """`optim` solves and writes models through scipy's private HiGHS
+    binding; a scipy that moves or renames any part it uses fails here, not
+    mid-run."""
     from scipy.optimize._highspy import _core
 
     assert _core is optim._highs
-    for name in ("setOptionValue", "passModel", "setSolution", "run",
-                 "getModelStatus", "getInfo", "getSolution"):
+    for name in ("setOptionValue", "passModel", "passColName", "passRowName",
+                 "writeModel", "setSolution", "run", "getModelStatus", "getInfo",
+                 "getSolution"):
         assert callable(getattr(_core._Highs, name)), name
-    for name in ("HighsLp", "HighsSolution", "HighsModelStatus", "HighsStatus",
-                 "MatrixFormat", "ObjSense", "kHighsInf"):
+    for name in ("HighsSolution", "HighsModelStatus", "HighsStatus", "MatrixFormat",
+                 "ObjSense", "kHighsInf"):
         assert hasattr(_core, name), name
     info = _core._Highs().getInfo()
     for name in ("objective_function_value", "mip_gap", "mip_node_count", "mip_dual_bound",
@@ -393,12 +404,6 @@ def test_private_highs_binding_has_every_method_used():
         assert hasattr(info, name), name
     for name in ("col_value", "row_value", "row_dual"):
         assert hasattr(_core.HighsSolution(), name), name
-    lp = _core.HighsLp()
-    for name in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_",
-                 "row_lower_", "row_upper_"):
-        assert hasattr(lp, name), name
-    for name in ("num_col_", "num_row_", "format_", "start_", "index_", "value_"):
-        assert hasattr(lp.a_matrix_, name), name
 
 
 def test_solves_leave_out_scipy_optimize():
@@ -539,8 +544,6 @@ def test_csr_arrays_equal_scipy_sparse(seed):
         sparse.coo_array(theirs[top], dtype=np.float64),
         sparse.coo_array(theirs[bottom], dtype=np.float64),
     ]))))
-    dense = theirs.toarray()
-    _same(optim._csc(optim._as_csr(dense)), _compressed(sparse.csc_array(dense)))
 
 
 @pytest.mark.parametrize("first", ["frpsim", "scipy.optimize"])
@@ -561,10 +564,15 @@ def test_one_highs_binding_whichever_imports_first(first):
     assert run_python(code, first) == "2.0"
 
 
+def _ours(m):
+    """The `optim.Csr` of a scipy CSR matrix."""
+    return optim.Csr(m.data, m.indices, m.indptr, m.shape)
+
+
 def _lp_kwargs(case):
     """linprog's keywords for a 3 x 4 transportation LP with <= supply rows,
     >= demand rows (negated into A_ub, as `optim` hands them) and one
-    equality, or a variant of it."""
+    equality, or a variant of it; the matrices as scipy CSR."""
     cost = np.array([[4, 6, 9, 5], [7, 3, 8, 6], [5, 8, 4, 7]], dtype=float)
     supply, demand = np.array([30.0, 40.0, 35.0]), np.array([20.0, 25.0, 30.0, 15.0])
     cells = np.arange(12).reshape(3, 4)
@@ -599,7 +607,8 @@ def test_linprog_equals_scipy_field_by_field(case, status):
     """`optim.linprog` hands HiGHS what scipy's linprog does, so every field
     the pricing and real-time passes read is the same, bit for bit."""
     c, kwargs = _lp_kwargs(case)
-    ours, theirs = optim.linprog(c, **kwargs), scipy_linprog(c, method="highs", **kwargs)
+    ours = optim.linprog(c, **kwargs | {k: _ours(kwargs[k]) for k in ("A_ub", "A_eq")})
+    theirs = scipy_linprog(c, method="highs", **kwargs)
     assert ours.status == theirs.status == status
     assert ours.nit == theirs.nit
     assert (ours.x is None) == (theirs.x is None)
@@ -614,15 +623,22 @@ def test_linprog_equals_scipy_field_by_field(case, status):
             assert np.array_equal(mine, scipys)
 
 
-def _knapsack_kwargs(options=None, integer=True, cap_frac=1 / 3):
+def _knapsack_kwargs(options=None, integer=True, cap_frac=1 / 3, scipy=False):
+    """milp's keywords for a 30-item knapsack as `optim` passes them (a
+    `optim.Csr`, full-length arrays) or, with ``scipy``, the same model in
+    scipy's types."""
     rng = np.random.default_rng(0)
     values = rng.integers(5, 40, 30).astype(float)
-    weights = rng.integers(3, 30, 30).astype(float)
+    weights = sparse.csr_matrix(rng.integers(3, 30, 30).astype(float)[None])
+    bounds, con = (Bounds, LinearConstraint) if scipy else (optim.Bounds, optim.LinearConstraint)
     return dict(
         c=-values,
-        integrality=np.full(30, int(integer)),
-        bounds=Bounds(0.0, 1.0),
-        constraints=[LinearConstraint(weights[None], -np.inf, cap_frac * weights.sum())],
+        integrality=np.full(30, int(integer), dtype=np.int32),
+        bounds=bounds(np.zeros(30), np.ones(30)),
+        constraints=[con(
+            weights if scipy else _ours(weights),
+            np.array([-np.inf]), np.array([cap_frac * weights.sum()]),
+        )],
         options=options or {},
     )
 
@@ -630,16 +646,17 @@ def _knapsack_kwargs(options=None, integer=True, cap_frac=1 / 3):
 @pytest.mark.parametrize(
     "case, kwargs",
     [
-        ("optimal", _knapsack_kwargs()),
-        ("infeasible", _knapsack_kwargs(cap_frac=-1.0)),
-        ("time-limit", _knapsack_kwargs({"time_limit": 0.0})),
-        ("lp-only", _knapsack_kwargs(integer=False)),
+        ("optimal", {}),
+        ("infeasible", {"cap_frac": -1.0}),
+        ("time-limit", {"options": {"time_limit": 0.0}}),
+        ("lp-only", {"integer": False}),
     ],
 )
 def test_milp_gives_scipy_shaped_results(case, kwargs):
     """Status, solution and MIP fields as scipy.optimize.milp gives them
     for the same call."""
-    ours, theirs = optim.milp(**kwargs), scipy_milp(**kwargs)
+    ours = optim.milp(**_knapsack_kwargs(**kwargs))
+    theirs = scipy_milp(**_knapsack_kwargs(**kwargs, scipy=True))
     assert ours.status == theirs.status == {
         "optimal": 0, "infeasible": 2, "time-limit": 1, "lp-only": 0
     }[case]
