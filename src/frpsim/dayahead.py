@@ -143,7 +143,7 @@ def _build(system, bids, req, fix_commitments):
     (bus, cols, coefs) as `network.FlowScreen.add_periods` takes them."""
     hours = bids.hours
     gens = system.generators
-    model = optim.Model("dam")
+    model = optim.Model()
     u, v, w = add_commitment_block(model, gens, hours, u_floor=fix_commitments)
 
     n_g, n_b = len(gens), len(system.buses)

@@ -166,8 +166,8 @@ def _day_profile(system, cfg, day):
 
 
 def _suc_record(suc):
-    """What one `solve_suc` did: wall time, gap, screening, model size and
-    its HiGHS record (see optim.MilpTotals)."""
+    """What one `solve_suc` did: wall time, gap, screening, model size, its
+    HiGHS record (see optim.MilpTotals) and its MIP start."""
     return {
         "wall_time_s": suc.wall_time_s,
         "mip_gap": suc.mip_gap,
@@ -176,6 +176,8 @@ def _suc_record(suc):
         "build_s": suc.build_s,
         **suc.size,
         **suc.milp,
+        "start_s": suc.start_s,
+        "start_used": suc.start_used,
     }
 
 
@@ -260,7 +262,6 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
         **_suc_record(suc),
         "ev_usd": suc.ev_usd,
         "eev_usd": suc.eev_usd,
-        "start_s": suc.start_s,
     }
     cells = {}
     for method in wanted:

@@ -47,29 +47,52 @@ incumbent and the dual bound is within ``gap_tol``, so the answer is an
 optimum of the model within ``gap_tol`` with or without the start. A start
 that is infeasible is dropped.
 
-A started MILP runs with MIP presolve off. Only the warm stochastic
-commitment passes a start; on it presolve was 0.09-0.18 s of each solve, and
+The warm stochastic commitment runs with MIP presolve off (``solve(...,
+presolve=False)``): on it presolve was 0.09-0.18 s of each solve, and
 HiGHS's restarts presolve the reduced model anyway. Presolve changes how
 HiGHS gets to the proof, not what it proves, so the answer is still an
 optimum within ``gap_tol``. Unit output has no alias column (see
 `dispatch`), so without presolve HiGHS peaks only 0.3-1.4 MB higher on the
 corpus's 16-scenario SUCs; on an 8-scenario ieee14 SUC, whose parallel
-per-bus curtailment columns presolve would merge, about 12 MB higher. Cold
-MILPs (expected value, clairvoyant, DAM) keep presolve.
+per-bus curtailment columns presolve would merge, about 12 MB higher. Every
+other MILP keeps presolve, the one-scenario SUCs (expected value,
+clairvoyant) too, although they also get a start. Without presolve those
+took half the time (0.31 against 0.61 s for the corpus grid's ten), but
+they reach another of their equal-cost optima, which on a congested network
+breaks other line limits: an ieee14 SUC then took six screening rounds
+instead of three. `complete` runs its LP with presolve off: with the
+commitment pinned the LP is small, and presolve was most of its time (the
+corpus grid's 25 relaxations and completions: 0.53 s with it, 0.20 s
+without).
 
-Every MILP is handed `MILP_OPTIONS`, which turn off two of HiGHS's root
-primal heuristics: the reduced-cost sub-MIP and feasibility jump. On the
-SUC and DAM models they took most of the solve time (on one corpus DAM, 3,095
-of 4,631 LP iterations) while every solve still closed at the root. Skipping
-them is sound:
+Every MILP is handed `MILP_OPTIONS`, which turn off four of HiGHS's primal
+heuristics and its symmetry detection. The first two, the root
+reduced-cost sub-MIP and feasibility jump, took most of the SUC and DAM
+solve time (on one corpus DAM, 3,095 of 4,631 LP iterations) while every
+solve still closed at the root. The other two, the RINS and RENS sub-MIPs,
+together with symmetry detection, cost the corpus grid's 25 DAM MILPs 4.9
+against 4.2 s of HiGHS time and its 5 warm SUCs 1.32 against 1.22 s (every
+model re-solved three times, equal optima). Skipping them is sound:
 
 - the optimality proof is unchanged: HiGHS still stops only when the gap
   between incumbent and dual bound is within ``gap_tol``;
-- only primal heuristics are skipped; presolve (but for a started MILP,
-  above), cuts, the other heuristics and branching are as before;
+- only primal heuristics and symmetry pruning are skipped: the
+  heuristics only look for incumbents, and symmetry pruning only skips
+  nodes whose subtree mirrors another's; presolve (where on), cuts, the
+  other heuristics and branching are as before;
 - the models are feasible by construction (every SUC, DAM and clairvoyant
   model carries curtailment slack, every DAM also FRP shortfall slack), so
-  an incumbent is never hard to find, which is all the two heuristics do.
+  an incumbent is never hard to find, which is all the heuristics do.
+
+`release_heap` hands the C heap's free pages back to the OS (glibc's
+``malloc_trim``; elsewhere it does nothing). `stochastic_uc.solve_suc`
+calls it first and again before each of its MILPs, the largest models of a
+day. It changes no answer. glibc raises its mmap threshold once a large
+block is freed, so later large numpy and HiGHS arrays come from the heap,
+and a run's peak memory depends on what earlier solves left resident
+there: without the calls, the same `suc-heavy` grid peaked at 128 or
+142 MB by the length of its work directory's path alone; with them at
+128-131 MB. Each call takes about a millisecond.
 
 Dual convention: ``duals[r]`` is d(objective)/d(rhs) for row ``r`` (an array
 indexed like the rows), so equality rows give marginal prices directly and
@@ -78,6 +101,7 @@ binding ``>=`` rows come out nonnegative in a minimization.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -125,6 +149,9 @@ def _load_highs():
 
 
 _highs = _load_highs()
+# ctypes.util.find_library would import subprocess; the running process has
+# libc loaded already
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 
 class Bounds(NamedTuple):
@@ -225,6 +252,9 @@ def _csc(mat):
 MILP_OPTIONS = {
     "mip_heuristic_run_root_reduced_cost": False,
     "mip_heuristic_run_feasibility_jump": False,
+    "mip_heuristic_run_rins": False,
+    "mip_heuristic_run_rens": False,
+    "mip_detect_symmetry": False,
 }
 
 _SENSES = ("<=", ">=", "==")
@@ -345,8 +375,7 @@ def stack_rows(*families):
 
 
 class Model:
-    def __init__(self, name="model"):
-        self.name = name
+    def __init__(self):
         self._n = 0  # columns in use; the arrays below grow by doubling
         self._obj = np.zeros(0)
         self._lb = np.zeros(0)
@@ -488,9 +517,12 @@ class Model:
         return self._lp
 
     def write_lp(self, path):
-        """Dump the model to ``path`` as an LP file written by HiGHS, whatever
-        its extension (debugging aid), which ``readModel`` loads back; names
-        are `_lp_names`. Raises OSError naming ``path`` if it cannot be written."""
+        """Dump the model to ``path`` as a file written by HiGHS (debugging
+        aid), which ``readModel`` loads back: an MPS file if ``path`` ends in
+        ``.mps``, else an LP file, whatever its extension. HiGHS's LP writer
+        takes time in proportion to rows times columns, its MPS writer does
+        not. Names are `_lp_names`. Raises OSError naming ``path`` if it
+        cannot be written."""
         mat, lo, hi = self._constraint_matrix()
         highs = _pass_model(self.obj, mat, lo, hi, self.lb, self.ub, self.integer.astype(np.int32))
         if highs is not None:
@@ -498,7 +530,9 @@ class Model:
                 highs.passColName(j, name)
             for r, name in enumerate(_lp_names(self._row_blocks, self._n_rows)):
                 highs.passRowName(r, name)
-        tmp = f"{os.fspath(path)}.lp"  # HiGHS takes the format from the extension
+        path = os.fspath(path)
+        # HiGHS takes the format from the extension
+        tmp = path + (".mps" if path.endswith(".mps") else ".lp")
         with open(tmp, "w"):  # fails on a missing directory, where HiGHS would crash
             pass
         if highs is None or highs.writeModel(tmp) == _highs.HighsStatus.kError:
@@ -693,14 +727,14 @@ def _run_milp(model, lb, ub, integer, options, start=None):
     )
 
 
-def solve(model, gap_tol=1e-6, time_limit=None, start=None):
+def solve(model, gap_tol=1e-6, time_limit=None, start=None, presolve=True):
     """Solve to proven optimality (within ``gap_tol`` for MIPs).
 
     Pure-LP models are routed through `linprog` so the result carries duals;
     models with integer variables never do (fix_and_resolve exists for that).
     ``start`` (a complete solution, e.g. from `complete`) is handed to HiGHS
-    as a MIP start, with MIP presolve off; see the module docstring for why
-    both are sound.
+    as a MIP start, and ``presolve=False`` turns MIP presolve off; see the
+    module docstring for why both are sound.
     """
     if model.n_vars == 0:
         return SolveResult(
@@ -713,22 +747,25 @@ def solve(model, gap_tol=1e-6, time_limit=None, start=None):
     options = {"mip_rel_gap": gap_tol, **MILP_OPTIONS}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    if start is not None:
+    if not presolve:
         options["presolve"] = "off"
     return _run_milp(model, model.lb.copy(), model.ub.copy(), integer, options, start)
 
 
 def complete(model, cols, values, time_limit=None):
     """The cheapest completion of a partial solution: columns ``cols`` pinned
-    at ``values``, every other column continuous, solved as an LP on the
-    model's current rows in a HiGHS instance of its own (freed on return).
+    at ``values``, every other column continuous, solved as an LP with
+    presolve off on the model's current rows in a HiGHS instance of its own
+    (freed on return). With no column pinned it is the LP relaxation.
 
     With every integer column pinned at an integral value, an optimal
     result's ``x`` is a complete MIP start for `solve`. The result carries no
     duals or MIP fields."""
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = values
-    options = {} if time_limit is None else {"time_limit": float(time_limit)}
+    options = {"presolve": "off"}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
     return _run_milp(model, lb, ub, np.zeros(model.n_vars, dtype=bool), options)
 
 
@@ -780,6 +817,14 @@ def _solve_lp(model, lb, ub, time_limit):
         duals=duals,
         **fields,
     )
+
+
+def release_heap():
+    """Hand the C heap's free pages back to the OS (glibc's
+    ``malloc_trim``); does nothing where libc has no such call. See the
+    module docstring for why."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def require_optimal(result, context):

@@ -85,7 +85,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     t_build = time.perf_counter()
     u, _, _ = _expand_commitment(dam, grid)
 
-    model = optim.Model("rtm")
+    model = optim.Model()
     seg = []
     for i, g in enumerate(gens):
         seg.append(dispatch.unit_columns(model, f"p[{g.id}]", g, grid))

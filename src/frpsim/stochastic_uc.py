@@ -33,6 +33,16 @@ and leaves the proof to ``gap_tol`` unchanged (see `optim`); a completion
 that is infeasible gives no start. The completion's cost is the expected
 cost of the EV solution, so ``eev_usd - objective`` is the value of the
 stochastic solution.
+
+A one-scenario solve (the EV problem itself, and the clairvoyant reference)
+is started the same way from a commitment of its own: its LP relaxation,
+solved once, rounded up (a unit is on wherever the relaxation has it on
+above 1e-6, with the starts and stops that implies), then completed against
+each round's rows. Rounding up can break a minimum up or down time, and
+then the completion is infeasible and the MILP solves cold. Without the
+start the MILP waits on the same analytic-centre computation. The
+relaxation and the completions count against ``time_limit``, and
+``start_s`` records their seconds.
 """
 
 from __future__ import annotations
@@ -141,9 +151,7 @@ def commitment_schedule(generators, x, u, v, w, context):
     through, and raises InfeasibleModelError rather than pricing it.
     """
     u_val = np.round(x[u]).astype(int)
-    u0 = np.array([[1 if g.initial.on else 0] for g in generators], dtype=int)
-    step = np.diff(np.concatenate([u0, u_val], axis=1), axis=1)
-    v_val, w_val = (step > 0).astype(int), (step < 0).astype(int)
+    v_val, w_val = _starts_stops(generators, u_val)
     miss = max(
         np.abs(x[v] - v_val).max(initial=0.0), np.abs(x[w] - w_val).max(initial=0.0)
     )
@@ -152,6 +160,14 @@ def commitment_schedule(generators, x, u, v, w, context):
             f"{context}: start/stop variables are {miss:.3g} from the on/off schedule"
         )
     return u_val, v_val, w_val
+
+
+def _starts_stops(generators, u_val):
+    """The (v, w) 0/1 starts and stops of an hourly 0/1 on/off schedule
+    (units, hours): its on/off changes from each unit's initial state."""
+    u0 = np.array([[1 if g.initial.on else 0] for g in generators], dtype=int)
+    step = np.diff(np.concatenate([u0, u_val], axis=1), axis=1)
+    return (step > 0).astype(int), (step < 0).astype(int)
 
 
 def commitment_logic_residual(generators, u, v, w):
@@ -215,13 +231,16 @@ class SucSolution:
     # seconds spent building the stochastic model before its first solve,
     # outside HiGHS; None in files written before it was kept
     build_s: float | None = None
-    # the expected-value start (see the module docstring): the EV objective
-    # (None if the EV problem has no optimum), the cost of its completion in
-    # the last round (None if infeasible), and the seconds spent on both; all
-    # None for one scenario and in files written before they were kept
+    # the MIP start (see the module docstring): the EV objective (None if the
+    # EV problem has no optimum) and the cost of its completion in the last
+    # round (None if infeasible), both None for one scenario; the seconds
+    # spent on the start (the EV solve or the LP relaxation, and the
+    # completions), and whether the last round's MILP was given one; all None
+    # in files written before they were kept
     ev_usd: float | None = None
     eev_usd: float | None = None
     start_s: float | None = None
+    start_used: bool | None = None
 
     def committed_hours(self):
         """(gens, hours) 0/1 commitment schedule for downstream fixing."""
@@ -285,7 +304,7 @@ def _build(system, scenarios):
     commitment columns, the per-scenario (segment, pc) columns and the
     `network.FlowScreen` holding its flows."""
     grid = scenarios.grid
-    model = optim.Model("suc")
+    model = optim.Model()
     u, v, w = add_commitment_block(model, system.generators, grid.hours)
     screen = network.FlowScreen(system)
     seg_idx, pc_idx = [], []
@@ -306,12 +325,13 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     commitment schedule plus per-scenario dispatch.
 
     Line-flow rows are screened (see `network`); ``dump_lp`` receives the
-    final screened model. With more than one scenario the MILP is started
-    from the expected-value solution (see the module docstring).
-    ``time_limit`` bounds the whole call: the EV solve, the completions and
-    every screening round."""
+    final screened model. The MILP is started from the expected-value
+    solution, or for one scenario from its rounded LP relaxation (see the
+    module docstring). ``time_limit`` bounds the whole call: the EV solve,
+    the relaxation, the completions and every screening round."""
     if tuple(scenarios.buses) != tuple(system.bus_ids):
         raise ValueError("scenario buses do not match system buses")
+    optim.release_heap()
     t0 = time.perf_counter()
     if scenarios.n_scenarios == 1:
         return _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp)
@@ -329,37 +349,63 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     return _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp, ev, ev_s)
 
 
-def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev_s=None):
-    """`solve_suc` proper, with ``time_limit`` counted from ``t0``. Given
-    ``ev``, the EV solution that took ``ev_s`` seconds, each round's MILP
-    starts from its commitment; without it the start fields stay None."""
+def _rounded_relaxation(generators, model, u, time_limit):
+    """The (u, v, w) values, flattened, of the LP relaxation's commitment
+    rounded up: on wherever the relaxation has ``u > 1e-6``, with the starts
+    and stops that implies. None if the relaxation has no optimum."""
+    relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0), time_limit)
+    if not relaxed.ok:
+        return None
+    u_val = (relaxed.x[u] > 1e-6).astype(int)
+    return np.concatenate([u_val, *_starts_stops(generators, u_val)], axis=None)
+
+
+def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev_s=0.0):
+    """`solve_suc` proper, with ``time_limit`` counted from ``t0``. Each
+    round's MILP starts from a commitment completed against that round's
+    rows: that of ``ev``, the EV solution that took ``ev_s`` seconds, if
+    given; else, for one scenario, the rounded LP relaxation; else none."""
     grid = scenarios.grid
     t_build = time.perf_counter()
     model, (u, v, w), seg_idx, pc_idx, screen = _build(system, scenarios)
     build_s = time.perf_counter() - t_build
     totals = optim.MilpTotals()
-    start = {"ev_usd": None, "eev_usd": None, "start_s": ev_s}
+    start = {"ev_usd": None, "eev_usd": None, "start_s": ev_s, "start_used": False}
+    uvw = np.concatenate([u, v, w], axis=None)
+    left = None if time_limit is None else time_limit - (time.perf_counter() - t0)
+    commitment = None
     if ev is not None:
         start["ev_usd"] = ev.objective
-        uvw = np.concatenate([u, v, w], axis=None)
-        uvw_ev = np.concatenate([ev.u, ev.v, ev.w], axis=None)
+        commitment = np.concatenate([ev.u, ev.v, ev.w], axis=None)
+    elif scenarios.n_scenarios == 1 and (left is None or left > 0):
+        t = time.perf_counter()
+        commitment = _rounded_relaxation(system.generators, model, u, left)
+        start["start_s"] = time.perf_counter() - t
+        if left is not None:
+            left -= start["start_s"]
 
     def solve_round(m, left):
-        if ev is None:
-            return totals.add(optim.solve(m, gap_tol=gap_tol, time_limit=left))
-        # complete the EV commitment against this round's rows
-        t = time.perf_counter()
-        done = optim.complete(m, uvw, uvw_ev, left)
-        spent = time.perf_counter() - t
-        start["start_s"] += spent
-        start["eev_usd"] = done.objective if done.ok else None
-        if left is not None:
-            left -= spent
-            if left <= 0:
-                return optim.SolveResult(status="limit")
-        return totals.add(optim.solve(m, gap_tol=gap_tol, time_limit=left, start=done.x))
+        x0 = None
+        if commitment is not None:
+            # complete the commitment against this round's rows
+            t = time.perf_counter()
+            done = optim.complete(m, uvw, commitment, left)
+            spent = time.perf_counter() - t
+            start["start_s"] += spent
+            start["start_used"] = done.ok
+            if ev is not None:
+                start["eev_usd"] = done.objective if done.ok else None
+            if left is not None:
+                left -= spent
+                if left <= 0:
+                    return optim.SolveResult(status="limit")
+            x0 = done.x
+        optim.release_heap()  # see optim: the MILP is the day's largest model
+        # presolve off only for the warm stochastic MILP (see optim)
+        return totals.add(optim.solve(
+            m, gap_tol=gap_tol, time_limit=left, start=x0, presolve=ev is None
+        ))
 
-    left = None if time_limit is None else time_limit - (time.perf_counter() - t0)
     try:
         res = screen.solve(model, solve_round, left)
     finally:
@@ -441,6 +487,7 @@ def save_suc_solution(sol, path):
         "ev_usd": sol.ev_usd,
         "eev_usd": sol.eev_usd,
         "start_s": sol.start_s,
+        "start_used": sol.start_used,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -472,4 +519,5 @@ def load_suc_solution(path):
         ev_usd=doc.get("ev_usd"),
         eev_usd=doc.get("eev_usd"),
         start_s=doc.get("start_s"),
+        start_used=doc.get("start_used"),
     )

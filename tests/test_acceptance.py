@@ -62,7 +62,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def _suc_model(system, scen):
     """The stochastic commitment model, assembled the same way solve_suc does,
     with the hourly on/off variable indices returned for pinning."""
-    model = optim.Model("enum")
+    model = optim.Model()
     u, v, w = add_commitment_block(model, system.generators, scen.grid.hours)
     psi = system.isf() if system.lines else None
     for s in range(scen.n_scenarios):

@@ -274,7 +274,7 @@ def test_cell_records_carry_model_sizes(tmp_path):
     # the expected-value start of the two-scenario commitment
     suc = rec["suc"]
     assert suc["ev_usd"] <= suc["objective_usd"] * (1 + 1e-6) <= suc["eev_usd"] * (1 + 2e-6)
-    assert 0.0 < suc["start_s"] < suc["wall_time_s"]
+    assert 0.0 < suc["start_s"] < suc["wall_time_s"] and suc["start_used"] is True
     # the seconds spent building each model, outside HiGHS
     for kind in ("suc", "dam", "rtm"):
         assert rec[kind]["build_s"] > 0.0
@@ -314,6 +314,9 @@ def test_clairvoyant_file_records_the_solve(tmp_path):
     assert ref["highs_s"] > 0.0 and ref["mip_node_count"] >= 1
     assert ref["mip_dual_bound"] == pytest.approx(ref["cost_usd"], rel=1e-6)
     assert ref["wall_time_s"] >= ref["highs_s"]
+    # the start from its rounded LP relaxation; no expected-value fields
+    assert 0.0 < ref["start_s"] < ref["wall_time_s"] and isinstance(ref["start_used"], bool)
+    assert "ev_usd" not in ref and "eev_usd" not in ref
     cost = aggregate(str(out))["d1.p95"]["clairvoyant_usd"]
     assert cost == ref["cost_usd"]
 

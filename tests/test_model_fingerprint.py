@@ -45,6 +45,10 @@ FROZEN = {
     # the expected-value MILP and the LP completing its commitment, solved
     # ahead of the stochastic MILP to give it a start
     "suc-ramp-toy-4pph-ev": "27c3c29774712947",
+    # the EV model's LP relaxation and the LP completing its rounded
+    # commitment, solved ahead of the EV MILP to give it a start
+    "suc-ramp-toy-4pph-ev-relaxation": "ab5997770e831882",
+    "suc-ramp-toy-4pph-ev-rounded": "55e14c300eb33189",
     "suc-ramp-toy-4pph-completion": "f2d3f5c8b159f6e1",
     "suc-congested": "0caca64cfc6a0c56",
     "dam-congested-pricing": "f2f29f6edc444fe5",
@@ -123,7 +127,8 @@ def test_ramp_toy_dam_and_pricing(solver_inputs):
 def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs):
     """Three scenarios at four periods an hour: the within-hour ramp rows,
     the hour-boundary start/stop terms and the probability weights. The
-    expected-value MILP and the completion of its commitment come first."""
+    expected-value MILP and the completion of its commitment come first,
+    and the EV MILP's own start, from its rounded LP relaxation, before it."""
     system = load_system(case_path("ramp_toy"))
     grid = TimeGrid(5, 4)
     base = np.repeat([150.0, 190.0, 280.0, 320.0, 240.0], 4)
@@ -133,6 +138,8 @@ def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs):
     )
     solve_suc(system, scen)
     assert [d for _, d in solver_inputs] == [
+        FROZEN["suc-ramp-toy-4pph-ev-relaxation"],
+        FROZEN["suc-ramp-toy-4pph-ev-rounded"],
         FROZEN["suc-ramp-toy-4pph-ev"],
         FROZEN["suc-ramp-toy-4pph-completion"],
         FROZEN["suc-ramp-toy-4pph"],
@@ -166,7 +173,9 @@ def test_congested_dam_pricing_and_rtm(congested, solver_inputs):  # noqa: F811
 def test_ieee14_with_stops_dam_pricing_rtm_and_suc(solver_inputs):
     """ieee14 through a load that rises and falls: the DAM starts three
     units and stops two, at hours 3 and 4, and every model screens flows.
-    The RTM and SUC run at two periods an hour on the bid load."""
+    The RTM and SUC run at two periods an hour on the bid load; the SUC's
+    LP relaxation comes first, then each of its three screening rounds
+    completes the relaxation's rounded commitment and solves the MILP."""
     system = load_system(case_path("ieee14"))
     bids = DamBidSet(
         system.bus_ids, np.asarray(LOAD)[:, [2]] * [1.0, 1.6, 2.2, 1.4, 0.8, 0.6]
@@ -185,7 +194,7 @@ def test_ieee14_with_stops_dam_pricing_rtm_and_suc(solver_inputs):
     assert solver_inputs[-1][1] == FROZEN["rtm-stops-2pph"]
     del solver_inputs[:]
     solve_suc(system, scenario_set(system, grid, values[None]))
-    assert [kind for kind, _ in solver_inputs] == ["milp"] * 3
+    assert [kind for kind, _ in solver_inputs] == ["milp"] * 7
     assert solver_inputs[-1][1] == FROZEN["suc-stops-2pph"]
 
 
@@ -244,9 +253,9 @@ def test_write_lp_round_trips_a_dam(tmp_path, two_gen_system, unit):
     assert f"rr({unit.replace(' ', '_').replace(':', '_')})(2,1)" in lp.col_names_
 
 
-def test_write_lp_round_trips_a_screened_suc(tmp_path, congested, monkeypatch):  # noqa: F811
-    """The dump `solve_suc` writes of a congested SUC is its final screened
-    model, flow rows included, and loads back into HiGHS as that model."""
+def _dump_screened_suc(congested, monkeypatch, path):  # noqa: F811
+    """Solve a congested SUC with ``dump_lp=path``; returns the solution and
+    the model `solve_suc` dumped."""
     dumped = []
     real = optim.Model.write_lp
 
@@ -257,8 +266,25 @@ def test_write_lp_round_trips_a_screened_suc(tmp_path, congested, monkeypatch): 
     monkeypatch.setattr(optim.Model, "write_lp", write_lp)
     load = np.asarray(LOAD)
     scen = scenario_set(congested, TimeGrid(6, 1), np.stack([load, 1.04 * load]))
-    sol = solve_suc(congested, scen, dump_lp=tmp_path / "suc.lp")
+    sol = solve_suc(congested, scen, dump_lp=path)
     assert sol.flow_rows >= 1
     (model,) = dumped
+    return sol, model
+
+
+def test_write_lp_round_trips_a_screened_suc(tmp_path, congested, monkeypatch):  # noqa: F811
+    """The dump `solve_suc` writes of a congested SUC is its final screened
+    model, flow rows included, and loads back into HiGHS as that model."""
+    sol, model = _dump_screened_suc(congested, monkeypatch, tmp_path / "suc.lp")
     lp = _loads_as(model, tmp_path / "suc.lp")
+    assert sum(name.startswith("flow") for name in lp.row_names_) == sol.flow_rows
+
+
+def test_write_lp_round_trips_a_screened_suc_as_mps(tmp_path, congested, monkeypatch):  # noqa: F811
+    """A ``.mps`` path gets HiGHS's MPS writer, whose time does not grow
+    with rows times columns as its LP writer's does; the dump is an MPS
+    file and loads back into HiGHS as the screened model."""
+    sol, model = _dump_screened_suc(congested, monkeypatch, tmp_path / "suc.mps")
+    assert (tmp_path / "suc.mps").read_text().startswith("NAME")
+    lp = _loads_as(model, tmp_path / "suc.mps")
     assert sum(name.startswith("flow") for name in lp.row_names_) == sol.flow_rows

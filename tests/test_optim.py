@@ -64,7 +64,7 @@ def test_knapsack_matches_enumeration():
     weights = [5.0, 6.0, 3.0, 4.0, 2.0, 3.0]
     cap = 11.0
 
-    m = Model("knapsack")
+    m = Model()
     xs = m.add_vars("x", len(values), ub=1.0, obj=-np.array(values), integer=True)
     m.add_rows("cap", "<=", cap, xs, weights)
     r = solve(m)
@@ -160,7 +160,7 @@ def test_infeasible_mip_reported():
 def _small_uc_model():
     """One binary unit (fixed cost 100, marginal 10, cap 50) plus an expensive
     always-on unit (marginal 40, cap 100); demand 60."""
-    m = Model("uc")
+    m = Model()
     u = m.add_vars("u", (), ub=1.0, obj=100.0, integer=True)
     p = m.add_vars("p", (), ub=50.0, obj=10.0)
     q = m.add_vars("q", (), ub=100.0, obj=40.0)
@@ -195,14 +195,17 @@ def test_fix_and_resolve_at_suboptimal_incumbent_bounds_from_above():
 
 
 def test_write_lp_raises_naming_a_path_it_cannot_write(tmp_path):
-    """The dump is an LP file whatever the path's extension (HiGHS picks its
-    format from it). A path in a missing directory (on which HiGHS itself
+    """The dump is an MPS file for a path ending in ``.mps`` and an LP file
+    whatever other extension the path has (HiGHS picks its format from it;
+    `test_model_fingerprint` reads both back). A path in a missing directory (on which HiGHS itself
     would crash) and names that collide once mapped to LP-safe ones (which
     HiGHS refuses to write) each raise OSError naming the path, and leave no
     file."""
     m, _, _ = _small_uc_model()
     m.write_lp(tmp_path / "uc.txt")
     assert (tmp_path / "uc.txt").read_text().startswith("\\ File written by HiGHS .lp")
+    m.write_lp(tmp_path / "uc.mps")
+    assert (tmp_path / "uc.mps").read_text().startswith("NAME")
     missing = tmp_path / "missing" / "uc.lp"
     with pytest.raises(OSError, match=re.escape(str(missing))):
         m.write_lp(missing)
@@ -210,7 +213,7 @@ def test_write_lp_raises_naming_a_path_it_cannot_write(tmp_path):
     m.add_vars("a:b", ())  # both are written "a_b"
     with pytest.raises(OSError, match=re.escape(str(tmp_path / "uc.lp"))):
         m.write_lp(tmp_path / "uc.lp")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["uc.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["uc.mps", "uc.txt"]
 
 
 def test_row_blocks_match_scalar_rows():
@@ -291,9 +294,11 @@ def _cover_model():
 
 
 def test_milp_options_reach_highs(monkeypatch):
-    """Both heuristic switches reach the HiGHS call next to the gap, and
+    """Every switch of `optim.MILP_OPTIONS` (two root heuristics, RINS, RENS
+    and symmetry detection) reaches the HiGHS call next to the gap, and
     HiGHS accepts them: with every warning an error, a MILP still solves.
-    A started MILP also runs with presolve off; a cold one keeps it."""
+    A start keeps presolve unless presolve is asked off; `complete` runs its
+    LP with presolve off."""
     seen = []
     real = optim.milp
 
@@ -306,15 +311,21 @@ def test_milp_options_reach_highs(monkeypatch):
         warnings.simplefilter("error")
         r = solve(_cover_model(), gap_tol=1e-4)
         warm = solve(_cover_model(), gap_tol=1e-4, start=np.ones(3))
-    assert r.ok and r.objective == pytest.approx(3.0)
-    assert warm.ok and warm.objective == pytest.approx(3.0)
-    cold, started = seen
-    for options in (cold, started):
-        assert options["mip_heuristic_run_root_reduced_cost"] is False
-        assert options["mip_heuristic_run_feasibility_jump"] is False
+        bare = solve(_cover_model(), gap_tol=1e-4, start=np.ones(3), presolve=False)
+        done = optim.complete(_cover_model(), np.arange(2), np.ones(2))
+    for res in (r, warm, bare, done):
+        assert res.ok and res.objective == pytest.approx(3.0)
+    cold, started, unpresolved, completion = seen
+    for options in (cold, started, unpresolved):
+        for key in (
+            "mip_heuristic_run_root_reduced_cost", "mip_heuristic_run_feasibility_jump",
+            "mip_heuristic_run_rins", "mip_heuristic_run_rens", "mip_detect_symmetry",
+        ):
+            assert options[key] is False
         assert options["mip_rel_gap"] == 1e-4
-    assert "presolve" not in cold
-    assert started["presolve"] == "off"
+    assert "presolve" not in cold and "presolve" not in started
+    assert unpresolved["presolve"] == "off"
+    assert completion == {"presolve": "off"}
 
 
 def test_an_option_highs_rejects_still_warns(monkeypatch):

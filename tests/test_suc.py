@@ -408,14 +408,36 @@ def test_ev_start_keeps_the_optimum(drawn):
         assert warm.objective <= warm.eev_usd + tol
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_commitment_cases())
+def test_one_scenario_start_keeps_the_optimum(case):
+    """A one-scenario `solve_suc` starts HiGHS from the completion of its
+    rounded LP relaxation, or solves cold where that completion is
+    infeasible; either way it reaches the optimum within gap_tol, or the
+    failure, of a cold solve of the same model."""
+    system, loads, _ = case
+    gap_tol = 1e-6
+    scen = scenario_set(system, TimeGrid(len(loads), 2), [np.repeat(loads, 2)])
+    (model, _, _), _ = _suc_and_dam_models(case, scen)
+    cold = optim.solve(model, gap_tol=gap_tol)
+    try:
+        warm = solve_suc(system, scen, gap_tol=gap_tol)
+    except InfeasibleModelError:
+        assert not cold.ok
+        return
+    assert cold.ok
+    assert abs(warm.objective - cold.objective) <= gap_tol * max(1.0, abs(cold.objective))
+    assert (warm.ev_usd, warm.eev_usd) == (None, None)
+
+
 def _spy_solves(monkeypatch):
     """Record ("solve" | "complete", time budget, start given) per call."""
     calls = []
     real_solve, real_complete = optim.solve, optim.complete
 
-    def solve(model, gap_tol=1e-6, time_limit=None, start=None):
+    def solve(model, gap_tol=1e-6, time_limit=None, start=None, presolve=True):
         calls.append(("solve", time_limit, start is not None))
-        return real_solve(model, gap_tol=gap_tol, time_limit=time_limit, start=start)
+        return real_solve(model, gap_tol, time_limit, start, presolve)
 
     def complete(model, cols, values, time_limit=None):
         calls.append(("complete", time_limit, False))
@@ -427,32 +449,39 @@ def _spy_solves(monkeypatch):
 
 
 def test_ev_start_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
-    """Two scenarios: the EV MILP, the completion of its commitment, then
-    the stochastic MILP from that start. One scenario solves alone."""
+    """Two scenarios: the EV model's LP relaxation, the completion of its
+    rounded commitment and the EV MILP from that start; then the completion
+    of the EV commitment and the stochastic MILP from that start. One
+    scenario makes the first three calls alone and records no EV cost."""
     system, grid, scn = uc_oracle_case
     calls = _spy_solves(monkeypatch)
     sol = solve_suc(system, scn)
     assert [(kind, start) for kind, _, start in calls] == [
-        ("solve", False), ("complete", False), ("solve", True)
+        ("complete", False), ("complete", False), ("solve", True),
+        ("complete", False), ("solve", True),
     ]
     assert sol.ev_usd <= sol.objective + 1e-6 <= sol.eev_usd + 2e-6
-    assert 0.0 < sol.start_s < sol.wall_time_s
+    assert 0.0 < sol.start_s < sol.wall_time_s and sol.start_used is True
     calls.clear()
     one = scenario_set(system, grid, scn.values[:1], probs=[1.0])
     alone = solve_suc(system, one)
-    assert [kind for kind, _, _ in calls] == ["solve"]
-    assert (alone.ev_usd, alone.eev_usd, alone.start_s) == (None, None, None)
+    assert [(kind, start) for kind, _, start in calls] == [
+        ("complete", False), ("complete", False), ("solve", True)
+    ]
+    assert (alone.ev_usd, alone.eev_usd, alone.start_used) == (None, None, True)
+    assert 0.0 < alone.start_s < alone.wall_time_s
     # saved and loaded; files written before the start was kept load None
     path = tmp_path / "suc.json"
     save_suc_solution(sol, path)
     back = load_suc_solution(path)
-    assert (back.ev_usd, back.eev_usd, back.start_s) == (sol.ev_usd, sol.eev_usd, sol.start_s)
+    fields = ("ev_usd", "eev_usd", "start_s", "start_used")
+    assert [getattr(back, k) for k in fields] == [getattr(sol, k) for k in fields]
     doc = json.loads(path.read_text())
-    for key in ("ev_usd", "eev_usd", "start_s"):
+    for key in fields:
         del doc[key]
     path.write_text(json.dumps(doc))
     old = load_suc_solution(path)
-    assert (old.ev_usd, old.eev_usd, old.start_s) == (None, None, None)
+    assert [getattr(old, k) for k in fields] == [None] * 4
 
 
 def test_infeasible_ev_completion_solves_cold(monkeypatch):
@@ -460,7 +489,8 @@ def test_infeasible_ev_completion_solves_cold(monkeypatch):
     costs nothing (EV: 2.5 MW above it at 10 = 25), but which cannot back
     down to the low scenario's 5 MW: the completion is infeasible, so the
     MILP gets no start and commits the flexible unit alone, as a cold solve
-    does: 0.5 * 5 * 50 + 0.5 * 100 * 50 = 2625."""
+    does: 0.5 * 5 * 50 + 0.5 * 100 * 50 = 2625. The EV MILP itself starts
+    from its relaxation, which commits the cheap unit too."""
     cheap = make_gen("cheap", p_min=50.0, p_max=100.0, segments=((50.0, 10.0),))
     flexible = make_gen("flex", p_max=100.0, segments=((100.0, 50.0),))
     system = single_bus_system(cheap, flexible)
@@ -468,9 +498,11 @@ def test_infeasible_ev_completion_solves_cold(monkeypatch):
     calls = _spy_solves(monkeypatch)
     sol = solve_suc(system, scn)
     assert [(kind, start) for kind, _, start in calls] == [
-        ("solve", False), ("complete", False), ("solve", False)
+        ("complete", False), ("complete", False), ("solve", True),
+        ("complete", False), ("solve", False),
     ]
     assert sol.ev_usd == pytest.approx(25.0) and sol.eev_usd is None
+    assert sol.start_used is False
     assert sol.objective == pytest.approx(2625.0)
     assert sol.u.tolist() == [[0], [1]]
     (model, _, _), _ = _suc_and_dam_models((system, [52.5], ([0.0], [0.0])), scn)
@@ -478,10 +510,38 @@ def test_infeasible_ev_completion_solves_cold(monkeypatch):
     assert cold.objective == pytest.approx(sol.objective)
 
 
+def test_rounded_relaxation_breaking_min_down_solves_cold(monkeypatch):
+    """One unit, on at the start, with a two-hour minimum down time, serving
+    50, 0 and 50 MW. The LP relaxation runs it at half commitment in hours
+    0 and 2 and off in hour 1; rounded up, that is a one-hour outage, which
+    breaks the minimum down time, so the completion is infeasible and the
+    MILP solves cold. It keeps the unit on: 3 * 10 no-load + 100 MWh * 20 =
+    2030, the cold optimum."""
+    unit = make_gen(
+        "g", p_max=100.0, segments=((100.0, 20.0),), no_load=10.0, min_down=2,
+        on=True, p0=50.0, hours_on=5,
+    )
+    system = single_bus_system(unit)
+    scn = scenario_set(system, TimeGrid(3, 1), [[50.0, 0.0, 50.0]])
+    model, (u, _, _), *_ = _build(system, scn)
+    relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0))
+    assert relaxed.x[u].tolist() == [[0.5, 0.0, 0.5]]
+    calls = _spy_solves(monkeypatch)
+    sol = solve_suc(system, scn)
+    assert [(kind, start) for kind, _, start in calls] == [
+        ("complete", False), ("complete", False), ("solve", False)
+    ]
+    assert sol.start_used is False and sol.start_s > 0.0
+    assert sol.u.tolist() == [[1, 1, 1]]
+    assert sol.objective == pytest.approx(2030.0)
+    assert sol.objective == pytest.approx(optim.solve(model).objective)
+
+
 def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypatch):
-    """Every HiGHS call is charged to one clock: the EV MILP gets the whole
-    limit, the completion what it left, the stochastic MILP what is left
-    after both; with nothing left the MILP is not run and the solve fails."""
+    """Every HiGHS call is charged to one clock: the EV relaxation gets the
+    whole limit, each later call what the earlier ones left; with nothing
+    left a MILP is not run and the solve fails. The EV MILP failing for
+    want of time leaves the stochastic MILP no time either."""
     system, _, scn = uc_oracle_case
     clock = [0.0]
     monkeypatch.setattr(stochastic_uc.time, "perf_counter", lambda: clock[0])
@@ -498,9 +558,10 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
     monkeypatch.setattr(optim, "complete", tick(inner_complete))
     solve_suc(system, scn, time_limit=10.0)
     assert [(kind, left) for kind, left, _ in calls] == [
-        ("solve", 10.0), ("complete", 9.0), ("solve", 8.0)
+        ("complete", 10.0), ("complete", 9.0), ("solve", 8.0),
+        ("complete", 7.0), ("solve", 6.0),
     ]
     calls.clear()
     with pytest.raises(InfeasibleModelError, match="limit"):
         solve_suc(system, scn, time_limit=1.5)
-    assert [(kind, left) for kind, left, _ in calls] == [("solve", 1.5), ("complete", 0.5)]
+    assert [(kind, left) for kind, left, _ in calls] == [("complete", 1.5), ("complete", 0.5)]
