@@ -95,8 +95,8 @@ def _cmd_suc_solve(args):
         f"objective {sol.objective:.2f} USD "
         f"(commitment {sol.commitment_cost:.2f}, "
         f"expected dispatch {sol.expected_dispatch_cost:.2f}); "
-        f"{sol.wall_time_s:.2f}s, {sol.screen_rounds} solve(s), "
-        f"{sol.flow_rows} flow rows"
+        f"{sol.record['wall_time_s']:.2f}s, {sol.record['screen_rounds']} solve(s), "
+        f"{sol.record['flow_rows']} flow rows"
     )
     return 0
 
@@ -112,7 +112,7 @@ def _cmd_frp_req(args):
         if not args.forecast:
             raise SystemExit(f"--method {args.method} requires --forecast")
         forecast = _hourly_profile(args.forecast, args.periods_per_hour)
-        coverage = {"p90": 0.90, "p95": 0.95, "p99": 0.99}[args.method]
+        coverage = harness.PERCENTILE_METHODS[args.method]
         req = requirements.percentile_requirements(forecast, args.sigma, coverage)
     requirements.save_requirements(req, args.out)
     print(f"wrote {req.source} requirements for {req.hours} hours to {args.out}")
@@ -258,7 +258,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_suc_solve)
 
     p = sub.add_parser("frp-req", help="write an hourly requirements CSV")
-    p.add_argument("--method", required=True, choices=["suc", "p90", "p95", "p99"])
+    p.add_argument(
+        "--method", required=True, choices=["suc", *harness.PERCENTILE_METHODS]
+    )
     p.add_argument("--solution", help="stochastic pass solution JSON (method suc)")
     p.add_argument("--scenarios", help="scenario JSON the solution was solved on")
     p.add_argument("--forecast", help="hourly per-bus net load CSV (percentile methods)")

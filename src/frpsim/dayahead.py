@@ -86,21 +86,13 @@ class DamOutcome:
     objective: float
     pricing_objective: float
     mip_gap: float | None
-    # solves made while screening line flows (clearing and pricing together)
-    # and the flow rows they added
-    screen_rounds: int = 0
-    flow_rows: int = 0
-    # rows, cols, nnz and binaries of the clearing MILP in its last solve
-    size: dict = field(default_factory=dict)
-    # highs_s, mip_node_count and mip_dual_bound of the clearing MILP over
-    # its screening rounds (see optim.MilpTotals); empty in older files
-    milp: dict = field(default_factory=dict)
-    # highs_s and simplex_iterations of the pricing LP over its screening
-    # rounds (see optim.LpTotals); empty in older files
-    pricing_lp: dict = field(default_factory=dict)
-    # seconds spent building the clearing model before its first solve,
-    # outside HiGHS; None in older files
-    build_s: float | None = None
+    # what the solves did, as the ledger writes it: screening rounds
+    # (clearing and pricing together) and the flow rows they added, build
+    # seconds, the clearing MILP's size in its last round and its HiGHS
+    # record over its rounds (`optim.SolveResult.highs`), and the pricing
+    # LP's HiGHS record under "pricing_lp"; empty in files written before it
+    # was kept
+    record: dict = field(default_factory=dict)
 
     def dispatch_total(self, system):
         p_min = np.array([g.p_min for g in system.generators])
@@ -245,14 +237,10 @@ def clear_dam(
     screen = network.FlowScreen(system)
     screen.add_periods("", *idx["inj"], np.zeros((len(system.buses), hours)))
     build_s = time.perf_counter() - t_build
-    totals, pricing = optim.MilpTotals(), optim.LpTotals()
     try:
         mip = optim.require_optimal(
             screen.solve(
-                model,
-                lambda m, left: totals.add(
-                    optim.solve(m, gap_tol=gap_tol, time_limit=left)
-                ),
+                model, lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
                 time_limit,
             ),
             "day-ahead clearing",
@@ -263,7 +251,7 @@ def clear_dam(
         # the incumbent meets every flow limit, so it stays optimal when the
         # pricing solve adds rows; only the LP is re-solved
         lp = optim.require_optimal(
-            screen.solve(model, lambda m, _: pricing.add(optim.fix_and_resolve(m, mip.x))),
+            screen.solve(model, lambda m, _: optim.fix_and_resolve(m, mip.x)),
             "day-ahead pricing",
         )
     finally:
@@ -294,12 +282,10 @@ def clear_dam(
         objective=float(mip.objective),
         pricing_objective=float(lp.objective),
         mip_gap=mip.mip_gap,
-        screen_rounds=screen.rounds,
-        flow_rows=len(screen.added),
-        size=mip.size,
-        milp=totals.record,
-        pricing_lp=pricing.record,
-        build_s=build_s,
+        record={
+            "screen_rounds": screen.rounds, "flow_rows": len(screen.added),
+            "build_s": build_s, **mip.size, **mip.highs, "pricing_lp": lp.highs,
+        },
     )
 
 
@@ -307,8 +293,9 @@ def check_dam_outcome(system, outcome, bids, req, fix_commitments=None, tol=1e-6
     """Solver-independent residual audit of a cleared outcome.
 
     Returns worst-case violations in MW per constraint family (the physical
-    ones from `dispatch.physical_residuals`); every value should be <= tol
-    on a healthy outcome.
+    ones from `dispatch.physical_residuals`); every value should be ~0 on a
+    healthy outcome. ``tol`` is accepted for callers that pass one and is
+    not applied: callers compare the values with their own tolerance.
     """
     out = outcome
     worst = dispatch.physical_residuals(
@@ -372,12 +359,7 @@ def save_dam_outcome(out, path):
         "objective_usd": out.objective,
         "pricing_objective_usd": out.pricing_objective,
         "mip_gap": out.mip_gap,
-        "screen_rounds": out.screen_rounds,
-        "flow_rows": out.flow_rows,
-        "size": out.size,
-        "milp": out.milp,
-        "pricing_lp": out.pricing_lp,
-        "build_s": out.build_s,
+        "record": out.record,
     }
     for name in _ARRAYS:
         doc[name] = getattr(out, name).tolist()
@@ -399,11 +381,6 @@ def load_dam_outcome(path):
         objective=doc["objective_usd"],
         pricing_objective=doc["pricing_objective_usd"],
         mip_gap=doc["mip_gap"],
-        screen_rounds=doc.get("screen_rounds", 2),  # clearing + pricing
-        flow_rows=doc.get("flow_rows", 0),
-        size=doc.get("size", {}),
-        milp=doc.get("milp", {}),
-        pricing_lp=doc.get("pricing_lp", {}),
-        build_s=doc.get("build_s"),
+        record=doc.get("record", {}),
         **kwargs,
     )

@@ -165,27 +165,11 @@ def _day_profile(system, cfg, day):
     return forecast, bids
 
 
-def _suc_record(suc):
-    """What one `solve_suc` did: wall time, gap, screening, model size, its
-    HiGHS record (see optim.MilpTotals) and its MIP start."""
-    return {
-        "wall_time_s": suc.wall_time_s,
-        "mip_gap": suc.mip_gap,
-        "screen_rounds": suc.screen_rounds,
-        "flow_rows": suc.flow_rows,
-        "build_s": suc.build_s,
-        **suc.size,
-        **suc.milp,
-        "start_s": suc.start_s,
-        "start_used": suc.start_used,
-    }
-
-
 def clairvoyant_cost(system, realized, gap_tol=1e-6, time_limit=None):
     """Cost of a commitment chosen knowing the realized trajectory: the
     stochastic pass run on that single certain scenario, within
     ``time_limit`` seconds. Returns the reference's record: the cost as
-    ``cost_usd``, plus what the solve did (`_suc_record`)."""
+    ``cost_usd`` and the gap, plus what the solve did (its ``record``)."""
     certain = ScenarioSet(
         buses=realized.buses,
         grid=realized.grid,
@@ -193,7 +177,7 @@ def clairvoyant_cost(system, realized, gap_tol=1e-6, time_limit=None):
         probabilities=np.array([1.0]),
     )
     sol = stochastic_uc.solve_suc(system, certain, gap_tol=gap_tol, time_limit=time_limit)
-    return {"cost_usd": sol.objective, **_suc_record(sol)}
+    return {"cost_usd": sol.objective, "mip_gap": sol.mip_gap, **sol.record}
 
 
 def _cell_id(day_name, method, n=None, rho=None):
@@ -217,12 +201,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "objective_usd": dam.objective,
             "shortfall_up_mw": float(dam.sf_up.sum()),
             "shortfall_dn_mw": float(dam.sf_dn.sum()),
-            "screen_rounds": dam.screen_rounds,
-            "flow_rows": dam.flow_rows,
-            "build_s": dam.build_s,
-            **dam.size,
-            **dam.milp,
-            "pricing_lp": dam.pricing_lp,
+            **dam.record,
         },
         "rtm": {
             "total_cost_usd": rtm.total_cost,
@@ -230,11 +209,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
             "dispatch_cost_usd": rtm.dispatch_cost,
             "curtailment_cost_usd": rtm.curtailment_cost,
             "shed_mwh": rtm.shed_mwh,
-            "screen_rounds": rtm.screen_rounds,
-            "flow_rows": rtm.flow_rows,
-            "build_s": rtm.build_s,
-            **rtm.size,
-            **rtm.lp,
+            **rtm.record,
         },
         "settlement": {
             "mode": rep.mode,
@@ -257,12 +232,7 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
         system, scen, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit
     )
     req = suc_requirements(suc, scen)
-    suc_meta = {
-        "objective_usd": suc.objective,
-        **_suc_record(suc),
-        "ev_usd": suc.ev_usd,
-        "eev_usd": suc.eev_usd,
-    }
+    suc_meta = {"objective_usd": suc.objective, "mip_gap": suc.mip_gap, **suc.record}
     cells = {}
     for method in wanted:
         fix = suc.committed_hours() if method == "suc-fixed" else None

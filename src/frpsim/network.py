@@ -18,6 +18,7 @@ screened model are prices of the full one.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 
@@ -124,21 +125,31 @@ class FlowScreen:
     def solve(self, model, solve, time_limit=None):
         """Solve ``model`` with ``solve(model, time_left)``, add the rows its
         solution breaks, and re-solve until none is broken. Returns the last
-        result; a solve that is not optimal ends the loop.
+        result, with ``highs_s``, ``mip_node_count`` and
+        ``simplex_iterations`` summed over this call's rounds; a solve that
+        is not optimal ends the loop.
 
         ``time_limit`` (seconds, or None for none) bounds all the rounds
         together: each is passed what the earlier ones left, and a round with
         nothing left returns status "limit" without solving."""
         t0 = time.perf_counter()
+        highs_s, nodes, iterations = 0.0, 0, 0
         while True:
             left = None
             if time_limit is not None:
                 left = time_limit - (time.perf_counter() - t0)
                 if left <= 0:
-                    return optim.SolveResult(status="limit")
+                    res = optim.SolveResult(status="limit")
+                    break
             res = solve(model, left)
             self.rounds += 1
+            highs_s += res.highs_s or 0.0
+            nodes += res.mip_node_count or 0
+            iterations += res.simplex_iterations or 0
             new = self.violated(res.x) if res.ok else []
             if not new:
-                return res
+                break
             self.add_rows(model, new)
+        return dataclasses.replace(
+            res, highs_s=highs_s, mip_node_count=nodes, simplex_iterations=iterations
+        )

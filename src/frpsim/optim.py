@@ -286,6 +286,8 @@ class SolveResult:
     x: np.ndarray | None = None
     duals: np.ndarray | None = None  # per row, d(obj)/d(rhs); LP solves only
     mip_gap: float | None = None
+    # highs_s, mip_node_count and simplex_iterations are summed over the
+    # rounds of `network.FlowScreen.solve` in the result it returns
     mip_node_count: int | None = None  # branch-and-bound nodes; MIP solves only
     mip_dual_bound: float | None = None  # best proven bound; MIP solves only
     highs_s: float | None = None  # seconds inside HiGHS
@@ -306,35 +308,17 @@ class SolveResult:
             "rows": self.rows, "cols": self.cols, "nnz": self.nnz, "binaries": self.binaries
         }
 
-
-class MilpTotals:
-    """What the MILP solves of one model did, over its screening rounds:
-    HiGHS seconds and branch-and-bound nodes summed, the last dual bound.
-    `add` passes each result through, so it can wrap the solve callback of
-    `network.FlowScreen.solve`."""
-
-    def __init__(self):
-        self.record = {"highs_s": 0.0, "mip_node_count": 0, "mip_dual_bound": None}
-
-    def add(self, res):
-        self.record["highs_s"] += res.highs_s or 0.0
-        self.record["mip_node_count"] += res.mip_node_count or 0
-        self.record["mip_dual_bound"] = res.mip_dual_bound
-        return res
-
-
-class LpTotals:
-    """What the LP solves of one model did, over its screening rounds: HiGHS
-    seconds and simplex iterations, summed. `add` passes each result
-    through, like `MilpTotals.add`."""
-
-    def __init__(self):
-        self.record = {"highs_s": 0.0, "simplex_iterations": 0}
-
-    def add(self, res):
-        self.record["highs_s"] += res.highs_s or 0.0
-        self.record["simplex_iterations"] += res.simplex_iterations or 0
-        return res
+    @property
+    def highs(self):
+        """The HiGHS half of a solve record: ``highs_s``, plus the
+        branch-and-bound nodes and dual bound of a MILP or the simplex
+        iterations of an LP."""
+        if self.binaries:
+            return {
+                "highs_s": self.highs_s, "mip_node_count": self.mip_node_count,
+                "mip_dual_bound": self.mip_dual_bound,
+            }
+        return {"highs_s": self.highs_s, "simplex_iterations": self.simplex_iterations}
 
 
 def _sense_codes(sense, shape):

@@ -38,14 +38,10 @@ class RtmOutcome:
     dispatch_cost: float
     curtailment_cost: float
     shed_mwh: float
-    screen_rounds: int = 0  # solves made while screening line flows
-    flow_rows: int = 0  # line-flow rows the screening added
-    # rows, cols, nnz and binaries of the LP in its last solve
-    size: dict = field(default_factory=dict)
-    # highs_s and simplex_iterations over the screening rounds (optim.LpTotals)
-    lp: dict = field(default_factory=dict)
-    # seconds spent building the LP before its first solve, outside HiGHS
-    build_s: float | None = None
+    # what the solve did, as the ledger writes it: screening rounds and the
+    # flow rows they added, build seconds, the LP's size in its last round
+    # and its HiGHS seconds and simplex iterations over the rounds
+    record: dict = field(default_factory=dict)
 
     @property
     def total_cost(self):
@@ -114,9 +110,8 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     screen = network.FlowScreen(system)
     screen.add_periods("", bus, cols, coefs, dispatch.bus_injections(system, floor))
     build_s = time.perf_counter() - t_build
-    totals = optim.LpTotals()
     try:
-        res = screen.solve(model, lambda m, _: totals.add(optim.solve(m, gap_tol=gap_tol)))
+        res = screen.solve(model, lambda m, _: optim.solve(m, gap_tol=gap_tol))
     finally:
         if dump_lp:
             model.write_lp(dump_lp)
@@ -139,11 +134,10 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
         dispatch_cost=float(res.objective) - curtail_cost,
         curtailment_cost=curtail_cost,
         shed_mwh=float(pc_val.sum() * scale),
-        screen_rounds=screen.rounds,
-        flow_rows=len(screen.added),
-        size=res.size,
-        lp=totals.record,
-        build_s=build_s,
+        record={
+            "screen_rounds": screen.rounds, "flow_rows": len(screen.added),
+            "build_s": build_s, **res.size, **res.highs,
+        },
     )
 
 

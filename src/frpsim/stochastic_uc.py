@@ -41,8 +41,8 @@ above 1e-6, with the starts and stops that implies), then completed against
 each round's rows. Rounding up can break a minimum up or down time, and
 then the completion is infeasible and the MILP solves cold. Without the
 start the MILP waits on the same analytic-centre computation. The
-relaxation and the completions count against ``time_limit``, and
-``start_s`` records their seconds.
+relaxation and the completions count against ``time_limit``, and the
+record's ``start_s`` holds their seconds.
 """
 
 from __future__ import annotations
@@ -220,27 +220,16 @@ class SucSolution:
     commitment_cost: float  # no-load + startup portion
     expected_dispatch_cost: float
     mip_gap: float | None
-    wall_time_s: float
-    screen_rounds: int  # solves made while screening line flows
-    flow_rows: int  # line-flow rows the screening added
-    # rows, cols, nnz and binaries of the model in its last solve
-    size: dict = field(default_factory=dict)
-    # highs_s, mip_node_count and mip_dual_bound over the screening rounds
-    # (see optim.MilpTotals); empty in files written before they were kept
-    milp: dict = field(default_factory=dict)
-    # seconds spent building the stochastic model before its first solve,
-    # outside HiGHS; None in files written before it was kept
-    build_s: float | None = None
-    # the MIP start (see the module docstring): the EV objective (None if the
-    # EV problem has no optimum) and the cost of its completion in the last
-    # round (None if infeasible), both None for one scenario; the seconds
-    # spent on the start (the EV solve or the LP relaxation, and the
-    # completions), and whether the last round's MILP was given one; all None
-    # in files written before they were kept
-    ev_usd: float | None = None
-    eev_usd: float | None = None
-    start_s: float | None = None
-    start_used: bool | None = None
+    # what the solve did, as the ledger writes it: wall and build seconds,
+    # screening rounds and the flow rows they added, the MILP's size in its
+    # last round and its HiGHS record over the rounds
+    # (`optim.SolveResult.highs`), and the MIP start (see the module
+    # docstring): the seconds spent on it (the EV solve or the LP
+    # relaxation, and the completions), whether the last round's MILP was
+    # given one, the EV objective (None if the EV problem has no optimum)
+    # and the cost of its completion in the last round (None if infeasible),
+    # both None for one scenario; empty in files written before it was kept
+    record: dict = field(default_factory=dict)
 
     def committed_hours(self):
         """(gens, hours) 0/1 commitment schedule for downstream fixing."""
@@ -369,8 +358,7 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     t_build = time.perf_counter()
     model, (u, v, w), seg_idx, pc_idx, screen = _build(system, scenarios)
     build_s = time.perf_counter() - t_build
-    totals = optim.MilpTotals()
-    start = {"ev_usd": None, "eev_usd": None, "start_s": ev_s, "start_used": False}
+    start = {"start_s": ev_s, "start_used": False, "ev_usd": None, "eev_usd": None}
     uvw = np.concatenate([u, v, w], axis=None)
     left = None if time_limit is None else time_limit - (time.perf_counter() - t0)
     commitment = None
@@ -402,9 +390,9 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
             x0 = done.x
         optim.release_heap()  # see optim: the MILP is the day's largest model
         # presolve off only for the warm stochastic MILP (see optim)
-        return totals.add(optim.solve(
+        return optim.solve(
             m, gap_tol=gap_tol, time_limit=left, start=x0, presolve=ev is None
-        ))
+        )
 
     try:
         res = screen.solve(model, solve_round, left)
@@ -434,13 +422,11 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
         commitment_cost=fixed_cost,
         expected_dispatch_cost=float(res.objective) - fixed_cost,
         mip_gap=res.mip_gap,
-        wall_time_s=wall,
-        screen_rounds=screen.rounds,
-        flow_rows=len(screen.added),
-        size=res.size,
-        milp=totals.record,
-        build_s=build_s,
-        **start,
+        record={
+            "wall_time_s": wall, "screen_rounds": screen.rounds,
+            "flow_rows": len(screen.added), "build_s": build_s,
+            **res.size, **res.highs, **start,
+        },
     )
 
 
@@ -478,16 +464,7 @@ def save_suc_solution(sol, path):
         "commitment_cost_usd": sol.commitment_cost,
         "expected_dispatch_cost_usd": sol.expected_dispatch_cost,
         "mip_gap": sol.mip_gap,
-        "wall_time_s": sol.wall_time_s,
-        "screen_rounds": sol.screen_rounds,
-        "flow_rows": sol.flow_rows,
-        "size": sol.size,
-        "milp": sol.milp,
-        "build_s": sol.build_s,
-        "ev_usd": sol.ev_usd,
-        "eev_usd": sol.eev_usd,
-        "start_s": sol.start_s,
-        "start_used": sol.start_used,
+        "record": sol.record,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -509,15 +486,5 @@ def load_suc_solution(path):
         commitment_cost=doc["commitment_cost_usd"],
         expected_dispatch_cost=doc["expected_dispatch_cost_usd"],
         mip_gap=doc["mip_gap"],
-        wall_time_s=doc["wall_time_s"],
-        # files from before flow screening solved once and added no rows
-        screen_rounds=doc.get("screen_rounds", 1),
-        flow_rows=doc.get("flow_rows", 0),
-        size=doc.get("size", {}),
-        milp=doc.get("milp", {}),
-        build_s=doc.get("build_s"),
-        ev_usd=doc.get("ev_usd"),
-        eev_usd=doc.get("eev_usd"),
-        start_s=doc.get("start_s"),
-        start_used=doc.get("start_used"),
+        record=doc.get("record", {}),
     )

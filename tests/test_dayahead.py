@@ -173,16 +173,32 @@ def test_outcome_file_keeps_screening_counts(tmp_path, two_gen_system):
     path = tmp_path / "dam.json"
     save_dam_outcome(out, path)
     back = load_dam_outcome(path)
-    assert (back.screen_rounds, back.flow_rows) == (out.screen_rounds, out.flow_rows)
-    assert back.milp == out.milp and out.milp["highs_s"] > 0.0
-    assert back.pricing_lp == out.pricing_lp and out.pricing_lp["highs_s"] > 0.0
-    assert back.build_s == out.build_s > 0.0
-    # a file written before flow screening has no counts; its DAM made two
-    # solves, clearing and pricing, and added no rows. One written before the
-    # MILP and pricing-LP totals and the build seconds were kept has none.
+    assert back.record == out.record
+    rec = out.record
+    assert (rec["screen_rounds"], rec["flow_rows"]) == (2, 0)  # clearing + pricing
+    assert rec["highs_s"] > 0.0 and rec["pricing_lp"]["highs_s"] > 0.0
+    assert rec["build_s"] > 0.0
+
+
+def test_older_outcome_files_still_load(tmp_path, two_gen_system):
+    """A file written before the record was kept, with its screening counts,
+    size, MILP and pricing-LP totals and build seconds as flat keys, loads
+    with the same outcome and an empty record."""
+    out = clear_dam(
+        two_gen_system, _bids(two_gen_system, [70.0, 120.0]), zero_requirements(2)
+    )
+    path = tmp_path / "dam.json"
+    save_dam_outcome(out, path)
     doc = json.loads(path.read_text())
-    del doc["screen_rounds"], doc["flow_rows"], doc["milp"], doc["pricing_lp"], doc["build_s"]
-    path.write_text(json.dumps(doc))
+    del doc["record"]
+    path.write_text(json.dumps(doc | {
+        "screen_rounds": 2, "flow_rows": 0,
+        "size": {"rows": 40, "cols": 30, "nnz": 90, "binaries": 4},
+        "milp": {"highs_s": 0.01, "mip_node_count": 1, "mip_dual_bound": 1.0},
+        "pricing_lp": {"highs_s": 0.01, "simplex_iterations": 5}, "build_s": 0.01,
+    }))
     old = load_dam_outcome(path)
-    assert (old.screen_rounds, old.flow_rows, old.milp, old.pricing_lp) == (2, 0, {}, {})
-    assert old.build_s is None
+    assert old.record == {}
+    for name in ("u", "v", "w", "p", "r_up", "r_dn", "curtail", "demand", "lmp"):
+        assert np.array_equal(getattr(old, name), getattr(out, name)), name
+    assert (old.objective, old.mip_gap) == (out.objective, out.mip_gap)

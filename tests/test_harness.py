@@ -281,6 +281,45 @@ def test_cell_records_carry_model_sizes(tmp_path):
     assert suc["build_s"] + suc["highs_s"] < suc["wall_time_s"]
 
 
+# what every stochastic or clairvoyant solve records: wall and build
+# seconds, gap, screening, model size, HiGHS's record and the MIP start
+SOLVE_KEYS = {
+    "wall_time_s", "mip_gap", "screen_rounds", "flow_rows", "build_s",
+    "rows", "cols", "nnz", "binaries", "highs_s", "mip_node_count", "mip_dual_bound",
+    "start_s", "start_used",
+}
+
+
+def test_ledger_keys_are_fixed(tmp_path):
+    """The exact keys of a cell's records and of the clairvoyant file, so a
+    record cannot gain or lose a field unnoticed. The clairvoyant file may
+    carry the expected-value keys of the stochastic record, always null."""
+    cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}))
+    out = tmp_path / "out"
+    assert run_experiment(system, cfg, str(out)).clean
+    rec = aggregate(str(out))["d1.suc-free.n2.rho0"]
+    assert set(rec) == {
+        "day", "method", "n_scenarios", "rho", "requirements", "suc", "dam", "rtm",
+        "settlement", "clairvoyant_usd",
+    }
+    assert set(rec["suc"]) == SOLVE_KEYS | {"objective_usd", "ev_usd", "eev_usd"}
+    assert set(rec["dam"]) == {
+        "objective_usd", "shortfall_up_mw", "shortfall_dn_mw", "screen_rounds",
+        "flow_rows", "build_s", "rows", "cols", "nnz", "binaries", "highs_s",
+        "mip_node_count", "mip_dual_bound", "pricing_lp",
+    }
+    assert set(rec["dam"]["pricing_lp"]) == {"highs_s", "simplex_iterations"}
+    assert set(rec["rtm"]) == {
+        "total_cost_usd", "commitment_cost_usd", "dispatch_cost_usd",
+        "curtailment_cost_usd", "shed_mwh", "screen_rounds", "flow_rows", "build_s",
+        "rows", "cols", "nnz", "binaries", "highs_s", "simplex_iterations",
+    }
+    ref = json.loads((out / "clairvoyant.d1.json").read_text())
+    ev = {"ev_usd", "eev_usd"}
+    assert set(ref) - ev == SOLVE_KEYS | {"day", "cost_usd"}
+    assert all(ref[key] is None for key in ev & set(ref))
+
+
 def test_clairvoyant_reference_gets_the_time_limit(tmp_path, monkeypatch):
     """The per-day reference is a full stochastic solve; the config's time
     limit bounds it as it bounds every other solve."""
@@ -314,9 +353,9 @@ def test_clairvoyant_file_records_the_solve(tmp_path):
     assert ref["highs_s"] > 0.0 and ref["mip_node_count"] >= 1
     assert ref["mip_dual_bound"] == pytest.approx(ref["cost_usd"], rel=1e-6)
     assert ref["wall_time_s"] >= ref["highs_s"]
-    # the start from its rounded LP relaxation; no expected-value fields
+    # the start from its rounded LP relaxation; no expected-value costs
     assert 0.0 < ref["start_s"] < ref["wall_time_s"] and isinstance(ref["start_used"], bool)
-    assert "ev_usd" not in ref and "eev_usd" not in ref
+    assert ref["ev_usd"] is None and ref["eev_usd"] is None
     cost = aggregate(str(out))["d1.p95"]["clairvoyant_usd"]
     assert cost == ref["cost_usd"]
 

@@ -150,7 +150,7 @@ def test_congested_suc_after_its_flow_rows(congested, solver_inputs):  # noqa: F
     grid = TimeGrid(6, 1)
     load = np.asarray(LOAD)
     sol = solve_suc(congested, scenario_set(congested, grid, np.stack([load, 1.04 * load])))
-    assert sol.flow_rows >= 1
+    assert sol.record["flow_rows"] >= 1
     assert solver_inputs[-1] == ("milp", FROZEN["suc-congested"])
 
 
@@ -158,7 +158,7 @@ def test_congested_dam_pricing_and_rtm(congested, solver_inputs):  # noqa: F811
     bids = DamBidSet(congested.bus_ids, LOAD)
     req = FrpRequirements([0, 0, 150, 150, 150, 0], [0] * 6, "test")
     dam = clear_dam(congested, bids, req)
-    assert dam.flow_rows >= 1
+    assert dam.record["flow_rows"] >= 1
     assert solver_inputs[-1] == ("lp", FROZEN["dam-congested-pricing"])
     del solver_inputs[:]
     grid = TimeGrid(6, 2)
@@ -166,7 +166,7 @@ def test_congested_dam_pricing_and_rtm(congested, solver_inputs):  # noqa: F811
         congested.bus_ids, grid, 1.02 * np.repeat(bids.values, 2, axis=1)
     )
     rtm = simulate_rtm(congested, dam, realized)
-    assert rtm.flow_rows >= 1
+    assert rtm.record["flow_rows"] >= 1
     assert solver_inputs[-1] == ("lp", FROZEN["rtm-congested"])
 
 
@@ -267,7 +267,7 @@ def _dump_screened_suc(congested, monkeypatch, path):  # noqa: F811
     load = np.asarray(LOAD)
     scen = scenario_set(congested, TimeGrid(6, 1), np.stack([load, 1.04 * load]))
     sol = solve_suc(congested, scen, dump_lp=path)
-    assert sol.flow_rows >= 1
+    assert sol.record["flow_rows"] >= 1
     (model,) = dumped
     return sol, model
 
@@ -277,7 +277,7 @@ def test_write_lp_round_trips_a_screened_suc(tmp_path, congested, monkeypatch): 
     model, flow rows included, and loads back into HiGHS as that model."""
     sol, model = _dump_screened_suc(congested, monkeypatch, tmp_path / "suc.lp")
     lp = _loads_as(model, tmp_path / "suc.lp")
-    assert sum(name.startswith("flow") for name in lp.row_names_) == sol.flow_rows
+    assert sum(name.startswith("flow") for name in lp.row_names_) == sol.record["flow_rows"]
 
 
 def test_write_lp_round_trips_a_screened_suc_as_mps(tmp_path, congested, monkeypatch):  # noqa: F811
@@ -287,4 +287,4 @@ def test_write_lp_round_trips_a_screened_suc_as_mps(tmp_path, congested, monkeyp
     sol, model = _dump_screened_suc(congested, monkeypatch, tmp_path / "suc.mps")
     assert (tmp_path / "suc.mps").read_text().startswith("NAME")
     lp = _loads_as(model, tmp_path / "suc.mps")
-    assert sum(name.startswith("flow") for name in lp.row_names_) == sol.flow_rows
+    assert sum(name.startswith("flow") for name in lp.row_names_) == sol.record["flow_rows"]

@@ -93,8 +93,9 @@ def test_screened_suc_matches_full(congested, monkeypatch):
     assert np.array_equal(sol.u, full.u)
     assert "violations" not in check_suc_solution(congested, scen, sol, tol=TOL)
     # the first solve broke a limit, so a loop that stopped there would fail
-    assert sol.flow_rows >= 1 and sol.screen_rounds >= 2
-    assert full.screen_rounds == 1 and sol.flow_rows < full.flow_rows
+    rec, full_rec = sol.record, full.record
+    assert rec["flow_rows"] >= 1 and rec["screen_rounds"] >= 2
+    assert full_rec["screen_rounds"] == 1 and rec["flow_rows"] < full_rec["flow_rows"]
 
 
 def test_screened_dam_and_rtm_match_full(congested, monkeypatch):
@@ -111,7 +112,7 @@ def test_screened_dam_and_rtm_match_full(congested, monkeypatch):
     assert full.price_up.max() > 1.0
     worst = check_dam_outcome(congested, dam, bids, req)
     assert max(worst.values()) <= TOL, worst
-    assert dam.flow_rows >= 1 and dam.screen_rounds >= 3
+    assert dam.record["flow_rows"] >= 1 and dam.record["screen_rounds"] >= 3
 
     grid = TimeGrid(6, 2)
     realized = NetLoadProfile(
@@ -122,11 +123,82 @@ def test_screened_dam_and_rtm_match_full(congested, monkeypatch):
     assert np.allclose(rtm.lmp, rtm_full.lmp, atol=TOL)
     worst = check_rtm_outcome(congested, dam, rtm, realized)
     assert max(worst.values()) <= TOL, worst
-    assert rtm.flow_rows >= 1 and rtm.screen_rounds >= 2
+    assert rtm.record["flow_rows"] >= 1 and rtm.record["screen_rounds"] >= 2
     # 10 MW more at b1 and less at b2 in the last period overloads l1_2
     rtm.p[:2, -1] += [10.0, -10.0]
     worst = check_rtm_outcome(congested, dam, rtm, realized)
     assert worst["flow"] > 1.0 and worst["balance"] <= TOL, worst
+
+
+def _spy_rounds(monkeypatch):
+    """Per call of `FlowScreen.solve`: the (highs_s, mip_node_count,
+    simplex_iterations, mip_dual_bound) of each round's result, and the
+    result the call returned."""
+    calls = []
+    screened = network.FlowScreen.solve
+
+    def solve(self, model, solve_once, time_limit=None):
+        rounds = []
+
+        def counted(m, left):
+            res = solve_once(m, left)
+            rounds.append(
+                (res.highs_s, res.mip_node_count, res.simplex_iterations, res.mip_dual_bound)
+            )
+            return res
+
+        res = screened(self, model, counted, time_limit)
+        calls.append((rounds, res))
+        return res
+
+    monkeypatch.setattr(network.FlowScreen, "solve", solve)
+    return calls
+
+
+def _assert_summed(rounds, res):
+    """``res`` carries the sums of its rounds' HiGHS seconds, nodes and
+    simplex iterations (a field a round leaves None counts 0)."""
+    highs_s, nodes, iterations = (sum(r[k] or 0 for r in rounds) for k in range(3))
+    assert res.highs_s == highs_s > 0.0
+    assert (res.mip_node_count, res.simplex_iterations) == (nodes, iterations)
+
+
+def test_milp_rounds_are_summed_and_keep_the_last_bound(congested, monkeypatch):
+    """The clearing MILP of the congested DAM takes several rounds; its
+    result and record sum their HiGHS seconds and nodes and keep the last
+    round's dual bound."""
+    calls = _spy_rounds(monkeypatch)
+    bids = DamBidSet(congested.bus_ids, LOAD)
+    dam = clear_dam(congested, bids, zero_requirements(6))
+    (rounds, mip), (_, pricing) = calls
+    assert len(rounds) >= 2
+    _assert_summed(rounds, mip)
+    assert mip.mip_node_count >= len(rounds)
+    assert mip.mip_dual_bound == rounds[-1][3]
+    assert mip.highs == {
+        "highs_s": mip.highs_s, "mip_node_count": mip.mip_node_count,
+        "mip_dual_bound": mip.mip_dual_bound,
+    }
+    assert {key: dam.record[key] for key in mip.highs} == mip.highs
+    assert dam.record["pricing_lp"] == pricing.highs
+
+
+def test_lp_rounds_sum_highs_time_and_simplex_iterations(congested, monkeypatch):
+    """The congested real-time LP takes several rounds; its result and
+    record sum their HiGHS seconds and simplex iterations."""
+    bids = DamBidSet(congested.bus_ids, LOAD)
+    dam = clear_dam(congested, bids, zero_requirements(6))
+    realized = NetLoadProfile(
+        congested.bus_ids, TimeGrid(6, 2), 1.02 * np.repeat(bids.values, 2, axis=1)
+    )
+    calls = _spy_rounds(monkeypatch)
+    rtm = simulate_rtm(congested, dam, realized)
+    ((rounds, lp),) = calls
+    assert len(rounds) >= 2
+    _assert_summed(rounds, lp)
+    assert lp.simplex_iterations >= len(rounds)
+    assert lp.highs == {"highs_s": lp.highs_s, "simplex_iterations": lp.simplex_iterations}
+    assert {key: rtm.record[key] for key in lp.highs} == lp.highs
 
 
 def _overloaded(system):
@@ -181,6 +253,10 @@ def test_time_limit_bounds_all_rounds(congested, monkeypatch):
     assert budgets == [4.0, 2.5]  # the second round ends the loop: no new rows
 
 
+def _screening(outcome):
+    return outcome.record["screen_rounds"], outcome.record["flow_rows"]
+
+
 def test_no_lines_means_one_solve_per_model(two_gen_system, monkeypatch):
     calls = []
     for name in ("solve", "fix_and_resolve"):
@@ -192,13 +268,13 @@ def test_no_lines_means_one_solve_per_model(two_gen_system, monkeypatch):
     loads = [[70.0, 120.0]]
     grid = TimeGrid(2, 1)
     sol = solve_suc(two_gen_system, scenario_set(two_gen_system, grid, loads))
-    assert calls == ["solve"] and (sol.screen_rounds, sol.flow_rows) == (1, 0)
+    assert calls == ["solve"] and _screening(sol) == (1, 0)
     dam = clear_dam(
         two_gen_system, DamBidSet(two_gen_system.bus_ids, loads), zero_requirements(2)
     )
     assert calls[1:] == ["solve", "fix_and_resolve"]
-    assert (dam.screen_rounds, dam.flow_rows) == (2, 0)
+    assert _screening(dam) == (2, 0)
     rtm = simulate_rtm(
         two_gen_system, dam, NetLoadProfile(two_gen_system.bus_ids, grid, loads)
     )
-    assert calls[3:] == ["solve"] and (rtm.screen_rounds, rtm.flow_rows) == (1, 0)
+    assert calls[3:] == ["solve"] and _screening(rtm) == (1, 0)

@@ -357,16 +357,6 @@ def test_fix_and_resolve_pins_are_canonical(monkeypatch):
     assert not np.signbit(bounds[b]).any()
 
 
-def test_milp_totals_sum_the_rounds_and_keep_the_last_bound():
-    totals = optim.MilpTotals()
-    for secs, nodes, bound in ((0.5, 3, 10.0), (0.25, 1, 12.0)):
-        res = optim.SolveResult(
-            "optimal", highs_s=secs, mip_node_count=nodes, mip_dual_bound=bound
-        )
-        assert totals.add(res) is res
-    assert totals.record == {"highs_s": 0.75, "mip_node_count": 4, "mip_dual_bound": 12.0}
-
-
 def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
     """An LP's result carries the seconds of its HiGHS run and the
     simplex iterations linprog reports (``nit``)."""
@@ -388,11 +378,7 @@ def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
     (res,) = seen
     assert r.ok and r.highs_s > 0.0
     assert r.simplex_iterations == res.nit >= 1
-    totals = optim.LpTotals()
-    assert totals.add(r) is r and totals.add(r) is r
-    assert totals.record == {
-        "highs_s": 2 * r.highs_s, "simplex_iterations": 2 * r.simplex_iterations
-    }
+    assert r.highs == {"highs_s": r.highs_s, "simplex_iterations": r.simplex_iterations}
 
 
 def test_private_highs_binding_has_every_method_used():

@@ -199,24 +199,42 @@ def test_solution_round_trip(tmp_path, uc_oracle_case):
     assert np.array_equal(back.p, sol.p)
     assert back.objective == pytest.approx(sol.objective)
     assert back.mip_gap == sol.mip_gap
-    assert (back.screen_rounds, back.flow_rows) == (sol.screen_rounds, sol.flow_rows)
-    assert back.milp == sol.milp and sol.milp["highs_s"] > 0.0
-    assert back.build_s == sol.build_s and 0.0 < sol.build_s < sol.wall_time_s
-    # a file written before flow screening carries peak_rss_mb and no
-    # screening counts, MILP totals or build seconds; it still loads
+    assert back.record == sol.record and sol.record["highs_s"] > 0.0
+    assert 0.0 < sol.record["build_s"] < sol.record["wall_time_s"]
+
+
+def test_older_solution_files_still_load(tmp_path, uc_oracle_case):
+    """Files written before the record was kept load with the same solution
+    and an empty record: one with the telemetry as flat keys, and one from
+    before flow screening, with no screening counts, MILP totals or build
+    seconds but the long-gone peak_rss_mb."""
+    system, grid, scn = uc_oracle_case
+    sol = solve_suc(system, scn)
+    path = tmp_path / "suc.json"
+    save_suc_solution(sol, path)
     doc = json.loads(path.read_text())
-    del doc["screen_rounds"], doc["flow_rows"], doc["milp"], doc["build_s"]
-    path.write_text(json.dumps(doc | {"peak_rss_mb": 150.0}))
-    old = load_suc_solution(path)
-    assert (old.screen_rounds, old.flow_rows, old.milp, old.build_s) == (1, 0, {}, None)
-    assert not hasattr(old, "peak_rss_mb")
+    del doc["record"]
+    flat = {
+        "wall_time_s": 0.5, "screen_rounds": 1, "flow_rows": 0,
+        "size": {"rows": 40, "cols": 30, "nnz": 90, "binaries": 4},
+        "milp": {"highs_s": 0.1, "mip_node_count": 1, "mip_dual_bound": 1.0},
+        "build_s": 0.01, "ev_usd": 1.0, "eev_usd": 1.0, "start_s": 0.1, "start_used": True,
+    }
+    for old_doc in (doc | flat, doc | {"wall_time_s": 0.5, "peak_rss_mb": 150.0}):
+        path.write_text(json.dumps(old_doc))
+        old = load_suc_solution(path)
+        assert old.record == {} and not hasattr(old, "peak_rss_mb")
+        for name in ("u", "v", "w", "p", "curtail"):
+            assert np.array_equal(getattr(old, name), getattr(sol, name)), name
+        assert (old.objective, old.mip_gap, old.grid) == (sol.objective, sol.mip_gap, sol.grid)
 
 
 def test_solver_metadata_recorded(uc_oracle_case):
     system, grid, scn = uc_oracle_case
     sol = solve_suc(system, scn)
-    assert sol.wall_time_s > 0.0
-    assert (sol.screen_rounds, sol.flow_rows) == (1, 0)  # no lines: one solve
+    rec = sol.record
+    assert rec["wall_time_s"] > 0.0
+    assert (rec["screen_rounds"], rec["flow_rows"]) == (1, 0)  # no lines: one solve
     assert sol.mip_gap is not None and sol.mip_gap <= 1e-6 + 1e-12
 
 
@@ -403,9 +421,9 @@ def test_ev_start_keeps_the_optimum(drawn):
     assert cold.ok
     tol = gap_tol * max(1.0, abs(cold.objective))
     assert abs(warm.objective - cold.objective) <= tol
-    if warm.eev_usd is not None:
-        assert warm.ev_usd <= warm.objective + tol
-        assert warm.objective <= warm.eev_usd + tol
+    if warm.record["eev_usd"] is not None:
+        assert warm.record["ev_usd"] <= warm.objective + tol
+        assert warm.objective <= warm.record["eev_usd"] + tol
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -427,7 +445,7 @@ def test_one_scenario_start_keeps_the_optimum(case):
         return
     assert cold.ok
     assert abs(warm.objective - cold.objective) <= gap_tol * max(1.0, abs(cold.objective))
-    assert (warm.ev_usd, warm.eev_usd) == (None, None)
+    assert (warm.record["ev_usd"], warm.record["eev_usd"]) == (None, None)
 
 
 def _spy_solves(monkeypatch):
@@ -460,28 +478,22 @@ def test_ev_start_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
         ("complete", False), ("complete", False), ("solve", True),
         ("complete", False), ("solve", True),
     ]
-    assert sol.ev_usd <= sol.objective + 1e-6 <= sol.eev_usd + 2e-6
-    assert 0.0 < sol.start_s < sol.wall_time_s and sol.start_used is True
+    rec = sol.record
+    assert rec["ev_usd"] <= sol.objective + 1e-6 <= rec["eev_usd"] + 2e-6
+    assert 0.0 < rec["start_s"] < rec["wall_time_s"] and rec["start_used"] is True
     calls.clear()
     one = scenario_set(system, grid, scn.values[:1], probs=[1.0])
     alone = solve_suc(system, one)
     assert [(kind, start) for kind, _, start in calls] == [
         ("complete", False), ("complete", False), ("solve", True)
     ]
-    assert (alone.ev_usd, alone.eev_usd, alone.start_used) == (None, None, True)
-    assert 0.0 < alone.start_s < alone.wall_time_s
-    # saved and loaded; files written before the start was kept load None
+    rec = alone.record
+    assert (rec["ev_usd"], rec["eev_usd"], rec["start_used"]) == (None, None, True)
+    assert 0.0 < rec["start_s"] < rec["wall_time_s"]
+    # saved and loaded with the rest of the record
     path = tmp_path / "suc.json"
     save_suc_solution(sol, path)
-    back = load_suc_solution(path)
-    fields = ("ev_usd", "eev_usd", "start_s", "start_used")
-    assert [getattr(back, k) for k in fields] == [getattr(sol, k) for k in fields]
-    doc = json.loads(path.read_text())
-    for key in fields:
-        del doc[key]
-    path.write_text(json.dumps(doc))
-    old = load_suc_solution(path)
-    assert [getattr(old, k) for k in fields] == [None] * 4
+    assert load_suc_solution(path).record == sol.record
 
 
 def test_infeasible_ev_completion_solves_cold(monkeypatch):
@@ -501,8 +513,8 @@ def test_infeasible_ev_completion_solves_cold(monkeypatch):
         ("complete", False), ("complete", False), ("solve", True),
         ("complete", False), ("solve", False),
     ]
-    assert sol.ev_usd == pytest.approx(25.0) and sol.eev_usd is None
-    assert sol.start_used is False
+    assert sol.record["ev_usd"] == pytest.approx(25.0) and sol.record["eev_usd"] is None
+    assert sol.record["start_used"] is False
     assert sol.objective == pytest.approx(2625.0)
     assert sol.u.tolist() == [[0], [1]]
     (model, _, _), _ = _suc_and_dam_models((system, [52.5], ([0.0], [0.0])), scn)
@@ -531,7 +543,7 @@ def test_rounded_relaxation_breaking_min_down_solves_cold(monkeypatch):
     assert [(kind, start) for kind, _, start in calls] == [
         ("complete", False), ("complete", False), ("solve", False)
     ]
-    assert sol.start_used is False and sol.start_s > 0.0
+    assert sol.record["start_used"] is False and sol.record["start_s"] > 0.0
     assert sol.u.tolist() == [[1, 1, 1]]
     assert sol.objective == pytest.approx(2030.0)
     assert sol.objective == pytest.approx(optim.solve(model).objective)
