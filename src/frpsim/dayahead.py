@@ -19,6 +19,24 @@ requirement rows).
 A prior commitment schedule can be imposed as a floor on the on-binaries,
 which is how the stochastic pass's priority commitments are carried into the
 market run.
+
+A cleared market can spare the clearing MILP of a market with higher
+requirements (``clear_dam(..., relaxed=outcome)``). Take two markets A and B
+of the same system and bids, neither with a commitment floor, with B's
+requirements elementwise at least A's. The models differ only in the
+requirement rows ``sum(r) + sf >= req``, so every point of B is a point of A
+at the same cost, and the shortfall slacks keep B feasible at every
+commitment A allows. A's proven dual bound is a bound on A's screened model,
+a relaxation of A's full model (see `network`), so it is at most B's optimum.
+Pinning A's commitment on B and solving the pricing LP, flow rows screened
+as usual, gives a point of B at the LP's objective. If that objective is
+within ``gap_tol`` of the bound, ``(objective - bound) / max(1, |objective|)
+<= gap_tol``, the commitment is ``gap_tol``-optimal for B, which is what
+B's own MILP would prove; the MILP is skipped and the outcome is built from
+that LP as it would be from the MILP's commitment. The bound still holds for
+B, so B's outcome carries it to a market above B. When the check fails, B is
+cleared by its MILP on the model it has without the check: rebuilt if the
+check's screening added flow rows.
 """
 
 from __future__ import annotations
@@ -86,6 +104,8 @@ class DamOutcome:
     objective: float
     pricing_objective: float
     mip_gap: float | None
+    # the relaxed market's bound proved this commitment; no clearing MILP ran
+    certified: bool = False
     # what the solves did, as the ledger writes it: screening rounds
     # (clearing and pricing together) and the flow rows they added, build
     # seconds, the clearing MILP's size in its last round and its HiGHS
@@ -207,6 +227,16 @@ def _build(system, bids, req, fix_commitments):
     return model, idx
 
 
+def _screen(system, idx, hours):
+    screen = network.FlowScreen(system)
+    screen.add_periods("", *idx["inj"], np.zeros((len(system.buses), hours)))
+    return screen
+
+
+def _gap(objective, bound):
+    return (objective - bound) / max(1.0, abs(objective))
+
+
 def clear_dam(
     system,
     bids,
@@ -215,18 +245,27 @@ def clear_dam(
     gap_tol=1e-6,
     time_limit=None,
     dump_lp=None,
+    relaxed=None,
 ):
     """Clear the day-ahead market and price it.
 
     Returns a DamOutcome holding awards from the MIP incumbent and prices
     from the frozen-binary re-solve. Line-flow rows are screened in both
     solves (see `network`); ``dump_lp`` receives the final screened model.
+
+    ``relaxed`` is the outcome of a market whose model is a relaxation of
+    this one: the same system and bids, no commitment floor, requirements
+    elementwise at most these. The caller guarantees it. If its commitment
+    and bound certify this market (see the module docstring), no clearing
+    MILP runs and the outcome is ``certified``.
     """
     if tuple(bids.buses) != tuple(system.bus_ids):
         raise ValueError("bid buses do not match system buses")
     if req.hours != bids.hours:
         raise ValueError("requirement horizon does not match bid horizon")
     if fix_commitments is not None:
+        if relaxed is not None:
+            raise ValueError("relaxed needs a market without fix_commitments")
         fix_commitments = np.asarray(fix_commitments, dtype=int)
         want = (len(system.generators), bids.hours)
         if fix_commitments.shape != want:
@@ -234,26 +273,50 @@ def clear_dam(
     t_build = time.perf_counter()
     model, idx = _build(system, bids, req, fix_commitments)
     hours = bids.hours
-    screen = network.FlowScreen(system)
-    screen.add_periods("", *idx["inj"], np.zeros((len(system.buses), hours)))
+    screen = _screen(system, idx, hours)
     build_s = time.perf_counter() - t_build
+    gens = system.generators
+    bound = None if relaxed is None else relaxed.record.get("mip_dual_bound")
     try:
-        mip = optim.require_optimal(
-            screen.solve(
-                model, lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
-                time_limit,
-            ),
-            "day-ahead clearing",
-        )
-        u, v, w = commitment_schedule(
-            system.generators, mip.x, idx["u"], idx["v"], idx["w"], "day-ahead clearing"
-        )
-        # the incumbent meets every flow limit, so it stays optimal when the
-        # pricing solve adds rows; only the LP is re-solved
-        lp = optim.require_optimal(
-            screen.solve(model, lambda m, _: optim.fix_and_resolve(m, mip.x)),
-            "day-ahead pricing",
-        )
+        lp = None
+        if bound is not None:
+            pinned = np.zeros(model.n_vars)
+            pinned[idx["u"]] = relaxed.u
+            lp = screen.solve(model, lambda m, _: optim.fix_and_resolve(m, pinned))
+            if not (lp.ok and _gap(lp.objective, bound) <= gap_tol):
+                lp = None
+                if screen.added:
+                    model, idx = _build(system, bids, req, fix_commitments)
+                screen = _screen(system, idx, hours)
+        certified = lp is not None
+        if certified:
+            u, v, w = commitment_schedule(
+                gens, lp.x, idx["u"], idx["v"], idx["w"], "day-ahead certificate"
+            )
+            objective, mip_gap = lp.objective, _gap(lp.objective, bound)
+            clearing = {
+                **lp.size, "binaries": model.n_integer,
+                "highs_s": 0.0, "mip_node_count": 0, "mip_dual_bound": bound,
+            }
+        else:
+            mip = optim.require_optimal(
+                screen.solve(
+                    model, lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
+                    time_limit,
+                ),
+                "day-ahead clearing",
+            )
+            u, v, w = commitment_schedule(
+                gens, mip.x, idx["u"], idx["v"], idx["w"], "day-ahead clearing"
+            )
+            # the incumbent meets every flow limit, so it stays optimal when
+            # the pricing solve adds rows; only the LP is re-solved
+            lp = optim.require_optimal(
+                screen.solve(model, lambda m, _: optim.fix_and_resolve(m, mip.x)),
+                "day-ahead pricing",
+            )
+            objective, mip_gap = mip.objective, mip.mip_gap
+            clearing = {**mip.size, **mip.highs}
     finally:
         if dump_lp:
             model.write_lp(dump_lp)
@@ -279,12 +342,13 @@ def clear_dam(
         lmp=lmp,
         price_up=price_up,
         price_dn=price_dn,
-        objective=float(mip.objective),
+        objective=float(objective),
         pricing_objective=float(lp.objective),
-        mip_gap=mip.mip_gap,
+        mip_gap=mip_gap,
+        certified=certified,
         record={
             "screen_rounds": screen.rounds, "flow_rows": len(screen.added),
-            "build_s": build_s, **mip.size, **mip.highs, "pricing_lp": lp.highs,
+            "build_s": build_s, **clearing, "pricing_lp": lp.highs,
         },
     )
 
@@ -359,6 +423,7 @@ def save_dam_outcome(out, path):
         "objective_usd": out.objective,
         "pricing_objective_usd": out.pricing_objective,
         "mip_gap": out.mip_gap,
+        "certified": out.certified,
         "record": out.record,
     }
     for name in _ARRAYS:
@@ -381,6 +446,7 @@ def load_dam_outcome(path):
         objective=doc["objective_usd"],
         pricing_objective=doc["pricing_objective_usd"],
         mip_gap=doc["mip_gap"],
+        certified=doc.get("certified", False),
         record=doc.get("record", {}),
         **kwargs,
     )

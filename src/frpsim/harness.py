@@ -6,6 +6,14 @@ only carries its requirements) get one cell per (day, scenario count, rho);
 percentile methods ("p90", "p95", "p99") are scenario-free, so they get one
 cell per day and their results apply across the whole grid.
 
+A day's percentile cells are one job, cleared in ascending coverage. A level
+whose requirements are, hour by hour, at least those of the level cleared
+before it hands that level's market outcome to `clear_dam` as ``relaxed``,
+which skips the clearing MILP when that outcome's commitment and bound
+certify the higher level (see `dayahead`). The comparison is made on the
+arrays each run, not assumed from the coverages. A level that fails fails
+its own cell, and the level after it clears without a bound.
+
 Every cell clears the day-ahead market, re-dispatches against the day's
 out-of-sample realization (identical across methods by construction: it comes
 from a named sub-stream keyed only by the day), settles, and records a
@@ -186,7 +194,7 @@ def _cell_id(day_name, method, n=None, rho=None):
     return f"{day_name}.{method}.n{n}.rho{rho:g}"
 
 
-def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
+def _finish_cell(system, cfg, day, method, dam, realized, req, extra, bound_from=None):
     rtm = simulate_rtm(system, dam, realized, gap_tol=cfg.gap_tol)
     rep = settle(system, dam, rtm, mode=cfg.settlement_mode)
     rec = {
@@ -199,6 +207,8 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra):
         },
         "dam": {
             "objective_usd": dam.objective,
+            "mip_gap": dam.mip_gap,
+            "bound_from": bound_from,
             "shortfall_up_mw": float(dam.sf_up.sum()),
             "shortfall_dn_mw": float(dam.sf_dn.sum()),
             **dam.record,
@@ -248,17 +258,38 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
     return cells, 1  # one stochastic-pass solve
 
 
-def _run_pct_cell(system, cfg, day, method, realized):
+def _run_pct_ladder(system, cfg, day, wanted, realized):
+    """Finish the percentile cells ``wanted`` of one day, in the order given
+    (ascending coverage). A level gets the outcome of the level before it as
+    ``relaxed`` when its requirements are elementwise at least that level's;
+    ``bound_from`` names the method whose clearing MILP proved the bound that
+    certified it. A level that raises is returned as its exception, and the
+    next level clears without a bound."""
     forecast, bids = _day_profile(system, cfg, day)
-    req = percentile_requirements(forecast, cfg.sigma_frac, PERCENTILE_METHODS[method])
-    dam = clear_dam(
-        system, bids, req, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit
-    )
-    rec = _finish_cell(
-        system, cfg, day, method, dam, realized, req,
-        {"n_scenarios": None, "rho": None, "suc": None},
-    )
-    return {_cell_id(day.name, method): rec}, 0
+    cells = {}
+    below = None  # (requirements, outcome, method that proved its bound)
+    for method in wanted:
+        cell_id = _cell_id(day.name, method)
+        try:
+            req = percentile_requirements(forecast, cfg.sigma_frac, PERCENTILE_METHODS[method])
+            nested = (
+                below is not None
+                and np.all(req.up >= below[0].up) and np.all(req.dn >= below[0].dn)
+            )
+            dam = clear_dam(
+                system, bids, req, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit,
+                relaxed=below[1] if nested else None,
+            )
+            bound_from = below[2] if dam.certified else None
+            cells[cell_id] = _finish_cell(
+                system, cfg, day, method, dam, realized, req,
+                {"n_scenarios": None, "rho": None, "suc": None}, bound_from,
+            )
+            below = (req, dam, bound_from or method)
+        except Exception as exc:  # noqa: BLE001 - a level fails its own cell
+            cells[cell_id] = exc
+            below = None
+    return cells, 0
 
 
 @dataclass
@@ -364,7 +395,7 @@ def run_experiment(system, cfg, out_dir, workers=1):
                     cost = json.load(fh)["cost_usd"]
             except Exception as exc:  # noqa: BLE001 - day isolation
                 ids = [c for job in _day_jobs(cfg, day, None) for c in job[-1]]
-                _record_failure(out_dir, result, (None, ids), exc)
+                _record_failure(out_dir, result, ids, exc)
                 continue
             for job in _day_jobs(cfg, day, realized):
                 ids = job[-1]
@@ -376,18 +407,25 @@ def run_experiment(system, cfg, out_dir, workers=1):
         for job, cost, fut in futures:
             try:
                 cells, n_solves = fut.result()
-                result.suc_pass_solves += n_solves
-                for cell_id, rec in cells.items():
-                    rec["clairvoyant_usd"] = cost
-                    path = os.path.join(cells_dir, cell_id + ".json")
-                    if not os.path.exists(path):  # never overwrite ledger entries
-                        _write_json(path, rec, sort_keys=True)
-                        result.done.append(cell_id)
-                        _append_manifest(
-                            out_dir, {"event": "cell", "cell": cell_id, "status": "done"}
-                        )
             except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-                _record_failure(out_dir, result, job, exc)
+                _record_failure(out_dir, result, job[-1], exc)
+                continue
+            result.suc_pass_solves += n_solves
+            for cell_id, rec in cells.items():
+                path = os.path.join(cells_dir, cell_id + ".json")
+                if os.path.exists(path):  # never overwrite ledger entries
+                    continue
+                try:
+                    if isinstance(rec, Exception):
+                        raise rec
+                    rec["clairvoyant_usd"] = cost
+                    _write_json(path, rec, sort_keys=True)
+                    result.done.append(cell_id)
+                    _append_manifest(
+                        out_dir, {"event": "cell", "cell": cell_id, "status": "done"}
+                    )
+                except Exception as exc:  # noqa: BLE001 - a cell fails alone
+                    _record_failure(out_dir, result, [cell_id], exc)
 
     _append_manifest(
         out_dir,
@@ -423,29 +461,30 @@ def _day_reference(system, cfg, day, solve):
 
 
 def _day_jobs(cfg, day, realized):
-    """The jobs of one day, as (kind, day, a, b, methods, realized, cell
-    ids): one per stochastic-pass group (scenario count ``a``, rho ``b``)
-    and one per percentile method ``a``."""
+    """The jobs of one day, as (kind, day, n, rho, methods, realized, cell
+    ids): one per stochastic-pass group (scenario count ``n``, rho ``rho``)
+    and one for the percentile methods, in ascending coverage (``n`` and
+    ``rho`` None)."""
     suc = [m for m in cfg.methods if m in SUC_METHODS]
     for n, rho in itertools.product(cfg.n_scenarios, cfg.rho) if suc else ():
         yield ("suc", day, n, rho, suc, realized, [_cell_id(day.name, m, n, rho) for m in suc])
-    for m in cfg.methods:
-        if m in PERCENTILE_METHODS:
-            yield ("pct", day, m, None, None, realized, [_cell_id(day.name, m)])
+    pct = sorted((m for m in cfg.methods if m in PERCENTILE_METHODS), key=PERCENTILE_METHODS.get)
+    if pct:
+        yield ("pct", day, None, None, pct, realized, [_cell_id(day.name, m) for m in pct])
 
 
 def _dispatch(system, cfg, job):
-    kind, day, a, b, wanted, realized, _ = job
+    kind, day, n, rho, wanted, realized, _ = job
     if kind == "suc":
-        return _run_suc_group(system, cfg, day, a, b, wanted, realized)
-    return _run_pct_cell(system, cfg, day, a, realized)
+        return _run_suc_group(system, cfg, day, n, rho, wanted, realized)
+    return _run_pct_ladder(system, cfg, day, wanted, realized)
 
 
-def _record_failure(out_dir, result, job, exc):
-    """Mark the cells of a failed job failed, except those already in the
-    ledger: a job's cells are written one at a time, so a failure may come
-    after some of them are finished."""
-    for cell_id in job[-1]:
+def _record_failure(out_dir, result, ids, exc):
+    """Mark the cells ``ids`` failed, except those already in the ledger: a
+    job resumed for some of its cells also holds cells an earlier run
+    finished."""
+    for cell_id in ids:
         if os.path.exists(os.path.join(out_dir, "cells", cell_id + ".json")):
             continue
         result.failed[cell_id] = f"{type(exc).__name__}: {exc}"

@@ -86,8 +86,12 @@ model re-solved three times, equal optima). Skipping them is sound:
 
 `release_heap` hands the C heap's free pages back to the OS (glibc's
 ``malloc_trim``; elsewhere it does nothing). `stochastic_uc.solve_suc`
-calls it first and again before each of its MILPs, the largest models of a
-day. It changes no answer. glibc raises its mmap threshold once a large
+calls it first, again before each of its MILPs, the largest models of a
+day, and once more as it returns, so that the markets and real-time runs
+of the same job do not hold the freed model's pages: otherwise a pool's
+peak adds two such heaps whenever both workers are past a SUC at once (the
+corpus grid at two workers on a 2-vCPU Xeon VM peaked at 191 MB without
+the last call, 167 MB with it). It changes no answer. glibc raises its mmap threshold once a large
 block is freed, so later large numpy and HiGHS arrays come from the heap,
 and a run's peak memory depends on what earlier solves left resident
 there: without the calls, the same `suc-heavy` grid peaked at 128 or

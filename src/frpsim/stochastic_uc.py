@@ -322,20 +322,22 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         raise ValueError("scenario buses do not match system buses")
     optim.release_heap()
     t0 = time.perf_counter()
-    if scenarios.n_scenarios == 1:
-        return _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp)
-    mean = ScenarioSet(
-        buses=scenarios.buses,
-        grid=scenarios.grid,
-        values=np.tensordot(scenarios.probabilities, scenarios.values, axes=1)[None],
-        probabilities=np.array([1.0]),
-    )
-    try:
-        ev = _solve(system, mean, gap_tol, time_limit, t0)
-    except optim.InfeasibleModelError:
-        ev = None  # no EV commitment: solve cold
-    ev_s = time.perf_counter() - t0
-    return _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp, ev, ev_s)
+    ev, ev_s = None, 0.0
+    if scenarios.n_scenarios > 1:
+        mean = ScenarioSet(
+            buses=scenarios.buses,
+            grid=scenarios.grid,
+            values=np.tensordot(scenarios.probabilities, scenarios.values, axes=1)[None],
+            probabilities=np.array([1.0]),
+        )
+        try:
+            ev = _solve(system, mean, gap_tol, time_limit, t0)
+        except optim.InfeasibleModelError:
+            pass  # no EV commitment: solve cold
+        ev_s = time.perf_counter() - t0
+    sol = _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp, ev, ev_s)
+    optim.release_heap()  # the model is gone: what runs next does not sit on its pages
+    return sol
 
 
 def _rounded_relaxation(generators, model, u, time_limit):

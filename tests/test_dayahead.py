@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frpsim import DamBidSet, TimeGrid, clear_dam, solve_suc
 from frpsim.dayahead import (
@@ -12,9 +14,11 @@ from frpsim.dayahead import (
     load_dam_outcome,
     save_dam_outcome,
 )
+from frpsim.optim import InfeasibleModelError
 from frpsim.requirements import FrpRequirements, zero_requirements
 
 from conftest import make_gen, scenario_set, single_bus_system
+from test_suc import _commitment_cases
 
 
 def _bids(system, loads):
@@ -151,6 +155,100 @@ def test_input_validation(two_gen_system):
             DamBidSet(("nope",), np.array([[70.0, 120.0]])),
             zero_requirements(2),
         )
+    below = clear_dam(two_gen_system, bids, zero_requirements(2))
+    with pytest.raises(ValueError, match="relaxed"):
+        clear_dam(two_gen_system, bids, zero_requirements(2),
+                  fix_commitments=np.ones((2, 2), dtype=int), relaxed=below)
+
+
+def _assert_same_clearing(out, cold):
+    """``out`` cleared by its own MILP, on the model a cold clearing has:
+    the same answer and record, bit for bit, but for the seconds."""
+    assert not out.certified
+    for name in ("u", "v", "w", "p", "r_up", "r_dn", "lmp", "price_up", "price_dn"):
+        assert np.array_equal(getattr(out, name), getattr(cold, name)), name
+    assert (out.objective, out.mip_gap) == (cold.objective, cold.mip_gap)
+    seconds = ("build_s", "highs_s", "pricing_lp")
+    assert {k: v for k, v in out.record.items() if k not in seconds} == {
+        k: v for k, v in cold.record.items() if k not in seconds
+    }
+    assert out.record["highs_s"] > 0.0  # the clearing MILP ran
+
+
+def test_lower_requirement_certifies_a_higher_one(tmp_path, pricing_system):
+    """Up to 15 MW of hour-0 requirement is free (see the redispatch test
+    above), so the 10 MW market's commitment and bound certify the 15 MW
+    market: no clearing MILP runs, the record carries the inherited bound,
+    and the outcome is a cold clearing's."""
+    bids = _bids(pricing_system, [95.0, 95.0])
+    below = clear_dam(pricing_system, bids, FrpRequirements([10.0, 0.0], [0.0, 0.0], "lo"))
+    req = FrpRequirements([15.0, 0.0], [0.0, 0.0], "hi")
+    out = clear_dam(pricing_system, bids, req, relaxed=below)
+    cold = clear_dam(pricing_system, bids, req)
+    assert out.certified and not below.certified and not cold.certified
+    rec, bound = out.record, below.record["mip_dual_bound"]
+    assert (rec["highs_s"], rec["mip_node_count"], rec["mip_dual_bound"]) == (0.0, 0, bound)
+    assert out.mip_gap == (out.objective - bound) / max(1.0, abs(out.objective))
+    assert abs(out.mip_gap) <= 1e-6
+    for key in ("rows", "cols", "nnz", "binaries", "flow_rows"):
+        assert rec[key] == cold.record[key], key
+    assert rec["screen_rounds"] == 1 and rec["pricing_lp"]["simplex_iterations"] >= 1
+    for name in ("u", "v", "w"):
+        assert np.array_equal(getattr(out, name), getattr(cold, name)), name
+    assert out.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert np.allclose(out.lmp, cold.lmp) and np.allclose(out.price_up, cold.price_up)
+    assert all(v <= 1e-6 for v in check_dam_outcome(pricing_system, out, bids, req).values())
+    save_dam_outcome(out, tmp_path / "dam.json")
+    assert load_dam_outcome(tmp_path / "dam.json").certified
+
+
+def test_binding_higher_requirement_falls_back_to_the_milp(pricing_system):
+    """The impossible requirement buys shortfall at the penalty, far above
+    the 10 MW market's bound: the check fails, and the market is cleared by
+    its own MILP exactly as without ``relaxed``."""
+    bids = _bids(pricing_system, [95.0, 95.0])
+    below = clear_dam(pricing_system, bids, FrpRequirements([10.0, 0.0], [0.0, 0.0], "lo"))
+    req = FrpRequirements([500.0, 0.0], [0.0, 0.0], "impossible")
+    out = clear_dam(pricing_system, bids, req, relaxed=below)
+    _assert_same_clearing(out, clear_dam(pricing_system, bids, req))
+
+
+@st.composite
+def _nested_cases(draw):
+    """A drawn commitment case and a second requirement at or above its
+    own, hour by hour."""
+    system, loads, req = draw(_commitment_cases())
+    step = st.sampled_from([0.0, 0.0, 5.0, 25.0])
+    raised = [
+        np.add(r, draw(st.lists(step, min_size=len(r), max_size=len(r)))) for r in req
+    ]
+    return system, loads, req, raised
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_nested_cases())
+def test_certified_market_matches_a_cold_clearing(case):
+    """A market cleared with a lower requirement's outcome as ``relaxed``
+    either is certified, with a cold clearing's commitment and objective
+    within gap_tol and a clean audit, or falls back to the cold clearing
+    itself."""
+    system, loads, (up, dn), (hi_up, hi_dn) = case
+    bids = _bids(system, loads)
+    try:
+        below = clear_dam(system, bids, FrpRequirements(up, dn, "lo"))
+    except InfeasibleModelError:
+        return  # no commitment serves the loads; the higher market has none either
+    req = FrpRequirements(hi_up, hi_dn, "hi")
+    out = clear_dam(system, bids, req, relaxed=below)
+    cold = clear_dam(system, bids, req)
+    if not out.certified:
+        _assert_same_clearing(out, cold)
+        return
+    for name in ("u", "v", "w"):
+        assert np.array_equal(getattr(out, name), getattr(cold, name)), name
+    assert abs(out.objective - cold.objective) <= 1e-6 * max(1.0, abs(cold.objective))
+    worst = check_dam_outcome(system, out, bids, req)
+    assert all(v <= 1e-6 for v in worst.values()), worst
 
 
 def test_outcome_round_trip(tmp_path, pricing_system):

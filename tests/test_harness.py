@@ -193,6 +193,81 @@ def test_failed_write_fails_only_the_unwritten_cells(tmp_path, monkeypatch):
         assert [m["status"] for m in lines] == ["done"]
 
 
+def _percentile_dams(out, day="d1"):
+    cells = aggregate(str(out))
+    return {m: cells[f"{day}.{m}"]["dam"] for m in PERCENTILE_METHODS}
+
+
+def test_percentile_ladder_certifies_higher_levels(tmp_path):
+    """A day's percentile levels clear in ascending coverage whatever the
+    config's order. Here p90's bound certifies p95, and p95 passes it on to
+    p99: neither runs a clearing MILP, and both name p90 as the source."""
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p99, p90, p95]")
+    cfg, system = load_config(path)
+    out = tmp_path / "out"
+    assert run_experiment(system, cfg, str(out)).clean
+    dam = _percentile_dams(out)
+    assert dam["p90"]["bound_from"] is None and dam["p90"]["highs_s"] > 0.0
+    assert dam["p90"]["mip_gap"] <= cfg.gap_tol
+    for method in ("p95", "p99"):
+        rec = dam[method]
+        assert rec["bound_from"] == "p90"
+        assert (rec["highs_s"], rec["mip_node_count"]) == (0.0, 0)
+        assert rec["mip_dual_bound"] == dam["p90"]["mip_dual_bound"]
+        assert abs(rec["mip_gap"]) <= cfg.gap_tol
+
+
+def test_levels_that_do_not_nest_get_no_bound(tmp_path, monkeypatch):
+    """The ladder compares the requirement arrays, not the coverages: with
+    each level's hour-0 up requirement below the level before it, no level
+    gets a relaxed market, and each runs its own MILP."""
+    real = harness.percentile_requirements
+
+    def dips(forecast, sigma_frac, coverage):
+        req = real(forecast, sigma_frac, coverage)
+        req.up[0] = 1000.0 * (1.0 - coverage)  # 100, 50 and 10 MW
+        return req
+
+    relaxed = []
+    clear = harness.clear_dam
+
+    def clear_dam(*args, **kwargs):
+        relaxed.append(kwargs["relaxed"])
+        return clear(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "percentile_requirements", dips)
+    monkeypatch.setattr(harness, "clear_dam", clear_dam)
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p90, p95, p99]")
+    cfg, system = load_config(path)
+    assert run_experiment(system, cfg, str(tmp_path / "out")).clean
+    assert relaxed == [None, None, None]
+    for rec in _percentile_dams(tmp_path / "out").values():
+        assert rec["bound_from"] is None and rec["highs_s"] > 0.0
+
+
+def test_failed_level_fails_only_its_cell(tmp_path, monkeypatch):
+    """A p90 that raises fails d1.p90 alone: p95 clears without a bound,
+    and its bound certifies p99."""
+    clear = harness.clear_dam
+
+    def clear_dam(system, bids, req, **kwargs):
+        if req.source == "percentile-90":
+            raise RuntimeError("solver crashed")
+        return clear(system, bids, req, **kwargs)
+
+    monkeypatch.setattr(harness, "clear_dam", clear_dam)
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p90, p95, p99]")
+    cfg, system = load_config(path)
+    out = tmp_path / "out"
+    result = run_experiment(system, cfg, str(out))
+    assert result.failed == {"d1.p90": "RuntimeError: solver crashed"}
+    assert result.done == ["d1.p95", "d1.p99"]
+    cells = aggregate(str(out))
+    assert cells["d1.p95"]["dam"]["bound_from"] is None
+    assert cells["d1.p95"]["dam"]["highs_s"] > 0.0
+    assert cells["d1.p99"]["dam"]["bound_from"] == "p95"
+
+
 def test_load_config_reads_the_system_file_once(tmp_path, monkeypatch):
     """The digest and the system come from one read of the file, so an edit
     between two reads cannot pair the digest of one file with another."""
@@ -306,7 +381,7 @@ def test_ledger_keys_are_fixed(tmp_path):
     assert set(rec["dam"]) == {
         "objective_usd", "shortfall_up_mw", "shortfall_dn_mw", "screen_rounds",
         "flow_rows", "build_s", "rows", "cols", "nnz", "binaries", "highs_s",
-        "mip_node_count", "mip_dual_bound", "pricing_lp",
+        "mip_node_count", "mip_dual_bound", "pricing_lp", "mip_gap", "bound_from",
     }
     assert set(rec["dam"]["pricing_lp"]) == {"highs_s", "simplex_iterations"}
     assert set(rec["rtm"]) == {

@@ -13,6 +13,7 @@ from frpsim import (
     NetLoadProfile,
     TimeGrid,
     clear_dam,
+    dayahead,
     load_system,
     network,
     optim,
@@ -26,6 +27,7 @@ from frpsim.requirements import zero_requirements
 from frpsim.stochastic_uc import check_suc_solution
 
 from conftest import scenario_set
+from test_dayahead import _assert_same_clearing
 
 # Hours 4-9 of an ieee14-shaped day (MW per bus, b1..b14): a flat night,
 # then the morning ramp. With l1_2 cut to 130 MW the full day-ahead market
@@ -128,6 +130,32 @@ def test_screened_dam_and_rtm_match_full(congested, monkeypatch):
     rtm.p[:2, -1] += [10.0, -10.0]
     worst = check_rtm_outcome(congested, dam, rtm, realized)
     assert worst["flow"] > 1.0 and worst["balance"] <= TOL, worst
+
+
+def test_certificate_screens_flow_rows(congested, monkeypatch):
+    """The market without a requirement certifies one with 50 MW of up
+    requirement over the ramp: the check's pricing LP screens the flow rows
+    the commitment needs, and the outcome is a cold clearing's. At 150 MW
+    the check fails after its screening added rows, so the model is rebuilt
+    and its MILP gives the cold clearing bit for bit."""
+    bids = DamBidSet(congested.bus_ids, LOAD)
+    below = clear_dam(congested, bids, zero_requirements(6))
+    req = FrpRequirements([0, 0, 50, 50, 50, 0], [0] * 6, "test")
+    out, cold = clear_dam(congested, bids, req, relaxed=below), clear_dam(congested, bids, req)
+    assert out.certified and out.record["flow_rows"] >= 1
+    assert np.array_equal(out.u, cold.u)
+    _same_objective(out.objective, cold.objective)
+    assert np.allclose(out.lmp, cold.lmp, atol=TOL)
+    assert max(check_dam_outcome(congested, out, bids, req).values()) <= TOL
+
+    req = FrpRequirements([0, 0, 150, 150, 150, 0], [0] * 6, "test")
+    builds = []
+    build = dayahead._build
+    with monkeypatch.context() as m:
+        m.setattr(dayahead, "_build", lambda *args: builds.append(args) or build(*args))
+        out = clear_dam(congested, bids, req, relaxed=below)
+    assert len(builds) == 2
+    _assert_same_clearing(out, clear_dam(congested, bids, req))
 
 
 def _spy_rounds(monkeypatch):

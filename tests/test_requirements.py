@@ -258,12 +258,15 @@ def _forecasts(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_forecasts())
-def test_percentile_requirements_nest_pointwise(case):
+@given(_forecasts(), st.lists(st.floats(0.001, 0.999), max_size=3))
+def test_percentile_requirements_nest_pointwise(case, coverages):
     """A higher coverage pads every step further, so the p90 requirement is
-    at most the p95 one, and that at most the p99 one, hour by hour."""
+    at most the p95 one, and that at most the p99 one, hour by hour; so for
+    any two coverages. The harness's percentile ladder relies on it (and
+    still checks it on every day)."""
     forecast, sigma = case
-    reqs = [percentile_requirements(forecast, sigma, c) for c in (0.90, 0.95, 0.99)]
+    coverages = sorted({0.90, 0.95, 0.99, *coverages})
+    reqs = [percentile_requirements(forecast, sigma, c) for c in coverages]
     for lower, higher in zip(reqs, reqs[1:]):
         assert np.all(lower.up <= higher.up)
         assert np.all(lower.dn <= higher.dn)

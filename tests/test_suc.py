@@ -496,6 +496,21 @@ def test_ev_start_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
     assert load_suc_solution(path).record == sol.record
 
 
+def test_heap_is_trimmed_before_each_milp_and_on_return(uc_oracle_case, monkeypatch):
+    """`solve_suc` hands the C heap back first, before each MILP, and once
+    more when its model is freed, so that the markets run after it in the
+    same process do not hold the model's pages (see `optim`)."""
+    system, _, scn = uc_oracle_case
+    events = []
+    monkeypatch.setattr(optim, "release_heap", lambda: events.append("trim"))
+    solve = optim.solve
+    monkeypatch.setattr(
+        optim, "solve", lambda *args, **kwargs: events.append("milp") or solve(*args, **kwargs)
+    )
+    solve_suc(system, scn)
+    assert events == ["trim", "trim", "milp", "trim", "milp", "trim"]
+
+
 def test_infeasible_ev_completion_solves_cold(monkeypatch):
     """The mean load (52.5 MW) commits the cheap unit, whose 50 MW minimum
     costs nothing (EV: 2.5 MW above it at 10 = 25), but which cannot back
