@@ -109,9 +109,10 @@ class DamOutcome:
     # what the solves did, as the ledger writes it: screening rounds
     # (clearing and pricing together) and the flow rows they added, build
     # seconds, the clearing MILP's size in its last round and its HiGHS
-    # record over its rounds (`optim.SolveResult.highs`), and the pricing
-    # LP's HiGHS record under "pricing_lp"; empty in files written before it
-    # was kept
+    # record over its rounds (`optim.SolveResult.highs`), the pricing LP's
+    # HiGHS record under "pricing_lp" and that of a certificate LP that
+    # failed its check under "check_lp" (None if none failed); empty in
+    # files written before it was kept
     record: dict = field(default_factory=dict)
 
     def dispatch_total(self, system):
@@ -278,13 +279,13 @@ def clear_dam(
     gens = system.generators
     bound = None if relaxed is None else relaxed.record.get("mip_dual_bound")
     try:
-        lp = None
+        lp = check_lp = None
         if bound is not None:
             pinned = np.zeros(model.n_vars)
             pinned[idx["u"]] = relaxed.u
             lp = screen.solve(model, lambda m, _: optim.fix_and_resolve(m, pinned))
             if not (lp.ok and _gap(lp.objective, bound) <= gap_tol):
-                lp = None
+                lp, check_lp = None, lp.highs
                 if screen.added:
                     model, idx = _build(system, bids, req, fix_commitments)
                 screen = _screen(system, idx, hours)
@@ -348,7 +349,7 @@ def clear_dam(
         certified=certified,
         record={
             "screen_rounds": screen.rounds, "flow_rows": len(screen.added),
-            "build_s": build_s, **clearing, "pricing_lp": lp.highs,
+            "build_s": build_s, **clearing, "pricing_lp": lp.highs, "check_lp": check_lp,
         },
     )
 

@@ -816,7 +816,16 @@ def release_heap():
 
 
 def require_optimal(result, context):
-    """Raise InfeasibleModelError unless ``result`` is optimal."""
+    """Raise InfeasibleModelError unless ``result`` is optimal. The message
+    names the status, then the MIP gap and dual bound the result holds (a
+    MILP stopped at a limit with an incumbent), so a failure at a limit says
+    how far from proven it stopped."""
     if result.status == "optimal":
         return result
-    raise InfeasibleModelError(f"{context}: solver returned {result.status}")
+    held = [
+        f"{key} {val:.6g}"
+        for key, val in (("mip_gap", result.mip_gap), ("mip_dual_bound", result.mip_dual_bound))
+        if val is not None
+    ]
+    detail = f" ({', '.join(held)})" if held else ""
+    raise InfeasibleModelError(f"{context}: solver returned {result.status}{detail}")

@@ -43,13 +43,37 @@ then the completion is infeasible and the MILP solves cold. Without the
 start the MILP waits on the same analytic-centre computation. The
 relaxation and the completions count against ``time_limit``, and the
 record's ``start_s`` holds their seconds.
+
+An integral relaxation needs no MILP. Each screening round of a one-scenario
+solve first looks at its LP relaxation on that round's rows. If the
+commitment is integral (`commitment_schedule`: ``u`` within 1e-6 of 0/1,
+``v`` and ``w`` its starts and stops) and the point breaks no flow limit
+the screen has not yet put in, the relaxation is the optimum of the full
+model, and the round returns it with gap 0, its objective as the dual
+bound and no nodes. Proof: the relaxation drops integrality and unscreened
+flow rows, so its optimum is at most the full model's; an integral point
+that meets every flow limit is a point of the full model, so it reaches
+that optimum. A relaxation that fails either test is set aside: it adds no
+rows (the round's MILP's solution does, as without the check) and is only
+rounded up for the start. A fractional one also ends the looking, since
+later rounds only add flow rows; one that was integral but broke a flow
+limit is looked at again in the next round. A multi-scenario solve looks
+the same way, but only if its EV problem was solved by its relaxation: the
+tight formulation (see `add_commitment_block`) often makes the EV
+relaxation integral, and then the stochastic one tends to be too, while a
+stochastic relaxation solved every time costs more than it saves on models
+whose relaxations are fractional. Such a solve records
+``solved_by_relaxation``, the relaxation's HiGHS seconds as ``highs_s``
+(not again in ``start_s``) and ``start_used`` false; no completion runs, so
+``eev_usd`` is the objective when the EV commitment is the solution's (the
+completion of an optimal commitment is the optimum) and None otherwise.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,19 +169,22 @@ def add_commitment_block(model, generators, hours, u_floor=None):
 def commitment_schedule(generators, x, u, v, w, context):
     """Integral (u, v, w) schedule read from a solve of `add_commitment_block`.
 
-    ``u`` is rounded; ``v`` and ``w`` must equal the starts and stops that the
-    rounded ``u`` implies, to within 1e-6. The formulation guarantees this,
-    so a miss means the solver's tolerances let a fractional start or stop
-    through, and raises InfeasibleModelError rather than pricing it.
+    ``u`` is rounded, and ``u``, ``v`` and ``w`` must equal the rounded
+    ``u`` and the starts and stops it implies, to within 1e-6. After a MILP
+    the formulation guarantees this, so a miss means the solver's
+    tolerances let a fractional start or stop through; after an LP
+    relaxation it means the relaxation is fractional. Either way it raises
+    InfeasibleModelError rather than pricing it.
     """
     u_val = np.round(x[u]).astype(int)
     v_val, w_val = _starts_stops(generators, u_val)
     miss = max(
-        np.abs(x[v] - v_val).max(initial=0.0), np.abs(x[w] - w_val).max(initial=0.0)
+        np.abs(x[a] - val).max(initial=0.0) for a, val in ((u, u_val), (v, v_val), (w, w_val))
     )
     if miss > 1e-6:
         raise optim.InfeasibleModelError(
-            f"{context}: start/stop variables are {miss:.3g} from the on/off schedule"
+            f"{context}: on/off and start/stop variables are {miss:.3g} from an"
+            " integral schedule"
         )
     return u_val, v_val, w_val
 
@@ -228,7 +255,9 @@ class SucSolution:
     # relaxation, and the completions), whether the last round's MILP was
     # given one, the EV objective (None if the EV problem has no optimum)
     # and the cost of its completion in the last round (None if infeasible),
-    # both None for one scenario; empty in files written before it was kept
+    # both None for one scenario; and whether the last round's LP
+    # relaxation was the optimum, so no MILP ran in it; empty in files
+    # written before it was kept
     record: dict = field(default_factory=dict)
 
     def committed_hours(self):
@@ -340,23 +369,28 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     return sol
 
 
-def _rounded_relaxation(generators, model, u, time_limit):
-    """The (u, v, w) values, flattened, of the LP relaxation's commitment
-    rounded up: on wherever the relaxation has ``u > 1e-6``, with the starts
-    and stops that implies. None if the relaxation has no optimum."""
-    relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0), time_limit)
+def _relaxation(generators, model, u, v, w, left):
+    """The LP relaxation of ``model`` on its current rows, and whether its
+    commitment is integral (`commitment_schedule`)."""
+    relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0), left)
     if not relaxed.ok:
-        return None
-    u_val = (relaxed.x[u] > 1e-6).astype(int)
-    return np.concatenate([u_val, *_starts_stops(generators, u_val)], axis=None)
+        return relaxed, False
+    try:
+        commitment_schedule(generators, relaxed.x, u, v, w, "relaxation")
+    except optim.InfeasibleModelError:
+        return relaxed, False
+    return relaxed, True
 
 
 def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev_s=0.0):
-    """`solve_suc` proper, with ``time_limit`` counted from ``t0``. Each
-    round's MILP starts from a commitment completed against that round's
-    rows: that of ``ev``, the EV solution that took ``ev_s`` seconds, if
-    given; else, for one scenario, the rounded LP relaxation; else none."""
+    """`solve_suc` proper, with ``time_limit`` counted from ``t0``. A round
+    first solves its LP relaxation when the module docstring says so, and
+    returns it if it is the optimum. Otherwise the round's MILP starts from
+    a commitment completed against that round's rows: that of ``ev``, the EV
+    solution that took ``ev_s`` seconds, if given; else, for one scenario,
+    its first relaxation rounded up; else none."""
     grid = scenarios.grid
+    gens = system.generators
     t_build = time.perf_counter()
     model, (u, v, w), seg_idx, pc_idx, screen = _build(system, scenarios)
     build_s = time.perf_counter() - t_build
@@ -367,16 +401,31 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     if ev is not None:
         start["ev_usd"] = ev.objective
         commitment = np.concatenate([ev.u, ev.v, ev.w], axis=None)
-    elif scenarios.n_scenarios == 1 and (left is None or left > 0):
-        t = time.perf_counter()
-        commitment = _rounded_relaxation(system.generators, model, u, left)
-        start["start_s"] = time.perf_counter() - t
-        if left is not None:
-            left -= start["start_s"]
+    relax = scenarios.n_scenarios == 1 or (ev is not None and ev.record["solved_by_relaxation"])
+    by_relaxation = False
 
     def solve_round(m, left):
+        nonlocal commitment, relax, by_relaxation
+        if relax:
+            t = time.perf_counter()
+            # a fractional relaxation ends the looking (see the module docstring)
+            relaxed, relax = _relaxation(gens, m, u, v, w, left)
+            if relax and not screen.violated(relaxed.x):
+                by_relaxation = True
+                return replace(
+                    relaxed, mip_gap=0.0, mip_node_count=0,
+                    mip_dual_bound=relaxed.objective, binaries=m.n_integer,
+                )
+            spent = time.perf_counter() - t
+            start["start_s"] += spent
+            if left is not None:
+                left -= spent
+            if commitment is None and relaxed.ok:
+                # one scenario: on wherever the relaxation is above 1e-6
+                u_up = (relaxed.x[u] > 1e-6).astype(int)
+                commitment = np.concatenate([u_up, *_starts_stops(gens, u_up)], axis=None)
         x0 = None
-        if commitment is not None:
+        if commitment is not None and (left is None or left > 0):
             # complete the commitment against this round's rows
             t = time.perf_counter()
             done = optim.complete(m, uvw, commitment, left)
@@ -387,9 +436,9 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
                 start["eev_usd"] = done.objective if done.ok else None
             if left is not None:
                 left -= spent
-                if left <= 0:
-                    return optim.SolveResult(status="limit")
             x0 = done.x
+        if left is not None and left <= 0:
+            return optim.SolveResult(status="limit")
         optim.release_heap()  # see optim: the MILP is the day's largest model
         # presolve off only for the warm stochastic MILP (see optim)
         return optim.solve(
@@ -405,12 +454,16 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     wall = time.perf_counter() - t0
 
     x = res.x
-    u_val, v_val, w_val = commitment_schedule(
-        system.generators, x, u, v, w, "stochastic commitment"
-    )
+    u_val, v_val, w_val = commitment_schedule(gens, x, u, v, w, "stochastic commitment")
+    if by_relaxation:
+        # no MILP and no completion ran: the completion of the EV commitment
+        # costs the optimum when it is the optimal commitment
+        start["start_used"] = False
+        if ev is not None:
+            start["eev_usd"] = float(res.objective) if np.array_equal(ev.u, u_val) else None
     p_val = np.stack([[x[s].sum(axis=-1) for s in seg] for seg in seg_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
-    fixed_cost = commitment_cost(system.generators, u_val, v_val)
+    fixed_cost = commitment_cost(gens, u_val, v_val)
     return SucSolution(
         gen_ids=list(system.gen_ids),
         bus_ids=list(system.bus_ids),
@@ -427,7 +480,7 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
         record={
             "wall_time_s": wall, "screen_rounds": screen.rounds,
             "flow_rows": len(screen.added), "build_s": build_s,
-            **res.size, **res.highs, **start,
+            **res.size, **res.highs, **start, "solved_by_relaxation": by_relaxation,
         },
     )
 

@@ -162,17 +162,21 @@ def test_input_validation(two_gen_system):
 
 
 def _assert_same_clearing(out, cold):
-    """``out`` cleared by its own MILP, on the model a cold clearing has:
-    the same answer and record, bit for bit, but for the seconds."""
+    """``out``, whose certificate check failed, cleared by its own MILP on
+    the model a cold clearing has: the same answer and record, bit for bit,
+    but for the seconds and the failed check's LP, which only ``out``
+    records."""
     assert not out.certified
     for name in ("u", "v", "w", "p", "r_up", "r_dn", "lmp", "price_up", "price_dn"):
         assert np.array_equal(getattr(out, name), getattr(cold, name)), name
     assert (out.objective, out.mip_gap) == (cold.objective, cold.mip_gap)
-    seconds = ("build_s", "highs_s", "pricing_lp")
+    seconds = ("build_s", "highs_s", "pricing_lp", "check_lp")
     assert {k: v for k, v in out.record.items() if k not in seconds} == {
         k: v for k, v in cold.record.items() if k not in seconds
     }
     assert out.record["highs_s"] > 0.0  # the clearing MILP ran
+    assert set(out.record["check_lp"]) == {"highs_s", "simplex_iterations"}
+    assert cold.record["check_lp"] is None
 
 
 def test_lower_requirement_certifies_a_higher_one(tmp_path, pricing_system):
@@ -193,6 +197,7 @@ def test_lower_requirement_certifies_a_higher_one(tmp_path, pricing_system):
     for key in ("rows", "cols", "nnz", "binaries", "flow_rows"):
         assert rec[key] == cold.record[key], key
     assert rec["screen_rounds"] == 1 and rec["pricing_lp"]["simplex_iterations"] >= 1
+    assert rec["check_lp"] is None  # the check passed
     for name in ("u", "v", "w"):
         assert np.array_equal(getattr(out, name), getattr(cold, name)), name
     assert out.objective == pytest.approx(cold.objective, rel=1e-9)

@@ -361,7 +361,7 @@ def test_cell_records_carry_model_sizes(tmp_path):
 SOLVE_KEYS = {
     "wall_time_s", "mip_gap", "screen_rounds", "flow_rows", "build_s",
     "rows", "cols", "nnz", "binaries", "highs_s", "mip_node_count", "mip_dual_bound",
-    "start_s", "start_used",
+    "start_s", "start_used", "solved_by_relaxation",
 }
 
 
@@ -381,7 +381,7 @@ def test_ledger_keys_are_fixed(tmp_path):
     assert set(rec["dam"]) == {
         "objective_usd", "shortfall_up_mw", "shortfall_dn_mw", "screen_rounds",
         "flow_rows", "build_s", "rows", "cols", "nnz", "binaries", "highs_s",
-        "mip_node_count", "mip_dual_bound", "pricing_lp", "mip_gap", "bound_from",
+        "mip_node_count", "mip_dual_bound", "pricing_lp", "check_lp", "mip_gap", "bound_from",
     }
     assert set(rec["dam"]["pricing_lp"]) == {"highs_s", "simplex_iterations"}
     assert set(rec["rtm"]) == {

@@ -26,6 +26,7 @@ from frpsim import (
     optim,
     simulate_rtm,
     solve_suc,
+    stochastic_uc,
 )
 from frpsim.data import case_path
 from frpsim.requirements import zero_requirements
@@ -51,6 +52,9 @@ FROZEN = {
     "suc-ramp-toy-4pph-ev-rounded": "55e14c300eb33189",
     "suc-ramp-toy-4pph-completion": "f2d3f5c8b159f6e1",
     "suc-congested": "0caca64cfc6a0c56",
+    # the LP relaxation of the same model, which is integral and breaks no
+    # flow limit, so no MILP runs on it (see `stochastic_uc`)
+    "suc-congested-relaxation": "f18dab7eef0c5557",
     "dam-congested-pricing": "f2f29f6edc444fe5",
     "rtm-congested": "60a2b27519b56898",
     # the last solve of each model of a day whose market stops two units, so
@@ -146,11 +150,18 @@ def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs):
     ]
 
 
-def test_congested_suc_after_its_flow_rows(congested, solver_inputs):  # noqa: F811
+def test_congested_suc_after_its_flow_rows(congested, solver_inputs, monkeypatch):  # noqa: F811
+    """The last round's model is solved as its LP relaxation; with every
+    relaxation taken as fractional, the same model is the last MILP."""
     grid = TimeGrid(6, 1)
     load = np.asarray(LOAD)
-    sol = solve_suc(congested, scenario_set(congested, grid, np.stack([load, 1.04 * load])))
-    assert sol.record["flow_rows"] >= 1
+    scen = scenario_set(congested, grid, np.stack([load, 1.04 * load]))
+    sol = solve_suc(congested, scen)
+    assert sol.record["flow_rows"] >= 1 and sol.record["solved_by_relaxation"]
+    assert solver_inputs[-1] == ("milp", FROZEN["suc-congested-relaxation"])
+    relaxation = stochastic_uc._relaxation
+    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
+    solve_suc(congested, scen)
     assert solver_inputs[-1] == ("milp", FROZEN["suc-congested"])
 
 

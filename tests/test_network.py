@@ -19,6 +19,7 @@ from frpsim import (
     optim,
     simulate_rtm,
     solve_suc,
+    stochastic_uc,
 )
 from frpsim.data import case_path
 from frpsim.dayahead import check_dam_outcome
@@ -98,6 +99,43 @@ def test_screened_suc_matches_full(congested, monkeypatch):
     rec, full_rec = sol.record, full.record
     assert rec["flow_rows"] >= 1 and rec["screen_rounds"] >= 2
     assert full_rec["screen_rounds"] == 1 and rec["flow_rows"] < full_rec["flow_rows"]
+
+
+def test_integral_relaxation_over_a_flow_limit_falls_back_to_the_milp(
+    congested, monkeypatch
+):
+    """One certain scenario on the congested network. The first round's LP
+    relaxation is integral but overloads l1_2, so it is set aside: the
+    round's MILP runs on the model without flow rows, and the rows added
+    are those its solution breaks, as in a solve that never looks at a
+    relaxation. With them, the second round's relaxation is the optimum."""
+    scen = scenario_set(congested, TimeGrid(6, 1), [np.asarray(LOAD)])
+    looked, milps = [], []
+    relaxation, solve = stochastic_uc._relaxation, optim.solve
+
+    def seen(gens, model, u, v, w, left):
+        relaxed, integral = relaxation(gens, model, u, v, w, left)
+        looked.append((model.n_rows, integral))
+        return relaxed, integral
+
+    monkeypatch.setattr(stochastic_uc, "_relaxation", seen)
+    monkeypatch.setattr(
+        optim, "solve", lambda model, *a, **kw: milps.append(model.n_rows) or solve(model, *a, **kw)
+    )
+    sol = solve_suc(congested, scen)
+    # the same solve with every relaxation taken as fractional: today's MILPs
+    shortcut_milps, milps[:] = list(milps), []
+    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
+    plain = solve_suc(congested, scen)
+    first_rows = looked[0][0]
+    assert looked == [(first_rows, True), (sol.record["rows"], True)]
+    assert shortcut_milps == [first_rows] == milps[:1] and len(milps) == 2
+    assert sol.record["solved_by_relaxation"] and not plain.record["solved_by_relaxation"]
+    for key in ("screen_rounds", "flow_rows", "rows", "cols", "nnz", "binaries"):
+        assert sol.record[key] == plain.record[key], key
+    assert np.array_equal(sol.u, plain.u)
+    _same_objective(sol.objective, plain.objective)
+    assert "violations" not in check_suc_solution(congested, scen, sol, tol=TOL)
 
 
 def test_screened_dam_and_rtm_match_full(congested, monkeypatch):

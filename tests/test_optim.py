@@ -17,6 +17,7 @@ from frpsim import optim
 from frpsim.optim import (
     InfeasibleModelError,
     Model,
+    SolveResult,
     fix_and_resolve,
     require_optimal,
     solve,
@@ -148,6 +149,19 @@ def test_infeasible_lp_reported_and_raises():
     assert not r.ok
     with pytest.raises(InfeasibleModelError, match="pricing"):
         require_optimal(r, "pricing")
+
+
+def test_limit_failure_names_the_gap_and_bound():
+    """A MILP stopped at a limit with an incumbent says how far from proven
+    it stopped; a result without MIP fields keeps the plain message."""
+    stopped = SolveResult(status="limit", objective=105.0, mip_gap=0.05, mip_dual_bound=99.75)
+    with pytest.raises(
+        InfeasibleModelError,
+        match=r"^clearing: solver returned limit \(mip_gap 0\.05, mip_dual_bound 99\.75\)$",
+    ):
+        require_optimal(stopped, "clearing")
+    with pytest.raises(InfeasibleModelError, match=r"^clearing: solver returned limit$"):
+        require_optimal(SolveResult(status="limit"), "clearing")
 
 
 def test_infeasible_mip_reported():

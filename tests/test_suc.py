@@ -511,30 +511,103 @@ def test_heap_is_trimmed_before_each_milp_and_on_return(uc_oracle_case, monkeypa
     assert events == ["trim", "trim", "milp", "trim", "milp", "trim"]
 
 
+def _cheap_and_flexible():
+    """A cheap unit with a 50 MW minimum and a flexible one without."""
+    cheap = make_gen("cheap", p_min=50.0, p_max=100.0, segments=((50.0, 10.0),))
+    flexible = make_gen("flex", p_max=100.0, segments=((100.0, 50.0),))
+    return single_bus_system(cheap, flexible)
+
+
 def test_infeasible_ev_completion_solves_cold(monkeypatch):
     """The mean load (52.5 MW) commits the cheap unit, whose 50 MW minimum
     costs nothing (EV: 2.5 MW above it at 10 = 25), but which cannot back
     down to the low scenario's 5 MW: the completion is infeasible, so the
     MILP gets no start and commits the flexible unit alone, as a cold solve
-    does: 0.5 * 5 * 50 + 0.5 * 100 * 50 = 2625. The EV MILP itself starts
-    from its relaxation, which commits the cheap unit too."""
-    cheap = make_gen("cheap", p_min=50.0, p_max=100.0, segments=((50.0, 10.0),))
-    flexible = make_gen("flex", p_max=100.0, segments=((100.0, 50.0),))
-    system = single_bus_system(cheap, flexible)
+    does: 0.5 * 5 * 50 + 0.5 * 100 * 50 = 2625. The EV relaxation commits
+    the cheap unit alone, integrally, so it is the EV optimum and no EV
+    MILP runs; the stochastic relaxation, solved for that reason, is
+    fractional and is set aside for the completion and the cold MILP."""
+    system = _cheap_and_flexible()
     scn = scenario_set(system, TimeGrid(1, 1), [[5.0], [100.0]])
     calls = _spy_solves(monkeypatch)
     sol = solve_suc(system, scn)
     assert [(kind, start) for kind, _, start in calls] == [
-        ("complete", False), ("complete", False), ("solve", True),
-        ("complete", False), ("solve", False),
+        ("complete", False), ("complete", False), ("complete", False), ("solve", False),
     ]
     assert sol.record["ev_usd"] == pytest.approx(25.0) and sol.record["eev_usd"] is None
     assert sol.record["start_used"] is False
+    assert sol.record["solved_by_relaxation"] is False
     assert sol.objective == pytest.approx(2625.0)
     assert sol.u.tolist() == [[0], [1]]
     (model, _, _), _ = _suc_and_dam_models((system, [52.5], ([0.0], [0.0])), scn)
     cold = optim.solve(model)
     assert cold.objective == pytest.approx(sol.objective)
+
+
+def test_integral_relaxation_runs_no_milp(monkeypatch):
+    """60 or 90 MW: the cheap unit alone serves both, 0.5 * 10 * 10 + 0.5 *
+    40 * 10 = 250, and the mean load's 25 MW above its minimum costs the
+    same. The EV relaxation is integral, so the stochastic relaxation is
+    solved too; it is integral as well, so no MILP and no completion run.
+    The EV commitment is the solution's, so its completion would cost the
+    optimum: eev_usd is the objective."""
+    system = _cheap_and_flexible()
+    scn = scenario_set(system, TimeGrid(1, 1), [[60.0], [90.0]])
+    calls = _spy_solves(monkeypatch)
+    sol = solve_suc(system, scn)
+    assert [kind for kind, _, _ in calls] == ["complete", "complete"]
+    rec = sol.record
+    assert rec["solved_by_relaxation"] is True and rec["start_used"] is False
+    assert (sol.mip_gap, rec["mip_node_count"]) == (0.0, 0)
+    assert rec["mip_dual_bound"] == sol.objective == pytest.approx(250.0)
+    assert rec["binaries"] == 2 and 0.0 < rec["highs_s"] < rec["wall_time_s"]
+    # start_s holds the EV solve only, not the relaxation again
+    assert 0.0 < rec["start_s"] < rec["wall_time_s"] - rec["highs_s"]
+    assert rec["ev_usd"] == rec["eev_usd"] == sol.objective
+    assert sol.u.tolist() == [[1], [0]]
+    assert "violations" not in check_suc_solution(system, scn, sol)
+    (model, _, _), _ = _suc_and_dam_models((system, [75.0], ([0.0], [0.0])), scn)
+    assert optim.solve(model).objective == pytest.approx(sol.objective)
+    # 0 or 100 MW: the mean load commits the cheap unit, integrally, but the
+    # stochastic relaxation commits the flexible one alone (0.5 * 100 * 50):
+    # no completion ran at the EV commitment, so there is no EEV
+    scn = scenario_set(system, TimeGrid(1, 1), [[0.0], [100.0]])
+    sol = solve_suc(system, scn)
+    assert sol.record["solved_by_relaxation"] and sol.record["ev_usd"] == 0.0
+    assert sol.u.tolist() == [[0], [1]] and sol.record["eev_usd"] is None
+    assert sol.objective == pytest.approx(2500.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_commitment_cases())
+def test_relaxation_shortcut_keeps_the_optimum(case):
+    """With one scenario at the case's loads, and with that scenario twice
+    (whose EV problem is the scenario itself), `solve_suc` reaches a cold
+    solve's optimum within gap_tol, or its failure, with a clean audit. A
+    solve that stopped at an integral relaxation says so: gap 0, no nodes,
+    its objective as the bound."""
+    system, loads, _ = case
+    gap_tol = 1e-6
+    grid = TimeGrid(len(loads), 2)
+    one = scenario_set(system, grid, [np.repeat(loads, 2)])
+    (model, _, _), _ = _suc_and_dam_models(case, one)
+    cold = optim.solve(model, gap_tol=gap_tol)
+    for scn in (one, scenario_set(system, grid, [np.repeat(loads, 2)] * 2)):
+        try:
+            sol = solve_suc(system, scn, gap_tol=gap_tol)
+        except InfeasibleModelError:
+            assert not cold.ok
+            continue
+        assert cold.ok
+        assert abs(sol.objective - cold.objective) <= gap_tol * max(1.0, abs(cold.objective))
+        assert "violations" not in check_suc_solution(system, scn, sol)
+        rec = sol.record
+        if rec["solved_by_relaxation"]:
+            assert (sol.mip_gap, rec["mip_node_count"], rec["start_used"]) == (0.0, 0, False)
+            assert rec["mip_dual_bound"] == sol.objective and rec["highs_s"] > 0.0
+            # one round (no lines): the relaxation's seconds are highs_s
+            # alone; two scenarios spent start_s on the EV solve
+            assert (rec["start_s"] == 0.0) == (scn is one)
 
 
 def test_rounded_relaxation_breaking_min_down_solves_cold(monkeypatch):
