@@ -21,18 +21,24 @@ from .timegrid import TimeGrid
 
 
 def _read_profile_csv(path):
-    """(bus ids, value matrix) from a bus,h0..hN / bus,k0..kN CSV."""
+    """(bus ids, value matrix) from a bus,h0..hN / bus,k0..kN CSV. A
+    malformed file exits naming the file and the row (1-based)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "bus":
-        raise SystemExit(f"{path}: expected header starting with 'bus'")
+    if not rows or not rows[0] or rows[0][0] != "bus":
+        raise SystemExit(f"{path}: row 1: expected header starting with 'bus'")
     buses = []
     values = []
-    for row in rows[1:]:
+    for n, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != len(rows[0]):
+            raise SystemExit(f"{path}: row {n}: {len(row)} fields, header has {len(rows[0])}")
+        try:
+            values.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise SystemExit(f"{path}: row {n}: {exc}") from None
         buses.append(row[0])
-        values.append([float(v) for v in row[1:]])
     return buses, np.asarray(values)
 
 

@@ -253,6 +253,8 @@ def clear_dam(
     Returns a DamOutcome holding awards from the MIP incumbent and prices
     from the frozen-binary re-solve. Line-flow rows are screened in both
     solves (see `network`); ``dump_lp`` receives the final screened model.
+    ``time_limit`` (seconds) bounds the clearing MILP's rounds together; the
+    certificate and pricing LPs run without it.
 
     ``relaxed`` is the outcome of a market whose model is a relaxation of
     this one: the same system and bids, no commitment floor, requirements
@@ -283,7 +285,7 @@ def clear_dam(
         if bound is not None:
             pinned = np.zeros(model.n_vars)
             pinned[idx["u"]] = relaxed.u
-            lp = screen.solve(model, lambda m, _: optim.fix_and_resolve(m, pinned))
+            lp = screen.solve(model, lambda m: optim.fix_and_resolve(m, pinned))
             if not (lp.ok and _gap(lp.objective, bound) <= gap_tol):
                 lp, check_lp = None, lp.highs
                 if screen.added:
@@ -300,10 +302,10 @@ def clear_dam(
                 "highs_s": 0.0, "mip_node_count": 0, "mip_dual_bound": bound,
             }
         else:
+            deadline = None if time_limit is None else time.perf_counter() + time_limit
             mip = optim.require_optimal(
                 screen.solve(
-                    model, lambda m, left: optim.solve(m, gap_tol=gap_tol, time_limit=left),
-                    time_limit,
+                    model, lambda m: optim.solve(m, gap_tol=gap_tol, deadline=deadline)
                 ),
                 "day-ahead clearing",
             )
@@ -313,7 +315,7 @@ def clear_dam(
             # the incumbent meets every flow limit, so it stays optimal when
             # the pricing solve adds rows; only the LP is re-solved
             lp = optim.require_optimal(
-                screen.solve(model, lambda m, _: optim.fix_and_resolve(m, mip.x)),
+                screen.solve(model, lambda m: optim.fix_and_resolve(m, mip.x)),
                 "day-ahead pricing",
             )
             objective, mip_gap = mip.objective, mip.mip_gap

@@ -20,11 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import time
 
 import numpy as np
-
-from . import optim
 
 __all__ = ["FLOW_TOL", "FlowScreen"]
 
@@ -122,26 +119,15 @@ class FlowScreen:
             )
             self.added.update(run)
 
-    def solve(self, model, solve, time_limit=None):
-        """Solve ``model`` with ``solve(model, time_left)``, add the rows its
-        solution breaks, and re-solve until none is broken. Returns the last
-        result, with ``highs_s``, ``mip_node_count`` and
-        ``simplex_iterations`` summed over this call's rounds; a solve that
-        is not optimal ends the loop.
-
-        ``time_limit`` (seconds, or None for none) bounds all the rounds
-        together: each is passed what the earlier ones left, and a round with
-        nothing left returns status "limit" without solving."""
-        t0 = time.perf_counter()
+    def solve(self, model, solve):
+        """Solve ``model`` with ``solve(model)``, add the rows its solution
+        breaks, and re-solve until none is broken. Returns the last result,
+        with ``highs_s``, ``mip_node_count`` and ``simplex_iterations``
+        summed over this call's rounds; a solve that is not optimal (a time
+        limit, see `optim.solve`) ends the loop."""
         highs_s, nodes, iterations = 0.0, 0, 0
         while True:
-            left = None
-            if time_limit is not None:
-                left = time_limit - (time.perf_counter() - t0)
-                if left <= 0:
-                    res = optim.SolveResult(status="limit")
-                    break
-            res = solve(model, left)
+            res = solve(model)
             self.rounds += 1
             highs_s += res.highs_s or 0.0
             nodes += res.mip_node_count or 0

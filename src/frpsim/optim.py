@@ -17,7 +17,10 @@ that scipy.sparse and the scipy._lib chain under it cost every process.
 LP otherwise; `fix_and_resolve` freezes every integer variable at an
 incumbent and re-solves the continuous relaxation of the same matrix to
 recover duals for pricing; `complete` pins some columns and solves the rest
-as an LP, which turns a commitment into a complete MIP start.
+as an LP, which turns a commitment into a complete MIP start. A time limit
+reaches `solve` and `complete` as a deadline, a `time.perf_counter` reading:
+HiGHS gets what is left of it (`_budget`), and once it has passed the result
+is status "limit" without a HiGHS run.
 
 Every solve goes through scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core._Highs``), loaded from scipy's install
@@ -685,9 +688,23 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options):
     return res
 
 
-def _run_milp(model, lb, ub, integer, options, start=None):
+def _budget(options, deadline):
+    """``options`` with HiGHS's ``time_limit`` set to the seconds left before
+    ``deadline`` (a `time.perf_counter` reading; None for no limit, which
+    leaves ``options`` as they are), or None once the deadline has passed."""
+    if deadline is None:
+        return options
+    left = deadline - time.perf_counter()
+    return {**options, "time_limit": left} if left > 0 else None
+
+
+def _run_milp(model, lb, ub, integer, options, deadline, start=None):
     """Hand ``model`` with column bounds ``lb``/``ub`` and integer columns
-    ``integer`` to `milp`, as a SolveResult."""
+    ``integer`` to `milp` under ``deadline`` (`_budget`), as a SolveResult:
+    status "limit", HiGHS not run, once the deadline has passed."""
+    options = _budget(options, deadline)
+    if options is None:
+        return SolveResult(status="limit")
     mat, lo, hi = model._constraint_matrix()
     res = milp(
         c=model.obj.copy(),
@@ -715,14 +732,17 @@ def _run_milp(model, lb, ub, integer, options, start=None):
     )
 
 
-def solve(model, gap_tol=1e-6, time_limit=None, start=None, presolve=True):
+def solve(model, gap_tol=1e-6, deadline=None, start=None, presolve=True):
     """Solve to proven optimality (within ``gap_tol`` for MIPs).
 
     Pure-LP models are routed through `linprog` so the result carries duals;
     models with integer variables never do (fix_and_resolve exists for that).
-    ``start`` (a complete solution, e.g. from `complete`) is handed to HiGHS
-    as a MIP start, and ``presolve=False`` turns MIP presolve off; see the
-    module docstring for why both are sound.
+    ``deadline`` (a `time.perf_counter` reading, or None) bounds HiGHS's
+    time: it gets what is left, and once the deadline has passed the result
+    is status "limit" and HiGHS is not run. ``start`` (a complete solution,
+    e.g. from `complete`) is handed to HiGHS as a MIP start, and
+    ``presolve=False`` turns MIP presolve off; see the module docstring for
+    why both are sound.
     """
     if model.n_vars == 0:
         return SolveResult(
@@ -731,30 +751,28 @@ def solve(model, gap_tol=1e-6, time_limit=None, start=None, presolve=True):
         )
     integer = model.integer
     if not integer.any():
-        return _solve_lp(model, model.lb, model.ub, time_limit)
+        return _solve_lp(model, model.lb, model.ub, deadline)
     options = {"mip_rel_gap": gap_tol, **MILP_OPTIONS}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     if not presolve:
         options["presolve"] = "off"
-    return _run_milp(model, model.lb.copy(), model.ub.copy(), integer, options, start)
+    return _run_milp(model, model.lb.copy(), model.ub.copy(), integer, options, deadline, start)
 
 
-def complete(model, cols, values, time_limit=None):
+def complete(model, cols, values, deadline=None):
     """The cheapest completion of a partial solution: columns ``cols`` pinned
     at ``values``, every other column continuous, solved as an LP with
     presolve off on the model's current rows in a HiGHS instance of its own
     (freed on return). With no column pinned it is the LP relaxation.
+    ``deadline`` is as in `solve`.
 
     With every integer column pinned at an integral value, an optimal
     result's ``x`` is a complete MIP start for `solve`. The result carries no
     duals or MIP fields."""
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = values
-    options = {"presolve": "off"}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    return _run_milp(model, lb, ub, np.zeros(model.n_vars, dtype=bool), options)
+    return _run_milp(
+        model, lb, ub, np.zeros(model.n_vars, dtype=bool), {"presolve": "off"}, deadline
+    )
 
 
 def fix_and_resolve(model, x):
@@ -770,16 +788,16 @@ def fix_and_resolve(model, x):
     return _solve_lp(model, lb, ub, None)
 
 
-def _solve_lp(model, lb, ub, time_limit):
+def _solve_lp(model, lb, ub, deadline):
+    options = _budget({"presolve": True}, deadline)
+    if options is None:
+        return SolveResult(status="limit")
     mat, a_ub, b_ub, ub_rows, flip, a_eq, b_eq, eq_rows = model._lp_parts()
     kwargs = {}
     if len(ub_rows):
         kwargs["A_ub"], kwargs["b_ub"] = a_ub, b_ub
     if len(eq_rows):
         kwargs["A_eq"], kwargs["b_eq"] = a_eq, b_eq
-    options = {"presolve": True}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     res = linprog(
         model.obj.copy(),
         bounds=np.column_stack([lb, ub]),

@@ -65,11 +65,11 @@ def _expand_commitment(dam, grid):
     return u, v, w
 
 
-def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
+def simulate_rtm(system, dam, realized, gap_tol=1e-6):
     """Dispatch the committed fleet against one realized net-load profile.
 
-    Line-flow rows are screened (see `network`); ``dump_lp`` receives the
-    final screened model."""
+    Line-flow rows are screened (see `network`). ``gap_tol`` is passed to
+    `optim.solve`, which ignores it for this LP."""
     grid = realized.grid
     if grid.hours != dam.hours:
         raise ValueError("realized profile horizon does not match the DAM schedule")
@@ -110,12 +110,9 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6, dump_lp=None):
     screen = network.FlowScreen(system)
     screen.add_periods("", bus, cols, coefs, dispatch.bus_injections(system, floor))
     build_s = time.perf_counter() - t_build
-    try:
-        res = screen.solve(model, lambda m, _: optim.solve(m, gap_tol=gap_tol))
-    finally:
-        if dump_lp:
-            model.write_lp(dump_lp)
-    optim.require_optimal(res, "real-time dispatch")
+    res = optim.require_optimal(
+        screen.solve(model, lambda m: optim.solve(m, gap_tol=gap_tol)), "real-time dispatch"
+    )
 
     x = res.x
     p_val = np.stack([x[s].sum(axis=-1) for s in seg])

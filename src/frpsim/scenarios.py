@@ -89,10 +89,6 @@ class NetLoadProfile:
             )
         return cls(buses, grid, hourly_to_subhourly(hourly, grid.periods_per_hour))
 
-    def system_total(self):
-        """Systemwide net load per sub-period."""
-        return self.values.sum(axis=0)
-
 
 @dataclass
 class ScenarioSet:

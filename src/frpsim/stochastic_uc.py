@@ -41,8 +41,9 @@ above 1e-6, with the starts and stops that implies), then completed against
 each round's rows. Rounding up can break a minimum up or down time, and
 then the completion is infeasible and the MILP solves cold. Without the
 start the MILP waits on the same analytic-centre computation. The
-relaxation and the completions count against ``time_limit``, and the
-record's ``start_s`` holds their seconds.
+relaxation and the completions run under the MILPs' deadline (``time_limit``
+from the start of `solve_suc`), and the record's ``start_s`` holds their
+seconds.
 
 An integral relaxation needs no MILP. Each screening round of a one-scenario
 solve first looks at its LP relaxation on that round's rows. If the
@@ -345,12 +346,14 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     Line-flow rows are screened (see `network`); ``dump_lp`` receives the
     final screened model. The MILP is started from the expected-value
     solution, or for one scenario from its rounded LP relaxation (see the
-    module docstring). ``time_limit`` bounds the whole call: the EV solve,
-    the relaxation, the completions and every screening round."""
+    module docstring). ``time_limit`` bounds the whole call: it becomes one
+    deadline for every HiGHS call of the EV solve, the relaxations, the
+    completions and the screening rounds (see `optim.solve`)."""
     if tuple(scenarios.buses) != tuple(system.bus_ids):
         raise ValueError("scenario buses do not match system buses")
     optim.release_heap()
     t0 = time.perf_counter()
+    deadline = None if time_limit is None else t0 + time_limit
     ev, ev_s = None, 0.0
     if scenarios.n_scenarios > 1:
         mean = ScenarioSet(
@@ -360,19 +363,19 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
             probabilities=np.array([1.0]),
         )
         try:
-            ev = _solve(system, mean, gap_tol, time_limit, t0)
+            ev = _solve(system, mean, gap_tol, deadline, t0)
         except optim.InfeasibleModelError:
             pass  # no EV commitment: solve cold
         ev_s = time.perf_counter() - t0
-    sol = _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp, ev, ev_s)
+    sol = _solve(system, scenarios, gap_tol, deadline, t0, dump_lp, ev, ev_s)
     optim.release_heap()  # the model is gone: what runs next does not sit on its pages
     return sol
 
 
-def _relaxation(generators, model, u, v, w, left):
+def _relaxation(generators, model, u, v, w, deadline):
     """The LP relaxation of ``model`` on its current rows, and whether its
     commitment is integral (`commitment_schedule`)."""
-    relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0), left)
+    relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0), deadline)
     if not relaxed.ok:
         return relaxed, False
     try:
@@ -382,13 +385,14 @@ def _relaxation(generators, model, u, v, w, left):
     return relaxed, True
 
 
-def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev_s=0.0):
-    """`solve_suc` proper, with ``time_limit`` counted from ``t0``. A round
-    first solves its LP relaxation when the module docstring says so, and
-    returns it if it is the optimum. Otherwise the round's MILP starts from
-    a commitment completed against that round's rows: that of ``ev``, the EV
-    solution that took ``ev_s`` seconds, if given; else, for one scenario,
-    its first relaxation rounded up; else none."""
+def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s=0.0):
+    """`solve_suc` proper, every HiGHS call under ``deadline``, its wall time
+    counted from ``t0``. A round first solves its LP relaxation when the
+    module docstring says so, and returns it if it is the optimum. Otherwise
+    the round's MILP starts from a commitment completed against that round's
+    rows: that of ``ev``, the EV solution that took ``ev_s`` seconds, if
+    given; else, for one scenario, its first relaxation rounded up; else
+    none."""
     grid = scenarios.grid
     gens = system.generators
     t_build = time.perf_counter()
@@ -396,7 +400,6 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     build_s = time.perf_counter() - t_build
     start = {"start_s": ev_s, "start_used": False, "ev_usd": None, "eev_usd": None}
     uvw = np.concatenate([u, v, w], axis=None)
-    left = None if time_limit is None else time_limit - (time.perf_counter() - t0)
     commitment = None
     if ev is not None:
         start["ev_usd"] = ev.objective
@@ -404,49 +407,41 @@ def _solve(system, scenarios, gap_tol, time_limit, t0, dump_lp=None, ev=None, ev
     relax = scenarios.n_scenarios == 1 or (ev is not None and ev.record["solved_by_relaxation"])
     by_relaxation = False
 
-    def solve_round(m, left):
+    def solve_round(m):
         nonlocal commitment, relax, by_relaxation
         if relax:
             t = time.perf_counter()
             # a fractional relaxation ends the looking (see the module docstring)
-            relaxed, relax = _relaxation(gens, m, u, v, w, left)
+            relaxed, relax = _relaxation(gens, m, u, v, w, deadline)
             if relax and not screen.violated(relaxed.x):
                 by_relaxation = True
                 return replace(
                     relaxed, mip_gap=0.0, mip_node_count=0,
                     mip_dual_bound=relaxed.objective, binaries=m.n_integer,
                 )
-            spent = time.perf_counter() - t
-            start["start_s"] += spent
-            if left is not None:
-                left -= spent
+            start["start_s"] += time.perf_counter() - t
             if commitment is None and relaxed.ok:
                 # one scenario: on wherever the relaxation is above 1e-6
                 u_up = (relaxed.x[u] > 1e-6).astype(int)
                 commitment = np.concatenate([u_up, *_starts_stops(gens, u_up)], axis=None)
         x0 = None
-        if commitment is not None and (left is None or left > 0):
+        if commitment is not None:
             # complete the commitment against this round's rows
             t = time.perf_counter()
-            done = optim.complete(m, uvw, commitment, left)
-            spent = time.perf_counter() - t
-            start["start_s"] += spent
+            done = optim.complete(m, uvw, commitment, deadline)
+            start["start_s"] += time.perf_counter() - t
             start["start_used"] = done.ok
             if ev is not None:
                 start["eev_usd"] = done.objective if done.ok else None
-            if left is not None:
-                left -= spent
             x0 = done.x
-        if left is not None and left <= 0:
-            return optim.SolveResult(status="limit")
         optim.release_heap()  # see optim: the MILP is the day's largest model
         # presolve off only for the warm stochastic MILP (see optim)
         return optim.solve(
-            m, gap_tol=gap_tol, time_limit=left, start=x0, presolve=ev is None
+            m, gap_tol=gap_tol, deadline=deadline, start=x0, presolve=ev is None
         )
 
     try:
-        res = screen.solve(model, solve_round, left)
+        res = screen.solve(model, solve_round)
     finally:
         if dump_lp:
             model.write_lp(dump_lp)

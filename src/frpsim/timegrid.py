@@ -32,10 +32,6 @@ class TimeGrid:
         return self.hours * self.periods_per_hour
 
     @property
-    def minutes_per_period(self):
-        return 60 // self.periods_per_hour
-
-    @property
     def period_hours(self):
         """Length of one sub-period in hours (energy weight for MW -> MWh)."""
         return 1.0 / self.periods_per_hour
@@ -43,8 +39,3 @@ class TimeGrid:
     def hour_of(self, k):
         """Market hour (0-based) containing 0-based sub-period ``k``."""
         return k // self.periods_per_hour
-
-    def periods_in_hour(self, h):
-        """range of 0-based sub-period indices belonging to 0-based hour ``h``."""
-        k0 = h * self.periods_per_hour
-        return range(k0, k0 + self.periods_per_hour)

@@ -137,15 +137,37 @@ def test_dam_clear_dumps_an_lp_highs_loads(workdir):
     assert highs.getInfo().objective_function_value == pytest.approx(cleared, rel=1e-6)
 
 
+def _gen_scenarios_from(workdir, text):
+    (workdir / "junk.csv").write_text(text)
+    main([
+        "gen-scenarios", "--system", str(workdir / "system.yaml"),
+        "--forecast", str(workdir / "junk.csv"),
+        "--sigma", "0.04", "--n", "2", "--seed", "1",
+        "--out", str(workdir / "s.json"),
+    ])
+
+
 def test_bad_profile_header(workdir):
-    (workdir / "junk.csv").write_text("node,h0\nb1,5\n")
     with pytest.raises(SystemExit, match="bus"):
-        main([
-            "gen-scenarios", "--system", str(workdir / "system.yaml"),
-            "--forecast", str(workdir / "junk.csv"),
-            "--sigma", "0.04", "--n", "2", "--seed", "1",
-            "--out", str(workdir / "s.json"),
-        ])
+        _gen_scenarios_from(workdir, "node,h0\nb1,5\n")
+
+
+@pytest.mark.parametrize(
+    "text, where, why",
+    [
+        ("\nbus,h0\nb1,5\n", "row 1", "header"),
+        ("bus,h0,h1\nb1,5,6\nb2,7\n", "row 3", "2 fields, header has 3"),
+        ("bus,h0,h1\nb1,5,x\n", "row 2", "could not convert"),
+    ],
+    ids=["blank-first-line", "ragged-row", "non-numeric"],
+)
+def test_malformed_profile_csv_names_file_and_row(workdir, text, where, why):
+    """A profile CSV from outside fails with a message naming the file and
+    the row, not with an IndexError or numpy's shape error."""
+    with pytest.raises(SystemExit) as exc:
+        _gen_scenarios_from(workdir, text)
+    message = str(exc.value)
+    assert message.startswith(f"{workdir / 'junk.csv'}: {where}: ") and why in message
 
 
 def test_run_and_report(workdir, capsys):

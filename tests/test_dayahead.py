@@ -41,6 +41,22 @@ def test_zero_requirement_matches_plain_commitment(two_gen_system):
     assert np.allclose(out.sf_up, 0.0) and np.allclose(out.sf_dn, 0.0)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 7: the signed down award of a unit starting next hour is capped"
+    " at -p_min, so a zero requirement still buys down shortfall at the penalty price",
+)
+def test_zero_requirement_matches_plain_commitment_with_a_minimum_output_start():
+    """A lone off unit with a minimum output must start for hour 1. With no
+    ramp requirement the market should clear as the plain commitment; today
+    it clears 10 MW of down shortfall in hour 0 (17,701 against 2,701)."""
+    system = single_bus_system(make_gen("g1", p_min=10.0, startup=1.0))
+    loads = [0.0, 100.0]
+    out = clear_dam(system, _bids(system, loads), zero_requirements(2))
+    uc = solve_suc(system, scenario_set(system, TimeGrid(2, 1), [loads]))
+    assert out.objective == pytest.approx(uc.objective, rel=1e-9)
+
+
 def test_lmp_is_marginal_energy_cost(two_gen_system):
     out = clear_dam(
         two_gen_system, _bids(two_gen_system, [70.0, 120.0]), zero_requirements(2)

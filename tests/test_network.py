@@ -67,9 +67,9 @@ def _full(monkeypatch):
     """Seed every screen with all of its rows: the unscreened formulation."""
     screened = network.FlowScreen.solve
 
-    def solve(self, model, solve_once, time_limit=None):
+    def solve(self, model, solve_once):
         self.add_rows(model, self.every_row())
-        return screened(self, model, solve_once, time_limit)
+        return screened(self, model, solve_once)
 
     monkeypatch.setattr(network.FlowScreen, "solve", solve)
 
@@ -113,8 +113,8 @@ def test_integral_relaxation_over_a_flow_limit_falls_back_to_the_milp(
     looked, milps = [], []
     relaxation, solve = stochastic_uc._relaxation, optim.solve
 
-    def seen(gens, model, u, v, w, left):
-        relaxed, integral = relaxation(gens, model, u, v, w, left)
+    def seen(gens, model, u, v, w, deadline):
+        relaxed, integral = relaxation(gens, model, u, v, w, deadline)
         looked.append((model.n_rows, integral))
         return relaxed, integral
 
@@ -203,17 +203,17 @@ def _spy_rounds(monkeypatch):
     calls = []
     screened = network.FlowScreen.solve
 
-    def solve(self, model, solve_once, time_limit=None):
+    def solve(self, model, solve_once):
         rounds = []
 
-        def counted(m, left):
-            res = solve_once(m, left)
+        def counted(m):
+            res = solve_once(m)
             rounds.append(
                 (res.highs_s, res.mip_node_count, res.simplex_iterations, res.mip_dual_bound)
             )
             return res
 
-        res = screened(self, model, counted, time_limit)
+        res = screened(self, model, counted)
         calls.append((rounds, res))
         return res
 
@@ -286,7 +286,7 @@ def test_loop_stops_on_rows_already_in_the_model(congested):
     screen, model, x = _overloaded(congested)
     calls = []
 
-    def stuck(m, _):
+    def stuck(m):
         calls.append(m.n_rows)
         return optim.SolveResult(status="optimal", objective=0.0, x=x)
 
@@ -296,27 +296,18 @@ def test_loop_stops_on_rows_already_in_the_model(congested):
     assert screen.violated(x) == []
 
 
-def test_time_limit_bounds_all_rounds(congested, monkeypatch):
-    """Each round gets the time the earlier ones left; with none left the
-    loop returns "limit" without solving again."""
+def test_a_round_that_is_not_optimal_ends_the_loop(congested):
+    """A round that stops at a limit, even with a point that overloads a
+    line, ends the loop: the screen adds no row and returns that result."""
     screen, model, x = _overloaded(congested)
-    clock = [0.0]
-    monkeypatch.setattr(network.time, "perf_counter", lambda: clock[0])
-    budgets = []
+    assert screen.violated(x)
 
-    def slow(m, left):
-        budgets.append(left)
-        clock[0] += 1.5
-        return optim.SolveResult(status="optimal", objective=0.0, x=x)
+    def stopped(m):
+        return optim.SolveResult(status="limit", objective=0.0, x=x, highs_s=0.5)
 
-    res = screen.solve(model, slow, time_limit=1.0)
-    assert budgets == [1.0] and res.status == "limit"
-    assert screen.rounds == 1 and len(screen.added) >= 1
-
-    budgets.clear()
-    screen, model, x = _overloaded(congested)
-    screen.solve(model, slow, time_limit=4.0)
-    assert budgets == [4.0, 2.5]  # the second round ends the loop: no new rows
+    res = screen.solve(model, stopped)
+    assert res.status == "limit" and res.highs_s == 0.5
+    assert screen.rounds == 1 and not screen.added and model.n_rows == 0
 
 
 def _screening(outcome):

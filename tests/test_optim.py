@@ -342,6 +342,56 @@ def test_milp_options_reach_highs(monkeypatch):
     assert completion == {"presolve": "off"}
 
 
+def _lp_model():
+    m = Model()
+    x = m.add_vars("x", (), obj=1.0)
+    m.add_rows("floor", ">=", 3.0, [x], 1.0)
+    return m
+
+
+def test_a_deadline_becomes_highs_time_limit(monkeypatch):
+    """`solve` (MILP and LP) and `complete` give HiGHS the seconds left
+    before the deadline as its time limit, and no limit without one."""
+    seen = []
+    real_milp, real_linprog = optim.milp, optim.linprog
+    monkeypatch.setattr(
+        optim, "milp", lambda *a, **kw: seen.append(kw["options"]) or real_milp(*a, **kw)
+    )
+    monkeypatch.setattr(
+        optim, "linprog", lambda *a, **kw: seen.append(kw["options"]) or real_linprog(*a, **kw)
+    )
+    deadline = time.perf_counter() + 100.0
+    for res in (
+        solve(_cover_model(), deadline=deadline),
+        solve(_lp_model(), deadline=deadline),
+        optim.complete(_cover_model(), np.arange(2), np.ones(2), deadline),
+    ):
+        assert res.ok
+    assert [0.0 < options["time_limit"] <= 100.0 for options in seen] == [True] * 3
+    seen.clear()
+    assert solve(_cover_model()).ok and solve(_lp_model()).ok
+    assert ["time_limit" in options for options in seen] == [False, False]
+
+
+def test_past_the_deadline_highs_gets_no_model(monkeypatch):
+    """Once the deadline has passed, `solve` (MILP and LP) and `complete`
+    return status "limit" without handing HiGHS a model."""
+
+    def refused(*args):
+        raise AssertionError("a model reached HiGHS past its deadline")
+
+    monkeypatch.setattr(optim, "_pass_model", refused)
+    deadline = time.perf_counter()
+    for res in (
+        solve(_cover_model(), deadline=deadline),
+        solve(_lp_model(), deadline=deadline),
+        optim.complete(_cover_model(), np.arange(2), np.ones(2), deadline),
+    ):
+        assert res.status == "limit" and res.x is None
+    with pytest.raises(InfeasibleModelError, match="solver returned limit$"):
+        require_optimal(solve(_cover_model(), deadline=deadline - 1.0), "late")
+
+
 def test_an_option_highs_rejects_still_warns(monkeypatch):
     """Only scipy's note on passing options through is silenced; HiGHS
     refusing one (and so running without it) is not."""

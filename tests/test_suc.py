@@ -449,17 +449,17 @@ def test_one_scenario_start_keeps_the_optimum(case):
 
 
 def _spy_solves(monkeypatch):
-    """Record ("solve" | "complete", time budget, start given) per call."""
+    """Record ("solve" | "complete", deadline, start given) per call."""
     calls = []
     real_solve, real_complete = optim.solve, optim.complete
 
-    def solve(model, gap_tol=1e-6, time_limit=None, start=None, presolve=True):
-        calls.append(("solve", time_limit, start is not None))
-        return real_solve(model, gap_tol, time_limit, start, presolve)
+    def solve(model, gap_tol=1e-6, deadline=None, start=None, presolve=True):
+        calls.append(("solve", deadline, start is not None))
+        return real_solve(model, gap_tol, deadline, start, presolve)
 
-    def complete(model, cols, values, time_limit=None):
-        calls.append(("complete", time_limit, False))
-        return real_complete(model, cols, values, time_limit)
+    def complete(model, cols, values, deadline=None):
+        calls.append(("complete", deadline, False))
+        return real_complete(model, cols, values, deadline)
 
     monkeypatch.setattr(optim, "solve", solve)
     monkeypatch.setattr(optim, "complete", complete)
@@ -640,28 +640,28 @@ def test_rounded_relaxation_breaking_min_down_solves_cold(monkeypatch):
 def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypatch):
     """Every HiGHS call is charged to one clock: the EV relaxation gets the
     whole limit, each later call what the earlier ones left; with nothing
-    left a MILP is not run and the solve fails. The EV MILP failing for
-    want of time leaves the stochastic MILP no time either."""
+    left HiGHS is not run and the solve fails. The EV MILP failing for
+    want of time leaves the stochastic MILP no time either. Each HiGHS run
+    takes one second of a fake clock; the spy reads the budget HiGHS gets."""
     system, _, scn = uc_oracle_case
     clock = [0.0]
     monkeypatch.setattr(stochastic_uc.time, "perf_counter", lambda: clock[0])
-    calls = _spy_solves(monkeypatch)
-    inner_solve, inner_complete = optim.solve, optim.complete
+    calls = []
+    run_highs = optim._run_highs
 
-    def tick(fn):
-        def timed(*args, **kwargs):
-            clock[0] += 1.0
-            return fn(*args, **kwargs)
-        return timed
+    def timed(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
+        kind = "solve" if integrality.any() else "complete"
+        calls.append((kind, options.get("time_limit")))
+        clock[0] += 1.0
+        return run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start)
 
-    monkeypatch.setattr(optim, "solve", tick(inner_solve))
-    monkeypatch.setattr(optim, "complete", tick(inner_complete))
+    monkeypatch.setattr(optim, "_run_highs", timed)
     solve_suc(system, scn, time_limit=10.0)
-    assert [(kind, left) for kind, left, _ in calls] == [
+    assert calls == [
         ("complete", 10.0), ("complete", 9.0), ("solve", 8.0),
         ("complete", 7.0), ("solve", 6.0),
     ]
     calls.clear()
     with pytest.raises(InfeasibleModelError, match="limit"):
         solve_suc(system, scn, time_limit=1.5)
-    assert [(kind, left) for kind, left, _ in calls] == [("complete", 1.5), ("complete", 0.5)]
+    assert calls == [("complete", 1.5), ("complete", 0.5)]

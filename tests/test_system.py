@@ -27,11 +27,9 @@ from conftest import make_gen, single_bus_system
 def test_timegrid_basics():
     grid = TimeGrid(hours=24, periods_per_hour=4)
     assert grid.n_periods == 96
-    assert grid.minutes_per_period == 15
     assert grid.period_hours == 0.25
     assert grid.hour_of(0) == 0
     assert grid.hour_of(95) == 23
-    assert list(grid.periods_in_hour(23)) == [92, 93, 94, 95]
 
 
 def test_timegrid_rejects_bad_split():
