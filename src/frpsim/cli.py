@@ -152,7 +152,7 @@ def _cmd_rtm_sim(args):
     system = load_system(args.system)
     dam = dayahead.load_dam_outcome(args.dam)
     realized = _subperiod_profile(args.realized, args.periods_per_hour)
-    rtm = realtime.simulate_rtm(system, dam, realized, gap_tol=args.gap_tol)
+    rtm = realtime.simulate_rtm(system, dam, realized)
     print(
         f"total cost {rtm.total_cost:.2f} USD "
         f"(commitment {rtm.commitment_cost:.2f}, dispatch {rtm.dispatch_cost:.2f}, "
@@ -291,7 +291,6 @@ def _build_parser():
     p.add_argument("--dam", required=True)
     p.add_argument("--realized", required=True, help="sub-period per-bus net load CSV")
     p.add_argument("--periods-per-hour", type=int, default=1)
-    p.add_argument("--gap-tol", type=float, default=1e-6)
     p.add_argument("--settlement", choices=list(settlement.MODES), default="two")
     p.add_argument("--settlement-out", help="write the settlement ledger CSV here")
     p.set_defaults(func=_cmd_rtm_sim)

@@ -195,7 +195,7 @@ def _cell_id(day_name, method, n=None, rho=None):
 
 
 def _finish_cell(system, cfg, day, method, dam, realized, req, extra, bound_from=None):
-    rtm = simulate_rtm(system, dam, realized, gap_tol=cfg.gap_tol)
+    rtm = simulate_rtm(system, dam, realized)
     rep = settle(system, dam, rtm, mode=cfg.settlement_mode)
     rec = {
         "day": day.name,

@@ -30,18 +30,19 @@ minimize, scipy.linalg, scipy.fft, ...) costs every process about 19 MB and
 ``sys.modules`` (someone imported `scipy.optimize` first) it is reused, and
 once loaded here it is the module a later ``import scipy.optimize`` finds, so
 there is one `_Highs` per process either way. MILPs go through `milp`, which
-takes `scipy.optimize.milp`'s keywords and returns its result fields, plus a
-MIP start (``setSolution``); LPs go through `linprog`, which takes
-`scipy.optimize.linprog`'s keywords and hands HiGHS exactly what linprog
-would, so the duals the pricing and real-time passes read are linprog's. Both
-take `Csr` matrices and full-length arrays only, and are kept as the boundary
-where the benchmark's tracing and the model fingerprints read each solve.
-Both share one HiGHS run (`_run_highs`), and `_pass_model` alone hands HiGHS
-a model, to solve or for `Model.write_lp`. Options are set one by one, so one
-HiGHS rejects is named in an OptimizeWarning; ``highs_s`` on every result is
-the seconds of HiGHS's ``run`` alone. The binding is private to scipy:
-`pyproject.toml` requires the tested scipy, and a test checks that every
-method used is there.
+takes `scipy.optimize.milp`'s keywords plus a MIP start (``setSolution``);
+LPs go through `linprog`, which takes `scipy.optimize.linprog`'s keywords and
+hands HiGHS exactly what linprog would, so the duals the pricing and
+real-time passes read are linprog's. Both take `Csr` matrices and
+full-length arrays only, and are kept as the boundary where the benchmark's
+tracing and the model fingerprints read each solve's input. One HiGHS run,
+`_run_highs`, reads its result straight into a `SolveResult`; `milp` and
+`linprog` return it in a `Run`, with the few scipy-coded fields the tracing
+reads. `_pass_model` alone hands HiGHS a model, to solve or for
+`Model.write_lp`. Options are set one by one, so one HiGHS rejects is named
+in an OptimizeWarning; ``highs_s`` on every result is the seconds of HiGHS's
+``run`` alone. The binding is private to scipy: `pyproject.toml` requires the
+tested scipy, and a test checks that every method used is there.
 
 A MIP start changes where branch and bound starts, not what it proves. HiGHS
 checks the start against the rows, bounds and integrality and keeps it only
@@ -117,7 +118,6 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -174,12 +174,6 @@ class LinearConstraint(NamedTuple):
     A: object
     lb: object
     ub: object
-
-
-class OptimizeResult(SimpleNamespace):
-    """The fields of `scipy.optimize.OptimizeResult` that `milp` and
-    `linprog` fill, as attributes, plus ``highs_s``: the seconds of the
-    HiGHS run alone."""
 
 
 class Csr(NamedTuple):
@@ -298,7 +292,7 @@ class SolveResult:
     mip_node_count: int | None = None  # branch-and-bound nodes; MIP solves only
     mip_dual_bound: float | None = None  # best proven bound; MIP solves only
     highs_s: float | None = None  # seconds inside HiGHS
-    simplex_iterations: int | None = None  # LP solves only
+    simplex_iterations: int | None = None  # simplex, else IPM; LP solves only
     # size of the model handed to HiGHS; binaries counts integer columns
     rows: int | None = None
     cols: int | None = None
@@ -502,7 +496,7 @@ class Model:
             a_ub = _take_rows(mat, ub_rows)
             a_ub = a_ub._replace(data=a_ub.data * np.repeat(flip, np.diff(a_ub.indptr)))
             self._lp = (
-                mat, a_ub, flip * self._rhs[ub_rows], ub_rows, flip,
+                a_ub, flip * self._rhs[ub_rows], ub_rows, flip,
                 _take_rows(mat, eq_rows), self._rhs[eq_rows], eq_rows,
             )
         return self._lp
@@ -533,13 +527,13 @@ class Model:
 
 
 _H = _highs.HighsModelStatus
-# HiGHS model status -> scipy's status code: 0 optimal, 1 limit,
-# 2 infeasible, 3 unbounded, 4 anything else
-_HIGHS_STATUS = {
-    _H.kOptimal: 0, _H.kTimeLimit: 1, _H.kIterationLimit: 1,
-    _H.kInfeasible: 2, _H.kModelError: 2, _H.kUnbounded: 3,
+# HiGHS model status -> SolveResult status; any other is "error"
+_STATUS = {
+    _H.kOptimal: "optimal", _H.kTimeLimit: "limit", _H.kIterationLimit: "limit",
+    _H.kInfeasible: "infeasible", _H.kModelError: "infeasible", _H.kUnbounded: "unbounded",
 }
-_STATUS = {0: "optimal", 1: "limit", 2: "infeasible", 3: "unbounded"}
+# a MIP stopped at one of these returns its incumbent, if it has one
+_STOPPED = (_H.kTimeLimit, _H.kIterationLimit, _H.kSolutionLimit)
 # what scipy.optimize.linprog(method="highs") sets on HiGHS besides presolve,
 # the time limit and log_to_console (off in every run): no debug checks, no
 # output, the dual simplex
@@ -564,16 +558,27 @@ def _pass_model(c, a, row_lo, row_hi, lb, ub, integrality):
     return None if loaded == _highs.HighsStatus.kError else highs
 
 
-def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
-    """Run HiGHS on the model `_pass_model` hands it. Each option is set on
-    its own; one HiGHS rejects raises an OptimizeWarning that names it, and
-    HiGHS runs without it. ``start`` is a complete solution for
-    ``setSolution``. Returns the HiGHS instance (None when it holds nothing
-    to read: the model was refused or the run failed), its model status and
-    the seconds ``run`` took (0.0 if it never ran)."""
+def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None, check=False):
+    """Run HiGHS on the model `_pass_model` hands it, and read the result.
+    Each option is set on its own; one HiGHS rejects raises an
+    OptimizeWarning that names it, and HiGHS runs without it. ``start`` is a
+    complete solution for ``setSolution``.
+
+    Returns a `SolveResult` with the model's size, ``highs_s`` (0.0 if HiGHS
+    never ran; a refused model is "infeasible") and, for an LP, the simplex,
+    else interior-point, iterations. ``x`` and ``objective`` come with an
+    optimum, or with a MIP's incumbent at a limit; a MIP then carries its
+    gap, nodes and dual bound, an LP its row duals in the order of ``a``'s
+    rows. With ``check``, an LP optimum that breaks a row or a bound by more
+    than `_LP_CHECK_TOL` is status "error" without a solution, as scipy's
+    linprog checks it."""
+    binaries = int(np.count_nonzero(integrality))
+    res = SolveResult(
+        "infeasible", highs_s=0.0, rows=a.shape[0], cols=c.size, nnz=a.nnz, binaries=binaries
+    )
     highs = _pass_model(c, a, row_lo, row_hi, lb, ub, integrality)
     if highs is None:
-        return None, _H.kModelError, 0.0
+        return res
     for key, val in options.items():
         if highs.setOptionValue(key, val) != _highs.HighsStatus.kOk:
             # imported only here: it loads all of scipy.optimize
@@ -589,10 +594,64 @@ def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None):
         highs.setSolution(sol)
     t0 = time.perf_counter()
     ran = highs.run()
-    seconds = time.perf_counter() - t0
-    if ran == _highs.HighsStatus.kError:
-        return None, highs.getModelStatus(), seconds
-    return highs, highs.getModelStatus(), seconds
+    res.highs_s = time.perf_counter() - t0
+    model_status = highs.getModelStatus()
+    res.status = _STATUS.get(model_status, "error")
+    if ran == _highs.HighsStatus.kError:  # nothing to read
+        if res.ok:
+            res.status = "error"
+        return res
+    info = highs.getInfo()
+    if not binaries:  # a MIP's count reads -1 when presolve solves it
+        res.simplex_iterations = info.simplex_iteration_count or info.ipm_iteration_count
+    incumbent = (
+        binaries and model_status in _STOPPED
+        and info.objective_function_value < _highs.kHighsInf
+    )
+    if not (res.ok or incumbent):
+        return res
+    sol = highs.getSolution()
+    res.x, res.objective = np.array(sol.col_value), info.objective_function_value
+    if binaries:
+        res.mip_gap, res.mip_node_count = info.mip_gap, info.mip_node_count
+        res.mip_dual_bound = info.mip_dual_bound
+        return res
+    res.duals = np.array(sol.row_dual)
+    if not check:
+        return res
+    row = np.array(sol.row_value)
+    slack = row_hi - row
+    if (
+        np.isnan(res.objective) or np.isnan(res.x).any() or np.isnan(slack).any()
+        or (res.x < lb - _LP_CHECK_TOL).any() or (res.x > ub + _LP_CHECK_TOL).any()
+        or (slack < -_LP_CHECK_TOL).any() or (row - row_lo < -_LP_CHECK_TOL).any()
+    ):
+        res.status, res.x, res.objective, res.duals = "error", None, None, None
+    return res
+
+
+class Run(NamedTuple):
+    """What `milp` and `linprog` return: the `SolveResult`, and under
+    scipy's names the fields a wrapper of either reads."""
+
+    result: SolveResult
+
+    @property
+    def status(self):
+        """scipy's code: 0 optimal, 1 time or iteration limit, 2 infeasible,
+        3 unbounded, 4 other."""
+        return ("optimal", "limit", "infeasible", "unbounded", "error").index(self.result.status)
+
+    @property
+    def nit(self):
+        """Simplex, else interior-point, iterations."""
+        return self.result.simplex_iterations or 0
+
+    @property
+    def mip_node_count(self):
+        """Branch-and-bound nodes; None without integers or without a
+        solution."""
+        return self.result.mip_node_count
 
 
 def milp(c, *, integrality, bounds, constraints, options, start=None):
@@ -600,39 +659,14 @@ def milp(c, *, integrality, bounds, constraints, options, start=None):
 
     Takes scipy's keywords, each array one entry per column (``integrality``
     int32) and ``constraints`` exactly one `LinearConstraint` whose ``A`` is
-    a `Csr`, and hands HiGHS the CSC arrays scipy would. Options and
-    ``start`` are as in `_run_highs`: HiGHS keeps the start as its first
-    incumbent if it is feasible, and drops it otherwise.
-
-    Returns scipy's result fields: ``status`` (0 optimal, 1 time or iteration
-    limit, 2 infeasible, 3 unbounded, 4 other), ``x`` and ``fun`` (None
-    without a solution; a MIP stopped at a limit returns its incumbent), and
-    ``mip_gap``, ``mip_node_count`` and ``mip_dual_bound``, which are None
-    for a model without integers or without a solution; and ``highs_s``.
+    a `Csr`, and hands HiGHS the CSC arrays scipy would. Options, ``start``
+    and the result are as in `_run_highs`: HiGHS keeps the start as its first
+    incumbent if it is feasible, and drops it otherwise. Returns a `Run`.
     """
     (con,) = constraints
-    highs, model_status, highs_s = _run_highs(
+    return Run(_run_highs(
         c, con.A, con.lb, con.ub, bounds.lb, bounds.ub, integrality, options, start
-    )
-    res = OptimizeResult(
-        status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None,
-        mip_gap=None, mip_node_count=None, mip_dual_bound=None, highs_s=highs_s,
-    )
-    if highs is None:
-        return res
-    info = highs.getInfo()
-    is_mip = bool(integrality.any())
-    stopped = model_status in (_H.kTimeLimit, _H.kIterationLimit, _H.kSolutionLimit)
-    incumbent = is_mip and stopped and info.objective_function_value < _highs.kHighsInf
-    if not (model_status == _H.kOptimal or incumbent):
-        return res
-    res.x = np.array(highs.getSolution().col_value)
-    res.fun = info.objective_function_value
-    if is_mip:
-        res.mip_gap = info.mip_gap
-        res.mip_node_count = info.mip_node_count
-        res.mip_dual_bound = info.mip_dual_bound
-    return res
+    ))
 
 
 def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options):
@@ -643,14 +677,9 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options):
     ``presolve``, a bool, and perhaps ``time_limit``) and hands HiGHS what
     linprog does: the CSC matrix of ``A_ub`` stacked over ``A_eq``, rows
     ``-inf <= A_ub @ x <= b_ub`` and ``b_eq <= A_eq @ x <= b_eq``, no
-    integer column, and linprog's options (`_LP_OPTIONS`).
-
-    Returns linprog's ``status`` (codes as `milp`), ``x`` and ``fun`` (None
-    without an optimum), ``nit`` (simplex, else interior-point, iterations)
-    and ``ineqlin.marginals`` and ``eqlin.marginals`` (the row duals, None
-    without an optimum), and ``highs_s``. As linprog does, an optimum that
-    breaks a row or a bound by more than `_LP_CHECK_TOL` is status 4.
-    linprog's bound marginals, slacks and messages are left out.
+    integer column, and linprog's options (`_LP_OPTIONS`). Returns a `Run`
+    whose duals are linprog's marginals, ``A_ub``'s then ``A_eq``'s; an
+    optimum is checked as linprog checks it (`_run_highs`).
     """
     a = _vstack(*(_empty(c.size) if m is None else m for m in (A_ub, A_eq)))
     b_ub, b_eq = (np.empty(0) if b is None else b for b in (b_ub, b_eq))
@@ -658,34 +687,9 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds, options):
     row_hi = np.concatenate([b_ub, b_eq])
     lb, ub = bounds.T.copy()
     options = {**options, "presolve": "on" if options["presolve"] else "off", **_LP_OPTIONS}
-    highs, model_status, highs_s = _run_highs(
-        c, a, row_lo, row_hi, lb, ub, np.zeros(c.size, np.int32), options
-    )
-    res = OptimizeResult(
-        status=_HIGHS_STATUS.get(model_status, 4), x=None, fun=None, nit=0,
-        ineqlin=OptimizeResult(marginals=None), eqlin=OptimizeResult(marginals=None),
-        highs_s=highs_s,
-    )
-    if highs is None:
-        return res
-    info = highs.getInfo()
-    res.nit = info.simplex_iteration_count or info.ipm_iteration_count
-    if model_status != _H.kOptimal:
-        return res
-    sol = highs.getSolution()
-    res.x = np.array(sol.col_value)
-    res.fun = info.objective_function_value
-    duals = np.array(sol.row_dual)
-    res.ineqlin.marginals, res.eqlin.marginals = duals[: b_ub.size], duals[b_ub.size :]
-    slack = row_hi - np.array(sol.row_value)
-    if (
-        np.isnan(res.fun) or np.isnan(res.x).any() or np.isnan(slack).any()
-        or (res.x < lb - _LP_CHECK_TOL).any() or (res.x > ub + _LP_CHECK_TOL).any()
-        or (slack[: b_ub.size] < -_LP_CHECK_TOL).any()
-        or (np.abs(slack[b_ub.size :]) > _LP_CHECK_TOL).any()
-    ):
-        res.status = 4
-    return res
+    return Run(_run_highs(
+        c, a, row_lo, row_hi, lb, ub, np.zeros(c.size, np.int32), options, check=True
+    ))
 
 
 def _budget(options, deadline):
@@ -700,36 +704,20 @@ def _budget(options, deadline):
 
 def _run_milp(model, lb, ub, integer, options, deadline, start=None):
     """Hand ``model`` with column bounds ``lb``/``ub`` and integer columns
-    ``integer`` to `milp` under ``deadline`` (`_budget`), as a SolveResult:
-    status "limit", HiGHS not run, once the deadline has passed."""
+    ``integer`` to `milp` under ``deadline`` (`_budget`): status "limit",
+    HiGHS not run, once the deadline has passed."""
     options = _budget(options, deadline)
     if options is None:
         return SolveResult(status="limit")
     mat, lo, hi = model._constraint_matrix()
-    res = milp(
+    return milp(
         c=model.obj.copy(),
         constraints=[LinearConstraint(mat, lo, hi)],
         integrality=integer.astype(np.int32),
         bounds=Bounds(lb, ub),
         options=options,
         start=start,
-    )
-    status = _STATUS.get(res.status, "error")
-    if res.x is None and status == "optimal":
-        status = "error"
-    return SolveResult(
-        status=status,
-        objective=None if res.x is None else float(res.fun),
-        x=None if res.x is None else np.asarray(res.x),
-        mip_gap=res.mip_gap,
-        mip_node_count=res.mip_node_count,
-        mip_dual_bound=res.mip_dual_bound,
-        highs_s=res.highs_s,
-        rows=mat.shape[0],
-        cols=mat.shape[1],
-        nnz=mat.nnz,
-        binaries=int(integer.sum()),
-    )
+    ).result
 
 
 def solve(model, gap_tol=1e-6, deadline=None, start=None, presolve=True):
@@ -766,8 +754,8 @@ def complete(model, cols, values, deadline=None):
     ``deadline`` is as in `solve`.
 
     With every integer column pinned at an integral value, an optimal
-    result's ``x`` is a complete MIP start for `solve`. The result carries no
-    duals or MIP fields."""
+    result's ``x`` is a complete MIP start for `solve`. The result carries
+    the LP's row duals and simplex iterations, and no MIP fields."""
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = values
     return _run_milp(
@@ -792,7 +780,7 @@ def _solve_lp(model, lb, ub, deadline):
     options = _budget({"presolve": True}, deadline)
     if options is None:
         return SolveResult(status="limit")
-    mat, a_ub, b_ub, ub_rows, flip, a_eq, b_eq, eq_rows = model._lp_parts()
+    a_ub, b_ub, ub_rows, flip, a_eq, b_eq, eq_rows = model._lp_parts()
     kwargs = {}
     if len(ub_rows):
         kwargs["A_ub"], kwargs["b_ub"] = a_ub, b_ub
@@ -803,26 +791,13 @@ def _solve_lp(model, lb, ub, deadline):
         bounds=np.column_stack([lb, ub]),
         options=options,
         **kwargs,
-    )
-    status = _STATUS.get(res.status, "error")
-    fields = {
-        "highs_s": res.highs_s, "simplex_iterations": int(res.nit),
-        "rows": mat.shape[0], "cols": mat.shape[1], "nnz": mat.nnz, "binaries": 0,
-    }
-    if status != "optimal":
-        return SolveResult(status=status, **fields)
-    duals = np.empty(mat.shape[0])
-    if len(eq_rows):
-        duals[eq_rows] = res.eqlin.marginals
-    if len(ub_rows):
-        duals[ub_rows] = flip * res.ineqlin.marginals
-    return SolveResult(
-        status="optimal",
-        objective=float(res.fun),
-        x=np.asarray(res.x),
-        duals=duals,
-        **fields,
-    )
+    ).result
+    if res.duals is not None:  # linprog's rows, A_ub over A_eq, back to the model's
+        duals = np.empty(res.rows)
+        duals[ub_rows] = flip * res.duals[: len(ub_rows)]
+        duals[eq_rows] = res.duals[len(ub_rows) :]
+        res.duals = duals
+    return res
 
 
 def release_heap():

@@ -68,8 +68,8 @@ def _expand_commitment(dam, grid):
 def simulate_rtm(system, dam, realized, gap_tol=1e-6):
     """Dispatch the committed fleet against one realized net-load profile.
 
-    Line-flow rows are screened (see `network`). ``gap_tol`` is passed to
-    `optim.solve`, which ignores it for this LP."""
+    Line-flow rows are screened (see `network`). ``gap_tol`` is accepted and
+    has no effect: the model is an LP."""
     grid = realized.grid
     if grid.hours != dam.hours:
         raise ValueError("realized profile horizon does not match the DAM schedule")
@@ -110,9 +110,7 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6):
     screen = network.FlowScreen(system)
     screen.add_periods("", bus, cols, coefs, dispatch.bus_injections(system, floor))
     build_s = time.perf_counter() - t_build
-    res = optim.require_optimal(
-        screen.solve(model, lambda m: optim.solve(m, gap_tol=gap_tol)), "real-time dispatch"
-    )
+    res = optim.require_optimal(screen.solve(model, optim.solve), "real-time dispatch")
 
     x = res.x
     p_val = np.stack([x[s].sum(axis=-1) for s in seg])

@@ -220,7 +220,7 @@ class PowerSystem:
         return a is None or bool(np.array_equal(a, b))
 
 
-def compute_isf(buses, lines, slack_id=None):
+def compute_isf(buses, lines):
     """Shift factors from line reactances by inverting the reduced B matrix.
 
     Flow on a line oriented from_bus -> to_bus is positive in that direction.
@@ -228,8 +228,7 @@ def compute_isf(buses, lines, slack_id=None):
     connected through the slack.
     """
     bus_ids = [b.id for b in buses]
-    if slack_id is None:
-        slack_id = next(b.id for b in buses if b.slack)
+    slack_id = next(b.id for b in buses if b.slack)
     n = len(buses)
     idx = {bid: i for i, bid in enumerate(bus_ids)}
     slack = idx[slack_id]
@@ -429,7 +428,7 @@ def _parse_generator(raw, pos):
     )
 
 
-def load_system(path, validate=True, data=None):
+def load_system(path, data=None):
     """Parse a system YAML file. Raises SystemFileError on malformed input and
     ValidationError (listing every violation) on invariant failures.
 
@@ -476,8 +475,7 @@ def load_system(path, validate=True, data=None):
         frp_shortfall_penalty=float(_require(pen, "frp_shortfall_usd_per_mw", "penalties")),
         supplied_isf=None if supplied is None else np.asarray(supplied, dtype=float),
     )
-    if validate:
-        system.validate()
+    system.validate()
     return system
 
 

@@ -423,7 +423,8 @@ def test_fix_and_resolve_pins_are_canonical(monkeypatch):
 
 def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
     """An LP's result carries the seconds of its HiGHS run and the
-    simplex iterations linprog reports (``nit``)."""
+    simplex iterations linprog reports (``nit``); a completion's LP, which
+    goes through `optim.milp`, carries its simplex iterations too."""
     seen = []
     real = optim.linprog
 
@@ -443,6 +444,9 @@ def test_lp_solves_report_highs_time_and_simplex_iterations(monkeypatch):
     assert r.ok and r.highs_s > 0.0
     assert r.simplex_iterations == res.nit >= 1
     assert r.highs == {"highs_s": r.highs_s, "simplex_iterations": r.simplex_iterations}
+    done = optim.complete(m, x[0, :1], [20.0])
+    assert done.ok and done.simplex_iterations >= 1
+    assert done.highs == {"highs_s": done.highs_s, "simplex_iterations": done.simplex_iterations}
 
 
 def test_private_highs_binding_has_every_method_used():
@@ -666,22 +670,24 @@ def _lp_kwargs(case):
 )
 def test_linprog_equals_scipy_field_by_field(case, status):
     """`optim.linprog` hands HiGHS what scipy's linprog does, so every field
-    the pricing and real-time passes read is the same, bit for bit."""
+    the pricing and real-time passes read is the same, bit for bit: the
+    status code, the iterations, the solution and objective, and the row
+    duals in linprog's order, ``A_ub``'s marginals then ``A_eq``'s."""
     c, kwargs = _lp_kwargs(case)
-    ours = optim.linprog(c, **kwargs | {k: _ours(kwargs[k]) for k in ("A_ub", "A_eq")})
+    run = optim.linprog(c, **kwargs | {k: _ours(kwargs[k]) for k in ("A_ub", "A_eq")})
+    ours = run.result
     theirs = scipy_linprog(c, method="highs", **kwargs)
-    assert ours.status == theirs.status == status
-    assert ours.nit == theirs.nit
+    assert run.status == theirs.status == status
+    assert run.nit == ours.simplex_iterations == theirs.nit
     assert (ours.x is None) == (theirs.x is None)
     if theirs.x is not None:
-        assert np.array_equal(ours.x, theirs.x) and ours.fun == theirs.fun
+        assert np.array_equal(ours.x, theirs.x) and ours.objective == theirs.fun
     else:
-        assert ours.fun is None
-    for key in ("ineqlin", "eqlin"):
-        mine, scipys = getattr(ours, key).marginals, getattr(theirs, key).marginals
-        assert (mine is None) == (scipys is None)
-        if scipys is not None:
-            assert np.array_equal(mine, scipys)
+        assert ours.objective is None
+    assert (ours.duals is None) == (theirs.ineqlin.marginals is None)
+    if ours.duals is not None:
+        scipys = np.concatenate([theirs.ineqlin.marginals, theirs.eqlin.marginals])
+        assert _bits(ours.duals) == _bits(scipys)
 
 
 def _knapsack_kwargs(options=None, integer=True, cap_frac=1 / 3, scipy=False):
@@ -714,19 +720,21 @@ def _knapsack_kwargs(options=None, integer=True, cap_frac=1 / 3, scipy=False):
     ],
 )
 def test_milp_gives_scipy_shaped_results(case, kwargs):
-    """Status, solution and MIP fields as scipy.optimize.milp gives them
-    for the same call."""
-    ours = optim.milp(**_knapsack_kwargs(**kwargs))
+    """Status code, solution, objective and MIP fields as
+    scipy.optimize.milp gives them for the same call."""
+    run = optim.milp(**_knapsack_kwargs(**kwargs))
+    ours = run.result
     theirs = scipy_milp(**_knapsack_kwargs(**kwargs, scipy=True))
-    assert ours.status == theirs.status == {
+    assert run.status == theirs.status == {
         "optimal": 0, "infeasible": 2, "time-limit": 1, "lp-only": 0
     }[case]
     assert (ours.x is None) == (theirs.x is None)
     if theirs.x is not None:
         assert np.array_equal(ours.x, theirs.x)
-        assert ours.fun == theirs.fun
+        assert ours.objective == theirs.fun
     for key in ("mip_gap", "mip_node_count", "mip_dual_bound"):
         assert getattr(ours, key) == getattr(theirs, key)
+    assert run.mip_node_count == ours.mip_node_count
     if case == "lp-only":
         assert ours.mip_node_count is None and ours.mip_gap is None
 
@@ -736,11 +744,11 @@ def test_milp_keeps_a_feasible_start_and_drops_an_infeasible_one():
     given time it proves the optimum, whatever the start."""
     start = np.zeros(30)
     stopped = optim.milp(**_knapsack_kwargs({"time_limit": 0.0}), start=start)
-    assert stopped.status == 1 and np.array_equal(stopped.x, start)
-    best = optim.milp(**_knapsack_kwargs()).fun
+    assert stopped.status == 1 and np.array_equal(stopped.result.x, start)
+    best = optim.milp(**_knapsack_kwargs()).result.objective
     for start in (np.zeros(30), np.ones(30)):  # feasible, then over capacity
         res = optim.milp(**_knapsack_kwargs(), start=start)
-        assert res.status == 0 and res.fun == pytest.approx(best)
+        assert res.status == 0 and res.result.objective == pytest.approx(best)
 
 
 def test_complete_pins_columns_and_solves_the_rest():
@@ -754,3 +762,4 @@ def test_complete_pins_columns_and_solves_the_rest():
     assert not optim.complete(m, np.array([0, 1, 2]), np.zeros(3)).ok  # cover broken
     # as a start, the pinned completion leaves the proven optimum alone
     assert solve(m, start=done.x).objective == pytest.approx(3.0)
+
