@@ -1,17 +1,23 @@
 """Power system data model: buses, lines, generators, penalties, shift factors.
 
 Systems are stored as YAML with explicit units in the key names (MW, hours,
-USD). `load_system` parses and validates; `validate_system` collects every
-violation instead of stopping at the first so a bad file is diagnosed in one
-pass. Injection shift factors are computed from line reactances via the
-reduced nodal susceptance matrix unless the file supplies a matrix, in which
-case the supplied one wins (a consistency warning is emitted if it disagrees
-with the computed one by more than 1e-6).
+USD). The file's schema is one table per entity (`BUS`, `LINE`, `SEGMENT`,
+`INITIAL`, `GENERATOR`, `PENALTIES`) mapping each field to its key, type and
+any default; `load_system` reads and `save_system` writes through those same
+tables, so a key is spelled once. A missing or mistyped key raises
+`SystemFileError` naming the entity and the key. `load_system` then
+validates: `validate_system` collects every violation instead of stopping at
+the first so a bad file is diagnosed in one pass. Injection shift factors are
+computed from line reactances via the reduced nodal susceptance matrix unless
+the file supplies a matrix, in which case the supplied one wins (a
+consistency warning is emitted if it disagrees with the computed one by more
+than 1e-6).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,7 +148,7 @@ class PowerSystem:
     curtailment_penalty: float  # $/MWh of load not served
     frp_shortfall_penalty: float  # $/MW of unmet ramping requirement
     supplied_isf: np.ndarray | None = None
-    _isf_cache: np.ndarray | None = field(default=None, repr=False)
+    _isf_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     # -- identity helpers -------------------------------------------------
 
@@ -163,12 +169,6 @@ class PowerSystem:
 
     def bus_index(self, bus_id):
         return self.bus_ids.index(bus_id)
-
-    def gen(self, gen_id):
-        for g in self.generators:
-            if g.id == gen_id:
-                return g
-        raise KeyError(gen_id)
 
     # -- shift factors -----------------------------------------------------
 
@@ -382,6 +382,48 @@ def _duplicates(ids):
 
 
 # -- serialization -----------------------------------------------------------
+#
+# The file's schema: one table per entity, its (field, YAML key, type[,
+# default]) rows in file order. A type is a converter, a nested Table, or
+# [Table] for a list of them. A row with a default is optional; a flag (a bool
+# with a default) is written only when set.
+
+Table = namedtuple("Table", "cls name rows")
+
+BUS = Table(Bus, "bus", (("id", "id", str), ("slack", "slack", bool, False)))
+LINE = Table(Line, "line", (
+    ("id", "id", str),
+    ("from_bus", "from", str), ("to_bus", "to", str),
+    ("reactance", "reactance_pu", float),
+    ("flow_min", "flow_min_mw", float), ("flow_max", "flow_max_mw", float),
+))
+SEGMENT = Table(CostSegment, "segment", (
+    ("upper", "to_mw", float), ("cost", "usd_per_mwh", float),
+))
+INITIAL = Table(InitialState, "initial state", (
+    ("on", "committed", bool),
+    ("dispatch_above_min", "dispatch_above_min_mw", float, 0.0),
+    ("hours_on", "hours_on", int, 0), ("hours_off", "hours_off", int, 0),
+))
+GENERATOR = Table(Generator, "generator", (
+    ("id", "id", str), ("bus", "bus", str),
+    ("p_min", "p_min_mw", float), ("p_max", "p_max_mw", float),
+    ("segments", "cost_segments", [SEGMENT]),
+    ("no_load_cost", "no_load_usd_per_h", float), ("startup_cost", "startup_usd", float),
+    ("ramp_up", "ramp_up_mw_per_h", float), ("ramp_down", "ramp_down_mw_per_h", float),
+    ("startup_limit", "startup_limit_mw", float),
+    ("shutdown_limit", "shutdown_limit_mw", float),
+    ("min_up", "min_up_h", int), ("min_down", "min_down_h", int),
+    ("initial", "initial", INITIAL),
+))
+# the two PowerSystem fields the file keeps under `penalties`
+PENALTIES = Table(dict, "penalties", (
+    ("curtailment_penalty", "curtailment_usd_per_mwh", float),
+    ("frp_shortfall_penalty", "frp_shortfall_usd_per_mw", float),
+))
+# the file's lists, each under the PowerSystem field's name, with the name of
+# an entry that has no id
+LISTS = (("buses", BUS, "#{}"), ("lines", LINE, "#{}"), ("generators", GENERATOR, "#position {}"))
 
 
 def _require(mapping, key, entity):
@@ -390,42 +432,49 @@ def _require(mapping, key, entity):
     return mapping[key]
 
 
-def _parse_generator(raw, pos):
-    gid = raw.get("id", f"#position {pos}")
-    entity = f"generator {gid}"
-    segs = _require(raw, "cost_segments", entity)
-    if not isinstance(segs, list):
-        raise SystemFileError(f"{entity}: cost_segments must be a list", entity, "cost_segments")
-    segments = tuple(
-        CostSegment(
-            upper=float(_require(s, "to_mw", f"{entity} segment {i}")),
-            cost=float(_require(s, "usd_per_mwh", f"{entity} segment {i}")),
-        )
-        for i, s in enumerate(segs)
-    )
-    init_raw = _require(raw, "initial", entity)
-    initial = InitialState(
-        on=bool(_require(init_raw, "committed", f"{entity} initial state")),
-        dispatch_above_min=float(init_raw.get("dispatch_above_min_mw", 0.0)),
-        hours_on=int(init_raw.get("hours_on", 0)),
-        hours_off=int(init_raw.get("hours_off", 0)),
-    )
-    return Generator(
-        id=str(_require(raw, "id", entity)),
-        bus=str(_require(raw, "bus", entity)),
-        p_min=float(_require(raw, "p_min_mw", entity)),
-        p_max=float(_require(raw, "p_max_mw", entity)),
-        segments=segments,
-        no_load_cost=float(_require(raw, "no_load_usd_per_h", entity)),
-        startup_cost=float(_require(raw, "startup_usd", entity)),
-        ramp_up=float(_require(raw, "ramp_up_mw_per_h", entity)),
-        ramp_down=float(_require(raw, "ramp_down_mw_per_h", entity)),
-        startup_limit=float(_require(raw, "startup_limit_mw", entity)),
-        shutdown_limit=float(_require(raw, "shutdown_limit_mw", entity)),
-        min_up=int(_require(raw, "min_up_h", entity)),
-        min_down=int(_require(raw, "min_down_h", entity)),
-        initial=initial,
-    )
+def _read(table, raw, entity):
+    """Build one ``table`` entity from the mapping ``raw``, naming ``entity`` in
+    errors. Nested entries are read first, then the scalars, each in file order."""
+    if not isinstance(raw, dict):
+        raise SystemFileError(f"{entity}: expected a mapping, got {raw!r}", entity)
+    values = {}
+    for fld, key, kind, *default in sorted(table.rows, key=lambda row: callable(row[2])):
+        value = raw.get(key, *default) if default else _require(raw, key, entity)
+        if isinstance(kind, list):
+            name = f"{entity} {kind[0].name}"
+            values[fld] = _read_list(kind[0], value, entity, key, lambda i, _: f"{name} {i}")
+        elif isinstance(kind, Table):
+            values[fld] = _read(kind, value, f"{entity} {kind.name}")
+        else:
+            try:
+                values[fld] = kind(value)
+            except (TypeError, ValueError):
+                msg = f"{entity}: {key} must be {kind.__name__}, got {value!r}"
+                raise SystemFileError(msg, entity, key) from None
+    return table.cls(**values)
+
+
+def _read_list(table, items, where, key, name):
+    """``items``, the list under ``where``'s ``key``, as a tuple of ``table``
+    entities; ``name(position, mapping)`` names each one."""
+    if not isinstance(items, list):
+        raise SystemFileError(f"{where}: {key} must be a list", where, key)
+    names = [name(i, item if isinstance(item, dict) else {}) for i, item in enumerate(items)]
+    return tuple(_read(table, item, entity) for item, entity in zip(items, names))
+
+
+def _write(table, obj):
+    """``obj`` as the mapping ``table`` describes, its keys in file order."""
+    doc = {}
+    for fld, key, kind, *default in table.rows:
+        value = getattr(obj, fld)
+        if isinstance(kind, list):
+            value = [_write(kind[0], v) for v in value]
+        elif isinstance(kind, Table):
+            value = _write(kind, value)
+        if not (default and kind is bool and value == default[0]):
+            doc[key] = value
+    return doc
 
 
 def load_system(path, data=None):
@@ -446,87 +495,23 @@ def load_system(path, data=None):
     version = raw.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise SystemFileError(f"{path}: unsupported format_version {version}")
-
-    buses = tuple(
-        Bus(id=str(_require(b, "id", f"bus #{i}")), slack=bool(b.get("slack", False)))
-        for i, b in enumerate(raw.get("buses", []))
-    )
-    lines = tuple(
-        Line(
-            id=str(_require(ln, "id", f"line #{i}")),
-            from_bus=str(_require(ln, "from", f"line {ln.get('id', i)}")),
-            to_bus=str(_require(ln, "to", f"line {ln.get('id', i)}")),
-            reactance=float(_require(ln, "reactance_pu", f"line {ln.get('id', i)}")),
-            flow_min=float(_require(ln, "flow_min_mw", f"line {ln.get('id', i)}")),
-            flow_max=float(_require(ln, "flow_max_mw", f"line {ln.get('id', i)}")),
-        )
-        for i, ln in enumerate(raw.get("lines", []))
-    )
-    generators = tuple(
-        _parse_generator(g, i) for i, g in enumerate(raw.get("generators", []))
-    )
-    pen = _require(raw, "penalties", "system")
-    supplied = raw.get("isf")
-    system = PowerSystem(
-        buses=buses,
-        lines=lines,
-        generators=generators,
-        curtailment_penalty=float(_require(pen, "curtailment_usd_per_mwh", "penalties")),
-        frp_shortfall_penalty=float(_require(pen, "frp_shortfall_usd_per_mw", "penalties")),
-        supplied_isf=None if supplied is None else np.asarray(supplied, dtype=float),
-    )
-    system.validate()
-    return system
+    return PowerSystem(
+        **{
+            key: _read_list(
+                table, raw.get(key, []), "system", key,
+                lambda i, item: f"{table.name} {item.get('id', unnamed.format(i))}",
+            )
+            for key, table, unnamed in LISTS
+        },
+        **_read(PENALTIES, _require(raw, "penalties", "system"), "penalties"),
+        supplied_isf=None if raw.get("isf") is None else np.asarray(raw["isf"], dtype=float),
+    ).validate()
 
 
 def save_system(system, path):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "penalties": {
-            "curtailment_usd_per_mwh": system.curtailment_penalty,
-            "frp_shortfall_usd_per_mw": system.frp_shortfall_penalty,
-        },
-        "buses": [
-            {"id": b.id, **({"slack": True} if b.slack else {})} for b in system.buses
-        ],
-        "lines": [
-            {
-                "id": ln.id,
-                "from": ln.from_bus,
-                "to": ln.to_bus,
-                "reactance_pu": ln.reactance,
-                "flow_min_mw": ln.flow_min,
-                "flow_max_mw": ln.flow_max,
-            }
-            for ln in system.lines
-        ],
-        "generators": [
-            {
-                "id": g.id,
-                "bus": g.bus,
-                "p_min_mw": g.p_min,
-                "p_max_mw": g.p_max,
-                "cost_segments": [
-                    {"to_mw": s.upper, "usd_per_mwh": s.cost} for s in g.segments
-                ],
-                "no_load_usd_per_h": g.no_load_cost,
-                "startup_usd": g.startup_cost,
-                "ramp_up_mw_per_h": g.ramp_up,
-                "ramp_down_mw_per_h": g.ramp_down,
-                "startup_limit_mw": g.startup_limit,
-                "shutdown_limit_mw": g.shutdown_limit,
-                "min_up_h": g.min_up,
-                "min_down_h": g.min_down,
-                "initial": {
-                    "committed": g.initial.on,
-                    "dispatch_above_min_mw": g.initial.dispatch_above_min,
-                    "hours_on": g.initial.hours_on,
-                    "hours_off": g.initial.hours_off,
-                },
-            }
-            for g in system.generators
-        ],
-    }
+    doc = {"format_version": FORMAT_VERSION, "penalties": _write(PENALTIES, system)}
+    for key, table, _ in LISTS:
+        doc[key] = [_write(table, entity) for entity in getattr(system, key)]
     if system.supplied_isf is not None:
         doc["isf"] = [[float(v) for v in row] for row in np.asarray(system.supplied_isf)]
     with open(path, "w") as fh:

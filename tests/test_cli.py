@@ -48,6 +48,24 @@ def test_validate_reports_issues(tmp_path, capsys):
     assert "invalid system" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("p_max_mw: 100.0", "p_max_mw: lots", "generator g1: p_max_mw must be float"),
+    ("min_up_h: 1\n", "min_up_h: two\n", "generator g1: min_up_h must be int"),
+    ("lines: []", "lines: null", "system: lines must be a list"),
+    ("  - id: g2\n    bus: b1\n", "  - g2\n  - bus: b1\n",
+     "generator #position 1: expected a mapping"),
+], ids=["float", "int", "list", "mapping"])
+def test_validate_names_a_mistyped_key(tmp_path, capsys, old, new, named):
+    """A value of the wrong type exits 1 with the entity and key it concerns,
+    not with a traceback."""
+    text = Path(case_path("single_bus_two_gen.yaml")).read_text()
+    assert old in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(old, new, 1))
+    assert main(["validate", str(bad)]) == 1
+    assert f"malformed system file: {named}" in capsys.readouterr().err
+
+
 def test_full_pipeline(workdir, capsys):
     sys_file = str(workdir / "system.yaml")
     fc = str(workdir / "forecast.csv")

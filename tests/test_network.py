@@ -60,7 +60,7 @@ def congested():
         if ln.id == "l1_2" else ln
         for ln in system.lines
     )
-    return dataclasses.replace(system, lines=lines, _isf_cache=None)
+    return dataclasses.replace(system, lines=lines)
 
 
 def _full(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from frpsim import (
     load_system,
     save_system,
 )
-from frpsim.system import validate_system
+from frpsim.data import case_path
+from frpsim.system import (
+    BUS,
+    GENERATOR,
+    INITIAL,
+    LINE,
+    LISTS,
+    PENALTIES,
+    SEGMENT,
+    validate_system,
+)
 
 from conftest import make_gen, single_bus_system
 
@@ -278,6 +289,53 @@ generators:
     assert "g1" in str(err.value)
 
 
+def _init_fields(cls):
+    return sorted(f.name for f in dataclasses.fields(cls) if f.init)
+
+
+def test_each_table_names_every_field_once():
+    """A dataclass field added without a row in its table fails here."""
+    for table in (BUS, LINE, SEGMENT, INITIAL, GENERATOR):
+        assert sorted(row[0] for row in table.rows) == _init_fields(table.cls)
+    # PowerSystem's fields: its lists, the penalties, and the optional matrix
+    named = [key for key, _, _ in LISTS] + [row[0] for row in PENALTIES.rows]
+    assert sorted(named + ["supplied_isf"]) == _init_fields(PowerSystem)
+    for table in (BUS, LINE, SEGMENT, INITIAL, GENERATOR, PENALTIES):
+        keys = [row[1] for row in table.rows]
+        assert len(set(keys)) == len(keys)
+
+
+# sha256 of save_system(load_system(f)) for each shipped system file, taken
+# from the writer that spelled every key out by hand
+SAVED_SHA256 = {
+    "ieee14.yaml": "1a3f81f65f9bdcfe856d385e015d0c7ee164f5afe8cd3ebf6febd4fbaa54f0ab",
+    "ramp_toy.yaml": "53f28c63fdd296f890e34e5edbcd4b91d6efe80fa2837f2d5b3b9ac8711b12d1",
+    "single_bus_two_gen.yaml": "aa072a683ad5228540c146485ae3f0b87179c0c604ae27596f1ca02c2b6f3873",
+    "corpus/system.yaml": "0a0b33c88471738bf08664861d51c29ec197b2531fe22b020de04f7dadd41b12",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_SHA256))
+def test_saved_bytes_are_frozen(tmp_path, name):
+    out = tmp_path / "saved.yaml"
+    save_system(load_system(case_path(name)), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAVED_SHA256[name]
+
+
+def test_replace_recomputes_shift_factors():
+    """The cached matrix is not carried into a copy made with other lines."""
+    system = load_system(case_path("ieee14"))
+    system.isf()
+    lines = tuple(
+        dataclasses.replace(ln, reactance=3 * ln.reactance) if ln.id == "l1_2" else ln
+        for ln in system.lines
+    )
+    changed = dataclasses.replace(system, lines=lines)
+    want = compute_isf(changed.buses, changed.lines)
+    assert np.max(np.abs(want - system.isf())) > 0.1
+    assert np.array_equal(changed.isf(), want)
+
+
 def test_dispatch_cost_fills_segments_in_order():
     g = make_gen("g", p_max=100.0, segments=((40.0, 10.0), (70.0, 25.0), (100.0, 60.0)))
     assert g.dispatch_cost(0.0) == 0.0
@@ -287,16 +345,12 @@ def test_dispatch_cost_fills_segments_in_order():
 
 
 def test_bundled_cases_validate():
-    from frpsim.data import case_path
-
     for name in ("single_bus_two_gen", "ramp_toy", "ieee14"):
         system = load_system(case_path(name))
         assert validate_system(system) == []
 
 
 def test_ieee14_isf_against_angle_oracle():
-    from frpsim.data import case_path
-
     system = load_system(case_path("ieee14"))
     psi = system.isf()
     want = _isf_by_angle_solve(system.buses, system.lines, system.slack_bus)
