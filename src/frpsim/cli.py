@@ -3,6 +3,9 @@
 Profiles move between commands as small CSVs: hourly files have a header
 ``bus,h0,h1,...`` with one row per bus, sub-period files use ``bus,k0,k1,...``.
 Solutions and market outcomes are JSON written by the corresponding modules.
+A malformed input file ends any command with exit status 1 and one line that
+names the file and the key or column (`validate`'s reads "malformed system
+file:"), not with a traceback.
 """
 
 from __future__ import annotations
@@ -134,7 +137,10 @@ def _cmd_dam_clear(args):
     req = requirements.load_requirements(args.req)
     fix = None
     if args.fix_commitments:
-        fix = suc.load_suc_solution(args.fix_commitments).committed_hours()
+        sol = suc.load_suc_solution(args.fix_commitments)
+        if sol.gen_ids != system.gen_ids:
+            raise SystemExit(f"{args.fix_commitments}: units do not match system units")
+        fix = sol.committed_hours()
     out = dayahead.clear_dam(
         system, bids, req, fix_commitments=fix, gap_tol=args.gap_tol,
         time_limit=args.time_limit, dump_lp=args.dump_lp,
@@ -321,7 +327,10 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SystemFileError as exc:
+        raise SystemExit(f"malformed file: {exc}") from None
 
 
 if __name__ == "__main__":

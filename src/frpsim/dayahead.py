@@ -41,7 +41,6 @@ check's screening added flow rows.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -53,6 +52,7 @@ from .stochastic_uc import (
     commitment_logic_residual,
     commitment_schedule,
 )
+from .system import Table, _bool, _float_or_null, _floats, _int, _ints, read_json, write_json
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -412,44 +412,22 @@ def check_dam_outcome(system, outcome, bids, req, fix_commitments=None, tol=1e-6
 
 # -- file io -----------------------------------------------------------------
 
-_ARRAYS = [
-    "u", "v", "w", "p", "r_up", "r_dn", "sf_up", "sf_dn",
-    "curtail", "demand", "lmp", "price_up", "price_dn",
-]
+OUTCOME = Table(DamOutcome, "DAM outcome", (
+    ("gen_ids", "gen_ids", list), ("bus_ids", "bus_ids", list), ("hours", "hours", _int),
+    ("objective", "objective_usd", float),
+    ("pricing_objective", "pricing_objective_usd", float),
+    ("mip_gap", "mip_gap", _float_or_null), ("certified", "certified", _bool, False),
+    ("record", "record", dict, {}),
+    ("u", "u", _ints), ("v", "v", _ints), ("w", "w", _ints), ("p", "p", _floats),
+    ("r_up", "r_up", _floats), ("r_dn", "r_dn", _floats), ("sf_up", "sf_up", _floats),
+    ("sf_dn", "sf_dn", _floats), ("curtail", "curtail", _floats), ("demand", "demand", _floats),
+    ("lmp", "lmp", _floats), ("price_up", "price_up", _floats), ("price_dn", "price_dn", _floats),
+))
 
 
 def save_dam_outcome(out, path):
-    doc = {
-        "gen_ids": out.gen_ids,
-        "bus_ids": out.bus_ids,
-        "hours": out.hours,
-        "objective_usd": out.objective,
-        "pricing_objective_usd": out.pricing_objective,
-        "mip_gap": out.mip_gap,
-        "certified": out.certified,
-        "record": out.record,
-    }
-    for name in _ARRAYS:
-        doc[name] = getattr(out, name).tolist()
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_json(OUTCOME, out, path)
 
 
 def load_dam_outcome(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    kwargs = {
-        name: np.asarray(doc[name], dtype=int if name in ("u", "v", "w") else float)
-        for name in _ARRAYS
-    }
-    return DamOutcome(
-        gen_ids=doc["gen_ids"],
-        bus_ids=doc["bus_ids"],
-        hours=doc["hours"],
-        objective=doc["objective_usd"],
-        pricing_objective=doc["pricing_objective_usd"],
-        mip_gap=doc["mip_gap"],
-        certified=doc.get("certified", False),
-        record=doc.get("record", {}),
-        **kwargs,
-    )
+    return read_json(OUTCOME, path)

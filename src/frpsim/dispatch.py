@@ -157,11 +157,13 @@ def physical_residuals(system, grid, u, v, w, p, curtail, load):
     periods) under the hourly 0/1 commitment ``u``, ``v``, ``w`` (units,
     hours), with ``curtail`` and ``load`` (scenarios, buses, periods).
 
-    Keys: "capacity" (``0 <= p <= DR * u`` and ``curtail >= 0``), "ramp"
-    (ramp-up and ramp-down from the initial state and between periods, with
-    the startup and shutdown allowances in an hour's first period, and the
-    shutdown limit in the period before a stop), "balance" (the worst
-    absolute net injection summed over buses) and "flow" (line limits).
+    Keys: "capacity" (``0 <= p <= DR * u`` and ``curtail >= 0``), "shed"
+    (``curtail <= max(load, 0)``: curtailment is load shed, so a bus cannot
+    shed more than its own load), "ramp" (ramp-up and ramp-down from the
+    initial state and between periods, with the startup and shutdown
+    allowances in an hour's first period, and the shutdown limit in the
+    period before a stop), "balance" (the worst absolute net injection
+    summed over buses) and "flow" (line limits).
     """
     gens = system.generators
     k_per_h = grid.periods_per_hour
@@ -190,6 +192,7 @@ def physical_residuals(system, grid, u, v, w, p, curtail, load):
     inj = bus_injections(system, p + p_min * on) + curtail - load
     worst = {
         "capacity": max(0.0, (p - span * on).max(), -p.min(), -np.min(curtail)),
+        "shed": max(0.0, (curtail - np.maximum(load, 0.0)).max()),
         "ramp": max(0.0, (p - up).max(), (floor - p).max(), held.max()),
         "balance": np.abs(inj.sum(axis=-2)).max(),
         "flow": 0.0,

@@ -69,12 +69,14 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6):
     """Dispatch the committed fleet against one realized net-load profile.
 
     Line-flow rows are screened (see `network`). ``gap_tol`` is accepted and
-    has no effect: the model is an LP."""
+    has no effect: the model is an LP. Raises ValueError if the schedule was
+    cleared for other units or buses than the system's."""
     grid = realized.grid
     if grid.hours != dam.hours:
         raise ValueError("realized profile horizon does not match the DAM schedule")
-    if tuple(realized.buses) != tuple(system.bus_ids):
-        raise ValueError("realized profile buses do not match system buses")
+    ids = (list(dam.gen_ids), list(dam.bus_ids), list(realized.buses))
+    if ids != (system.gen_ids, system.bus_ids, system.bus_ids):
+        raise ValueError("DAM schedule or realized profile does not match system units or buses")
     gens = system.generators
     n_b, n_t = len(system.buses), grid.n_periods
     scale = grid.period_hours

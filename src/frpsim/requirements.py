@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .system import SystemFileError
+
 __all__ = [
     "FrpRequirements",
     "suc_requirements",
@@ -198,6 +200,9 @@ def save_requirements(req, path):
 
 
 def load_requirements(path):
+    """Requirements from a CSV `save_requirements` wrote. A missing column or
+    a cell that is not a number raises SystemFileError naming the file and
+    the column."""
     source = "unknown"
     with open(path) as fh:
         first = fh.readline()
@@ -206,6 +211,10 @@ def load_requirements(path):
         else:
             fh.seek(0)
         rows = list(csv.DictReader(fh))
-    up = np.array([float(r["up_mw"]) for r in rows])
-    dn = np.array([float(r["dn_mw"]) for r in rows])
-    return FrpRequirements(up, dn, source)
+    columns = []
+    for key in ("up_mw", "dn_mw"):
+        try:
+            columns.append([float(row[key]) for row in rows])
+        except (KeyError, TypeError, ValueError):
+            raise SystemFileError(f"{path}: column {key} missing or not numeric", path, key) from None
+    return FrpRequirements(*columns, source)

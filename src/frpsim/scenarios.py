@@ -14,12 +14,12 @@ perturb each other no matter how many of each are drawn.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .system import GRID, Table, _floats, read_json, write_json
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -161,25 +161,15 @@ def draw_realization(forecast, sigma_frac, rho, seed, labels=("out-of-sample",))
 # -- file io -----------------------------------------------------------------
 
 
+SCENARIOS = Table(ScenarioSet, "scenario set", (
+    ("buses", "buses", tuple), ("grid", None, GRID),
+    ("probabilities", "probabilities", _floats), ("values", "values_mw", _floats),
+))
+
+
 def save_scenarios(scn, path):
-    doc = {
-        "buses": list(scn.buses),
-        "hours": scn.grid.hours,
-        "periods_per_hour": scn.grid.periods_per_hour,
-        "probabilities": scn.probabilities.tolist(),
-        "values_mw": scn.values.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_json(SCENARIOS, scn, path)
 
 
 def load_scenarios(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    grid = TimeGrid(hours=doc["hours"], periods_per_hour=doc["periods_per_hour"])
-    return ScenarioSet(
-        buses=tuple(doc["buses"]),
-        grid=grid,
-        values=np.asarray(doc["values_mw"], dtype=float),
-        probabilities=np.asarray(doc["probabilities"], dtype=float),
-    )
+    return read_json(SCENARIOS, path)

@@ -72,7 +72,6 @@ completion of an optimal commitment is the optimum) and None otherwise.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 
@@ -80,6 +79,7 @@ import numpy as np
 
 from . import dispatch, network, optim
 from .scenarios import ScenarioSet
+from .system import GRID, Table, _float_or_null, _floats, _ints, read_json, write_json
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -499,42 +499,19 @@ def check_suc_solution(system, scenarios, sol, tol=1e-6):
 # -- file io -----------------------------------------------------------------
 
 
+SOLUTION = Table(SucSolution, "SUC solution", (
+    ("gen_ids", "gen_ids", list), ("bus_ids", "bus_ids", list), ("grid", None, GRID),
+    ("u", "u", _ints), ("v", "v", _ints), ("w", "w", _ints),
+    ("p", "dispatch_above_min_mw", _floats), ("curtail", "curtail_mw", _floats),
+    ("objective", "objective_usd", float), ("commitment_cost", "commitment_cost_usd", float),
+    ("expected_dispatch_cost", "expected_dispatch_cost_usd", float),
+    ("mip_gap", "mip_gap", _float_or_null), ("record", "record", dict, {}),
+))
+
+
 def save_suc_solution(sol, path):
-    doc = {
-        "gen_ids": sol.gen_ids,
-        "bus_ids": sol.bus_ids,
-        "hours": sol.grid.hours,
-        "periods_per_hour": sol.grid.periods_per_hour,
-        "u": sol.u.tolist(),
-        "v": sol.v.tolist(),
-        "w": sol.w.tolist(),
-        "dispatch_above_min_mw": sol.p.tolist(),
-        "curtail_mw": sol.curtail.tolist(),
-        "objective_usd": sol.objective,
-        "commitment_cost_usd": sol.commitment_cost,
-        "expected_dispatch_cost_usd": sol.expected_dispatch_cost,
-        "mip_gap": sol.mip_gap,
-        "record": sol.record,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_json(SOLUTION, sol, path)
 
 
 def load_suc_solution(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return SucSolution(
-        gen_ids=doc["gen_ids"],
-        bus_ids=doc["bus_ids"],
-        grid=TimeGrid(hours=doc["hours"], periods_per_hour=doc["periods_per_hour"]),
-        u=np.asarray(doc["u"], dtype=int),
-        v=np.asarray(doc["v"], dtype=int),
-        w=np.asarray(doc["w"], dtype=int),
-        p=np.asarray(doc["dispatch_above_min_mw"], dtype=float),
-        curtail=np.asarray(doc["curtail_mw"], dtype=float),
-        objective=doc["objective_usd"],
-        commitment_cost=doc["commitment_cost_usd"],
-        expected_dispatch_cost=doc["expected_dispatch_cost_usd"],
-        mip_gap=doc["mip_gap"],
-        record=doc.get("record", {}),
-    )
+    return read_json(SOLUTION, path)

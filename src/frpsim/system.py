@@ -4,8 +4,12 @@ Systems are stored as YAML with explicit units in the key names (MW, hours,
 USD). The file's schema is one table per entity (`BUS`, `LINE`, `SEGMENT`,
 `INITIAL`, `GENERATOR`, `PENALTIES`) mapping each field to its key, type and
 any default; `load_system` reads and `save_system` writes through those same
-tables, so a key is spelled once. A missing or mistyped key raises
-`SystemFileError` naming the entity and the key. `load_system` then
+tables, so a key is spelled once. The JSON files the pipeline stages hand
+each other (scenario sets, SUC solutions, DAM outcomes) go through the same
+reader and writer, `read_json` and `write_json`, each with its own table in
+its module, and share the `GRID` table for their time grid. A missing or
+mistyped key raises `SystemFileError` naming the entity (for a JSON file,
+the file) and the key. `load_system` then
 validates: `validate_system` collects every violation instead of stopping at
 the first so a bad file is diagnosed in one pass. Injection shift factors are
 computed from line reactances via the reduced nodal susceptance matrix unless
@@ -16,12 +20,16 @@ than 1e-6).
 
 from __future__ import annotations
 
+import json
+import reprlib
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
+
+from .timegrid import TimeGrid
 
 FORMAT_VERSION = 1
 
@@ -383,14 +391,47 @@ def _duplicates(ids):
 
 # -- serialization -----------------------------------------------------------
 #
-# The file's schema: one table per entity, its (field, YAML key, type[,
-# default]) rows in file order. A type is a converter, a nested Table, or
-# [Table] for a list of them. A row with a default is optional; a flag (a bool
-# with a default) is written only when set.
+# A file's schema: one table per entity, its (field, key, type[, default])
+# rows in file order. A type is a converter, a nested Table, or [Table] for a
+# list of them; a nested Table under the key None keeps its keys in the parent
+# mapping. A row with a default is optional; a flag (a _bool with a default)
+# is written only when set.
 
 Table = namedtuple("Table", "cls name rows")
 
-BUS = Table(Bus, "bus", (("id", "id", str), ("slack", "slack", bool, False)))
+
+def _bool(value):
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def _int(value):
+    # an integral float is an int; "2", 2.7 and true are not
+    if isinstance(value, bool) or value != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
+def _float_or_null(value):
+    return None if value is None else float(value)
+
+
+def _floats(value, dtype=float):
+    """A (nested) list as a numpy array; a ragged list raises ValueError."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return np.asarray(value, dtype=dtype)
+
+
+def _ints(value):
+    return _floats(value, int)
+
+
+GRID = Table(TimeGrid, "grid", (
+    ("hours", "hours", _int), ("periods_per_hour", "periods_per_hour", _int),
+))
+BUS = Table(Bus, "bus", (("id", "id", str), ("slack", "slack", _bool, False)))
 LINE = Table(Line, "line", (
     ("id", "id", str),
     ("from_bus", "from", str), ("to_bus", "to", str),
@@ -401,9 +442,9 @@ SEGMENT = Table(CostSegment, "segment", (
     ("upper", "to_mw", float), ("cost", "usd_per_mwh", float),
 ))
 INITIAL = Table(InitialState, "initial state", (
-    ("on", "committed", bool),
+    ("on", "committed", _bool),
     ("dispatch_above_min", "dispatch_above_min_mw", float, 0.0),
-    ("hours_on", "hours_on", int, 0), ("hours_off", "hours_off", int, 0),
+    ("hours_on", "hours_on", _int, 0), ("hours_off", "hours_off", _int, 0),
 ))
 GENERATOR = Table(Generator, "generator", (
     ("id", "id", str), ("bus", "bus", str),
@@ -413,7 +454,7 @@ GENERATOR = Table(Generator, "generator", (
     ("ramp_up", "ramp_up_mw_per_h", float), ("ramp_down", "ramp_down_mw_per_h", float),
     ("startup_limit", "startup_limit_mw", float),
     ("shutdown_limit", "shutdown_limit_mw", float),
-    ("min_up", "min_up_h", int), ("min_down", "min_down_h", int),
+    ("min_up", "min_up_h", _int), ("min_down", "min_down_h", _int),
     ("initial", "initial", INITIAL),
 ))
 # the two PowerSystem fields the file keeps under `penalties`
@@ -432,13 +473,26 @@ def _require(mapping, key, entity):
     return mapping[key]
 
 
+def _convert(kind, value, entity, key):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        name = kind.__name__.lstrip("_").replace("_", " ")
+        msg = f"{entity}: {key} must be {name}, got {reprlib.repr(value)}"
+        raise SystemFileError(msg, entity, key) from None
+
+
 def _read(table, raw, entity):
     """Build one ``table`` entity from the mapping ``raw``, naming ``entity`` in
-    errors. Nested entries are read first, then the scalars, each in file order."""
+    errors. Nested entries are read first, then the scalars, each in file order.
+    A value the entity's class refuses raises SystemFileError too."""
     if not isinstance(raw, dict):
-        raise SystemFileError(f"{entity}: expected a mapping, got {raw!r}", entity)
+        raise SystemFileError(f"{entity}: expected a mapping, got {reprlib.repr(raw)}", entity)
     values = {}
     for fld, key, kind, *default in sorted(table.rows, key=lambda row: callable(row[2])):
+        if key is None:
+            values[fld] = _read(kind, raw, entity)
+            continue
         value = raw.get(key, *default) if default else _require(raw, key, entity)
         if isinstance(kind, list):
             name = f"{entity} {kind[0].name}"
@@ -446,12 +500,11 @@ def _read(table, raw, entity):
         elif isinstance(kind, Table):
             values[fld] = _read(kind, value, f"{entity} {kind.name}")
         else:
-            try:
-                values[fld] = kind(value)
-            except (TypeError, ValueError):
-                msg = f"{entity}: {key} must be {kind.__name__}, got {value!r}"
-                raise SystemFileError(msg, entity, key) from None
-    return table.cls(**values)
+            values[fld] = _convert(kind, value, entity, key)
+    try:
+        return table.cls(**values)
+    except ValueError as exc:
+        raise SystemFileError(f"{entity}: {exc}", entity) from None
 
 
 def _read_list(table, items, where, key, name):
@@ -472,9 +525,29 @@ def _write(table, obj):
             value = [_write(kind[0], v) for v in value]
         elif isinstance(kind, Table):
             value = _write(kind, value)
-        if not (default and kind is bool and value == default[0]):
+        if key is None:
+            doc.update(value)
+        elif not (default and kind is _bool and value == default[0]):
             doc[key] = value
     return doc
+
+
+def read_json(table, path):
+    """The ``table`` entity in the JSON file at ``path``. A file that is not
+    JSON, lacks a key or holds a value of the wrong type or shape raises
+    SystemFileError naming the file and the key."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise SystemFileError(f"{path}: not valid JSON ({exc})") from None
+    return _read(table, raw, str(path))
+
+
+def write_json(table, obj, path):
+    """``obj`` as the JSON file ``table`` describes; numpy arrays as lists."""
+    with open(path, "w") as fh:
+        json.dump(_write(table, obj), fh, default=np.ndarray.tolist)
 
 
 def load_system(path, data=None):
@@ -504,7 +577,7 @@ def load_system(path, data=None):
             for key, table, unnamed in LISTS
         },
         **_read(PENALTIES, _require(raw, "penalties", "system"), "penalties"),
-        supplied_isf=None if raw.get("isf") is None else np.asarray(raw["isf"], dtype=float),
+        supplied_isf=None if raw.get("isf") is None else _convert(_floats, raw["isf"], "system", "isf"),
     ).validate()
 
 

@@ -54,7 +54,12 @@ def test_validate_reports_issues(tmp_path, capsys):
     ("lines: []", "lines: null", "system: lines must be a list"),
     ("  - id: g2\n    bus: b1\n", "  - g2\n  - bus: b1\n",
      "generator #position 1: expected a mapping"),
-], ids=["float", "int", "list", "mapping"])
+    ("{committed: false", '{committed: "false"',
+     "generator g2 initial state: committed must be bool, got 'false'"),
+    ("min_up_h: 1\n", "min_up_h: 2.7\n", "generator g1: min_up_h must be int, got 2.7"),
+    ("lines: []", "lines: []\nisf: lots", "system: isf must be floats, got 'lots'"),
+    ("lines: []", "lines: []\nisf: [[0.0], []]", "system: isf must be floats"),
+], ids=["float", "int", "list", "mapping", "bool", "integral", "isf", "ragged-isf"])
 def test_validate_names_a_mistyped_key(tmp_path, capsys, old, new, named):
     """A value of the wrong type exits 1 with the entity and key it concerns,
     not with a traceback."""
@@ -186,6 +191,72 @@ def test_malformed_profile_csv_names_file_and_row(workdir, text, where, why):
         _gen_scenarios_from(workdir, text)
     message = str(exc.value)
     assert message.startswith(f"{workdir / 'junk.csv'}: {where}: ") and why in message
+
+
+@pytest.fixture
+def staged(workdir):
+    """Each stage file the pipeline writes in ``workdir``, with the command
+    that reads it."""
+    f = {name: str(workdir / name) for name in (
+        "system.yaml", "forecast.csv", "scen.json", "suc.json", "req.csv", "dam.json",
+    )}
+    dam_clear = ["dam-clear", "--system", f["system.yaml"], "--bids", f["forecast.csv"],
+                 "--req", f["req.csv"], "--out", f["dam.json"]]
+    commands = {
+        "scen.json": ["suc-solve", "--system", f["system.yaml"],
+                      "--scenarios", f["scen.json"], "--out", f["suc.json"]],
+        "suc.json": [*dam_clear, "--fix-commitments", f["suc.json"]],
+        "req.csv": dam_clear,
+        "dam.json": ["rtm-sim", "--system", f["system.yaml"], "--dam", f["dam.json"],
+                     "--realized", str(workdir / "realized.csv")],
+    }
+    _write_csv(workdir / "realized.csv", ["b1"], [[104.0, 146.0, 215.0, 138.0]], prefix="k")
+    assert main(["gen-scenarios", "--system", f["system.yaml"], "--forecast", f["forecast.csv"],
+                 "--sigma", "0.04", "--n", "3", "--seed", "7", "--out", f["scen.json"]]) == 0
+    assert main(commands["scen.json"]) == 0
+    assert main(["frp-req", "--method", "suc", "--solution", f["suc.json"],
+                 "--scenarios", f["scen.json"], "--out", f["req.csv"]]) == 0
+    for name in ("suc.json", "req.csv", "dam.json"):
+        assert main(commands[name]) == 0
+    return commands
+
+
+def _truncated(text):
+    return text[: len(text) // 2]
+
+
+@pytest.mark.parametrize("name, edit, named", [
+    ("scen.json", _truncated, "not valid JSON"),
+    ("suc.json", _truncated, "not valid JSON"),
+    ("dam.json", _truncated, "not valid JSON"),
+    ("req.csv", _truncated, "missing or not numeric"),
+    ("suc.json", lambda _: '{"gen_ids": ["g1"]}', "missing required field 'hours'"),
+    ("dam.json", lambda _: '{"gen_ids": ["g1"]}', "missing required field 'bus_ids'"),
+    ("req.csv", lambda text: text.replace(",dn_mw", ",down_mw"), "column dn_mw"),
+    ("scen.json", lambda text: text.replace('"probabilities": [', '"probabilities": [1.0, '),
+     "one probability per scenario required"),
+], ids=[
+    "scenarios", "suc", "dam", "requirements", "suc-keys", "dam-keys", "requirements-column",
+    "scenarios-refused",
+])
+def test_malformed_stage_file_is_named_in_one_line(workdir, staged, name, edit, named):
+    """A stage file cut short, lacking a key or holding a value its class
+    refuses exits with one line naming the file, not with a traceback."""
+    path = workdir / name
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(SystemExit) as exc:
+        main(staged[name])
+    message = str(exc.value)
+    assert message.startswith(f"malformed file: {path}: ") and named in message, message
+    assert "\n" not in message
+
+
+def test_dam_clear_refuses_commitments_of_other_units(workdir, staged):
+    path = workdir / "suc.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(doc | {"gen_ids": doc["gen_ids"][::-1]}))
+    with pytest.raises(SystemExit, match="units do not match"):
+        main(staged["suc.json"])
 
 
 def test_run_and_report(workdir, capsys):

@@ -321,3 +321,26 @@ def test_older_outcome_files_still_load(tmp_path, two_gen_system):
     for name in ("u", "v", "w", "p", "r_up", "r_dn", "curtail", "demand", "lmp"):
         assert np.array_equal(getattr(old, name), getattr(out, name)), name
     assert (old.objective, old.mip_gap) == (out.objective, out.mip_gap)
+
+
+def test_uncertified_outcome_loads_with_or_without_the_flag(tmp_path, two_gen_system):
+    """The writer leaves out `"certified": false`; a file that spells it out,
+    as earlier writers did, loads the same outcome."""
+    out = clear_dam(
+        two_gen_system, _bids(two_gen_system, [70.0, 120.0]), zero_requirements(2)
+    )
+    path = tmp_path / "dam.json"
+    save_dam_outcome(out, path)
+    doc = json.loads(path.read_text())
+    assert "certified" not in doc
+    loaded = [load_dam_outcome(path)]
+    path.write_text(json.dumps(doc | {"certified": False}))
+    loaded.append(load_dam_outcome(path))
+    for back in loaded:
+        assert back.certified is False and back.record == out.record
+        for name, value in vars(out).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(back, name), value), name
+                assert getattr(back, name).dtype == value.dtype, name
+            else:
+                assert getattr(back, name) == value, name

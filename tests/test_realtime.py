@@ -3,11 +3,13 @@ pricing, infeasible ramp-downs, the residual audit, and the stress sweep's
 pairing guarantees."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from frpsim import (
+    Bus,
     DamBidSet,
     InfeasibleModelError,
     NetLoadProfile,
@@ -128,6 +130,24 @@ def test_audit_clean_then_flags_tampering():
         assert all(val <= 1e-6 for k, val in worst.items() if k != key), worst
 
 
+def test_audit_flags_curtailment_above_a_bus_load():
+    """Curtailment is load shed: 10 MW curtailed at a bus with no load, and
+    taken off the unit at the other bus, balances the system and breaks only
+    the shed audit."""
+    g1 = make_gen("g1", on=True, p0=50.0)
+    system = dataclasses.replace(
+        single_bus_system(g1), buses=(Bus("b1", slack=True), Bus("b2"))
+    ).validate()
+    dam = _dam(system, [[50.0], [0.0]])
+    realized = _profile(system, TimeGrid(1, 1), [[50.0], [0.0]])
+    rtm = simulate_rtm(system, dam, realized)
+    rtm.p[0, 0] -= 10.0
+    rtm.curtail[1, 0] += 10.0
+    worst = check_rtm_outcome(system, dam, rtm, realized)
+    assert worst["shed"] == pytest.approx(10.0), worst
+    assert all(val <= 1e-6 for key, val in worst.items() if key != "shed"), worst
+
+
 def test_horizon_and_bus_validation(two_gen_system):
     dam = _dam(two_gen_system, [70.0, 120.0])
     with pytest.raises(ValueError, match="horizon"):
@@ -140,6 +160,22 @@ def test_horizon_and_bus_validation(two_gen_system):
             two_gen_system, dam,
             NetLoadProfile(("zz",), grid, np.array([[70.0, 120.0]])),
         )
+
+
+def test_schedule_for_other_units_is_refused(two_gen_system):
+    """A schedule re-dispatched on a system whose units or buses are listed
+    otherwise would assign each unit another's commitment."""
+    loads = [70.0, 120.0]
+    dam = _dam(two_gen_system, loads)
+    realized = _profile(two_gen_system, TimeGrid(2, 1), loads)
+    swapped = dataclasses.replace(
+        two_gen_system, generators=two_gen_system.generators[::-1]
+    )
+    with pytest.raises(ValueError, match="units"):
+        simulate_rtm(swapped, dam, realized)
+    dam.bus_ids = ["zz"]
+    with pytest.raises(ValueError, match="buses"):
+        simulate_rtm(two_gen_system, dam, realized)
 
 
 def test_stress_sweep_pairs_methods_and_nests_sigmas(two_gen_system):

@@ -20,10 +20,14 @@ from frpsim import (
     load_system,
     save_system,
 )
+from frpsim.dayahead import OUTCOME
 from frpsim.data import case_path
+from frpsim.scenarios import SCENARIOS, ScenarioSet, save_scenarios
+from frpsim.stochastic_uc import SOLUTION, SucSolution, save_suc_solution
 from frpsim.system import (
     BUS,
     GENERATOR,
+    GRID,
     INITIAL,
     LINE,
     LISTS,
@@ -293,15 +297,21 @@ def _init_fields(cls):
     return sorted(f.name for f in dataclasses.fields(cls) if f.init)
 
 
+def _keys(table):
+    """A table's keys in its mapping, with those of a table under None."""
+    return [k for _, key, kind, *_ in table.rows for k in (_keys(kind) if key is None else [key])]
+
+
 def test_each_table_names_every_field_once():
     """A dataclass field added without a row in its table fails here."""
-    for table in (BUS, LINE, SEGMENT, INITIAL, GENERATOR):
+    tables = (BUS, LINE, SEGMENT, INITIAL, GENERATOR, GRID, SCENARIOS, SOLUTION, OUTCOME)
+    for table in tables:
         assert sorted(row[0] for row in table.rows) == _init_fields(table.cls)
     # PowerSystem's fields: its lists, the penalties, and the optional matrix
     named = [key for key, _, _ in LISTS] + [row[0] for row in PENALTIES.rows]
     assert sorted(named + ["supplied_isf"]) == _init_fields(PowerSystem)
-    for table in (BUS, LINE, SEGMENT, INITIAL, GENERATOR, PENALTIES):
-        keys = [row[1] for row in table.rows]
+    for table in (*tables, PENALTIES):
+        keys = _keys(table)
         assert len(set(keys)) == len(keys)
 
 
@@ -320,6 +330,32 @@ def test_saved_bytes_are_frozen(tmp_path, name):
     out = tmp_path / "saved.yaml"
     save_system(load_system(case_path(name)), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SAVED_SHA256[name]
+
+
+# sha256 of a scenario set and a SUC solution built by hand, as the writers
+# that spelled every key out by hand saved them
+JSON_SHA256 = {
+    "scenarios": "5c179feb6f7f2107718022ff4f27a34fe7297d253f0bb355eedbd9e8b37dc27b",
+    "suc": "6c23894dee173143b25cf05e7a33ae2debf03ca1527045d2b7698110748188a1",
+}
+
+
+def test_saved_json_bytes_are_frozen(tmp_path):
+    scn = ScenarioSet(
+        buses=("b1", "b2"), grid=TimeGrid(2, 2),
+        values=np.arange(16.0).reshape(2, 2, 4) * 10.5 - 3.0,
+        probabilities=[0.25, 0.75],
+    )
+    sol = SucSolution(
+        gen_ids=["g1", "g2"], bus_ids=["b1"], grid=TimeGrid(2, 1),
+        u=np.array([[1, 1], [0, 1]]), v=np.array([[0, 0], [0, 1]]), w=np.zeros((2, 2), int),
+        p=np.array([[[30.0, 45.5], [0.0, 12.25]]]), curtail=np.array([[[0.0, 1.5]]]),
+        objective=1234.5, commitment_cost=234.25, expected_dispatch_cost=1000.25,
+        mip_gap=None, record={"wall_time_s": 0.5, "screen_rounds": 1, "ev_usd": None},
+    )
+    for name, save, obj in (("scenarios", save_scenarios, scn), ("suc", save_suc_solution, sol)):
+        save(obj, tmp_path / name)
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == JSON_SHA256[name]
 
 
 def test_replace_recomputes_shift_factors():
