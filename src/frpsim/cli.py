@@ -73,7 +73,9 @@ def _cmd_validate(args):
             print(f"  - {issue}", file=sys.stderr)
         return 1
     except SystemFileError as exc:
-        print(f"malformed system file: {exc}", file=sys.stderr)
+        # the file is the command's argument: an entry's error names the entry
+        what = str(exc) if exc.entity is None else str(exc).removeprefix(f"{args.system}: ")
+        print(f"malformed system file: {what}", file=sys.stderr)
         return 1
     print(f"{args.system}: ok")
     return 0
@@ -154,10 +156,21 @@ def _cmd_dam_clear(args):
     return 0
 
 
+def _load_dam(path, system):
+    """A DAM outcome file; one cleared for other units or buses than
+    ``system``'s exits naming the file."""
+    dam = dayahead.load_dam_outcome(path)
+    if (dam.gen_ids, dam.bus_ids) != (system.gen_ids, system.bus_ids):
+        raise SystemExit(f"{path}: units or buses do not match system units and buses")
+    return dam
+
+
 def _cmd_rtm_sim(args):
     system = load_system(args.system)
-    dam = dayahead.load_dam_outcome(args.dam)
+    dam = _load_dam(args.dam, system)
     realized = _subperiod_profile(args.realized, args.periods_per_hour)
+    if (list(realized.buses), realized.grid.hours) != (system.bus_ids, dam.hours):
+        raise SystemExit(f"{args.realized}: buses or hours do not match the system and {args.dam}")
     rtm = realtime.simulate_rtm(system, dam, realized)
     print(
         f"total cost {rtm.total_cost:.2f} USD "
@@ -182,7 +195,7 @@ def _cmd_sweep(args):
         name, _, path = spec.partition("=")
         if not path:
             raise SystemExit(f"--dam wants NAME=FILE, got {spec!r}")
-        dams[name] = dayahead.load_dam_outcome(path)
+        dams[name] = _load_dam(path, system)
     sigmas = [float(s) for s in args.sigmas.split(",")]
     rows = realtime.stress_sweep(
         system, dams, forecast, sigmas, args.rho, args.seed, day=args.day

@@ -3,12 +3,15 @@
 Co-optimizes energy and hourly up/down ramping capability against fixed
 bid-in net demand. A unit's energy rows (capacity, offer segments, ramp
 limits and the shutdown cap) come from `dispatch.add_unit_rows` at one
-period an hour: the rows of the stochastic pass. Ramp awards are tied to
-what the unit could actually do between consecutive hours given its
-commitment path, so awards around startups and shutdowns are signed: a unit
-scheduled to come offline next hour carries a negative up award by
-construction. Systemwide requirements may be relaxed through shortfall
-slacks at the configured penalty.
+period an hour: the rows of the stochastic pass. Its ramp-award rows are a
+table of their own (`_award_rows`) that `dispatch.add_row_table` expands
+over the hour pairs, as it expands the energy rows. The bus balance comes
+from `network.FlowScreen.add_balance`, like the other passes'. Ramp
+awards are tied to what the unit could actually do between consecutive
+hours given its commitment path, so awards around startups and shutdowns
+are signed: a unit scheduled to come offline next hour carries a negative
+up award by construction. Systemwide requirements may be relaxed through
+shortfall slacks at the configured penalty.
 
 Prices come from a second solve: the on/off binaries are frozen at the
 incumbent, which leaves the continuous start/stop variables one feasible
@@ -120,40 +123,40 @@ class DamOutcome:
         return self.p + p_min[:, None] * self.u
 
 
-def _award_rows(g):
-    """The ramp-award rows of one unit for the hour pair (h, h+1), as
-    (sense, rhs, terms). A term is (variable, hour offset, coefficient) over
-    the unit's p, rup, rdn, u, v and w, where p, the output above minimum,
-    is the sum of the unit's segment columns and its term stands for one
-    term per segment (see `dispatch`); the last two rows exist only while
-    h+2 is in the day."""
+def _award_rows(g, h, h1, h2):
+    """The ramp-award rows of one unit for the hour pairs (h, h+1), as
+    `dispatch.add_row_table` takes them: ``h1`` and ``h2`` are the hours
+    h+1 and h+2 of each pair (h+2 cut at the day's last hour), and the terms
+    are over the unit's p, rup, rdn, u, v and w, with p the output above
+    minimum (see `dispatch`). The last two rows exist only while h+2 is in
+    the day."""
     rd, ru, su, sd = g.ramp_down, g.ramp_up, g.startup_limit, g.shutdown_limit
     p_min, p_max = g.p_min, g.p_max
     return [
         # fud_lo, fu_ramp, fu_cap
-        (">=", 0.0, [("rup", 0, 1.0), ("u", 0, rd), ("w", 1, -(rd - sd)), ("v", 1, -p_min)]),
-        ("<=", 0.0, [("rup", 0, 1.0), ("u", 1, -ru), ("v", 1, -(su - ru))]),
-        ("<=", 0.0, [("rup", 0, 1.0), ("u", 1, -p_max), ("u", 0, p_min)]),
+        (">=", 0.0, [("rup", h, 1.0), ("u", h, rd), ("w", h1, -(rd - sd)), ("v", h1, -p_min)]),
+        ("<=", 0.0, [("rup", h, 1.0), ("u", h1, -ru), ("v", h1, -(su - ru))]),
+        ("<=", 0.0, [("rup", h, 1.0), ("u", h1, -p_max), ("u", h, p_min)]),
         # fd_ramp, fd_hi, fd_cap
-        (">=", 0.0, [("rdn", 0, 1.0), ("u", 1, ru), ("v", 1, -(ru - su))]),
-        ("<=", 0.0, [("rdn", 0, 1.0), ("u", 0, -rd), ("w", 1, -(sd - rd)), ("v", 1, p_min)]),
-        (">=", 0.0, [("rdn", 0, 1.0), ("u", 1, p_max), ("u", 0, -p_min)]),
+        (">=", 0.0, [("rdn", h, 1.0), ("u", h1, ru), ("v", h1, -(ru - su))]),
+        ("<=", 0.0, [("rdn", h, 1.0), ("u", h, -rd), ("w", h1, -(sd - rd)), ("v", h1, p_min)]),
+        (">=", 0.0, [("rdn", h, 1.0), ("u", h1, p_max), ("u", h, -p_min)]),
         # fup_lo, fup_hi, fdp_lo, fdp_hi
-        (">=", -p_min, [("rup", 0, 1.0), ("p", 0, 1.0), ("u", 1, -p_min)]),
-        ("<=", p_max, [("rup", 0, 1.0), ("p", 0, 1.0), ("u", 0, p_min), ("v", 1, -(su - p_max))]),
-        (">=", -p_min, [("rdn", 0, -1.0), ("p", 0, 1.0), ("u", 1, -p_min)]),
-        ("<=", p_max, [("rdn", 0, -1.0), ("p", 0, 1.0), ("u", 0, p_min), ("v", 1, -(su - p_max))]),
+        (">=", -p_min, [("rup", h, 1.0), ("p", h, 1.0), ("u", h1, -p_min)]),
+        ("<=", p_max, [("rup", h, 1.0), ("p", h, 1.0), ("u", h, p_min), ("v", h1, -(su - p_max))]),
+        (">=", -p_min, [("rdn", h, -1.0), ("p", h, 1.0), ("u", h1, -p_min)]),
+        ("<=", p_max, [("rdn", h, -1.0), ("p", h, 1.0), ("u", h, p_min), ("v", h1, -(su - p_max))]),
         # fup_stop, fdp_stop
-        ("<=", p_max, [("rup", 0, 1.0), ("p", 0, 1.0), ("w", 2, p_max - sd)]),
-        ("<=", p_max, [("rdn", 0, -1.0), ("p", 0, 1.0), ("w", 2, p_max - sd)]),
+        ("<=", p_max, [("rup", h, 1.0), ("p", h, 1.0), ("w", h2, p_max - sd)]),
+        ("<=", p_max, [("rdn", h, -1.0), ("p", h, 1.0), ("w", h2, p_max - sd)]),
     ]
 
 
 def _build(system, bids, req, fix_commitments):
     """The clearing model, without line-flow rows, and its column and row
     indices: the bid rows (buses, hours) give the LMPs, the requirement rows
-    (hours, up/down) the ramp prices, and "inj" holds the bus injections
-    (bus, cols, coefs) as `network.FlowScreen.add_periods` takes them."""
+    (hours, up/down) the ramp prices, and "screen" holds the
+    `network.FlowScreen` of its injections."""
     hours = bids.hours
     gens = system.generators
     model = optim.Model()
@@ -165,31 +168,19 @@ def _build(system, bids, req, fix_commitments):
     r_dn = np.empty((n_g, hours), dtype=int)
     grid = TimeGrid(hours, 1)
     pairs = np.arange(hours - 1)  # hour h of each (h, h+1) pair
+    ahead = (pairs, pairs + 1, np.minimum(pairs + 2, hours - 1))
+    keep = np.ones((len(pairs), 12), dtype=bool)  # a column per award row
+    keep[:, -2:] = (pairs < hours - 2)[:, None]
     for i, g in enumerate(gens):
         seg.append(dispatch.unit_columns(model, f"p[{g.id}]", g, grid))
         r_up[i], r_dn[i] = model.add_vars(f"rr[{g.id}]", (hours, 2), lb=-np.inf).T
         # the energy rows at one period an hour, in the market's row order
         blocks = {f"cap[{g.id}]": [0], f"ramp[{g.id}]": [1, 2], f"stopcap[{g.id}]": [3]}
         dispatch.add_unit_rows(model, g, grid, blocks, seg[i], u[i], v[i], w[i])
-
-        # ramp awards tied to the unit's feasible hour-to-hour movement; as
-        # in add_unit_rows, p has one column (term) per segment
-        var = {"p": seg[i].T, "rup": r_up[i][None], "rdn": r_dn[i][None],
-               "u": u[i][None], "v": v[i][None], "w": w[i][None]}
-        rows = _award_rows(g)
-        cols, coefs = optim.stack_rows(*(
-            [(col, c) for x, ahead, c in terms
-             for col in var[x][:, np.minimum(pairs + ahead, hours - 1)]]
-            for _, _, terms in rows
-        ))
-        keep = np.ones((len(pairs), len(rows)), dtype=bool)
-        keep[:, -2:] = (pairs < hours - 2)[:, None]
-        model.add_rows(
-            f"award[{g.id}]",
-            np.broadcast_to([sense for sense, _, _ in rows], keep.shape)[keep],
-            np.broadcast_to([rhs for _, rhs, _ in rows], keep.shape)[keep],
-            cols[keep],
-            coefs[keep],
+        # ramp awards tied to the unit's feasible hour-to-hour movement
+        var = {"p": seg[i].T, "rup": r_up[i], "rdn": r_dn[i], "u": u[i], "v": v[i], "w": w[i]}
+        dispatch.add_row_table(
+            model, {f"award[{g.id}]": slice(None)}, _award_rows(g, *ahead), var, keep
         )
 
     pcd = model.add_vars(
@@ -200,14 +191,14 @@ def _build(system, bids, req, fix_commitments):
 
     # the injections: output above minimum, committed minimum, curtailment
     # and cleared demand
-    seg_bus, seg_cols = dispatch.segment_entries(system, seg)
-    bus_of = [system.bus_index(g.bus) for g in gens]
-    bus = np.concatenate([seg_bus, bus_of, np.arange(n_b), np.arange(n_b)])
-    cols = np.concatenate([seg_cols, u, pc, d])
-    coefs = np.concatenate(
-        [np.ones(len(seg_bus)), [g.p_min for g in gens], np.ones(n_b), -np.ones(n_b)]
-    )
-    model.add_rows("bal", "==", 0.0, cols.T, coefs)
+    screen = network.FlowScreen(system)
+    every = np.arange(n_b)
+    screen.add_balance(model, "", [
+        dispatch.segment_entries(system, seg),
+        ([system.bus_index(g.bus) for g in gens], u, [g.p_min for g in gens]),
+        (every, pc, 1.0),
+        (every, d, -1.0),
+    ])
 
     sf = model.add_vars("sf", (hours, 2), obj=system.frp_shortfall_penalty)
     sf_up, sf_dn = sf[:, 0], sf[:, 1]
@@ -223,15 +214,9 @@ def _build(system, bids, req, fix_commitments):
     idx = {
         "u": u, "v": v, "w": w, "seg": seg, "r_up": r_up, "r_dn": r_dn,
         "pc": pc, "d": d, "sf_up": sf_up, "sf_dn": sf_dn, "bid": bid, "req": reqs,
-        "inj": (bus, cols, coefs),
+        "screen": screen,
     }
     return model, idx
-
-
-def _screen(system, idx, hours):
-    screen = network.FlowScreen(system)
-    screen.add_periods("", *idx["inj"], np.zeros((len(system.buses), hours)))
-    return screen
 
 
 def _gap(objective, bound):
@@ -275,8 +260,7 @@ def clear_dam(
             raise ValueError(f"fix_commitments shape must be {want}")
     t_build = time.perf_counter()
     model, idx = _build(system, bids, req, fix_commitments)
-    hours = bids.hours
-    screen = _screen(system, idx, hours)
+    screen = idx["screen"]
     build_s = time.perf_counter() - t_build
     gens = system.generators
     bound = None if relaxed is None else relaxed.record.get("mip_dual_bound")
@@ -290,7 +274,8 @@ def clear_dam(
                 lp, check_lp = None, lp.highs
                 if screen.added:
                     model, idx = _build(system, bids, req, fix_commitments)
-                screen = _screen(system, idx, hours)
+                    screen = idx["screen"]
+                screen.rounds = 0  # the clearing counts its own rounds
         certified = lp is not None
         if certified:
             u, v, w = commitment_schedule(
@@ -331,7 +316,7 @@ def clear_dam(
     return DamOutcome(
         gen_ids=list(system.gen_ids),
         bus_ids=list(system.bus_ids),
-        hours=hours,
+        hours=bids.hours,
         u=u,
         v=v,
         w=w,

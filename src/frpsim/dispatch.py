@@ -4,10 +4,14 @@ day-ahead market (DAM) and real-time redispatch (RTM).
 `add_unit_rows` writes one unit's dispatch rows once, on any `TimeGrid`.
 The SUC adds all of them on its sub-period grid and the DAM at one period an
 hour, both with commitment as columns; the RTM takes commitment as data.
-Each caller adds the rows in its own blocks and order.
+Each caller adds the rows in its own blocks and order. `add_row_table`
+expands a table of rows over periods into model rows: it writes the unit
+rows and the DAM's ramp-award rows. `segment_entries` gives a unit's
+output as an injection group for the bus balance, which each pass writes
+with `network.FlowScreen.add_balance`.
 `physical_residuals` audits a solution against the same physics, written
 from the inequalities rather than from the rows, vectorised over
-scenarios, units and periods; `bus_injections` is the one map from unit
+scenarios, units and periods; `bus_injections` is its map from unit
 output to bus injections.
 
 A unit's output above minimum ``p`` has no column: every row and injection
@@ -28,8 +32,8 @@ import numpy as np
 from . import optim
 
 __all__ = [
-    "unit_columns", "add_unit_rows", "segment_entries", "unit_params", "bus_injections",
-    "physical_residuals",
+    "unit_columns", "add_unit_rows", "add_row_table", "segment_entries", "unit_params",
+    "bus_injections", "physical_residuals",
 ]
 
 
@@ -64,13 +68,12 @@ def add_unit_rows(model, g, grid, blocks, seg, u, v, w, fixed=False):
     * w[0]``.
 
     ``blocks`` maps each row-block name to the rows it holds, as indices
-    into (cap, rampup, rampdn, stopcap); a block holds them period by period
-    and, within a period, in the order given. ``seg`` (periods, segments)
-    holds column indices, and so do ``u``, ``v`` and ``w`` (hours,) unless
-    ``fixed``: then they are the unit's 0/1 schedule, their terms move into
-    the right-hand side, the cap row becomes an upper bound of 0 on the
-    segments of off periods, and a stopcap row is kept only where the next
-    hour stops the unit.
+    into (cap, rampup, rampdn, stopcap), as `add_row_table` takes it.
+    ``seg`` (periods, segments) holds column indices, and so do ``u``, ``v``
+    and ``w`` (hours,) unless ``fixed``: then they are the unit's 0/1
+    schedule, their terms move into the right-hand side, the cap row becomes
+    an upper bound of 0 on the segments of off periods, and a stopcap row is
+    kept only where the next hour stops the unit.
     """
     n = grid.n_periods
     ks = np.arange(n)
@@ -101,24 +104,41 @@ def add_unit_rows(model, g, grid, blocks, seg, u, v, w, fixed=False):
         ]),
         ("<=", g.dispatch_range, [("p", ks, 1.0), ("w", hn, g.p_max - g.shutdown_limit)]),
     ]
-    # each variable's columns, one line per term: p has one per segment
-    var = {"p": seg.T, "u": u[None], "v": v[None], "w": w[None]}
-    families, rhs = [], []
-    for _, b, terms in rows:
-        b = np.broadcast_to(np.asarray(b, dtype=float), n).copy()
-        fam = []
-        for x, at, coef in terms:
-            if fixed and x in ("u", "v", "w"):
-                b -= coef * var[x][0, at]
-            else:
-                fam.extend((col, coef) for col in var[x][:, at])
-        families.append(fam)
-        rhs.append(b)
     keep = np.ones((n, len(rows)), dtype=bool)
     keep[:, 3] = (ks < n - 1) & (hn != h)
     if fixed:
         keep[:, 3] &= w[hn] != 0
         model.ub[seg[u[h] == 0]] = 0.0
+    var = {"p": seg.T, "u": u, "v": v, "w": w}
+    add_row_table(model, blocks, rows, var, keep, data=("u", "v", "w") if fixed else ())
+
+
+def add_row_table(model, blocks, rows, var, keep, data=()):
+    """Add the rows ``rows`` to ``model`` in every period where ``keep``
+    (periods, rows) holds.
+
+    A row is (sense, rhs, terms), sense and rhs a value or one per period; a
+    term is (variable, index, coefficient), index and coefficient likewise.
+    ``var`` maps each variable to the columns a term's index picks from, or
+    to several lines of them, as a unit's output above minimum has one line
+    per segment: a term of it stands for one term per line. The variables
+    in ``data`` map to values instead, and their terms move into the
+    right-hand side. ``blocks`` maps each row-block name to the rows it
+    holds, as indices (or a slice) into ``rows``; a block holds them period
+    by period and, within a period, in the order given.
+    """
+    n = keep.shape[0]
+    families, rhs = [], []
+    for _, b, terms in rows:
+        b = np.broadcast_to(np.asarray(b, dtype=float), n).copy()
+        fam = []
+        for x, at, coef in terms:
+            if x in data:
+                b -= coef * var[x][at]
+            else:
+                fam.extend((col, coef) for col in np.atleast_2d(var[x])[:, at])
+        families.append(fam)
+        rhs.append(b)
     sense = np.column_stack([np.broadcast_to(s, n) for s, _, _ in rows])
     table = (sense, np.column_stack(rhs), *optim.stack_rows(*families), keep)
     for name, picked in blocks.items():
@@ -127,11 +147,12 @@ def add_unit_rows(model, g, grid, blocks, seg, u, v, w, fixed=False):
 
 
 def segment_entries(system, segs):
-    """Each unit's (periods, segments) columns ``segs`` as injection entries
-    at its bus: (bus (E,), cols (E, periods)), as `network` takes them."""
+    """Each unit's (periods, segments) columns ``segs`` as one injection
+    group at its bus: (bus (E,), cols (E, periods), 1.0), as
+    `network.FlowScreen.add_balance` takes it."""
     counts = [s.shape[1] for s in segs]
     bus = np.repeat([system.bus_index(g.bus) for g in system.generators], counts)
-    return bus, np.concatenate([s.T for s in segs])
+    return bus, np.concatenate([s.T for s in segs]), 1.0
 
 
 def unit_params(generators, name):

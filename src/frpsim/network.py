@@ -1,5 +1,8 @@
-"""Transmission limits, screened lazily.
+"""The bus balance and transmission limits, the latter screened lazily.
 
+Each dispatch block (a SUC scenario, the DAM, the RTM) writes its balance
+rows with `FlowScreen.add_balance`, which registers the same injections,
+as an affine map of the model's columns and data, for the flow rows.
 Models are built without line-flow rows. After each solve the flows
 ``system.isf() @ injections`` are computed from the solution; rows are added
 only for the (line, period) pairs whose flow breaks a limit by more than
@@ -31,17 +34,18 @@ FLOW_TOL = 1e-6  # MW a flow may pass its limit before its row is added
 class FlowScreen:
     """The line-flow rows of one model, added where a solve needs them.
 
-    Each block of periods registered with `add_periods` carries its bus
-    injections as an affine map of the model's columns; the flow on line ``l``
-    is ``psi[l] @ injections``. A row is keyed (block, line, period, side),
-    with side "hi" for the upper limit and "lo" for the lower one. ``added``
-    holds the keys of the rows put into the model; ``rounds`` counts the
-    solves made by `solve`.
+    Each block of periods registered with `add_periods` (by `add_balance`,
+    which writes the block's balance rows from the same map) carries its bus
+    injections as an affine map of the model's columns; the flow on line
+    ``l`` is ``psi[l] @ injections``. A row is keyed (block, line, period,
+    side), with side "hi" for the upper limit and "lo" for the lower one.
+    ``added`` holds the keys of the rows put into the model; ``rounds``
+    counts the solves made by `solve`.
     """
 
-    def __init__(self, system, psi=None):
+    def __init__(self, system):
         self.lines = system.lines
-        self.psi = system.isf() if psi is None else np.asarray(psi, dtype=float)
+        self.psi = system.isf()
         self.fmax = np.array([ln.flow_max for ln in self.lines])[:, None]
         self.fmin = np.array([ln.flow_min for ln in self.lines])[:, None]
         self.blocks = []  # (tag, bus (E,), cols (E, K), coefs (E,), const (buses, K))
@@ -53,18 +57,37 @@ class FlowScreen:
 
         Entry ``e`` injects ``coefs[e] * x[cols[e, k]]`` at bus index
         ``bus[e]`` in period ``k``; ``const`` (buses, K) is the injection
-        fixed by data. Row names carry ``tag``, so blocks must differ in it.
+        fixed by data. All four are numpy arrays. Row names carry ``tag``,
+        so blocks must differ in it.
         """
         if self.lines:
-            self.blocks.append(
-                (
-                    tag,
-                    np.asarray(bus, dtype=int),
-                    np.asarray(cols, dtype=int),
-                    np.asarray(coefs, dtype=float),
-                    np.asarray(const, dtype=float),
-                )
-            )
+            self.blocks.append((tag, bus, cols, coefs, const))
+
+    def add_balance(self, model, tag, terms, fixed=()):
+        """Write the balance rows ``bal{tag}`` of one dispatch block, one per
+        period ``k``: its injections sum to zero. Register the same
+        injections with `add_periods`.
+
+        ``terms`` are injection groups ``(bus, cols, coef)``: entry ``e``
+        injects ``coef[e] * x[cols[e, k]]`` at bus index ``bus[e]`` (``coef``
+        broadcasts to ``bus``). ``fixed`` are data injections ``(bus,
+        values)``, ``values[e, k]`` MW. A row's right-hand side is minus the
+        data injections of its period, summed entry by entry in the order
+        given (0.0 with none).
+        """
+        bus, cols, coefs = (np.concatenate(part) for part in zip(
+            *((b, c, np.broadcast_to(coef, len(b))) for b, c, coef in terms)
+        ))
+        rhs, const = 0.0, np.zeros((self.psi.shape[1], cols.shape[1]))
+        if fixed:
+            at, values = (np.concatenate(part) for part in zip(*fixed))
+            np.add.at(const, at, values)
+            # summed from -0.0, the identity of float addition, so that the
+            # sign of a zero sum is exact: numpy's default start, +0.0, turns
+            # a sum of -0.0 into +0.0
+            rhs = -np.ascontiguousarray(values.T).sum(axis=1, initial=-0.0)
+        model.add_rows(f"bal{tag}", "==", rhs, cols.T, coefs)
+        self.add_periods(tag, bus, cols, coefs, const)
 
     def flows(self, x):
         """Per block, the (lines, K) flows at solution ``x``."""

@@ -65,12 +65,11 @@ def _expand_commitment(dam, grid):
     return u, v, w
 
 
-def simulate_rtm(system, dam, realized, gap_tol=1e-6):
+def simulate_rtm(system, dam, realized):
     """Dispatch the committed fleet against one realized net-load profile.
 
-    Line-flow rows are screened (see `network`). ``gap_tol`` is accepted and
-    has no effect: the model is an LP. Raises ValueError if the schedule was
-    cleared for other units or buses than the system's."""
+    Line-flow rows are screened (see `network`). Raises ValueError if the
+    schedule was cleared for other units or buses than the system's."""
     grid = realized.grid
     if grid.hours != dam.hours:
         raise ValueError("realized profile horizon does not match the DAM schedule")
@@ -102,15 +101,12 @@ def simulate_rtm(system, dam, realized, gap_tol=1e-6):
 
     # the injections: output above minimum, curtailment and load; the
     # committed minimum output is data here, so it is a fixed injection
-    floor = np.array([[g.p_min] for g in gens]) * u
-    seg_bus, seg_cols = dispatch.segment_entries(system, seg)
-    bus = np.concatenate([seg_bus, np.arange(n_b), np.arange(n_b)])
-    cols = np.concatenate([seg_cols, pc, d])
-    coefs = np.concatenate([np.ones(len(seg_bus)), np.ones(n_b), -np.ones(n_b)])
-    # committed minimum output per period, summed along a contiguous row
-    model.add_rows("bal", "==", -np.ascontiguousarray(floor.T).sum(axis=1), cols.T, coefs)
     screen = network.FlowScreen(system)
-    screen.add_periods("", bus, cols, coefs, dispatch.bus_injections(system, floor))
+    every = np.arange(n_b)
+    screen.add_balance(
+        model, "", [dispatch.segment_entries(system, seg), (every, pc, 1.0), (every, d, -1.0)],
+        fixed=[([system.bus_index(g.bus) for g in gens], np.array([[g.p_min] for g in gens]) * u)],
+    )
     build_s = time.perf_counter() - t_build
     res = optim.require_optimal(screen.solve(model, optim.solve), "real-time dispatch")
 

@@ -201,8 +201,8 @@ def save_requirements(req, path):
 
 def load_requirements(path):
     """Requirements from a CSV `save_requirements` wrote. A missing column or
-    a cell that is not a number raises SystemFileError naming the file and
-    the column."""
+    a cell that is not a number, or is negative, raises SystemFileError
+    naming the file and the column."""
     source = "unknown"
     with open(path) as fh:
         first = fh.readline()
@@ -217,4 +217,6 @@ def load_requirements(path):
             columns.append([float(row[key]) for row in rows])
         except (KeyError, TypeError, ValueError):
             raise SystemFileError(f"{path}: column {key} missing or not numeric", path, key) from None
+        if min(columns[-1], default=0.0) < 0:
+            raise SystemFileError(f"{path}: column {key} holds a negative requirement", path, key)
     return FrpRequirements(*columns, source)

@@ -272,20 +272,15 @@ class SucSolution:
         return self.p + p_min[None, :, None] * u_sub[None, :, :]
 
 
-def _add_dispatch_scenario(
-    model, system, grid, u, v, w, tag, net_load, psi, screen=None
-):
+def _add_dispatch_scenario(model, system, grid, u, v, w, tag, net_load, screen):
     """Per-scenario dispatch variables and constraints on the sub-period grid.
 
-    ``net_load`` has shape (buses, periods). The scenario's line flows are
-    registered with ``screen`` (a `network.FlowScreen`), which adds their
-    rows where a solve breaks them; given shift factors ``psi`` instead, every
-    flow row is built now. Returns its segment columns per unit and pc.
+    ``net_load`` has shape (buses, periods). The scenario's balance rows and
+    line flows come from ``screen`` (a `network.FlowScreen`), which adds the
+    flow rows where a solve breaks them. Returns its segment columns per
+    unit and pc.
     """
     gens = system.generators
-    n_periods = grid.n_periods
-    scale = grid.period_hours  # the energy weight of a period
-    h = np.arange(n_periods) // grid.periods_per_hour  # the hour of each period
     seg = []
     for i, g in enumerate(gens):
         seg.append(dispatch.unit_columns(model, f"p{tag}[{g.id}]", g, grid))
@@ -294,27 +289,17 @@ def _add_dispatch_scenario(
         )
 
     pc = model.add_vars(
-        f"pc{tag}", (len(system.buses), n_periods), obj=system.curtailment_penalty * scale
+        f"pc{tag}", net_load.shape, obj=system.curtailment_penalty * grid.period_hours
     )
-    bus_of = [system.bus_index(g.bus) for g in gens]
-    n_b = len(system.buses)
-    net_load = np.asarray(net_load, dtype=float)
-    # the injections: output above minimum, committed minimum, curtailment
-    seg_bus, seg_cols = dispatch.segment_entries(system, seg)
-    bus = np.concatenate([seg_bus, bus_of, np.arange(n_b)])
-    cols = np.concatenate([seg_cols, u[:, h], pc])
-    coefs = np.concatenate([np.ones(len(seg_bus)), [g.p_min for g in gens], np.ones(n_b)])
-    # each period's total summed along a contiguous row, as net_load[:, k].sum()
-    model.add_rows(
-        f"bal{tag}", "==", np.ascontiguousarray(net_load.T).sum(axis=1), cols.T, coefs
-    )
-
-    if psi is not None:  # the unscreened formulation: every flow row now
-        screen = network.FlowScreen(system, psi)
-    if screen is not None:
-        screen.add_periods(tag, bus, cols, coefs, -net_load)
-        if psi is not None:
-            screen.add_rows(model, screen.every_row())
+    # the injections: output above minimum, committed minimum (u of each
+    # period's hour) and curtailment, less the net load
+    every = np.arange(len(system.buses))
+    screen.add_balance(model, tag, [
+        dispatch.segment_entries(system, seg),
+        ([system.bus_index(g.bus) for g in gens], np.repeat(u, grid.periods_per_hour, axis=1),
+         [g.p_min for g in gens]),
+        (every, pc, 1.0),
+    ], fixed=[(every, -net_load)])
     return seg, pc
 
 
@@ -331,7 +316,7 @@ def _build(system, scenarios):
         prob = scenarios.probabilities[s]
         mark = model.n_vars
         seg, pc = _add_dispatch_scenario(
-            model, system, grid, u, v, w, f"@{s}", scenarios.values[s], None, screen
+            model, system, grid, u, v, w, f"@{s}", scenarios.values[s], screen
         )
         model.obj[mark:] *= prob  # weight this scenario's cost terms
         seg_idx.append(seg)

@@ -551,8 +551,9 @@ def write_json(table, obj, path):
 
 
 def load_system(path, data=None):
-    """Parse a system YAML file. Raises SystemFileError on malformed input and
-    ValidationError (listing every violation) on invariant failures.
+    """Parse a system YAML file. Raises SystemFileError, naming the file, on
+    malformed input and ValidationError (listing every violation) on
+    invariant failures.
 
     ``data``, if given, is the file's bytes as already read; they are parsed
     instead of opening ``path``, which then only names the file in errors."""
@@ -568,17 +569,21 @@ def load_system(path, data=None):
     version = raw.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise SystemFileError(f"{path}: unsupported format_version {version}")
-    return PowerSystem(
-        **{
-            key: _read_list(
-                table, raw.get(key, []), "system", key,
-                lambda i, item: f"{table.name} {item.get('id', unnamed.format(i))}",
-            )
-            for key, table, unnamed in LISTS
-        },
-        **_read(PENALTIES, _require(raw, "penalties", "system"), "penalties"),
-        supplied_isf=None if raw.get("isf") is None else _convert(_floats, raw["isf"], "system", "isf"),
-    ).validate()
+    try:
+        system = PowerSystem(
+            **{
+                key: _read_list(
+                    table, raw.get(key, []), "system", key,
+                    lambda i, item: f"{table.name} {item.get('id', unnamed.format(i))}",
+                )
+                for key, table, unnamed in LISTS
+            },
+            **_read(PENALTIES, _require(raw, "penalties", "system"), "penalties"),
+            supplied_isf=None if raw.get("isf") is None else _convert(_floats, raw["isf"], "system", "isf"),
+        )
+    except SystemFileError as exc:  # it names the entry; name the file too
+        raise SystemFileError(f"{path}: {exc}", exc.entity, exc.field) from None
+    return system.validate()
 
 
 def save_system(system, path):

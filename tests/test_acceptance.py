@@ -32,7 +32,7 @@ from frpsim import (
     solve_suc,
     suc_requirements,
 )
-from frpsim import optim
+from frpsim import optim, stochastic_uc
 from frpsim.data import case_path, corpus_path
 from frpsim.dayahead import _build as build_dam_model
 from frpsim.dayahead import check_dam_outcome
@@ -45,11 +45,7 @@ from frpsim.harness import (
 )
 from frpsim.realtime import _expand_commitment
 from frpsim.requirements import zero_requirements
-from frpsim.stochastic_uc import (
-    _add_dispatch_scenario,
-    add_commitment_block,
-    check_suc_solution,
-)
+from frpsim.stochastic_uc import check_suc_solution
 
 from conftest import flat_profile, make_gen, scenario_set, single_bus_system
 
@@ -60,18 +56,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _suc_model(system, scen):
-    """The stochastic commitment model, assembled the same way solve_suc does,
-    with the hourly on/off variable indices returned for pinning."""
-    model = optim.Model()
-    u, v, w = add_commitment_block(model, system.generators, scen.grid.hours)
-    psi = system.isf() if system.lines else None
-    for s in range(scen.n_scenarios):
-        mark = model.n_vars
-        _add_dispatch_scenario(
-            model, system, scen.grid, u, v, w, f"@{s}", scen.values[s], psi
-        )
-        for j in range(mark, model.n_vars):
-            model.obj[j] *= scen.probabilities[s]
+    """The stochastic commitment model solve_suc builds, with every flow row
+    in, and the hourly on/off variable indices returned for pinning."""
+    model, (u, _, _), _, _, screen = stochastic_uc._build(system, scen)
+    screen.add_rows(model, screen.every_row())
     return model, u
 
 
@@ -284,7 +272,7 @@ def corpus_pipeline():
             dam = clear_dam(
                 system, bids, req, fix_commitments=fix, gap_tol=cfg.gap_tol
             )
-            rtm = simulate_rtm(system, dam, realized, gap_tol=cfg.gap_tol)
+            rtm = simulate_rtm(system, dam, realized)
             rep = settle(system, dam, rtm, mode=cfg.settlement_mode)
             cells[method] = dict(req=req, fix=fix, dam=dam, rtm=rtm, rep=rep)
         days.append(

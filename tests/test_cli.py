@@ -1,6 +1,7 @@
 """Command-line flows wired end to end through temp files."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,10 @@ def _truncated(text):
     return text[: len(text) // 2]
 
 
+def _negative_hour_0(text):
+    return re.sub(r"^0,.*$", "0,-5.0,0.0", text, count=1, flags=re.M)
+
+
 @pytest.mark.parametrize("name, edit, named", [
     ("scen.json", _truncated, "not valid JSON"),
     ("suc.json", _truncated, "not valid JSON"),
@@ -235,9 +240,10 @@ def _truncated(text):
     ("req.csv", lambda text: text.replace(",dn_mw", ",down_mw"), "column dn_mw"),
     ("scen.json", lambda text: text.replace('"probabilities": [', '"probabilities": [1.0, '),
      "one probability per scenario required"),
+    ("req.csv", _negative_hour_0, "column up_mw holds a negative requirement"),
 ], ids=[
     "scenarios", "suc", "dam", "requirements", "suc-keys", "dam-keys", "requirements-column",
-    "scenarios-refused",
+    "scenarios-refused", "requirements-negative",
 ])
 def test_malformed_stage_file_is_named_in_one_line(workdir, staged, name, edit, named):
     """A stage file cut short, lacking a key or holding a value its class
@@ -259,9 +265,26 @@ def test_dam_clear_refuses_commitments_of_other_units(workdir, staged):
         main(staged["suc.json"])
 
 
-def test_run_and_report(workdir, capsys):
-    (workdir / "config.yaml").write_text(
-        """
+@pytest.mark.parametrize("name, edit", [
+    ("dam.json", lambda text: json.dumps(
+        (doc := json.loads(text)) | {"gen_ids": doc["gen_ids"][::-1]}
+    )),
+    ("realized.csv", lambda text: text.replace("\nb1,", "\nb9,")),
+], ids=["dam-units", "realized-buses"])
+def test_rtm_sim_refuses_files_of_other_units_or_buses(workdir, staged, name, edit):
+    """A DAM file cleared for other units, or a realized profile of other
+    buses, ends rtm-sim with one line naming the file, not with
+    simulate_rtm's ValueError."""
+    path = workdir / name
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(SystemExit) as exc:
+        main(staged["dam.json"])
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ") and "do not match" in message, message
+    assert "\n" not in message
+
+
+CONFIG = """
 system: system.yaml
 master_seed: 9
 sigma_frac: 0.04
@@ -272,7 +295,27 @@ days:
   - name: d1
     hourly_net_load_mw: {b1: [100.0, 150.0, 210.0, 140.0]}
 """
-    )
+
+
+def test_every_command_names_a_malformed_system_file(workdir, staged):
+    """A mistyped system file ends each command but `validate` with one
+    "malformed file:" line that names the file, then the entry and key."""
+    path = workdir / "system.yaml"
+    text = path.read_text()
+    assert "p_max_mw: 260.0" in text
+    path.write_text(text.replace("p_max_mw: 260.0", "p_max_mw: lots"))
+    (workdir / "config.yaml").write_text(CONFIG)
+    run = ["run", "--config", str(workdir / "config.yaml"), "--out", str(workdir / "ledger")]
+    for command in (*staged.values(), run):
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert str(exc.value).startswith(
+            f"malformed file: {path}: generator g1: p_max_mw must be float"
+        ), command
+
+
+def test_run_and_report(workdir, capsys):
+    (workdir / "config.yaml").write_text(CONFIG)
     assert main([
         "run", "--config", str(workdir / "config.yaml"),
         "--out", str(workdir / "ledger"),

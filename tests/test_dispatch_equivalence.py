@@ -84,7 +84,7 @@ def _optima(seed):
         dam = clear_dam(system, bids, FrpRequirements(up, dn, "test"), gap_tol=GAP_TOL)
         out[1:3] = dam.objective, dam.pricing_objective
         realized = NetLoadProfile(system.bus_ids, grid, sub[1:])
-        out[3] = simulate_rtm(system, dam, realized, gap_tol=GAP_TOL).total_cost
+        out[3] = simulate_rtm(system, dam, realized).total_cost
     except InfeasibleModelError:
         pass
     return out

@@ -335,3 +335,39 @@ def test_no_lines_means_one_solve_per_model(two_gen_system, monkeypatch):
         two_gen_system, dam, NetLoadProfile(two_gen_system.bus_ids, grid, loads)
     )
     assert calls[3:] == ["solve"] and _screening(rtm) == (1, 0)
+
+
+def test_balance_and_flow_rows_read_one_injection_map(congested, monkeypatch):
+    """At the solution of each SUC, DAM and RTM model, each balance row's
+    activity plus its data injection (minus its right-hand side) is the
+    bus-summed injection its screen registered for the row's block: the
+    balance and the flow rows read one map of columns and data."""
+    solved = []
+    screened = network.FlowScreen.solve
+
+    def solve(self, model, solve_once):
+        res = screened(self, model, solve_once)
+        solved.append((self, model, res.x))
+        return res
+
+    monkeypatch.setattr(network.FlowScreen, "solve", solve)
+    load = np.asarray(LOAD)
+    solve_suc(congested, scenario_set(congested, TimeGrid(6, 1), np.stack([load, 1.04 * load])))
+    dam = clear_dam(congested, DamBidSet(congested.bus_ids, load), zero_requirements(6))
+    realized = NetLoadProfile(congested.bus_ids, TimeGrid(6, 2), np.repeat(1.02 * load, 2, axis=1))
+    simulate_rtm(congested, dam, realized)
+    tags = []
+    for screen, model, x in solved:
+        mat, lo, hi = model._constraint_matrix()
+        row_of = np.repeat(np.arange(model.n_rows), np.diff(mat.indptr))
+        activity = np.bincount(row_of, mat.data * x[mat.indices], minlength=model.n_rows)
+        start = {name: first for name, first, _ in model._row_blocks}
+        for tag, bus, cols, coefs, const in screen.blocks:
+            inj = const.copy()
+            np.add.at(inj, bus, coefs[:, None] * x[cols])
+            bal = start[f"bal{tag}"] + np.arange(cols.shape[1])
+            assert np.array_equal(lo[bal], hi[bal])
+            np.testing.assert_allclose(activity[bal] - lo[bal], inj.sum(axis=0), atol=1e-6)
+            tags.append(tag)
+    # the EV and stochastic SUC blocks, then the DAM's and the RTM's
+    assert tags.count("@0") >= 2 and "@1" in tags and tags.count("") == 3
