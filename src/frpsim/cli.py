@@ -5,21 +5,22 @@ Profiles move between commands as small CSVs: hourly files have a header
 Solutions and market outcomes are JSON written by the corresponding modules.
 A malformed input file ends any command with exit status 1 and one line that
 names the file and the key or column (`validate`'s reads "malformed system
-file:"), not with a traceback.
+file:"), not with a traceback; so does a system file that breaks an
+invariant (`validate` lists its issues one a line).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import sys
 
 import numpy as np
 
 from . import dayahead, harness, realtime, requirements, scenarios, settlement
 from . import stochastic_uc as suc
-from .system import SystemFileError, ValidationError, load_system
+from .system import SystemFileError, ValidationError, load_system, write_csv
 from .timegrid import TimeGrid
 
 
@@ -156,21 +157,22 @@ def _cmd_dam_clear(args):
     return 0
 
 
-def _load_dam(path, system):
+def _load_dam(path, system, profile, profile_path):
     """A DAM outcome file; one cleared for other units or buses than
-    ``system``'s exits naming the file."""
+    ``system``'s exits naming the file, and a net-load ``profile`` of other
+    buses or hours than the system and the file exits naming its own file."""
     dam = dayahead.load_dam_outcome(path)
     if (dam.gen_ids, dam.bus_ids) != (system.gen_ids, system.bus_ids):
         raise SystemExit(f"{path}: units or buses do not match system units and buses")
+    if (list(profile.buses), profile.grid.hours) != (system.bus_ids, dam.hours):
+        raise SystemExit(f"{profile_path}: buses or hours do not match the system and {path}")
     return dam
 
 
 def _cmd_rtm_sim(args):
     system = load_system(args.system)
-    dam = _load_dam(args.dam, system)
     realized = _subperiod_profile(args.realized, args.periods_per_hour)
-    if (list(realized.buses), realized.grid.hours) != (system.bus_ids, dam.hours):
-        raise SystemExit(f"{args.realized}: buses or hours do not match the system and {args.dam}")
+    dam = _load_dam(args.dam, system, realized, args.realized)
     rtm = realtime.simulate_rtm(system, dam, realized)
     print(
         f"total cost {rtm.total_cost:.2f} USD "
@@ -187,6 +189,12 @@ def _cmd_rtm_sim(args):
     return 0
 
 
+# the sweep file's columns, one row per (sigma, method)
+SWEEP = (
+    ("method", ""), ("day", ""), ("sigma_frac", ".6f"), ("cost_usd", ".2f"), ("shed_mwh", ".6f"),
+)
+
+
 def _cmd_sweep(args):
     system = load_system(args.system)
     forecast = _hourly_profile(args.forecast, args.periods_per_hour)
@@ -195,24 +203,22 @@ def _cmd_sweep(args):
         name, _, path = spec.partition("=")
         if not path:
             raise SystemExit(f"--dam wants NAME=FILE, got {spec!r}")
-        dams[name] = _load_dam(path, system)
-    sigmas = [float(s) for s in args.sigmas.split(",")]
+        dams[name] = _load_dam(path, system, forecast, args.forecast)
+    try:
+        sigmas = [float(s) for s in args.sigmas.split(",")]
+        if not all(map(math.isfinite, sigmas)):
+            raise ValueError
+    except ValueError:
+        raise SystemExit(
+            f"--sigmas wants comma-separated finite numbers, got {args.sigmas!r}"
+        ) from None
     rows = realtime.stress_sweep(
         system, dams, forecast, sigmas, args.rho, args.seed, day=args.day
     )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "day", "sigma_frac", "cost_usd", "shed_mwh"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r["method"],
-                    args.day,
-                    f"{r['sigma_frac']:.6f}",
-                    f"{r['cost_usd']:.2f}",
-                    f"{r['shed_mwh']:.6f}",
-                ]
-            )
+    write_csv(
+        args.out, SWEEP,
+        ((r["method"], args.day, r["sigma_frac"], r["cost_usd"], r["shed_mwh"]) for r in rows),
+    )
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
@@ -344,6 +350,8 @@ def main(argv=None):
         return args.func(args)
     except SystemFileError as exc:
         raise SystemExit(f"malformed file: {exc}") from None
+    except ValidationError as exc:  # its one line names the file and every issue
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -46,7 +46,9 @@ from .realtime import simulate_rtm
 from .requirements import percentile_requirements, suc_requirements
 from .scenarios import NetLoadProfile, ScenarioSet, draw_realization, gen_ar1_scenarios
 from .settlement import settle
-from .system import load_system
+from .system import (
+    SystemFileError, Table, _convert, _int, _read, _require, load_system, write_csv,
+)
 from .timegrid import TimeGrid
 
 SUC_METHODS = ("suc-fixed", "suc-free")
@@ -118,12 +120,27 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# the config's scalar keys, read as the system file's are; `time_limit` is
+# kept as the YAML gives it, since config digests hash it so
+SETTINGS = Table(dict, "config", (
+    ("master_seed", "master_seed", _int),
+    ("sigma_frac", "sigma_frac", float, 0.03),
+    ("periods_per_hour", "periods_per_hour", _int, 1),
+    ("gap_tol", "gap_tol", float, 1e-6),
+    ("settlement_mode", "settlement", str, "two"),
+))
+
+
 def load_config(path):
-    """Parse an experiment YAML; returns (config, system)."""
+    """Parse an experiment YAML; returns (config, system). A missing or
+    mistyped key, an unknown method or a day without a bus's net load raises
+    SystemFileError naming the file."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
+    where = str(path)
+    settings = _read(SETTINGS, raw, where)
     base = os.path.dirname(os.path.abspath(path))
-    system_path = raw["system"]
+    system_path = _require(raw, "system", where)
     if not os.path.isabs(system_path):
         system_path = os.path.join(base, system_path)
     # hash and parse the same bytes, so the digest is that of this system
@@ -134,31 +151,29 @@ def load_config(path):
     methods = list(raw.get("methods", list(ALL_METHODS)))
     for m in methods:
         if m not in ALL_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+            raise SystemFileError(f"{where}: unknown method {m!r}; choose from {ALL_METHODS}")
     days = []
-    for d in raw["days"]:
-        loads = d["hourly_net_load_mw"]
+    for d in _require(raw, "days", where):
+        loads = _require(d, "hourly_net_load_mw", f"{where}: day {d.get('name')}")
         missing = [b for b in system.bus_ids if b not in loads]
         if missing:
-            raise ValueError(f"day {d['name']}: no net load for buses {missing}")
+            raise SystemFileError(f"{where}: day {d['name']}: no net load for buses {missing}")
         hourly = np.array([loads[b] for b in system.bus_ids], dtype=float)
         days.append(DayInput(name=str(d["name"]), hourly_net_load=hourly))
     oos = raw.get("out_of_sample", {})
     cfg = ExperimentConfig(
         days=days,
         methods=methods,
-        n_scenarios=[int(n) for n in raw.get("n_scenarios", [8])],
-        rho=[float(r) for r in raw.get("rho", [0.0])],
-        sigma_frac=float(raw.get("sigma_frac", 0.03)),
-        periods_per_hour=int(raw.get("periods_per_hour", 1)),
-        master_seed=int(raw["master_seed"]),
-        oos_sigma_frac=float(oos.get("sigma_frac", raw.get("sigma_frac", 0.03))),
-        oos_rho=float(oos.get("rho", 0.0)),
-        gap_tol=float(raw.get("gap_tol", 1e-6)),
+        n_scenarios=[_convert(_int, n, where, "n_scenarios") for n in raw.get("n_scenarios", [8])],
+        rho=[_convert(float, r, where, "rho") for r in raw.get("rho", [0.0])],
+        oos_sigma_frac=_convert(
+            float, oos.get("sigma_frac", settings["sigma_frac"]), where, "out_of_sample sigma_frac"
+        ),
+        oos_rho=_convert(float, oos.get("rho", 0.0), where, "out_of_sample rho"),
         time_limit=raw.get("time_limit"),
-        settlement_mode=str(raw.get("settlement", "two")),
         system_path=system_path,
         system_sha256=hashlib.sha256(data).hexdigest(),
+        **settings,
     )
     return cfg, system
 
@@ -496,6 +511,15 @@ def _record_failure(out_dir, result, ids, exc):
 
 # -- reporting ----------------------------------------------------------------
 
+# cells.csv's columns, one row per cell; totals.csv sums the money and shed
+# columns per (method, n_scenarios, rho)
+CELLS = (
+    ("day", ""), ("method", ""), ("n_scenarios", ""), ("rho", "g"),
+    ("cost_usd", ".2f"), ("shed_mwh", ".6f"), ("frp_payment_usd", ".2f"),
+    ("make_whole_usd", ".2f"), ("clairvoyant_usd", ".2f"),
+)
+TOTALS = CELLS[1:-1]
+
 
 def aggregate(out_dir):
     """Load every finished cell from a ledger directory, sorted by cell id."""
@@ -512,64 +536,26 @@ def aggregate(out_dir):
 def write_reports(out_dir):
     """Emit cells.csv (tidy per-cell data) and totals.csv (per-method sums,
     percentile methods replicated across the scenario grid). Returns paths."""
-    cells = aggregate(out_dir)
-    rows = []
-    for cell_id, rec in sorted(cells.items()):
-        rows.append(
-            {
-                "day": rec["day"],
-                "method": rec["method"],
-                "n_scenarios": rec["n_scenarios"],
-                "rho": rec["rho"],
-                "cost_usd": rec["rtm"]["total_cost_usd"],
-                "shed_mwh": rec["rtm"]["shed_mwh"],
-                "frp_payment_usd": rec["settlement"]["total_frp_payment_usd"],
-                "make_whole_usd": rec["settlement"]["total_make_whole_usd"],
-                "clairvoyant_usd": rec["clairvoyant_usd"],
-            }
+    rows = [
+        (
+            rec["day"], rec["method"], rec["n_scenarios"], rec["rho"],
+            rec["rtm"]["total_cost_usd"], rec["rtm"]["shed_mwh"],
+            rec["settlement"]["total_frp_payment_usd"],
+            rec["settlement"]["total_make_whole_usd"], rec["clairvoyant_usd"],
         )
+        for _, rec in sorted(aggregate(out_dir).items())
+    ]
     cells_csv = os.path.join(out_dir, "cells.csv")
-    with open(cells_csv, "w") as fh:
-        fh.write(
-            "day,method,n_scenarios,rho,cost_usd,shed_mwh,"
-            "frp_payment_usd,make_whole_usd,clairvoyant_usd\n"
-        )
-        for r in rows:
-            n = "" if r["n_scenarios"] is None else str(r["n_scenarios"])
-            rho = "" if r["rho"] is None else f"{r['rho']:g}"
-            fh.write(
-                f"{r['day']},{r['method']},{n},{rho},"
-                f"{r['cost_usd']:.2f},{r['shed_mwh']:.6f},"
-                f"{r['frp_payment_usd']:.2f},{r['make_whole_usd']:.2f},"
-                f"{r['clairvoyant_usd']:.2f}\n"
-            )
+    write_csv(cells_csv, CELLS, rows)
 
-    grid_pairs = sorted(
-        {(r["n_scenarios"], r["rho"]) for r in rows if r["n_scenarios"] is not None}
-    )
+    # a row's (n_scenarios, rho) is row[2:4], its summed columns row[4:8]
+    grid_pairs = sorted({row[2:4] for row in rows if row[2] is not None})
     totals = {}
-    for r in rows:
-        pairs = [(r["n_scenarios"], r["rho"])] if r["n_scenarios"] is not None else (
-            grid_pairs or [(None, None)]
-        )
-        for pair in pairs:
-            key = (r["method"], *pair)
-            agg = totals.setdefault(
-                key, {"cost_usd": 0.0, "shed_mwh": 0.0, "frp_payment_usd": 0.0,
-                      "make_whole_usd": 0.0}
-            )
-            for f in agg:
-                agg[f] += r[f]
+    for row in rows:
+        for pair in [row[2:4]] if row[2] is not None else grid_pairs or [(None, None)]:
+            agg = totals.setdefault((row[1], *pair), [0.0] * 4)
+            agg[:] = [a + v for a, v in zip(agg, row[4:8])]
     totals_csv = os.path.join(out_dir, "totals.csv")
-    with open(totals_csv, "w") as fh:
-        fh.write("method,n_scenarios,rho,cost_usd,shed_mwh,frp_payment_usd,make_whole_usd\n")
-        for (method, n, rho), agg in sorted(
-            totals.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]), str(kv[0][2]))
-        ):
-            n_s = "" if n is None else str(n)
-            rho_s = "" if rho is None else f"{rho:g}"
-            fh.write(
-                f"{method},{n_s},{rho_s},{agg['cost_usd']:.2f},{agg['shed_mwh']:.6f},"
-                f"{agg['frp_payment_usd']:.2f},{agg['make_whole_usd']:.2f}\n"
-            )
+    keys = sorted(totals, key=lambda key: tuple(map(str, key)))
+    write_csv(totals_csv, TOTALS, [(*key, *totals[key]) for key in keys])
     return cells_csv, totals_csv

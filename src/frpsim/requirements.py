@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .system import SystemFileError
+from .system import SystemFileError, write_csv
 
 __all__ = [
     "FrpRequirements",
@@ -190,13 +190,12 @@ def percentile_requirements(forecast, sigma_frac, coverage):
 # -- file io -----------------------------------------------------------------
 
 
+# the requirements file's columns, after a "# source: ..." line
+COLUMNS = (("hour", ""), ("up_mw", ".6f"), ("dn_mw", ".6f"))
+
+
 def save_requirements(req, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# source: {req.source}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "up_mw", "dn_mw"])
-        for h in range(req.hours):
-            writer.writerow([h, f"{req.up[h]:.6f}", f"{req.dn[h]:.6f}"])
+    write_csv(path, COLUMNS, zip(range(req.hours), req.up, req.dn), note=f"source: {req.source}")
 
 
 def load_requirements(path):
@@ -212,7 +211,7 @@ def load_requirements(path):
             fh.seek(0)
         rows = list(csv.DictReader(fh))
     columns = []
-    for key in ("up_mw", "dn_mw"):
+    for key, _ in COLUMNS[1:]:
         try:
             columns.append([float(row[key]) for row in rows])
         except (KeyError, TypeError, ValueError):

@@ -15,14 +15,23 @@ ignores real-time deviations.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .system import write_csv
+
 __all__ = ["GenSettlement", "SettlementReport", "settle", "save_settlement"]
 
 MODES = ("two", "dam-only")
+
+# the ledger's columns, one per GenSettlement field; the TOTAL row gives the
+# whole energy payment (day-ahead and deviation) in the first money column
+# and leaves the deviation and cost cells empty
+LEDGER = (
+    ("generator", ""), ("dam_energy_rev_usd", ".2f"), ("rt_deviation_rev_usd", ".2f"),
+    ("frp_rev_usd", ".2f"), ("as_bid_cost_usd", ".2f"), ("make_whole_usd", ".2f"),
+)
 
 
 @dataclass
@@ -112,36 +121,11 @@ def settle(system, dam, rtm, mode="two"):
 
 def save_settlement(report, path):
     """Write the per-generator ledger plus a TOTAL row, money in cents."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "generator",
-                "dam_energy_rev_usd",
-                "rt_deviation_rev_usd",
-                "frp_rev_usd",
-                "as_bid_cost_usd",
-                "make_whole_usd",
-            ]
-        )
-        for r in report.generators:
-            writer.writerow(
-                [
-                    r.gen_id,
-                    f"{r.dam_energy_revenue:.2f}",
-                    f"{r.rt_deviation_revenue:.2f}",
-                    f"{r.frp_revenue:.2f}",
-                    f"{r.as_bid_cost:.2f}",
-                    f"{r.make_whole:.2f}",
-                ]
-            )
-        writer.writerow(
-            [
-                "TOTAL",
-                f"{report.total_energy_payment:.2f}",
-                "",
-                f"{report.total_frp_payment:.2f}",
-                "",
-                f"{report.total_make_whole:.2f}",
-            ]
-        )
+    rows = [
+        (r.gen_id, r.dam_energy_revenue, r.rt_deviation_revenue, r.frp_revenue,
+         r.as_bid_cost, r.make_whole)
+        for r in report.generators
+    ]
+    rows.append(("TOTAL", report.total_energy_payment, None, report.total_frp_payment,
+                 None, report.total_make_whole))
+    write_csv(path, LEDGER, rows)

@@ -7,19 +7,22 @@ any default; `load_system` reads and `save_system` writes through those same
 tables, so a key is spelled once. The JSON files the pipeline stages hand
 each other (scenario sets, SUC solutions, DAM outcomes) go through the same
 reader and writer, `read_json` and `write_json`, each with its own table in
-its module, and share the `GRID` table for their time grid. A missing or
-mistyped key raises `SystemFileError` naming the entity (for a JSON file,
-the file) and the key. `load_system` then
-validates: `validate_system` collects every violation instead of stopping at
-the first so a bad file is diagnosed in one pass. Injection shift factors are
-computed from line reactances via the reduced nodal susceptance matrix unless
-the file supplies a matrix, in which case the supplied one wins (a
-consistency warning is emitted if it disagrees with the computed one by more
-than 1e-6).
+its module, and share the `GRID` table for their time grid. The CSV files the
+package writes (requirements, settlement ledgers, sweeps, the run reports)
+go through one writer, `write_csv`, each with a column table of (name,
+format spec) pairs in its module. A missing or mistyped key raises
+`SystemFileError` naming the entity (for a JSON file, the file) and the key.
+`load_system` then validates: `validate_system` collects every violation
+instead of stopping at the first so a bad file is diagnosed in one pass, and
+`ValidationError` names the file. Injection shift factors are computed from
+line reactances via the reduced nodal susceptance matrix unless the file
+supplies a matrix, in which case the supplied one wins (a consistency
+warning is emitted if it disagrees with the computed one by more than 1e-6).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import reprlib
 import warnings
@@ -63,12 +66,14 @@ class ValidationError(ValueError):
     """One or more system invariants are violated.
 
     ``issues`` holds one human-readable string per violation, each naming the
-    entity (and field or segment) it concerns.
+    entity (and field or segment) it concerns; the message, one line, starts
+    with the file's ``path`` when it is given.
     """
 
-    def __init__(self, issues):
+    def __init__(self, issues, path=None):
         self.issues = list(issues)
-        super().__init__("invalid system: " + "; ".join(self.issues))
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}invalid system: " + "; ".join(self.issues))
 
 
 @dataclass(frozen=True)
@@ -205,10 +210,12 @@ class PowerSystem:
                 self._isf_cache = np.zeros((0, len(self.buses)))
         return self._isf_cache
 
-    def validate(self):
+    def validate(self, path=None):
+        """``self``, or ValidationError listing every violation (naming the
+        file ``path`` it was read from, if given)."""
         issues = validate_system(self)
         if issues:
-            raise ValidationError(issues)
+            raise ValidationError(issues, path)
         return self
 
     def __eq__(self, other):
@@ -550,6 +557,23 @@ def write_json(table, obj, path):
         json.dump(_write(table, obj), fh, default=np.ndarray.tolist)
 
 
+def write_csv(path, columns, rows, note=None):
+    """``rows`` as the CSV file ``columns`` describes: a header of the column
+    names, then one line per row, its cell ``i`` the row's value ``i`` in the
+    format spec of column ``i``, a None an empty cell. ``note``, if given,
+    is a first ``# note`` line. Every line ends in ``\\n``."""
+    with open(path, "w", newline="") as fh:
+        if note is not None:
+            fh.write(f"# {note}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        names, specs = zip(*columns)
+        writer.writerow(names)
+        writer.writerows(
+            ["" if v is None else format(v, spec) for v, spec in zip(row, specs, strict=True)]
+            for row in rows
+        )
+
+
 def load_system(path, data=None):
     """Parse a system YAML file. Raises SystemFileError, naming the file, on
     malformed input and ValidationError (listing every violation) on
@@ -583,7 +607,7 @@ def load_system(path, data=None):
         )
     except SystemFileError as exc:  # it names the entry; name the file too
         raise SystemFileError(f"{path}: {exc}", exc.entity, exc.field) from None
-    return system.validate()
+    return system.validate(path)
 
 
 def save_system(system, path):

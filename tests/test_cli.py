@@ -1,5 +1,6 @@
 """Command-line flows wired end to end through temp files."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frpsim import optim, save_system
+from frpsim import optim, realtime, save_system
 from frpsim.cli import main
 from frpsim.data import case_path
 
@@ -297,21 +298,99 @@ days:
 """
 
 
-def test_every_command_names_a_malformed_system_file(workdir, staged):
-    """A mistyped system file ends each command but `validate` with one
-    "malformed file:" line that names the file, then the entry and key."""
+def _every_command_with_system(workdir, staged, p_max):
+    """(command, message) for each command but `validate` run on the system
+    file with g1's ``p_max_mw: 260.0`` replaced by ``p_max``."""
     path = workdir / "system.yaml"
     text = path.read_text()
     assert "p_max_mw: 260.0" in text
-    path.write_text(text.replace("p_max_mw: 260.0", "p_max_mw: lots"))
+    path.write_text(text.replace("p_max_mw: 260.0", f"p_max_mw: {p_max}"))
     (workdir / "config.yaml").write_text(CONFIG)
     run = ["run", "--config", str(workdir / "config.yaml"), "--out", str(workdir / "ledger")]
     for command in (*staged.values(), run):
         with pytest.raises(SystemExit) as exc:
             main(command)
-        assert str(exc.value).startswith(
+        yield command, str(exc.value)
+
+
+def test_every_command_names_a_malformed_system_file(workdir, staged):
+    """A mistyped system file ends each command but `validate` with one
+    "malformed file:" line that names the file, then the entry and key."""
+    path = workdir / "system.yaml"
+    for command, message in _every_command_with_system(workdir, staged, "lots"):
+        assert message.startswith(
             f"malformed file: {path}: generator g1: p_max_mw must be float"
         ), command
+
+
+def test_every_command_names_an_invalid_system_file(workdir, staged):
+    """A system file that parses but breaks an invariant ends each command
+    but `validate` with one line that names the file and every issue."""
+    path = workdir / "system.yaml"
+    for command, message in _every_command_with_system(workdir, staged, "5.0"):
+        assert message.startswith(f"{path}: invalid system: generator g1: last segment"), command
+        assert "\n" not in message
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("master_seed: 9\n", "", "missing required field 'master_seed'"),
+    ("rho: [0.0]\n", "rho: [0.0]\nperiods_per_hour: two\n",
+     "periods_per_hour must be int, got 'two'"),
+    ("n_scenarios: [2]", "n_scenarios: [2.5]", "n_scenarios must be int, got 2.5"),
+    ("methods: [suc-fixed,", "methods: [warp-drive,", "unknown method 'warp-drive'"),
+], ids=["missing", "mistyped", "integral", "method"])
+def test_run_names_a_malformed_config_key(workdir, old, new, named):
+    """A config missing a key, or holding a value of the wrong type, ends
+    `run` with one "malformed file:" line naming the config and the key,
+    before any ledger is written."""
+    config = workdir / "config.yaml"
+    assert old in CONFIG
+    config.write_text(CONFIG.replace(old, new))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--out", str(workdir / "ledger")])
+    assert str(exc.value).startswith(f"malformed file: {config}: {named}")
+    assert not (workdir / "ledger").exists()
+
+
+@pytest.mark.parametrize("buses, loads, sigmas, named", [
+    (["b1"], [100.0, 150.0, 210.0], "0.0", "{forecast}: buses or hours do not match"),
+    (["b9"], [100.0, 150.0, 210.0, 140.0], "0.0", "{forecast}: buses or hours do not match"),
+    (["b1"], [100.0, 150.0, 210.0, 140.0], "0.0,abc", "--sigmas wants comma-separated"),
+    (["b1"], [100.0, 150.0, 210.0, 140.0], "0.0,nan", "--sigmas wants comma-separated"),
+], ids=["hours", "buses", "sigmas", "sigmas-nan"])
+def test_sweep_names_a_forecast_of_other_hours_or_a_bad_sigma(
+    workdir, staged, buses, loads, sigmas, named
+):
+    """A forecast of other hours or buses than the system and a DAM file, or
+    a --sigmas entry that is not a finite number, ends sweep with one line
+    that names the file or argument, not with simulate_rtm's ValueError."""
+    forecast = workdir / "other.csv"
+    _write_csv(forecast, buses, [loads])
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--system", str(workdir / "system.yaml"), "--forecast", str(forecast),
+              "--dam", f"fixed={workdir / 'dam.json'}", "--sigmas", sigmas, "--seed", "7",
+              "--out", str(workdir / "sweep.csv")])
+    message = str(exc.value)
+    assert message.startswith(named.format(forecast=forecast)), message
+    assert "\n" not in message
+    assert not (workdir / "sweep.csv").exists()
+
+
+def test_sweep_file_bytes(workdir, staged, monkeypatch):
+    """The sweep file `sweep` writes from given rows, byte for byte: a day
+    name holding a comma is one quoted cell, and every line ends in "\\n"."""
+    rows = [
+        {"method": "fixed", "sigma_frac": sigma, "cost_usd": cost, "shed_mwh": shed}
+        for sigma, cost, shed in ((0.0, 4419.0, 0.0), (0.05, 4472.951, 1.0 / 3.0))
+    ]
+    monkeypatch.setattr(realtime, "stress_sweep", lambda *args, **kwargs: rows)
+    out = workdir / "sweep.csv"
+    assert main(["sweep", "--system", str(workdir / "system.yaml"),
+                 "--forecast", str(workdir / "forecast.csv"),
+                 "--dam", f"fixed={workdir / 'dam.json'}", "--sigmas", "0.0,0.05",
+                 "--seed", "7", "--day", "mon,tue", "--out", str(out)]) == 0
+    sha = "6e5e6d5de43080a20c2190f08928fceb60656d624f96199eb8ab93d77ebfcb61"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha, out.read_bytes()
 
 
 def test_run_and_report(workdir, capsys):

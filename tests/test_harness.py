@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, the append-only cell ledger, resume,
 percentile/scenario grid bookkeeping, and worker-pool equivalence."""
 
+import csv
 import hashlib
 import json
 import os
@@ -111,6 +112,26 @@ def test_full_grid_run_and_reports(tmp_path):
     assert sum(1 for ln in totals if ln.startswith("p95,")) == 4
     p95_costs = {ln.split(",")[3] for ln in totals if ln.startswith("p95,")}
     assert len(p95_costs) == 1  # replicated, not recomputed
+
+
+def test_reports_quote_a_day_name_holding_a_comma(tmp_path):
+    """A day named "mon,tue" is one quoted cell of cells.csv, so its row has
+    the header's fields."""
+    rec = {
+        "day": "mon,tue", "method": "p95", "n_scenarios": None, "rho": None,
+        "rtm": {"total_cost_usd": 10.0, "shed_mwh": 0.5},
+        "settlement": {"total_frp_payment_usd": 1.0, "total_make_whole_usd": 0.0},
+        "clairvoyant_usd": 9.0,
+    }
+    (tmp_path / "cells").mkdir()
+    (tmp_path / "cells" / "mon,tue.p95.json").write_text(json.dumps(rec))
+    cells_csv, totals_csv = write_reports(str(tmp_path))
+    with open(cells_csv, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert row == ["mon,tue", "p95", "", "", "10.00", "0.500000", "1.00", "0.00", "9.00"]
+    assert len(header) == len(row)
+    with open(totals_csv, newline="") as fh:
+        assert list(csv.reader(fh))[1] == ["p95", "", "", "10.00", "0.500000", "1.00", "0.00"]
 
 
 def test_resume_skips_finished_cells(tmp_path):

@@ -1,6 +1,7 @@
 """Requirement rules: extremes of served net-load steps, percentile padding,
 and the CSV format."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,6 +240,9 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# source: percentile-90")
     assert "hour,up_mw,dn_mw" in text
+    # the file's bytes, every line, the source line too, ending in "\n"
+    sha = "22ded344c05de93c6db18b83ca6a9be4940d8cad1c153eb91d88ace75ce70bbf"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha, path.read_bytes()
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Settlement ledger: synthetic outcomes settled to the cent, two-settlement
 vs day-ahead-only, positive-part capability payments, make-whole top-ups."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,9 @@ def test_csv_ledger(tmp_path):
     assert lines[1].split(",")[1] == "6600.00"
     assert lines[-1].split(",")[0] == "TOTAL"
     assert lines[-1].split(",")[-1] == "32.00"
+    # the file's bytes, every line ending in "\n"
+    sha = "88db4bfaf474d786d44ceadb44cd0f396863ec68d2f0731a11d3c5f18e42f763"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha, path.read_bytes()
 
 
 @st.composite
