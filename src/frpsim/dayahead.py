@@ -1,11 +1,11 @@
 """Deterministic hourly day-ahead clearing with flexible-ramp awards.
 
 Co-optimizes energy and hourly up/down ramping capability against fixed
-bid-in net demand. A unit's energy rows (capacity, offer segments, ramp
-limits and the shutdown cap) come from `dispatch.add_unit_rows` at one
-period an hour: the rows of the stochastic pass. Its ramp-award rows are a
-table of their own (`_award_rows`) that `dispatch.add_row_table` expands
-over the hour pairs, as it expands the energy rows. The bus balance comes
+bid-in net demand. The units' energy rows (capacity, offer segments, ramp
+limits and the shutdown cap) come from `dispatch.unit_rows` at one period
+an hour: the rows of the stochastic pass. Their ramp-award rows
+(`_award_rows`) over the hour pairs follow them in one fleet table
+(`dispatch.row_table`), written unit by unit. The bus balance comes
 from `network.FlowScreen.add_balance`, like the other passes'. Ramp
 awards are tied to what the unit could actually do between consecutive
 hours given its commitment path, so awards around startups and shutdowns
@@ -40,6 +40,21 @@ that LP as it would be from the MILP's commitment. The bound still holds for
 B, so B's outcome carries it to a market above B. When the check fails, B is
 cleared by its MILP on the model it has without the check: rebuilt if the
 check's screening added flow rows.
+
+A floor needs no solve where the market without it already meets it. Take
+a market F without a floor and the market F' of the same system, bids and
+requirements with a commitment floor (the harness's "suc-free" and
+"suc-fixed"). If F's commitment meets the floor, ``(u >= floor).all()``,
+F's outcome is F''s, to ``gap_tol``, and nothing is built or solved for F':
+
+- F''s model is F's plus lower bounds on ``u``. F's optimum meets those
+  bounds and every flow limit, so it is a point of F' at the same cost.
+- F's proven dual bound is a bound on F's screened model, a relaxation of
+  F''s full model, so it is at most F''s optimum; the point is within
+  ``gap_tol`` of that optimum, as F's MILP proved it within ``gap_tol`` of
+  the bound.
+- `optim.fix_and_resolve` pins ``lb = ub`` on every on-variable, which
+  overrides the floor, so F''s pricing LP at that commitment is F's.
 """
 
 from __future__ import annotations
@@ -119,37 +134,48 @@ class DamOutcome:
     record: dict = field(default_factory=dict)
 
     def dispatch_total(self, system):
-        p_min = np.array([g.p_min for g in system.generators])
-        return self.p + p_min[:, None] * self.u
+        return self.p + dispatch.unit_params(system.generators, "p_min") * self.u
 
 
-def _award_rows(g, h, h1, h2):
-    """The ramp-award rows of one unit for the hour pairs (h, h+1), as
-    `dispatch.add_row_table` takes them: ``h1`` and ``h2`` are the hours
-    h+1 and h+2 of each pair (h+2 cut at the day's last hour), and the terms
-    are over the unit's p, rup, rdn, u, v and w, with p the output above
-    minimum (see `dispatch`). The last two rows exist only while h+2 is in
-    the day."""
-    rd, ru, su, sd = g.ramp_down, g.ramp_up, g.startup_limit, g.shutdown_limit
-    p_min, p_max = g.p_min, g.p_max
+# the unit parameters the award rows read
+RAMPS = ("ramp_down", "ramp_up", "startup_limit", "shutdown_limit", "p_min", "p_max")
+
+
+def _award_rows(gens, hours):
+    """The ramp-award rows of every unit for the hour pairs (h, h+1), as
+    `dispatch.row_table` takes them, one period an hour: the terms are over
+    the unit's p, rup, rdn, u, v and w, with p the output above minimum (see
+    `dispatch`), and a row exists while h+1 is in the day, the last two
+    while h+2 is."""
+    rd, ru, su, sd, p_min, p_max = dispatch.unit_params(gens, *RAMPS)
+    h = np.arange(hours)
+    h1, h2 = np.minimum(h + 1, hours - 1), np.minimum(h + 2, hours - 1)
+    pair, ahead = h < hours - 1, h < hours - 2
+    up, dn, p = ("rup", h, 1.0), ("rdn", h, 1.0), ("p", h, 1.0)
+    top = [("u", h, p_min), ("v", h1, -(su - p_max))]
     return [
         # fud_lo, fu_ramp, fu_cap
-        (">=", 0.0, [("rup", h, 1.0), ("u", h, rd), ("w", h1, -(rd - sd)), ("v", h1, -p_min)]),
-        ("<=", 0.0, [("rup", h, 1.0), ("u", h1, -ru), ("v", h1, -(su - ru))]),
-        ("<=", 0.0, [("rup", h, 1.0), ("u", h1, -p_max), ("u", h, p_min)]),
+        (">=", 0.0, [up, ("u", h, rd), ("w", h1, -(rd - sd)), ("v", h1, -p_min)], pair),
+        ("<=", 0.0, [up, ("u", h1, -ru), ("v", h1, -(su - ru))], pair),
+        ("<=", 0.0, [up, ("u", h1, -p_max), ("u", h, p_min)], pair),
         # fd_ramp, fd_hi, fd_cap
-        (">=", 0.0, [("rdn", h, 1.0), ("u", h1, ru), ("v", h1, -(ru - su))]),
-        ("<=", 0.0, [("rdn", h, 1.0), ("u", h, -rd), ("w", h1, -(sd - rd)), ("v", h1, p_min)]),
-        (">=", 0.0, [("rdn", h, 1.0), ("u", h1, p_max), ("u", h, -p_min)]),
+        (">=", 0.0, [dn, ("u", h1, ru), ("v", h1, -(ru - su))], pair),
+        ("<=", 0.0, [dn, ("u", h, -rd), ("w", h1, -(sd - rd)), ("v", h1, p_min)], pair),
+        (">=", 0.0, [dn, ("u", h1, p_max), ("u", h, -p_min)], pair),
         # fup_lo, fup_hi, fdp_lo, fdp_hi
-        (">=", -p_min, [("rup", h, 1.0), ("p", h, 1.0), ("u", h1, -p_min)]),
-        ("<=", p_max, [("rup", h, 1.0), ("p", h, 1.0), ("u", h, p_min), ("v", h1, -(su - p_max))]),
-        (">=", -p_min, [("rdn", h, -1.0), ("p", h, 1.0), ("u", h1, -p_min)]),
-        ("<=", p_max, [("rdn", h, -1.0), ("p", h, 1.0), ("u", h, p_min), ("v", h1, -(su - p_max))]),
+        (">=", -p_min, [up, p, ("u", h1, -p_min)], pair),
+        ("<=", p_max, [up, p, *top], pair),
+        (">=", -p_min, [("rdn", h, -1.0), p, ("u", h1, -p_min)], pair),
+        ("<=", p_max, [("rdn", h, -1.0), p, *top], pair),
         # fup_stop, fdp_stop
-        ("<=", p_max, [("rup", h, 1.0), ("p", h, 1.0), ("w", h2, p_max - sd)]),
-        ("<=", p_max, [("rdn", h, -1.0), ("p", h, 1.0), ("w", h2, p_max - sd)]),
+        ("<=", p_max, [up, p, ("w", h2, p_max - sd)], ahead),
+        ("<=", p_max, [("rdn", h, -1.0), p, ("w", h2, p_max - sd)], ahead),
     ]
+
+
+# a unit's row blocks in the market, as indices into its energy rows
+# (`dispatch.unit_rows`) and then its award rows (`_award_rows`)
+BLOCKS = (("cap", [0]), ("ramp", [1, 2]), ("stopcap", [3]), ("award", slice(4, None)))
 
 
 def _build(system, bids, req, fix_commitments):
@@ -162,26 +188,21 @@ def _build(system, bids, req, fix_commitments):
     model = optim.Model()
     u, v, w = add_commitment_block(model, gens, hours, u_floor=fix_commitments)
 
-    n_g, n_b = len(gens), len(system.buses)
-    seg = []
-    r_up = np.empty((n_g, hours), dtype=int)
-    r_dn = np.empty((n_g, hours), dtype=int)
-    grid = TimeGrid(hours, 1)
-    pairs = np.arange(hours - 1)  # hour h of each (h, h+1) pair
-    ahead = (pairs, pairs + 1, np.minimum(pairs + 2, hours - 1))
-    keep = np.ones((len(pairs), 12), dtype=bool)  # a column per award row
-    keep[:, -2:] = (pairs < hours - 2)[:, None]
-    for i, g in enumerate(gens):
+    n_b, grid = len(system.buses), TimeGrid(hours, 1)
+    seg, rr = [], []
+    for g in gens:
         seg.append(dispatch.unit_columns(model, f"p[{g.id}]", g, grid))
-        r_up[i], r_dn[i] = model.add_vars(f"rr[{g.id}]", (hours, 2), lb=-np.inf).T
-        # the energy rows at one period an hour, in the market's row order
-        blocks = {f"cap[{g.id}]": [0], f"ramp[{g.id}]": [1, 2], f"stopcap[{g.id}]": [3]}
-        dispatch.add_unit_rows(model, g, grid, blocks, seg[i], u[i], v[i], w[i])
-        # ramp awards tied to the unit's feasible hour-to-hour movement
-        var = {"p": seg[i].T, "rup": r_up[i], "rdn": r_dn[i], "u": u[i], "v": v[i], "w": w[i]}
-        dispatch.add_row_table(
-            model, {f"award[{g.id}]": slice(None)}, _award_rows(g, *ahead), var, keep
-        )
+        rr.append(model.add_vars(f"rr[{g.id}]", (hours, 2), lb=-np.inf))
+    r_up, r_dn = np.moveaxis(rr, -1, 0)
+    # per unit, the energy rows at one period an hour, in the market's row
+    # order, then the ramp awards tied to its feasible hour-to-hour movement
+    table = dispatch.row_table(
+        dispatch.unit_rows(gens, grid) + _award_rows(gens, hours),
+        {"p": dispatch.segment_lines(seg), "rup": r_up, "rdn": r_dn, "u": u, "v": v, "w": w},
+    )
+    dispatch.add_row_blocks(model, table, [
+        (f"{name}[{g.id}]", (0, i), rows) for i, g in enumerate(gens) for name, rows in BLOCKS
+    ])
 
     pcd = model.add_vars(
         "pcd", (n_b, hours, 2), lb=[0.0, -np.inf], obj=[system.curtailment_penalty, 0.0]
@@ -357,10 +378,7 @@ def check_dam_outcome(system, outcome, bids, req, fix_commitments=None, tol=1e-6
     worst["logic"] = commitment_logic_residual(system.generators, out.u, out.v, out.w)
 
     # the award rows over every (h, h+1) pair: hour h, then hour h+1 ("n")
-    rd, ru, su, sd, p_min, p_max = (
-        dispatch.unit_params(system.generators, name)
-        for name in ("ramp_down", "ramp_up", "startup_limit", "shutdown_limit", "p_min", "p_max")
-    )
+    rd, ru, su, sd, p_min, p_max = dispatch.unit_params(system.generators, *RAMPS)
     up, dn, ph = out.r_up[:, :-1], out.r_dn[:, :-1], out.p[:, :-1]
     uh, un, vn, wn = out.u[:, :-1], out.u[:, 1:], out.v[:, 1:], out.w[:, 1:]
     top = p_max - p_min * uh + (su - p_max) * vn

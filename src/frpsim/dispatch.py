@@ -1,14 +1,16 @@
 """Unit dispatch physics shared by the stochastic commitment (SUC), the
 day-ahead market (DAM) and real-time redispatch (RTM).
 
-`add_unit_rows` writes one unit's dispatch rows once, on any `TimeGrid`.
-The SUC adds all of them on its sub-period grid and the DAM at one period an
+`unit_rows` gives the dispatch rows of a whole fleet once, on any
+`TimeGrid`, each unit parameter a (units, 1) column (`unit_params`). The
+SUC adds all of them on its sub-period grid and the DAM at one period an
 hour, both with commitment as columns; the RTM takes commitment as data.
-Each caller adds the rows in its own blocks and order. `add_row_table`
-expands a table of rows over periods into model rows: it writes the unit
-rows and the DAM's ramp-award rows. `segment_entries` gives a unit's
-output as an injection group for the bus balance, which each pass writes
-with `network.FlowScreen.add_balance`.
+`row_table` expands rows over units, scenarios and periods into one table
+per model: the unit rows, and in the DAM its ramp-award rows after them.
+`add_row_blocks` writes a table into a model block by block, so each
+caller keeps its own per-unit blocks and order. `segment_entries` gives a
+unit's output as an injection group for the bus balance, which each pass
+writes with `network.FlowScreen.add_balance`.
 `physical_residuals` audits a solution against the same physics, written
 from the inequalities rather than from the rows, vectorised over
 scenarios, units and periods; `bus_injections` is its map from unit
@@ -24,7 +26,6 @@ costs nothing, so feasible points map one-to-one at the same objective, and
 
 from __future__ import annotations
 
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -32,8 +33,8 @@ import numpy as np
 from . import optim
 
 __all__ = [
-    "unit_columns", "add_unit_rows", "add_row_table", "segment_entries", "unit_params",
-    "bus_injections", "physical_residuals",
+    "unit_columns", "unit_rows", "row_table", "add_row_blocks", "segment_lines",
+    "segment_entries", "unit_params", "bus_injections", "physical_residuals",
 ]
 
 
@@ -49,11 +50,12 @@ def unit_columns(model, name, g, grid):
     )
 
 
-def add_unit_rows(model, g, grid, blocks, seg, u, v, w, fixed=False):
-    """Add the dispatch rows of unit ``g`` on ``grid`` to ``model``. Per
-    period ``k`` of hour ``h``, with ``p[k]`` the output above minimum (one
-    term per segment column, each with ``p``'s coefficient), ramp rates
-    scaled to the period length and ``DR = p_max - p_min``:
+def unit_rows(gens, grid, stops=None):
+    """The dispatch rows of every unit of ``gens`` on ``grid``, as
+    `row_table` takes them. Per period ``k`` of hour ``h``, with ``p[k]``
+    the output above minimum (one term per segment column, each with
+    ``p``'s coefficient), ramp rates scaled to the period length and ``DR =
+    p_max - p_min``:
 
     - cap: ``p[k] <= DR * u[h]``
     - rampup: ``p[k] - p[k-1] <= ru * u[h(k-1)] + (startup_limit - p_min) *
@@ -67,13 +69,8 @@ def add_unit_rows(model, g, grid, blocks, seg, u, v, w, fixed=False):
     (startup_limit - p_min) * v[0]`` and ``p[0] >= p0 - rd * u0 + (rd - p0)
     * w[0]``.
 
-    ``blocks`` maps each row-block name to the rows it holds, as indices
-    into (cap, rampup, rampdn, stopcap), as `add_row_table` takes it.
-    ``seg`` (periods, segments) holds column indices, and so do ``u``, ``v``
-    and ``w`` (hours,) unless ``fixed``: then they are the unit's 0/1
-    schedule, their terms move into the right-hand side, the cap row becomes
-    an upper bound of 0 on the segments of off periods, and a stopcap row is
-    kept only where the next hour stops the unit.
+    Given ``stops``, the units' 0/1 stops (units, hours) where commitment is
+    data, a stopcap row is kept only where the next hour stops the unit.
     """
     n = grid.n_periods
     ks = np.arange(n)
@@ -82,68 +79,84 @@ def add_unit_rows(model, g, grid, blocks, seg, u, v, w, fixed=False):
     h = ks // grid.periods_per_hour
     prev = (ks - 1).clip(0)
     hn = h[np.minimum(ks + 1, n - 1)]  # the hour of the next period
-    ru = g.ramp_up * grid.period_hours
-    rd = g.ramp_down * grid.period_hours
-    p0 = g.initial.dispatch_above_min
-    u0 = 1.0 if g.initial.on else 0.0
-    lift = -(g.startup_limit - g.p_min)
-    # (sense, rhs, terms); a term is (variable, index, coefficient)
-    rows = [
-        ("<=", 0.0, [("p", ks, 1.0), ("u", h, -g.dispatch_range)]),
+    span, p_min, p_max, ru, rd, su, sd, p0, u0 = _physics(gens, grid)
+    lift = -(su - p_min)
+    stopcap = (ks < n - 1) & (hn != h) & (True if stops is None else stops[:, hn] != 0)
+    # (sense, rhs, terms, where); a term is (variable, index, coefficient)
+    return [
+        ("<=", 0.0, [("p", ks, 1.0), ("u", h, -span)], True),
         ("<=", np.where(first, p0 + ru * u0, 0.0), [
-            ("p", ks, 1.0),
-            ("p", prev, np.where(first, 0.0, -1.0)),
-            ("u", h[prev], np.where(first, 0.0, -ru)),
-            ("v", h, np.where(opens, lift, 0.0)),
-        ]),
+            ("p", ks, 1.0), ("p", prev, np.where(first, 0.0, -1.0)),
+            ("u", h[prev], np.where(first, 0.0, -ru)), ("v", h, np.where(opens, lift, 0.0)),
+        ], True),
         (np.where(first, ">=", "<="), np.where(first, p0 - rd * u0, 0.0), [
-            ("p", prev, 1.0),
-            ("p", ks, np.where(first, 0.0, -1.0)),
+            ("p", prev, 1.0), ("p", ks, np.where(first, 0.0, -1.0)),
             ("u", h[prev], np.where(first, 0.0, -rd)),
-            ("w", h, np.where(first, -(rd - p0), np.where(opens, -g.dispatch_range, 0.0))),
-        ]),
-        ("<=", g.dispatch_range, [("p", ks, 1.0), ("w", hn, g.p_max - g.shutdown_limit)]),
+            ("w", h, np.where(first, -(rd - p0), np.where(opens, -span, 0.0))),
+        ], True),
+        ("<=", span, [("p", ks, 1.0), ("w", hn, p_max - sd)], stopcap),
     ]
-    keep = np.ones((n, len(rows)), dtype=bool)
-    keep[:, 3] = (ks < n - 1) & (hn != h)
-    if fixed:
-        keep[:, 3] &= w[hn] != 0
-        model.ub[seg[u[h] == 0]] = 0.0
-    var = {"p": seg.T, "u": u, "v": v, "w": w}
-    add_row_table(model, blocks, rows, var, keep, data=("u", "v", "w") if fixed else ())
 
 
-def add_row_table(model, blocks, rows, var, keep, data=()):
-    """Add the rows ``rows`` to ``model`` in every period where ``keep``
-    (periods, rows) holds.
+def row_table(rows, var, data=()):
+    """The rows ``rows`` of every scenario and unit as one table, which
+    `add_row_blocks` writes into a model.
 
-    A row is (sense, rhs, terms), sense and rhs a value or one per period; a
-    term is (variable, index, coefficient), index and coefficient likewise.
-    ``var`` maps each variable to the columns a term's index picks from, or
-    to several lines of them, as a unit's output above minimum has one line
-    per segment: a term of it stands for one term per line. The variables
-    in ``data`` map to values instead, and their terms move into the
-    right-hand side. ``blocks`` maps each row-block name to the rows it
-    holds, as indices (or a slice) into ``rows``; a block holds them period
-    by period and, within a period, in the order given.
+    A row is (sense, rhs, terms, where): sense a value or one per period;
+    rhs and ``where``, the periods the row exists in, broadcast to (units,
+    periods); a term is (variable, index, coefficient), index one per
+    period and coefficient broadcasting to (units, periods). ``var`` maps
+    each variable to its columns, (units, hours) or (scenarios, units,
+    lines, periods) (`segment_lines`), along whose last axis a term's index
+    picks: a term of a variable with several lines, as a unit's output
+    above minimum has one per segment, stands for one term per line, and a
+    line's -1 pads. The variables in ``data`` map to values instead, and
+    their terms move into the right-hand side. Returns (sense, rhs, cols,
+    coefs, keep): ``keep`` indexed (scenario, unit, period, row), and the
+    others by its flat index (then term).
     """
-    n = keep.shape[0]
-    families, rhs = [], []
-    for _, b, terms in rows:
-        b = np.broadcast_to(np.asarray(b, dtype=float), n).copy()
-        fam = []
+    var = {x: a[None, :, None] if np.ndim(a) == 2 else a for x, a in var.items()}
+    (n,) = np.broadcast_shapes(*(np.shape(at) for row in rows for _, at, _ in row[2]))
+    shape = (*np.broadcast_shapes(*(a.shape[:2] for a in var.values())), n, len(rows))
+    sense, rhs, keep = np.empty(shape, "<U2"), np.empty(shape), np.empty(shape, bool)
+    families = []
+    for r, (s, b, terms, where) in enumerate(rows):
+        families.append([])
         for x, at, coef in terms:
-            if x in data:
-                b -= coef * var[x][at]
-            else:
-                fam.extend((col, coef) for col in np.atleast_2d(var[x])[:, at])
-        families.append(fam)
-        rhs.append(b)
-    sense = np.column_stack([np.broadcast_to(s, n) for s, _, _ in rows])
-    table = (sense, np.column_stack(rhs), *optim.stack_rows(*families), keep)
-    for name, picked in blocks.items():
-        *block, kept = (a[:, picked] for a in table)
-        model.add_rows(name, *(a[kept] for a in block))
+            picked = var[x][..., at]
+            for k in range(picked.shape[2]):
+                line = picked[:, :, k]
+                if x in data:
+                    b = b - coef * line
+                else:
+                    families[-1].append((line, np.where(line < 0, 0.0, coef)))
+        sense[..., r], rhs[..., r], keep[..., r] = s, b, where
+    cols, coefs = (a.reshape(keep.size, -1) for a in optim.stack_rows(*families))
+    return sense.ravel(), rhs.ravel(), cols, coefs, keep
+
+
+def add_row_blocks(model, table, blocks):
+    """Add the row blocks ``blocks`` of ``table`` (`row_table`) to
+    ``model``, in order and in one `optim.Model.add_rows` call. A block is
+    (name, (scenario, unit), rows), rows indices or a slice into the
+    table's rows; it holds them where they exist, period by period and,
+    within a period, in the order given."""
+    *flat, keep = table
+    cell = np.arange(keep.size).reshape(keep.shape)
+    picks = [cell[at][:, rows][keep[at][:, rows]] for _, at, rows in blocks]
+    at = np.concatenate(picks)
+    names = [(name, pick.shape) for (name, _, _), pick in zip(blocks, picks)]
+    model.add_rows(names, *(a[at] for a in flat))
+
+
+def segment_lines(segs):
+    """Each unit's (periods, segments) columns ``segs`` as one (1, units,
+    lines, periods) variable of `row_table`: a line per segment, padded
+    with -1 to the most segments."""
+    lines = np.full((1, len(segs), max(s.shape[1] for s in segs), segs[0].shape[0]), -1)
+    for i, s in enumerate(segs):
+        lines[0, i, : s.shape[1]] = s.T
+    return lines
 
 
 def segment_entries(system, segs):
@@ -155,11 +168,23 @@ def segment_entries(system, segs):
     return bus, np.concatenate([s.T for s in segs]), 1.0
 
 
-def unit_params(generators, name):
-    """Attribute ``name`` (dotted, e.g. "initial.dispatch_above_min") of
-    every unit as a float column, shape (units, 1)."""
-    get = attrgetter(name)
-    return np.array([float(get(g)) for g in generators])[:, None]
+def unit_params(generators, *names):
+    """Attributes ``names`` (dotted, e.g. "initial.dispatch_above_min") of
+    every unit as float columns, shape (units, 1): as `operator.attrgetter`
+    gives them, one for one name and a tuple for several."""
+    get = attrgetter(*names)
+    cols = np.array([get(g) for g in generators], dtype=float).reshape(-1, len(names), 1)
+    return cols[:, 0] if len(names) == 1 else tuple(cols.swapaxes(0, 1))
+
+
+def _physics(gens, grid):
+    """The unit parameters the dispatch rows and their audit read, as
+    (units, 1) columns: the dispatch range, p_min, p_max, the ramp rates
+    scaled to ``grid``'s period, the startup and shutdown limits, and the
+    initial output above minimum and on/off state."""
+    names = "dispatch_range p_min p_max ramp_up ramp_down startup_limit shutdown_limit"
+    cols = unit_params(gens, *names.split(), "initial.dispatch_above_min", "initial.on")
+    return (*cols[:3], cols[3] * grid.period_hours, cols[4] * grid.period_hours, *cols[5:])
 
 
 def bus_injections(system, gen_mw):
@@ -188,12 +213,7 @@ def physical_residuals(system, grid, u, v, w, p, curtail, load):
     """
     gens = system.generators
     k_per_h = grid.periods_per_hour
-    col = partial(unit_params, gens)
-    span, p_min = col("dispatch_range"), col("p_min")
-    ru = col("ramp_up") * grid.period_hours
-    rd = col("ramp_down") * grid.period_hours
-    p0 = col("initial.dispatch_above_min")
-    u0 = col("initial.on")
+    span, p_min, _, ru, rd, su, sd, p0, u0 = _physics(gens, grid)
     opens = np.arange(grid.n_periods) % k_per_h == 0
     on = np.repeat(u, k_per_h, axis=1)
     starts = np.repeat(v, k_per_h, axis=1) * opens
@@ -201,14 +221,14 @@ def physical_residuals(system, grid, u, v, w, p, curtail, load):
 
     before = np.concatenate([np.broadcast_to(p0, p.shape[:-1] + (1,)), p[..., :-1]], axis=-1)
     was_on = np.concatenate([u0, on[:, :-1]], axis=1)
-    up = before + ru * was_on + (col("startup_limit") - p_min) * starts
+    up = before + ru * was_on + (su - p_min) * starts
     floor = before - rd * was_on - span * stops
     # a stop in the first period may take the unit from p0 straight to 0
     floor[..., 0] = (p0 - rd * u0 + (rd - p0) * w[:, :1])[:, 0]
     # the period before a stop holds at most the shutdown limit
     stop_next = np.zeros(on.shape, dtype=bool)
     stop_next[:, :-1] = stops[:, 1:] != 0
-    held = np.where(stop_next, p - (col("shutdown_limit") - p_min), 0.0)
+    held = np.where(stop_next, p - (sd - p_min), 0.0)
 
     inj = bus_injections(system, p + p_min * on) + curtail - load
     worst = {

@@ -14,11 +14,24 @@ certify the higher level (see `dayahead`). The comparison is made on the
 arrays each run, not assumed from the coverages. A level that fails fails
 its own cell, and the level after it clears without a bound.
 
-Every cell clears the day-ahead market, re-dispatches against the day's
-out-of-sample realization (identical across methods by construction: it comes
-from a named sub-stream keyed only by the day), settles, and records a
-clairvoyant reference cost (the cost of a commitment chosen with the realized
-trajectory known in advance).
+A stochastic-pass job lists its cells with "suc-free" first. Where the
+commitment its market clears meets the stochastic commitment everywhere,
+that market settles "suc-fixed" too: the outcome is suc-free's, certified,
+with ``bound_from`` "suc-free", and no model is built or solved for it (see
+`dayahead` for why it is ``gap_tol``-optimal). Otherwise suc-fixed clears by
+its own MILP.
+
+Every cell clears (or is settled in) the day-ahead market, re-dispatches
+against the day's out-of-sample realization (identical across methods by
+construction: it comes from a named sub-stream keyed only by the day),
+settles, and records a clairvoyant reference cost (the cost of a commitment
+chosen with the realized trajectory known in advance). The re-dispatch reads
+only the market's commitment, so a job runs one per distinct commitment: a
+cell whose commitment an earlier cell of the job re-dispatched reuses that
+outcome, and its ``rtm`` record names that cell as ``shared_from`` (null on
+the cell that ran it). A cell that reuses a solve, a settled market or a
+shared re-dispatch, keeps that solve's record with its work (seconds,
+rounds, iterations, nodes) read as zero, so that no solve is counted twice.
 
 The output directory is an append-only ledger: one JSON per finished cell,
 plus a manifest.jsonl line per attempt. Re-running with the same directory
@@ -33,7 +46,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -47,7 +60,7 @@ from .requirements import percentile_requirements, suc_requirements
 from .scenarios import NetLoadProfile, ScenarioSet, draw_realization, gen_ar1_scenarios
 from .settlement import settle
 from .system import (
-    SystemFileError, Table, _convert, _int, _read, _require, load_system, write_csv,
+    SystemFileError, Table, _convert, _floats, _int, _list, _read, _require, load_system, write_csv,
 )
 from .timegrid import TimeGrid
 
@@ -131,10 +144,18 @@ SETTINGS = Table(dict, "config", (
 ))
 
 
+def _each(kind, raw, key, where, *default):
+    """The list under ``raw``'s ``key``, required unless given a
+    ``default``, each entry converted by ``kind``."""
+    items = raw.get(key, *default) if default else _require(raw, key, where)
+    return [_convert(kind, item, where, key) for item in _convert(_list, items, where, key)]
+
+
 def load_config(path):
     """Parse an experiment YAML; returns (config, system). A missing or
-    mistyped key, an unknown method or a day without a bus's net load raises
-    SystemFileError naming the file."""
+    mistyped key (a list, mapping or value of the wrong type), an unknown
+    method or a day without a bus's net load raises SystemFileError naming
+    the file and the key."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     where = str(path)
@@ -148,24 +169,25 @@ def load_config(path):
         data = fh.read()
     system = load_system(system_path, data=data)
 
-    methods = list(raw.get("methods", list(ALL_METHODS)))
+    methods = _each(str, raw, "methods", where, list(ALL_METHODS))
     for m in methods:
         if m not in ALL_METHODS:
             raise SystemFileError(f"{where}: unknown method {m!r}; choose from {ALL_METHODS}")
     days = []
-    for d in _require(raw, "days", where):
-        loads = _require(d, "hourly_net_load_mw", f"{where}: day {d.get('name')}")
+    for d in _each(dict, raw, "days", where):
+        day, key = f"{where}: day {d.get('name')}", "hourly_net_load_mw"
+        loads = _convert(dict, _require(d, key, day), day, key)
         missing = [b for b in system.bus_ids if b not in loads]
         if missing:
-            raise SystemFileError(f"{where}: day {d['name']}: no net load for buses {missing}")
-        hourly = np.array([loads[b] for b in system.bus_ids], dtype=float)
-        days.append(DayInput(name=str(d["name"]), hourly_net_load=hourly))
-    oos = raw.get("out_of_sample", {})
+            raise SystemFileError(f"{day}: no net load for buses {missing}")
+        hourly = [_convert(_list, loads[b], day, f"{key} {b}") for b in system.bus_ids]
+        days.append(DayInput(str(_require(d, "name", day)), _convert(_floats, hourly, day, key)))
+    oos = _convert(dict, raw.get("out_of_sample", {}), where, "out_of_sample")
     cfg = ExperimentConfig(
         days=days,
         methods=methods,
-        n_scenarios=[_convert(_int, n, where, "n_scenarios") for n in raw.get("n_scenarios", [8])],
-        rho=[_convert(float, r, where, "rho") for r in raw.get("rho", [0.0])],
+        n_scenarios=_each(_int, raw, "n_scenarios", where, [8]),
+        rho=_each(float, raw, "rho", where, [0.0]),
         oos_sigma_frac=_convert(
             float, oos.get("sigma_frac", settings["sigma_frac"]), where, "out_of_sample sigma_frac"
         ),
@@ -209,8 +231,25 @@ def _cell_id(day_name, method, n=None, rho=None):
     return f"{day_name}.{method}.n{n}.rho{rho:g}"
 
 
-def _finish_cell(system, cfg, day, method, dam, realized, req, extra, bound_from=None):
-    rtm = simulate_rtm(system, dam, realized)
+# the work fields of a solve record, read as zero by a cell that reuses it
+WORK = ("build_s", "highs_s", "screen_rounds", "simplex_iterations", "mip_node_count")
+
+
+def _reused(record):
+    """A solve's ``record`` as a cell that reuses the solve keeps it: the
+    model's size and bound stay, and its work reads zero."""
+    return {k: _reused(v) if isinstance(v, dict) else 0 * v if k in WORK else v
+            for k, v in record.items()}
+
+
+def _finish_cell(system, cfg, day, method, dam, realized, req, extra, rtms, bound_from=None):
+    """The record of a cell whose market cleared as ``dam``. ``rtms`` maps
+    each commitment the job re-dispatched to (outcome, cell id)."""
+    key = np.stack([dam.u, dam.v, dam.w]).tobytes()
+    rtm, shared_from = rtms.get(key, (None, None))
+    if rtm is None:
+        rtm = simulate_rtm(system, dam, realized)
+        rtms[key] = (rtm, _cell_id(day.name, method, extra["n_scenarios"], extra["rho"]))
     rep = settle(system, dam, rtm, mode=cfg.settlement_mode)
     rec = {
         "day": day.name,
@@ -234,7 +273,8 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra, bound_from
             "dispatch_cost_usd": rtm.dispatch_cost,
             "curtailment_cost_usd": rtm.curtailment_cost,
             "shed_mwh": rtm.shed_mwh,
-            **rtm.record,
+            **(rtm.record if shared_from is None else _reused(rtm.record)),
+            "shared_from": shared_from,
         },
         "settlement": {
             "mode": rep.mode,
@@ -248,7 +288,9 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra, bound_from
 
 
 def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
-    """Solve the stochastic pass once and finish every dependent cell."""
+    """Solve the stochastic pass once and finish every dependent cell, in
+    the order given: suc-free's market, cleared first, settles suc-fixed
+    where its commitment meets the floor (see the module docstring)."""
     forecast, bids = _day_profile(system, cfg, day)
     scen = gen_ar1_scenarios(
         forecast, cfg.sigma_frac, rho, n, cfg.master_seed, labels=("in-sample", day.name)
@@ -258,18 +300,22 @@ def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
     )
     req = suc_requirements(suc, scen)
     suc_meta = {"objective_usd": suc.objective, "mip_gap": suc.mip_gap, **suc.record}
-    cells = {}
+    cells, rtms, free = {}, {}, None
     for method in wanted:
         fix = suc.committed_hours() if method == "suc-fixed" else None
-        dam = clear_dam(
-            system, bids, req,
-            fix_commitments=fix, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit,
-        )
-        rec = _finish_cell(
+        if fix is not None and free is not None and (free.u >= fix).all():
+            dam = replace(free, certified=True, record=_reused(free.record))
+        else:
+            dam = clear_dam(
+                system, bids, req,
+                fix_commitments=fix, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit,
+            )
+        free = dam if fix is None else free
+        cells[_cell_id(day.name, method, n, rho)] = _finish_cell(
             system, cfg, day, method, dam, realized, req,
-            {"n_scenarios": n, "rho": rho, "suc": suc_meta},
+            {"n_scenarios": n, "rho": rho, "suc": suc_meta}, rtms,
+            "suc-free" if dam.certified else None,
         )
-        cells[_cell_id(day.name, method, n, rho)] = rec
     return cells, 1  # one stochastic-pass solve
 
 
@@ -281,7 +327,7 @@ def _run_pct_ladder(system, cfg, day, wanted, realized):
     certified it. A level that raises is returned as its exception, and the
     next level clears without a bound."""
     forecast, bids = _day_profile(system, cfg, day)
-    cells = {}
+    cells, rtms = {}, {}
     below = None  # (requirements, outcome, method that proved its bound)
     for method in wanted:
         cell_id = _cell_id(day.name, method)
@@ -298,7 +344,7 @@ def _run_pct_ladder(system, cfg, day, wanted, realized):
             bound_from = below[2] if dam.certified else None
             cells[cell_id] = _finish_cell(
                 system, cfg, day, method, dam, realized, req,
-                {"n_scenarios": None, "rho": None, "suc": None}, bound_from,
+                {"n_scenarios": None, "rho": None, "suc": None}, rtms, bound_from,
             )
             below = (req, dam, bound_from or method)
         except Exception as exc:  # noqa: BLE001 - a level fails its own cell
@@ -339,8 +385,12 @@ def _write_json(path, doc, **kwargs):
 
 
 def _append_manifest(out_dir, entry):
-    with open(os.path.join(out_dir, "manifest.jsonl"), "a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    """Append ``entry`` as a line of its own: a last line that a crash tore
+    is ended first."""
+    with open(os.path.join(out_dir, "manifest.jsonl"), "ab+") as fh:
+        fh.seek(max(0, fh.seek(0, os.SEEK_END) - 1))
+        torn = fh.read(1) not in (b"", b"\n")
+        fh.write(b"\n" * torn + json.dumps(entry, sort_keys=True).encode() + b"\n")
 
 
 class LedgerMismatchError(RuntimeError):
@@ -348,15 +398,16 @@ class LedgerMismatchError(RuntimeError):
 
 
 def _first_digest(out_dir):
-    """The config digest of the first run recorded in ``out_dir``, if any."""
+    """The config digest of the first run recorded in ``out_dir``, if any.
+    A line that does not parse was torn by a crash and is skipped: a run
+    writes cells only after its run-start line is whole."""
     path = os.path.join(out_dir, "manifest.jsonl")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
+    with contextlib.suppress(FileNotFoundError), open(path) as fh:
         for line in fh:
-            entry = json.loads(line)
-            if entry.get("event") == "run-start":
-                return entry["config_digest"]
+            with contextlib.suppress(ValueError):
+                entry = json.loads(line)
+                if entry.get("event") == "run-start":
+                    return entry["config_digest"]
     return None
 
 
@@ -477,10 +528,11 @@ def _day_reference(system, cfg, day, solve):
 
 def _day_jobs(cfg, day, realized):
     """The jobs of one day, as (kind, day, n, rho, methods, realized, cell
-    ids): one per stochastic-pass group (scenario count ``n``, rho ``rho``)
-    and one for the percentile methods, in ascending coverage (``n`` and
-    ``rho`` None)."""
-    suc = [m for m in cfg.methods if m in SUC_METHODS]
+    ids): one per stochastic-pass group (scenario count ``n``, rho ``rho``),
+    suc-free first, and one for the percentile methods, in ascending
+    coverage (``n`` and ``rho`` None)."""
+    # suc-free first: its market may settle suc-fixed's
+    suc = [m for m in ("suc-free", "suc-fixed") if m in cfg.methods]
     for n, rho in itertools.product(cfg.n_scenarios, cfg.rho) if suc else ():
         yield ("suc", day, n, rho, suc, realized, [_cell_id(day.name, m, n, rho) for m in suc])
     pct = sorted((m for m in cfg.methods if m in PERCENTILE_METHODS), key=PERCENTILE_METHODS.get)

@@ -112,6 +112,7 @@ from __future__ import annotations
 import ctypes
 import importlib.machinery
 import importlib.util
+import math
 import os
 import re
 import sys
@@ -420,7 +421,7 @@ class Model:
         (C order)."""
         shape = tuple(shape) if isinstance(shape, tuple | list) else (int(shape),)
         self._claim(0, name)
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)
         start, stop = self._n, self._n + n
         if stop > len(self._obj):
             cap = max(stop, 2 * len(self._obj), 64)
@@ -431,7 +432,7 @@ class Model:
                 setattr(self, attr, new)
         for attr, val in (("_obj", obj), ("_lb", lb), ("_ub", ub), ("_int", integer)):
             arr = getattr(self, attr)
-            arr[start:stop] = np.broadcast_to(np.asarray(val, dtype=arr.dtype), shape).ravel()
+            arr[start:stop].reshape(shape)[...] = np.asarray(val, dtype=arr.dtype)
         self._n = stop
         self._var_blocks.append((name, start, shape))
         return np.arange(start, stop).reshape(shape)
@@ -442,13 +443,14 @@ class Model:
         ``cols`` and ``coefs`` broadcast to one shape ``(*rows, terms)``; a
         row shorter than ``terms`` pads with zero coefficients, which are
         dropped. ``sense`` ("<=", ">=" or "==") and ``rhs`` broadcast to the
-        row shape. Returns the row indices, shaped like the rows."""
+        row shape. ``name`` names the block, or is a list of (name, shape)
+        pairs that split a line of rows into consecutive blocks. Returns
+        the row indices, shaped like the rows."""
         cols, coefs = np.broadcast_arrays(
             np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=float)
         )
         shape = cols.shape[:-1]
         codes = _sense_codes(sense, shape).ravel()
-        self._claim(1, name)
         n, width = codes.size, cols.shape[-1]
         cols, coefs = cols.reshape(n, width), coefs.reshape(n, width)
         keep = coefs != 0.0
@@ -456,10 +458,12 @@ class Model:
         if idx.size and (idx.min() < 0 or idx.max() >= self._n):
             raise IndexError(f"{name}: column index out of range")
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), shape).ravel()
-        self._pending.append((codes, rhs, idx, coefs[keep], keep.sum(axis=1)))
         start = self._n_rows
-        self._n_rows += n
-        self._row_blocks.append((name, start, shape))
+        for block, size in [(name, shape)] if isinstance(name, str) else name:
+            self._claim(1, block)
+            self._row_blocks.append((block, self._n_rows, size))
+            self._n_rows += math.prod(size)
+        self._pending.append((codes, rhs, idx, coefs[keep], keep.sum(axis=1)))
         return np.arange(start, start + n).reshape(shape)
 
     # -- matrix assembly ---------------------------------------------------

@@ -3,7 +3,7 @@
 Commitments are frozen at the day-ahead schedule; dispatch re-optimizes over
 the whole day's sub-period grid in a single LP with curtailment as the only
 slack (priced at the systemwide penalty, which stands in for the value of
-lost load). The dispatch rows come from `dispatch.add_unit_rows` with the
+lost load). The dispatch rows come from `dispatch.unit_rows` with the
 commitment as data, so the LP has no commitment columns. Real-time
 locational prices are the duals of the per-bus realized load equalities. A
 realized trajectory the committed fleet cannot ramp down to raises
@@ -49,8 +49,7 @@ class RtmOutcome:
         return self.commitment_cost + self.dispatch_cost + self.curtailment_cost
 
     def dispatch_total(self, system):
-        p_min = np.array([g.p_min for g in system.generators])
-        return self.p + p_min[:, None] * self.u
+        return self.p + dispatch.unit_params(system.generators, "p_min") * self.u
 
 
 def _expand_commitment(dam, grid):
@@ -83,14 +82,15 @@ def simulate_rtm(system, dam, realized):
     u, _, _ = _expand_commitment(dam, grid)
 
     model = optim.Model()
-    seg = []
-    for i, g in enumerate(gens):
-        seg.append(dispatch.unit_columns(model, f"p[{g.id}]", g, grid))
-        # commitment is data: the cap row becomes the segments' bounds
-        dispatch.add_unit_rows(
-            model, g, grid, {f"disp[{g.id}]": [1, 2, 3]},
-            seg[i], dam.u[i], dam.v[i], dam.w[i], fixed=True,
-        )
+    seg = [dispatch.unit_columns(model, f"p[{g.id}]", g, grid) for g in gens]
+    # commitment is data: the cap row becomes the segments' bounds
+    for cols, on in zip(seg, u):
+        model.ub[cols[on == 0]] = 0.0
+    var = {"p": dispatch.segment_lines(seg), "u": dam.u, "v": dam.v, "w": dam.w}
+    table = dispatch.row_table(dispatch.unit_rows(gens, grid, dam.w), var, data=("u", "v", "w"))
+    dispatch.add_row_blocks(
+        model, table, [(f"disp[{g.id}]", (0, i), [1, 2, 3]) for i, g in enumerate(gens)]
+    )
 
     pcd = model.add_vars(
         "pcd", (n_b, n_t, 2), lb=[0.0, -np.inf],

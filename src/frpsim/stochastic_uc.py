@@ -2,7 +2,7 @@
 
 One set of hourly commitment variables is shared by every scenario; dispatch,
 segment loading and curtailment are per scenario on the sub-period grid.
-Each unit's dispatch rows come from `dispatch.add_unit_rows`, shared with
+The units' dispatch rows come from `dispatch.unit_rows`, shared with
 the day-ahead and real-time passes: online ramp rates are scaled to the
 sub-period length, startup/shutdown ramps are not (they cap the jump at a
 transition, however short the step). Commitment is hourly by construction:
@@ -95,6 +95,10 @@ __all__ = [
 ]
 
 
+# the unit parameters the minimum up and down times read
+MIN_TIMES = ("initial.on", "min_up", "min_down", "initial.hours_on", "initial.hours_off")
+
+
 def add_commitment_block(model, generators, hours, u_floor=None):
     """Hourly commitment variables and logic for every generator.
 
@@ -120,50 +124,45 @@ def add_commitment_block(model, generators, hours, u_floor=None):
     Takriti (IBM RC23628, 2005), as used in the tight and compact formulation
     of Morales-Espana, Latorre & Ramos (IEEE TPWRS 28(4), 2013).
 
-    ``u_floor`` (gens x hours, 0/1) raises the lower bound of the
+    The rows of the whole fleet are one `dispatch.row_table`, written unit
+    by unit. ``u_floor`` (gens x hours, 0/1) raises the lower bound of the
     on-variables wherever it is 1, which is how a prior commitment schedule is
     held fixed. Returns (u, v, w) index arrays of shape (gens, hours).
     """
-    n_g = len(generators)
-    u = np.empty((n_g, hours), dtype=int)
-    v = np.empty((n_g, hours), dtype=int)
-    w = np.empty((n_g, hours), dtype=int)
-    hs = np.arange(hours)
-    first = hs == 0
+    uvw = []
     for i, g in enumerate(generators):
         lb = np.zeros((hours, 3))
         if u_floor is not None:
             lb[:, 0] = np.asarray(u_floor[i], dtype=bool)
-        uvw = model.add_vars(
+        uvw.append(model.add_vars(
             f"uvw[{g.id}]", (hours, 3), lb=lb, ub=1.0,
             obj=[g.no_load_cost, g.startup_cost, 0.0], integer=[True, False, False],
-        )
-        u[i], v[i], w[i] = uvw.T
-        ui, vi, wi = u[i], v[i], w[i]
-        u0 = 1 if g.initial.on else 0
-        model.add_rows(
-            f"logic[{g.id}]", "==", np.where(first, u0, 0),
-            *optim.stack_rows(
-                [(ui, 1.0), (ui[hs - 1], np.where(first, 0.0, -1.0)), (vi, -1.0), (wi, 1.0)]
-            ),
-        )
-        # minup and mindown per hour: the v (w) terms of hours h-j, j < UT
-        # (DT), cut at hour 0, then the u[h] term
-        back = [(hs - j).clip(0) for j in range(min(max(g.min_up, g.min_down), hours))]
-        model.add_rows(
-            f"minupdown[{g.id}]", "<=", [0.0, 1.0],
-            *optim.stack_rows(
-                [(vi[b], (hs >= j) & (j < g.min_up)) for j, b in enumerate(back)]
-                + [(ui, -1.0)],
-                [(wi[b], (hs >= j) & (j < g.min_down)) for j, b in enumerate(back)]
-                + [(ui, 1.0)],
-            ),
-        )
-        if g.initial.on:
-            kind, held = "initup", wi[: max(0, min(g.min_up - g.initial.hours_on, hours))]
-        else:
-            kind, held = "initdown", vi[: max(0, min(g.min_down - g.initial.hours_off, hours))]
-        model.add_rows(f"{kind}[{g.id}]", "==", 0.0, held[:, None], 1.0)
+        ))
+    u, v, w = np.moveaxis(uvw, -1, 0)
+    on0, up, down, ran, rested = dispatch.unit_params(generators, *MIN_TIMES)
+    hs = np.arange(hours)
+    first = hs == 0
+    # the v (w) terms of minup (mindown) over hours h-j, j < UT (DT), cut at
+    # hour 0, then the u[h] term
+    window = min(int(max(up.max(), down.max())), hours)
+    back = [(j, (hs - j).clip(0)) for j in range(window)]
+    # no stop (start) while the initial run (outage) is shorter than UT (DT)
+    held = hs < np.where(on0, up - ran, down - rested)
+    rows = [
+        ("==", np.where(first, on0, 0.0), [
+            ("u", hs, 1.0), ("u", hs - 1, np.where(first, 0.0, -1.0)),
+            ("v", hs, -1.0), ("w", hs, 1.0),
+        ], True),
+        ("<=", 0.0, [("v", b, (hs >= j) & (j < up)) for j, b in back] + [("u", hs, -1.0)], True),
+        ("<=", 1.0, [("w", b, (hs >= j) & (j < down)) for j, b in back] + [("u", hs, 1.0)], True),
+        ("==", 0.0, [("w", hs, on0), ("v", hs, 1.0 - on0)], held),
+    ]
+    table = dispatch.row_table(rows, {"u": u, "v": v, "w": w})
+    init = ["initup" if g.initial.on else "initdown" for g in generators]
+    dispatch.add_row_blocks(model, table, [
+        (f"{name}[{g.id}]", (0, i), rows) for i, g in enumerate(generators)
+        for name, rows in (("logic", [0]), ("minupdown", [1, 2]), (init[i], [3]))
+    ])
     return u, v, w
 
 
@@ -208,10 +207,7 @@ def commitment_logic_residual(generators, u, v, w):
     """
     u, v, w = (np.asarray(a, dtype=int) for a in (u, v, w))
     hs = np.arange(u.shape[1])
-    on0, up, down, ran, rested = (
-        dispatch.unit_params(generators, name).astype(int)
-        for name in ("initial.on", "min_up", "min_down", "initial.hours_on", "initial.hours_off")
-    )
+    on0, up, down, ran, rested = np.array(dispatch.unit_params(generators, *MIN_TIMES), int)
     run_v, run_w = (np.concatenate([np.zeros_like(on0), x.cumsum(axis=1)], axis=1) for x in (v, w))
     # the starts (stops) of the last UT (DT) hours, the window cut at hour 0
     started = run_v[:, 1:] - np.take_along_axis(run_v, (hs - up + 1).clip(0), axis=1)
@@ -267,60 +263,45 @@ class SucSolution:
 
     def dispatch_total(self, system):
         """(scenarios, gens, periods) total MW output including minimum load."""
-        p_min = np.array([g.p_min for g in system.generators])
         u_sub = np.repeat(self.u, self.grid.periods_per_hour, axis=1)
-        return self.p + p_min[None, :, None] * u_sub[None, :, :]
-
-
-def _add_dispatch_scenario(model, system, grid, u, v, w, tag, net_load, screen):
-    """Per-scenario dispatch variables and constraints on the sub-period grid.
-
-    ``net_load`` has shape (buses, periods). The scenario's balance rows and
-    line flows come from ``screen`` (a `network.FlowScreen`), which adds the
-    flow rows where a solve breaks them. Returns its segment columns per
-    unit and pc.
-    """
-    gens = system.generators
-    seg = []
-    for i, g in enumerate(gens):
-        seg.append(dispatch.unit_columns(model, f"p{tag}[{g.id}]", g, grid))
-        dispatch.add_unit_rows(
-            model, g, grid, {f"disp{tag}[{g.id}]": [0, 1, 2, 3]}, seg[i], u[i], v[i], w[i],
-        )
-
-    pc = model.add_vars(
-        f"pc{tag}", net_load.shape, obj=system.curtailment_penalty * grid.period_hours
-    )
-    # the injections: output above minimum, committed minimum (u of each
-    # period's hour) and curtailment, less the net load
-    every = np.arange(len(system.buses))
-    screen.add_balance(model, tag, [
-        dispatch.segment_entries(system, seg),
-        ([system.bus_index(g.bus) for g in gens], np.repeat(u, grid.periods_per_hour, axis=1),
-         [g.p_min for g in gens]),
-        (every, pc, 1.0),
-    ], fixed=[(every, -net_load)])
-    return seg, pc
+        return self.p + dispatch.unit_params(system.generators, "p_min") * u_sub
 
 
 def _build(system, scenarios):
     """The stochastic model without flow rows: returns it, its (u, v, w)
     commitment columns, the per-scenario (segment, pc) columns and the
-    `network.FlowScreen` holding its flows."""
+    `network.FlowScreen` holding its flows.
+
+    Each scenario has its dispatch columns, costed at its probability, and
+    rows on the sub-period grid: its units' rows, from one table of every
+    scenario's (`dispatch.row_table`), then its bus balance and line flows
+    from the screen, which adds the flow rows where a solve breaks them."""
     grid = scenarios.grid
+    gens = system.generators
     model = optim.Model()
-    u, v, w = add_commitment_block(model, system.generators, grid.hours)
+    u, v, w = add_commitment_block(model, gens, grid.hours)
     screen = network.FlowScreen(system)
-    seg_idx, pc_idx = [], []
-    for s in range(scenarios.n_scenarios):
-        prob = scenarios.probabilities[s]
+    seg_idx, pc_idx, penalty = [], [], system.curtailment_penalty * grid.period_hours
+    for s, prob in enumerate(scenarios.probabilities):
         mark = model.n_vars
-        seg, pc = _add_dispatch_scenario(
-            model, system, grid, u, v, w, f"@{s}", scenarios.values[s], screen
-        )
+        seg_idx.append([dispatch.unit_columns(model, f"p@{s}[{g.id}]", g, grid) for g in gens])
+        pc_idx.append(model.add_vars(f"pc@{s}", scenarios.values[s].shape, obj=penalty))
         model.obj[mark:] *= prob  # weight this scenario's cost terms
-        seg_idx.append(seg)
-        pc_idx.append(pc)
+    lines = np.concatenate([dispatch.segment_lines(seg) for seg in seg_idx])
+    table = dispatch.row_table(dispatch.unit_rows(gens, grid), {"p": lines, "u": u, "v": v, "w": w})
+    # the injections: output above minimum, committed minimum (u of each
+    # period's hour) and curtailment, less the net load
+    every = np.arange(len(system.buses))
+    committed = np.repeat(u, grid.periods_per_hour, axis=1)
+    for s, (seg, pc) in enumerate(zip(seg_idx, pc_idx)):
+        dispatch.add_row_blocks(model, table, [
+            (f"disp@{s}[{g.id}]", (s, i), slice(None)) for i, g in enumerate(gens)
+        ])
+        screen.add_balance(model, f"@{s}", [
+            dispatch.segment_entries(system, seg),
+            ([system.bus_index(g.bus) for g in gens], committed, [g.p_min for g in gens]),
+            (every, pc, 1.0),
+        ], fixed=[(every, -scenarios.values[s])])
     return model, (u, v, w), seg_idx, pc_idx, screen
 
 

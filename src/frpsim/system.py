@@ -424,11 +424,16 @@ def _float_or_null(value):
     return None if value is None else float(value)
 
 
-def _floats(value, dtype=float):
-    """A (nested) list as a numpy array; a ragged list raises ValueError."""
+def _list(value):
+    """``value`` if it is a list, else TypeError, as a converter raises."""
     if not isinstance(value, list):
         raise TypeError(value)
-    return np.asarray(value, dtype=dtype)
+    return value
+
+
+def _floats(value, dtype=float):
+    """A (nested) list as a numpy array; a ragged list raises ValueError."""
+    return np.asarray(_list(value), dtype=dtype)
 
 
 def _ints(value):

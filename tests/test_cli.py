@@ -338,7 +338,15 @@ def test_every_command_names_an_invalid_system_file(workdir, staged):
      "periods_per_hour must be int, got 'two'"),
     ("n_scenarios: [2]", "n_scenarios: [2.5]", "n_scenarios must be int, got 2.5"),
     ("methods: [suc-fixed,", "methods: [warp-drive,", "unknown method 'warp-drive'"),
-], ids=["missing", "mistyped", "integral", "method"])
+    ("n_scenarios: [2]", "n_scenarios: 2", "n_scenarios must be list, got 2"),
+    ("methods: [suc-fixed, suc-free, p95]", "methods: p95", "methods must be list, got 'p95'"),
+    ("rho: [0.0]\n", "rho: [0.0]\nout_of_sample: [0.01, 0.3]\n",
+     "out_of_sample must be dict, got [0.01, 0.3]"),
+    ("  - name: d1\n    hourly", "  - d1\n  - hourly", "days must be dict, got 'd1'"),
+    ("{b1: [100.0, 150.0, 210.0, 140.0]}", "{b1: 100.0}",
+     "day d1: hourly_net_load_mw b1 must be list, got 100.0"),
+], ids=["missing", "mistyped", "integral", "method", "scalar-list", "string-list",
+        "list-mapping", "string-day", "scalar-load"])
 def test_run_names_a_malformed_config_key(workdir, old, new, named):
     """A config missing a key, or holding a value of the wrong type, ends
     `run` with one "malformed file:" line naming the config and the key,

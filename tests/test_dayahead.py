@@ -272,6 +272,30 @@ def test_certified_market_matches_a_cold_clearing(case):
     assert all(v <= 1e-6 for v in worst.values()), worst
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_commitment_cases(), st.data())
+def test_a_met_floor_is_settled_by_the_market_without_it(case, data):
+    """Where a market's commitment meets a commitment floor, its outcome is
+    the floored market's too (see the module docstring): a cold clearing
+    with the floor is within gap_tol of its objective, and the outcome
+    passes the floored market's audit. The floor is drawn under the
+    commitment, so that it is met."""
+    system, loads, (up, dn) = case
+    bids = _bids(system, loads)
+    req = FrpRequirements(up, dn, "suc")
+    try:
+        free = clear_dam(system, bids, req)
+    except InfeasibleModelError:
+        return  # no commitment serves the loads
+    mask = data.draw(st.lists(st.booleans(), min_size=free.u.size, max_size=free.u.size))
+    floor = free.u * np.reshape(mask, free.u.shape)
+    fixed = clear_dam(system, bids, req, fix_commitments=floor)
+    tol = 1e-6 * max(1.0, abs(free.objective), abs(fixed.objective))
+    assert abs(fixed.objective - free.objective) <= tol
+    worst = check_dam_outcome(system, free, bids, req, fix_commitments=floor)
+    assert all(v <= 1e-6 for v in worst.values()), worst
+
+
 def test_outcome_round_trip(tmp_path, pricing_system):
     req = FrpRequirements([20.0, 0.0], [0.0, 5.0], "test")
     out = clear_dam(pricing_system, _bids(pricing_system, [95.0, 95.0]), req)

@@ -186,30 +186,30 @@ def test_crash_mid_write_leaves_no_partial_cell(tmp_path, monkeypatch):
 
 
 def test_failed_write_fails_only_the_unwritten_cells(tmp_path, monkeypatch):
-    """A stochastic job writes its cells one at a time. When the second
-    write fails, the first cell stays finished: in ``done``, not in
-    ``failed``, with one manifest line."""
+    """A stochastic job writes its cells one at a time, suc-free first. When
+    the second write fails, the first cell stays finished: in ``done``, not
+    in ``failed``, with one manifest line."""
     cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}))
     out = tmp_path / "out"
     real_dump = json.dump
 
-    def dies_on_suc_free(doc, fh, **kwargs):
-        if doc.get("method") == "suc-free" and doc.get("day") == "d1":
+    def dies_on_suc_fixed(doc, fh, **kwargs):
+        if doc.get("method") == "suc-fixed" and doc.get("day") == "d1":
             raise OSError("disk full")
         return real_dump(doc, fh, **kwargs)
 
-    monkeypatch.setattr(json, "dump", dies_on_suc_free)
+    monkeypatch.setattr(json, "dump", dies_on_suc_fixed)
     result = run_experiment(system, cfg, str(out))
-    fixed = [c for c in result.done if c.startswith("d1.suc-fixed.")]
-    free = {c for c in result.failed if c.startswith("d1.suc-free.")}
-    assert len(fixed) == 4 and len(free) == 4
-    assert not any(c.startswith("d1.suc-fixed.") for c in result.failed)
-    assert all(os.path.exists(out / "cells" / f"{c}.json") for c in fixed)
-    assert not any(os.path.exists(out / "cells" / f"{c}.json") for c in free)
+    free = [c for c in result.done if c.startswith("d1.suc-free.")]
+    fixed = {c for c in result.failed if c.startswith("d1.suc-fixed.")}
+    assert len(free) == 4 and len(fixed) == 4
+    assert not any(c.startswith("d1.suc-free.") for c in result.failed)
+    assert all(os.path.exists(out / "cells" / f"{c}.json") for c in free)
+    assert not any(os.path.exists(out / "cells" / f"{c}.json") for c in fixed)
     manifest = [
         json.loads(ln) for ln in open(out / "manifest.jsonl").read().splitlines()
     ]
-    for cell in fixed:
+    for cell in free:
         lines = [m for m in manifest if m.get("cell") == cell]
         assert [m["status"] for m in lines] == ["done"]
 
@@ -289,6 +289,92 @@ def test_failed_level_fails_only_its_cell(tmp_path, monkeypatch):
     assert cells["d1.p99"]["dam"]["bound_from"] == "p95"
 
 
+def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch):
+    """On day a suc-free's market commits every unit-hour the stochastic
+    pass commits, so it settles suc-fixed: the same outcome, certified,
+    with no clearing run for it. On day e the stochastic pass commits more,
+    and suc-fixed clears by its own MILP with the floor."""
+    floors = []
+    clear = harness.clear_dam
+
+    def clear_dam(*args, **kwargs):
+        floors.append(kwargs["fix_commitments"])
+        return clear(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "clear_dam", clear_dam)
+    days = {"a": [100.0, 150.0, 210.0, 140.0], "e": [240.0, 262.0, 250.0, 230.0]}
+    path = _write_inputs(tmp_path, days, extra="methods: [suc-fixed, suc-free]")
+    text = path.read_text()
+    for old, new in (("sigma_frac: 0.04\n", "sigma_frac: 0.1\n"), ("[2, 3]", "[2]"),
+                     ("[0.0, 0.4]", "[0.0]")):
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    cfg, system = load_config(path)
+    assert run_experiment(system, cfg, str(tmp_path / "out")).clean
+    # day a clears suc-free alone; day e suc-free, then suc-fixed on its floor
+    assert [floor is None for floor in floors] == [True, True, False]
+    cells = aggregate(str(tmp_path / "out"))
+    free, settled = cells["a.suc-free.n2.rho0"], cells["a.suc-fixed.n2.rho0"]
+    assert settled["dam"]["bound_from"] == "suc-free"
+    for key in ("objective_usd", "mip_gap", "mip_dual_bound", "rows", "nnz", "flow_rows"):
+        assert settled["dam"][key] == free["dam"][key], key
+    work = ("build_s", "highs_s", "mip_node_count", "screen_rounds")
+    assert [settled["dam"][key] for key in work] == [0.0, 0.0, 0, 0]
+    assert settled["dam"]["pricing_lp"] == {"highs_s": 0.0, "simplex_iterations": 0}
+    assert settled["settlement"] == free["settlement"]
+    assert settled["rtm"]["shared_from"] == "a.suc-free.n2.rho0"
+    cleared = cells["e.suc-fixed.n2.rho0"]["dam"]
+    assert cleared["bound_from"] is None and cleared["highs_s"] > 0.0
+    assert cleared["mip_gap"] <= cfg.gap_tol
+
+
+def test_a_job_redispatches_each_commitment_once(tmp_path, monkeypatch):
+    """`simulate_rtm` runs once per distinct commitment of a job. A cell
+    whose commitment an earlier cell of its job re-dispatched names that
+    cell, records no work, and gets the totals, bit for bit, of a fresh
+    re-dispatch of its own market."""
+    calls, finished = [], []
+    real_rtm, real_settle = harness.simulate_rtm, harness.settle
+
+    def simulate_rtm(system, dam, realized):
+        rtm = real_rtm(system, dam, realized)
+        calls.append((rtm, realized))
+        return rtm
+
+    def settle(system, dam, rtm, **kwargs):
+        finished.append((dam, rtm))
+        return real_settle(system, dam, rtm, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_rtm", simulate_rtm)
+    monkeypatch.setattr(harness, "settle", settle)
+    cfg, system = load_config(_write_inputs(tmp_path, DAYS))
+    result = run_experiment(system, cfg, str(tmp_path / "out"))
+    assert result.clean
+    cells = aggregate(str(tmp_path / "out"))
+    # cells finish, and are written, job by job in the order of their ids
+    jobs = {}
+    for cell_id, (dam, _) in zip(result.done, finished):
+        rec = cells[cell_id]
+        job = (rec["day"], rec["n_scenarios"], rec["rho"])
+        jobs.setdefault(job, {}).setdefault(dam.u.tobytes(), []).append(cell_id)
+    assert len(calls) == sum(len(seen) for seen in jobs.values()) < len(cells)
+    for seen in jobs.values():
+        for first, *rest in seen.values():
+            assert cells[first]["rtm"]["shared_from"] is None
+            assert cells[first]["rtm"]["highs_s"] > 0.0
+            for cell_id in rest:
+                rtm = cells[cell_id]["rtm"]
+                assert rtm["shared_from"] == first
+                assert (rtm["highs_s"], rtm["build_s"], rtm["simplex_iterations"]) == (0.0, 0.0, 0)
+    realized = {id(rtm): profile for rtm, profile in calls}
+    for dam, rtm in finished:
+        fresh = real_rtm(system, dam, realized[id(rtm)])
+        assert fresh.total_cost == rtm.total_cost and fresh.shed_mwh == rtm.shed_mwh
+        for key in ("p", "curtail", "lmp"):
+            assert np.array_equal(getattr(fresh, key), getattr(rtm, key)), key
+
+
 def test_load_config_reads_the_system_file_once(tmp_path, monkeypatch):
     """The digest and the system come from one read of the file, so an edit
     between two reads cannot pair the digest of one file with another."""
@@ -334,6 +420,25 @@ def test_resume_refuses_a_changed_system(tmp_path):
     cfg2.time_limit = 30.0
     with pytest.raises(LedgerMismatchError):
         run_experiment(system2, cfg2, str(tmp_path / "fresh"))
+
+
+def test_a_torn_first_manifest_line_is_skipped(tmp_path):
+    """A crash in a run's first manifest append leaves a torn line and no
+    cell. A later run into the directory skips that line, and its own
+    run-start starts a line of its own; a config of another digest is still
+    refused."""
+    cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p95]"))
+    out = tmp_path / "out"
+    out.mkdir()
+    torn = '{"config_digest": "08a1'
+    (out / "manifest.jsonl").write_text(torn)
+    assert run_experiment(system, cfg, str(out)).done == ["d1.p95"]
+    first, second, *_ = (out / "manifest.jsonl").read_text().splitlines()
+    assert first == torn and json.loads(second)["config_digest"] == cfg.digest()
+    assert run_experiment(system, cfg, str(out)).skipped == ["d1.p95"]
+    cfg.time_limit = 30.0
+    with pytest.raises(LedgerMismatchError):
+        run_experiment(system, cfg, str(out))
 
 
 def test_digest_is_taken_when_the_config_loads(tmp_path):
@@ -408,7 +513,7 @@ def test_ledger_keys_are_fixed(tmp_path):
     assert set(rec["rtm"]) == {
         "total_cost_usd", "commitment_cost_usd", "dispatch_cost_usd",
         "curtailment_cost_usd", "shed_mwh", "screen_rounds", "flow_rows", "build_s",
-        "rows", "cols", "nnz", "binaries", "highs_s", "simplex_iterations",
+        "rows", "cols", "nnz", "binaries", "highs_s", "simplex_iterations", "shared_from",
     }
     ref = json.loads((out / "clairvoyant.d1.json").read_text())
     ev = {"ev_usd", "eev_usd"}
