@@ -5,31 +5,32 @@ Profiles move between commands as small CSVs: hourly files have a header
 Solutions and market outcomes are JSON written by the corresponding modules.
 A malformed input file ends any command with exit status 1 and one line that
 names the file and the key or column (`validate`'s reads "malformed system
-file:"), not with a traceback; so does a system file that breaks an
-invariant (`validate` lists its issues one a line).
+file:"), not with a traceback; so do a system file that breaks an invariant
+(`validate` lists its issues one a line), files that do not fit each other
+(other buses, hours or scenarios), and a model the inputs leave without a
+solution.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
-from . import dayahead, harness, realtime, requirements, scenarios, settlement
+from . import dayahead, harness, optim, realtime, requirements, scenarios, settlement
 from . import stochastic_uc as suc
-from .system import SystemFileError, ValidationError, load_system, write_csv
+from .codec import SystemFileError, floats, read_csv, write_csv
+from .system import ValidationError, load_system
 from .timegrid import TimeGrid
 
 
 def _read_profile_csv(path):
     """(bus ids, value matrix) from a bus,h0..hN / bus,k0..kN CSV. A
     malformed file exits naming the file and the row (1-based)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "bus":
+    note, rows = read_csv(path)
+    if note is not None or not rows or not rows[0] or rows[0][0] != "bus":
         raise SystemExit(f"{path}: row 1: expected header starting with 'bus'")
     buses = []
     values = []
@@ -39,10 +40,12 @@ def _read_profile_csv(path):
         if len(row) != len(rows[0]):
             raise SystemExit(f"{path}: row {n}: {len(row)} fields, header has {len(rows[0])}")
         try:
-            values.append([float(v) for v in row[1:]])
+            values.append(floats(row[1:]))
         except ValueError as exc:
             raise SystemExit(f"{path}: row {n}: {exc}") from None
         buses.append(row[0])
+    if not buses or len(rows[0]) < 2:
+        raise SystemExit(f"{path}: expected a period column and a bus row")
     return buses, np.asarray(values)
 
 
@@ -98,6 +101,8 @@ def _cmd_gen_scenarios(args):
 def _cmd_suc_solve(args):
     system = load_system(args.system)
     scn = scenarios.load_scenarios(args.scenarios)
+    if list(scn.buses) != system.bus_ids:
+        raise SystemExit(f"{args.scenarios}: buses do not match system buses")
     sol = suc.solve_suc(
         system, scn, gap_tol=args.gap_tol, time_limit=args.time_limit,
         dump_lp=args.dump_lp,
@@ -119,6 +124,11 @@ def _cmd_frp_req(args):
             raise SystemExit("--method suc requires --solution and --scenarios")
         sol = suc.load_suc_solution(args.solution)
         scn = scenarios.load_scenarios(args.scenarios)
+        shape = (list(scn.buses), scn.grid, scn.n_scenarios)
+        if (sol.bus_ids, sol.grid, len(sol.curtail)) != shape:
+            raise SystemExit(
+                f"{args.solution}: buses, grid or scenarios differ from {args.scenarios}"
+            )
         req = requirements.suc_requirements(sol, scn)
     else:
         if not args.forecast:
@@ -138,11 +148,15 @@ def _cmd_dam_clear(args):
         raise SystemExit("bid buses do not match system buses")
     bids = dayahead.DamBidSet(buses, hourly)
     req = requirements.load_requirements(args.req)
+    if req.hours != bids.hours:
+        raise SystemExit(f"{args.req}: hours do not match {args.bids}")
     fix = None
     if args.fix_commitments:
         sol = suc.load_suc_solution(args.fix_commitments)
         if sol.gen_ids != system.gen_ids:
             raise SystemExit(f"{args.fix_commitments}: units do not match system units")
+        if sol.grid.hours != bids.hours:
+            raise SystemExit(f"{args.fix_commitments}: hours do not match {args.bids}")
         fix = sol.committed_hours()
     out = dayahead.clear_dam(
         system, bids, req, fix_commitments=fix, gap_tol=args.gap_tol,
@@ -351,6 +365,8 @@ def main(argv=None):
     except SystemFileError as exc:
         raise SystemExit(f"malformed file: {exc}") from None
     except ValidationError as exc:  # its one line names the file and every issue
+        raise SystemExit(str(exc)) from None
+    except optim.InfeasibleModelError as exc:  # the inputs leave a model no solution
         raise SystemExit(str(exc)) from None
 
 

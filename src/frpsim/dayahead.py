@@ -65,12 +65,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dispatch, network, optim
+from .codec import (
+    Table, bool_, check_shapes, floats, int_, ints, number_or_null, read_json, write_json,
+)
 from .stochastic_uc import (
     add_commitment_block,
     commitment_logic_residual,
     commitment_schedule,
 )
-from .system import Table, _bool, _float_or_null, _floats, _int, _ints, read_json, write_json
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -132,6 +134,12 @@ class DamOutcome:
     # failed its check under "check_lp" (None if none failed); empty in
     # files written before it was kept
     record: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        gens, buses, hours = len(self.gen_ids), len(self.bus_ids), self.hours
+        check_shapes(self, dict.fromkeys(("u", "v", "w", "p", "r_up", "r_dn"), (gens, hours))
+                     | dict.fromkeys(("curtail", "demand", "lmp"), (buses, hours))
+                     | dict.fromkeys(("sf_up", "sf_dn", "price_up", "price_dn"), (hours,)))
 
     def dispatch_total(self, system):
         return self.p + dispatch.unit_params(system.generators, "p_min") * self.u
@@ -416,21 +424,21 @@ def check_dam_outcome(system, outcome, bids, req, fix_commitments=None, tol=1e-6
 # -- file io -----------------------------------------------------------------
 
 OUTCOME = Table(DamOutcome, "DAM outcome", (
-    ("gen_ids", "gen_ids", list), ("bus_ids", "bus_ids", list), ("hours", "hours", _int),
+    ("gen_ids", "gen_ids", list), ("bus_ids", "bus_ids", list), ("hours", "hours", int_),
     ("objective", "objective_usd", float),
     ("pricing_objective", "pricing_objective_usd", float),
-    ("mip_gap", "mip_gap", _float_or_null), ("certified", "certified", _bool, False),
+    ("mip_gap", "mip_gap", number_or_null), ("certified", "certified", bool_, False),
     ("record", "record", dict, {}),
-    ("u", "u", _ints), ("v", "v", _ints), ("w", "w", _ints), ("p", "p", _floats),
-    ("r_up", "r_up", _floats), ("r_dn", "r_dn", _floats), ("sf_up", "sf_up", _floats),
-    ("sf_dn", "sf_dn", _floats), ("curtail", "curtail", _floats), ("demand", "demand", _floats),
-    ("lmp", "lmp", _floats), ("price_up", "price_up", _floats), ("price_dn", "price_dn", _floats),
+    ("u", "u", ints), ("v", "v", ints), ("w", "w", ints), ("p", "p", floats),
+    ("r_up", "r_up", floats), ("r_dn", "r_dn", floats), ("sf_up", "sf_up", floats),
+    ("sf_dn", "sf_dn", floats), ("curtail", "curtail", floats), ("demand", "demand", floats),
+    ("lmp", "lmp", floats), ("price_up", "price_up", floats), ("price_dn", "price_dn", floats),
 ))
 
 
 def save_dam_outcome(out, path):
-    write_json(OUTCOME, out, path)
+    write_json(path, out, OUTCOME)
 
 
 def load_dam_outcome(path):
-    return read_json(OUTCOME, path)
+    return read_json(path, OUTCOME)

@@ -48,20 +48,22 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import yaml
 
 from . import stochastic_uc
+from .codec import (
+    SystemFileError, Table, convert, floats, int_, list_, number_or_null, read_json, read_mapping,
+    read_text, read_yaml, require, write_csv, write_json,
+)
 from .dayahead import DamBidSet, clear_dam
 from .realtime import simulate_rtm
 from .requirements import percentile_requirements, suc_requirements
 from .scenarios import NetLoadProfile, ScenarioSet, draw_realization, gen_ar1_scenarios
 from .settlement import settle
-from .system import (
-    SystemFileError, Table, _convert, _floats, _int, _list, _read, _require, load_system, write_csv,
-)
+from .system import load_system
 from .timegrid import TimeGrid
 
 SUC_METHODS = ("suc-fixed", "suc-free")
@@ -133,22 +135,23 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# the config's scalar keys, read as the system file's are; `time_limit` is
-# kept as the YAML gives it, since config digests hash it so
-SETTINGS = Table(dict, "config", (
-    ("master_seed", "master_seed", _int),
+# the config's keys, read as the system file's are; `system` is the system
+# file's path, relative to the config's directory, and `time_limit` is kept
+# as the YAML gives it, since config digests hash it so
+CONFIG = Table(dict, "config", (
+    ("system_path", "system", str),
+    ("master_seed", "master_seed", int_),
     ("sigma_frac", "sigma_frac", float, 0.03),
-    ("periods_per_hour", "periods_per_hour", _int, 1),
+    ("periods_per_hour", "periods_per_hour", int_, 1),
     ("gap_tol", "gap_tol", float, 1e-6),
+    ("time_limit", "time_limit", number_or_null, None),
     ("settlement_mode", "settlement", str, "two"),
+    ("methods", "methods", [str], list(ALL_METHODS)),
+    ("n_scenarios", "n_scenarios", [int_], [8]),
+    ("rho", "rho", [float], [0.0]),
+    ("out_of_sample", "out_of_sample", dict, {}),
+    ("days", "days", [dict]),
 ))
-
-
-def _each(kind, raw, key, where, *default):
-    """The list under ``raw``'s ``key``, required unless given a
-    ``default``, each entry converted by ``kind``."""
-    items = raw.get(key, *default) if default else _require(raw, key, where)
-    return [_convert(kind, item, where, key) for item in _convert(_list, items, where, key)]
 
 
 def load_config(path):
@@ -156,45 +159,34 @@ def load_config(path):
     mistyped key (a list, mapping or value of the wrong type), an unknown
     method or a day without a bus's net load raises SystemFileError naming
     the file and the key."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
     where = str(path)
-    settings = _read(SETTINGS, raw, where)
-    base = os.path.dirname(os.path.abspath(path))
-    system_path = _require(raw, "system", where)
-    if not os.path.isabs(system_path):
-        system_path = os.path.join(base, system_path)
-    # hash and parse the same bytes, so the digest is that of this system
-    with open(system_path, "rb") as fh:
-        data = fh.read()
-    system = load_system(system_path, data=data)
+    settings = read_mapping(CONFIG, read_yaml(path), where)
+    # hash and parse the same text, so the digest is that of this system
+    system_path = os.path.join(os.path.dirname(os.path.abspath(path)), settings.pop("system_path"))
+    text = read_text(system_path)
+    system = load_system(system_path, text=text)
 
-    methods = _each(str, raw, "methods", where, list(ALL_METHODS))
-    for m in methods:
+    for m in settings["methods"]:
         if m not in ALL_METHODS:
             raise SystemFileError(f"{where}: unknown method {m!r}; choose from {ALL_METHODS}")
     days = []
-    for d in _each(dict, raw, "days", where):
+    for d in settings.pop("days"):
         day, key = f"{where}: day {d.get('name')}", "hourly_net_load_mw"
-        loads = _convert(dict, _require(d, key, day), day, key)
+        loads = convert(dict, require(d, key, day), day, key)
         missing = [b for b in system.bus_ids if b not in loads]
         if missing:
             raise SystemFileError(f"{day}: no net load for buses {missing}")
-        hourly = [_convert(_list, loads[b], day, f"{key} {b}") for b in system.bus_ids]
-        days.append(DayInput(str(_require(d, "name", day)), _convert(_floats, hourly, day, key)))
-    oos = _convert(dict, raw.get("out_of_sample", {}), where, "out_of_sample")
+        hourly = [convert(list_, loads[b], day, f"{key} {b}") for b in system.bus_ids]
+        days.append(DayInput(str(require(d, "name", day)), convert(floats, hourly, day, key)))
+    oos = settings.pop("out_of_sample")
     cfg = ExperimentConfig(
         days=days,
-        methods=methods,
-        n_scenarios=_each(_int, raw, "n_scenarios", where, [8]),
-        rho=_each(float, raw, "rho", where, [0.0]),
-        oos_sigma_frac=_convert(
+        oos_sigma_frac=convert(
             float, oos.get("sigma_frac", settings["sigma_frac"]), where, "out_of_sample sigma_frac"
         ),
-        oos_rho=_convert(float, oos.get("rho", 0.0), where, "out_of_sample rho"),
-        time_limit=raw.get("time_limit"),
+        oos_rho=convert(float, oos.get("rho", 0.0), where, "out_of_sample rho"),
         system_path=system_path,
-        system_sha256=hashlib.sha256(data).hexdigest(),
+        system_sha256=hashlib.sha256(text.encode()).hexdigest(),
         **settings,
     )
     return cfg, system
@@ -373,9 +365,8 @@ def _write_json(path, doc, **kwargs):
     the permissions of a plain ``open``."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, **kwargs)
-            fh.flush()
+        write_json(tmp, doc, **kwargs)
+        with open(tmp, "rb") as fh:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
@@ -384,13 +375,16 @@ def _write_json(path, doc, **kwargs):
         raise
 
 
-def _append_manifest(out_dir, entry):
+def _append_manifest(out_dir, entry, sync=False):
     """Append ``entry`` as a line of its own: a last line that a crash tore
-    is ended first."""
+    is ended first. With ``sync``, the line is on disk when this returns."""
     with open(os.path.join(out_dir, "manifest.jsonl"), "ab+") as fh:
         fh.seek(max(0, fh.seek(0, os.SEEK_END) - 1))
         torn = fh.read(1) not in (b"", b"\n")
         fh.write(b"\n" * torn + json.dumps(entry, sort_keys=True).encode() + b"\n")
+        if sync:
+            fh.flush()
+            os.fsync(fh.fileno())
 
 
 class LedgerMismatchError(RuntimeError):
@@ -400,14 +394,17 @@ class LedgerMismatchError(RuntimeError):
 def _first_digest(out_dir):
     """The config digest of the first run recorded in ``out_dir``, if any.
     A line that does not parse was torn by a crash and is skipped: a run
-    writes cells only after its run-start line is whole."""
+    writes cells only after its run-start line is synced whole. A run-start
+    line without a digest raises SystemFileError naming the manifest."""
     path = os.path.join(out_dir, "manifest.jsonl")
-    with contextlib.suppress(FileNotFoundError), open(path) as fh:
+    with contextlib.suppress(FileNotFoundError), open(path, "rb") as fh:
         for line in fh:
-            with contextlib.suppress(ValueError):
+            try:
                 entry = json.loads(line)
-                if entry.get("event") == "run-start":
-                    return entry["config_digest"]
+            except ValueError:
+                continue
+            if isinstance(entry, dict) and entry.get("event") == "run-start":
+                return str(require(entry, "config_digest", path))
     return None
 
 
@@ -431,7 +428,7 @@ def run_experiment(system, cfg, out_dir, workers=1):
     os.makedirs(cells_dir, exist_ok=True)
     result = RunResult(out_dir=out_dir)
     _append_manifest(
-        out_dir, {"event": "run-start", "config_digest": digest, "time": time.time()}
+        out_dir, {"event": "run-start", "config_digest": digest, "time": time.time()}, sync=True
     )
 
     if workers > 1:
@@ -457,8 +454,7 @@ def run_experiment(system, cfg, out_dir, workers=1):
                 if rec is not None:
                     _write_json(path, {"day": day.name, **rec})
                 # a resume reads only the cost, so a file of the cost alone will do
-                with open(path) as fh:
-                    cost = json.load(fh)["cost_usd"]
+                cost = read_json(path)["cost_usd"]
             except Exception as exc:  # noqa: BLE001 - day isolation
                 ids = [c for job in _day_jobs(cfg, day, None) for c in job[-1]]
                 _record_failure(out_dir, result, ids, exc)
@@ -575,14 +571,7 @@ TOTALS = CELLS[1:-1]
 
 def aggregate(out_dir):
     """Load every finished cell from a ledger directory, sorted by cell id."""
-    cells_dir = os.path.join(out_dir, "cells")
-    cells = {}
-    if os.path.isdir(cells_dir):
-        for name in sorted(os.listdir(cells_dir)):
-            if name.endswith(".json"):
-                with open(os.path.join(cells_dir, name)) as fh:
-                    cells[name[:-5]] = json.load(fh)
-    return cells
+    return {path.stem: read_json(path) for path in sorted(Path(out_dir, "cells").glob("*.json"))}
 
 
 def write_reports(out_dir):

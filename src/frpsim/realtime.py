@@ -52,18 +52,6 @@ class RtmOutcome:
         return self.p + dispatch.unit_params(system.generators, "p_min") * self.u
 
 
-def _expand_commitment(dam, grid):
-    """Hourly on/start/stop to the sub-period grid; transitions happen at the
-    first sub-period of their hour."""
-    k = grid.periods_per_hour
-    u = np.repeat(dam.u, k, axis=1)
-    v = np.zeros_like(u)
-    w = np.zeros_like(u)
-    v[:, ::k] = dam.v
-    w[:, ::k] = dam.w
-    return u, v, w
-
-
 def simulate_rtm(system, dam, realized):
     """Dispatch the committed fleet against one realized net-load profile.
 
@@ -79,7 +67,7 @@ def simulate_rtm(system, dam, realized):
     n_b, n_t = len(system.buses), grid.n_periods
     scale = grid.period_hours
     t_build = time.perf_counter()
-    u, _, _ = _expand_commitment(dam, grid)
+    u = np.repeat(dam.u, grid.periods_per_hour, axis=1)  # hourly on/off per sub-period
 
     model = optim.Model()
     seg = [dispatch.unit_columns(model, f"p[{g.id}]", g, grid) for g in gens]
@@ -143,7 +131,7 @@ def check_rtm_outcome(system, dam, rtm, realized):
     between ``rtm.u`` and the DAM schedule on the real-time grid; every
     value should be ~0 on a healthy outcome.
     """
-    u, _, _ = _expand_commitment(dam, rtm.grid)
+    u = np.repeat(dam.u, rtm.grid.periods_per_hour, axis=1)
     worst = dispatch.physical_residuals(
         system, rtm.grid, dam.u, dam.v, dam.w,
         rtm.p[None], rtm.curtail[None], realized.values[None],

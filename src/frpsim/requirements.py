@@ -11,12 +11,11 @@ and is skipped.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
-from .system import SystemFileError, write_csv
+from .codec import SystemFileError, floats, read_csv, write_csv
 
 __all__ = [
     "FrpRequirements",
@@ -200,21 +199,17 @@ def save_requirements(req, path):
 
 def load_requirements(path):
     """Requirements from a CSV `save_requirements` wrote. A missing column or
-    a cell that is not a number, or is negative, raises SystemFileError
-    naming the file and the column."""
-    source = "unknown"
-    with open(path) as fh:
-        first = fh.readline()
-        if first.startswith("# source:"):
-            source = first.split(":", 1)[1].strip()
-        else:
-            fh.seek(0)
-        rows = list(csv.DictReader(fh))
+    a cell that is not a finite number, or is negative, raises
+    SystemFileError naming the file and the column."""
+    note, rows = read_csv(path)
+    source = note.split(":", 1)[1].strip() if note and note.startswith("source:") else "unknown"
+    header, *rows = rows or [[]]
     columns = []
     for key, _ in COLUMNS[1:]:
         try:
-            columns.append([float(row[key]) for row in rows])
-        except (KeyError, TypeError, ValueError):
+            i = header.index(key)
+            columns.append(floats([row[i] for row in rows if row]))
+        except (IndexError, ValueError):
             raise SystemFileError(f"{path}: column {key} missing or not numeric", path, key) from None
         if min(columns[-1], default=0.0) < 0:
             raise SystemFileError(f"{path}: column {key} holds a negative requirement", path, key)

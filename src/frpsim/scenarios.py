@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import GRID, Table, _floats, read_json, write_json
-from .timegrid import TimeGrid
+from .codec import Table, floats, read_json, write_json
+from .timegrid import GRID, TimeGrid
 
 __all__ = [
     "NetLoadProfile",
@@ -163,13 +163,13 @@ def draw_realization(forecast, sigma_frac, rho, seed, labels=("out-of-sample",))
 
 SCENARIOS = Table(ScenarioSet, "scenario set", (
     ("buses", "buses", tuple), ("grid", None, GRID),
-    ("probabilities", "probabilities", _floats), ("values", "values_mw", _floats),
+    ("probabilities", "probabilities", floats), ("values", "values_mw", floats),
 ))
 
 
 def save_scenarios(scn, path):
-    write_json(SCENARIOS, scn, path)
+    write_json(path, scn, SCENARIOS)
 
 
 def load_scenarios(path):
-    return read_json(SCENARIOS, path)
+    return read_json(path, SCENARIOS)

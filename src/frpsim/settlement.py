@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import write_csv
+from .codec import write_csv
 
 __all__ = ["GenSettlement", "SettlementReport", "settle", "save_settlement"]
 

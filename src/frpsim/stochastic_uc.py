@@ -78,9 +78,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dispatch, network, optim
+from .codec import Table, check_shapes, floats, ints, number_or_null, read_json, write_json
 from .scenarios import ScenarioSet
-from .system import GRID, Table, _float_or_null, _floats, _ints, read_json, write_json
-from .timegrid import TimeGrid
+from .timegrid import GRID, TimeGrid
 
 __all__ = [
     "SucSolution",
@@ -256,6 +256,14 @@ class SucSolution:
     # relaxation was the optimum, so no MILP ran in it; empty in files
     # written before it was kept
     record: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        hours, periods = self.grid.hours, self.grid.n_periods
+        n = np.shape(self.p)[:1]  # the scenarios
+        check_shapes(self, {
+            **dict.fromkeys("uvw", (len(self.gen_ids), hours)),
+            "p": (*n, len(self.gen_ids), periods), "curtail": (*n, len(self.bus_ids), periods),
+        })
 
     def committed_hours(self):
         """(gens, hours) 0/1 commitment schedule for downstream fixing."""
@@ -467,17 +475,17 @@ def check_suc_solution(system, scenarios, sol, tol=1e-6):
 
 SOLUTION = Table(SucSolution, "SUC solution", (
     ("gen_ids", "gen_ids", list), ("bus_ids", "bus_ids", list), ("grid", None, GRID),
-    ("u", "u", _ints), ("v", "v", _ints), ("w", "w", _ints),
-    ("p", "dispatch_above_min_mw", _floats), ("curtail", "curtail_mw", _floats),
+    ("u", "u", ints), ("v", "v", ints), ("w", "w", ints),
+    ("p", "dispatch_above_min_mw", floats), ("curtail", "curtail_mw", floats),
     ("objective", "objective_usd", float), ("commitment_cost", "commitment_cost_usd", float),
     ("expected_dispatch_cost", "expected_dispatch_cost_usd", float),
-    ("mip_gap", "mip_gap", _float_or_null), ("record", "record", dict, {}),
+    ("mip_gap", "mip_gap", number_or_null), ("record", "record", dict, {}),
 ))
 
 
 def save_suc_solution(sol, path):
-    write_json(SOLUTION, sol, path)
+    write_json(path, sol, SOLUTION)
 
 
 def load_suc_solution(path):
-    return read_json(SOLUTION, path)
+    return read_json(path, SOLUTION)

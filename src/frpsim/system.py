@@ -4,35 +4,29 @@ Systems are stored as YAML with explicit units in the key names (MW, hours,
 USD). The file's schema is one table per entity (`BUS`, `LINE`, `SEGMENT`,
 `INITIAL`, `GENERATOR`, `PENALTIES`) mapping each field to its key, type and
 any default; `load_system` reads and `save_system` writes through those same
-tables, so a key is spelled once. The JSON files the pipeline stages hand
-each other (scenario sets, SUC solutions, DAM outcomes) go through the same
-reader and writer, `read_json` and `write_json`, each with its own table in
-its module, and share the `GRID` table for their time grid. The CSV files the
-package writes (requirements, settlement ledgers, sweeps, the run reports)
-go through one writer, `write_csv`, each with a column table of (name,
-format spec) pairs in its module. A missing or mistyped key raises
-`SystemFileError` naming the entity (for a JSON file, the file) and the key.
-`load_system` then validates: `validate_system` collects every violation
-instead of stopping at the first so a bad file is diagnosed in one pass, and
-`ValidationError` names the file. Injection shift factors are computed from
-line reactances via the reduced nodal susceptance matrix unless the file
-supplies a matrix, in which case the supplied one wins (a consistency
-warning is emitted if it disagrees with the computed one by more than 1e-6).
+tables and the file codec (`frpsim.codec`: `read_yaml`, `read_mapping`,
+`write_mapping`, `write_yaml`), so a key is spelled once. A file that cannot
+be read or parsed, or a missing or mistyped key, raises `SystemFileError`
+naming the file, then the entity and the key. `load_system` then validates:
+`validate_system` collects every violation instead of stopping at the first
+so a bad file is diagnosed in one pass, and `ValidationError` names the
+file. Injection shift factors are computed from line reactances via the
+reduced nodal susceptance matrix unless the file supplies a matrix, in which
+case the supplied one wins (a consistency warning is emitted if it disagrees
+with the computed one by more than 1e-6).
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import reprlib
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
-from .timegrid import TimeGrid
+from .codec import (
+    SystemFileError, Table, bool_, convert, floats, int_, read_list, read_mapping, read_yaml,
+    require, write_mapping, write_yaml,
+)
 
 FORMAT_VERSION = 1
 
@@ -50,16 +44,6 @@ __all__ = [
     "save_system",
     "validate_system",
 ]
-
-
-class SystemFileError(ValueError):
-    """A system file is unreadable or structurally malformed (missing or
-    mistyped fields). Carries the offending entity/field when known."""
-
-    def __init__(self, message, entity=None, field=None):
-        super().__init__(message)
-        self.entity = entity
-        self.field = field
 
 
 class ValidationError(ValueError):
@@ -398,52 +382,9 @@ def _duplicates(ids):
 
 # -- serialization -----------------------------------------------------------
 #
-# A file's schema: one table per entity, its (field, key, type[, default])
-# rows in file order. A type is a converter, a nested Table, or [Table] for a
-# list of them; a nested Table under the key None keeps its keys in the parent
-# mapping. A row with a default is optional; a flag (a _bool with a default)
-# is written only when set.
+# One table per entity of the system file (see `codec` for the rows' form).
 
-Table = namedtuple("Table", "cls name rows")
-
-
-def _bool(value):
-    if not isinstance(value, bool):
-        raise TypeError(value)
-    return value
-
-
-def _int(value):
-    # an integral float is an int; "2", 2.7 and true are not
-    if isinstance(value, bool) or value != int(value):
-        raise ValueError(value)
-    return int(value)
-
-
-def _float_or_null(value):
-    return None if value is None else float(value)
-
-
-def _list(value):
-    """``value`` if it is a list, else TypeError, as a converter raises."""
-    if not isinstance(value, list):
-        raise TypeError(value)
-    return value
-
-
-def _floats(value, dtype=float):
-    """A (nested) list as a numpy array; a ragged list raises ValueError."""
-    return np.asarray(_list(value), dtype=dtype)
-
-
-def _ints(value):
-    return _floats(value, int)
-
-
-GRID = Table(TimeGrid, "grid", (
-    ("hours", "hours", _int), ("periods_per_hour", "periods_per_hour", _int),
-))
-BUS = Table(Bus, "bus", (("id", "id", str), ("slack", "slack", _bool, False)))
+BUS = Table(Bus, "bus", (("id", "id", str), ("slack", "slack", bool_, False)))
 LINE = Table(Line, "line", (
     ("id", "id", str),
     ("from_bus", "from", str), ("to_bus", "to", str),
@@ -454,9 +395,9 @@ SEGMENT = Table(CostSegment, "segment", (
     ("upper", "to_mw", float), ("cost", "usd_per_mwh", float),
 ))
 INITIAL = Table(InitialState, "initial state", (
-    ("on", "committed", _bool),
+    ("on", "committed", bool_),
     ("dispatch_above_min", "dispatch_above_min_mw", float, 0.0),
-    ("hours_on", "hours_on", _int, 0), ("hours_off", "hours_off", _int, 0),
+    ("hours_on", "hours_on", int_, 0), ("hours_off", "hours_off", int_, 0),
 ))
 GENERATOR = Table(Generator, "generator", (
     ("id", "id", str), ("bus", "bus", str),
@@ -466,7 +407,7 @@ GENERATOR = Table(Generator, "generator", (
     ("ramp_up", "ramp_up_mw_per_h", float), ("ramp_down", "ramp_down_mw_per_h", float),
     ("startup_limit", "startup_limit_mw", float),
     ("shutdown_limit", "shutdown_limit_mw", float),
-    ("min_up", "min_up_h", _int), ("min_down", "min_down_h", _int),
+    ("min_up", "min_up_h", int_), ("min_down", "min_down_h", int_),
     ("initial", "initial", INITIAL),
 ))
 # the two PowerSystem fields the file keeps under `penalties`
@@ -479,120 +420,14 @@ PENALTIES = Table(dict, "penalties", (
 LISTS = (("buses", BUS, "#{}"), ("lines", LINE, "#{}"), ("generators", GENERATOR, "#position {}"))
 
 
-def _require(mapping, key, entity):
-    if key not in mapping:
-        raise SystemFileError(f"{entity}: missing required field {key!r}", entity, key)
-    return mapping[key]
-
-
-def _convert(kind, value, entity, key):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        name = kind.__name__.lstrip("_").replace("_", " ")
-        msg = f"{entity}: {key} must be {name}, got {reprlib.repr(value)}"
-        raise SystemFileError(msg, entity, key) from None
-
-
-def _read(table, raw, entity):
-    """Build one ``table`` entity from the mapping ``raw``, naming ``entity`` in
-    errors. Nested entries are read first, then the scalars, each in file order.
-    A value the entity's class refuses raises SystemFileError too."""
-    if not isinstance(raw, dict):
-        raise SystemFileError(f"{entity}: expected a mapping, got {reprlib.repr(raw)}", entity)
-    values = {}
-    for fld, key, kind, *default in sorted(table.rows, key=lambda row: callable(row[2])):
-        if key is None:
-            values[fld] = _read(kind, raw, entity)
-            continue
-        value = raw.get(key, *default) if default else _require(raw, key, entity)
-        if isinstance(kind, list):
-            name = f"{entity} {kind[0].name}"
-            values[fld] = _read_list(kind[0], value, entity, key, lambda i, _: f"{name} {i}")
-        elif isinstance(kind, Table):
-            values[fld] = _read(kind, value, f"{entity} {kind.name}")
-        else:
-            values[fld] = _convert(kind, value, entity, key)
-    try:
-        return table.cls(**values)
-    except ValueError as exc:
-        raise SystemFileError(f"{entity}: {exc}", entity) from None
-
-
-def _read_list(table, items, where, key, name):
-    """``items``, the list under ``where``'s ``key``, as a tuple of ``table``
-    entities; ``name(position, mapping)`` names each one."""
-    if not isinstance(items, list):
-        raise SystemFileError(f"{where}: {key} must be a list", where, key)
-    names = [name(i, item if isinstance(item, dict) else {}) for i, item in enumerate(items)]
-    return tuple(_read(table, item, entity) for item, entity in zip(items, names))
-
-
-def _write(table, obj):
-    """``obj`` as the mapping ``table`` describes, its keys in file order."""
-    doc = {}
-    for fld, key, kind, *default in table.rows:
-        value = getattr(obj, fld)
-        if isinstance(kind, list):
-            value = [_write(kind[0], v) for v in value]
-        elif isinstance(kind, Table):
-            value = _write(kind, value)
-        if key is None:
-            doc.update(value)
-        elif not (default and kind is _bool and value == default[0]):
-            doc[key] = value
-    return doc
-
-
-def read_json(table, path):
-    """The ``table`` entity in the JSON file at ``path``. A file that is not
-    JSON, lacks a key or holds a value of the wrong type or shape raises
-    SystemFileError naming the file and the key."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise SystemFileError(f"{path}: not valid JSON ({exc})") from None
-    return _read(table, raw, str(path))
-
-
-def write_json(table, obj, path):
-    """``obj`` as the JSON file ``table`` describes; numpy arrays as lists."""
-    with open(path, "w") as fh:
-        json.dump(_write(table, obj), fh, default=np.ndarray.tolist)
-
-
-def write_csv(path, columns, rows, note=None):
-    """``rows`` as the CSV file ``columns`` describes: a header of the column
-    names, then one line per row, its cell ``i`` the row's value ``i`` in the
-    format spec of column ``i``, a None an empty cell. ``note``, if given,
-    is a first ``# note`` line. Every line ends in ``\\n``."""
-    with open(path, "w", newline="") as fh:
-        if note is not None:
-            fh.write(f"# {note}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        names, specs = zip(*columns)
-        writer.writerow(names)
-        writer.writerows(
-            ["" if v is None else format(v, spec) for v, spec in zip(row, specs, strict=True)]
-            for row in rows
-        )
-
-
-def load_system(path, data=None):
+def load_system(path, text=None):
     """Parse a system YAML file. Raises SystemFileError, naming the file, on
     malformed input and ValidationError (listing every violation) on
     invariant failures.
 
-    ``data``, if given, is the file's bytes as already read; they are parsed
+    ``text``, if given, is the file's text as already read; it is parsed
     instead of opening ``path``, which then only names the file in errors."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    try:
-        raw = yaml.safe_load(data)
-    except yaml.YAMLError as exc:
-        raise SystemFileError(f"{path}: not valid YAML ({exc})") from exc
+    raw = read_yaml(path, text)
     if not isinstance(raw, dict):
         raise SystemFileError(f"{path}: expected a mapping at top level")
     version = raw.get("format_version", FORMAT_VERSION)
@@ -601,14 +436,14 @@ def load_system(path, data=None):
     try:
         system = PowerSystem(
             **{
-                key: _read_list(
+                key: read_list(
                     table, raw.get(key, []), "system", key,
                     lambda i, item: f"{table.name} {item.get('id', unnamed.format(i))}",
                 )
                 for key, table, unnamed in LISTS
             },
-            **_read(PENALTIES, _require(raw, "penalties", "system"), "penalties"),
-            supplied_isf=None if raw.get("isf") is None else _convert(_floats, raw["isf"], "system", "isf"),
+            **read_mapping(PENALTIES, require(raw, "penalties", "system"), "penalties"),
+            supplied_isf=None if raw.get("isf") is None else convert(floats, raw["isf"], "system", "isf"),
         )
     except SystemFileError as exc:  # it names the entry; name the file too
         raise SystemFileError(f"{path}: {exc}", exc.entity, exc.field) from None
@@ -616,10 +451,9 @@ def load_system(path, data=None):
 
 
 def save_system(system, path):
-    doc = {"format_version": FORMAT_VERSION, "penalties": _write(PENALTIES, system)}
+    doc = {"format_version": FORMAT_VERSION, "penalties": write_mapping(PENALTIES, system)}
     for key, table, _ in LISTS:
-        doc[key] = [_write(table, entity) for entity in getattr(system, key)]
+        doc[key] = [write_mapping(table, entity) for entity in getattr(system, key)]
     if system.supplied_isf is not None:
         doc["isf"] = [[float(v) for v in row] for row in np.asarray(system.supplied_isf)]
-    with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    write_yaml(path, doc)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .codec import Table, int_
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -39,3 +41,9 @@ class TimeGrid:
     def hour_of(self, k):
         """Market hour (0-based) containing 0-based sub-period ``k``."""
         return k // self.periods_per_hour
+
+
+# a file's time grid, its two keys in the file's top-level mapping
+GRID = Table(TimeGrid, "grid", (
+    ("hours", "hours", int_), ("periods_per_hour", "periods_per_hour", int_),
+))

@@ -43,7 +43,6 @@ from frpsim.harness import (
     run_experiment,
     write_reports,
 )
-from frpsim.realtime import _expand_commitment
 from frpsim.requirements import zero_requirements
 from frpsim.stochastic_uc import check_suc_solution
 
@@ -288,7 +287,12 @@ def _audit_rtm(system, dam, rtm, realized, tol=1e-6):
     commitment transitions."""
     grid = rtm.grid
     scale = grid.period_hours
-    u, v, w = _expand_commitment(dam, grid)
+    # the hourly commitment on the sub-period grid: a start or stop happens
+    # at the first sub-period of its hour
+    k = grid.periods_per_hour
+    u = np.repeat(dam.u, k, axis=1)
+    v, w = np.zeros_like(u), np.zeros_like(u)
+    v[:, ::k], w[:, ::k] = dam.v, dam.w
     assert np.array_equal(u, rtm.u)
 
     total = rtm.dispatch_total(system)

@@ -1,16 +1,24 @@
 """Command-line flows wired end to end through temp files."""
 
+import csv
+import functools
 import hashlib
+import io
 import json
+import operator
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from frpsim import optim, realtime, save_system
+from frpsim import harness, optim, realtime, save_system
 from frpsim.cli import main
-from frpsim.data import case_path
+from frpsim.data import case_path, corpus_path
 
 from conftest import make_gen, single_bus_system
 
@@ -209,6 +217,7 @@ def staged(workdir):
                       "--scenarios", f["scen.json"], "--out", f["suc.json"]],
         "suc.json": [*dam_clear, "--fix-commitments", f["suc.json"]],
         "req.csv": dam_clear,
+        "forecast.csv": dam_clear,
         "dam.json": ["rtm-sim", "--system", f["system.yaml"], "--dam", f["dam.json"],
                      "--realized", str(workdir / "realized.csv")],
     }
@@ -231,6 +240,16 @@ def _negative_hour_0(text):
     return re.sub(r"^0,.*$", "0,-5.0,0.0", text, count=1, flags=re.M)
 
 
+def _byte_ff(text):
+    """``text`` with a byte that is not UTF-8 after its first line."""
+    first, _, rest = text.encode().partition(b"\n")
+    return first + b"\n\xff" + rest
+
+
+def _missing(text):
+    return None
+
+
 @pytest.mark.parametrize("name, edit, named", [
     ("scen.json", _truncated, "not valid JSON"),
     ("suc.json", _truncated, "not valid JSON"),
@@ -242,15 +261,25 @@ def _negative_hour_0(text):
     ("scen.json", lambda text: text.replace('"probabilities": [', '"probabilities": [1.0, '),
      "one probability per scenario required"),
     ("req.csv", _negative_hour_0, "column up_mw holds a negative requirement"),
+    ("req.csv", _byte_ff, "not UTF-8 (invalid start byte at byte "),
+    ("forecast.csv", _byte_ff, "not UTF-8 (invalid start byte at byte "),
+    ("forecast.csv", _missing, "cannot read (No such file or directory)"),
+    ("suc.json", _missing, "cannot read (No such file or directory)"),
 ], ids=[
     "scenarios", "suc", "dam", "requirements", "suc-keys", "dam-keys", "requirements-column",
-    "scenarios-refused", "requirements-negative",
+    "scenarios-refused", "requirements-negative", "requirements-not-utf8", "bids-not-utf8",
+    "bids-missing", "suc-missing",
 ])
 def test_malformed_stage_file_is_named_in_one_line(workdir, staged, name, edit, named):
-    """A stage file cut short, lacking a key or holding a value its class
-    refuses exits with one line naming the file, not with a traceback."""
+    """A stage file that is missing, not UTF-8, cut short, lacking a key or
+    holding a value its class refuses exits with one line naming the file,
+    not with a traceback."""
     path = workdir / name
-    path.write_text(edit(path.read_text()))
+    text = edit(path.read_text())
+    if text is None:
+        path.unlink()
+    else:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(SystemExit) as exc:
         main(staged[name])
     message = str(exc.value)
@@ -264,6 +293,23 @@ def test_dam_clear_refuses_commitments_of_other_units(workdir, staged):
     path.write_text(json.dumps(doc | {"gen_ids": doc["gen_ids"][::-1]}))
     with pytest.raises(SystemExit, match="units do not match"):
         main(staged["suc.json"])
+
+
+def test_frp_req_refuses_a_solution_of_other_scenarios(workdir, staged):
+    """A SUC solution solved on another scenario set ends frp-req with one
+    line naming both files, not with numpy's broadcast error or, for a
+    one-scenario set, requirements computed from the wrong scenarios."""
+    for n in (1, 2):
+        other = workdir / f"other{n}.json"
+        assert main(["gen-scenarios", "--system", str(workdir / "system.yaml"),
+                     "--forecast", str(workdir / "forecast.csv"), "--sigma", "0.04",
+                     "--n", str(n), "--seed", "3", "--out", str(other)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["frp-req", "--method", "suc", "--solution", str(workdir / "suc.json"),
+                  "--scenarios", str(other), "--out", str(workdir / "req.csv")])
+        assert str(exc.value) == (
+            f"{workdir / 'suc.json'}: buses, grid or scenarios differ from {other}"
+        )
 
 
 @pytest.mark.parametrize("name, edit", [
@@ -296,6 +342,188 @@ days:
   - name: d1
     hourly_net_load_mw: {b1: [100.0, 150.0, 210.0, 140.0]}
 """
+
+
+def _outcome(argv, capsys):
+    """(exit status, stderr lines) of ``frp-sim argv``, run in this process:
+    a SystemExit message is printed as the console script prints it."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    err = capsys.readouterr().err
+    if isinstance(status, str):
+        err, status = f"{err}{status}\n", 1
+    return status or 0, err.splitlines()
+
+
+@pytest.mark.parametrize("command, write, named", [
+    (["validate", "{path}"], None, "malformed system file: {path}: cannot read"),
+    (["run", "--config", "{path}", "--out", "{dir}/ledger"], None,
+     "malformed file: {path}: cannot read"),
+    (["validate", "{path}"], "format_version: 1\npenalties: {curtailment_usd_per_mwh: 1\n",
+     "malformed system file: {path}: not valid YAML ("),
+    (["run", "--config", "{path}", "--out", "{dir}/ledger"], CONFIG.split("days:")[0] + "days: [",
+     "malformed file: {path}: not valid YAML ("),
+    (["report", "--ledger", "{dir}/ledger"], "cell", "malformed file: {path}: not valid JSON ("),
+], ids=["validate-missing", "run-missing", "validate-not-yaml", "run-not-yaml", "report-not-json"])
+def test_unreadable_input_ends_in_one_line(workdir, capsys, command, write, named):
+    """A missing input file, a YAML file that does not parse and a ledger
+    cell that is not JSON each end the command with exit status 1 and one
+    line that names the file, not with a traceback."""
+    path = workdir / "input.yaml"
+    if write == "cell":
+        path = workdir / "ledger" / "cells" / "d1.p95.json"
+        path.parent.mkdir(parents=True)
+        path.write_text('{"day": "d1", "method": "p')
+    elif write is not None:
+        path.write_text(write)
+    status, lines = _outcome([a.format(path=path, dir=workdir) for a in command], capsys)
+    assert status == 1 and len(lines) == 1, lines
+    assert lines[0].startswith(named.format(path=path)), lines
+
+
+# what a draw puts in place of a value: one of another type than the value's
+JUNK = ("x", "", None, True, 2.5, -1, [], {}, [1.0, "x"])
+CSV_JUNK = ("x", "", "-1", "nan")
+
+
+def _paths(doc, path=()):
+    """The path of every value in a parsed document: its keys and list
+    positions from the top."""
+    if not isinstance(doc, (dict, list)):
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield (*path, key)
+        yield from _paths(value, (*path, key))
+
+
+def _mutant(data, kind, raw):
+    """``raw``, the bytes of a ``kind`` file ("yaml", "json", "jsonl" or
+    "csv"), with one edit drawn: a key deleted, a value retyped, the file
+    cut short, or a byte that is not UTF-8 inserted. A CSV's keys are its
+    columns, after a ``#`` line if it has one."""
+    edit = data.draw(st.sampled_from(["delete", "retype", "truncate", "byte"]), label="edit")
+    if edit == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    if edit == "byte":
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + data.draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"])) + raw[at:]
+    text = raw.decode()
+    if kind == "csv":
+        note = text.split("\n", 1)[0] + "\n" if text.startswith("#") else ""
+        rows = list(csv.reader(io.StringIO(text[len(note):])))
+        j = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+        if edit == "delete":
+            rows = [row[:j] + row[j + 1:] for row in rows]
+        else:
+            i = data.draw(st.integers(0, len(rows) - 1), label="row")
+            rows[i][j] = data.draw(st.sampled_from(CSV_JUNK), label="cell")
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return (note + out.getvalue()).encode()
+    if kind == "jsonl":
+        doc = [json.loads(line) for line in text.splitlines()]
+    else:
+        doc = yaml.safe_load(text) if kind == "yaml" else json.loads(text)
+    at = lambda path: functools.reduce(operator.getitem, path, doc)  # noqa: E731
+    paths = [p for p in _paths(doc) if edit == "retype" or isinstance(at(p[:-1]), dict)]
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent, key = at(path[:-1]), path[-1]
+    if edit == "delete":
+        del parent[key]
+    else:
+        junk = [j for j in JUNK if type(j) is not type(parent[key])]
+        parent[key] = data.draw(st.sampled_from(junk), label="value")
+    if kind == "jsonl":
+        return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in doc).encode()
+    return (yaml.safe_dump(doc, sort_keys=False) if kind == "yaml" else json.dumps(doc)).encode()
+
+
+SYSTEMS = ("ieee14.yaml", "ramp_toy.yaml", "single_bus_two_gen.yaml", "corpus/system.yaml")
+MUTATED = (*SYSTEMS, "config.yaml", "scen.json", "suc.json", "dam.json", "req.csv",
+           "forecast.csv", "realized.csv", "manifest.jsonl")
+
+
+def _no_run(system, cfg, out_dir, workers=1):
+    """`run_experiment` as far as a config reaches it before any solve."""
+    cfg.digest()
+    return harness.RunResult(out_dir)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_mutated_input_ends_in_one_line(workdir, staged, capsys, monkeypatch, data):
+    """Every input the package reads, with a key deleted, a value retyped,
+    cut short or holding a byte that is not UTF-8, ends each subcommand that
+    reads it with exit status 0, 1 or 2, never with a traceback; an exit 1
+    prints one line, or `validate`'s list of issues, and an exit 2 one
+    FAILED line per cell.
+
+    The inputs: the four shipped system files (read by `validate` and
+    `gen-scenarios`; every other subcommand reads its system through the
+    same `load_system` and error handler as `gen-scenarios`), the corpus
+    config (read by `run`, whose solves are left out: `_no_run`), the
+    staged scenario, SUC and DAM files, the requirements and the profile
+    CSV, and the manifest of a finished run (read by `run` on resume)."""
+    f = {name: str(workdir / name) for name in (
+        "system.yaml", "forecast.csv", "scen.json", "suc.json", "req.csv", "dam.json",
+        "realized.csv", "config.yaml")}
+    if not (workdir / "ledger").exists():  # once per test, not per draw
+        (workdir / "config.yaml").write_text(CONFIG)
+        assert main(["run", "--config", f["config.yaml"], "--out", str(workdir / "ledger")]) == 0
+        (workdir / "corpus").mkdir()
+        shutil.copy(corpus_path("system.yaml"), workdir / "corpus")
+    capsys.readouterr()
+    name = data.draw(st.sampled_from(MUTATED), label="input")
+    mutant, out = workdir / "mutant", str(workdir / "out")
+    gen_scenarios = ["gen-scenarios", "--system", f["system.yaml"], "--forecast", f["forecast.csv"],
+                     "--sigma", "0.04", "--n", "2", "--seed", "1", "--out", out]
+    dam_clear = ["dam-clear", "--system", f["system.yaml"], "--bids", f["forecast.csv"],
+                 "--req", f["req.csv"], "--out", out]
+    if name in SYSTEMS:
+        source = case_path(name)
+        commands = [["validate", str(mutant)],
+                    [*gen_scenarios[:2], str(mutant), *gen_scenarios[3:]]]
+    elif name == "config.yaml":
+        source, mutant = corpus_path(name), workdir / "corpus" / name
+        commands = [["run", "--config", str(mutant), "--out", out]]
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+    elif name == "manifest.jsonl":
+        source, resumed = workdir / "ledger" / name, workdir / "resumed"
+        shutil.rmtree(resumed, ignore_errors=True)
+        shutil.copytree(workdir / "ledger", resumed)
+        mutant = resumed / name
+        commands = [["run", "--config", f["config.yaml"], "--out", str(resumed)]]
+    else:  # each staged file, mutated, in place of the one each command reads
+        source = workdir / name
+        commands = [[a.replace(f[name], str(mutant)) for a in argv] for argv in (
+            ["suc-solve", "--system", f["system.yaml"], "--scenarios", f["scen.json"],
+             "--out", out],
+            ["frp-req", "--method", "suc", "--solution", f["suc.json"],
+             "--scenarios", f["scen.json"], "--out", out],
+            ["frp-req", "--method", "p95", "--forecast", f["forecast.csv"], "--out", out],
+            [*dam_clear, "--fix-commitments", f["suc.json"]],
+            ["rtm-sim", "--system", f["system.yaml"], "--dam", f["dam.json"],
+             "--realized", f["realized.csv"]],
+            ["sweep", "--system", f["system.yaml"], "--forecast", f["forecast.csv"],
+             "--dam", f"fixed={f['dam.json']}", "--sigmas", "0.0,0.05", "--seed", "7",
+             "--out", out],
+            gen_scenarios,
+        ) if any(f[name] in a for a in argv)]
+    kind = Path(name).suffix[1:]
+    mutant.write_bytes(_mutant(data, kind, Path(source).read_bytes()))
+    try:
+        for argv in commands:
+            status, lines = _outcome(argv, capsys)
+            assert status in (0, 1, 2), (argv, status, lines)
+            if status == 1 and not (argv[0] == "validate" and lines[:1] == ["invalid system:"]):
+                assert len(lines) == 1, (argv, lines)
+            if status == 2:
+                assert lines and all(line.startswith("  FAILED ") for line in lines), lines
+    finally:
+        monkeypatch.undo()
 
 
 def _every_command_with_system(workdir, staged, p_max):

@@ -396,6 +396,30 @@ def test_load_config_reads_the_system_file_once(tmp_path, monkeypatch):
         assert cfg.system_sha256 == hashlib.sha256(fh.read()).hexdigest()
 
 
+def test_run_start_line_is_synced_before_any_cell(tmp_path, monkeypatch):
+    """A run syncs its run-start line, once, before it writes any file of
+    the ledger: a crash cannot leave synced cells in a ledger whose digest
+    was lost, for a run of another config to write into."""
+    cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p95]"))
+    out = tmp_path / "out"
+    manifest = out / "manifest.jsonl"
+    synced = []  # (is the manifest, its lines then, the ledger's json files then)
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        is_manifest = os.fstat(fd).st_ino == manifest.stat().st_ino
+        synced.append((is_manifest, manifest.read_text().splitlines(), list(out.rglob("*.json"))))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert run_experiment(system, cfg, str(out)).clean
+    monkeypatch.undo()
+    is_manifest, lines, written = synced[0]
+    assert is_manifest and written == []
+    assert [json.loads(line)["event"] for line in lines] == ["run-start"]
+    assert [s[0] for s in synced].count(True) == 1
+
+
 def test_resume_refuses_a_changed_system(tmp_path):
     """Editing the system file between runs changes the config digest, and
     the second run into the same directory stops before solving anything."""

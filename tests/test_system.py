@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,13 +24,13 @@ from frpsim import (
     save_system,
 )
 from frpsim.dayahead import OUTCOME
-from frpsim.data import case_path
+from frpsim import codec
+from frpsim.data import case_path, corpus_path
 from frpsim.scenarios import SCENARIOS, ScenarioSet, save_scenarios
 from frpsim.stochastic_uc import SOLUTION, SucSolution, save_suc_solution
 from frpsim.system import (
     BUS,
     GENERATOR,
-    GRID,
     INITIAL,
     LINE,
     LISTS,
@@ -35,6 +38,7 @@ from frpsim.system import (
     SEGMENT,
     validate_system,
 )
+from frpsim.timegrid import GRID
 
 from conftest import make_gen, single_bus_system
 
@@ -330,6 +334,21 @@ def test_saved_bytes_are_frozen(tmp_path, name):
     out = tmp_path / "saved.yaml"
     save_system(load_system(case_path(name)), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SAVED_SHA256[name]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_parses_every_shipped_yaml_file_as_pyyaml_does(tmp_path, monkeypatch):
+    """The codec reads YAML with libyaml's parser; every shipped YAML file
+    and every benchmark config parses to equal values under it and under
+    PyYAML's own."""
+    assert codec.YAML_LOADER is yaml.CSafeLoader
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    paths = [case_path(name) for name in SAVED_SHA256] + [corpus_path("config.yaml")]
+    paths += [workloads.config_path(grid, 111, str(tmp_path)) for grid in ("suc-heavy", "ieee14")]
+    for path in paths:
+        text = Path(path).read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 # sha256 of a scenario set and a SUC solution built by hand, as the writers
