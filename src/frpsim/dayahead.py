@@ -23,29 +23,33 @@ A prior commitment schedule can be imposed as a floor on the on-binaries,
 which is how the stochastic pass's priority commitments are carried into the
 market run.
 
-A cleared market can spare the clearing MILP of a market with higher
-requirements (``clear_dam(..., relaxed=outcome)``). Take two markets A and B
-of the same system and bids, neither with a commitment floor, with B's
-requirements elementwise at least A's. The models differ only in the
-requirement rows ``sum(r) + sf >= req``, so every point of B is a point of A
-at the same cost, and the shortfall slacks keep B feasible at every
-commitment A allows. A's proven dual bound is a bound on A's screened model,
-a relaxation of A's full model (see `network`), so it is at most B's optimum.
-Pinning A's commitment on B and solving the pricing LP, flow rows screened
-as usual, gives a point of B at the LP's objective. If that objective is
-within ``gap_tol`` of the bound, ``(objective - bound) / max(1, |objective|)
-<= gap_tol``, the commitment is ``gap_tol``-optimal for B, which is what
-B's own MILP would prove; the MILP is skipped and the outcome is built from
-that LP as it would be from the MILP's commitment. The bound still holds for
-B, so B's outcome carries it to a market above B. When the check fails, B is
-cleared by its MILP on the model it has without the check: rebuilt if the
-check's screening added flow rows.
+A cleared market can spare the clearing MILP of a market it relaxes
+(``clear_dam(..., relaxed=outcome)``); the caller guarantees the relation,
+and one of two certificates applies, by whether the market has a floor.
 
-A floor needs no solve where the market without it already meets it. Take
-a market F without a floor and the market F' of the same system, bids and
-requirements with a commitment floor (the harness's "suc-free" and
-"suc-fixed"). If F's commitment meets the floor, ``(u >= floor).all()``,
-F's outcome is F''s, to ``gap_tol``, and nothing is built or solved for F':
+Without a floor: take two markets A and B of the same system and bids,
+neither with a commitment floor, with B's requirements elementwise at least
+A's. The models differ only in the requirement rows ``sum(r) + sf >= req``,
+so every point of B is a point of A at the same cost, and the shortfall
+slacks keep B feasible at every commitment A allows. A's proven dual bound
+is a bound on A's screened model, a relaxation of A's full model (see
+`network`), so it is at most B's optimum. Pinning A's commitment on B and
+solving the pricing LP, flow rows screened as usual, gives a point of B at
+the LP's objective. If that objective is within ``gap_tol`` of the bound,
+``(objective - bound) / max(1, |objective|) <= gap_tol``, the commitment is
+``gap_tol``-optimal for B, which is what B's own MILP would prove; the MILP
+is skipped and the outcome is built from that LP as it would be from the
+MILP's commitment. The bound still holds for B, so B's outcome carries it
+to a market above B. When the check fails, B is cleared by its MILP on the
+model it has without the check: rebuilt if the check's screening added
+flow rows.
+
+With a floor: take a market F without a floor and the market F' of the
+same system, bids and requirements with a commitment floor (the harness's
+"suc-free" and "suc-fixed"). If F's commitment meets the floor,
+``(u >= floor).all()``, F's outcome is F''s, to ``gap_tol``, and nothing is
+built or solved for F': the outcome is F's, certified, its work read as
+zero (`optim.reused`).
 
 - F''s model is F's plus lower bounds on ``u``. F's optimum meets those
   bounds and every flow limit, so it is a point of F' at the same cost.
@@ -55,12 +59,15 @@ F's outcome is F''s, to ``gap_tol``, and nothing is built or solved for F':
   the bound.
 - `optim.fix_and_resolve` pins ``lb = ub`` on every on-variable, which
   overrides the floor, so F''s pricing LP at that commitment is F's.
+
+If F's commitment breaks the floor it is no point of F', so F' clears by its
+own MILP and no check LP runs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,22 +278,25 @@ def clear_dam(
     certificate and pricing LPs run without it.
 
     ``relaxed`` is the outcome of a market whose model is a relaxation of
-    this one: the same system and bids, no commitment floor, requirements
-    elementwise at most these. The caller guarantees it. If its commitment
-    and bound certify this market (see the module docstring), no clearing
-    MILP runs and the outcome is ``certified``.
+    this one: the same system and bids and no commitment floor, with
+    requirements elementwise at most these, or, with ``fix_commitments``,
+    these requirements. The caller guarantees it. If its commitment and
+    bound certify this market (see the module docstring), no clearing MILP
+    runs and the outcome is ``certified``; under a floor its commitment
+    meets, nothing is built or solved and the outcome is ``relaxed``'s.
     """
     if tuple(bids.buses) != tuple(system.bus_ids):
         raise ValueError("bid buses do not match system buses")
     if req.hours != bids.hours:
         raise ValueError("requirement horizon does not match bid horizon")
     if fix_commitments is not None:
-        if relaxed is not None:
-            raise ValueError("relaxed needs a market without fix_commitments")
         fix_commitments = np.asarray(fix_commitments, dtype=int)
         want = (len(system.generators), bids.hours)
         if fix_commitments.shape != want:
             raise ValueError(f"fix_commitments shape must be {want}")
+        if relaxed is not None and (relaxed.u >= fix_commitments).all():
+            return replace(relaxed, certified=True, record=optim.reused(relaxed.record))
+        relaxed = None  # its commitment breaks the floor: no certificate
     t_build = time.perf_counter()
     model, idx = _build(system, bids, req, fix_commitments)
     screen = idx["screen"]

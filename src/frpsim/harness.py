@@ -6,20 +6,19 @@ only carries its requirements) get one cell per (day, scenario count, rho);
 percentile methods ("p90", "p95", "p99") are scenario-free, so they get one
 cell per day and their results apply across the whole grid.
 
-A day's percentile cells are one job, cleared in ascending coverage. A level
-whose requirements are, hour by hour, at least those of the level cleared
-before it hands that level's market outcome to `clear_dam` as ``relaxed``,
-which skips the clearing MILP when that outcome's commitment and bound
-certify the higher level (see `dayahead`). The comparison is made on the
-arrays each run, not assumed from the coverages. A level that fails fails
-its own cell, and the level after it clears without a bound.
-
-A stochastic-pass job lists its cells with "suc-free" first. Where the
-commitment its market clears meets the stochastic commitment everywhere,
-that market settles "suc-fixed" too: the outcome is suc-free's, certified,
-with ``bound_from`` "suc-free", and no model is built or solved for it (see
-`dayahead` for why it is ``gap_tol``-optimal). Otherwise suc-fixed clears by
-its own MILP.
+A job is a day's percentile cells, in ascending coverage, or one
+stochastic-pass group's cells, "suc-free" first. One loop (`_dispatch`)
+clears a job's markets in that order, each through `clear_dam`. A market
+gets as ``relaxed`` the last market of the job that cleared without a floor
+and whose requirements are, hour by hour, at most its own; the comparison is
+made on the arrays each run, not assumed from the coverages. `clear_dam`
+decides whether that outcome certifies the market (see `dayahead`): a
+percentile level by a pinned-LP check against the lower level's bound,
+skipping its clearing MILP, and suc-fixed, whose requirements are
+suc-free's, where suc-free's commitment meets the stochastic commitment
+everywhere, building and solving nothing. ``bound_from`` names the method
+whose clearing MILP proved the bound. A market that raises fails its own
+cell alone; a failed stochastic pass fails its whole group.
 
 Every cell clears (or is settled in) the day-ahead market, re-dispatches
 against the day's out-of-sample realization (identical across methods by
@@ -31,7 +30,8 @@ cell whose commitment an earlier cell of the job re-dispatched reuses that
 outcome, and its ``rtm`` record names that cell as ``shared_from`` (null on
 the cell that ran it). A cell that reuses a solve, a settled market or a
 shared re-dispatch, keeps that solve's record with its work (seconds,
-rounds, iterations, nodes) read as zero, so that no solve is counted twice.
+rounds, iterations, nodes) read as zero (`optim.reused`), so that no solve
+is counted twice.
 
 The output directory is an append-only ledger: one JSON per finished cell,
 plus a manifest.jsonl line per attempt. Re-running with the same directory
@@ -46,14 +46,14 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import stochastic_uc
+from . import optim, stochastic_uc
 from .codec import (
     SystemFileError, Table, convert, floats, int_, list_, number_or_null, read_json, read_mapping,
     read_text, read_yaml, require, write_csv, write_json,
@@ -223,17 +223,6 @@ def _cell_id(day_name, method, n=None, rho=None):
     return f"{day_name}.{method}.n{n}.rho{rho:g}"
 
 
-# the work fields of a solve record, read as zero by a cell that reuses it
-WORK = ("build_s", "highs_s", "screen_rounds", "simplex_iterations", "mip_node_count")
-
-
-def _reused(record):
-    """A solve's ``record`` as a cell that reuses the solve keeps it: the
-    model's size and bound stay, and its work reads zero."""
-    return {k: _reused(v) if isinstance(v, dict) else 0 * v if k in WORK else v
-            for k, v in record.items()}
-
-
 def _finish_cell(system, cfg, day, method, dam, realized, req, extra, rtms, bound_from=None):
     """The record of a cell whose market cleared as ``dam``. ``rtms`` maps
     each commitment the job re-dispatched to (outcome, cell id)."""
@@ -265,7 +254,7 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra, rtms, boun
             "dispatch_cost_usd": rtm.dispatch_cost,
             "curtailment_cost_usd": rtm.curtailment_cost,
             "shed_mwh": rtm.shed_mwh,
-            **(rtm.record if shared_from is None else _reused(rtm.record)),
+            **(rtm.record if shared_from is None else optim.reused(rtm.record)),
             "shared_from": shared_from,
         },
         "settlement": {
@@ -277,72 +266,6 @@ def _finish_cell(system, cfg, day, method, dam, realized, req, extra, rtms, boun
     }
     rec.update(extra)
     return rec
-
-
-def _run_suc_group(system, cfg, day, n, rho, wanted, realized):
-    """Solve the stochastic pass once and finish every dependent cell, in
-    the order given: suc-free's market, cleared first, settles suc-fixed
-    where its commitment meets the floor (see the module docstring)."""
-    forecast, bids = _day_profile(system, cfg, day)
-    scen = gen_ar1_scenarios(
-        forecast, cfg.sigma_frac, rho, n, cfg.master_seed, labels=("in-sample", day.name)
-    )
-    suc = stochastic_uc.solve_suc(
-        system, scen, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit
-    )
-    req = suc_requirements(suc, scen)
-    suc_meta = {"objective_usd": suc.objective, "mip_gap": suc.mip_gap, **suc.record}
-    cells, rtms, free = {}, {}, None
-    for method in wanted:
-        fix = suc.committed_hours() if method == "suc-fixed" else None
-        if fix is not None and free is not None and (free.u >= fix).all():
-            dam = replace(free, certified=True, record=_reused(free.record))
-        else:
-            dam = clear_dam(
-                system, bids, req,
-                fix_commitments=fix, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit,
-            )
-        free = dam if fix is None else free
-        cells[_cell_id(day.name, method, n, rho)] = _finish_cell(
-            system, cfg, day, method, dam, realized, req,
-            {"n_scenarios": n, "rho": rho, "suc": suc_meta}, rtms,
-            "suc-free" if dam.certified else None,
-        )
-    return cells, 1  # one stochastic-pass solve
-
-
-def _run_pct_ladder(system, cfg, day, wanted, realized):
-    """Finish the percentile cells ``wanted`` of one day, in the order given
-    (ascending coverage). A level gets the outcome of the level before it as
-    ``relaxed`` when its requirements are elementwise at least that level's;
-    ``bound_from`` names the method whose clearing MILP proved the bound that
-    certified it. A level that raises is returned as its exception, and the
-    next level clears without a bound."""
-    forecast, bids = _day_profile(system, cfg, day)
-    cells, rtms = {}, {}
-    below = None  # (requirements, outcome, method that proved its bound)
-    for method in wanted:
-        cell_id = _cell_id(day.name, method)
-        try:
-            req = percentile_requirements(forecast, cfg.sigma_frac, PERCENTILE_METHODS[method])
-            nested = (
-                below is not None
-                and np.all(req.up >= below[0].up) and np.all(req.dn >= below[0].dn)
-            )
-            dam = clear_dam(
-                system, bids, req, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit,
-                relaxed=below[1] if nested else None,
-            )
-            bound_from = below[2] if dam.certified else None
-            cells[cell_id] = _finish_cell(
-                system, cfg, day, method, dam, realized, req,
-                {"n_scenarios": None, "rho": None, "suc": None}, rtms, bound_from,
-            )
-            below = (req, dam, bound_from or method)
-        except Exception as exc:  # noqa: BLE001 - a level fails its own cell
-            cells[cell_id] = exc
-            below = None
-    return cells, 0
 
 
 @dataclass
@@ -537,10 +460,53 @@ def _day_jobs(cfg, day, realized):
 
 
 def _dispatch(system, cfg, job):
+    """Finish the cells of one job (see `_day_jobs`), clearing its markets
+    in the order given, as the module docstring says; a market that raises
+    is returned as its exception. Returns the cells and the number of
+    stochastic-pass solves."""
     kind, day, n, rho, wanted, realized, _ = job
+    forecast, bids = _day_profile(system, cfg, day)
     if kind == "suc":
-        return _run_suc_group(system, cfg, day, n, rho, wanted, realized)
-    return _run_pct_ladder(system, cfg, day, wanted, realized)
+        scen = gen_ar1_scenarios(
+            forecast, cfg.sigma_frac, rho, n, cfg.master_seed, labels=("in-sample", day.name)
+        )
+        suc = stochastic_uc.solve_suc(system, scen, gap_tol=cfg.gap_tol, time_limit=cfg.time_limit)
+        suc_req = suc_requirements(suc, scen)
+        extra = {"n_scenarios": n, "rho": rho, "suc": {
+            "objective_usd": suc.objective, "mip_gap": suc.mip_gap, **suc.record,
+        }}
+
+        def market(method):
+            return suc_req, suc.committed_hours() if method == "suc-fixed" else None
+    else:
+        extra = {"n_scenarios": None, "rho": None, "suc": None}
+
+        def market(method):
+            coverage = PERCENTILE_METHODS[method]
+            return percentile_requirements(forecast, cfg.sigma_frac, coverage), None
+    cells, rtms = {}, {}
+    # the markets cleared without a floor: (requirements, outcome, method
+    # whose clearing MILP proved its bound)
+    cleared = []
+    for method in wanted:
+        cell_id = _cell_id(day.name, method, n, rho)
+        try:
+            req, fix = market(method)
+            below = next((c for c in reversed(cleared)
+                          if np.all(c[0].up <= req.up) and np.all(c[0].dn <= req.dn)), None)
+            dam = clear_dam(
+                system, bids, req, fix_commitments=fix, gap_tol=cfg.gap_tol,
+                time_limit=cfg.time_limit, relaxed=None if below is None else below[1],
+            )
+            bound_from = below[2] if dam.certified else None
+            cells[cell_id] = _finish_cell(
+                system, cfg, day, method, dam, realized, req, extra, rtms, bound_from,
+            )
+            if fix is None:
+                cleared.append((req, dam, bound_from or method))
+        except Exception as exc:  # noqa: BLE001 - a market fails its own cell
+            cells[cell_id] = exc
+    return cells, int(kind == "suc")
 
 
 def _record_failure(out_dir, result, ids, exc):

@@ -323,6 +323,18 @@ class SolveResult:
         return {"highs_s": self.highs_s, "simplex_iterations": self.simplex_iterations}
 
 
+# the work fields of a solve record, read as zero where the solve is reused
+WORK = ("build_s", "highs_s", "screen_rounds", "simplex_iterations", "mip_node_count")
+
+
+def reused(record):
+    """A solve's record as an answer that reuses the solve keeps it: the
+    model's size and bound stay, and its work reads zero, so that no solve
+    is counted twice."""
+    return {k: reused(v) if isinstance(v, dict) else 0 * v if k in WORK else v
+            for k, v in record.items()}
+
+
 def _sense_codes(sense, shape):
     if isinstance(sense, str):
         if sense not in _SENSES:
@@ -550,7 +562,14 @@ def _pass_model(c, a, row_lo, row_hi, lb, ub, integrality):
     """The only hand-off to HiGHS: a fresh one, console logging off, holding
     ``min c @ x`` subject to ``row_lo <= a @ x <= row_hi`` (``a`` a `Csr`,
     handed over as its CSC), ``lb <= x <= ub`` and ``integrality`` (int32 per
-    column, all zero for an LP). None if HiGHS refuses the model."""
+    column, all zero for an LP). None if HiGHS refuses the model. Raises
+    ValueError naming the array if one holds a NaN, or if the costs or the
+    matrix hold an infinity (HiGHS may run without end on such data); a
+    bound may be infinite."""
+    for name, arr, bound in (("c", c, False), ("a", a.data, False), ("row_lo", row_lo, True),
+                             ("row_hi", row_hi, True), ("lb", lb, True), ("ub", ub, True)):
+        if (np.isnan(arr) if bound else ~np.isfinite(arr)).any():
+            raise ValueError(f"model data {name} holds {'NaN' if bound else 'non-finite'} values")
     highs = _highs._Highs()
     highs.setOptionValue("log_to_console", False)
     indptr, indices, data = _csc(a)

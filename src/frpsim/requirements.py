@@ -198,19 +198,24 @@ def save_requirements(req, path):
 
 
 def load_requirements(path):
-    """Requirements from a CSV `save_requirements` wrote. A missing column or
-    a cell that is not a finite number, or is negative, raises
-    SystemFileError naming the file and the column."""
+    """Requirements from a CSV `save_requirements` wrote. A missing column, a
+    cell that is not a finite number, a negative requirement, or hours that
+    are not 0, 1, 2, ... in order raise SystemFileError naming the file and
+    the column."""
     note, rows = read_csv(path)
     source = note.split(":", 1)[1].strip() if note and note.startswith("source:") else "unknown"
     header, *rows = rows or [[]]
     columns = []
-    for key, _ in COLUMNS[1:]:
+    for key, _ in COLUMNS:
         try:
             i = header.index(key)
             columns.append(floats([row[i] for row in rows if row]))
         except (IndexError, ValueError):
             raise SystemFileError(f"{path}: column {key} missing or not numeric", path, key) from None
-        if min(columns[-1], default=0.0) < 0:
+    hours, *columns = columns
+    if not np.array_equal(hours, np.arange(len(hours))):
+        raise SystemFileError(f"{path}: column hour must count 0, 1, 2, ... in order", path, "hour")
+    for (key, _), column in zip(COLUMNS[1:], columns):
+        if min(column, default=0.0) < 0:
             raise SystemFileError(f"{path}: column {key} holds a negative requirement", path, key)
     return FrpRequirements(*columns, source)

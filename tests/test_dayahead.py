@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frpsim import DamBidSet, TimeGrid, clear_dam, solve_suc
+from frpsim import DamBidSet, TimeGrid, clear_dam, optim, solve_suc
 from frpsim.dayahead import (
     check_dam_outcome,
     load_dam_outcome,
@@ -171,10 +171,30 @@ def test_input_validation(two_gen_system):
             DamBidSet(("nope",), np.array([[70.0, 120.0]])),
             zero_requirements(2),
         )
-    below = clear_dam(two_gen_system, bids, zero_requirements(2))
-    with pytest.raises(ValueError, match="relaxed"):
-        clear_dam(two_gen_system, bids, zero_requirements(2),
-                  fix_commitments=np.ones((2, 2), dtype=int), relaxed=below)
+
+
+def test_a_floor_the_relaxed_market_meets_is_settled(two_gen_system, monkeypatch):
+    """With a floor, ``relaxed`` is the same market without it. Where its
+    commitment meets the floor, the outcome is its own, certified, its work
+    read as zero, and HiGHS gets no model; where it does not, the market
+    clears by its own MILP, as without ``relaxed``, and runs no check LP."""
+    bids, req = _bids(two_gen_system, [70.0, 120.0]), zero_requirements(2)
+    below = clear_dam(two_gen_system, bids, req)
+    cold = clear_dam(two_gen_system, bids, req, fix_commitments=np.ones((2, 2), dtype=int))
+    assert (below.u < 1).any()  # the all-on floor is one it breaks
+    real = optim._pass_model
+    monkeypatch.setattr(optim, "_pass_model", lambda *a: pytest.fail("HiGHS got a model"))
+    out = clear_dam(two_gen_system, bids, req, fix_commitments=below.u, relaxed=below)
+    assert out.certified and not below.certified
+    assert out.record == optim.reused(below.record)
+    assert out.record["highs_s"] == 0.0 and out.record["mip_dual_bound"] > 0.0
+    for name in ("u", "p", "lmp", "price_up", "objective", "mip_gap"):
+        assert np.array_equal(getattr(out, name), getattr(below, name)), name
+    monkeypatch.setattr(optim, "_pass_model", real)
+    out = clear_dam(two_gen_system, bids, req, fix_commitments=np.ones((2, 2), dtype=int),
+                    relaxed=below)
+    assert not out.certified and out.record["check_lp"] is None
+    assert np.array_equal(out.u, cold.u) and out.objective == cold.objective
 
 
 def _assert_same_clearing(out, cold):

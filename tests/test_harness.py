@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from frpsim import harness, save_system, stochastic_uc
+from frpsim import harness, optim, save_system, stochastic_uc
 from frpsim.harness import (
     ALL_METHODS,
     PERCENTILE_METHODS,
@@ -289,19 +289,8 @@ def test_failed_level_fails_only_its_cell(tmp_path, monkeypatch):
     assert cells["d1.p99"]["dam"]["bound_from"] == "p95"
 
 
-def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch):
-    """On day a suc-free's market commits every unit-hour the stochastic
-    pass commits, so it settles suc-fixed: the same outcome, certified,
-    with no clearing run for it. On day e the stochastic pass commits more,
-    and suc-fixed clears by its own MILP with the floor."""
-    floors = []
-    clear = harness.clear_dam
-
-    def clear_dam(*args, **kwargs):
-        floors.append(kwargs["fix_commitments"])
-        return clear(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "clear_dam", clear_dam)
+def _suc_pair_config(tmp_path):
+    """Days a and e, one stochastic-pass group each, suc-fixed and suc-free."""
     days = {"a": [100.0, 150.0, 210.0, 140.0], "e": [240.0, 262.0, 250.0, 230.0]}
     path = _write_inputs(tmp_path, days, extra="methods: [suc-fixed, suc-free]")
     text = path.read_text()
@@ -310,10 +299,33 @@ def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch)
         assert old in text
         text = text.replace(old, new)
     path.write_text(text)
-    cfg, system = load_config(path)
+    return load_config(path)
+
+
+def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch):
+    """On day a suc-free's market commits every unit-hour the stochastic
+    pass commits, so it settles suc-fixed: the same outcome, certified, from
+    a `clear_dam` call that hands HiGHS nothing. On day e the stochastic
+    pass commits more, and suc-fixed clears by its own MILP with the floor.
+    Every DAM cell is one `clear_dam` call."""
+    calls, passed = [], []  # (floor, relaxed, HiGHS models) per clear_dam call
+    clear, pass_model = harness.clear_dam, optim._pass_model
+
+    def clear_dam(*args, **kwargs):
+        before = len(passed)
+        out = clear(*args, **kwargs)
+        calls.append((kwargs["fix_commitments"], kwargs["relaxed"], len(passed) - before))
+        return out
+
+    monkeypatch.setattr(harness, "clear_dam", clear_dam)
+    monkeypatch.setattr(optim, "_pass_model", lambda *a: passed.append(1) or pass_model(*a))
+    cfg, system = _suc_pair_config(tmp_path)
     assert run_experiment(system, cfg, str(tmp_path / "out")).clean
-    # day a clears suc-free alone; day e suc-free, then suc-fixed on its floor
-    assert [floor is None for floor in floors] == [True, True, False]
+    # per day suc-free, then suc-fixed on its floor with suc-free as relaxed
+    assert [(floor is None, relaxed is None) for floor, relaxed, _ in calls] == [
+        (True, True), (False, False),
+    ] * 2
+    assert calls[1][2] == 0 and calls[3][2] > 0  # a's suc-fixed solves nothing
     cells = aggregate(str(tmp_path / "out"))
     free, settled = cells["a.suc-free.n2.rho0"], cells["a.suc-fixed.n2.rho0"]
     assert settled["dam"]["bound_from"] == "suc-free"
@@ -327,6 +339,30 @@ def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch)
     cleared = cells["e.suc-fixed.n2.rho0"]["dam"]
     assert cleared["bound_from"] is None and cleared["highs_s"] > 0.0
     assert cleared["mip_gap"] <= cfg.gap_tol
+
+
+def test_failed_suc_free_fails_only_its_cell(tmp_path, monkeypatch):
+    """A suc-free market that raises fails its own cell alone: suc-fixed,
+    left without a relaxed market, clears by its own MILP on its floor."""
+    clear = harness.clear_dam
+
+    def clear_dam(system, bids, req, **kwargs):
+        if kwargs["fix_commitments"] is None:
+            raise RuntimeError("solver crashed")
+        assert kwargs["relaxed"] is None
+        return clear(system, bids, req, **kwargs)
+
+    monkeypatch.setattr(harness, "clear_dam", clear_dam)
+    cfg, system = _suc_pair_config(tmp_path)
+    result = run_experiment(system, cfg, str(tmp_path / "out"))
+    assert result.failed == dict.fromkeys(
+        ["a.suc-free.n2.rho0", "e.suc-free.n2.rho0"], "RuntimeError: solver crashed"
+    )
+    assert result.done == ["a.suc-fixed.n2.rho0", "e.suc-fixed.n2.rho0"]
+    assert result.suc_pass_solves == 2
+    for rec in aggregate(str(tmp_path / "out")).values():
+        assert rec["dam"]["bound_from"] is None and rec["dam"]["highs_s"] > 0.0
+        assert rec["dam"]["mip_gap"] <= cfg.gap_tol
 
 
 def test_a_job_redispatches_each_commitment_once(tmp_path, monkeypatch):

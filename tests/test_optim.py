@@ -392,6 +392,29 @@ def test_past_the_deadline_highs_gets_no_model(monkeypatch):
         require_optimal(solve(_cover_model(), deadline=deadline - 1.0), "late")
 
 
+@pytest.mark.parametrize("integer", [False, True])
+def test_non_finite_model_data_never_reaches_highs(monkeypatch, integer):
+    """A NaN cost or right-hand side, or an infinite cost, is refused with a
+    ValueError naming the array before a HiGHS is constructed (HiGHS may run
+    without end on a NaN cost); infinite bounds still solve."""
+
+    def constructed():
+        raise AssertionError("a HiGHS was constructed for non-finite data")
+
+    def model(cost=1.0, rhs=2.0):
+        m = Model()
+        x = m.add_vars("x", 2, ub=np.inf, obj=[cost, 1.0], integer=integer)
+        m.add_rows("floor", ">=", [rhs, 1.0], x[:, None], 1.0)
+        return m
+
+    assert solve(model()).ok
+    monkeypatch.setattr(optim._highs, "_Highs", constructed)
+    for m, name in ((model(cost=np.nan), "c"), (model(cost=np.inf), "c"),
+                    (model(rhs=np.nan), "row_(lo|hi)")):
+        with pytest.raises(ValueError, match=f"model data {name} holds"):
+            solve(m)
+
+
 def test_an_option_highs_rejects_still_warns(monkeypatch):
     """Only scipy's note on passing options through is silenced; HiGHS
     refusing one (and so running without it) is not."""

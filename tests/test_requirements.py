@@ -2,6 +2,7 @@
 and the CSV format."""
 
 import hashlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.stats import norm
 
 from frpsim import (
     NetLoadProfile,
+    SystemFileError,
     TimeGrid,
     percentile_requirements,
     solve_suc,
@@ -243,6 +245,16 @@ def test_csv_round_trip(tmp_path):
     # the file's bytes, every line, the source line too, ending in "\n"
     sha = "22ded344c05de93c6db18b83ca6a9be4940d8cad1c153eb91d88ace75ce70bbf"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha, path.read_bytes()
+
+
+def test_csv_hours_must_count_from_zero(tmp_path):
+    """The hour column is read: rows whose hours are not 0, 1, ... in order
+    are refused in one SystemFileError naming the file and the column."""
+    path = tmp_path / "req.csv"
+    path.write_text("hour,up_mw,dn_mw\n1,5.0,0.0\n7,0.0,2.0\n")
+    with pytest.raises(SystemFileError, match=f"^{re.escape(str(path))}: column hour ") as err:
+        load_requirements(path)
+    assert err.value.field == "hour"
 
 
 @st.composite
