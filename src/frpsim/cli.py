@@ -8,7 +8,9 @@ names the file and the key or column (`validate`'s reads "malformed system
 file:"), not with a traceback; so do a system file that breaks an invariant
 (`validate` lists its issues one a line), files that do not fit each other
 (other buses, hours or scenarios), and a model the inputs leave without a
-solution.
+solution. An argument out of its range (an error spread, a correlation, a
+scenario count, a grid's split) ends a command with exit status 1 and one
+line naming the argument, before any output is written.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import dayahead, harness, optim, realtime, requirements, scenarios, settlement
 from . import stochastic_uc as suc
-from .codec import SystemFileError, floats, read_csv, write_csv
+from .codec import ParameterError, SystemFileError, floats, read_csv, write_csv
 from .system import ValidationError, load_system
 from .timegrid import TimeGrid
 
@@ -57,6 +59,7 @@ def _hourly_profile(path, periods_per_hour):
 
 def _subperiod_profile(path, periods_per_hour):
     buses, values = _read_profile_csv(path)
+    TimeGrid(periods_per_hour=periods_per_hour)  # refuses a split before it divides
     if values.shape[1] % periods_per_hour:
         raise SystemExit(
             f"{path}: {values.shape[1]} columns is not a whole number of hours "
@@ -89,7 +92,7 @@ def _cmd_gen_scenarios(args):
     system = load_system(args.system)
     forecast = _hourly_profile(args.forecast, args.periods_per_hour)
     if list(forecast.buses) != system.bus_ids:
-        raise SystemExit("forecast buses do not match system buses")
+        raise SystemExit(f"{args.forecast}: buses do not match system buses")
     scn = scenarios.gen_ar1_scenarios(
         forecast, args.sigma, args.rho, args.n, args.seed
     )
@@ -145,7 +148,7 @@ def _cmd_dam_clear(args):
     system = load_system(args.system)
     buses, hourly = _read_profile_csv(args.bids)
     if buses != system.bus_ids:
-        raise SystemExit("bid buses do not match system buses")
+        raise SystemExit(f"{args.bids}: buses do not match system buses")
     bids = dayahead.DamBidSet(buses, hourly)
     req = requirements.load_requirements(args.req)
     if req.hours != bids.hours:
@@ -217,14 +220,16 @@ def _cmd_sweep(args):
         name, _, path = spec.partition("=")
         if not path:
             raise SystemExit(f"--dam wants NAME=FILE, got {spec!r}")
+        if name in dams:
+            raise SystemExit(f"--dam names {name!r} twice")
         dams[name] = _load_dam(path, system, forecast, args.forecast)
     try:
         sigmas = [float(s) for s in args.sigmas.split(",")]
-        if not all(map(math.isfinite, sigmas)):
+        if not all(0.0 <= s < math.inf for s in sigmas):
             raise ValueError
     except ValueError:
         raise SystemExit(
-            f"--sigmas wants comma-separated finite numbers, got {args.sigmas!r}"
+            f"--sigmas wants comma-separated finite numbers >= 0, got {args.sigmas!r}"
         ) from None
     rows = realtime.stress_sweep(
         system, dams, forecast, sigmas, args.rho, args.seed, day=args.day
@@ -358,10 +363,17 @@ def _build_parser():
     return parser
 
 
+# the argument that sets each model parameter
+ARGUMENTS = {"sigma_frac": "--sigma", "rho": "--rho", "n_scenarios": "--n",
+             "periods_per_hour": "--periods-per-hour"}
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ParameterError as exc:  # named as the command line spells it
+        raise SystemExit(ARGUMENTS[exc.name] + str(exc).removeprefix(exc.name)) from None
     except SystemFileError as exc:
         raise SystemExit(f"malformed file: {exc}") from None
     except ValidationError as exc:  # its one line names the file and every issue

@@ -8,7 +8,10 @@ A nested Table under the key None keeps its keys in the parent mapping. A row
 with a default is optional; a flag (a `bool_` with a default) is written only
 when set. `read_mapping` builds an entity from a mapping and `write_mapping`
 writes one back; a missing or mistyped key raises `SystemFileError` naming
-the entity and the key.
+the entity and the key. So does, in a file read ``strict`` (the YAML files,
+written by hand), a key no row declares (`refuse_unknown`), where a
+misspelled key would otherwise read as absent. The JSON stage files are read
+leniently, so that an older file still loads with keys no longer read.
 
 Each format has one reader, and every reader opens its file through
 `read_text`, so each names the file in one line when it fails: a file that
@@ -25,7 +28,10 @@ error.
   the package writes, from a column table of (name, format spec) pairs).
 
 `check_shapes` lets an entity's class refuse arrays that do not fit its
-ids and grid, which `read_mapping` then names with the file.
+ids and grid, which `read_mapping` then names with the file. A model's own
+parameter out of its range (an error spread, a correlation, a scenario
+count, a grid's split) raises `ParameterError`, which the config reader and
+the command line name as their key or argument.
 """
 
 from __future__ import annotations
@@ -51,6 +57,15 @@ class SystemFileError(ValueError):
         super().__init__(message)
         self.entity = entity
         self.field = field
+
+
+class ParameterError(ValueError):
+    """A parameter outside its range, from a file or a command line; the
+    message starts with the parameter's ``name``."""
+
+    def __init__(self, name, want, value):
+        super().__init__(f"{name} must be {want}, got {value}")
+        self.name = name
 
 
 Table = namedtuple("Table", "cls name rows")
@@ -127,13 +142,30 @@ def convert(kind, value, entity, key):
         raise SystemFileError(msg, entity, key) from None
 
 
-def read_mapping(table, raw, entity):
+def keys(table):
+    """The keys of a ``table`` entity's mapping, those of a table under None
+    included."""
+    return [k for _, key, kind, *_ in table.rows for k in (keys(kind) if key is None else [key])]
+
+
+def refuse_unknown(raw, known, entity):
+    """SystemFileError naming the first key of the mapping ``raw`` that is
+    not in ``known``."""
+    for key in raw:
+        if key not in known:
+            raise SystemFileError(f"{entity}: unknown key {reprlib.repr(key)}", entity, key)
+
+
+def read_mapping(table, raw, entity, strict=False):
     """Build one ``table`` entity from the mapping ``raw``, naming ``entity`` in
     errors. Nested entries and lists are read first, then the scalars, each
     in file order. A value the entity's class refuses raises SystemFileError
-    too."""
+    too, and so, with ``strict``, does a key no row declares, here or in a
+    nested entry."""
     if not isinstance(raw, dict):
         raise SystemFileError(f"{entity}: expected a mapping, got {reprlib.repr(raw)}", entity)
+    if strict:
+        refuse_unknown(raw, keys(table), entity)
     values = {}
     for fld, key, kind, *default in sorted(table.rows, key=lambda row: callable(row[2])):
         if key is None:
@@ -142,12 +174,12 @@ def read_mapping(table, raw, entity):
         value = raw.get(key, *default) if default else require(raw, key, entity)
         if isinstance(kind, list) and isinstance(kind[0], Table):
             name = f"{entity} {kind[0].name}"
-            values[fld] = read_list(kind[0], value, entity, key, lambda i, _: f"{name} {i}")
+            values[fld] = read_list(kind[0], value, entity, key, lambda i, _: f"{name} {i}", strict)
         elif isinstance(kind, list):
             items = convert(list_, value, entity, key)
             values[fld] = [convert(kind[0], item, entity, key) for item in items]
         elif isinstance(kind, Table):
-            values[fld] = read_mapping(kind, value, f"{entity} {kind.name}")
+            values[fld] = read_mapping(kind, value, f"{entity} {kind.name}", strict)
         else:
             values[fld] = convert(kind, value, entity, key)
     try:
@@ -156,13 +188,14 @@ def read_mapping(table, raw, entity):
         raise SystemFileError(f"{entity}: {exc}", entity) from None
 
 
-def read_list(table, items, where, key, name):
+def read_list(table, items, where, key, name, strict=False):
     """``items``, the list under ``where``'s ``key``, as a tuple of ``table``
-    entities; ``name(position, mapping)`` names each one."""
+    entities, read as `read_mapping` reads them; ``name(position, mapping)``
+    names each one."""
     if not isinstance(items, list):
         raise SystemFileError(f"{where}: {key} must be a list", where, key)
     names = [name(i, item if isinstance(item, dict) else {}) for i, item in enumerate(items)]
-    return tuple(read_mapping(table, item, entity) for item, entity in zip(items, names))
+    return tuple(read_mapping(table, item, entity, strict) for item, entity in zip(items, names))
 
 
 def write_mapping(table, obj):

@@ -55,13 +55,13 @@ import numpy as np
 
 from . import optim, stochastic_uc
 from .codec import (
-    SystemFileError, Table, convert, floats, int_, list_, number_or_null, read_json, read_mapping,
-    read_text, read_yaml, require, write_csv, write_json,
+    ParameterError, SystemFileError, Table, convert, floats, int_, list_, number_or_null, read_json,
+    read_mapping, read_text, read_yaml, refuse_unknown, require, write_csv, write_json,
 )
 from .dayahead import DamBidSet, clear_dam
 from .realtime import simulate_rtm
 from .requirements import percentile_requirements, suc_requirements
-from .scenarios import NetLoadProfile, ScenarioSet, draw_realization, gen_ar1_scenarios
+from .scenarios import NetLoadProfile, ScenarioSet, check_draw, draw_realization, gen_ar1_scenarios
 from .settlement import settle
 from .system import load_system
 from .timegrid import TimeGrid
@@ -155,12 +155,12 @@ CONFIG = Table(dict, "config", (
 
 
 def load_config(path):
-    """Parse an experiment YAML; returns (config, system). A missing or
-    mistyped key (a list, mapping or value of the wrong type), an unknown
-    method or a day without a bus's net load raises SystemFileError naming
-    the file and the key."""
+    """Parse an experiment YAML; returns (config, system). A missing,
+    mistyped (a list, mapping or value of the wrong type), unknown or out of
+    range key, an unknown method or a day without a bus's net load raises
+    SystemFileError naming the file and the key."""
     where = str(path)
-    settings = read_mapping(CONFIG, read_yaml(path), where)
+    settings = read_mapping(CONFIG, read_yaml(path), where, strict=True)
     # hash and parse the same text, so the digest is that of this system
     system_path = os.path.join(os.path.dirname(os.path.abspath(path)), settings.pop("system_path"))
     text = read_text(system_path)
@@ -172,13 +172,16 @@ def load_config(path):
     days = []
     for d in settings.pop("days"):
         day, key = f"{where}: day {d.get('name')}", "hourly_net_load_mw"
+        refuse_unknown(d, ("name", key), day)
         loads = convert(dict, require(d, key, day), day, key)
         missing = [b for b in system.bus_ids if b not in loads]
         if missing:
             raise SystemFileError(f"{day}: no net load for buses {missing}")
+        refuse_unknown(loads, system.bus_ids, f"{day} {key}")
         hourly = [convert(list_, loads[b], day, f"{key} {b}") for b in system.bus_ids]
         days.append(DayInput(str(require(d, "name", day)), convert(floats, hourly, day, key)))
     oos = settings.pop("out_of_sample")
+    refuse_unknown(oos, ("sigma_frac", "rho"), f"{where}: out_of_sample")
     cfg = ExperimentConfig(
         days=days,
         oos_sigma_frac=convert(
@@ -189,6 +192,17 @@ def load_config(path):
         system_sha256=hashlib.sha256(text.encode()).hexdigest(),
         **settings,
     )
+    # the grid and the parameters of the run's draws, checked as they would
+    # be drawn: (the key's prefix, sigma_frac, rho, scenario count)
+    draws = [("", cfg.sigma_frac, 0.0, 1), ("out_of_sample ", cfg.oos_sigma_frac, cfg.oos_rho, 1)]
+    draws += [("", 0.0, rho, 1) for rho in cfg.rho] + [("", 0.0, 0.0, n) for n in cfg.n_scenarios]
+    prefix = ""
+    try:
+        cfg.grid(1)
+        for prefix, *draw in draws:
+            check_draw(*draw)
+    except ParameterError as exc:
+        raise SystemFileError(f"{where}: {prefix}{exc}", where, prefix + exc.name) from None
     return cfg, system
 
 

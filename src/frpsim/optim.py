@@ -355,9 +355,8 @@ def stack_rows(*families):
     A family is a list of ``(cols, coefs)`` terms, each broadcasting to one
     row shape ``S`` shared by every family. Returns ``(cols, coefs)`` of shape
     ``(*S, len(families), terms)``, so the families interleave: the rows at
-    one position of ``S`` come together, in family order. A single family
-    gives shape ``(*S, terms)``. Families with fewer terms pad with zero
-    coefficients.
+    one position of ``S`` come together, in family order. Families with
+    fewer terms pad with zero coefficients.
     """
     shape = np.broadcast_shapes(*(np.shape(x) for fam in families for term in fam for x in term))
     width = max(len(fam) for fam in families)
@@ -367,8 +366,6 @@ def stack_rows(*families):
         for t, (col, coef) in enumerate(fam):
             cols[..., f, t] = col
             coefs[..., f, t] = coef
-    if len(families) == 1:
-        return cols[..., 0, :], coefs[..., 0, :]
     return cols, coefs
 
 
@@ -389,7 +386,6 @@ class Model:
         self._sense = np.zeros(0, dtype=np.int8)
         self._rhs = np.zeros(0)
         self._lo = self._hi = np.zeros(0)
-        self._lp = None  # the LP split of the matrix, see _lp_parts
 
     # the column arrays, as views that callers may write through
     @property
@@ -494,10 +490,8 @@ class Model:
             self._rhs = np.concatenate([self._rhs, rhs])
             self._lo = np.where(self._sense == _LE, -np.inf, self._rhs)
             self._hi = np.where(self._sense == _GE, np.inf, self._rhs)
-            self._lp = None
         elif self._mat.shape[1] != self._n:  # columns added since
             self._mat = self._mat._replace(shape=(self._n_rows, self._n))
-            self._lp = None
         return self._mat, self._lo, self._hi
 
     def _lp_parts(self):
@@ -505,17 +499,15 @@ class Model:
         negated) as A_ub, ``==`` rows as A_eq, with the row numbers of each
         and the sign that maps an A_ub dual back to its row."""
         mat, _, _ = self._constraint_matrix()
-        if self._lp is None:
-            eq = self._sense == _EQ
-            ub_rows, eq_rows = np.flatnonzero(~eq), np.flatnonzero(eq)
-            flip = np.where(self._sense[ub_rows] == _GE, -1.0, 1.0)
-            a_ub = _take_rows(mat, ub_rows)
-            a_ub = a_ub._replace(data=a_ub.data * np.repeat(flip, np.diff(a_ub.indptr)))
-            self._lp = (
-                a_ub, flip * self._rhs[ub_rows], ub_rows, flip,
-                _take_rows(mat, eq_rows), self._rhs[eq_rows], eq_rows,
-            )
-        return self._lp
+        eq = self._sense == _EQ
+        ub_rows, eq_rows = np.flatnonzero(~eq), np.flatnonzero(eq)
+        flip = np.where(self._sense[ub_rows] == _GE, -1.0, 1.0)
+        a_ub = _take_rows(mat, ub_rows)
+        a_ub = a_ub._replace(data=a_ub.data * np.repeat(flip, np.diff(a_ub.indptr)))
+        return (
+            a_ub, flip * self._rhs[ub_rows], ub_rows, flip,
+            _take_rows(mat, eq_rows), self._rhs[eq_rows], eq_rows,
+        )
 
     def write_lp(self, path):
         """Dump the model to ``path`` as a file written by HiGHS (debugging

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .codec import SystemFileError, floats, read_csv, write_csv
+from .scenarios import check_draw
 
 __all__ = [
     "FrpRequirements",
@@ -176,6 +177,7 @@ def percentile_requirements(forecast, sigma_frac, coverage):
     """
     if not 0.0 < coverage < 1.0:
         raise ValueError(f"coverage must be in (0, 1), got {coverage}")
+    check_draw(sigma_frac)
     z = ndtri(0.5 * (1.0 + coverage))
     sys_forecast = forecast.values.sum(axis=0)
     sigma = np.sqrt(((sigma_frac * np.abs(forecast.values)) ** 2).sum(axis=0))

@@ -14,18 +14,20 @@ perturb each other no matter how many of each are drawn.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Table, floats, read_json, write_json
+from .codec import ParameterError, Table, floats, read_json, write_json
 from .timegrid import GRID, TimeGrid
 
 __all__ = [
     "NetLoadProfile",
     "ScenarioSet",
     "substream",
+    "check_draw",
     "gen_ar1_scenarios",
     "gen_iid_scenarios",
     "draw_realization",
@@ -119,6 +121,18 @@ class ScenarioSet:
         return self.values.shape[0]
 
 
+def check_draw(sigma_frac, rho=0.0, n_scenarios=1):
+    """ParameterError naming the first parameter of a draw out of its range:
+    ``sigma_frac`` must be a finite number >= 0 (a negative one would mirror
+    the draws), ``rho`` in [0, 1) and ``n_scenarios`` at least 1."""
+    if not 0.0 <= sigma_frac < math.inf:
+        raise ParameterError("sigma_frac", "a finite number >= 0", sigma_frac)
+    if not 0.0 <= rho < 1.0:
+        raise ParameterError("rho", "in [0, 1)", rho)
+    if not n_scenarios >= 1:
+        raise ParameterError("n_scenarios", "at least 1", n_scenarios)
+
+
 def _ar1_errors(rng, sigma, n_scenarios, rho):
     n, t = sigma.shape
     shocks = rng.standard_normal((n_scenarios, n, t)) * sigma[None, :, :]
@@ -132,10 +146,7 @@ def _ar1_errors(rng, sigma, n_scenarios, rho):
 
 def gen_ar1_scenarios(forecast, sigma_frac, rho, n_scenarios, seed, labels=("in-sample",)):
     """Draw equiprobable AR(1) error scenarios around a forecast profile."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
-    if n_scenarios < 1:
-        raise ValueError("need at least one scenario")
+    check_draw(sigma_frac, rho, n_scenarios)
     rng = substream(seed, *labels)
     sigma = sigma_frac * np.abs(forecast.values)
     eps = _ar1_errors(rng, sigma, n_scenarios, rho)

@@ -6,25 +6,22 @@ USD). The file's schema is one table per entity (`BUS`, `LINE`, `SEGMENT`,
 any default; `load_system` reads and `save_system` writes through those same
 tables and the file codec (`frpsim.codec`: `read_yaml`, `read_mapping`,
 `write_mapping`, `write_yaml`), so a key is spelled once. A file that cannot
-be read or parsed, or a missing or mistyped key, raises `SystemFileError`
-naming the file, then the entity and the key. `load_system` then validates:
-`validate_system` collects every violation instead of stopping at the first
-so a bad file is diagnosed in one pass, and `ValidationError` names the
-file. Injection shift factors are computed from line reactances via the
-reduced nodal susceptance matrix unless the file supplies a matrix, in which
-case the supplied one wins (a consistency warning is emitted if it disagrees
-with the computed one by more than 1e-6).
+be read or parsed, or a missing, mistyped or unknown key, raises
+`SystemFileError` naming the file, then the entity and the key.
+`load_system` then validates: `validate_system` collects every violation
+instead of stopping at the first so a bad file is diagnosed in one pass, and
+`ValidationError` names the file. Injection shift factors are computed from
+line reactances via the reduced nodal susceptance matrix.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codec import (
-    SystemFileError, Table, bool_, convert, floats, int_, read_list, read_mapping, read_yaml,
+    SystemFileError, Table, bool_, int_, read_list, read_mapping, read_yaml, refuse_unknown,
     require, write_mapping, write_yaml,
 )
 
@@ -137,15 +134,14 @@ class Generator:
         return cost
 
 
-@dataclass(eq=False)
+@dataclass
 class PowerSystem:
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     generators: tuple[Generator, ...]
     curtailment_penalty: float  # $/MWh of load not served
     frp_shortfall_penalty: float  # $/MW of unmet ramping requirement
-    supplied_isf: np.ndarray | None = None
-    _isf_cache: np.ndarray | None = field(default=None, init=False, repr=False)
+    _isf_cache: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- identity helpers -------------------------------------------------
 
@@ -157,41 +153,19 @@ class PowerSystem:
     def gen_ids(self):
         return [g.id for g in self.generators]
 
-    @property
-    def slack_bus(self):
-        for b in self.buses:
-            if b.slack:
-                return b.id
-        raise ValidationError(["no slack bus designated"])
-
     def bus_index(self, bus_id):
         return self.bus_ids.index(bus_id)
 
     # -- shift factors -----------------------------------------------------
 
     def isf(self):
-        """Injection shift factor matrix, shape (n_lines, n_buses).
-
-        Column of the slack bus is identically zero. Supplied matrices take
-        precedence over the computed one.
-        """
+        """Injection shift factor matrix, shape (n_lines, n_buses), computed
+        from the lines once. Column of the slack bus is identically zero."""
         if self._isf_cache is None:
-            if self.supplied_isf is not None:
-                mat = np.asarray(self.supplied_isf, dtype=float)
-                if self.lines:
-                    computed = compute_isf(self.buses, self.lines)
-                    gap = float(np.max(np.abs(mat - computed))) if mat.size else 0.0
-                    if gap > 1e-6:
-                        warnings.warn(
-                            f"supplied shift factors differ from computed ones "
-                            f"by up to {gap:.3e}; using the supplied values",
-                            stacklevel=2,
-                        )
-                self._isf_cache = mat
-            elif self.lines:
-                self._isf_cache = compute_isf(self.buses, self.lines)
-            else:
-                self._isf_cache = np.zeros((0, len(self.buses)))
+            self._isf_cache = (
+                compute_isf(self.buses, self.lines) if self.lines
+                else np.zeros((0, len(self.buses)))
+            )
         return self._isf_cache
 
     def validate(self, path=None):
@@ -201,22 +175,6 @@ class PowerSystem:
         if issues:
             raise ValidationError(issues, path)
         return self
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSystem):
-            return NotImplemented
-        if (
-            self.buses != other.buses
-            or self.lines != other.lines
-            or self.generators != other.generators
-            or self.curtailment_penalty != other.curtailment_penalty
-            or self.frp_shortfall_penalty != other.frp_shortfall_penalty
-        ):
-            return False
-        a, b = self.supplied_isf, other.supplied_isf
-        if (a is None) != (b is None):
-            return False
-        return a is None or bool(np.array_equal(a, b))
 
 
 def compute_isf(buses, lines):
@@ -305,19 +263,6 @@ def validate_system(system):
         issues.append("curtailment_penalty must be > 0")
     if system.frp_shortfall_penalty <= 0:
         issues.append("frp_shortfall_penalty must be > 0")
-
-    if system.supplied_isf is not None:
-        mat = np.asarray(system.supplied_isf, dtype=float)
-        want = (len(system.lines), len(system.buses))
-        if mat.shape != want:
-            issues.append(f"isf: shape {mat.shape} does not match (lines, buses) {want}")
-        elif mat.size:
-            if not np.all(np.isfinite(mat)):
-                issues.append("isf: matrix contains non-finite entries")
-            elif slack_count == 1:
-                col = mat[:, system.bus_index(system.slack_bus)]
-                if np.max(np.abs(col)) > 1e-9:
-                    issues.append("isf: slack bus column must be zero")
 
     if slack_count == 1 and system.lines and not issues:
         try:
@@ -434,16 +379,19 @@ def load_system(path, text=None):
     if version != FORMAT_VERSION:
         raise SystemFileError(f"{path}: unsupported format_version {version}")
     try:
+        refuse_unknown(raw, ["format_version", "penalties", *(k for k, _, _ in LISTS)], "system")
         system = PowerSystem(
             **{
                 key: read_list(
                     table, raw.get(key, []), "system", key,
                     lambda i, item: f"{table.name} {item.get('id', unnamed.format(i))}",
+                    strict=True,
                 )
                 for key, table, unnamed in LISTS
             },
-            **read_mapping(PENALTIES, require(raw, "penalties", "system"), "penalties"),
-            supplied_isf=None if raw.get("isf") is None else convert(floats, raw["isf"], "system", "isf"),
+            **read_mapping(
+                PENALTIES, require(raw, "penalties", "system"), "penalties", strict=True
+            ),
         )
     except SystemFileError as exc:  # it names the entry; name the file too
         raise SystemFileError(f"{path}: {exc}", exc.entity, exc.field) from None
@@ -454,6 +402,4 @@ def save_system(system, path):
     doc = {"format_version": FORMAT_VERSION, "penalties": write_mapping(PENALTIES, system)}
     for key, table, _ in LISTS:
         doc[key] = [write_mapping(table, entity) for entity in getattr(system, key)]
-    if system.supplied_isf is not None:
-        doc["isf"] = [[float(v) for v in row] for row in np.asarray(system.supplied_isf)]
     write_yaml(path, doc)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import Table, int_
+from .codec import ParameterError, Table, int_
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,9 @@ class TimeGrid:
     def __post_init__(self):
         if self.hours < 1:
             raise ValueError(f"hours must be >= 1, got {self.hours}")
-        if self.periods_per_hour < 1 or 60 % self.periods_per_hour != 0:
-            raise ValueError(
-                "periods_per_hour must be a positive divisor of 60, got "
-                f"{self.periods_per_hour}"
-            )
+        k = self.periods_per_hour
+        if k < 1 or 60 % k != 0:
+            raise ParameterError("periods_per_hour", "a positive divisor of 60", k)
 
     @property
     def n_periods(self):

@@ -67,12 +67,25 @@ def test_validate_reports_issues(tmp_path, capsys):
     ("{committed: false", '{committed: "false"',
      "generator g2 initial state: committed must be bool, got 'false'"),
     ("min_up_h: 1\n", "min_up_h: 2.7\n", "generator g1: min_up_h must be int, got 2.7"),
-    ("lines: []", "lines: []\nisf: lots", "system: isf must be floats, got 'lots'"),
-    ("lines: []", "lines: []\nisf: [[0.0], []]", "system: isf must be floats"),
-], ids=["float", "int", "list", "mapping", "bool", "integral", "isf", "ragged-isf"])
+    # a key no table declares, one in each mapping of the file: shift
+    # factors come from the lines, so a matrix is refused too
+    ("lines: []", "lines: []\nisf: [[0.0]]", "system: unknown key 'isf'"),
+    ("lines: []", "lines: []\nisf: [[0.0], []]", "system: unknown key 'isf'"),
+    ("frp_shortfall_usd_per_mw: 1500.0\n", "frp_shortfall_usd_per_mw: 1500.0\n  voll: 9.0\n",
+     "penalties: unknown key 'voll'"),
+    ("{id: b1, slack: true}", "{id: b1, slack: true, kv: 138}", "bus b1: unknown key 'kv'"),
+    ("lines: []", "lines: [{id: l1, from: b1, to: b1, reactance_pu: 0.1, flow_min_mw: -1.0, "
+     "flow_max_mw: 1.0, rating_mw: 1.0}]", "line l1: unknown key 'rating_mw'"),
+    ("no_load_usd_per_h: 5.0", "no_load_usd_per_hr: 5.0",
+     "generator g1: unknown key 'no_load_usd_per_hr'"),
+    ("{to_mw: 50.0, usd_per_mwh: 20.0}", "{to_mw: 50.0, usd_per_mw: 20.0}",
+     "generator g1 segment 0: unknown key 'usd_per_mw'"),
+    ("hours_on: 5}", "hours_onn: 5}", "generator g1 initial state: unknown key 'hours_onn'"),
+], ids=["float", "int", "list", "mapping", "bool", "integral", "isf", "ragged-isf", "penalties",
+        "bus", "line", "generator", "segment", "initial"])
 def test_validate_names_a_mistyped_key(tmp_path, capsys, old, new, named):
-    """A value of the wrong type exits 1 with the entity and key it concerns,
-    not with a traceback."""
+    """A value of the wrong type, or a key the file's tables do not declare,
+    exits 1 with the entity and key it concerns, not with a traceback."""
     text = Path(case_path("single_bus_two_gen.yaml")).read_text()
     assert old in text
     bad = tmp_path / "bad.yaml"
@@ -285,6 +298,46 @@ def test_malformed_stage_file_is_named_in_one_line(workdir, staged, name, edit, 
     message = str(exc.value)
     assert message.startswith(f"malformed file: {path}: ") and named in message, message
     assert "\n" not in message
+
+
+GEN = ["gen-scenarios", "--system", "{w}/system.yaml", "--forecast", "{w}/forecast.csv",
+       "--sigma", "0.04", "--n", "2", "--seed", "1", "--out", "{w}/new"]
+PCT = ["frp-req", "--method", "p95", "--forecast", "{w}/forecast.csv", "--out", "{w}/new"]
+SWEEP = ["sweep", "--system", "{w}/system.yaml", "--forecast", "{w}/forecast.csv",
+         "--dam", "a={w}/dam.json", "--sigmas", "0.0,0.05", "--seed", "7", "--out", "{w}/new"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (GEN + ["--rho", "1.5"], "--rho must be in [0, 1), got 1.5"),
+    (GEN + ["--n", "0"], "--n must be at least 1, got 0"),
+    (GEN + ["--sigma", "nan"], "--sigma must be a finite number >= 0, got nan"),
+    (GEN + ["--sigma", "-0.04"], "--sigma must be a finite number >= 0, got -0.04"),
+    (GEN + ["--periods-per-hour", "7"],
+     "--periods-per-hour must be a positive divisor of 60, got 7"),
+    (PCT + ["--sigma", "nan"], "--sigma must be a finite number >= 0, got nan"),
+    (PCT + ["--periods-per-hour", "-4"], "--periods-per-hour must be a positive divisor"),
+    (["rtm-sim", "--system", "{w}/system.yaml", "--dam", "{w}/dam.json", "--realized",
+      "{w}/realized.csv", "--periods-per-hour", "0", "--settlement-out", "{w}/new"],
+     "--periods-per-hour must be a positive divisor of 60, got 0"),
+    (SWEEP + ["--periods-per-hour", "7"], "--periods-per-hour must be a positive divisor"),
+    (SWEEP + ["--rho", "1.5"], "--rho must be in [0, 1), got 1.5"),
+    (SWEEP + ["--sigmas", "0.0,-0.05"], "--sigmas wants comma-separated finite numbers >= 0"),
+    (SWEEP + ["--dam", "a={w}/dam.json"], "--dam names 'a' twice"),
+    (GEN[:4] + ["{w}/other.csv"] + GEN[5:], "{w}/other.csv: buses do not match system buses"),
+    (["dam-clear", "--system", "{w}/system.yaml", "--bids", "{w}/other.csv", "--req",
+      "{w}/req.csv", "--out", "{w}/new"], "{w}/other.csv: buses do not match system buses"),
+], ids=["rho", "n", "sigma-nan", "sigma-negative", "gen-periods", "req-sigma-nan", "req-periods",
+        "rtm-periods", "sweep-periods", "sweep-rho", "sweep-sigmas", "sweep-dam-twice",
+        "gen-buses", "dam-buses"])
+def test_an_argument_out_of_range_ends_in_one_line(workdir, staged, capsys, argv, named):
+    """An argument out of its range, or a profile of other buses than the
+    system, ends the command with exit status 1 and one line naming the
+    argument or the file, before any output is written."""
+    _write_csv(workdir / "other.csv", ["b9"], [[100.0, 150.0, 210.0, 140.0]])
+    status, lines = _outcome([a.format(w=workdir) for a in argv], capsys)
+    assert (status, len(lines)) == (1, 1), lines
+    assert lines[0].startswith(named.format(w=workdir)), lines
+    assert not (workdir / "new").exists()
 
 
 def test_dam_clear_refuses_commitments_of_other_units(workdir, staged):
@@ -573,12 +626,33 @@ def test_every_command_names_an_invalid_system_file(workdir, staged):
     ("  - name: d1\n    hourly", "  - d1\n  - hourly", "days must be dict, got 'd1'"),
     ("{b1: [100.0, 150.0, 210.0, 140.0]}", "{b1: 100.0}",
      "day d1: hourly_net_load_mw b1 must be list, got 100.0"),
+    # a key no table declares
+    ("n_scenarios: [2]", "n_scenario: [16]", "unknown key 'n_scenario'"),
+    ("rho: [0.0]\n", "rho: [0.0]\nout_of_sample: {sigma: 0.01}\n",
+     "out_of_sample: unknown key 'sigma'"),
+    ("  - name: d1\n", "  - name: d1\n    weight: 2\n", "day d1: unknown key 'weight'"),
+    ("{b1: [100.0, 150.0, 210.0, 140.0]}", "{b1: [100.0, 150.0, 210.0, 140.0], b2: [1.0]}",
+     "day d1 hourly_net_load_mw: unknown key 'b2'"),
+    # a value out of its range
+    ("sigma_frac: 0.04", "sigma_frac: .nan", "sigma_frac must be a finite number >= 0, got nan"),
+    ("sigma_frac: 0.04", "sigma_frac: -0.04", "sigma_frac must be a finite number >= 0"),
+    ("rho: [0.0]", "rho: [0.0, 1.0]", "rho must be in [0, 1), got 1.0"),
+    ("n_scenarios: [2]", "n_scenarios: [0]", "n_scenarios must be at least 1, got 0"),
+    ("rho: [0.0]\n", "rho: [0.0]\nperiods_per_hour: 7\n",
+     "periods_per_hour must be a positive divisor of 60, got 7"),
+    ("rho: [0.0]\n", "rho: [0.0]\nout_of_sample: {sigma_frac: .inf}\n",
+     "out_of_sample sigma_frac must be a finite number >= 0, got inf"),
+    ("rho: [0.0]\n", "rho: [0.0]\nout_of_sample: {rho: -0.5}\n",
+     "out_of_sample rho must be in [0, 1), got -0.5"),
 ], ids=["missing", "mistyped", "integral", "method", "scalar-list", "string-list",
-        "list-mapping", "string-day", "scalar-load"])
+        "list-mapping", "string-day", "scalar-load", "unknown", "unknown-oos", "unknown-day",
+        "unknown-bus", "nan-sigma", "negative-sigma", "rho", "no-scenarios", "periods",
+        "oos-sigma", "oos-rho"])
 def test_run_names_a_malformed_config_key(workdir, old, new, named):
-    """A config missing a key, or holding a value of the wrong type, ends
-    `run` with one "malformed file:" line naming the config and the key,
-    before any ledger is written."""
+    """A config missing a key, holding a value of the wrong type or out of
+    its range, or holding a key its tables do not declare, ends `run` with
+    one "malformed file:" line naming the config and the key, before any
+    ledger is written."""
     config = workdir / "config.yaml"
     assert old in CONFIG
     config.write_text(CONFIG.replace(old, new))
@@ -642,6 +716,22 @@ def test_run_and_report(workdir, capsys):
     table = capsys.readouterr().out
     assert "d1.p95" in table and "cells.csv" in table
     assert (workdir / "ledger" / "totals.csv").exists()
+
+
+def test_run_refuses_a_ledger_of_another_config(workdir, capsys):
+    """`run` into a ledger whose first run had another config digest exits 1
+    with one line, before it writes anything there."""
+    (workdir / "config.yaml").write_text(CONFIG)
+    ledger = workdir / "ledger"
+    ledger.mkdir()
+    manifest = json.dumps({"event": "run-start", "config_digest": "0123456789abcdef"}) + "\n"
+    (ledger / "manifest.jsonl").write_text(manifest)
+    status, lines = _outcome(["run", "--config", str(workdir / "config.yaml"),
+                              "--out", str(ledger)], capsys)
+    assert status == 1 and len(lines) == 1
+    assert lines[0].startswith(f"refusing to resume: {ledger} holds a run of config 0123456789ab")
+    assert (ledger / "manifest.jsonl").read_text() == manifest
+    assert sorted(p.name for p in ledger.iterdir()) == ["manifest.jsonl"]
 
 
 def test_run_partial_failure_exit_code(tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from frpsim import harness, optim, save_system, stochastic_uc
+from frpsim.data import corpus_path
 from frpsim.harness import (
     ALL_METHODS,
     PERCENTILE_METHODS,
@@ -52,6 +53,14 @@ days:
 
 
 DAYS = {"d1": [100.0, 150.0, 210.0, 140.0], "d2": [120.0, 180.0, 240.0, 160.0]}
+
+
+def test_corpus_config_digest_is_frozen():
+    """The corpus config's digest, which names its ledgers and which every
+    resumable ledger of it records: a change to what the digest hashes, or
+    to how the config or its system file is read, shows here."""
+    cfg, _ = load_config(corpus_path("config.yaml"))
+    assert cfg.digest() == "08a179cd132cea6e"
 
 
 def test_load_config(tmp_path):
@@ -363,6 +372,34 @@ def test_failed_suc_free_fails_only_its_cell(tmp_path, monkeypatch):
     for rec in aggregate(str(tmp_path / "out")).values():
         assert rec["dam"]["bound_from"] is None and rec["dam"]["highs_s"] > 0.0
         assert rec["dam"]["mip_gap"] <= cfg.gap_tol
+
+
+def test_failed_stochastic_pass_fails_its_group(tmp_path, monkeypatch):
+    """A stochastic pass that raises fails its group's cells with its error,
+    while the same day's percentile cells finish; a resume retries the
+    failed cells alone."""
+    draw = harness.gen_ar1_scenarios
+
+    def gen_ar1_scenarios(forecast, sigma_frac, rho, n, *args, **kwargs):
+        if n == 3:
+            raise RuntimeError("draw crashed")
+        return draw(forecast, sigma_frac, rho, n, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "gen_ar1_scenarios", gen_ar1_scenarios)
+    path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [suc-fixed, suc-free, p95]")
+    cfg, system = load_config(path)
+    out = str(tmp_path / "out")
+    result = run_experiment(system, cfg, out)
+    failed = [f"d1.{m}.n3.rho{r}" for r in ("0", "0.4") for m in ("suc-free", "suc-fixed")]
+    assert result.failed == dict.fromkeys(failed, "RuntimeError: draw crashed")
+    assert sorted(result.done) == sorted(
+        ["d1.p95"] + [f"d1.{m}.n2.rho{r}" for r in ("0", "0.4") for m in ("suc-free", "suc-fixed")]
+    )
+    assert result.suc_pass_solves == 2
+    monkeypatch.setattr(harness, "gen_ar1_scenarios", draw)
+    again = run_experiment(system, cfg, out)
+    assert again.clean and sorted(again.done) == sorted(failed)
+    assert sorted(again.skipped) == sorted(result.done)
 
 
 def test_a_job_redispatches_each_commitment_once(tmp_path, monkeypatch):

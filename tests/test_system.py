@@ -171,33 +171,6 @@ def test_isf_disconnected_names_island():
     assert "b3" in str(err.value)
 
 
-def test_supplied_isf_wins_with_warning():
-    buses = (Bus("b1", slack=True), Bus("b2"))
-    lines = (_line("l1", "b1", "b2", 0.1),)
-    gens = (make_gen("g1", bus="b1"),)
-    wrong = np.array([[0.0, -0.5]])
-    system = PowerSystem(
-        buses=buses, lines=lines, generators=gens,
-        curtailment_penalty=1000.0, frp_shortfall_penalty=500.0,
-        supplied_isf=wrong,
-    )
-    with pytest.warns(UserWarning, match="differ"):
-        psi = system.isf()
-    assert np.array_equal(psi, wrong)
-
-
-def test_supplied_isf_must_zero_slack_column():
-    buses = (Bus("b1", slack=True), Bus("b2"))
-    lines = (_line("l1", "b1", "b2", 0.1),)
-    system = PowerSystem(
-        buses=buses, lines=lines, generators=(make_gen("g1"),),
-        curtailment_penalty=1000.0, frp_shortfall_penalty=500.0,
-        supplied_isf=np.array([[0.3, -1.0]]),
-    )
-    issues = validate_system(system)
-    assert any("slack" in i for i in issues)
-
-
 def test_validation_catches_each_breakage(two_gen_system):
     sys0 = two_gen_system
     assert validate_system(sys0) == []
@@ -266,6 +239,8 @@ def test_yaml_round_trip_with_network(tmp_path):
     path = tmp_path / "net.yaml"
     save_system(system, path)
     assert load_system(path) == system
+    system.isf()  # a computed matrix is no part of the system's value
+    assert load_system(path) == system
 
 
 def test_missing_field_is_named(tmp_path):
@@ -301,21 +276,16 @@ def _init_fields(cls):
     return sorted(f.name for f in dataclasses.fields(cls) if f.init)
 
 
-def _keys(table):
-    """A table's keys in its mapping, with those of a table under None."""
-    return [k for _, key, kind, *_ in table.rows for k in (_keys(kind) if key is None else [key])]
-
-
 def test_each_table_names_every_field_once():
     """A dataclass field added without a row in its table fails here."""
     tables = (BUS, LINE, SEGMENT, INITIAL, GENERATOR, GRID, SCENARIOS, SOLUTION, OUTCOME)
     for table in tables:
         assert sorted(row[0] for row in table.rows) == _init_fields(table.cls)
-    # PowerSystem's fields: its lists, the penalties, and the optional matrix
+    # PowerSystem's fields: its lists and the penalties
     named = [key for key, _, _ in LISTS] + [row[0] for row in PENALTIES.rows]
-    assert sorted(named + ["supplied_isf"]) == _init_fields(PowerSystem)
+    assert sorted(named) == _init_fields(PowerSystem)
     for table in (*tables, PENALTIES):
-        keys = _keys(table)
+        keys = codec.keys(table)
         assert len(set(keys)) == len(keys)
 
 
@@ -408,6 +378,7 @@ def test_bundled_cases_validate():
 def test_ieee14_isf_against_angle_oracle():
     system = load_system(case_path("ieee14"))
     psi = system.isf()
-    want = _isf_by_angle_solve(system.buses, system.lines, system.slack_bus)
+    slack = next(b.id for b in system.buses if b.slack)
+    want = _isf_by_angle_solve(system.buses, system.lines, slack)
     assert psi.shape == (len(system.lines), len(system.buses))
     assert np.max(np.abs(psi - want)) < 1e-9
