@@ -30,8 +30,8 @@ error.
 `check_shapes` lets an entity's class refuse arrays that do not fit its
 ids and grid, which `read_mapping` then names with the file. A model's own
 parameter out of its range (an error spread, a correlation, a scenario
-count, a grid's split) raises `ParameterError`, which the config reader and
-the command line name as their key or argument.
+count, a seed, a grid's split, a MIP gap) raises `ParameterError`, which
+the config reader and the command line name as their key or argument.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import reprlib
 from collections import namedtuple
 
@@ -66,6 +67,12 @@ class ParameterError(ValueError):
     def __init__(self, name, want, value):
         super().__init__(f"{name} must be {want}, got {value}")
         self.name = name
+
+
+def check_nonnegative(name, value):
+    """ParameterError naming ``name`` unless ``value`` is a finite number >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ParameterError(name, "a finite number >= 0", value)
 
 
 Table = namedtuple("Table", "cls name rows")

@@ -73,7 +73,8 @@ import numpy as np
 
 from . import dispatch, network, optim
 from .codec import (
-    Table, bool_, check_shapes, floats, int_, ints, number_or_null, read_json, write_json,
+    Table, bool_, check_nonnegative, check_shapes, floats, int_, ints, number_or_null, read_json,
+    write_json,
 )
 from .stochastic_uc import (
     add_commitment_block,
@@ -285,6 +286,7 @@ def clear_dam(
     runs and the outcome is ``certified``; under a floor its commitment
     meets, nothing is built or solved and the outcome is ``relaxed``'s.
     """
+    check_nonnegative("gap_tol", gap_tol)
     if tuple(bids.buses) != tuple(system.bus_ids):
         raise ValueError("bid buses do not match system buses")
     if req.hours != bids.hours:

@@ -55,8 +55,9 @@ import numpy as np
 
 from . import optim, stochastic_uc
 from .codec import (
-    ParameterError, SystemFileError, Table, convert, floats, int_, list_, number_or_null, read_json,
-    read_mapping, read_text, read_yaml, refuse_unknown, require, write_csv, write_json,
+    ParameterError, SystemFileError, Table, check_nonnegative, convert, floats, int_, list_,
+    number_or_null, read_json, read_mapping, read_text, read_yaml, refuse_unknown, require,
+    write_csv, write_json,
 )
 from .dayahead import DamBidSet, clear_dam
 from .realtime import simulate_rtm
@@ -192,13 +193,16 @@ def load_config(path):
         system_sha256=hashlib.sha256(text.encode()).hexdigest(),
         **settings,
     )
-    # the grid and the parameters of the run's draws, checked as they would
-    # be drawn: (the key's prefix, sigma_frac, rho, scenario count)
-    draws = [("", cfg.sigma_frac, 0.0, 1), ("out_of_sample ", cfg.oos_sigma_frac, cfg.oos_rho, 1)]
+    # the grid, the MIP gap and the parameters of the run's draws, checked as
+    # they would be drawn: (the key's prefix, sigma_frac, rho, scenario
+    # count, seed)
+    draws = [("", cfg.sigma_frac, 0.0, 1, cfg.master_seed),
+             ("out_of_sample ", cfg.oos_sigma_frac, cfg.oos_rho, 1)]
     draws += [("", 0.0, rho, 1) for rho in cfg.rho] + [("", 0.0, 0.0, n) for n in cfg.n_scenarios]
     prefix = ""
     try:
         cfg.grid(1)
+        check_nonnegative("gap_tol", cfg.gap_tol)
         for prefix, *draw in draws:
             check_draw(*draw)
     except ParameterError as exc:

@@ -5,9 +5,12 @@ the whole day's sub-period grid in a single LP with curtailment as the only
 slack (priced at the systemwide penalty, which stands in for the value of
 lost load). The dispatch rows come from `dispatch.unit_rows` with the
 commitment as data, so the LP has no commitment columns. Real-time
-locational prices are the duals of the per-bus realized load equalities. A
-realized trajectory the committed fleet cannot ramp down to raises
-InfeasibleModelError; that is a modeling problem, not a market outcome.
+locational prices are the duals of the per-bus realized load equalities.
+Each unit's realized dispatch cost is the LP's cost of its own offer-segment
+columns at the solution; settlement takes it as the energy part of the
+unit's as-bid cost. A realized trajectory the committed fleet cannot ramp
+down to raises InfeasibleModelError; that is a modeling problem, not a
+market outcome.
 `check_rtm_outcome` audits a dispatch without the solver.
 """
 
@@ -36,6 +39,7 @@ class RtmOutcome:
     lmp: np.ndarray  # (buses, periods) $/MWh
     commitment_cost: float  # carried from the DAM schedule
     dispatch_cost: float
+    unit_dispatch_cost: np.ndarray  # (gens,) $, each unit's segment columns at the solution
     curtailment_cost: float
     shed_mwh: float
     # what the solve did, as the ledger writes it: screening rounds and the
@@ -111,8 +115,9 @@ def simulate_rtm(system, dam, realized):
         p=p_val,
         curtail=pc_val,
         lmp=lmp,
-        commitment_cost=commitment_cost(gens, dam.u, dam.v),
+        commitment_cost=float(sum(commitment_cost(gens, dam.u, dam.v))),
         dispatch_cost=float(res.objective) - curtail_cost,
+        unit_dispatch_cost=np.array([x[s].ravel() @ model.obj[s].ravel() for s in seg]),
         curtailment_cost=curtail_cost,
         shed_mwh=float(pc_val.sum() * scale),
         record={

@@ -14,13 +14,12 @@ perturb each other no matter how many of each are drawn.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ParameterError, Table, floats, read_json, write_json
+from .codec import ParameterError, Table, check_nonnegative, floats, read_json, write_json
 from .timegrid import GRID, TimeGrid
 
 __all__ = [
@@ -121,16 +120,18 @@ class ScenarioSet:
         return self.values.shape[0]
 
 
-def check_draw(sigma_frac, rho=0.0, n_scenarios=1):
+def check_draw(sigma_frac, rho=0.0, n_scenarios=1, seed=0):
     """ParameterError naming the first parameter of a draw out of its range:
     ``sigma_frac`` must be a finite number >= 0 (a negative one would mirror
-    the draws), ``rho`` in [0, 1) and ``n_scenarios`` at least 1."""
-    if not 0.0 <= sigma_frac < math.inf:
-        raise ParameterError("sigma_frac", "a finite number >= 0", sigma_frac)
+    the draws), ``rho`` in [0, 1), ``n_scenarios`` at least 1 and the master
+    ``seed`` at least 0."""
+    check_nonnegative("sigma_frac", sigma_frac)
     if not 0.0 <= rho < 1.0:
         raise ParameterError("rho", "in [0, 1)", rho)
     if not n_scenarios >= 1:
         raise ParameterError("n_scenarios", "at least 1", n_scenarios)
+    if not seed >= 0:
+        raise ParameterError("master_seed", "at least 0", seed)
 
 
 def _ar1_errors(rng, sigma, n_scenarios, rho):
@@ -146,7 +147,7 @@ def _ar1_errors(rng, sigma, n_scenarios, rho):
 
 def gen_ar1_scenarios(forecast, sigma_frac, rho, n_scenarios, seed, labels=("in-sample",)):
     """Draw equiprobable AR(1) error scenarios around a forecast profile."""
-    check_draw(sigma_frac, rho, n_scenarios)
+    check_draw(sigma_frac, rho, n_scenarios, seed)
     rng = substream(seed, *labels)
     sigma = sigma_frac * np.abs(forecast.values)
     eps = _ar1_errors(rng, sigma, n_scenarios, rho)

@@ -6,8 +6,9 @@ and ramp-capability awards once at day-ahead ramp prices (there is no
 real-time ramp market here). Awards that are negative by construction around
 commitment transitions earn nothing rather than being charged, so every
 generator's ramp revenue is nonnegative. A daily make-whole payment tops a
-generator up to its as-bid cost (commitment costs plus realized energy priced
-on its own bid curve) whenever market revenue falls short.
+generator up to its as-bid cost (commitment costs plus realized energy at the
+real-time LP's cost of the unit's own offer segments) whenever market revenue
+falls short. Every term is computed for all generators at once.
 
 The optional single-settlement convention pays the day-ahead award only and
 ignores real-time deviations.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import write_csv
+from .stochastic_uc import commitment_cost
 
 __all__ = ["GenSettlement", "SettlementReport", "settle", "save_settlement"]
 
@@ -55,8 +57,6 @@ class SettlementReport:
     total_energy_payment: float
     total_frp_payment: float
     total_make_whole: float
-    system_cost: float  # commitment + realized dispatch + curtailment penalty
-    shed_mwh: float
 
     def gen(self, gen_id):
         for g in self.generators:
@@ -69,53 +69,26 @@ def settle(system, dam, rtm, mode="two"):
     """Settle one day given its cleared DAM outcome and realized RTM run."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    grid = rtm.grid
-    scale = grid.period_hours
-    dam_total = dam.dispatch_total(system)  # (G, H) MW
-    rtm_total = rtm.dispatch_total(system)  # (G, T) MW
-
-    rows = []
-    for i, g in enumerate(system.generators):
-        n = system.bus_index(g.bus)
-        dam_mwh = dam_total[i]  # MW over one hour = MWh per hour
-        rev_da = float(dam.lmp[n] @ dam_mwh)
-        rev_dev = 0.0
-        if mode == "two":
-            for k in range(grid.n_periods):
-                h = grid.hour_of(k)
-                dev = rtm_total[i, k] * scale - dam_mwh[h] * scale
-                rev_dev += rtm.lmp[n, k] * dev
-        rev_frp = float(
-            dam.price_up @ np.maximum(dam.r_up[i], 0.0)
-            + dam.price_dn @ np.maximum(dam.r_dn[i], 0.0)
-        )
-        cost = float(
-            g.no_load_cost * dam.u[i].sum()
-            + g.startup_cost * dam.v[i].sum()
-            + scale * sum(g.dispatch_cost(rtm.p[i, k]) for k in range(grid.n_periods))
-        )
-        make_whole = max(0.0, cost - rev_da - rev_dev - rev_frp)
-        rows.append(
-            GenSettlement(
-                gen_id=g.id,
-                dam_energy_revenue=rev_da,
-                rt_deviation_revenue=float(rev_dev),
-                frp_revenue=rev_frp,
-                as_bid_cost=cost,
-                make_whole=make_whole,
-            )
-        )
-
+    gens = system.generators
+    bus = [system.bus_index(g.bus) for g in gens]
+    scale = rtm.grid.period_hours
+    hour = rtm.grid.hour_of(np.arange(rtm.grid.n_periods))
+    dam_total = dam.dispatch_total(system)  # (G, H) MW over one hour = MWh per hour
+    rev_da = (dam.lmp[bus] * dam_total).sum(axis=1)
+    rev_dev = np.zeros(len(gens))
+    if mode == "two":
+        dev = rtm.dispatch_total(system) * scale - dam_total[:, hour] * scale
+        rev_dev = (rtm.lmp[bus] * dev).sum(axis=1)
+    rev_frp = np.maximum(dam.r_up, 0.0) @ dam.price_up + np.maximum(dam.r_dn, 0.0) @ dam.price_dn
+    cost = commitment_cost(gens, dam.u, dam.v) + rtm.unit_dispatch_cost
+    make_whole = np.maximum(0.0, cost - rev_da - rev_dev - rev_frp)
+    rows = zip(rev_da, rev_dev, rev_frp, cost, make_whole)
     return SettlementReport(
         mode=mode,
-        generators=rows,
-        total_energy_payment=float(
-            sum(r.dam_energy_revenue + r.rt_deviation_revenue for r in rows)
-        ),
-        total_frp_payment=float(sum(r.frp_revenue for r in rows)),
-        total_make_whole=float(sum(r.make_whole for r in rows)),
-        system_cost=rtm.total_cost,
-        shed_mwh=rtm.shed_mwh,
+        generators=[GenSettlement(g.id, *map(float, row)) for g, row in zip(gens, rows)],
+        total_energy_payment=float((rev_da + rev_dev).sum()),
+        total_frp_payment=float(rev_frp.sum()),
+        total_make_whole=float(make_whole.sum()),
     )
 
 

@@ -78,7 +78,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dispatch, network, optim
-from .codec import Table, check_shapes, floats, ints, number_or_null, read_json, write_json
+from .codec import (
+    Table, check_nonnegative, check_shapes, floats, ints, number_or_null, read_json, write_json,
+)
 from .scenarios import ScenarioSet
 from .timegrid import GRID, TimeGrid
 
@@ -224,10 +226,10 @@ def commitment_logic_residual(generators, u, v, w):
 
 
 def commitment_cost(generators, u, v):
-    """No-load plus startup cost of an hourly 0/1 schedule (units, hours)."""
-    return float(sum(
-        g.no_load_cost * u[i].sum() + g.startup_cost * v[i].sum() for i, g in enumerate(generators)
-    ))
+    """Each unit's no-load plus startup cost under an hourly 0/1 schedule
+    (units, hours), shape (units,)."""
+    no_load, startup = dispatch.unit_params(generators, "no_load_cost", "startup_cost")
+    return no_load[:, 0] * u.sum(axis=1) + startup[:, 0] * v.sum(axis=1)
 
 
 @dataclass
@@ -323,6 +325,7 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     module docstring). ``time_limit`` bounds the whole call: it becomes one
     deadline for every HiGHS call of the EV solve, the relaxations, the
     completions and the screening rounds (see `optim.solve`)."""
+    check_nonnegative("gap_tol", gap_tol)
     if tuple(scenarios.buses) != tuple(system.bus_ids):
         raise ValueError("scenario buses do not match system buses")
     optim.release_heap()
@@ -432,7 +435,7 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
             start["eev_usd"] = float(res.objective) if np.array_equal(ev.u, u_val) else None
     p_val = np.stack([[x[s].sum(axis=-1) for s in seg] for seg in seg_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
-    fixed_cost = commitment_cost(gens, u_val, v_val)
+    fixed_cost = float(sum(commitment_cost(gens, u_val, v_val)))
     return SucSolution(
         gen_ids=list(system.gen_ids),
         bus_ids=list(system.bus_ids),

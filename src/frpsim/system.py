@@ -115,24 +115,6 @@ class Generator:
         """Width of the dispatchable band above minimum, in MW."""
         return self.p_max - self.p_min
 
-    def dispatch_cost(self, p_above_min):
-        """Energy cost in $/h of operating ``p_above_min`` MW above minimum.
-
-        Segments are filled in order; with nondecreasing marginal costs this
-        matches what any cost-minimizing dispatch model would choose.
-        """
-        cost = 0.0
-        prev = 0.0
-        remaining = p_above_min
-        for seg in self.segments:
-            width = seg.upper - prev
-            take = min(remaining, width)
-            if take > 0:
-                cost += take * seg.cost
-                remaining -= take
-            prev = seg.upper
-        return cost
-
 
 @dataclass
 class PowerSystem:

@@ -374,7 +374,8 @@ def test_08_make_whole_and_cost_recovery(corpus_pipeline):
         gen_ids=["g1", "g2"], bus_ids=["b1"], grid=grid,
         u=np.array([[1], [1]]), p=np.array([[45.0], [25.0]]),
         curtail=np.zeros((1, 1)), lmp=np.array([[50.0]]),
-        commitment_cost=0.0, dispatch_cost=0.0, curtailment_cost=0.0,
+        commitment_cost=1100.0, dispatch_cost=2550.0,
+        unit_dispatch_cost=np.array([45.0 * 40.0, 25.0 * 30.0]), curtailment_cost=0.0,
         shed_mwh=0.0,
     )
     rep = settle(system, dam, rtm, mode="two")

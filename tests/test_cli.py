@@ -305,6 +305,10 @@ GEN = ["gen-scenarios", "--system", "{w}/system.yaml", "--forecast", "{w}/foreca
 PCT = ["frp-req", "--method", "p95", "--forecast", "{w}/forecast.csv", "--out", "{w}/new"]
 SWEEP = ["sweep", "--system", "{w}/system.yaml", "--forecast", "{w}/forecast.csv",
          "--dam", "a={w}/dam.json", "--sigmas", "0.0,0.05", "--seed", "7", "--out", "{w}/new"]
+DAM = ["dam-clear", "--system", "{w}/system.yaml", "--bids", "{w}/forecast.csv", "--req",
+       "{w}/req.csv", "--out", "{w}/new"]
+SUC = ["suc-solve", "--system", "{w}/system.yaml", "--scenarios", "{w}/scen.json",
+       "--out", "{w}/new"]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -323,11 +327,16 @@ SWEEP = ["sweep", "--system", "{w}/system.yaml", "--forecast", "{w}/forecast.csv
     (SWEEP + ["--rho", "1.5"], "--rho must be in [0, 1), got 1.5"),
     (SWEEP + ["--sigmas", "0.0,-0.05"], "--sigmas wants comma-separated finite numbers >= 0"),
     (SWEEP + ["--dam", "a={w}/dam.json"], "--dam names 'a' twice"),
+    (GEN[:-4] + ["--seed", "-1", "--out", "{w}/new"], "--seed must be at least 0, got -1"),
+    (SWEEP[:-4] + ["--seed", "-1", "--out", "{w}/new"], "--seed must be at least 0, got -1"),
+    (DAM + ["--gap-tol", "nan"], "--gap-tol must be a finite number >= 0, got nan"),
+    (DAM + ["--gap-tol", "-1"], "--gap-tol must be a finite number >= 0, got -1.0"),
+    (SUC + ["--gap-tol", "inf"], "--gap-tol must be a finite number >= 0, got inf"),
     (GEN[:4] + ["{w}/other.csv"] + GEN[5:], "{w}/other.csv: buses do not match system buses"),
-    (["dam-clear", "--system", "{w}/system.yaml", "--bids", "{w}/other.csv", "--req",
-      "{w}/req.csv", "--out", "{w}/new"], "{w}/other.csv: buses do not match system buses"),
+    (DAM[:4] + ["{w}/other.csv"] + DAM[5:], "{w}/other.csv: buses do not match system buses"),
 ], ids=["rho", "n", "sigma-nan", "sigma-negative", "gen-periods", "req-sigma-nan", "req-periods",
         "rtm-periods", "sweep-periods", "sweep-rho", "sweep-sigmas", "sweep-dam-twice",
+        "gen-seed", "sweep-seed", "dam-gap-nan", "dam-gap-negative", "suc-gap-inf",
         "gen-buses", "dam-buses"])
 def test_an_argument_out_of_range_ends_in_one_line(workdir, staged, capsys, argv, named):
     """An argument out of its range, or a profile of other buses than the
@@ -644,10 +653,15 @@ def test_every_command_names_an_invalid_system_file(workdir, staged):
      "out_of_sample sigma_frac must be a finite number >= 0, got inf"),
     ("rho: [0.0]\n", "rho: [0.0]\nout_of_sample: {rho: -0.5}\n",
      "out_of_sample rho must be in [0, 1), got -0.5"),
+    ("master_seed: 9\n", "master_seed: -1\n", "master_seed must be at least 0, got -1"),
+    ("rho: [0.0]\n", "rho: [0.0]\ngap_tol: .nan\n",
+     "gap_tol must be a finite number >= 0, got nan"),
+    ("rho: [0.0]\n", "rho: [0.0]\ngap_tol: -0.01\n",
+     "gap_tol must be a finite number >= 0, got -0.01"),
 ], ids=["missing", "mistyped", "integral", "method", "scalar-list", "string-list",
         "list-mapping", "string-day", "scalar-load", "unknown", "unknown-oos", "unknown-day",
         "unknown-bus", "nan-sigma", "negative-sigma", "rho", "no-scenarios", "periods",
-        "oos-sigma", "oos-rho"])
+        "oos-sigma", "oos-rho", "negative-seed", "nan-gap", "negative-gap"])
 def test_run_names_a_malformed_config_key(workdir, old, new, named):
     """A config missing a key, holding a value of the wrong type or out of
     its range, or holding a key its tables do not declare, ends `run` with

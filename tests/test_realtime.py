@@ -81,6 +81,19 @@ def test_curtailment_matches_greedy_excess():
     assert np.allclose(rtm.lmp[0, 1:], 5000.0)
 
 
+def test_unit_dispatch_cost_fills_segments_in_order():
+    """The LP prices each unit's output on its offer curve, cheapest
+    segment first: 0, 40, 55 and 100 MW cost 0, 400, 775 and 2950 $."""
+    g = make_gen("g", p_max=100.0, segments=((40.0, 10.0), (70.0, 25.0), (100.0, 60.0)))
+    system = single_bus_system(g)
+    want = [0.0, 400.0, 400.0 + 15 * 25.0, 400.0 + 750.0 + 1800.0]
+    for load, cost in zip([0.0, 40.0, 55.0, 100.0], want):
+        dam = _dam(system, [load])
+        rtm = simulate_rtm(system, dam, _profile(system, TimeGrid(1, 1), [load]))
+        assert rtm.unit_dispatch_cost[0] == pytest.approx(cost, abs=1e-9)
+        assert rtm.unit_dispatch_cost.sum() == pytest.approx(rtm.dispatch_cost)
+
+
 def test_cannot_back_down_raises():
     g = make_gen("g", p_min=50.0, p_max=100.0, min_up=10,
                  on=True, p0=10.0, hours_on=1)

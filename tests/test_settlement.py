@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from frpsim import DamBidSet, NetLoadProfile, TimeGrid, clear_dam, simulate_rtm
 from frpsim.dayahead import DamOutcome
 from frpsim.realtime import RtmOutcome
-from frpsim.requirements import FrpRequirements, zero_requirements
+from frpsim.requirements import FrpRequirements
 from frpsim.settlement import save_settlement, settle
 
 from conftest import make_gen, single_bus_system
@@ -48,7 +48,8 @@ def _synthetic():
         curtail=np.zeros((1, 2)),
         lmp=np.array([[33.0, 45.0]]),
         commitment_cost=42.0,
-        dispatch_cost=4760.0,
+        dispatch_cost=4750.0,
+        unit_dispatch_cost=np.array([3850.0, 900.0]),
         curtailment_cost=0.0,
         shed_mwh=0.0,
     )
@@ -75,7 +76,6 @@ def test_synthetic_ledger_to_the_cent():
     assert report.total_energy_payment == pytest.approx(7665.0)
     assert report.total_frp_payment == pytest.approx(120.0)
     assert report.total_make_whole == pytest.approx(32.0)
-    assert report.system_cost == pytest.approx(4802.0)
 
 
 def test_dam_only_mode_drops_deviations():
@@ -115,7 +115,10 @@ def test_cleared_day_is_internally_consistent(pricing_system):
     assert report.total_energy_payment == pytest.approx(
         sum(r.dam_energy_revenue + r.rt_deviation_revenue for r in report.generators)
     )
-    assert report.system_cost == pytest.approx(rtm.total_cost)
+    # the as-bid costs are the real-time LP's commitment and dispatch costs
+    assert sum(r.as_bid_cost for r in report.generators) == pytest.approx(
+        rtm.commitment_cost + rtm.dispatch_cost
+    )
 
 
 def test_capability_paid_once_regardless_of_granularity(pricing_system):
@@ -147,8 +150,9 @@ def test_csv_ledger(tmp_path):
 
 @st.composite
 def _settlement_days(draw):
-    """A single-bus day with random awards, prices and a realized dispatch
-    that respects each unit's commitment and capacity."""
+    """A single-bus day with a random commitment, awards and prices, and its
+    real-time dispatch by the LP against a random realized load the
+    committed fleet can serve or curtail."""
     hours = draw(st.integers(1, 4))
     k = draw(st.sampled_from([1, 2]))
     gens = []
@@ -171,11 +175,11 @@ def _settlement_days(draw):
                                       max_size=int(np.prod(shape))))).reshape(shape)
 
     u = arr(st.integers(0, 1), (n_g, hours))
-    v = np.diff(np.concatenate([np.zeros((n_g, 1), int), u], axis=1), axis=1).clip(0)
+    steps = np.diff(np.concatenate([np.zeros((n_g, 1), int), u], axis=1), axis=1)
     span = np.array([g.dispatch_range for g in gens])[:, None]
     dam = DamOutcome(
         gen_ids=system.gen_ids, bus_ids=["b1"], hours=hours,
-        u=u, v=v, w=np.zeros_like(u),
+        u=u, v=steps.clip(0), w=(-steps).clip(0),
         p=arr(frac, (n_g, hours)) * span * u,
         r_up=arr(st.floats(-30.0, 30.0), (n_g, hours)),
         r_dn=arr(st.floats(-30.0, 30.0), (n_g, hours)),
@@ -187,47 +191,69 @@ def _settlement_days(draw):
         objective=0.0, pricing_objective=0.0, mip_gap=0.0,
     )
     grid = TimeGrid(hours, k)
-    u_rt = np.repeat(u, k, axis=1)
-    rtm = RtmOutcome(
-        gen_ids=system.gen_ids, bus_ids=["b1"], grid=grid, u=u_rt,
-        p=arr(frac, (n_g, grid.n_periods)) * span * u_rt,
-        curtail=np.zeros((1, grid.n_periods)),
-        lmp=arr(price, (1, grid.n_periods)),
-        commitment_cost=0.0, dispatch_cost=0.0, curtailment_cost=0.0, shed_mwh=0.0,
-    )
-    return system, dam, rtm
+    # at least the committed minimum output, which the fleet cannot shed
+    floor = np.repeat(np.array([g.p_min for g in gens]) @ u, k)
+    load = floor + arr(st.floats(0.0, 350.0), (grid.n_periods,))
+    return system, dam, simulate_rtm(system, dam, NetLoadProfile(["b1"], grid, load[None]))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def _offer_cost(g, p):
+    """$/h of ``p`` MW above minimum on ``g``'s offer curve, filled in order."""
+    cost, left, below = 0.0, p, 0.0
+    for seg in g.segments:
+        take = min(left, seg.upper - below)
+        cost += take * seg.cost
+        left -= take
+        below = seg.upper
+    return cost
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_settlement_days())
 def test_make_whole_tops_up_to_as_bid_cost(day):
-    """Recounted unit by unit with plain loops: make-whole is
-    max(0, as-bid cost - market revenue), and revenue plus make-whole
-    covers the as-bid cost."""
+    """Recounted unit by unit and period by period with plain loops, in
+    both modes: every ledger line to 1e-9 relative, with the as-bid cost's
+    energy on the unit's offer curve; make-whole is max(0, as-bid cost -
+    market revenue), so revenue plus make-whole covers the as-bid cost. Each
+    unit's LP cost is its offer-curve cost, and they add up to the LP's
+    dispatch cost."""
     system, dam, rtm = day
-    report = settle(system, dam, rtm, mode="two")
     k = rtm.grid.periods_per_hour
     dt = 1.0 / k
-    for i, g in enumerate(system.generators):
-        dam_mw = [dam.p[i, h] + g.p_min * dam.u[i, h] for h in range(dam.hours)]
-        revenue = sum(dam.lmp[0, h] * dam_mw[h] for h in range(dam.hours))
-        for t in range(rtm.grid.n_periods):
-            rt_mw = rtm.p[i, t] + g.p_min * rtm.u[i, t]
-            revenue += rtm.lmp[0, t] * (rt_mw - dam_mw[t // k]) * dt
-        for h in range(dam.hours):
-            revenue += dam.price_up[h] * max(dam.r_up[i, h], 0.0)
-            revenue += dam.price_dn[h] * max(dam.r_dn[i, h], 0.0)
-        cost = g.no_load_cost * dam.u[i].sum() + g.startup_cost * dam.v[i].sum()
-        for t in range(rtm.grid.n_periods):
-            left, below = rtm.p[i, t], 0.0
-            for seg in g.segments:
-                take = min(left, seg.upper - below)
-                cost += dt * take * seg.cost
-                left -= take
-                below = seg.upper
-        tol = 1e-6 * max(1.0, abs(cost), abs(revenue))
-        line = report.gen(g.id)
-        assert line.as_bid_cost == pytest.approx(cost, abs=tol)
-        assert line.revenue == pytest.approx(revenue, abs=tol)
-        assert line.make_whole == pytest.approx(max(0.0, cost - revenue), abs=tol)
-        assert line.revenue + line.make_whole >= cost - tol
+    assert rtm.unit_dispatch_cost.sum() == pytest.approx(
+        rtm.dispatch_cost, rel=1e-9, abs=1e-9 * rtm.total_cost
+    )
+    for mode in ("two", "dam-only"):
+        report = settle(system, dam, rtm, mode=mode)
+        for i, g in enumerate(system.generators):
+            energy = sum(dt * _offer_cost(g, rtm.p[i, t]) for t in range(rtm.grid.n_periods))
+            assert rtm.unit_dispatch_cost[i] == pytest.approx(energy, rel=1e-9, abs=1e-9)
+            dam_mw = [dam.p[i, h] + g.p_min * dam.u[i, h] for h in range(dam.hours)]
+            rev_da = sum(dam.lmp[0, h] * dam_mw[h] for h in range(dam.hours))
+            rev_dev = 0.0
+            if mode == "two":
+                for t in range(rtm.grid.n_periods):
+                    rt_mw = rtm.p[i, t] + g.p_min * rtm.u[i, t]
+                    rev_dev += rtm.lmp[0, t] * (rt_mw * dt - dam_mw[t // k] * dt)
+            rev_frp = 0.0
+            for h in range(dam.hours):
+                rev_frp += dam.price_up[h] * max(dam.r_up[i, h], 0.0)
+                rev_frp += dam.price_dn[h] * max(dam.r_dn[i, h], 0.0)
+            cost = g.no_load_cost * dam.u[i].sum() + g.startup_cost * dam.v[i].sum() + energy
+            revenue = rev_da + rev_dev + rev_frp
+            line = report.gen(g.id)
+            want = {
+                "dam_energy_revenue": rev_da, "rt_deviation_revenue": rev_dev,
+                "frp_revenue": rev_frp, "as_bid_cost": cost,
+                "make_whole": max(0.0, cost - revenue),
+            }
+            scale = max(1.0, abs(cost), abs(rev_da), abs(rev_frp), dt * sum(
+                abs(rtm.lmp[0, t]) * 100.0 for t in range(rtm.grid.n_periods)
+            ))
+            for field, value in want.items():
+                got = getattr(line, field)
+                assert got == pytest.approx(value, rel=1e-9, abs=1e-9 * scale), field
+            assert line.revenue + line.make_whole >= cost - 1e-9 * scale
+        assert report.total_make_whole == pytest.approx(
+            sum(line.make_whole for line in report.generators), rel=1e-9, abs=1e-9
+        )

@@ -361,14 +361,6 @@ def test_replace_recomputes_shift_factors():
     assert np.array_equal(changed.isf(), want)
 
 
-def test_dispatch_cost_fills_segments_in_order():
-    g = make_gen("g", p_max=100.0, segments=((40.0, 10.0), (70.0, 25.0), (100.0, 60.0)))
-    assert g.dispatch_cost(0.0) == 0.0
-    assert g.dispatch_cost(40.0) == 400.0
-    assert g.dispatch_cost(55.0) == pytest.approx(400.0 + 15 * 25.0)
-    assert g.dispatch_cost(100.0) == pytest.approx(400.0 + 750.0 + 1800.0)
-
-
 def test_bundled_cases_validate():
     for name in ("single_bus_two_gen", "ramp_toy", "ieee14"):
         system = load_system(case_path(name))
