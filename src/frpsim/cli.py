@@ -9,8 +9,9 @@ file:"), not with a traceback; so do a system file that breaks an invariant
 (`validate` lists its issues one a line), files that do not fit each other
 (other buses, hours or scenarios), and a model the inputs leave without a
 solution. An argument out of its range (an error spread, a correlation, a
-scenario count, a seed, a grid's split, a MIP gap) ends a command with exit
-status 1 and one line naming the argument, before any output is written.
+scenario count, a seed, a grid's split, a MIP gap, a time limit) ends a
+command with exit status 1 and one line naming the argument, before any
+output is written.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def _build_parser():
 # the argument that sets each model parameter
 ARGUMENTS = {"sigma_frac": "--sigma", "rho": "--rho", "n_scenarios": "--n",
              "periods_per_hour": "--periods-per-hour", "master_seed": "--seed",
-             "gap_tol": "--gap-tol"}
+             "gap_tol": "--gap-tol", "time_limit": "--time-limit"}
 
 
 def main(argv=None):

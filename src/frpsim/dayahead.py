@@ -256,10 +256,6 @@ def _build(system, bids, req, fix_commitments):
     return model, idx
 
 
-def _gap(objective, bound):
-    return (objective - bound) / max(1.0, abs(objective))
-
-
 def clear_dam(
     system,
     bids,
@@ -275,8 +271,9 @@ def clear_dam(
     Returns a DamOutcome holding awards from the MIP incumbent and prices
     from the frozen-binary re-solve. Line-flow rows are screened in both
     solves (see `network`); ``dump_lp`` receives the final screened model.
-    ``time_limit`` (seconds) bounds the clearing MILP's rounds together; the
-    certificate and pricing LPs run without it.
+    ``time_limit`` (seconds, a finite number >= 0, or None for none) bounds
+    the clearing MILP's rounds together; the certificate and pricing LPs run
+    without it.
 
     ``relaxed`` is the outcome of a market whose model is a relaxation of
     this one: the same system and bids and no commitment floor, with
@@ -287,6 +284,8 @@ def clear_dam(
     meets, nothing is built or solved and the outcome is ``relaxed``'s.
     """
     check_nonnegative("gap_tol", gap_tol)
+    if time_limit is not None:
+        check_nonnegative("time_limit", time_limit)
     if tuple(bids.buses) != tuple(system.bus_ids):
         raise ValueError("bid buses do not match system buses")
     if req.hours != bids.hours:
@@ -311,7 +310,7 @@ def clear_dam(
             pinned = np.zeros(model.n_vars)
             pinned[idx["u"]] = relaxed.u
             lp = screen.solve(model, lambda m: optim.fix_and_resolve(m, pinned))
-            if not (lp.ok and _gap(lp.objective, bound) <= gap_tol):
+            if not (lp.ok and optim.gap(lp.objective, bound) <= gap_tol):
                 lp, check_lp = None, lp.highs
                 if screen.added:
                     model, idx = _build(system, bids, req, fix_commitments)
@@ -322,7 +321,7 @@ def clear_dam(
             u, v, w = commitment_schedule(
                 gens, lp.x, idx["u"], idx["v"], idx["w"], "day-ahead certificate"
             )
-            objective, mip_gap = lp.objective, _gap(lp.objective, bound)
+            objective, mip_gap = lp.objective, optim.gap(lp.objective, bound)
             clearing = {
                 **lp.size, "binaries": model.n_integer,
                 "highs_s": 0.0, "mip_node_count": 0, "mip_dual_bound": bound,

@@ -28,10 +28,11 @@ chosen with the realized trajectory known in advance). The re-dispatch reads
 only the market's commitment, so a job runs one per distinct commitment: a
 cell whose commitment an earlier cell of the job re-dispatched reuses that
 outcome, and its ``rtm`` record names that cell as ``shared_from`` (null on
-the cell that ran it). A cell that reuses a solve, a settled market or a
-shared re-dispatch, keeps that solve's record with its work (seconds,
-rounds, iterations, nodes) read as zero (`optim.reused`), so that no solve
-is counted twice.
+the cell that ran it). A cell that reuses a solve, a settled market, a
+shared re-dispatch or the stochastic pass of its group (every cell of the
+group after the first one finished), keeps that solve's record with its
+work (seconds, rounds, iterations, nodes) read as zero (`optim.reused`), so
+that no solve is counted twice.
 
 The output directory is an append-only ledger: one JSON per finished cell,
 plus a manifest.jsonl line per attempt. Re-running with the same directory
@@ -193,9 +194,9 @@ def load_config(path):
         system_sha256=hashlib.sha256(text.encode()).hexdigest(),
         **settings,
     )
-    # the grid, the MIP gap and the parameters of the run's draws, checked as
-    # they would be drawn: (the key's prefix, sigma_frac, rho, scenario
-    # count, seed)
+    # the grid, the MIP gap, the time limit and the parameters of the run's
+    # draws, checked as they would be drawn: (the key's prefix, sigma_frac,
+    # rho, scenario count, seed)
     draws = [("", cfg.sigma_frac, 0.0, 1, cfg.master_seed),
              ("out_of_sample ", cfg.oos_sigma_frac, cfg.oos_rho, 1)]
     draws += [("", 0.0, rho, 1) for rho in cfg.rho] + [("", 0.0, 0.0, n) for n in cfg.n_scenarios]
@@ -203,6 +204,8 @@ def load_config(path):
     try:
         cfg.grid(1)
         check_nonnegative("gap_tol", cfg.gap_tol)
+        if cfg.time_limit is not None:
+            check_nonnegative("time_limit", cfg.time_limit)
         for prefix, *draw in draws:
             check_draw(*draw)
     except ParameterError as exc:
@@ -520,6 +523,8 @@ def _dispatch(system, cfg, job):
             cells[cell_id] = _finish_cell(
                 system, cfg, day, method, dam, realized, req, extra, rtms, bound_from,
             )
+            if extra["suc"] is not None:  # the group's later cells reuse the pass
+                extra = {**extra, "suc": optim.reused(extra["suc"])}
             if fix is None:
                 cleared.append((req, dam, bound_from or method))
         except Exception as exc:  # noqa: BLE001 - a market fails its own cell

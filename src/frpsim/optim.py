@@ -51,17 +51,19 @@ incumbent and the dual bound is within ``gap_tol``, so the answer is an
 optimum of the model within ``gap_tol`` with or without the start. A start
 that is infeasible is dropped.
 
-The warm stochastic commitment runs with MIP presolve off (``solve(...,
-presolve=False)``): on it presolve was 0.09-0.18 s of each solve, and
-HiGHS's restarts presolve the reduced model anyway. Presolve changes how
-HiGHS gets to the proof, not what it proves, so the answer is still an
-optimum within ``gap_tol``. Unit output has no alias column (see
-`dispatch`), so without presolve HiGHS peaks only 0.3-1.4 MB higher on the
-corpus's 16-scenario SUCs; on an 8-scenario ieee14 SUC, whose parallel
-per-bus curtailment columns presolve would merge, about 12 MB higher. Every
-other MILP keeps presolve, the one-scenario SUCs (expected value,
-clairvoyant) too, although they also get a start. Without presolve those
-took half the time (0.31 against 0.61 s for the corpus grid's ten), but
+The warm stochastic MILP runs with MIP presolve off (``solve(...,
+presolve=False)``). It runs only as the fallback, where the EV bound does
+not certify the EV commitment (see `stochastic_uc`); on it presolve was
+0.09-0.18 s of each solve, and HiGHS's restarts presolve the reduced model
+anyway. Presolve changes how HiGHS gets to the proof, not what it proves,
+so the answer is still an optimum within ``gap_tol``. Unit output has no
+alias column (see `dispatch`), so without presolve HiGHS peaks only
+0.3-1.4 MB higher on the corpus's 16-scenario SUCs; on an 8-scenario
+ieee14 SUC, whose parallel per-bus curtailment columns presolve would
+merge, about 12 MB higher. Every other MILP keeps presolve: the EV bound
+MILP, which gets no start, and the one-scenario SUCs (expected value,
+clairvoyant), although they get one. Without presolve the one-scenario
+SUCs took half the time (0.31 against 0.61 s for the corpus grid's ten), but
 they reach another of their equal-cost optima, which on a congested network
 breaks other line limits: an ieee14 SUC then took six screening rounds
 instead of three. `complete` runs its LP with presolve off: with the
@@ -90,8 +92,8 @@ model re-solved three times, equal optima). Skipping them is sound:
 
 `release_heap` hands the C heap's free pages back to the OS (glibc's
 ``malloc_trim``; elsewhere it does nothing). `stochastic_uc.solve_suc`
-calls it first, again before each of its MILPs, the largest models of a
-day, and once more as it returns, so that the markets and real-time runs
+calls it first, again before each of its MILPs (a stochastic MILP is a
+day's largest model), and once more as it returns, so that the markets and real-time runs
 of the same job do not hold the freed model's pages: otherwise a pool's
 peak adds two such heaps whenever both workers are past a SUC at once (the
 corpus grid at two workers on a 2-vCPU Xeon VM peaked at 191 MB without
@@ -323,8 +325,12 @@ class SolveResult:
         return {"highs_s": self.highs_s, "simplex_iterations": self.simplex_iterations}
 
 
-# the work fields of a solve record, read as zero where the solve is reused
-WORK = ("build_s", "highs_s", "screen_rounds", "simplex_iterations", "mip_node_count")
+# the work fields of a solve record, read as zero where the solve is reused;
+# wall_time_s and start_s are a stochastic pass's
+WORK = (
+    "wall_time_s", "start_s", "build_s", "highs_s", "screen_rounds", "simplex_iterations",
+    "mip_node_count",
+)
 
 
 def reused(record):
@@ -333,6 +339,13 @@ def reused(record):
     is counted twice."""
     return {k: reused(v) if isinstance(v, dict) else 0 * v if k in WORK else v
             for k, v in record.items()}
+
+
+def gap(objective, bound):
+    """The relative gap of ``objective`` over a proven lower ``bound``,
+    ``(objective - bound) / max(1, |objective|)``: what a certificate that
+    skips a MILP must bring within ``gap_tol``."""
+    return (objective - bound) / max(1.0, abs(objective))
 
 
 def _sense_codes(sense, shape):

@@ -68,12 +68,61 @@ whose relaxations are fractional. Such a solve records
 (not again in ``start_s``) and ``start_used`` false; no completion runs, so
 ``eev_usd`` is the objective when the EV commitment is the solution's (the
 completion of an optimal commitment is the optimum) and None otherwise.
+
+An EV bound can make the stochastic MILP unnecessary too. When a round's
+completion of the EV commitment ``u*`` is feasible, at cost EEV, the EV
+solve's own final model, flow rows included, gets one more row, the no-good
+cut ``sum(u where u* = 0) + sum(1 - u where u* = 1) >= 1`` that excludes
+``u*`` alone, and is solved as a MILP (`_ev_bound`: one scenario, presolve
+on, no start, under the same deadline), once per `solve_suc`. If its proven
+dual bound LB has ``optim.gap(EEV, LB) <= gap_tol``, the completion is the
+round's answer, with ``min(LB, EEV)`` as its dual bound and its gap to
+that; no stochastic MILP runs. An infeasible bound MILP (``u*`` is the only
+commitment) certifies it too; one stopped at a limit certifies nothing.
+Otherwise the round solves the stochastic MILP from the completion, as
+above, with presolve off (the fallback; see `optim`). As with the
+relaxation, the screen still checks every answer, so the certificate is
+tried each round on that round's completion, against the one LB. The
+record says ``solved_by_ev_bound`` when the last round ended this way, with
+``start_used`` false; the bound MILP's HiGHS seconds and nodes are in
+``highs_s`` and ``mip_node_count`` however the rounds end, and the
+certified completion's seconds in ``start_s`` alone.
+
+Proof (Jensen's inequality for stochastic LPs: Madansky, "Inequalities for
+stochastic linear programming problems", Management Science 6(2), 1960;
+Birge 1982). Fix a commitment ``u``. The two models have the same
+first-stage columns, rows and costs (`add_commitment_block`; only a
+scenario's columns are weighted by its probability), and the net load
+enters a scenario's rows only through their right-hand sides: the balance
+rows', and the flow rows' through the injections fixed by data. So, with
+every flow row in, the cheapest dispatch of one scenario ``xi``, D(u, xi),
+is the optimal value of one LP whose right-hand side is affine in ``xi``,
+which is convex in ``xi`` (+inf where infeasible). The EV load is the
+probability-weighted mean of the scenarios, so Jensen gives ``sum_s p_s
+D(u, xi_s) >= D(u, sum_s p_s xi_s)``: the stochastic cost of ``u`` is at
+least its EV cost. The EV solve's final model is a screened model, a
+relaxation of the full EV model (see `network`), and the cut removes ``u*``
+alone, so LB is at most the full EV cost, and so at most the full
+stochastic cost, of every other commitment. A round's answer ends the
+screen only if it breaks no flow limit; the completion is then a point of
+the full stochastic model and the cheapest dispatch of ``u*`` in it, so
+the full optimum is at least ``min(EEV, LB)`` and the answer is within
+``gap_tol`` of it. `ScenarioSet` lets the weights sum to P within 1e-9 of
+1 rather than to 1. Jensen holds with the weights ``p_s / P``; the EV
+model differs from that by the factor P on the recourse cost and on the
+mean load. The first moves the bound by at most 1e-9 of the dispatch
+cost; the second by at most 1e-9 of the mean load's value at the EV
+model's balance prices, which the curtailment penalty caps: of order 1e-9
+times the penalty over the cheapest offer (5000 / 21.7 on the corpus),
+about 2e-7 of the cost, within the default ``gap_tol`` of 1e-6. The
+harness's weights are 1/n, which sum to 1 within n ulps.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -255,8 +304,9 @@ class SucSolution:
     # given one, the EV objective (None if the EV problem has no optimum)
     # and the cost of its completion in the last round (None if infeasible),
     # both None for one scenario; and whether the last round's LP
-    # relaxation was the optimum, so no MILP ran in it; empty in files
-    # written before it was kept
+    # relaxation was the optimum, or the EV bound certified its completion,
+    # so no stochastic MILP ran in it; empty in files written before it was
+    # kept
     record: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -320,18 +370,22 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     commitment schedule plus per-scenario dispatch.
 
     Line-flow rows are screened (see `network`); ``dump_lp`` receives the
-    final screened model. The MILP is started from the expected-value
-    solution, or for one scenario from its rounded LP relaxation (see the
-    module docstring). ``time_limit`` bounds the whole call: it becomes one
-    deadline for every HiGHS call of the EV solve, the relaxations, the
-    completions and the screening rounds (see `optim.solve`)."""
+    final screened model. The expected-value commitment is certified by
+    its bound or the MILP is started from it, and for one scenario the
+    MILP is started from its rounded LP relaxation (see the module
+    docstring). ``time_limit`` (seconds, a finite number >= 0, or None for
+    none) bounds the whole call: it becomes one deadline for every HiGHS
+    call of the EV solve, the relaxations, the completions, the bound MILP
+    and the screening rounds (see `optim.solve`)."""
     check_nonnegative("gap_tol", gap_tol)
+    if time_limit is not None:
+        check_nonnegative("time_limit", time_limit)
     if tuple(scenarios.buses) != tuple(system.bus_ids):
         raise ValueError("scenario buses do not match system buses")
     optim.release_heap()
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    ev, ev_s = None, 0.0
+    ev, bound, ev_s = None, None, 0.0
     if scenarios.n_scenarios > 1:
         mean = ScenarioSet(
             buses=scenarios.buses,
@@ -340,13 +394,27 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
             probabilities=np.array([1.0]),
         )
         try:
-            ev = _solve(system, mean, gap_tol, deadline, t0)
+            ev, bound = _solve(system, mean, gap_tol, deadline, t0)
         except optim.InfeasibleModelError:
             pass  # no EV commitment: solve cold
         ev_s = time.perf_counter() - t0
-    sol = _solve(system, scenarios, gap_tol, deadline, t0, dump_lp, ev, ev_s)
-    optim.release_heap()  # the model is gone: what runs next does not sit on its pages
+    sol = _solve(system, scenarios, gap_tol, deadline, t0, dump_lp, ev, ev_s, bound)[0]
+    bound = None  # it holds the EV model
+    # the models are gone: what runs next does not sit on their pages
+    optim.release_heap()
     return sol
+
+
+def _ev_bound(model, u, u_star, gap_tol, deadline):
+    """The MILP of the EV solve's final ``model`` (commitment columns
+    ``u``) with the no-good cut that excludes the 0/1 commitment
+    ``u_star`` alone, solved cold under ``deadline``; see the module
+    docstring for what its dual bound proves."""
+    model.add_rows(
+        "nogood", ">=", 1.0 - u_star.sum(), u.ravel(), np.where(u_star.ravel() == 1, -1.0, 1.0)
+    )
+    optim.release_heap()
+    return optim.solve(model, gap_tol=gap_tol, deadline=deadline)
 
 
 def _relaxation(generators, model, u, v, w, deadline):
@@ -362,14 +430,19 @@ def _relaxation(generators, model, u, v, w, deadline):
     return relaxed, True
 
 
-def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s=0.0):
+def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s=0.0,
+           bound=None):
     """`solve_suc` proper, every HiGHS call under ``deadline``, its wall time
-    counted from ``t0``. A round first solves its LP relaxation when the
-    module docstring says so, and returns it if it is the optimum. Otherwise
-    the round's MILP starts from a commitment completed against that round's
-    rows: that of ``ev``, the EV solution that took ``ev_s`` seconds, if
-    given; else, for one scenario, its first relaxation rounded up; else
-    none."""
+    counted from ``t0``. Returns the solution and its bound MILP: a
+    function that runs `_ev_bound` on the final model and the solution's
+    commitment. A round first solves its LP relaxation when the module
+    docstring says so, and returns it if it is the optimum. Otherwise it
+    completes a commitment against that round's rows: that of ``ev``, the
+    EV solution that took ``ev_s`` seconds, if given; else, for one
+    scenario, its first relaxation rounded up; else none. A completion of
+    ``ev``'s commitment is returned if ``bound()``, the bound MILP (run
+    once), certifies it; otherwise the round's MILP starts from the
+    completion."""
     grid = scenarios.grid
     gens = system.generators
     t_build = time.perf_counter()
@@ -382,16 +455,38 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
         start["ev_usd"] = ev.objective
         commitment = np.concatenate([ev.u, ev.v, ev.w], axis=None)
     relax = scenarios.n_scenarios == 1 or (ev is not None and ev.record["solved_by_relaxation"])
-    by_relaxation = False
+    proved_by = None  # how the last round ended: "relaxation", "ev_bound" or a MILP (None)
+    lower = None  # the bound MILP's result, once it has run
+
+    def certify(m, done):
+        """``done``, the completion of the EV commitment, as the round's
+        answer if the bound MILP certifies it, else None."""
+        nonlocal lower
+        if lower is None:
+            lower = bound()
+        if lower.status == "infeasible":  # the EV commitment is the only one
+            lb = np.inf
+        elif lower.ok:
+            lb = lower.mip_dual_bound
+        else:
+            return None
+        if optim.gap(done.objective, lb) > gap_tol:
+            return None
+        best = min(lb, done.objective)
+        return replace(
+            done, mip_gap=optim.gap(done.objective, best), mip_node_count=0,
+            mip_dual_bound=best, highs_s=0.0, simplex_iterations=None, binaries=m.n_integer,
+        )
 
     def solve_round(m):
-        nonlocal commitment, relax, by_relaxation
+        nonlocal commitment, relax, proved_by
+        proved_by = None
         if relax:
             t = time.perf_counter()
             # a fractional relaxation ends the looking (see the module docstring)
             relaxed, relax = _relaxation(gens, m, u, v, w, deadline)
             if relax and not screen.violated(relaxed.x):
-                by_relaxation = True
+                proved_by = "relaxation"
                 return replace(
                     relaxed, mip_gap=0.0, mip_node_count=0,
                     mip_dual_bound=relaxed.objective, binaries=m.n_integer,
@@ -410,9 +505,13 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
             start["start_used"] = done.ok
             if ev is not None:
                 start["eev_usd"] = done.objective if done.ok else None
+                certified = certify(m, done) if done.ok else None
+                if certified is not None:
+                    proved_by = "ev_bound"
+                    return certified
             x0 = done.x
         optim.release_heap()  # see optim: the MILP is the day's largest model
-        # presolve off only for the warm stochastic MILP (see optim)
+        # presolve off only for the warm stochastic MILP, the fallback (see optim)
         return optim.solve(
             m, gap_tol=gap_tol, deadline=deadline, start=x0, presolve=ev is None
         )
@@ -427,12 +526,16 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
 
     x = res.x
     u_val, v_val, w_val = commitment_schedule(gens, x, u, v, w, "stochastic commitment")
-    if by_relaxation:
-        # no MILP and no completion ran: the completion of the EV commitment
-        # costs the optimum when it is the optimal commitment
+    if proved_by is not None:  # no MILP ran in the last round
         start["start_used"] = False
-        if ev is not None:
-            start["eev_usd"] = float(res.objective) if np.array_equal(ev.u, u_val) else None
+    if proved_by == "relaxation" and ev is not None:
+        # no completion ran: the completion of the EV commitment costs the
+        # optimum when it is the optimal commitment
+        start["eev_usd"] = float(res.objective) if np.array_equal(ev.u, u_val) else None
+    highs = res.highs
+    if lower is not None:  # the bound MILP's run, counted once
+        highs["highs_s"] += lower.highs_s or 0.0
+        highs["mip_node_count"] += lower.mip_node_count or 0
     p_val = np.stack([[x[s].sum(axis=-1) for s in seg] for seg in seg_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
     fixed_cost = float(sum(commitment_cost(gens, u_val, v_val)))
@@ -452,9 +555,11 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
         record={
             "wall_time_s": wall, "screen_rounds": screen.rounds,
             "flow_rows": len(screen.added), "build_s": build_s,
-            **res.size, **res.highs, **start, "solved_by_relaxation": by_relaxation,
+            **res.size, **highs, **start,
+            "solved_by_relaxation": proved_by == "relaxation",
+            "solved_by_ev_bound": proved_by == "ev_bound",
         },
-    )
+    ), partial(_ev_bound, model, u, u_val, gap_tol, deadline)
 
 
 def check_suc_solution(system, scenarios, sol, tol=1e-6):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from frpsim import (
     PowerSystem,
     ScenarioSet,
     TimeGrid,
+    stochastic_uc,
 )
 
 
@@ -32,6 +34,16 @@ def run_python(code, *args):
         check=True,
     )
     return out.stdout.strip()
+
+
+def force_suc_fallback(monkeypatch):
+    """Make every bound MILP of `solve_suc` read as stopped at a limit once
+    it has run, so that no EV bound certificate holds and each round solves
+    the stochastic MILP (see `stochastic_uc`)."""
+    real = stochastic_uc._ev_bound
+    monkeypatch.setattr(
+        stochastic_uc, "_ev_bound", lambda *a: dataclasses.replace(real(*a), status="limit")
+    )
 
 
 def make_gen(gid, bus="b1", p_min=0.0, p_max=100.0, segments=None,

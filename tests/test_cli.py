@@ -332,11 +332,16 @@ SUC = ["suc-solve", "--system", "{w}/system.yaml", "--scenarios", "{w}/scen.json
     (DAM + ["--gap-tol", "nan"], "--gap-tol must be a finite number >= 0, got nan"),
     (DAM + ["--gap-tol", "-1"], "--gap-tol must be a finite number >= 0, got -1.0"),
     (SUC + ["--gap-tol", "inf"], "--gap-tol must be a finite number >= 0, got inf"),
+    (DAM + ["--time-limit", "nan"], "--time-limit must be a finite number >= 0, got nan"),
+    (DAM + ["--time-limit", "-1"], "--time-limit must be a finite number >= 0, got -1.0"),
+    (SUC + ["--time-limit", "-1"], "--time-limit must be a finite number >= 0, got -1.0"),
+    (SUC + ["--time-limit", "inf"], "--time-limit must be a finite number >= 0, got inf"),
     (GEN[:4] + ["{w}/other.csv"] + GEN[5:], "{w}/other.csv: buses do not match system buses"),
     (DAM[:4] + ["{w}/other.csv"] + DAM[5:], "{w}/other.csv: buses do not match system buses"),
 ], ids=["rho", "n", "sigma-nan", "sigma-negative", "gen-periods", "req-sigma-nan", "req-periods",
         "rtm-periods", "sweep-periods", "sweep-rho", "sweep-sigmas", "sweep-dam-twice",
         "gen-seed", "sweep-seed", "dam-gap-nan", "dam-gap-negative", "suc-gap-inf",
+        "dam-time-nan", "dam-time-negative", "suc-time-negative", "suc-time-inf",
         "gen-buses", "dam-buses"])
 def test_an_argument_out_of_range_ends_in_one_line(workdir, staged, capsys, argv, named):
     """An argument out of its range, or a profile of other buses than the
@@ -658,10 +663,17 @@ def test_every_command_names_an_invalid_system_file(workdir, staged):
      "gap_tol must be a finite number >= 0, got nan"),
     ("rho: [0.0]\n", "rho: [0.0]\ngap_tol: -0.01\n",
      "gap_tol must be a finite number >= 0, got -0.01"),
+    ("rho: [0.0]\n", "rho: [0.0]\ntime_limit: -1\n",
+     "time_limit must be a finite number >= 0, got -1"),
+    ("rho: [0.0]\n", "rho: [0.0]\ntime_limit: .nan\n",
+     "time_limit must be a finite number >= 0, got nan"),
+    ("rho: [0.0]\n", "rho: [0.0]\ntime_limit: .inf\n",
+     "time_limit must be a finite number >= 0, got inf"),
 ], ids=["missing", "mistyped", "integral", "method", "scalar-list", "string-list",
         "list-mapping", "string-day", "scalar-load", "unknown", "unknown-oos", "unknown-day",
         "unknown-bus", "nan-sigma", "negative-sigma", "rho", "no-scenarios", "periods",
-        "oos-sigma", "oos-rho", "negative-seed", "nan-gap", "negative-gap"])
+        "oos-sigma", "oos-rho", "negative-seed", "nan-gap", "negative-gap",
+        "negative-time", "nan-time", "inf-time"])
 def test_run_names_a_malformed_config_key(workdir, old, new, named):
     """A config missing a key, holding a value of the wrong type or out of
     its range, or holding a key its tables do not declare, ends `run` with

@@ -21,7 +21,7 @@ from frpsim.harness import (
     write_reports,
 )
 
-from conftest import make_gen, run_python, single_bus_system
+from conftest import force_suc_fallback, make_gen, run_python, single_bus_system
 
 
 def _write_inputs(tmp_path, loads_by_day, extra=""):
@@ -550,11 +550,17 @@ def test_digest_is_taken_when_the_config_loads(tmp_path):
     assert load_config(path)[0].digest() != digest
 
 
-def test_cell_records_carry_model_sizes(tmp_path):
+def test_cell_records_carry_model_sizes(tmp_path, monkeypatch):
+    """What each solve did, with the EV bound made to certify nothing, so
+    the stochastic pass runs its MILP; then the same cell with the bound
+    certifying the EV commitment, so that no stochastic MILP runs."""
     cfg, system = load_config(_write_inputs(tmp_path, {"d1": DAYS["d1"]}))
-    run_experiment(system, cfg, str(tmp_path / "out"))
+    with monkeypatch.context() as m:
+        force_suc_fallback(m)
+        run_experiment(system, cfg, str(tmp_path / "out"))
     cells = aggregate(str(tmp_path / "out"))
     rec = cells["d1.suc-free.n2.rho0"]
+    assert rec["suc"]["solved_by_ev_bound"] is False
     for kind in ("suc", "dam", "rtm"):
         size = rec[kind]
         assert size["rows"] > 0 and size["cols"] > 0 and size["nnz"] >= size["rows"]
@@ -577,6 +583,15 @@ def test_cell_records_carry_model_sizes(tmp_path):
     for kind in ("suc", "dam", "rtm"):
         assert rec[kind]["build_s"] > 0.0
     assert suc["build_s"] + suc["highs_s"] < suc["wall_time_s"]
+    # certified: the completion is the answer, its cost the dual bound; the
+    # bound MILP's HiGHS seconds are highs_s, the completion's in start_s
+    run_experiment(system, cfg, str(tmp_path / "certified"))
+    suc = aggregate(str(tmp_path / "certified"))["d1.suc-free.n2.rho0"]["suc"]
+    assert suc["solved_by_ev_bound"] is True and suc["start_used"] is False
+    assert suc["objective_usd"] == suc["eev_usd"] == suc["mip_dual_bound"]
+    assert suc["ev_usd"] <= suc["objective_usd"] and suc["mip_gap"] == 0.0
+    assert suc["binaries"] == 2 * 4 and suc["highs_s"] > 0.0
+    assert suc["build_s"] + suc["highs_s"] + suc["start_s"] < suc["wall_time_s"]
 
 
 # what every stochastic or clairvoyant solve records: wall and build
@@ -584,7 +599,7 @@ def test_cell_records_carry_model_sizes(tmp_path):
 SOLVE_KEYS = {
     "wall_time_s", "mip_gap", "screen_rounds", "flow_rows", "build_s",
     "rows", "cols", "nnz", "binaries", "highs_s", "mip_node_count", "mip_dual_bound",
-    "start_s", "start_used", "solved_by_relaxation",
+    "start_s", "start_used", "solved_by_relaxation", "solved_by_ev_bound",
 }
 
 
@@ -616,6 +631,38 @@ def test_ledger_keys_are_fixed(tmp_path):
     ev = {"ev_usd", "eev_usd"}
     assert set(ref) - ev == SOLVE_KEYS | {"day", "cost_usd"}
     assert all(ref[key] is None for key in ev & set(ref))
+
+
+def test_ledger_counts_each_stochastic_pass_once(tmp_path, monkeypatch):
+    """Both cells of a stochastic-pass group carry the pass's record, the
+    later one as `optim.reused`: its size, bound and answer, and no work.
+    So the pass's work fields, summed over the ledger, are those of the
+    passes that ran, each counted once."""
+    records = []
+    real = stochastic_uc.solve_suc
+
+    def solve_suc(system, scenarios, **kwargs):
+        sol = real(system, scenarios, **kwargs)
+        if scenarios.n_scenarios > 1:  # not a clairvoyant reference
+            records.append(sol.record)
+        return sol
+
+    monkeypatch.setattr(stochastic_uc, "solve_suc", solve_suc)
+    cfg, system = load_config(_write_inputs(tmp_path, DAYS))
+    assert run_experiment(system, cfg, str(tmp_path / "out")).clean
+    cells = aggregate(str(tmp_path / "out"))
+    assert len(records) == 8
+    for key in optim.WORK:
+        ran = [rec[key] for rec in records if key in rec]
+        summed = [c["suc"][key] for c in cells.values() if c["suc"] and key in c["suc"]]
+        assert sum(summed) == pytest.approx(sum(ran), rel=1e-12), key
+    assert sum(c["suc"]["highs_s"] for c in cells.values() if c["suc"]) > 0.0
+    for n in (2, 3):
+        for rho in ("0", "0.4"):
+            for day in DAYS:
+                first, later = (cells[f"{day}.{m}.n{n}.rho{rho}"]["suc"]
+                                for m in ("suc-free", "suc-fixed"))
+                assert later == optim.reused(first)
 
 
 def test_clairvoyant_reference_gets_the_time_limit(tmp_path, monkeypatch):

@@ -31,7 +31,7 @@ from frpsim import (
 from frpsim.data import case_path
 from frpsim.requirements import zero_requirements
 
-from conftest import scenario_set
+from conftest import force_suc_fallback, scenario_set
 from test_network import LOAD, congested  # noqa: F401 - the fixture is used
 
 # Every digest was re-frozen when a unit's output above minimum became the
@@ -51,6 +51,10 @@ FROZEN = {
     "suc-ramp-toy-4pph-ev-relaxation": "ab5997770e831882",
     "suc-ramp-toy-4pph-ev-rounded": "55e14c300eb33189",
     "suc-ramp-toy-4pph-completion": "f2d3f5c8b159f6e1",
+    # the EV model's final MILP with the no-good cut that excludes the EV
+    # commitment: the bound MILP, solved cold after the completion, whose
+    # dual bound certifies the completion (see `stochastic_uc`)
+    "suc-ramp-toy-4pph-ev-bound": "4cdfd4396c439a15",
     "suc-congested": "0caca64cfc6a0c56",
     # the LP relaxation of the same model, which is integral and breaks no
     # flow limit, so no MILP runs on it (see `stochastic_uc`)
@@ -128,11 +132,13 @@ def test_ramp_toy_dam_and_pricing(solver_inputs):
     assert solver_inputs[1][1] == FROZEN["dam-ramp-toy-pricing"]
 
 
-def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs):
+def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs, monkeypatch):
     """Three scenarios at four periods an hour: the within-hour ramp rows,
     the hour-boundary start/stop terms and the probability weights. The
     expected-value MILP and the completion of its commitment come first,
-    and the EV MILP's own start, from its rounded LP relaxation, before it."""
+    and the EV MILP's own start, from its rounded LP relaxation, before it.
+    The bound MILP certifies the completion; with that certificate made to
+    fail, the stochastic MILP follows it."""
     system = load_system(case_path("ramp_toy"))
     grid = TimeGrid(5, 4)
     base = np.repeat([150.0, 190.0, 280.0, 320.0, 240.0], 4)
@@ -140,19 +146,25 @@ def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs):
     scen = scenario_set(
         system, grid, [base, base + ramp, base - ramp], probs=[0.5, 0.3, 0.2]
     )
-    solve_suc(system, scen)
-    assert [d for _, d in solver_inputs] == [
+    assert solve_suc(system, scen).record["solved_by_ev_bound"]
+    certified = [
         FROZEN["suc-ramp-toy-4pph-ev-relaxation"],
         FROZEN["suc-ramp-toy-4pph-ev-rounded"],
         FROZEN["suc-ramp-toy-4pph-ev"],
         FROZEN["suc-ramp-toy-4pph-completion"],
-        FROZEN["suc-ramp-toy-4pph"],
+        FROZEN["suc-ramp-toy-4pph-ev-bound"],
     ]
+    assert [d for _, d in solver_inputs] == certified
+    del solver_inputs[:]
+    force_suc_fallback(monkeypatch)
+    solve_suc(system, scen)
+    assert [d for _, d in solver_inputs] == certified + [FROZEN["suc-ramp-toy-4pph"]]
 
 
 def test_congested_suc_after_its_flow_rows(congested, solver_inputs, monkeypatch):  # noqa: F811
     """The last round's model is solved as its LP relaxation; with every
-    relaxation taken as fractional, the same model is the last MILP."""
+    relaxation taken as fractional and no EV bound certificate, the same
+    model is the last MILP."""
     grid = TimeGrid(6, 1)
     load = np.asarray(LOAD)
     scen = scenario_set(congested, grid, np.stack([load, 1.04 * load]))
@@ -161,6 +173,7 @@ def test_congested_suc_after_its_flow_rows(congested, solver_inputs, monkeypatch
     assert solver_inputs[-1] == ("milp", FROZEN["suc-congested-relaxation"])
     relaxation = stochastic_uc._relaxation
     monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
+    force_suc_fallback(monkeypatch)
     solve_suc(congested, scen)
     assert solver_inputs[-1] == ("milp", FROZEN["suc-congested"])
 

@@ -2,6 +2,7 @@
 weighting, the wait-and-see bound, the feasibility audit, and the shared
 commitment block (continuous start/stop variables against binary ones)."""
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -17,12 +18,16 @@ from frpsim import (
     ScenarioSet,
     TimeGrid,
     clear_dam,
+    harness,
+    load_system,
     optim,
     solve_suc,
 )
+from frpsim.data import case_path, corpus_path
 from frpsim.dayahead import _build as build_dam_model
 from frpsim.dayahead import check_dam_outcome
 from frpsim.requirements import zero_requirements
+from frpsim.scenarios import gen_ar1_scenarios
 from frpsim import stochastic_uc
 from frpsim.stochastic_uc import (
     _build,
@@ -32,7 +37,7 @@ from frpsim.stochastic_uc import (
     save_suc_solution,
 )
 
-from conftest import make_gen, scenario_set, single_bus_system
+from conftest import force_suc_fallback, make_gen, scenario_set, single_bus_system
 
 
 def test_single_unit_three_hours_by_hand():
@@ -448,6 +453,47 @@ def test_one_scenario_start_keeps_the_optimum(case):
     assert (warm.record["ev_usd"], warm.record["eev_usd"]) == (None, None)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=_scenario_cases())
+def _ev_bound_case(paths, drawn):
+    """One drawn case of `test_ev_bound_keeps_the_optimum`; adds how its
+    solve ended to ``paths``."""
+    case, scen = drawn
+    gap_tol = 1e-6
+    (model, _, _), _ = _suc_and_dam_models(case, scen)
+    cold = optim.solve(model, gap_tol=gap_tol)
+    try:
+        sol = solve_suc(case[0], scen, gap_tol=gap_tol)
+    except InfeasibleModelError:
+        assert not cold.ok
+        paths["infeasible"] += 1
+        return
+    assert cold.ok
+    assert abs(sol.objective - cold.objective) <= gap_tol * max(1.0, abs(cold.objective))
+    assert "violations" not in check_suc_solution(case[0], scen, sol)
+    rec = sol.record
+    if rec["solved_by_ev_bound"]:
+        paths["certified"] += 1
+        assert rec["eev_usd"] == sol.objective and sol.mip_gap <= gap_tol
+        # the EV optimum alone could not certify it: the no-good cut did
+        if rec["eev_usd"] - rec["ev_usd"] > gap_tol * max(1.0, abs(rec["eev_usd"])):
+            paths["above_ev"] += 1
+    else:
+        paths["relaxation" if rec["solved_by_relaxation"] else "fallback"] += 1
+
+
+def test_ev_bound_keeps_the_optimum():
+    """On 2-4 weighted scenarios, `solve_suc` reaches the optimum of a cold
+    extensive-form solve within gap_tol, or its failure, with a clean audit,
+    whether the EV bound certified its answer or the stochastic MILP ran:
+    both happen among the draws, and some certified answers cost more than
+    the EV optimum, which only the no-good cut lets the bound prove. The
+    counts of each ending are in the assertion's message."""
+    paths = dict.fromkeys(("certified", "above_ev", "fallback", "relaxation", "infeasible"), 0)
+    _ev_bound_case(paths=paths)
+    assert paths["certified"] and paths["fallback"] and paths["above_ev"], paths
+
+
 def _spy_solves(monkeypatch):
     """Record ("solve" | "complete", deadline, start given) per call."""
     calls = []
@@ -469,15 +515,18 @@ def _spy_solves(monkeypatch):
 def test_ev_start_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
     """Two scenarios: the EV model's LP relaxation, the completion of its
     rounded commitment and the EV MILP from that start; then the completion
-    of the EV commitment and the stochastic MILP from that start. One
-    scenario makes the first three calls alone and records no EV cost."""
+    of the EV commitment, the bound MILP, which certifies nothing here, and
+    the stochastic MILP from that start. One scenario makes the first three
+    calls alone and records no EV cost."""
     system, grid, scn = uc_oracle_case
+    force_suc_fallback(monkeypatch)
     calls = _spy_solves(monkeypatch)
     sol = solve_suc(system, scn)
     assert [(kind, start) for kind, _, start in calls] == [
         ("complete", False), ("complete", False), ("solve", True),
-        ("complete", False), ("solve", True),
+        ("complete", False), ("solve", False), ("solve", True),
     ]
+    assert sol.record["solved_by_ev_bound"] is False
     rec = sol.record
     assert rec["ev_usd"] <= sol.objective + 1e-6 <= rec["eev_usd"] + 2e-6
     assert 0.0 < rec["start_s"] < rec["wall_time_s"] and rec["start_used"] is True
@@ -496,19 +545,92 @@ def test_ev_start_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
     assert load_suc_solution(path).record == sol.record
 
 
+def _certified_scenarios(system, grid):
+    """Two equally likely scenarios for `uc_oracle_case`'s system whose EV
+    commitment the bound MILP certifies."""
+    return scenario_set(
+        system, grid, [[70.0, 95.0, 120.0, 80.0], [75.0, 100.0, 125.0, 70.0]]
+    )
+
+
+def test_ev_bound_certificate_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
+    """The EV model's relaxation, the completion of its rounded commitment
+    and the EV MILP; then the completion of the EV commitment and the bound
+    MILP, cold, whose dual bound certifies the completion: no stochastic
+    MILP runs. The record says so; the bound MILP's seconds are its
+    ``highs_s``, the completion's are in ``start_s``, and its dual bound is
+    the completion's cost, which the bound exceeds. The same model solved
+    cold reaches the same optimum."""
+    system, grid, _ = uc_oracle_case
+    scn = _certified_scenarios(system, grid)
+    calls = _spy_solves(monkeypatch)
+    sol = solve_suc(system, scn)
+    assert [(kind, start) for kind, _, start in calls] == [
+        ("complete", False), ("complete", False), ("solve", True),
+        ("complete", False), ("solve", False),
+    ]
+    rec = sol.record
+    assert rec["solved_by_ev_bound"] is True and rec["solved_by_relaxation"] is False
+    assert rec["start_used"] is False and rec["eev_usd"] == sol.objective
+    assert rec["ev_usd"] <= sol.objective
+    assert (sol.mip_gap, rec["mip_dual_bound"]) == (0.0, sol.objective)
+    assert rec["binaries"] == 8 and 0.0 < rec["highs_s"] < rec["wall_time_s"]
+    assert 0.0 < rec["start_s"] < rec["wall_time_s"] - rec["highs_s"]
+    assert "violations" not in check_suc_solution(system, scn, sol)
+    (model, _, _), _ = _suc_and_dam_models((system, [0.0] * 4, ([0.0] * 4,) * 2), scn)
+    cold = optim.solve(model)
+    assert cold.objective == pytest.approx(sol.objective, rel=1e-9)
+    path = tmp_path / "suc.json"
+    save_suc_solution(sol, path)
+    assert load_suc_solution(path).record == sol.record
+
+
+def test_ev_bound_infeasible_when_the_ev_commitment_is_the_only_one(monkeypatch):
+    """A unit one hour into a four-hour minimum run, over three hours, can
+    only stay on: the no-good cut leaves the bound MILP infeasible, which
+    certifies the EV commitment. With every relaxation taken as fractional
+    (they are integral here), the EV MILP runs, then the completion and the
+    bound MILP, and no stochastic MILP."""
+    unit = make_gen("g", p_max=100.0, segments=((100.0, 20.0),), no_load=10.0,
+                    min_up=4, on=True, p0=50.0, hours_on=1)
+    system = single_bus_system(unit)
+    scn = scenario_set(system, TimeGrid(3, 1), [[40.0, 60.0, 50.0], [60.0, 80.0, 30.0]])
+    relaxation = stochastic_uc._relaxation
+    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
+    bounds = []
+    real = stochastic_uc._ev_bound
+    monkeypatch.setattr(
+        stochastic_uc, "_ev_bound", lambda *a: bounds.append(real(*a)) or bounds[-1]
+    )
+    sol = solve_suc(system, scn)
+    assert [b.status for b in bounds] == ["infeasible"]
+    rec = sol.record
+    assert rec["solved_by_ev_bound"] and sol.u.tolist() == [[1, 1, 1]]
+    # 3 * 10 no-load + 0.5 * (150 + 170) MWh * 20
+    assert sol.objective == pytest.approx(3230.0)
+    assert (sol.mip_gap, rec["mip_dual_bound"]) == (0.0, sol.objective)
+
+
 def test_heap_is_trimmed_before_each_milp_and_on_return(uc_oracle_case, monkeypatch):
-    """`solve_suc` hands the C heap back first, before each MILP, and once
-    more when its model is freed, so that the markets run after it in the
-    same process do not hold the model's pages (see `optim`)."""
-    system, _, scn = uc_oracle_case
+    """`solve_suc` hands the C heap back first, before each MILP (the EV
+    MILP, the bound MILP and, where the bound certifies nothing, the
+    stochastic MILP), and once more when its models are freed, so that the
+    markets run after it in the same process do not hold the models' pages
+    (see `optim`)."""
+    system, grid, scn = uc_oracle_case
     events = []
     monkeypatch.setattr(optim, "release_heap", lambda: events.append("trim"))
     solve = optim.solve
     monkeypatch.setattr(
         optim, "solve", lambda *args, **kwargs: events.append("milp") or solve(*args, **kwargs)
     )
-    solve_suc(system, scn)
+    certified = solve_suc(system, _certified_scenarios(system, grid))
+    assert certified.record["solved_by_ev_bound"]
     assert events == ["trim", "trim", "milp", "trim", "milp", "trim"]
+    events.clear()
+    force_suc_fallback(monkeypatch)
+    solve_suc(system, scn)
+    assert events == ["trim", "trim", "milp", "trim", "milp", "trim", "milp", "trim"]
 
 
 def _cheap_and_flexible():
@@ -642,7 +764,9 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
     whole limit, each later call what the earlier ones left; with nothing
     left HiGHS is not run and the solve fails. The EV MILP failing for
     want of time leaves the stochastic MILP no time either. Each HiGHS run
-    takes one second of a fake clock; the spy reads the budget HiGHS gets."""
+    takes one second of a fake clock; the spy reads the budget HiGHS gets.
+    The bound MILP runs on the same clock, and so does the stochastic MILP
+    where the bound certifies nothing."""
     system, _, scn = uc_oracle_case
     clock = [0.0]
     monkeypatch.setattr(stochastic_uc.time, "perf_counter", lambda: clock[0])
@@ -656,12 +780,93 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
         return run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start)
 
     monkeypatch.setattr(optim, "_run_highs", timed)
-    solve_suc(system, scn, time_limit=10.0)
+    # the bound MILP certifies the completion: no stochastic MILP
+    solve_suc(system, _certified_scenarios(system, scn.grid), time_limit=10.0)
     assert calls == [
         ("complete", 10.0), ("complete", 9.0), ("solve", 8.0),
         ("complete", 7.0), ("solve", 6.0),
     ]
     calls.clear()
+    with monkeypatch.context() as m:
+        force_suc_fallback(m)
+        solve_suc(system, scn, time_limit=10.0)
+    assert calls == [
+        ("complete", 10.0), ("complete", 9.0), ("solve", 8.0),
+        ("complete", 7.0), ("solve", 6.0), ("solve", 5.0),
+    ]
+    calls.clear()
     with pytest.raises(InfeasibleModelError, match="limit"):
         solve_suc(system, scn, time_limit=1.5)
     assert calls == [("complete", 1.5), ("complete", 0.5)]
+
+
+def test_ev_bound_runs_across_screening_rounds(monkeypatch):
+    """ieee14 with l1_2 cut to 130 MW, two scenarios, every relaxation taken
+    as fractional. The completion of the EV commitment breaks the line
+    limit in the first round, so the screen adds its rows and the next
+    round completes the commitment again; the bound MILP runs once, and the
+    certified answer is the optimum of the full model, solved cold with
+    every flow row."""
+    from test_network import LOAD  # test_network imports this module
+
+    system = load_system(case_path("ieee14"))
+    system = dataclasses.replace(system, lines=tuple(
+        dataclasses.replace(ln, flow_min=-130.0, flow_max=130.0) if ln.id == "l1_2" else ln
+        for ln in system.lines
+    ))
+    load = np.asarray(LOAD)
+    scn = scenario_set(system, TimeGrid(6, 1), np.stack([load, 1.04 * load]))
+    relaxation = stochastic_uc._relaxation
+    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
+    bounds = []
+    real = stochastic_uc._ev_bound
+    monkeypatch.setattr(
+        stochastic_uc, "_ev_bound", lambda *a: bounds.append(real(*a)) or bounds[-1]
+    )
+    sol = solve_suc(system, scn)
+    rec = sol.record
+    assert rec["solved_by_ev_bound"] and len(bounds) == 1
+    assert rec["screen_rounds"] >= 2 and rec["flow_rows"] >= 1
+    assert "violations" not in check_suc_solution(system, scn, sol)
+    model, _, _, _, screen = _build(system, scn)
+    screen.add_rows(model, screen.every_row())
+    cold = optim.solve(model)
+    assert abs(sol.objective - cold.objective) <= 1e-6 * abs(cold.objective)
+
+
+# The extensive-form answer for corpus day wed at 64 in-sample scenarios,
+# as the stochastic MILP proved it before the EV bound (master seed 111,
+# rho 0.4, 4 periods an hour; 16.0 s and 418 MB on a 2-vCPU VM): its
+# objective and each unit's hourly commitment
+WED_64 = (127052.90032630134, [
+    "111111111111111111111111", "111111111111111111111111",
+    "000000110000000000000000", "000000000000000000000000",
+])
+
+
+def test_corpus_wed_at_64_scenarios_runs_no_stochastic_milp(monkeypatch):
+    """The harness's in-sample draw of 64 scenarios on corpus day wed: the
+    EV bound certifies the EV commitment, so every MILP `solve_suc` runs is
+    on the EV model (the EV MILP, the bound MILP), none on the stochastic
+    one, and the answer is the extensive form's, frozen above."""
+    cfg, system = harness.load_config(corpus_path("config.yaml"))
+    day = next(d for d in cfg.days if d.name == "wed")
+    forecast, _ = harness._day_profile(system, cfg, day)
+    scn = gen_ar1_scenarios(
+        forecast, cfg.sigma_frac, cfg.rho[0], 64, cfg.master_seed, labels=("in-sample", "wed")
+    )
+    built, solved = [], []
+    build, solve = stochastic_uc._build, optim.solve
+    monkeypatch.setattr(
+        stochastic_uc, "_build", lambda *a: built.append(build(*a)) or built[-1]
+    )
+    monkeypatch.setattr(
+        optim, "solve", lambda model, *a, **kw: solved.append(model) or solve(model, *a, **kw)
+    )
+    sol = solve_suc(system, scn, gap_tol=cfg.gap_tol)
+    (ev_model, *_), (suc_model, *_) = built
+    assert solved and all(m is ev_model for m in solved) and suc_model.n_vars > ev_model.n_vars
+    assert sol.record["solved_by_ev_bound"]
+    objective, u = WED_64
+    assert sol.objective == pytest.approx(objective, rel=1e-12)
+    assert ["".join(map(str, row)) for row in sol.u] == u
