@@ -367,7 +367,7 @@ def _build_parser():
 # the argument that sets each model parameter
 ARGUMENTS = {"sigma_frac": "--sigma", "rho": "--rho", "n_scenarios": "--n",
              "periods_per_hour": "--periods-per-hour", "master_seed": "--seed",
-             "gap_tol": "--gap-tol", "time_limit": "--time-limit"}
+             "gap_tol": "--gap-tol", "time_limit": "--time-limit", "workers": "--workers"}
 
 
 def main(argv=None):

@@ -38,11 +38,12 @@ solving the pricing LP, flow rows screened as usual, gives a point of B at
 the LP's objective. If that objective is within ``gap_tol`` of the bound,
 ``(objective - bound) / max(1, |objective|) <= gap_tol``, the commitment is
 ``gap_tol``-optimal for B, which is what B's own MILP would prove; the MILP
-is skipped and the outcome is built from that LP as it would be from the
-MILP's commitment. The bound still holds for B, so B's outcome carries it
-to a market above B. When the check fails, B is cleared by its MILP on the
-model it has without the check: rebuilt if the check's screening added
-flow rows.
+is skipped, the LP is B's answer as `optim.certified` gives it (gap to the
+lesser of the bound and the objective, that lesser value its dual bound),
+and the outcome is built from it as from the MILP's. That dual bound still
+holds for B, so B's outcome carries it to a market above B. When the check
+fails, B is cleared by its MILP on the model it has without the check:
+rebuilt if the check's screening added flow rows.
 
 With a floor: take a market F without a floor and the market F' of the
 same system, bids and requirements with a commitment floor (the harness's
@@ -305,46 +306,37 @@ def clear_dam(
     gens = system.generators
     bound = None if relaxed is None else relaxed.record.get("mip_dual_bound")
     try:
-        lp = check_lp = None
+        clearing = check_lp = None
         if bound is not None:
             pinned = np.zeros(model.n_vars)
             pinned[idx["u"]] = relaxed.u
             lp = screen.solve(model, lambda m: optim.fix_and_resolve(m, pinned))
-            if not (lp.ok and optim.gap(lp.objective, bound) <= gap_tol):
-                lp, check_lp = None, lp.highs
+            # no clearing MILP ran: the LP's seconds are the pricing LP's
+            clearing = optim.certified(replace(lp, highs_s=0.0), bound, gap_tol, model.n_integer)
+            if clearing is None:
+                check_lp = lp.highs
                 if screen.added:
                     model, idx = _build(system, bids, req, fix_commitments)
                     screen = idx["screen"]
                 screen.rounds = 0  # the clearing counts its own rounds
-        certified = lp is not None
-        if certified:
-            u, v, w = commitment_schedule(
-                gens, lp.x, idx["u"], idx["v"], idx["w"], "day-ahead certificate"
-            )
-            objective, mip_gap = lp.objective, optim.gap(lp.objective, bound)
-            clearing = {
-                **lp.size, "binaries": model.n_integer,
-                "highs_s": 0.0, "mip_node_count": 0, "mip_dual_bound": bound,
-            }
-        else:
+        certified = clearing is not None
+        if not certified:
             deadline = None if time_limit is None else time.perf_counter() + time_limit
-            mip = optim.require_optimal(
+            clearing = optim.require_optimal(
                 screen.solve(
                     model, lambda m: optim.solve(m, gap_tol=gap_tol, deadline=deadline)
                 ),
                 "day-ahead clearing",
             )
-            u, v, w = commitment_schedule(
-                gens, mip.x, idx["u"], idx["v"], idx["w"], "day-ahead clearing"
-            )
             # the incumbent meets every flow limit, so it stays optimal when
             # the pricing solve adds rows; only the LP is re-solved
             lp = optim.require_optimal(
-                screen.solve(model, lambda m: optim.fix_and_resolve(m, mip.x)),
+                screen.solve(model, lambda m: optim.fix_and_resolve(m, clearing.x)),
                 "day-ahead pricing",
             )
-            objective, mip_gap = mip.objective, mip.mip_gap
-            clearing = {**mip.size, **mip.highs}
+        u, v, w = commitment_schedule(
+            gens, clearing.x, idx["u"], idx["v"], idx["w"], "day-ahead clearing"
+        )
     finally:
         if dump_lp:
             model.write_lp(dump_lp)
@@ -370,13 +362,14 @@ def clear_dam(
         lmp=lmp,
         price_up=price_up,
         price_dn=price_dn,
-        objective=float(objective),
+        objective=float(clearing.objective),
         pricing_objective=float(lp.objective),
-        mip_gap=mip_gap,
+        mip_gap=clearing.mip_gap,
         certified=certified,
         record={
             "screen_rounds": screen.rounds, "flow_rows": len(screen.added),
-            "build_s": build_s, **clearing, "pricing_lp": lp.highs, "check_lp": check_lp,
+            "build_s": build_s, **clearing.size, **clearing.highs, "pricing_lp": lp.highs,
+            "check_lp": check_lp,
         },
     )
 

@@ -358,8 +358,12 @@ def run_experiment(system, cfg, out_dir, workers=1):
     Returns a RunResult; failures are recorded and do not stop other cells.
     Raises LedgerMismatchError, before solving anything, when ``out_dir``
     holds a run whose config digest differs: its cells would not be cells of
-    this run. Use a fresh directory for a changed config or system.
+    this run. Use a fresh directory for a changed config or system. Raises
+    ParameterError, before writing anything, unless ``workers`` is at
+    least 1.
     """
+    if not workers >= 1:
+        raise ParameterError("workers", "at least 1", workers)
     digest = cfg.digest()
     recorded = _first_digest(out_dir)
     if recorded is not None and recorded != digest:

@@ -51,25 +51,10 @@ incumbent and the dual bound is within ``gap_tol``, so the answer is an
 optimum of the model within ``gap_tol`` with or without the start. A start
 that is infeasible is dropped.
 
-The warm stochastic MILP runs with MIP presolve off (``solve(...,
-presolve=False)``). It runs only as the fallback, where the EV bound does
-not certify the EV commitment (see `stochastic_uc`); on it presolve was
-0.09-0.18 s of each solve, and HiGHS's restarts presolve the reduced model
-anyway. Presolve changes how HiGHS gets to the proof, not what it proves,
-so the answer is still an optimum within ``gap_tol``. Unit output has no
-alias column (see `dispatch`), so without presolve HiGHS peaks only
-0.3-1.4 MB higher on the corpus's 16-scenario SUCs; on an 8-scenario
-ieee14 SUC, whose parallel per-bus curtailment columns presolve would
-merge, about 12 MB higher. Every other MILP keeps presolve: the EV bound
-MILP, which gets no start, and the one-scenario SUCs (expected value,
-clairvoyant), although they get one. Without presolve the one-scenario
-SUCs took half the time (0.31 against 0.61 s for the corpus grid's ten), but
-they reach another of their equal-cost optima, which on a congested network
-breaks other line limits: an ieee14 SUC then took six screening rounds
-instead of three. `complete` runs its LP with presolve off: with the
-commitment pinned the LP is small, and presolve was most of its time (the
-corpus grid's 25 relaxations and completions: 0.53 s with it, 0.20 s
-without).
+Every MILP runs with HiGHS's presolve on. `complete` runs its LP with
+presolve off: with the commitment pinned the LP is small, and presolve was
+most of its time (the corpus grid's 25 relaxations and completions: 0.53 s
+with it, 0.20 s without).
 
 Every MILP is handed `MILP_OPTIONS`, which turn off four of HiGHS's primal
 heuristics and its symmetry detection. The first two, the root
@@ -84,8 +69,8 @@ model re-solved three times, equal optima). Skipping them is sound:
   between incumbent and dual bound is within ``gap_tol``;
 - only primal heuristics and symmetry pruning are skipped: the
   heuristics only look for incumbents, and symmetry pruning only skips
-  nodes whose subtree mirrors another's; presolve (where on), cuts, the
-  other heuristics and branching are as before;
+  nodes whose subtree mirrors another's; presolve, cuts, the other
+  heuristics and branching are as before;
 - the models are feasible by construction (every SUC, DAM and clairvoyant
   model carries curtailment slack, every DAM also FRP shortfall slack), so
   an incumbent is never hard to find, which is all the heuristics do.
@@ -120,7 +105,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -346,6 +331,23 @@ def gap(objective, bound):
     ``(objective - bound) / max(1, |objective|)``: what a certificate that
     skips a MILP must bring within ``gap_tol``."""
     return (objective - bound) / max(1.0, abs(objective))
+
+
+def certified(res, bound, gap_tol, binaries):
+    """The optimal LP result ``res``, a point of a MILP with ``binaries``
+    integer columns, as that MILP's answer if ``bound``, a proven lower
+    bound on its optimum (+inf where nothing else is feasible), brings it
+    within ``gap_tol`` (`gap`); else None. The answer's gap is to
+    ``min(bound, objective)``, which is its dual bound, and it has no
+    nodes; ``x``, ``duals`` and the work fields are ``res``'s. Every
+    certificate that skips a MILP answers through this."""
+    if not (res.ok and gap(res.objective, bound) <= gap_tol):  # a NaN bound certifies nothing
+        return None
+    best = min(bound, res.objective)
+    return replace(
+        res, mip_gap=gap(res.objective, best), mip_dual_bound=best, mip_node_count=0,
+        binaries=binaries,
+    )
 
 
 def _sense_codes(sense, shape):
@@ -748,7 +750,7 @@ def _run_milp(model, lb, ub, integer, options, deadline, start=None):
     ).result
 
 
-def solve(model, gap_tol=1e-6, deadline=None, start=None, presolve=True):
+def solve(model, gap_tol=1e-6, deadline=None, start=None):
     """Solve to proven optimality (within ``gap_tol`` for MIPs).
 
     Pure-LP models are routed through `linprog` so the result carries duals;
@@ -756,9 +758,8 @@ def solve(model, gap_tol=1e-6, deadline=None, start=None, presolve=True):
     ``deadline`` (a `time.perf_counter` reading, or None) bounds HiGHS's
     time: it gets what is left, and once the deadline has passed the result
     is status "limit" and HiGHS is not run. ``start`` (a complete solution,
-    e.g. from `complete`) is handed to HiGHS as a MIP start, and
-    ``presolve=False`` turns MIP presolve off; see the module docstring for
-    why both are sound.
+    e.g. from `complete`) is handed to HiGHS as a MIP start; see the module
+    docstring for why that is sound.
     """
     if model.n_vars == 0:
         return SolveResult(
@@ -769,8 +770,6 @@ def solve(model, gap_tol=1e-6, deadline=None, start=None, presolve=True):
     if not integer.any():
         return _solve_lp(model, model.lb, model.ub, deadline)
     options = {"mip_rel_gap": gap_tol, **MILP_OPTIONS}
-    if not presolve:
-        options["presolve"] = "off"
     return _run_milp(model, model.lb.copy(), model.ub.copy(), integer, options, deadline, start)
 
 

@@ -35,8 +35,8 @@ cost of the EV solution, so ``eev_usd - objective`` is the value of the
 stochastic solution.
 
 A one-scenario solve (the EV problem itself, and the clairvoyant reference)
-is started the same way from a commitment of its own: its LP relaxation,
-solved once, rounded up (a unit is on wherever the relaxation has it on
+is started the same way from a commitment of its own: its first fractional
+LP relaxation, rounded up (a unit is on wherever the relaxation has it on
 above 1e-6, with the starts and stops that implies), then completed against
 each round's rows. Rounding up can break a minimum up or down time, and
 then the completion is infeasible and the MILP solves cold. Without the
@@ -48,17 +48,16 @@ seconds.
 An integral relaxation needs no MILP. Each screening round of a one-scenario
 solve first looks at its LP relaxation on that round's rows. If the
 commitment is integral (`commitment_schedule`: ``u`` within 1e-6 of 0/1,
-``v`` and ``w`` its starts and stops) and the point breaks no flow limit
-the screen has not yet put in, the relaxation is the optimum of the full
-model, and the round returns it with gap 0, its objective as the dual
-bound and no nodes. Proof: the relaxation drops integrality and unscreened
-flow rows, so its optimum is at most the full model's; an integral point
-that meets every flow limit is a point of the full model, so it reaches
-that optimum. A relaxation that fails either test is set aside: it adds no
-rows (the round's MILP's solution does, as without the check) and is only
-rounded up for the start. A fractional one also ends the looking, since
-later rounds only add flow rows; one that was integral but broke a flow
-limit is looked at again in the next round. A multi-scenario solve looks
+``v`` and ``w`` its starts and stops), the relaxation is an optimum of the
+round's MILP, and the round returns it (`optim.certified`, with its own
+objective as the bound: gap 0, no nodes). Proof: the relaxation drops
+integrality alone, so its optimum is at most the MILP's; an integral point
+is a point of the MILP, so it reaches that optimum. The screen checks it as
+it checks every round's answer (see `network`): if it breaks a flow limit,
+those rows go in and the next round looks again. A fractional relaxation is
+set aside: it adds no rows (the round's MILP's solution does, as without
+the check) and is only rounded up for the start. It also ends the looking,
+since later rounds only add flow rows. A multi-scenario solve looks
 the same way, but only if its EV problem was solved by its relaxation: the
 tight formulation (see `add_commitment_block`) often makes the EV
 relaxation integral, and then the stochastic one tends to be too, while a
@@ -73,15 +72,14 @@ An EV bound can make the stochastic MILP unnecessary too. When a round's
 completion of the EV commitment ``u*`` is feasible, at cost EEV, the EV
 solve's own final model, flow rows included, gets one more row, the no-good
 cut ``sum(u where u* = 0) + sum(1 - u where u* = 1) >= 1`` that excludes
-``u*`` alone, and is solved as a MILP (`_ev_bound`: one scenario, presolve
-on, no start, under the same deadline), once per `solve_suc`. If its proven
-dual bound LB has ``optim.gap(EEV, LB) <= gap_tol``, the completion is the
-round's answer, with ``min(LB, EEV)`` as its dual bound and its gap to
-that; no stochastic MILP runs. An infeasible bound MILP (``u*`` is the only
-commitment) certifies it too; one stopped at a limit certifies nothing.
-Otherwise the round solves the stochastic MILP from the completion, as
-above, with presolve off (the fallback; see `optim`). As with the
-relaxation, the screen still checks every answer, so the certificate is
+``u*`` alone, and is solved as a MILP (`_ev_bound`: one scenario, no start,
+under the same deadline), once per `solve_suc`. If its proven dual bound LB
+has ``optim.gap(EEV, LB) <= gap_tol``, the completion is the round's answer
+(`optim.certified`, with LB as the bound); no stochastic MILP runs. An
+infeasible bound MILP (``u*`` is the only commitment) certifies it too, as
+a bound of +inf; one stopped at a limit certifies nothing. Otherwise the
+round solves the stochastic MILP from the completion, as above. As with
+the relaxation, the screen still checks every answer, so the certificate is
 tried each round on that round's completion, against the one LB. The
 record says ``solved_by_ev_bound`` when the last round ended this way, with
 ``start_used`` false; the bound MILP's HiGHS seconds and nodes are in
@@ -436,13 +434,13 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
     counted from ``t0``. Returns the solution and its bound MILP: a
     function that runs `_ev_bound` on the final model and the solution's
     commitment. A round first solves its LP relaxation when the module
-    docstring says so, and returns it if it is the optimum. Otherwise it
+    docstring says so, and returns it if it is integral. Otherwise it
     completes a commitment against that round's rows: that of ``ev``, the
     EV solution that took ``ev_s`` seconds, if given; else, for one
-    scenario, its first relaxation rounded up; else none. A completion of
-    ``ev``'s commitment is returned if ``bound()``, the bound MILP (run
-    once), certifies it; otherwise the round's MILP starts from the
-    completion."""
+    scenario, its first fractional relaxation rounded up; else none. A
+    completion of ``ev``'s commitment is returned if ``bound()``, the bound
+    MILP (run once), certifies it; otherwise the round's MILP starts from
+    the completion."""
     grid = scenarios.grid
     gens = system.generators
     t_build = time.perf_counter()
@@ -458,39 +456,16 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
     proved_by = None  # how the last round ended: "relaxation", "ev_bound" or a MILP (None)
     lower = None  # the bound MILP's result, once it has run
 
-    def certify(m, done):
-        """``done``, the completion of the EV commitment, as the round's
-        answer if the bound MILP certifies it, else None."""
-        nonlocal lower
-        if lower is None:
-            lower = bound()
-        if lower.status == "infeasible":  # the EV commitment is the only one
-            lb = np.inf
-        elif lower.ok:
-            lb = lower.mip_dual_bound
-        else:
-            return None
-        if optim.gap(done.objective, lb) > gap_tol:
-            return None
-        best = min(lb, done.objective)
-        return replace(
-            done, mip_gap=optim.gap(done.objective, best), mip_node_count=0,
-            mip_dual_bound=best, highs_s=0.0, simplex_iterations=None, binaries=m.n_integer,
-        )
-
     def solve_round(m):
-        nonlocal commitment, relax, proved_by
+        nonlocal commitment, relax, proved_by, lower
         proved_by = None
         if relax:
             t = time.perf_counter()
             # a fractional relaxation ends the looking (see the module docstring)
             relaxed, relax = _relaxation(gens, m, u, v, w, deadline)
-            if relax and not screen.violated(relaxed.x):
+            if relax:
                 proved_by = "relaxation"
-                return replace(
-                    relaxed, mip_gap=0.0, mip_node_count=0,
-                    mip_dual_bound=relaxed.objective, binaries=m.n_integer,
-                )
+                return optim.certified(relaxed, relaxed.objective, gap_tol, m.n_integer)
             start["start_s"] += time.perf_counter() - t
             if commitment is None and relaxed.ok:
                 # one scenario: on wherever the relaxation is above 1e-6
@@ -505,16 +480,20 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
             start["start_used"] = done.ok
             if ev is not None:
                 start["eev_usd"] = done.objective if done.ok else None
-                certified = certify(m, done) if done.ok else None
-                if certified is not None:
+            if ev is not None and done.ok:
+                lower = lower or bound()
+                # infeasible: the EV commitment is the only one; a limit proves nothing
+                lb = np.inf if lower.status == "infeasible" else (
+                    lower.mip_dual_bound if lower.ok else -np.inf
+                )
+                # the completion's seconds are in start_s alone
+                answer = optim.certified(replace(done, highs_s=0.0), lb, gap_tol, m.n_integer)
+                if answer is not None:
                     proved_by = "ev_bound"
-                    return certified
+                    return answer
             x0 = done.x
         optim.release_heap()  # see optim: the MILP is the day's largest model
-        # presolve off only for the warm stochastic MILP, the fallback (see optim)
-        return optim.solve(
-            m, gap_tol=gap_tol, deadline=deadline, start=x0, presolve=ev is None
-        )
+        return optim.solve(m, gap_tol=gap_tol, deadline=deadline, start=x0)
 
     try:
         res = screen.solve(model, solve_round)

@@ -309,6 +309,7 @@ DAM = ["dam-clear", "--system", "{w}/system.yaml", "--bids", "{w}/forecast.csv",
        "{w}/req.csv", "--out", "{w}/new"]
 SUC = ["suc-solve", "--system", "{w}/system.yaml", "--scenarios", "{w}/scen.json",
        "--out", "{w}/new"]
+RUN = ["run", "--config", "{w}/config.yaml", "--out", "{w}/new"]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -338,16 +339,19 @@ SUC = ["suc-solve", "--system", "{w}/system.yaml", "--scenarios", "{w}/scen.json
     (SUC + ["--time-limit", "inf"], "--time-limit must be a finite number >= 0, got inf"),
     (GEN[:4] + ["{w}/other.csv"] + GEN[5:], "{w}/other.csv: buses do not match system buses"),
     (DAM[:4] + ["{w}/other.csv"] + DAM[5:], "{w}/other.csv: buses do not match system buses"),
+    (RUN + ["--workers", "0"], "--workers must be at least 1, got 0"),
+    (RUN + ["--workers", "-2"], "--workers must be at least 1, got -2"),
 ], ids=["rho", "n", "sigma-nan", "sigma-negative", "gen-periods", "req-sigma-nan", "req-periods",
         "rtm-periods", "sweep-periods", "sweep-rho", "sweep-sigmas", "sweep-dam-twice",
         "gen-seed", "sweep-seed", "dam-gap-nan", "dam-gap-negative", "suc-gap-inf",
         "dam-time-nan", "dam-time-negative", "suc-time-negative", "suc-time-inf",
-        "gen-buses", "dam-buses"])
+        "gen-buses", "dam-buses", "run-workers-0", "run-workers-negative"])
 def test_an_argument_out_of_range_ends_in_one_line(workdir, staged, capsys, argv, named):
     """An argument out of its range, or a profile of other buses than the
     system, ends the command with exit status 1 and one line naming the
     argument or the file, before any output is written."""
     _write_csv(workdir / "other.csv", ["b9"], [[100.0, 150.0, 210.0, 140.0]])
+    (workdir / "config.yaml").write_text(CONFIG)
     status, lines = _outcome([a.format(w=workdir) for a in argv], capsys)
     assert (status, len(lines)) == (1, 1), lines
     assert lines[0].startswith(named.format(w=workdir)), lines

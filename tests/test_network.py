@@ -101,38 +101,40 @@ def test_screened_suc_matches_full(congested, monkeypatch):
     assert full_rec["screen_rounds"] == 1 and rec["flow_rows"] < full_rec["flow_rows"]
 
 
-def test_integral_relaxation_over_a_flow_limit_falls_back_to_the_milp(
-    congested, monkeypatch
-):
+def test_integral_relaxation_over_a_flow_limit_runs_no_milp(congested, monkeypatch):
     """One certain scenario on the congested network. The first round's LP
-    relaxation is integral but overloads l1_2, so it is set aside: the
-    round's MILP runs on the model without flow rows, and the rows added
-    are those its solution breaks, as in a solve that never looks at a
-    relaxation. With them, the second round's relaxation is the optimum."""
+    relaxation is integral, so it is an optimum of that round's screened
+    MILP and the round's answer, although it overloads l1_2: the screen adds
+    the rows it breaks, and no MILP runs at all. The answer is that of the
+    same solve with every relaxation taken as fractional, within gap_tol."""
     scen = scenario_set(congested, TimeGrid(6, 1), [np.asarray(LOAD)])
-    looked, milps = [], []
+    looked, added, milps = [], [], []
     relaxation, solve = stochastic_uc._relaxation, optim.solve
+    add_rows = network.FlowScreen.add_rows
 
-    def seen(gens, model, u, v, w, deadline):
-        relaxed, integral = relaxation(gens, model, u, v, w, deadline)
-        looked.append((model.n_rows, integral))
+    def seen(*args):
+        relaxed, integral = relaxation(*args)
+        looked.append((relaxed, integral))
         return relaxed, integral
 
     monkeypatch.setattr(stochastic_uc, "_relaxation", seen)
     monkeypatch.setattr(
+        network.FlowScreen, "add_rows",
+        lambda screen, model, keys: added.append(list(keys)) or add_rows(screen, model, keys),
+    )
+    monkeypatch.setattr(
         optim, "solve", lambda model, *a, **kw: milps.append(model.n_rows) or solve(model, *a, **kw)
     )
     sol = solve_suc(congested, scen)
-    # the same solve with every relaxation taken as fractional: today's MILPs
-    shortcut_milps, milps[:] = list(milps), []
+    assert milps == [] and len(looked) == sol.record["screen_rounds"] >= 2
+    assert all(integral for _, integral in looked)
+    # the rows of the first round are those the first relaxation breaks
+    *_, fresh = stochastic_uc._build(congested, scen)
+    assert added[0] == fresh.violated(looked[0][0].x) != []
+    assert sol.record["solved_by_relaxation"] and sol.record["mip_node_count"] == 0
     monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
     plain = solve_suc(congested, scen)
-    first_rows = looked[0][0]
-    assert looked == [(first_rows, True), (sol.record["rows"], True)]
-    assert shortcut_milps == [first_rows] == milps[:1] and len(milps) == 2
-    assert sol.record["solved_by_relaxation"] and not plain.record["solved_by_relaxation"]
-    for key in ("screen_rounds", "flow_rows", "rows", "cols", "nnz", "binaries"):
-        assert sol.record[key] == plain.record[key], key
+    assert milps and not plain.record["solved_by_relaxation"]
     assert np.array_equal(sol.u, plain.u)
     _same_objective(sol.objective, plain.objective)
     assert "violations" not in check_suc_solution(congested, scen, sol, tol=TOL)

@@ -1,6 +1,7 @@
 """Solver wrapper tests: small problems with enumerable optima, plus the dual
 conventions the pricing pass depends on."""
 
+import dataclasses
 import itertools
 import re
 import time
@@ -208,6 +209,53 @@ def test_fix_and_resolve_at_suboptimal_incumbent_bounds_from_above():
     assert lp.objective >= opt - 1e-9
 
 
+def _lp_answer():
+    """An optimal LP result, as `complete` or `fix_and_resolve` gives one."""
+    return SolveResult(
+        "optimal", objective=100.0, x=np.array([1.0, 0.0]), duals=np.array([2.5]),
+        highs_s=0.125, simplex_iterations=7, rows=1, cols=2, nnz=2, binaries=0,
+    )
+
+
+def test_certified_at_exactly_gap_tol_and_not_above():
+    """A gap of exactly ``gap_tol`` certifies the LP as its MILP's answer:
+    that gap, the bound as its dual bound, no nodes and the MILP's integer
+    columns. A bound one ulp lower, or NaN, certifies nothing."""
+    answer = optim.certified(_lp_answer(), 75.0, 0.25, 4)
+    assert (answer.mip_gap, answer.mip_dual_bound) == (0.25, 75.0)
+    assert (answer.mip_node_count, answer.binaries) == (0, 4)
+    assert answer.highs == {"highs_s": 0.125, "mip_node_count": 0, "mip_dual_bound": 75.0}
+    assert optim.certified(_lp_answer(), np.nextafter(75.0, -np.inf), 0.25, 4) is None
+    assert optim.certified(_lp_answer(), np.nan, 0.25, 4) is None
+
+
+@pytest.mark.parametrize("bound", [np.inf, 100.5], ids=["infinite", "above"])
+def test_certified_bound_at_or_above_the_objective_gives_gap_zero(bound):
+    """+inf (nothing else is feasible) or a bound above the objective, which
+    tolerances allow, gives gap 0 and the objective as the dual bound,
+    never a negative gap."""
+    answer = optim.certified(_lp_answer(), bound, 0.0, 4)
+    assert (answer.mip_gap, answer.mip_dual_bound) == (0.0, 100.0)
+
+
+@pytest.mark.parametrize("status", ["limit", "infeasible", "error"])
+def test_certified_needs_an_optimal_result(status):
+    res = dataclasses.replace(_lp_answer(), status=status)
+    assert optim.certified(res, np.inf, 1e-6, 4) is None
+
+
+def test_certified_keeps_the_solution_and_the_work():
+    """``x``, ``duals``, the size and the work fields stay the LP's, and the
+    LP's result is left as it was."""
+    res = _lp_answer()
+    answer = optim.certified(res, 99.0, 0.1, 4)
+    assert answer.x is res.x and answer.duals is res.duals
+    for key in ("objective", "highs_s", "simplex_iterations", "rows", "cols", "nnz"):
+        assert getattr(answer, key) == getattr(res, key), key
+    assert res.binaries == 0
+    assert res.mip_gap is res.mip_dual_bound is res.mip_node_count is None
+
+
 def test_write_lp_raises_naming_a_path_it_cannot_write(tmp_path):
     """The dump is an MPS file for a path ending in ``.mps`` and an LP file
     whatever other extension the path has (HiGHS picks its format from it;
@@ -311,8 +359,8 @@ def test_milp_options_reach_highs(monkeypatch):
     """Every switch of `optim.MILP_OPTIONS` (two root heuristics, RINS, RENS
     and symmetry detection) reaches the HiGHS call next to the gap, and
     HiGHS accepts them: with every warning an error, a MILP still solves.
-    A start keeps presolve unless presolve is asked off; `complete` runs its
-    LP with presolve off."""
+    A MILP keeps presolve, with a start or without; `complete` runs its LP
+    with presolve off."""
     seen = []
     real = optim.milp
 
@@ -325,12 +373,11 @@ def test_milp_options_reach_highs(monkeypatch):
         warnings.simplefilter("error")
         r = solve(_cover_model(), gap_tol=1e-4)
         warm = solve(_cover_model(), gap_tol=1e-4, start=np.ones(3))
-        bare = solve(_cover_model(), gap_tol=1e-4, start=np.ones(3), presolve=False)
         done = optim.complete(_cover_model(), np.arange(2), np.ones(2))
-    for res in (r, warm, bare, done):
+    for res in (r, warm, done):
         assert res.ok and res.objective == pytest.approx(3.0)
-    cold, started, unpresolved, completion = seen
-    for options in (cold, started, unpresolved):
+    cold, started, completion = seen
+    for options in (cold, started):
         for key in (
             "mip_heuristic_run_root_reduced_cost", "mip_heuristic_run_feasibility_jump",
             "mip_heuristic_run_rins", "mip_heuristic_run_rens", "mip_detect_symmetry",
@@ -338,7 +385,6 @@ def test_milp_options_reach_highs(monkeypatch):
             assert options[key] is False
         assert options["mip_rel_gap"] == 1e-4
     assert "presolve" not in cold and "presolve" not in started
-    assert unpresolved["presolve"] == "off"
     assert completion == {"presolve": "off"}
 
 

@@ -499,9 +499,9 @@ def _spy_solves(monkeypatch):
     calls = []
     real_solve, real_complete = optim.solve, optim.complete
 
-    def solve(model, gap_tol=1e-6, deadline=None, start=None, presolve=True):
+    def solve(model, gap_tol=1e-6, deadline=None, start=None):
         calls.append(("solve", deadline, start is not None))
-        return real_solve(model, gap_tol, deadline, start, presolve)
+        return real_solve(model, gap_tol, deadline, start)
 
     def complete(model, cols, values, deadline=None):
         calls.append(("complete", deadline, False))
