@@ -17,10 +17,13 @@ that scipy.sparse and the scipy._lib chain under it cost every process.
 LP otherwise; `fix_and_resolve` freezes every integer variable at an
 incumbent and re-solves the continuous relaxation of the same matrix to
 recover duals for pricing; `complete` pins some columns and solves the rest
-as an LP, which turns a commitment into a complete MIP start. A time limit
-reaches `solve` and `complete` as a deadline, a `time.perf_counter` reading:
-HiGHS gets what is left of it (`_budget`), and once it has passed the result
-is status "limit" without a HiGHS run.
+as an LP, which turns a commitment into a complete MIP start. Where the
+pinned columns leave blocks that share no row (a stochastic model's
+scenarios, its commitment pinned), `complete` solves one LP per block, so
+the largest LP HiGHS gets is one block's. A time limit reaches `solve` and
+`complete` as a deadline, a `time.perf_counter` reading: HiGHS gets what is
+left of it (`_budget`), and once it has passed the result is status "limit"
+without a HiGHS run.
 
 Every solve goes through scipy's bundled HiGHS binding
 (``scipy.optimize._highspy._core._Highs``), loaded from scipy's install
@@ -51,8 +54,8 @@ incumbent and the dual bound is within ``gap_tol``, so the answer is an
 optimum of the model within ``gap_tol`` with or without the start. A start
 that is infeasible is dropped.
 
-Every MILP runs with HiGHS's presolve on. `complete` runs its LP with
-presolve off: with the commitment pinned the LP is small, and presolve was
+Every MILP runs with HiGHS's presolve on. `complete` runs its LPs with
+presolve off: with the commitment pinned an LP is small, and presolve was
 most of its time (the corpus grid's 25 relaxations and completions: 0.53 s
 with it, 0.20 s without).
 
@@ -75,19 +78,13 @@ model re-solved three times, equal optima). Skipping them is sound:
   model carries curtailment slack, every DAM also FRP shortfall slack), so
   an incumbent is never hard to find, which is all the heuristics do.
 
-`release_heap` hands the C heap's free pages back to the OS (glibc's
-``malloc_trim``; elsewhere it does nothing). `stochastic_uc.solve_suc`
-calls it first, again before each of its MILPs (a stochastic MILP is a
-day's largest model), and once more as it returns, so that the markets and real-time runs
-of the same job do not hold the freed model's pages: otherwise a pool's
-peak adds two such heaps whenever both workers are past a SUC at once (the
-corpus grid at two workers on a 2-vCPU Xeon VM peaked at 191 MB without
-the last call, 167 MB with it). It changes no answer. glibc raises its mmap threshold once a large
-block is freed, so later large numpy and HiGHS arrays come from the heap,
-and a run's peak memory depends on what earlier solves left resident
-there: without the calls, the same `suc-heavy` grid peaked at 128 or
-142 MB by the length of its work directory's path alone; with them at
-128-131 MB. Each call takes about a millisecond.
+No solve hands the C heap's free pages back to the OS (glibc's
+``malloc_trim``). With a stochastic completion one LP per scenario, a trim
+first in `stochastic_uc.solve_suc`, before each of its MILPs or as it
+returns moves no benchmark workload's peak RSS by more than 1.2 MB (each
+left out alone and all together, at two work-directory path lengths,
+three or four runs each on a 2-vCPU VM; `suc-heavy` peaks at 57-59 MB
+either way). The path's length still moves that peak, by under 2 MB.
 
 Dual convention: ``duals[r]`` is d(objective)/d(rhs) for row ``r`` (an array
 indexed like the rows), so equality rows give marginal prices directly and
@@ -96,7 +93,6 @@ binding ``>=`` rows come out nonnegative in a minimization.
 
 from __future__ import annotations
 
-import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -144,9 +140,6 @@ def _load_highs():
 
 
 _highs = _load_highs()
-# ctypes.util.find_library would import subprocess; the running process has
-# libc loaded already
-_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 
 class Bounds(NamedTuple):
@@ -732,17 +725,17 @@ def _budget(options, deadline):
     return {**options, "time_limit": left} if left > 0 else None
 
 
-def _run_milp(model, lb, ub, integer, options, deadline, start=None):
-    """Hand ``model`` with column bounds ``lb``/``ub`` and integer columns
-    ``integer`` to `milp` under ``deadline`` (`_budget`): status "limit",
-    HiGHS not run, once the deadline has passed."""
+def _run_milp(c, a, lo, hi, lb, ub, integer, options, deadline, start=None):
+    """Hand ``min c @ x`` subject to ``lo <= a @ x <= hi``, ``lb <= x <= ub``
+    and integer columns ``integer`` to `milp` under ``deadline``
+    (`_budget`): status "limit", HiGHS not run, once the deadline has
+    passed."""
     options = _budget(options, deadline)
     if options is None:
         return SolveResult(status="limit")
-    mat, lo, hi = model._constraint_matrix()
     return milp(
-        c=model.obj.copy(),
-        constraints=[LinearConstraint(mat, lo, hi)],
+        c=c,
+        constraints=[LinearConstraint(a, lo, hi)],
         integrality=integer.astype(np.int32),
         bounds=Bounds(lb, ub),
         options=options,
@@ -770,24 +763,122 @@ def solve(model, gap_tol=1e-6, deadline=None, start=None):
     if not integer.any():
         return _solve_lp(model, model.lb, model.ub, deadline)
     options = {"mip_rel_gap": gap_tol, **MILP_OPTIONS}
-    return _run_milp(model, model.lb.copy(), model.ub.copy(), integer, options, deadline, start)
+    return _run_milp(
+        model.obj.copy(), *model._constraint_matrix(), model.lb.copy(), model.ub.copy(),
+        integer, options, deadline, start,
+    )
 
 
-def complete(model, cols, values, deadline=None):
+# HiGHS's primal feasibility tolerance, at which `complete` checks the rows
+# over pinned columns alone
+_FEASIBILITY_TOL = 1e-7
+
+
+def complete(model, cols, values, deadline=None, blocks=None):
     """The cheapest completion of a partial solution: columns ``cols`` pinned
-    at ``values``, every other column continuous, solved as an LP with
-    presolve off on the model's current rows in a HiGHS instance of its own
+    at ``values``, every other column continuous, solved on the model's
+    current rows with presolve off, each LP in a HiGHS instance of its own
     (freed on return). With no column pinned it is the LP relaxation.
-    ``deadline`` is as in `solve`.
+    ``deadline`` is as in `solve`; each LP gets what is left of it.
+
+    ``blocks`` labels each column: -1 for a column that every block may
+    use (a first-stage column), else its block (a scenario); None makes
+    the model one block. Where every column labelled -1 is pinned and the
+    others fall into more than one block, each block is an LP of its own
+    (`_by_block`); otherwise the whole pinned model is one LP.
 
     With every integer column pinned at an integral value, an optimal
-    result's ``x`` is a complete MIP start for `solve`. The result carries
-    the LP's row duals and simplex iterations, and no MIP fields."""
+    result's ``x`` is a complete MIP start for `solve`. The result has the
+    whole model's size, carries the row duals and the simplex iterations,
+    and no MIP fields."""
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = values
+    free = np.ones(model.n_vars, dtype=bool)
+    free[cols] = False
+    label = np.empty(0) if blocks is None else blocks[free]
+    if label.size and 0 <= label.min() < label.max():
+        return _by_block(model, lb, ub, free, blocks, deadline)
     return _run_milp(
-        model, lb, ub, np.zeros(model.n_vars, dtype=bool), {"presolve": "off"}, deadline
+        model.obj.copy(), *model._constraint_matrix(), lb, ub,
+        np.zeros(model.n_vars, dtype=bool), {"presolve": "off"}, deadline,
     )
+
+
+def _by_block(model, lb, ub, free, blocks, deadline):
+    """`complete` of a model whose ``free`` columns fall into blocks
+    (labels ``blocks``, each 0 or more) with no row over two of them, the
+    other columns pinned at ``lb`` = ``ub``. The optimum is the pinned
+    columns' cost plus each block's optimum, and ``x`` the pinned values
+    and each block's solution:
+
+    - a row over pinned columns alone is checked against its bounds at
+      HiGHS's primal feasibility tolerance, and one it breaks makes the
+      result "infeasible", with no HiGHS run;
+    - each block is one LP, in block order, through `milp`: its free
+      columns, and its rows with the pinned columns' part moved to their
+      bounds, each under what is left of ``deadline``;
+    - a block that is not optimal, or a deadline that passes before one,
+      ends the result there with that status; no later block runs.
+
+    The result has the whole model's size, and ``highs_s`` and
+    ``simplex_iterations`` summed over the blocks run; its duals are each
+    block's, and 0 on the rows over pinned columns alone (their columns
+    are fixed, so any value is a dual there)."""
+    mat, lo, hi = model._constraint_matrix()
+    n_rows = mat.shape[0]
+    at = np.repeat(np.arange(n_rows), np.diff(mat.indptr))  # each entry's row
+    pinned = np.where(free, 0.0, lb)
+    # each row's pinned part, moved to its bounds
+    moved = np.bincount(at, weights=mat.data * pinned[mat.indices], minlength=n_rows)
+    lo, hi = lo - moved, hi - moved
+    keep = free[mat.indices]
+    label = blocks[mat.indices[keep]]
+    row_block = np.full(n_rows, -1)
+    row_block[at[keep]] = label
+    if (row_block[at[keep]] != label).any():
+        raise ValueError("a row spans two blocks")
+    # a ufunc sum, not a BLAS dot: OpenBLAS threads a dot of over 10,000
+    # entries, and its idle thread then slows the HiGHS runs that follow
+    res = SolveResult(
+        "optimal", objective=float((model.obj * pinned).sum()), x=pinned,
+        duals=np.zeros(n_rows), highs_s=0.0, simplex_iterations=0,
+        rows=n_rows, cols=model.n_vars, nnz=mat.nnz, binaries=0,
+    )
+    alone = row_block < 0
+    if (lo[alone] > _FEASIBILITY_TOL).any() or (hi[alone] < -_FEASIBILITY_TOL).any():
+        return replace(res, status="infeasible", objective=None, x=None, duals=None)
+    # the block rows and the free columns, each grouped by block, and each
+    # free column's place in its block
+    rows = np.argsort(row_block, kind="stable")[np.count_nonzero(alone):]
+    cols = np.flatnonzero(free)
+    cols = cols[np.argsort(blocks[cols], kind="stable")]
+    n_cols = np.bincount(blocks[cols])
+    col_at = _indptr(n_cols)
+    row_at = _indptr(np.bincount(row_block[rows], minlength=n_cols.size))
+    place = np.zeros(model.n_vars, dtype=np.int32)
+    place[cols] = np.arange(cols.size) - np.repeat(col_at[:-1], n_cols)
+    sub = _take_rows(mat, rows)
+    keep = free[sub.indices]
+    entries = np.repeat(np.arange(rows.size), np.diff(sub.indptr))[keep]
+    indptr = _indptr(np.bincount(entries, minlength=rows.size))
+    data, indices = sub.data[keep], place[sub.indices[keep]]
+    for s in np.flatnonzero(n_cols):
+        (c0, c1), (r0, r1) = col_at[s:s + 2], row_at[s:s + 2]
+        a = Csr(data[indptr[r0]:indptr[r1]], indices[indptr[r0]:indptr[r1]],
+                indptr[r0:r1 + 1] - indptr[r0], (int(r1 - r0), int(c1 - c0)))
+        at_cols, at_rows = cols[c0:c1], rows[r0:r1]
+        done = _run_milp(
+            model.obj[at_cols], a, lo[at_rows], hi[at_rows], lb[at_cols], ub[at_cols],
+            np.zeros(c1 - c0, dtype=bool), {"presolve": "off"}, deadline,
+        )
+        res.highs_s += done.highs_s or 0.0
+        res.simplex_iterations += done.simplex_iterations or 0
+        if not done.ok:
+            return replace(res, status=done.status, objective=None, x=None, duals=None)
+        res.objective += done.objective
+        res.x[at_cols] = done.x
+        res.duals[at_rows] = done.duals
+    return res
 
 
 def fix_and_resolve(model, x):
@@ -825,14 +916,6 @@ def _solve_lp(model, lb, ub, deadline):
         duals[eq_rows] = res.duals[len(ub_rows) :]
         res.duals = duals
     return res
-
-
-def release_heap():
-    """Hand the C heap's free pages back to the OS (glibc's
-    ``malloc_trim``); does nothing where libc has no such call. See the
-    module docstring for why."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
 
 
 def require_optimal(result, context):

@@ -34,6 +34,35 @@ that is infeasible gives no start. The completion's cost is the expected
 cost of the EV solution, so ``eev_usd - objective`` is the value of the
 stochastic solution.
 
+The completion is one LP per scenario. Proof: with the first stage ``(u,
+v, w)`` pinned,
+
+- the objective is the pinned columns' cost plus one term per scenario:
+  the probability-weighted cost of that scenario's dispatch and
+  curtailment columns;
+- every row that is not over pinned columns alone lies on one scenario's
+  columns (and pinned ones): its unit rows (`dispatch.unit_rows`), its
+  balance rows, and every flow row the screen adds, each of which reads
+  one scenario's injections (`network.FlowScreen`). The rows over pinned
+  columns alone, the commitment logic and minimum up and down times
+  (`add_commitment_block`), hold or not whatever the dispatch;
+- so the pinned model is feasible exactly when those rows hold and every
+  scenario's LP is feasible, its optimum is the pinned cost plus the sum
+  of the per-scenario optima, and its solution is the concatenation of
+  the per-scenario solutions.
+
+`_build` labels each column with its scenario (-1 for the commitment
+columns, which every scenario shares), and `optim.complete` solves each
+block as its own LP and checks the rows over pinned columns alone
+without HiGHS. A one-scenario model is one block, and its completion one
+LP over the whole model, as before. The largest LP a stochastic
+completion hands HiGHS is one scenario's, no wider than the EV model: on
+corpus day wed at 64 scenarios the SUC's peak RSS fell from 168.7 to
+80.4 MB (one fresh process each). These LPs are the subproblems of the
+two-stage (L-shaped) method (Van Slyke & Wets, SIAM J. Appl. Math.
+17(4), 1969; Birge & Louveaux, "A multicut algorithm for two-stage
+stochastic linear programs", EJOR 34(3), 1988).
+
 A one-scenario solve (the EV problem itself, and the clairvoyant reference)
 is started the same way from a commitment of its own: its first fractional
 LP relaxation, rounded up (a unit is on wherever the relaxation has it on
@@ -327,8 +356,9 @@ class SucSolution:
 
 def _build(system, scenarios):
     """The stochastic model without flow rows: returns it, its (u, v, w)
-    commitment columns, the per-scenario (segment, pc) columns and the
-    `network.FlowScreen` holding its flows.
+    commitment columns, the per-scenario (segment, pc) columns, each
+    column's scenario (-1 for the commitment columns, which every scenario
+    shares) and the `network.FlowScreen` holding its flows.
 
     Each scenario has its dispatch columns, costed at its probability, and
     rows on the sub-period grid: its units' rows, from one table of every
@@ -340,11 +370,14 @@ def _build(system, scenarios):
     u, v, w = add_commitment_block(model, gens, grid.hours)
     screen = network.FlowScreen(system)
     seg_idx, pc_idx, penalty = [], [], system.curtailment_penalty * grid.period_hours
+    marks = []  # each scenario's first column
     for s, prob in enumerate(scenarios.probabilities):
         mark = model.n_vars
+        marks.append(mark)
         seg_idx.append([dispatch.unit_columns(model, f"p@{s}[{g.id}]", g, grid) for g in gens])
         pc_idx.append(model.add_vars(f"pc@{s}", scenarios.values[s].shape, obj=penalty))
         model.obj[mark:] *= prob  # weight this scenario's cost terms
+    scenario = np.searchsorted(marks, np.arange(model.n_vars), side="right") - 1
     lines = np.concatenate([dispatch.segment_lines(seg) for seg in seg_idx])
     table = dispatch.row_table(dispatch.unit_rows(gens, grid), {"p": lines, "u": u, "v": v, "w": w})
     # the injections: output above minimum, committed minimum (u of each
@@ -360,7 +393,7 @@ def _build(system, scenarios):
             ([system.bus_index(g.bus) for g in gens], committed, [g.p_min for g in gens]),
             (every, pc, 1.0),
         ], fixed=[(every, -scenarios.values[s])])
-    return model, (u, v, w), seg_idx, pc_idx, screen
+    return model, (u, v, w), seg_idx, pc_idx, scenario, screen
 
 
 def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
@@ -380,7 +413,6 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         check_nonnegative("time_limit", time_limit)
     if tuple(scenarios.buses) != tuple(system.bus_ids):
         raise ValueError("scenario buses do not match system buses")
-    optim.release_heap()
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
     ev, bound, ev_s = None, None, 0.0
@@ -396,11 +428,7 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         except optim.InfeasibleModelError:
             pass  # no EV commitment: solve cold
         ev_s = time.perf_counter() - t0
-    sol = _solve(system, scenarios, gap_tol, deadline, t0, dump_lp, ev, ev_s, bound)[0]
-    bound = None  # it holds the EV model
-    # the models are gone: what runs next does not sit on their pages
-    optim.release_heap()
-    return sol
+    return _solve(system, scenarios, gap_tol, deadline, t0, dump_lp, ev, ev_s, bound)[0]
 
 
 def _ev_bound(model, u, u_star, gap_tol, deadline):
@@ -411,7 +439,6 @@ def _ev_bound(model, u, u_star, gap_tol, deadline):
     model.add_rows(
         "nogood", ">=", 1.0 - u_star.sum(), u.ravel(), np.where(u_star.ravel() == 1, -1.0, 1.0)
     )
-    optim.release_heap()
     return optim.solve(model, gap_tol=gap_tol, deadline=deadline)
 
 
@@ -444,7 +471,7 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
     grid = scenarios.grid
     gens = system.generators
     t_build = time.perf_counter()
-    model, (u, v, w), seg_idx, pc_idx, screen = _build(system, scenarios)
+    model, (u, v, w), seg_idx, pc_idx, scenario, screen = _build(system, scenarios)
     build_s = time.perf_counter() - t_build
     start = {"start_s": ev_s, "start_used": False, "ev_usd": None, "eev_usd": None}
     uvw = np.concatenate([u, v, w], axis=None)
@@ -475,7 +502,7 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
         if commitment is not None:
             # complete the commitment against this round's rows
             t = time.perf_counter()
-            done = optim.complete(m, uvw, commitment, deadline)
+            done = optim.complete(m, uvw, commitment, deadline, scenario)
             start["start_s"] += time.perf_counter() - t
             start["start_used"] = done.ok
             if ev is not None:
@@ -492,7 +519,6 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
                     proved_by = "ev_bound"
                     return answer
             x0 = done.x
-        optim.release_heap()  # see optim: the MILP is the day's largest model
         return optim.solve(m, gap_tol=gap_tol, deadline=deadline, start=x0)
 
     try:

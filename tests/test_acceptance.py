@@ -57,7 +57,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def _suc_model(system, scen):
     """The stochastic commitment model solve_suc builds, with every flow row
     in, and the hourly on/off variable indices returned for pinning."""
-    model, (u, _, _), _, _, screen = stochastic_uc._build(system, scen)
+    model, (u, _, _), *_, screen = stochastic_uc._build(system, scen)
     screen.add_rows(model, screen.every_row())
     return model, u
 

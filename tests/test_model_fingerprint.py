@@ -50,7 +50,13 @@ FROZEN = {
     # commitment, solved ahead of the EV MILP to give it a start
     "suc-ramp-toy-4pph-ev-relaxation": "ab5997770e831882",
     "suc-ramp-toy-4pph-ev-rounded": "55e14c300eb33189",
-    "suc-ramp-toy-4pph-completion": "f2d3f5c8b159f6e1",
+    # the completion of the EV commitment, one LP per scenario: re-frozen
+    # when the pinned extensive form was split by scenario (see
+    # `stochastic_uc`); each holds one scenario's columns and rows, the
+    # commitment's part of them moved to the row bounds
+    "suc-ramp-toy-4pph-completion": (
+        "ad01bc36e7431b93", "066206e8405606b0", "75d86e89a783047d"
+    ),
     # the EV model's final MILP with the no-good cut that excludes the EV
     # commitment: the bound MILP, solved cold after the completion, whose
     # dual bound certifies the completion (see `stochastic_uc`)
@@ -135,8 +141,9 @@ def test_ramp_toy_dam_and_pricing(solver_inputs):
 def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs, monkeypatch):
     """Three scenarios at four periods an hour: the within-hour ramp rows,
     the hour-boundary start/stop terms and the probability weights. The
-    expected-value MILP and the completion of its commitment come first,
-    and the EV MILP's own start, from its rounded LP relaxation, before it.
+    expected-value MILP and the completion of its commitment, one LP per
+    scenario, come first, and the EV MILP's own start, from its rounded LP
+    relaxation, before it.
     The bound MILP certifies the completion; with that certificate made to
     fail, the stochastic MILP follows it."""
     system = load_system(case_path("ramp_toy"))
@@ -151,7 +158,7 @@ def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs, monkeypatch):
         FROZEN["suc-ramp-toy-4pph-ev-relaxation"],
         FROZEN["suc-ramp-toy-4pph-ev-rounded"],
         FROZEN["suc-ramp-toy-4pph-ev"],
-        FROZEN["suc-ramp-toy-4pph-completion"],
+        *FROZEN["suc-ramp-toy-4pph-completion"],
         FROZEN["suc-ramp-toy-4pph-ev-bound"],
     ]
     assert [d for _, d in solver_inputs] == certified

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -494,6 +495,111 @@ def test_ev_bound_keeps_the_optimum():
     assert paths["certified"] and paths["fallback"] and paths["above_ev"], paths
 
 
+def _pinned_commitment(system, scn, on):
+    """The stochastic model of ``scn``, its commitment columns, each
+    column's scenario, and the (u, v, w) values of the 0/1 on/off schedule
+    ``on`` (units, hours) with the starts and stops it implies."""
+    model, (u, v, w), _, _, scenario, _ = _build(system, scn)
+    on = np.asarray(on, dtype=int)
+    values = np.concatenate([on, *stochastic_uc._starts_stops(system.generators, on)], axis=None)
+    return model, np.concatenate([u, v, w], axis=None), scenario, values
+
+
+def _whole(model, cols, values):
+    """The pinned model as one LP, as `optim.complete` solves a model that
+    is one block."""
+    lb, ub = model.lb.copy(), model.ub.copy()
+    lb[cols] = ub[cols] = values
+    return optim._run_milp(
+        model.obj.copy(), *model._constraint_matrix(), lb, ub,
+        np.zeros(model.n_vars, dtype=bool), {"presolve": "off"}, None,
+    ), lb, ub
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(drawn=_scenario_cases(), on=st.lists(st.booleans(), min_size=12, max_size=12))
+def _completion_case(ends, drawn, on):
+    """One drawn case of `test_completion_by_scenario_matches_one_lp`;
+    adds how it ended to ``ends``."""
+    (system, loads, _), scn = drawn
+    on = np.reshape(on[: 2 * len(loads)], (2, len(loads)))
+    model, uvw, scenario, values = _pinned_commitment(system, scn, on)
+    done = optim.complete(model, uvw, values, blocks=scenario)
+    whole, lb, ub = _whole(model, uvw, values)
+    assert done.status == whole.status and done.size == whole.size
+    if not whole.ok:
+        # the commitment rows, checked without HiGHS, or a scenario's LP
+        ends["commitment" if done.highs_s == 0.0 else "dispatch"] += 1
+        return
+    ends["optimal"] += 1
+    assert abs(done.objective - whole.objective) <= 1e-9 * max(1.0, abs(whole.objective))
+    mat, lo, hi = model._constraint_matrix()
+    row = sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape) @ done.x
+    tol = 1e-7
+    assert (row >= lo - tol).all() and (row <= hi + tol).all()
+    assert (done.x >= lb - tol).all() and (done.x <= ub + tol).all()
+
+
+def test_completion_by_scenario_matches_one_lp():
+    """On 2-4 weighted scenarios and a drawn commitment, `optim.complete`
+    solving one LP per scenario ends as one LP over the whole pinned model
+    does: the same status and size, the optimum within 1e-9 relative, and
+    a point within 1e-7 of every row and bound. Feasible commitments,
+    commitments that break a minimum up or down time (found without
+    HiGHS) and commitments no dispatch of some scenario can follow all
+    occur among the draws; their counts are in the assertion's message."""
+    ends = dict.fromkeys(("optimal", "commitment", "dispatch"), 0)
+    _completion_case(ends=ends)
+    assert all(ends.values()), ends
+
+
+def test_completion_breaking_a_minimum_up_time_runs_no_highs(monkeypatch):
+    """Two scenarios and a unit with a three-hour minimum up time, started
+    at hour 1 and stopped at hour 2: the commitment breaks a minup row,
+    which is over commitment columns alone, so the completion is
+    infeasible before any scenario's LP runs, as one LP over the whole
+    pinned model finds it. The same unit kept on is completed."""
+    unit = make_gen("g", p_max=100.0, segments=((100.0, 20.0),), min_up=3)
+    system = single_bus_system(unit)
+    scn = scenario_set(system, TimeGrid(3, 1), [[0.0, 50.0, 0.0], [0.0, 70.0, 10.0]])
+    model, uvw, scenario, values = _pinned_commitment(system, scn, [[0, 1, 0]])
+    assert _whole(model, uvw, values)[0].status == "infeasible"
+    seen = []
+    milp = optim.milp
+    monkeypatch.setattr(optim, "milp", lambda **kw: seen.append(kw) or milp(**kw))
+    done = optim.complete(model, uvw, values, blocks=scenario)
+    assert (done.status, done.highs_s, done.x, seen) == ("infeasible", 0.0, None, [])
+    model, uvw, scenario, values = _pinned_commitment(system, scn, [[0, 1, 1]])
+    done = optim.complete(model, uvw, values, blocks=scenario)
+    assert done.ok and len(seen) == 2
+    # 0.5 * (50 + 0) + 0.5 * (70 + 10) MWh at 20
+    assert done.objective == pytest.approx(1300.0)
+
+
+def test_deadline_between_scenario_lps_runs_no_later_one(monkeypatch):
+    """A deadline that passes while the first scenario's LP runs ends the
+    completion at "limit", and the second scenario's LP never reaches
+    HiGHS."""
+    unit = make_gen("g", p_max=100.0, segments=((100.0, 20.0),))
+    system = single_bus_system(unit)
+    scn = scenario_set(system, TimeGrid(2, 1), [[40.0, 50.0], [60.0, 70.0]])
+    model, uvw, scenario, values = _pinned_commitment(system, scn, [[1, 1]])
+    clock = [0.0]
+    monkeypatch.setattr(optim.time, "perf_counter", lambda: clock[0])
+    seen = []
+    milp = optim.milp
+
+    def timed(**kw):
+        seen.append(kw["options"]["time_limit"])
+        clock[0] += 1.0
+        return milp(**kw)
+
+    monkeypatch.setattr(optim, "milp", timed)
+    done = optim.complete(model, uvw, values, deadline=1.0, blocks=scenario)
+    assert (done.status, done.x, seen) == ("limit", None, [1.0])
+    assert done.rows == model.n_rows
+
+
 def _spy_solves(monkeypatch):
     """Record ("solve" | "complete", deadline, start given) per call."""
     calls = []
@@ -503,9 +609,9 @@ def _spy_solves(monkeypatch):
         calls.append(("solve", deadline, start is not None))
         return real_solve(model, gap_tol, deadline, start)
 
-    def complete(model, cols, values, deadline=None):
+    def complete(model, cols, values, deadline=None, blocks=None):
         calls.append(("complete", deadline, False))
-        return real_complete(model, cols, values, deadline)
+        return real_complete(model, cols, values, deadline, blocks)
 
     monkeypatch.setattr(optim, "solve", solve)
     monkeypatch.setattr(optim, "complete", complete)
@@ -609,28 +715,6 @@ def test_ev_bound_infeasible_when_the_ev_commitment_is_the_only_one(monkeypatch)
     # 3 * 10 no-load + 0.5 * (150 + 170) MWh * 20
     assert sol.objective == pytest.approx(3230.0)
     assert (sol.mip_gap, rec["mip_dual_bound"]) == (0.0, sol.objective)
-
-
-def test_heap_is_trimmed_before_each_milp_and_on_return(uc_oracle_case, monkeypatch):
-    """`solve_suc` hands the C heap back first, before each MILP (the EV
-    MILP, the bound MILP and, where the bound certifies nothing, the
-    stochastic MILP), and once more when its models are freed, so that the
-    markets run after it in the same process do not hold the models' pages
-    (see `optim`)."""
-    system, grid, scn = uc_oracle_case
-    events = []
-    monkeypatch.setattr(optim, "release_heap", lambda: events.append("trim"))
-    solve = optim.solve
-    monkeypatch.setattr(
-        optim, "solve", lambda *args, **kwargs: events.append("milp") or solve(*args, **kwargs)
-    )
-    certified = solve_suc(system, _certified_scenarios(system, grid))
-    assert certified.record["solved_by_ev_bound"]
-    assert events == ["trim", "trim", "milp", "trim", "milp", "trim"]
-    events.clear()
-    force_suc_fallback(monkeypatch)
-    solve_suc(system, scn)
-    assert events == ["trim", "trim", "milp", "trim", "milp", "trim", "milp", "trim"]
 
 
 def _cheap_and_flexible():
@@ -765,7 +849,8 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
     left HiGHS is not run and the solve fails. The EV MILP failing for
     want of time leaves the stochastic MILP no time either. Each HiGHS run
     takes one second of a fake clock; the spy reads the budget HiGHS gets.
-    The bound MILP runs on the same clock, and so does the stochastic MILP
+    The completion of the EV commitment takes one tick per scenario LP. The
+    bound MILP runs on the same clock, and so does the stochastic MILP
     where the bound certifies nothing."""
     system, _, scn = uc_oracle_case
     clock = [0.0]
@@ -782,9 +867,10 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
     monkeypatch.setattr(optim, "_run_highs", timed)
     # the bound MILP certifies the completion: no stochastic MILP
     solve_suc(system, _certified_scenarios(system, scn.grid), time_limit=10.0)
+    # the completion of the EV commitment is one LP per scenario
     assert calls == [
         ("complete", 10.0), ("complete", 9.0), ("solve", 8.0),
-        ("complete", 7.0), ("solve", 6.0),
+        ("complete", 7.0), ("complete", 6.0), ("solve", 5.0),
     ]
     calls.clear()
     with monkeypatch.context() as m:
@@ -792,7 +878,7 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
         solve_suc(system, scn, time_limit=10.0)
     assert calls == [
         ("complete", 10.0), ("complete", 9.0), ("solve", 8.0),
-        ("complete", 7.0), ("solve", 6.0), ("solve", 5.0),
+        ("complete", 7.0), ("complete", 6.0), ("solve", 5.0), ("solve", 4.0),
     ]
     calls.clear()
     with pytest.raises(InfeasibleModelError, match="limit"):
@@ -828,7 +914,7 @@ def test_ev_bound_runs_across_screening_rounds(monkeypatch):
     assert rec["solved_by_ev_bound"] and len(bounds) == 1
     assert rec["screen_rounds"] >= 2 and rec["flow_rows"] >= 1
     assert "violations" not in check_suc_solution(system, scn, sol)
-    model, _, _, _, screen = _build(system, scn)
+    model, *_, screen = _build(system, scn)
     screen.add_rows(model, screen.every_row())
     cold = optim.solve(model)
     assert abs(sol.objective - cold.objective) <= 1e-6 * abs(cold.objective)
@@ -848,7 +934,10 @@ def test_corpus_wed_at_64_scenarios_runs_no_stochastic_milp(monkeypatch):
     """The harness's in-sample draw of 64 scenarios on corpus day wed: the
     EV bound certifies the EV commitment, so every MILP `solve_suc` runs is
     on the EV model (the EV MILP, the bound MILP), none on the stochastic
-    one, and the answer is the extensive form's, frozen above."""
+    one, and the answer is the extensive form's, frozen above. The
+    completion runs one LP per scenario, so no model HiGHS gets through
+    `optim.milp` has more columns than the EV model: a proxy for the peak
+    memory, which the stochastic model's LP set before."""
     cfg, system = harness.load_config(corpus_path("config.yaml"))
     day = next(d for d in cfg.days if d.name == "wed")
     forecast, _ = harness._day_profile(system, cfg, day)
@@ -863,9 +952,12 @@ def test_corpus_wed_at_64_scenarios_runs_no_stochastic_milp(monkeypatch):
     monkeypatch.setattr(
         optim, "solve", lambda model, *a, **kw: solved.append(model) or solve(model, *a, **kw)
     )
+    widths, milp = [], optim.milp
+    monkeypatch.setattr(optim, "milp", lambda **kw: widths.append(kw["c"].size) or milp(**kw))
     sol = solve_suc(system, scn, gap_tol=cfg.gap_tol)
     (ev_model, *_), (suc_model, *_) = built
     assert solved and all(m is ev_model for m in solved) and suc_model.n_vars > ev_model.n_vars
+    assert len(widths) > 64 and max(widths) <= ev_model.n_vars
     assert sol.record["solved_by_ev_bound"]
     objective, u = WED_64
     assert sol.objective == pytest.approx(objective, rel=1e-12)
