@@ -86,6 +86,16 @@ left out alone and all together, at two work-directory path lengths,
 three or four runs each on a 2-vCPU VM; `suc-heavy` peaks at 57-59 MB
 either way). The path's length still moves that peak, by under 2 MB.
 
+A MILP can be given a cutoff (`solve`'s ``cutoff``, HiGHS's
+``objective_bound``), for a caller that needs only to know whether
+anything costs less than the cut. Branch and bound then prunes every node
+whose bound reaches the cut, as it prunes a node whose bound reaches the
+incumbent. So a MILP with no point below the cut reads "infeasible", and
+its optimum is at least the cut. One that reads "optimal" reports a dual
+bound over the nodes it kept, which holds only up to the cut: a pruned
+subtree can hold points between the cut and that bound. `cutoff_bound`
+reads what such a solve proves.
+
 Dual convention: ``duals[r]`` is d(objective)/d(rhs) for row ``r`` (an array
 indexed like the rows), so equality rows give marginal prices directly and
 binding ``>=`` rows come out nonnegative in a minimization.
@@ -324,6 +334,29 @@ def gap(objective, bound):
     ``(objective - bound) / max(1, |objective|)``: what a certificate that
     skips a MILP must bring within ``gap_tol``."""
     return (objective - bound) / max(1.0, abs(objective))
+
+
+def cutoff(objective, gap_tol):
+    """The cut for a MILP that need only show that nothing costs less than
+    ``gap_tol`` below ``objective``: ``objective - gap_tol * max(1,
+    |objective|)``, raised ulp by ulp until rounding leaves its `gap` from
+    ``objective`` within ``gap_tol``, so a bound at the cut certifies."""
+    cut = objective - gap_tol * max(1.0, abs(objective))
+    while gap(objective, cut) > gap_tol:
+        cut = float(np.nextafter(cut, np.inf))
+    return cut
+
+
+def cutoff_bound(res, cut):
+    """The lower bound that ``res``, a MILP solved with cutoff ``cut``
+    (`solve`), proves on that MILP's optimum: ``cut`` where it is
+    infeasible (nothing is below the cut), ``min(mip_dual_bound, cut)``
+    where optimal, and -inf otherwise (a limit proves nothing). The dual
+    bound is clipped to the cut because the subtrees the cutoff pruned can
+    hold points between the two."""
+    if res.ok:
+        return min(res.mip_dual_bound, cut)
+    return cut if res.status == "infeasible" else -np.inf
 
 
 def certified(res, bound, gap_tol, binaries):
@@ -743,7 +776,7 @@ def _run_milp(c, a, lo, hi, lb, ub, integer, options, deadline, start=None):
     ).result
 
 
-def solve(model, gap_tol=1e-6, deadline=None, start=None):
+def solve(model, gap_tol=1e-6, deadline=None, start=None, cutoff=np.inf):
     """Solve to proven optimality (within ``gap_tol`` for MIPs).
 
     Pure-LP models are routed through `linprog` so the result carries duals;
@@ -752,7 +785,10 @@ def solve(model, gap_tol=1e-6, deadline=None, start=None):
     time: it gets what is left, and once the deadline has passed the result
     is status "limit" and HiGHS is not run. ``start`` (a complete solution,
     e.g. from `complete`) is handed to HiGHS as a MIP start; see the module
-    docstring for why that is sound.
+    docstring for why that is sound. ``cutoff`` is a MILP's HiGHS
+    ``objective_bound``, +inf (HiGHS's default) for none (see the module
+    docstring); read what a solve under a cutoff proves through
+    `cutoff_bound`.
     """
     if model.n_vars == 0:
         return SolveResult(
@@ -762,7 +798,7 @@ def solve(model, gap_tol=1e-6, deadline=None, start=None):
     integer = model.integer
     if not integer.any():
         return _solve_lp(model, model.lb, model.ub, deadline)
-    options = {"mip_rel_gap": gap_tol, **MILP_OPTIONS}
+    options = {"mip_rel_gap": gap_tol, "objective_bound": cutoff, **MILP_OPTIONS}
     return _run_milp(
         model.obj.copy(), *model._constraint_matrix(), model.lb.copy(), model.ub.copy(),
         integer, options, deadline, start,

@@ -86,34 +86,51 @@ it checks every round's answer (see `network`): if it breaks a flow limit,
 those rows go in and the next round looks again. A fractional relaxation is
 set aside: it adds no rows (the round's MILP's solution does, as without
 the check) and is only rounded up for the start. It also ends the looking,
-since later rounds only add flow rows. A multi-scenario solve looks
-the same way, but only if its EV problem was solved by its relaxation: the
-tight formulation (see `add_commitment_block`) often makes the EV
-relaxation integral, and then the stochastic one tends to be too, while a
-stochastic relaxation solved every time costs more than it saves on models
-whose relaxations are fractional. Such a solve records
+since later rounds only add flow rows. Such a solve records
 ``solved_by_relaxation``, the relaxation's HiGHS seconds as ``highs_s``
-(not again in ``start_s``) and ``start_used`` false; no completion runs, so
-``eev_usd`` is the objective when the EV commitment is the solution's (the
-completion of an optimal commitment is the optimum) and None otherwise.
+and ``start_used`` false. Only one-scenario solves look: the relaxation of
+a multi-scenario model is as wide as the model, and on the benchmark's
+ieee14 day d1 at 8 scenarios, whose EV relaxation is integral, it set the
+process's peak RSS (67.2 MB, against 54.9 MB without it; one fresh
+process each). A multi-scenario solve certifies its EV commitment's
+completion by the EV bound below or runs its MILP.
 
-An EV bound can make the stochastic MILP unnecessary too. When a round's
-completion of the EV commitment ``u*`` is feasible, at cost EEV, the EV
-solve's own final model, flow rows included, gets one more row, the no-good
-cut ``sum(u where u* = 0) + sum(1 - u where u* = 1) >= 1`` that excludes
-``u*`` alone, and is solved as a MILP (`_ev_bound`: one scenario, no start,
-under the same deadline), once per `solve_suc`. If its proven dual bound LB
-has ``optim.gap(EEV, LB) <= gap_tol``, the completion is the round's answer
-(`optim.certified`, with LB as the bound); no stochastic MILP runs. An
-infeasible bound MILP (``u*`` is the only commitment) certifies it too, as
-a bound of +inf; one stopped at a limit certifies nothing. Otherwise the
-round solves the stochastic MILP from the completion, as above. As with
-the relaxation, the screen still checks every answer, so the certificate is
-tried each round on that round's completion, against the one LB. The
-record says ``solved_by_ev_bound`` when the last round ended this way, with
-``start_used`` false; the bound MILP's HiGHS seconds and nodes are in
-``highs_s`` and ``mip_node_count`` however the rounds end, and the
+The EV bound is the one certificate of a multi-scenario solve. When a
+round's completion of the EV commitment ``u*`` is feasible, at cost EEV,
+the EV solve's own final model, flow rows included, gets one more row, the
+no-good cut ``sum(u where u* = 0) + sum(1 - u where u* = 1) >= 1`` that
+excludes ``u*`` alone (`_ev_bound`), and is solved as a MILP: one
+scenario, no start, under the same deadline, with the cut C =
+`optim.cutoff` (EEV, ``gap_tol``) as HiGHS's cutoff. C is ``EEV - gap_tol
+* max(1, |EEV|)``, raised ulp by ulp until ``optim.gap(EEV, C) <=
+gap_tol``; without the raise, rounding fails that check at about half of
+all EEVs. The bound it proves, LB (`optim.cutoff_bound`), is C where it is
+infeasible (nothing is below the cut; ``u*`` may be the only commitment),
+``min(dual bound, C)`` where it is optimal, and -inf where it stopped at a
+limit. If ``optim.gap(EEV, LB) <= gap_tol``, the completion is the round's
+answer (`optim.certified`, with LB as the bound, so the record's
+``mip_dual_bound`` reads the cut and its ``mip_gap`` about ``gap_tol``);
+no stochastic MILP runs. Otherwise the round solves the stochastic MILP
+from the completion, as above. The screen still checks every answer, so
+the certificate is tried each round on that round's completion. A round
+whose EEV, and so whose cut, is higher than the last bound MILP's runs
+the bound MILP again at its own cut; one whose cut is not higher reads the
+last LB, which certifies it whenever it certified the higher cut. The
+record says ``solved_by_ev_bound`` when the last round ended this way,
+with ``start_used`` false; the HiGHS seconds and nodes of every bound MILP
+are in ``highs_s`` and ``mip_node_count`` however the rounds end, and the
 certified completion's seconds in ``start_s`` alone.
+
+Proof of the cutoff (see `optim`): branch and bound under the cutoff
+prunes a node only where its bound reaches C, or reaches the incumbent
+within ``gap_tol`` as it would without the cutoff. So every commitment
+other than ``u*`` is in a subtree the cutoff pruned, where it costs at
+least C, or in the tree HiGHS kept, where it costs at least the dual
+bound: LB is a proven lower bound on the bound MILP's optimum, and C is
+one when nothing below it is left. The cutoff takes away only the proof of
+what lies above C, which no certificate needs: where the bound MILP's
+optimum is at least C, it certifies with or without the cutoff, and where
+it is below C, a point below the cut stays in the tree either way.
 
 Proof (Jensen's inequality for stochastic LPs: Madansky, "Inequalities for
 stochastic linear programming problems", Management Science 6(2), 1960;
@@ -128,8 +145,8 @@ which is convex in ``xi`` (+inf where infeasible). The EV load is the
 probability-weighted mean of the scenarios, so Jensen gives ``sum_s p_s
 D(u, xi_s) >= D(u, sum_s p_s xi_s)``: the stochastic cost of ``u`` is at
 least its EV cost. The EV solve's final model is a screened model, a
-relaxation of the full EV model (see `network`), and the cut removes ``u*``
-alone, so LB is at most the full EV cost, and so at most the full
+relaxation of the full EV model (see `network`), and the no-good cut
+removes ``u*`` alone, so LB is at most the full EV cost, and so at most the full
 stochastic cost, of every other commitment. A round's answer ends the
 screen only if it breaks no flow limit; the completion is then a point of
 the full stochastic model and the cheapest dispatch of ``u*`` in it, so
@@ -141,7 +158,8 @@ mean load. The first moves the bound by at most 1e-9 of the dispatch
 cost; the second by at most 1e-9 of the mean load's value at the EV
 model's balance prices, which the curtailment penalty caps: of order 1e-9
 times the penalty over the cheapest offer (5000 / 21.7 on the corpus),
-about 2e-7 of the cost, within the default ``gap_tol`` of 1e-6. The
+about 2e-7 of the cost, by which the answer can then be further from the
+optimum than ``gap_tol`` (the cutoff spends all of ``gap_tol``). The
 harness's weights are 1/n, which sum to 1 within n ulps.
 """
 
@@ -157,7 +175,6 @@ from . import dispatch, network, optim
 from .codec import (
     Table, check_nonnegative, check_shapes, floats, ints, number_or_null, read_json, write_json,
 )
-from .scenarios import ScenarioSet
 from .timegrid import GRID, TimeGrid
 
 __all__ = [
@@ -331,9 +348,9 @@ class SucSolution:
     # given one, the EV objective (None if the EV problem has no optimum)
     # and the cost of its completion in the last round (None if infeasible),
     # both None for one scenario; and whether the last round's LP
-    # relaxation was the optimum, or the EV bound certified its completion,
-    # so no stochastic MILP ran in it; empty in files written before it was
-    # kept
+    # relaxation was the optimum (one scenario), or the EV bound certified
+    # its completion, so no MILP ran in it; empty in files written before
+    # it was kept
     record: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -406,7 +423,7 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     MILP is started from its rounded LP relaxation (see the module
     docstring). ``time_limit`` (seconds, a finite number >= 0, or None for
     none) bounds the whole call: it becomes one deadline for every HiGHS
-    call of the EV solve, the relaxations, the completions, the bound MILP
+    call of the EV solve, the relaxations, the completions, the bound MILPs
     and the screening rounds (see `optim.solve`)."""
     check_nonnegative("gap_tol", gap_tol)
     if time_limit is not None:
@@ -417,14 +434,13 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     deadline = None if time_limit is None else t0 + time_limit
     ev, bound, ev_s = None, None, 0.0
     if scenarios.n_scenarios > 1:
-        mean = ScenarioSet(
-            buses=scenarios.buses,
-            grid=scenarios.grid,
-            values=np.tensordot(scenarios.probabilities, scenarios.values, axes=1)[None],
+        mean = replace(  # the probability-weighted mean net load, as one scenario
+            scenarios, values=np.tensordot(scenarios.probabilities, scenarios.values, axes=1)[None],
             probabilities=np.array([1.0]),
         )
         try:
-            ev, bound = _solve(system, mean, gap_tol, deadline, t0)
+            ev, model, u = _solve(system, mean, gap_tol, deadline, t0)
+            bound = _ev_bound(model, u, ev.u, gap_tol, deadline)
         except optim.InfeasibleModelError:
             pass  # no EV commitment: solve cold
         ev_s = time.perf_counter() - t0
@@ -432,42 +448,41 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
 
 
 def _ev_bound(model, u, u_star, gap_tol, deadline):
-    """The MILP of the EV solve's final ``model`` (commitment columns
-    ``u``) with the no-good cut that excludes the 0/1 commitment
-    ``u_star`` alone, solved cold under ``deadline``; see the module
-    docstring for what its dual bound proves."""
+    """The bound MILP: the EV solve's final ``model`` (commitment columns
+    ``u``) with the no-good cut that excludes the 0/1 commitment ``u_star``
+    alone. Returns a function of ``cutoff`` that solves it cold under
+    ``deadline`` with that cutoff (`optim.solve`); see the module docstring
+    for what it proves."""
     model.add_rows(
         "nogood", ">=", 1.0 - u_star.sum(), u.ravel(), np.where(u_star.ravel() == 1, -1.0, 1.0)
     )
-    return optim.solve(model, gap_tol=gap_tol, deadline=deadline)
+    return partial(optim.solve, model, gap_tol=gap_tol, deadline=deadline)
 
 
-def _relaxation(generators, model, u, v, w, deadline):
-    """The LP relaxation of ``model`` on its current rows, and whether its
-    commitment is integral (`commitment_schedule`)."""
+def _relaxation(gens, model, u, v, w, deadline):
+    """The LP relaxation of ``model`` on its current rows, and whether it is
+    optimal with an integral commitment (`commitment_schedule`)."""
     relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0), deadline)
-    if not relaxed.ok:
-        return relaxed, False
     try:
-        commitment_schedule(generators, relaxed.x, u, v, w, "relaxation")
+        return relaxed, relaxed.ok and bool(commitment_schedule(gens, relaxed.x, u, v, w, "LP"))
     except optim.InfeasibleModelError:
         return relaxed, False
-    return relaxed, True
 
 
 def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s=0.0,
            bound=None):
     """`solve_suc` proper, every HiGHS call under ``deadline``, its wall time
-    counted from ``t0``. Returns the solution and its bound MILP: a
-    function that runs `_ev_bound` on the final model and the solution's
-    commitment. A round first solves its LP relaxation when the module
-    docstring says so, and returns it if it is integral. Otherwise it
-    completes a commitment against that round's rows: that of ``ev``, the
-    EV solution that took ``ev_s`` seconds, if given; else, for one
-    scenario, its first fractional relaxation rounded up; else none. A
-    completion of ``ev``'s commitment is returned if ``bound()``, the bound
-    MILP (run once), certifies it; otherwise the round's MILP starts from
-    the completion."""
+    counted from ``t0``. Returns the solution, the final model and its
+    commitment columns ``u``. A round of one scenario first solves its LP
+    relaxation while the module docstring says so, and returns it if it is
+    integral. Otherwise a round completes a commitment against its rows:
+    that of ``ev``, the EV solution that took ``ev_s`` seconds, if given;
+    else, for one scenario, its first fractional relaxation rounded up;
+    else none. A completion of ``ev``'s commitment is returned if
+    ``bound``, the bound MILP of `_ev_bound`, certifies it at the cut of
+    its cost (`optim.cutoff`), run again only when a round's cut is higher
+    than the last; otherwise the round's MILP starts from the
+    completion."""
     grid = scenarios.grid
     gens = system.generators
     t_build = time.perf_counter()
@@ -479,12 +494,12 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
     if ev is not None:
         start["ev_usd"] = ev.objective
         commitment = np.concatenate([ev.u, ev.v, ev.w], axis=None)
-    relax = scenarios.n_scenarios == 1 or (ev is not None and ev.record["solved_by_relaxation"])
+    relax = scenarios.n_scenarios == 1
     proved_by = None  # how the last round ended: "relaxation", "ev_bound" or a MILP (None)
-    lower = None  # the bound MILP's result, once it has run
+    bounds = []  # every bound MILP's result and its cut
 
     def solve_round(m):
-        nonlocal commitment, relax, proved_by, lower
+        nonlocal commitment, relax, proved_by
         proved_by = None
         if relax:
             t = time.perf_counter()
@@ -494,7 +509,7 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
                 proved_by = "relaxation"
                 return optim.certified(relaxed, relaxed.objective, gap_tol, m.n_integer)
             start["start_s"] += time.perf_counter() - t
-            if commitment is None and relaxed.ok:
+            if relaxed.ok:
                 # one scenario: on wherever the relaxation is above 1e-6
                 u_up = (relaxed.x[u] > 1e-6).astype(int)
                 commitment = np.concatenate([u_up, *_starts_stops(gens, u_up)], axis=None)
@@ -505,14 +520,12 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
             done = optim.complete(m, uvw, commitment, deadline, scenario)
             start["start_s"] += time.perf_counter() - t
             start["start_used"] = done.ok
-            if ev is not None:
-                start["eev_usd"] = done.objective if done.ok else None
+            start["eev_usd"] = done.objective if ev is not None and done.ok else None
             if ev is not None and done.ok:
-                lower = lower or bound()
-                # infeasible: the EV commitment is the only one; a limit proves nothing
-                lb = np.inf if lower.status == "infeasible" else (
-                    lower.mip_dual_bound if lower.ok else -np.inf
-                )
+                cut = optim.cutoff(done.objective, gap_tol)
+                if not bounds or cut > bounds[-1][1]:  # the last run's bound is lower
+                    bounds.append((bound(cutoff=cut), cut))
+                lb = optim.cutoff_bound(*bounds[-1])
                 # the completion's seconds are in start_s alone
                 answer = optim.certified(replace(done, highs_s=0.0), lb, gap_tol, m.n_integer)
                 if answer is not None:
@@ -533,14 +546,9 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
     u_val, v_val, w_val = commitment_schedule(gens, x, u, v, w, "stochastic commitment")
     if proved_by is not None:  # no MILP ran in the last round
         start["start_used"] = False
-    if proved_by == "relaxation" and ev is not None:
-        # no completion ran: the completion of the EV commitment costs the
-        # optimum when it is the optimal commitment
-        start["eev_usd"] = float(res.objective) if np.array_equal(ev.u, u_val) else None
-    highs = res.highs
-    if lower is not None:  # the bound MILP's run, counted once
-        highs["highs_s"] += lower.highs_s or 0.0
-        highs["mip_node_count"] += lower.mip_node_count or 0
+    highs = res.highs  # and every bound MILP's run
+    highs["highs_s"] += sum(run.highs_s or 0.0 for run, _ in bounds)
+    highs["mip_node_count"] += sum(run.mip_node_count or 0 for run, _ in bounds)
     p_val = np.stack([[x[s].sum(axis=-1) for s in seg] for seg in seg_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
     fixed_cost = float(sum(commitment_cost(gens, u_val, v_val)))
@@ -564,7 +572,7 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
             "solved_by_relaxation": proved_by == "relaxation",
             "solved_by_ev_bound": proved_by == "ev_bound",
         },
-    ), partial(_ev_bound, model, u, u_val, gap_tol, deadline)
+    ), model, u
 
 
 def check_suc_solution(system, scenarios, sol, tol=1e-6):

@@ -40,10 +40,27 @@ def force_suc_fallback(monkeypatch):
     """Make every bound MILP of `solve_suc` read as stopped at a limit once
     it has run, so that no EV bound certificate holds and each round solves
     the stochastic MILP (see `stochastic_uc`)."""
-    real = stochastic_uc._ev_bound
-    monkeypatch.setattr(
-        stochastic_uc, "_ev_bound", lambda *a: dataclasses.replace(real(*a), status="limit")
-    )
+    spy_ev_bound(monkeypatch, lambda res: dataclasses.replace(res, status="limit"))
+
+
+def spy_ev_bound(monkeypatch, seen=None):
+    """Record every bound MILP `solve_suc` runs, as (cutoff, result) in the
+    list returned; ``seen``, if given, maps each result to the one
+    `solve_suc` reads."""
+    runs, real = [], stochastic_uc._ev_bound
+
+    def ev_bound(*args):
+        solve = real(*args)
+
+        def run(cutoff):
+            res = solve(cutoff=cutoff)
+            runs.append((cutoff, res))
+            return res if seen is None else seen(res)
+
+        return run
+
+    monkeypatch.setattr(stochastic_uc, "_ev_bound", ev_bound)
+    return runs
 
 
 def make_gen(gid, bus="b1", p_min=0.0, p_max=100.0, segments=None,

@@ -26,7 +26,6 @@ from frpsim import (
     optim,
     simulate_rtm,
     solve_suc,
-    stochastic_uc,
 )
 from frpsim.data import case_path
 from frpsim.requirements import zero_requirements
@@ -58,13 +57,11 @@ FROZEN = {
         "ad01bc36e7431b93", "066206e8405606b0", "75d86e89a783047d"
     ),
     # the EV model's final MILP with the no-good cut that excludes the EV
-    # commitment: the bound MILP, solved cold after the completion, whose
-    # dual bound certifies the completion (see `stochastic_uc`)
+    # commitment: the bound MILP, solved cold after the completion with the
+    # cut of its cost as HiGHS's cutoff, which it certifies (see
+    # `stochastic_uc`); the cutoff is an option, not model data
     "suc-ramp-toy-4pph-ev-bound": "4cdfd4396c439a15",
     "suc-congested": "0caca64cfc6a0c56",
-    # the LP relaxation of the same model, which is integral and breaks no
-    # flow limit, so no MILP runs on it (see `stochastic_uc`)
-    "suc-congested-relaxation": "f18dab7eef0c5557",
     "dam-congested-pricing": "f2f29f6edc444fe5",
     "rtm-congested": "60a2b27519b56898",
     # the last solve of each model of a day whose market stops two units, so
@@ -169,19 +166,14 @@ def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs, monkeypatch):
 
 
 def test_congested_suc_after_its_flow_rows(congested, solver_inputs, monkeypatch):  # noqa: F811
-    """The last round's model is solved as its LP relaxation; with every
-    relaxation taken as fractional and no EV bound certificate, the same
-    model is the last MILP."""
+    """With no EV bound certificate, the last round's model, its flow rows
+    in, is the last MILP."""
     grid = TimeGrid(6, 1)
     load = np.asarray(LOAD)
     scen = scenario_set(congested, grid, np.stack([load, 1.04 * load]))
-    sol = solve_suc(congested, scen)
-    assert sol.record["flow_rows"] >= 1 and sol.record["solved_by_relaxation"]
-    assert solver_inputs[-1] == ("milp", FROZEN["suc-congested-relaxation"])
-    relaxation = stochastic_uc._relaxation
-    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
     force_suc_fallback(monkeypatch)
-    solve_suc(congested, scen)
+    sol = solve_suc(congested, scen)
+    assert sol.record["flow_rows"] >= 1 and not sol.record["solved_by_ev_bound"]
     assert solver_inputs[-1] == ("milp", FROZEN["suc-congested"])
 
 

@@ -256,6 +256,83 @@ def test_certified_keeps_the_solution_and_the_work():
     assert res.mip_gap is res.mip_dual_bound is res.mip_node_count is None
 
 
+def _pair_model(scale=1.0):
+    """min ``scale`` * (5x + 4y) over binary x and y with 2x + 2y >= 3: both
+    on, 9 ``scale``; its LP relaxation is fractional, 6.5 ``scale``."""
+    m = Model()
+    x = m.add_vars("x", 2, ub=1.0, obj=[5.0 * scale, 4.0 * scale], integer=True)
+    m.add_rows("pair", ">=", 3.0, x, [2.0, 2.0])
+    return m
+
+
+@pytest.mark.parametrize("cut", [9.0, 9.5, 1e6])
+def test_a_cutoff_at_or_above_the_optimum_keeps_it(monkeypatch, cut):
+    """HiGHS gets the cutoff as ``objective_bound`` (+inf, its default,
+    without one) and proves the optimum as without it; the bound the solve
+    proves is its dual bound, clipped to the cut."""
+    seen, milp = [], optim.milp
+    monkeypatch.setattr(optim, "milp", lambda **kw: seen.append(kw["options"]) or milp(**kw))
+    res = solve(_pair_model(), cutoff=cut)
+    plain = solve(_pair_model())
+    assert (seen[0]["objective_bound"], seen[1]["objective_bound"]) == (cut, np.inf)
+    assert res.ok and res.objective == pytest.approx(9.0) == plain.objective
+    assert optim.cutoff_bound(res, cut) == min(res.mip_dual_bound, cut)
+    assert optim.cutoff_bound(res, cut) == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("cut", [-1.0, 6.5, 8.0, 8.999])
+def test_a_cutoff_below_the_optimum_proves_the_cut(cut):
+    """Below the optimum, at or below the root LP bound too, the solve reads
+    "infeasible" or keeps a point at or above the cut; either way what it
+    proves is the cut."""
+    res = solve(_pair_model(), cutoff=cut)
+    assert res.status == "infeasible" or (res.ok and res.objective >= cut)
+    assert optim.cutoff_bound(res, cut) == cut
+
+
+def test_cutoff_bound_reads_the_status():
+    """Infeasible proves the cut; optimal the dual bound clipped to the cut,
+    since the pruned subtrees can hold points between the two; any other
+    status nothing."""
+    kept = SolveResult("optimal", objective=9.0, mip_dual_bound=8.5)
+    assert optim.cutoff_bound(kept, 8.0) == 8.0 and optim.cutoff_bound(kept, 9.5) == 8.5
+    assert optim.cutoff_bound(SolveResult("infeasible"), 8.0) == 8.0
+    for status in ("limit", "unbounded", "error"):
+        assert optim.cutoff_bound(SolveResult(status), 8.0) == -np.inf
+
+
+@pytest.mark.parametrize("objective, gap_tol, nudged", [
+    (2625.0, 1e-6, True), (250.0, 1e-4, True), (9.0, 1e-6, True),
+    (3230.0, 1e-6, False), (0.5, 0.25, False), (-40.0, 1e-3, False), (7.0, 0.0, False),
+])
+def test_the_cut_certifies_at_the_gap_tol_edge(objective, gap_tol, nudged):
+    """The cut is ``objective - gap_tol * max(1, |objective|)``, or, where
+    rounding puts that value's gap above gap_tol (``nudged``), the float
+    just above it; either way an LP at ``objective`` is certified with the
+    cut as its bound."""
+    raw = objective - gap_tol * max(1.0, abs(objective))
+    cut = optim.cutoff(objective, gap_tol)
+    res = dataclasses.replace(_lp_answer(), objective=objective)
+    answer = optim.certified(res, cut, gap_tol, 2)
+    assert answer is not None and answer.mip_dual_bound == min(cut, objective)
+    assert cut == (np.nextafter(raw, np.inf) if nudged else raw)
+    assert (optim.certified(res, raw, gap_tol, 2) is None) == nudged
+
+
+def test_a_milp_at_the_cut_of_its_own_optimum_certifies_it():
+    """The pair model at 2625 (each cost times 291 2/3), solved with the
+    cut of 2625 at gap_tol 1e-6, one ulp above the raw value: nothing is
+    below the cut, and the bound it proves certifies an answer at 2625."""
+    gap_tol = 1e-6
+    cut = optim.cutoff(2625.0, gap_tol)
+    res = solve(_pair_model(2625.0 / 9.0), gap_tol=gap_tol, cutoff=cut)
+    assert res.status == "infeasible" or res.objective == pytest.approx(2625.0)
+    bound = optim.cutoff_bound(res, cut)
+    assert bound == cut
+    answer = optim.certified(dataclasses.replace(_lp_answer(), objective=2625.0), bound, gap_tol, 2)
+    assert answer is not None and answer.mip_gap <= gap_tol
+
+
 def test_write_lp_raises_naming_a_path_it_cannot_write(tmp_path):
     """The dump is an MPS file for a path ending in ``.mps`` and an LP file
     whatever other extension the path has (HiGHS picks its format from it;

@@ -3,7 +3,9 @@ weighting, the wait-and-see bound, the feasibility audit, and the shared
 commitment block (continuous start/stop variables against binary ones)."""
 
 import dataclasses
+import importlib
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,7 +40,7 @@ from frpsim.stochastic_uc import (
     save_suc_solution,
 )
 
-from conftest import force_suc_fallback, make_gen, scenario_set, single_bus_system
+from conftest import force_suc_fallback, make_gen, scenario_set, single_bus_system, spy_ev_bound
 
 
 def test_single_unit_three_hours_by_hand():
@@ -480,7 +482,8 @@ def _ev_bound_case(paths, drawn):
         if rec["eev_usd"] - rec["ev_usd"] > gap_tol * max(1.0, abs(rec["eev_usd"])):
             paths["above_ev"] += 1
     else:
-        paths["relaxation" if rec["solved_by_relaxation"] else "fallback"] += 1
+        assert not rec["solved_by_relaxation"]
+        paths["fallback"] += 1
 
 
 def test_ev_bound_keeps_the_optimum():
@@ -490,7 +493,7 @@ def test_ev_bound_keeps_the_optimum():
     both happen among the draws, and some certified answers cost more than
     the EV optimum, which only the no-good cut lets the bound prove. The
     counts of each ending are in the assertion's message."""
-    paths = dict.fromkeys(("certified", "above_ev", "fallback", "relaxation", "infeasible"), 0)
+    paths = dict.fromkeys(("certified", "above_ev", "fallback", "infeasible"), 0)
     _ev_bound_case(paths=paths)
     assert paths["certified"] and paths["fallback"] and paths["above_ev"], paths
 
@@ -605,9 +608,9 @@ def _spy_solves(monkeypatch):
     calls = []
     real_solve, real_complete = optim.solve, optim.complete
 
-    def solve(model, gap_tol=1e-6, deadline=None, start=None):
+    def solve(model, gap_tol=1e-6, deadline=None, start=None, cutoff=np.inf):
         calls.append(("solve", deadline, start is not None))
-        return real_solve(model, gap_tol, deadline, start)
+        return real_solve(model, gap_tol, deadline, start, cutoff)
 
     def complete(model, cols, values, deadline=None, blocks=None):
         calls.append(("complete", deadline, False))
@@ -662,14 +665,15 @@ def _certified_scenarios(system, grid):
 def test_ev_bound_certificate_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
     """The EV model's relaxation, the completion of its rounded commitment
     and the EV MILP; then the completion of the EV commitment and the bound
-    MILP, cold, whose dual bound certifies the completion: no stochastic
-    MILP runs. The record says so; the bound MILP's seconds are its
-    ``highs_s``, the completion's are in ``start_s``, and its dual bound is
-    the completion's cost, which the bound exceeds. The same model solved
-    cold reaches the same optimum."""
+    MILP, cold, with the cut of the completion's cost as its cutoff, which
+    certifies the completion: no stochastic MILP runs. The record says so;
+    the bound MILP's seconds are its ``highs_s``, the completion's are in
+    ``start_s``, and its dual bound is the cut, within gap_tol of the
+    objective. The same model solved cold reaches the same optimum."""
     system, grid, _ = uc_oracle_case
     scn = _certified_scenarios(system, grid)
     calls = _spy_solves(monkeypatch)
+    runs = spy_ev_bound(monkeypatch)
     sol = solve_suc(system, scn)
     assert [(kind, start) for kind, _, start in calls] == [
         ("complete", False), ("complete", False), ("solve", True),
@@ -679,7 +683,9 @@ def test_ev_bound_certificate_is_recorded(uc_oracle_case, monkeypatch, tmp_path)
     assert rec["solved_by_ev_bound"] is True and rec["solved_by_relaxation"] is False
     assert rec["start_used"] is False and rec["eev_usd"] == sol.objective
     assert rec["ev_usd"] <= sol.objective
-    assert (sol.mip_gap, rec["mip_dual_bound"]) == (0.0, sol.objective)
+    cut = optim.cutoff(sol.objective, 1e-6)
+    assert [c for c, _ in runs] == [cut] and rec["mip_dual_bound"] == cut
+    assert 0.0 < sol.mip_gap == optim.gap(sol.objective, cut) <= 1e-6
     assert rec["binaries"] == 8 and 0.0 < rec["highs_s"] < rec["wall_time_s"]
     assert 0.0 < rec["start_s"] < rec["wall_time_s"] - rec["highs_s"]
     assert "violations" not in check_suc_solution(system, scn, sol)
@@ -694,27 +700,24 @@ def test_ev_bound_certificate_is_recorded(uc_oracle_case, monkeypatch, tmp_path)
 def test_ev_bound_infeasible_when_the_ev_commitment_is_the_only_one(monkeypatch):
     """A unit one hour into a four-hour minimum run, over three hours, can
     only stay on: the no-good cut leaves the bound MILP infeasible, which
-    certifies the EV commitment. With every relaxation taken as fractional
-    (they are integral here), the EV MILP runs, then the completion and the
-    bound MILP, and no stochastic MILP."""
+    certifies the EV commitment with the cut as its bound. The EV
+    relaxation is integral, so no EV MILP runs; the completion and the
+    bound MILP follow, and no stochastic MILP."""
     unit = make_gen("g", p_max=100.0, segments=((100.0, 20.0),), no_load=10.0,
                     min_up=4, on=True, p0=50.0, hours_on=1)
     system = single_bus_system(unit)
     scn = scenario_set(system, TimeGrid(3, 1), [[40.0, 60.0, 50.0], [60.0, 80.0, 30.0]])
-    relaxation = stochastic_uc._relaxation
-    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
-    bounds = []
-    real = stochastic_uc._ev_bound
-    monkeypatch.setattr(
-        stochastic_uc, "_ev_bound", lambda *a: bounds.append(real(*a)) or bounds[-1]
-    )
+    calls = _spy_solves(monkeypatch)
+    runs = spy_ev_bound(monkeypatch)
     sol = solve_suc(system, scn)
-    assert [b.status for b in bounds] == ["infeasible"]
+    assert [kind for kind, _, _ in calls] == ["complete", "complete", "solve"]
+    assert [res.status for _, res in runs] == ["infeasible"]
     rec = sol.record
     assert rec["solved_by_ev_bound"] and sol.u.tolist() == [[1, 1, 1]]
     # 3 * 10 no-load + 0.5 * (150 + 170) MWh * 20
     assert sol.objective == pytest.approx(3230.0)
-    assert (sol.mip_gap, rec["mip_dual_bound"]) == (0.0, sol.objective)
+    cut = optim.cutoff(sol.objective, 1e-6)
+    assert runs[0][0] == rec["mip_dual_bound"] == cut and 0.0 < sol.mip_gap <= 1e-6
 
 
 def _cheap_and_flexible():
@@ -731,14 +734,14 @@ def test_infeasible_ev_completion_solves_cold(monkeypatch):
     MILP gets no start and commits the flexible unit alone, as a cold solve
     does: 0.5 * 5 * 50 + 0.5 * 100 * 50 = 2625. The EV relaxation commits
     the cheap unit alone, integrally, so it is the EV optimum and no EV
-    MILP runs; the stochastic relaxation, solved for that reason, is
-    fractional and is set aside for the completion and the cold MILP."""
+    MILP runs; the stochastic solve looks at no relaxation of its own, and
+    no bound MILP runs without a completion."""
     system = _cheap_and_flexible()
     scn = scenario_set(system, TimeGrid(1, 1), [[5.0], [100.0]])
     calls = _spy_solves(monkeypatch)
     sol = solve_suc(system, scn)
     assert [(kind, start) for kind, _, start in calls] == [
-        ("complete", False), ("complete", False), ("complete", False), ("solve", False),
+        ("complete", False), ("complete", False), ("solve", False),
     ]
     assert sol.record["ev_usd"] == pytest.approx(25.0) and sol.record["eev_usd"] is None
     assert sol.record["start_used"] is False
@@ -753,33 +756,34 @@ def test_infeasible_ev_completion_solves_cold(monkeypatch):
 def test_integral_relaxation_runs_no_milp(monkeypatch):
     """60 or 90 MW: the cheap unit alone serves both, 0.5 * 10 * 10 + 0.5 *
     40 * 10 = 250, and the mean load's 25 MW above its minimum costs the
-    same. The EV relaxation is integral, so the stochastic relaxation is
-    solved too; it is integral as well, so no MILP and no completion run.
-    The EV commitment is the solution's, so its completion would cost the
-    optimum: eev_usd is the objective."""
+    same. The EV relaxation is integral, so no EV MILP runs. The stochastic
+    solve looks at no relaxation: it completes the EV commitment, one LP
+    per scenario, and the bound MILP, with the cut of that cost as its
+    cutoff, certifies it, so no stochastic MILP runs either."""
     system = _cheap_and_flexible()
     scn = scenario_set(system, TimeGrid(1, 1), [[60.0], [90.0]])
     calls = _spy_solves(monkeypatch)
     sol = solve_suc(system, scn)
-    assert [kind for kind, _, _ in calls] == ["complete", "complete"]
+    assert [kind for kind, _, _ in calls] == ["complete", "complete", "solve"]
     rec = sol.record
-    assert rec["solved_by_relaxation"] is True and rec["start_used"] is False
-    assert (sol.mip_gap, rec["mip_node_count"]) == (0.0, 0)
-    assert rec["mip_dual_bound"] == sol.objective == pytest.approx(250.0)
+    assert rec["solved_by_relaxation"] is False and rec["solved_by_ev_bound"] is True
+    assert rec["start_used"] is False
+    assert rec["mip_dual_bound"] == optim.cutoff(sol.objective, 1e-6)
+    assert 0.0 < sol.mip_gap <= 1e-6 and sol.objective == pytest.approx(250.0)
     assert rec["binaries"] == 2 and 0.0 < rec["highs_s"] < rec["wall_time_s"]
-    # start_s holds the EV solve only, not the relaxation again
+    # start_s holds the EV solve and the completion, not the bound MILP
     assert 0.0 < rec["start_s"] < rec["wall_time_s"] - rec["highs_s"]
-    assert rec["ev_usd"] == rec["eev_usd"] == sol.objective
+    assert rec["ev_usd"] == pytest.approx(rec["eev_usd"]) and rec["eev_usd"] == sol.objective
     assert sol.u.tolist() == [[1], [0]]
     assert "violations" not in check_suc_solution(system, scn, sol)
     (model, _, _), _ = _suc_and_dam_models((system, [75.0], ([0.0], [0.0])), scn)
     assert optim.solve(model).objective == pytest.approx(sol.objective)
-    # 0 or 100 MW: the mean load commits the cheap unit, integrally, but the
-    # stochastic relaxation commits the flexible one alone (0.5 * 100 * 50):
-    # no completion ran at the EV commitment, so there is no EEV
+    # 0 or 100 MW: the mean load commits the cheap unit, integrally, but it
+    # cannot back down to 0 MW: the completion is infeasible, there is no
+    # EEV, and the cold MILP commits the flexible unit alone (0.5 * 100 * 50)
     scn = scenario_set(system, TimeGrid(1, 1), [[0.0], [100.0]])
     sol = solve_suc(system, scn)
-    assert sol.record["solved_by_relaxation"] and sol.record["ev_usd"] == 0.0
+    assert not sol.record["solved_by_relaxation"] and sol.record["ev_usd"] == 0.0
     assert sol.u.tolist() == [[0], [1]] and sol.record["eev_usd"] is None
     assert sol.objective == pytest.approx(2500.0)
 
@@ -791,7 +795,8 @@ def test_relaxation_shortcut_keeps_the_optimum(case):
     (whose EV problem is the scenario itself), `solve_suc` reaches a cold
     solve's optimum within gap_tol, or its failure, with a clean audit. A
     solve that stopped at an integral relaxation says so: gap 0, no nodes,
-    its objective as the bound."""
+    its objective as the bound. Only a one-scenario solve looks at its
+    relaxation."""
     system, loads, _ = case
     gap_tol = 1e-6
     grid = TimeGrid(len(loads), 2)
@@ -809,11 +814,11 @@ def test_relaxation_shortcut_keeps_the_optimum(case):
         assert "violations" not in check_suc_solution(system, scn, sol)
         rec = sol.record
         if rec["solved_by_relaxation"]:
+            assert scn is one
             assert (sol.mip_gap, rec["mip_node_count"], rec["start_used"]) == (0.0, 0, False)
             assert rec["mip_dual_bound"] == sol.objective and rec["highs_s"] > 0.0
-            # one round (no lines): the relaxation's seconds are highs_s
-            # alone; two scenarios spent start_s on the EV solve
-            assert (rec["start_s"] == 0.0) == (scn is one)
+            # one round (no lines): the relaxation's seconds are highs_s alone
+            assert rec["start_s"] == 0.0
 
 
 def test_rounded_relaxation_breaking_min_down_solves_cold(monkeypatch):
@@ -887,12 +892,15 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
 
 
 def test_ev_bound_runs_across_screening_rounds(monkeypatch):
-    """ieee14 with l1_2 cut to 130 MW, two scenarios, every relaxation taken
-    as fractional. The completion of the EV commitment breaks the line
-    limit in the first round, so the screen adds its rows and the next
-    round completes the commitment again; the bound MILP runs once, and the
-    certified answer is the optimum of the full model, solved cold with
-    every flow row."""
+    """ieee14 with l1_2 cut to 130 MW, two scenarios. The completion of the
+    EV commitment breaks the line limit in the first round, so the screen
+    adds its rows and the next round completes the commitment again, at a
+    cost (EEV) above the first round's cut. The bound MILP runs in each
+    round, at the cut of that round's EEV (`optim.cutoff`), and both runs'
+    HiGHS seconds are the record's. The certified answer is within gap_tol
+    of the optimum of the full model, solved cold with every flow row, and
+    has a clean audit. With every relaxation taken as fractional, the EV
+    MILP runs and the rounds end the same way."""
     from test_network import LOAD  # test_network imports this module
 
     system = load_system(case_path("ieee14"))
@@ -902,22 +910,31 @@ def test_ev_bound_runs_across_screening_rounds(monkeypatch):
     ))
     load = np.asarray(LOAD)
     scn = scenario_set(system, TimeGrid(6, 1), np.stack([load, 1.04 * load]))
-    relaxation = stochastic_uc._relaxation
-    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
-    bounds = []
-    real = stochastic_uc._ev_bound
-    monkeypatch.setattr(
-        stochastic_uc, "_ev_bound", lambda *a: bounds.append(real(*a)) or bounds[-1]
-    )
-    sol = solve_suc(system, scn)
-    rec = sol.record
-    assert rec["solved_by_ev_bound"] and len(bounds) == 1
-    assert rec["screen_rounds"] >= 2 and rec["flow_rows"] >= 1
-    assert "violations" not in check_suc_solution(system, scn, sol)
     model, *_, screen = _build(system, scn)
     screen.add_rows(model, screen.every_row())
     cold = optim.solve(model)
-    assert abs(sol.objective - cold.objective) <= 1e-6 * abs(cold.objective)
+    complete, eevs = optim.complete, []
+    monkeypatch.setattr(optim, "complete", lambda *a: eevs.append(complete(*a)) or eevs[-1])
+    runs = spy_ev_bound(monkeypatch)
+    for fractional in (False, True):
+        if fractional:
+            relaxation = stochastic_uc._relaxation
+            monkeypatch.setattr(
+                stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False)
+            )
+        eevs.clear()
+        runs.clear()
+        sol = solve_suc(system, scn)
+        rec = sol.record
+        assert rec["solved_by_ev_bound"] and rec["screen_rounds"] == 2 and rec["flow_rows"] >= 1
+        # the completions of the EV commitment, one per round, after the EV solve's
+        first, last = (res.objective for res in eevs[-2:])
+        cuts = [optim.cutoff(first, 1e-6), optim.cutoff(last, 1e-6)]
+        assert last > cuts[0] and [c for c, _ in runs] == cuts
+        assert rec["eev_usd"] == sol.objective == last and rec["mip_dual_bound"] == cuts[1]
+        assert rec["highs_s"] == pytest.approx(sum(res.highs_s for _, res in runs))
+        assert "violations" not in check_suc_solution(system, scn, sol)
+        assert abs(sol.objective - cold.objective) <= 1e-6 * abs(cold.objective)
 
 
 # The extensive-form answer for corpus day wed at 64 in-sample scenarios,
@@ -930,35 +947,83 @@ WED_64 = (127052.90032630134, [
 ])
 
 
+def _in_sample(config, day, n):
+    """The system, config and in-sample draw of ``n`` scenarios of day
+    ``day`` of the experiment config at ``config``, as the harness draws
+    them."""
+    cfg, system = harness.load_config(config)
+    forecast, _ = harness._day_profile(system, cfg, next(d for d in cfg.days if d.name == day))
+    scn = gen_ar1_scenarios(
+        forecast, cfg.sigma_frac, cfg.rho[0], n, cfg.master_seed, labels=("in-sample", day)
+    )
+    return system, cfg, scn
+
+
+def _spy_widths(monkeypatch):
+    """Record the models `stochastic_uc._build` returns, and the columns of
+    every model HiGHS gets through `optim.milp` or `optim.linprog`."""
+    built, widths = [], []
+    build, milp, linprog = stochastic_uc._build, optim.milp, optim.linprog
+    monkeypatch.setattr(
+        stochastic_uc, "_build", lambda *a: built.append(build(*a)) or built[-1]
+    )
+    monkeypatch.setattr(optim, "milp", lambda **kw: widths.append(kw["c"].size) or milp(**kw))
+    monkeypatch.setattr(
+        optim, "linprog", lambda c, **kw: widths.append(c.size) or linprog(c, **kw)
+    )
+    return built, widths
+
+
 def test_corpus_wed_at_64_scenarios_runs_no_stochastic_milp(monkeypatch):
     """The harness's in-sample draw of 64 scenarios on corpus day wed: the
     EV bound certifies the EV commitment, so every MILP `solve_suc` runs is
     on the EV model (the EV MILP, the bound MILP), none on the stochastic
     one, and the answer is the extensive form's, frozen above. The
-    completion runs one LP per scenario, so no model HiGHS gets through
-    `optim.milp` has more columns than the EV model: a proxy for the peak
-    memory, which the stochastic model's LP set before."""
-    cfg, system = harness.load_config(corpus_path("config.yaml"))
-    day = next(d for d in cfg.days if d.name == "wed")
-    forecast, _ = harness._day_profile(system, cfg, day)
-    scn = gen_ar1_scenarios(
-        forecast, cfg.sigma_frac, cfg.rho[0], 64, cfg.master_seed, labels=("in-sample", "wed")
-    )
-    built, solved = [], []
-    build, solve = stochastic_uc._build, optim.solve
-    monkeypatch.setattr(
-        stochastic_uc, "_build", lambda *a: built.append(build(*a)) or built[-1]
-    )
+    completion runs one LP per scenario, so no model HiGHS gets is wider
+    than the EV model: a proxy for the peak memory, which the stochastic
+    model's LP set before."""
+    system, cfg, scn = _in_sample(corpus_path("config.yaml"), "wed", 64)
+    solved, solve = [], optim.solve
     monkeypatch.setattr(
         optim, "solve", lambda model, *a, **kw: solved.append(model) or solve(model, *a, **kw)
     )
-    widths, milp = [], optim.milp
-    monkeypatch.setattr(optim, "milp", lambda **kw: widths.append(kw["c"].size) or milp(**kw))
+    built, widths = _spy_widths(monkeypatch)
     sol = solve_suc(system, scn, gap_tol=cfg.gap_tol)
     (ev_model, *_), (suc_model, *_) = built
     assert solved and all(m is ev_model for m in solved) and suc_model.n_vars > ev_model.n_vars
     assert len(widths) > 64 and max(widths) <= ev_model.n_vars
     assert sol.record["solved_by_ev_bound"]
     objective, u = WED_64
+    assert sol.objective == pytest.approx(objective, rel=1e-12)
+    assert ["".join(map(str, row)) for row in sol.u] == u
+
+
+# The answer for day d1 of the benchmark's ieee14 grid (seed 111) at 32
+# in-sample scenarios, as the SUC found it when an integral EV relaxation
+# made it solve the stochastic model's LP relaxation (0.26 s and 138 MB
+# on a 2-vCPU VM): its objective and each unit's hourly commitment
+IEEE14_D1_32 = (109126.95504192075, [
+    "111111111111111111111111", "111111111111111111111111", "111111111111111111111111",
+    "000000000000000000000000", "000000000000000000000000",
+])
+
+
+def test_ieee14_d1_at_32_scenarios_hands_highs_nothing_wider_than_the_ev_model(
+    monkeypatch, tmp_path
+):
+    """The benchmark's ieee14 day d1 at 32 scenarios, whose EV relaxation
+    is integral: the stochastic solve looks at no relaxation of its own,
+    so no model HiGHS gets is wider than the EV model, and the bound MILP
+    certifies the answer frozen above."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    config = workloads.config_path("ieee14", 111, str(tmp_path))
+    system, cfg, scn = _in_sample(config, "d1", 32)
+    built, widths = _spy_widths(monkeypatch)
+    sol = solve_suc(system, scn, gap_tol=cfg.gap_tol)
+    (ev_model, *_), (suc_model, *_) = built
+    assert max(widths) <= ev_model.n_vars < suc_model.n_vars and len(widths) > 32
+    assert sol.record["solved_by_ev_bound"]
+    objective, u = IEEE14_D1_32
     assert sol.objective == pytest.approx(objective, rel=1e-12)
     assert ["".join(map(str, row)) for row in sol.u] == u
