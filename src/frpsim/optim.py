@@ -17,10 +17,12 @@ that scipy.sparse and the scipy._lib chain under it cost every process.
 LP otherwise; `fix_and_resolve` freezes every integer variable at an
 incumbent and re-solves the continuous relaxation of the same matrix to
 recover duals for pricing; `complete` pins some columns and solves the rest
-as an LP, which turns a commitment into a complete MIP start. Where the
-pinned columns leave blocks that share no row (a stochastic model's
-scenarios, its commitment pinned), `complete` solves one LP per block, so
-the largest LP HiGHS gets is one block's. A time limit reaches `solve` and
+as an LP, which turns a commitment into a complete MIP start. `complete`
+has one rule: the columns it leaves free fall into blocks that share no
+row (a stochastic model's scenarios, its commitment pinned; a model
+without labels is one block), the rows over pinned columns alone are
+checked in numpy, and each block is one LP, so the largest LP HiGHS gets
+is one block's. A time limit reaches `solve` and
 `complete` as a deadline, a `time.perf_counter` reading: HiGHS gets what is
 left of it (`_budget`), and once it has passed the result is status "limit"
 without a HiGHS run.
@@ -377,10 +379,6 @@ def certified(res, bound, gap_tol, binaries):
 
 
 def _sense_codes(sense, shape):
-    if isinstance(sense, str):
-        if sense not in _SENSES:
-            raise ValueError(f"unknown sense {sense!r}")
-        return np.full(shape, _SENSES.index(sense), dtype=np.int8)
     sense = np.broadcast_to(np.asarray(sense), shape)
     codes = np.full(shape, -1, dtype=np.int8)
     for code, s in enumerate(_SENSES):
@@ -805,9 +803,9 @@ def solve(model, gap_tol=1e-6, deadline=None, start=None, cutoff=np.inf):
     )
 
 
-# HiGHS's primal feasibility tolerance, at which `complete` checks the rows
-# over pinned columns alone
-_FEASIBILITY_TOL = 1e-7
+# HiGHS's primal feasibility tolerance, read from the binding's default: the
+# tolerance at which `complete` checks the rows over pinned columns alone
+_FEASIBILITY_TOL = _highs._Highs().getOptionValue("primal_feasibility_tolerance")[1]
 
 
 def complete(model, cols, values, deadline=None, blocks=None):
@@ -818,34 +816,11 @@ def complete(model, cols, values, deadline=None, blocks=None):
     ``deadline`` is as in `solve`; each LP gets what is left of it.
 
     ``blocks`` labels each column: -1 for a column that every block may
-    use (a first-stage column), else its block (a scenario); None makes
-    the model one block. Where every column labelled -1 is pinned and the
-    others fall into more than one block, each block is an LP of its own
-    (`_by_block`); otherwise the whole pinned model is one LP.
-
-    With every integer column pinned at an integral value, an optimal
-    result's ``x`` is a complete MIP start for `solve`. The result has the
-    whole model's size, carries the row duals and the simplex iterations,
-    and no MIP fields."""
-    lb, ub = model.lb.copy(), model.ub.copy()
-    lb[cols] = ub[cols] = values
-    free = np.ones(model.n_vars, dtype=bool)
-    free[cols] = False
-    label = np.empty(0) if blocks is None else blocks[free]
-    if label.size and 0 <= label.min() < label.max():
-        return _by_block(model, lb, ub, free, blocks, deadline)
-    return _run_milp(
-        model.obj.copy(), *model._constraint_matrix(), lb, ub,
-        np.zeros(model.n_vars, dtype=bool), {"presolve": "off"}, deadline,
-    )
-
-
-def _by_block(model, lb, ub, free, blocks, deadline):
-    """`complete` of a model whose ``free`` columns fall into blocks
-    (labels ``blocks``, each 0 or more) with no row over two of them, the
-    other columns pinned at ``lb`` = ``ub``. The optimum is the pinned
-    columns' cost plus each block's optimum, and ``x`` the pinned values
-    and each block's solution:
+    use (a first-stage column), which must be pinned (ValueError
+    otherwise), else its block (a scenario), with no row over two blocks;
+    None makes the model one block. The optimum is the pinned columns'
+    cost plus each block's optimum, and ``x`` the pinned values and each
+    block's solution:
 
     - a row over pinned columns alone is checked against its bounds at
       HiGHS's primal feasibility tolerance, and one it breaks makes the
@@ -856,10 +831,19 @@ def _by_block(model, lb, ub, free, blocks, deadline):
     - a block that is not optimal, or a deadline that passes before one,
       ends the result there with that status; no later block runs.
 
-    The result has the whole model's size, and ``highs_s`` and
-    ``simplex_iterations`` summed over the blocks run; its duals are each
-    block's, and 0 on the rows over pinned columns alone (their columns
-    are fixed, so any value is a dual there)."""
+    With every integer column pinned at an integral value, an optimal
+    result's ``x`` is a complete MIP start for `solve`. The result has the
+    whole model's size, ``highs_s`` and ``simplex_iterations`` summed over
+    the blocks run, and no MIP fields; its duals are each block's, and 0
+    on the rows over pinned columns alone (their columns are fixed, so any
+    value is a dual there)."""
+    lb, ub = model.lb.copy(), model.ub.copy()
+    lb[cols] = ub[cols] = values
+    free = np.ones(model.n_vars, dtype=bool)
+    free[cols] = False
+    blocks = np.zeros(model.n_vars, dtype=np.int64) if blocks is None else blocks
+    if (blocks[free] < 0).any():
+        raise ValueError("a column labelled -1 (shared by every block) is not pinned")
     mat, lo, hi = model._constraint_matrix()
     n_rows = mat.shape[0]
     at = np.repeat(np.arange(n_rows), np.diff(mat.indptr))  # each entry's row
@@ -886,13 +870,13 @@ def _by_block(model, lb, ub, free, blocks, deadline):
     # the block rows and the free columns, each grouped by block, and each
     # free column's place in its block
     rows = np.argsort(row_block, kind="stable")[np.count_nonzero(alone):]
-    cols = np.flatnonzero(free)
-    cols = cols[np.argsort(blocks[cols], kind="stable")]
-    n_cols = np.bincount(blocks[cols])
+    free_cols = np.flatnonzero(free)
+    free_cols = free_cols[np.argsort(blocks[free_cols], kind="stable")]
+    n_cols = np.bincount(blocks[free_cols])
     col_at = _indptr(n_cols)
     row_at = _indptr(np.bincount(row_block[rows], minlength=n_cols.size))
     place = np.zeros(model.n_vars, dtype=np.int32)
-    place[cols] = np.arange(cols.size) - np.repeat(col_at[:-1], n_cols)
+    place[free_cols] = np.arange(free_cols.size) - np.repeat(col_at[:-1], n_cols)
     sub = _take_rows(mat, rows)
     keep = free[sub.indices]
     entries = np.repeat(np.arange(rows.size), np.diff(sub.indptr))[keep]
@@ -902,7 +886,7 @@ def _by_block(model, lb, ub, free, blocks, deadline):
         (c0, c1), (r0, r1) = col_at[s:s + 2], row_at[s:s + 2]
         a = Csr(data[indptr[r0]:indptr[r1]], indices[indptr[r0]:indptr[r1]],
                 indptr[r0:r1 + 1] - indptr[r0], (int(r1 - r0), int(c1 - c0)))
-        at_cols, at_rows = cols[c0:c1], rows[r0:r1]
+        at_cols, at_rows = free_cols[c0:c1], rows[r0:r1]
         done = _run_milp(
             model.obj[at_cols], a, lo[at_rows], hi[at_rows], lb[at_cols], ub[at_cols],
             np.zeros(c1 - c0, dtype=bool), {"presolve": "off"}, deadline,

@@ -54,8 +54,8 @@ v, w)`` pinned,
 `_build` labels each column with its scenario (-1 for the commitment
 columns, which every scenario shares), and `optim.complete` solves each
 block as its own LP and checks the rows over pinned columns alone
-without HiGHS. A one-scenario model is one block, and its completion one
-LP over the whole model, as before. The largest LP a stochastic
+without HiGHS. A one-scenario model is one block, so its completion hands
+HiGHS its dispatch columns and rows alone. The largest LP a stochastic
 completion hands HiGHS is one scenario's, no wider than the EV model: on
 corpus day wed at 64 scenarios the SUC's peak RSS fell from 168.7 to
 80.4 MB (one fresh process each). These LPs are the subproblems of the
@@ -68,7 +68,8 @@ is started the same way from a commitment of its own: its first fractional
 LP relaxation, rounded up (a unit is on wherever the relaxation has it on
 above 1e-6, with the starts and stops that implies), then completed against
 each round's rows. Rounding up can break a minimum up or down time, and
-then the completion is infeasible and the MILP solves cold. Without the
+then the completion is infeasible, found without a HiGHS run, and the
+MILP solves cold. Without the
 start the MILP waits on the same analytic-centre computation. The
 relaxation and the completions run under the MILPs' deadline (``time_limit``
 from the start of `solve_suc`), and the record's ``start_s`` holds their

@@ -46,9 +46,12 @@ FROZEN = {
     # ahead of the stochastic MILP to give it a start
     "suc-ramp-toy-4pph-ev": "27c3c29774712947",
     # the EV model's LP relaxation and the LP completing its rounded
-    # commitment, solved ahead of the EV MILP to give it a start
+    # commitment, solved ahead of the EV MILP to give it a start; the
+    # completion re-frozen when every completion became one LP per block
+    # (see `optim.complete`): it holds the dispatch columns and rows alone,
+    # the commitment's part of them moved to the row bounds
     "suc-ramp-toy-4pph-ev-relaxation": "ab5997770e831882",
-    "suc-ramp-toy-4pph-ev-rounded": "55e14c300eb33189",
+    "suc-ramp-toy-4pph-ev-rounded": "42ed6393f79e8a81",
     # the completion of the EV commitment, one LP per scenario: re-frozen
     # when the pinned extensive form was split by scenario (see
     # `stochastic_uc`); each holds one scenario's columns and rows, the

@@ -56,8 +56,16 @@ def test_duplicate_row_name_rejected():
 def test_unknown_sense_rejected():
     m = Model()
     x = m.add_vars("x", ())
-    with pytest.raises(ValueError, match="sense"):
+    with pytest.raises(ValueError, match=re.escape("unknown sense in ['<']")):
         m.add_rows("c", "<", 1.0, [x], 1.0)
+
+
+def test_unknown_sense_in_an_array_rejected():
+    """Each unknown sense in an array of senses is named once, sorted."""
+    m = Model()
+    x = m.add_vars("x", 4)
+    with pytest.raises(ValueError, match=re.escape("unknown sense in ['<', '=<']")):
+        m.add_rows("c", ["=<", "<=", "<", "=<"], 1.0, x[:, None], 1.0)
 
 
 def test_knapsack_matches_enumeration():
@@ -602,9 +610,9 @@ def test_private_highs_binding_has_every_method_used():
     from scipy.optimize._highspy import _core
 
     assert _core is optim._highs
-    for name in ("setOptionValue", "passModel", "passColName", "passRowName",
-                 "writeModel", "setSolution", "run", "getModelStatus", "getInfo",
-                 "getSolution"):
+    for name in ("getOptionValue", "setOptionValue", "passModel", "passColName",
+                 "passRowName", "writeModel", "setSolution", "run", "getModelStatus",
+                 "getInfo", "getSolution"):
         assert callable(getattr(_core._Highs, name)), name
     for name in ("HighsSolution", "HighsModelStatus", "HighsStatus", "MatrixFormat",
                  "ObjSense", "kHighsInf"):
@@ -615,6 +623,8 @@ def test_private_highs_binding_has_every_method_used():
         assert hasattr(info, name), name
     for name in ("col_value", "row_value", "row_dual"):
         assert hasattr(_core.HighsSolution(), name), name
+    status, tol = _core._Highs().getOptionValue("primal_feasibility_tolerance")
+    assert status == _core.HighsStatus.kOk and tol == optim._FEASIBILITY_TOL > 0.0
 
 
 def test_solves_leave_out_scipy_optimize():
@@ -909,3 +919,9 @@ def test_complete_pins_columns_and_solves_the_rest():
     # as a start, the pinned completion leaves the proven optimum alone
     assert solve(m, start=done.x).objective == pytest.approx(3.0)
 
+
+def test_complete_refuses_a_free_shared_column():
+    """A column labelled -1, which every block may use, must be pinned:
+    `complete` refuses one left free."""
+    with pytest.raises(ValueError, match="labelled -1"):
+        optim.complete(_cover_model(), [1], [1.0], blocks=np.array([-1, 0, 0]))

@@ -395,13 +395,13 @@ def test_milp_options_keep_the_optimum(case):
 
 
 @st.composite
-def _scenario_cases(draw):
-    """A drawn commitment case and 2-4 weighted net-load scenarios around
-    its loads, at two periods an hour."""
+def _scenario_cases(draw, fewest=2):
+    """A drawn commitment case and ``fewest``-4 weighted net-load scenarios
+    around its loads, at two periods an hour."""
     case = draw(_commitment_cases())
     system, loads, _ = case
     grid = TimeGrid(len(loads), 2)
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(fewest, 4))
     shift = st.lists(
         st.integers(-40, 40).map(float), min_size=grid.n_periods, max_size=grid.n_periods
     )
@@ -509,8 +509,8 @@ def _pinned_commitment(system, scn, on):
 
 
 def _whole(model, cols, values):
-    """The pinned model as one LP, as `optim.complete` solves a model that
-    is one block."""
+    """The pinned model as one LP over every column and row: the reference
+    `optim.complete`, one LP per block, must agree with."""
     lb, ub = model.lb.copy(), model.ub.copy()
     lb[cols] = ub[cols] = values
     return optim._run_milp(
@@ -519,8 +519,8 @@ def _whole(model, cols, values):
     ), lb, ub
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(drawn=_scenario_cases(), on=st.lists(st.booleans(), min_size=12, max_size=12))
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(drawn=_scenario_cases(fewest=1), on=st.lists(st.booleans(), min_size=12, max_size=12))
 def _completion_case(ends, drawn, on):
     """One drawn case of `test_completion_by_scenario_matches_one_lp`;
     adds how it ended to ``ends``."""
@@ -530,11 +530,12 @@ def _completion_case(ends, drawn, on):
     done = optim.complete(model, uvw, values, blocks=scenario)
     whole, lb, ub = _whole(model, uvw, values)
     assert done.status == whole.status and done.size == whole.size
+    many = int(scn.n_scenarios > 1)
     if not whole.ok:
         # the commitment rows, checked without HiGHS, or a scenario's LP
-        ends["commitment" if done.highs_s == 0.0 else "dispatch"] += 1
+        ends["commitment" if done.highs_s == 0.0 else "dispatch", many] += 1
         return
-    ends["optimal"] += 1
+    ends["optimal", many] += 1
     assert abs(done.objective - whole.objective) <= 1e-9 * max(1.0, abs(whole.objective))
     mat, lo, hi = model._constraint_matrix()
     row = sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape) @ done.x
@@ -544,34 +545,37 @@ def _completion_case(ends, drawn, on):
 
 
 def test_completion_by_scenario_matches_one_lp():
-    """On 2-4 weighted scenarios and a drawn commitment, `optim.complete`
+    """On 1-4 weighted scenarios and a drawn commitment, `optim.complete`
     solving one LP per scenario ends as one LP over the whole pinned model
     does: the same status and size, the optimum within 1e-9 relative, and
     a point within 1e-7 of every row and bound. Feasible commitments,
     commitments that break a minimum up or down time (found without
     HiGHS) and commitments no dispatch of some scenario can follow all
-    occur among the draws; their counts are in the assertion's message."""
-    ends = dict.fromkeys(("optimal", "commitment", "dispatch"), 0)
+    occur among the draws, on one scenario and on more; their counts are
+    in the assertion's message."""
+    ends = {(end, many): 0 for end in ("optimal", "commitment", "dispatch") for many in (0, 1)}
     _completion_case(ends=ends)
     assert all(ends.values()), ends
 
 
 def test_completion_breaking_a_minimum_up_time_runs_no_highs(monkeypatch):
-    """Two scenarios and a unit with a three-hour minimum up time, started
-    at hour 1 and stopped at hour 2: the commitment breaks a minup row,
-    which is over commitment columns alone, so the completion is
-    infeasible before any scenario's LP runs, as one LP over the whole
+    """Two scenarios, then one, and a unit with a three-hour minimum up
+    time, started at hour 1 and stopped at hour 2: the commitment breaks a
+    minup row, which is over commitment columns alone, so the completion
+    is infeasible before any scenario's LP runs, as one LP over the whole
     pinned model finds it. The same unit kept on is completed."""
     unit = make_gen("g", p_max=100.0, segments=((100.0, 20.0),), min_up=3)
     system = single_bus_system(unit)
     scn = scenario_set(system, TimeGrid(3, 1), [[0.0, 50.0, 0.0], [0.0, 70.0, 10.0]])
-    model, uvw, scenario, values = _pinned_commitment(system, scn, [[0, 1, 0]])
-    assert _whole(model, uvw, values)[0].status == "infeasible"
     seen = []
     milp = optim.milp
     monkeypatch.setattr(optim, "milp", lambda **kw: seen.append(kw) or milp(**kw))
-    done = optim.complete(model, uvw, values, blocks=scenario)
-    assert (done.status, done.highs_s, done.x, seen) == ("infeasible", 0.0, None, [])
+    for drawn in (scn, scenario_set(system, scn.grid, scn.values[:1])):
+        model, uvw, scenario, values = _pinned_commitment(system, drawn, [[0, 1, 0]])
+        done = optim.complete(model, uvw, values, blocks=scenario)
+        assert (done.status, done.highs_s, done.x, seen) == ("infeasible", 0.0, None, [])
+        assert _whole(model, uvw, values)[0].status == "infeasible"
+        seen.clear()
     model, uvw, scenario, values = _pinned_commitment(system, scn, [[0, 1, 1]])
     done = optim.complete(model, uvw, values, blocks=scenario)
     assert done.ok and len(seen) == 2
