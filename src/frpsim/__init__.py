@@ -17,7 +17,6 @@ from .scenarios import (
     ScenarioSet,
     draw_realization,
     gen_ar1_scenarios,
-    gen_iid_scenarios,
     hourly_to_subhourly,
     load_scenarios,
     save_scenarios,
@@ -64,7 +63,6 @@ __all__ = [
     "compute_isf",
     "draw_realization",
     "gen_ar1_scenarios",
-    "gen_iid_scenarios",
     "hourly_to_subhourly",
     "load_scenarios",
     "load_system",

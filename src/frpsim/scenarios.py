@@ -4,8 +4,7 @@ Forecast errors follow a per-bus AR(1) process on the sub-period grid:
 ``eps[k] = rho * eps[k-1] + sqrt(1 - rho^2) * eta[k]`` with independent
 ``eta[k] ~ N(0, sigma[k])`` and no carried-in error at the first period.
 ``sigma[k]`` is a fixed fraction of the forecast magnitude. Independent draws
-are the ``rho = 0`` special case and share the code path, so they are
-bit-identical to an AR(1) run at ``rho = 0`` with the same seed.
+are the ``rho = 0`` case: the errors are then the shocks, bit for bit.
 
 All randomness derives from one master seed through named sub-streams, so
 in-sample scenario sets, out-of-sample realizations, and stress draws never
@@ -28,7 +27,6 @@ __all__ = [
     "substream",
     "check_draw",
     "gen_ar1_scenarios",
-    "gen_iid_scenarios",
     "draw_realization",
     "hourly_to_subhourly",
     "save_scenarios",
@@ -157,11 +155,6 @@ def gen_ar1_scenarios(forecast, sigma_frac, rho, n_scenarios, seed, labels=("in-
         values=forecast.values[None, :, :] + eps,
         probabilities=np.full(n_scenarios, 1.0 / n_scenarios),
     )
-
-
-def gen_iid_scenarios(forecast, sigma_frac, n_scenarios, seed, labels=("in-sample",)):
-    """Independent per-period errors; same code path as AR(1) at rho = 0."""
-    return gen_ar1_scenarios(forecast, sigma_frac, 0.0, n_scenarios, seed, labels)
 
 
 def draw_realization(forecast, sigma_frac, rho, seed, labels=("out-of-sample",)):

@@ -63,44 +63,49 @@ two-stage (L-shaped) method (Van Slyke & Wets, SIAM J. Appl. Math.
 17(4), 1969; Birge & Louveaux, "A multicut algorithm for two-stage
 stochastic linear programs", EJOR 34(3), 1988).
 
-A one-scenario solve (the EV problem itself, and the clairvoyant reference)
-is started the same way from a commitment of its own: its first fractional
-LP relaxation, rounded up (a unit is on wherever the relaxation has it on
-above 1e-6, with the starts and stops that implies), then completed against
-each round's rows. Rounding up can break a minimum up or down time, and
-then the completion is infeasible, found without a HiGHS run, and the
-MILP solves cold. Without the
-start the MILP waits on the same analytic-centre computation. The
-relaxation and the completions run under the MILPs' deadline (``time_limit``
-from the start of `solve_suc`), and the record's ``start_s`` holds their
-seconds.
+`_solve` runs in up to three phases, each one `network.FlowScreen.solve`
+that counts its own rounds; the record's ``screen_rounds`` are those of
+the phase that gave the answer. Every row a phase adds is a row of the
+full model, so it stays in for the phases after it, and a phase ends only
+on a result that meets every flow limit or is not optimal (see
+`network`):
 
-An integral relaxation needs no MILP. Each screening round of a one-scenario
-solve first looks at its LP relaxation on that round's rows. If the
-commitment is integral (`commitment_schedule`: ``u`` within 1e-6 of 0/1,
-``v`` and ``w`` its starts and stops), the relaxation is an optimum of the
-round's MILP, and the round returns it (`optim.certified`, with its own
-objective as the bound: gap 0, no nodes). Proof: the relaxation drops
-integrality alone, so its optimum is at most the MILP's; an integral point
-is a point of the MILP, so it reaches that optimum. The screen checks it as
-it checks every round's answer (see `network`): if it breaks a flow limit,
-those rows go in and the next round looks again. A fractional relaxation is
-set aside: it adds no rows (the round's MILP's solution does, as without
-the check) and is only rounded up for the start. It also ends the looking,
-since later rounds only add flow rows. Such a solve records
-``solved_by_relaxation``, the relaxation's HiGHS seconds as ``highs_s``
-and ``start_used`` false. Only one-scenario solves look: the relaxation of
-a multi-scenario model is as wide as the model, and on the benchmark's
-ieee14 day d1 at 8 scenarios, whose EV relaxation is integral, it set the
-process's peak RSS (67.2 MB, against 54.9 MB without it; one fresh
-process each). A multi-scenario solve certifies its EV commitment's
-completion by the EV bound below or runs its MILP.
+1. One scenario (the EV problem itself, and the clairvoyant reference):
+   the LP relaxation. If its commitment is integral
+   (`commitment_schedule`: ``u`` within 1e-6 of 0/1, ``v`` and ``w`` its
+   starts and stops), it is the answer (`optim.certified`, with its own
+   objective as the bound: gap 0, no nodes). Proof: the relaxation drops
+   integrality alone, so its optimum is at most the screened MILP's; an
+   integral point is a point of that MILP, so it reaches its optimum; and
+   it meets every flow limit, so it is the full model's optimum. The
+   record says ``solved_by_relaxation``, with the relaxation's HiGHS
+   seconds as ``highs_s`` and ``start_used`` false.
+2. The completion of a commitment: the EV commitment, or else the last
+   relaxation rounded up (a unit is on wherever the relaxation has it on
+   above 1e-6, with the starts and stops that implies). With more than
+   one scenario the bound MILP below may certify it as the answer.
+3. The MILP, started from the completion. The completion meets every
+   flow limit, so it is a point of every round's model: a feasible start
+   in each. Rounding up can break a minimum up or down time; the
+   completion is then infeasible, found without a HiGHS run, and the MILP
+   solves cold. Without a start the MILP waits on the same analytic-centre
+   computation as above.
 
-The EV bound is the one certificate of a multi-scenario solve. When a
-round's completion of the EV commitment ``u*`` is feasible, at cost EEV,
-the EV solve's own final model, flow rows included, gets one more row, the
+The relaxation and the completion run under the MILPs' deadline
+(``time_limit`` from the start of `solve_suc`), and the record's
+``start_s`` holds their seconds, with the EV solve's, unless the
+relaxation is the answer. Only one-scenario solves solve their
+relaxation: that of a multi-scenario model is as wide as the model, and on
+the benchmark's ieee14 day d1 at 8 scenarios, whose EV relaxation is
+integral, it set the process's peak RSS (67.2 MB, against 54.9 MB without
+it; one fresh process each). A multi-scenario solve certifies its EV
+commitment's completion by the EV bound below or runs its MILP.
+
+The EV bound is the one certificate of a multi-scenario solve. When the
+completion of the EV commitment ``u*`` is feasible, at cost EEV, the EV
+solve's own final model, flow rows included, gets one more row, the
 no-good cut ``sum(u where u* = 0) + sum(1 - u where u* = 1) >= 1`` that
-excludes ``u*`` alone (`_ev_bound`), and is solved as a MILP: one
+excludes ``u*`` alone (`_ev_bound`), and is solved once as a MILP: one
 scenario, no start, under the same deadline, with the cut C =
 `optim.cutoff` (EEV, ``gap_tol``) as HiGHS's cutoff. C is ``EEV - gap_tol
 * max(1, |EEV|)``, raised ulp by ulp until ``optim.gap(EEV, C) <=
@@ -108,19 +113,14 @@ gap_tol``; without the raise, rounding fails that check at about half of
 all EEVs. The bound it proves, LB (`optim.cutoff_bound`), is C where it is
 infeasible (nothing is below the cut; ``u*`` may be the only commitment),
 ``min(dual bound, C)`` where it is optimal, and -inf where it stopped at a
-limit. If ``optim.gap(EEV, LB) <= gap_tol``, the completion is the round's
-answer (`optim.certified`, with LB as the bound, so the record's
+limit. If ``optim.gap(EEV, LB) <= gap_tol``, the completion is the answer
+(`optim.certified`, with LB as the bound, so the record's
 ``mip_dual_bound`` reads the cut and its ``mip_gap`` about ``gap_tol``);
-no stochastic MILP runs. Otherwise the round solves the stochastic MILP
-from the completion, as above. The screen still checks every answer, so
-the certificate is tried each round on that round's completion. A round
-whose EEV, and so whose cut, is higher than the last bound MILP's runs
-the bound MILP again at its own cut; one whose cut is not higher reads the
-last LB, which certifies it whenever it certified the higher cut. The
-record says ``solved_by_ev_bound`` when the last round ended this way,
-with ``start_used`` false; the HiGHS seconds and nodes of every bound MILP
-are in ``highs_s`` and ``mip_node_count`` however the rounds end, and the
-certified completion's seconds in ``start_s`` alone.
+no stochastic MILP runs. Otherwise the MILP phase runs from the
+completion. The record says ``solved_by_ev_bound`` when the completion is
+the answer, with ``start_used`` false; the bound MILP's HiGHS seconds and
+nodes are in ``highs_s`` and ``mip_node_count`` however the solve ends,
+and the certified completion's seconds in ``start_s`` alone.
 
 Proof of the cutoff (see `optim`): branch and bound under the cutoff
 prunes a node only where its bound reaches C, or reaches the incumbent
@@ -147,10 +147,10 @@ probability-weighted mean of the scenarios, so Jensen gives ``sum_s p_s
 D(u, xi_s) >= D(u, sum_s p_s xi_s)``: the stochastic cost of ``u`` is at
 least its EV cost. The EV solve's final model is a screened model, a
 relaxation of the full EV model (see `network`), and the no-good cut
-removes ``u*`` alone, so LB is at most the full EV cost, and so at most the full
-stochastic cost, of every other commitment. A round's answer ends the
-screen only if it breaks no flow limit; the completion is then a point of
-the full stochastic model and the cheapest dispatch of ``u*`` in it, so
+removes ``u*`` alone, so LB is at most the full EV cost, and so at most
+the full stochastic cost, of every other commitment. The completion phase
+ends only on a completion that breaks no flow limit, which is then a point
+of the full stochastic model and the cheapest dispatch of ``u*`` in it, so
 the full optimum is at least ``min(EEV, LB)`` and the answer is within
 ``gap_tol`` of it. `ScenarioSet` lets the weights sum to P within 1e-9 of
 1 rather than to 1. Jensen holds with the weights ``p_s / P``; the EV
@@ -168,7 +168,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -341,17 +340,17 @@ class SucSolution:
     expected_dispatch_cost: float
     mip_gap: float | None
     # what the solve did, as the ledger writes it: wall and build seconds,
-    # screening rounds and the flow rows they added, the MILP's size in its
-    # last round and its HiGHS record over the rounds
-    # (`optim.SolveResult.highs`), and the MIP start (see the module
-    # docstring): the seconds spent on it (the EV solve or the LP
-    # relaxation, and the completions), whether the last round's MILP was
-    # given one, the EV objective (None if the EV problem has no optimum)
-    # and the cost of its completion in the last round (None if infeasible),
-    # both None for one scenario; and whether the last round's LP
-    # relaxation was the optimum (one scenario), or the EV bound certified
-    # its completion, so no MILP ran in it; empty in files written before
-    # it was kept
+    # the screening rounds of the phase that gave the answer and the flow
+    # rows of every phase, the model's size, the answer's HiGHS record
+    # over its phase's rounds (`optim.SolveResult.highs`) with the bound
+    # MILP's, and the MIP start (see the module docstring): the seconds
+    # spent on it (the EV solve or the LP relaxation, and the completion),
+    # whether the MILP was given one, the EV objective (None if the EV
+    # problem has no optimum) and the cost of its completion (None if
+    # infeasible), both None for one scenario; and whether the LP
+    # relaxation was the answer (one scenario), or the EV bound certified
+    # the completion, so no MILP ran; empty in files written before it
+    # was kept
     record: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -424,8 +423,8 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
     MILP is started from its rounded LP relaxation (see the module
     docstring). ``time_limit`` (seconds, a finite number >= 0, or None for
     none) bounds the whole call: it becomes one deadline for every HiGHS
-    call of the EV solve, the relaxations, the completions, the bound MILPs
-    and the screening rounds (see `optim.solve`)."""
+    call of the EV solve, the relaxations, the completions, the bound MILP
+    and the MILPs (see `optim.solve`)."""
     check_nonnegative("gap_tol", gap_tol)
     if time_limit is not None:
         check_nonnegative("time_limit", time_limit)
@@ -433,110 +432,104 @@ def solve_suc(system, scenarios, gap_tol=1e-6, time_limit=None, dump_lp=None):
         raise ValueError("scenario buses do not match system buses")
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    ev, bound, ev_s = None, None, 0.0
+    ev, ev_s = None, 0.0
     if scenarios.n_scenarios > 1:
         mean = replace(  # the probability-weighted mean net load, as one scenario
             scenarios, values=np.tensordot(scenarios.probabilities, scenarios.values, axes=1)[None],
             probabilities=np.array([1.0]),
         )
         try:
-            ev, model, u = _solve(system, mean, gap_tol, deadline, t0)
-            bound = _ev_bound(model, u, ev.u, gap_tol, deadline)
+            ev = _solve(system, mean, gap_tol, deadline, t0)
         except optim.InfeasibleModelError:
             pass  # no EV commitment: solve cold
         ev_s = time.perf_counter() - t0
-    return _solve(system, scenarios, gap_tol, deadline, t0, dump_lp, ev, ev_s, bound)[0]
+    return _solve(system, scenarios, gap_tol, deadline, t0, dump_lp, ev, ev_s)[0]
 
 
-def _ev_bound(model, u, u_star, gap_tol, deadline):
+def _ev_bound(model, u, u_star, cutoff, gap_tol, deadline):
     """The bound MILP: the EV solve's final ``model`` (commitment columns
     ``u``) with the no-good cut that excludes the 0/1 commitment ``u_star``
-    alone. Returns a function of ``cutoff`` that solves it cold under
-    ``deadline`` with that cutoff (`optim.solve`); see the module docstring
-    for what it proves."""
+    alone, solved cold under ``deadline`` with ``cutoff`` (`optim.solve`);
+    see the module docstring for what it proves."""
     model.add_rows(
         "nogood", ">=", 1.0 - u_star.sum(), u.ravel(), np.where(u_star.ravel() == 1, -1.0, 1.0)
     )
-    return partial(optim.solve, model, gap_tol=gap_tol, deadline=deadline)
+    return optim.solve(model, gap_tol=gap_tol, deadline=deadline, cutoff=cutoff)
 
 
-def _relaxation(gens, model, u, v, w, deadline):
-    """The LP relaxation of ``model`` on its current rows, and whether it is
-    optimal with an integral commitment (`commitment_schedule`)."""
-    relaxed = optim.complete(model, np.empty(0, dtype=int), np.empty(0), deadline)
+def _integral(gens, relaxed, u, v, w):
+    """Whether the LP relaxation ``relaxed`` is optimal with an integral
+    commitment (`commitment_schedule`)."""
     try:
-        return relaxed, relaxed.ok and bool(commitment_schedule(gens, relaxed.x, u, v, w, "LP"))
+        return relaxed.ok and bool(commitment_schedule(gens, relaxed.x, u, v, w, "LP"))
     except optim.InfeasibleModelError:
-        return relaxed, False
+        return False
 
 
-def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s=0.0,
-           bound=None):
+def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s=0.0):
     """`solve_suc` proper, every HiGHS call under ``deadline``, its wall time
     counted from ``t0``. Returns the solution, the final model and its
-    commitment columns ``u``. A round of one scenario first solves its LP
-    relaxation while the module docstring says so, and returns it if it is
-    integral. Otherwise a round completes a commitment against its rows:
-    that of ``ev``, the EV solution that took ``ev_s`` seconds, if given;
-    else, for one scenario, its first fractional relaxation rounded up;
-    else none. A completion of ``ev``'s commitment is returned if
-    ``bound``, the bound MILP of `_ev_bound`, certifies it at the cut of
-    its cost (`optim.cutoff`), run again only when a round's cut is higher
-    than the last; otherwise the round's MILP starts from the
-    completion."""
+    commitment columns ``u``: ``ev`` is what it returned for the EV
+    problem, in ``ev_s`` seconds, or None. Up to three screened phases,
+    each counting its own rounds (see the module docstring): one
+    scenario's LP relaxation, the answer if it is integral; the completion
+    of a commitment, ``ev``'s if given, else the rounded-up relaxation's,
+    the answer if ``ev``'s bound MILP certifies it; the MILP, started from
+    that completion."""
     grid = scenarios.grid
     gens = system.generators
     t_build = time.perf_counter()
     model, (u, v, w), seg_idx, pc_idx, scenario, screen = _build(system, scenarios)
     build_s = time.perf_counter() - t_build
     start = {"start_s": ev_s, "start_used": False, "ev_usd": None, "eev_usd": None}
-    uvw = np.concatenate([u, v, w], axis=None)
     commitment = None
     if ev is not None:
+        ev, ev_model, ev_u = ev
         start["ev_usd"] = ev.objective
         commitment = np.concatenate([ev.u, ev.v, ev.w], axis=None)
-    relax = scenarios.n_scenarios == 1
-    proved_by = None  # how the last round ended: "relaxation", "ev_bound" or a MILP (None)
-    bounds = []  # every bound MILP's result and its cut
-
-    def solve_round(m):
-        nonlocal commitment, relax, proved_by
-        proved_by = None
-        if relax:
-            t = time.perf_counter()
-            # a fractional relaxation ends the looking (see the module docstring)
-            relaxed, relax = _relaxation(gens, m, u, v, w, deadline)
-            if relax:
-                proved_by = "relaxation"
-                return optim.certified(relaxed, relaxed.objective, gap_tol, m.n_integer)
-            start["start_s"] += time.perf_counter() - t
-            if relaxed.ok:
-                # one scenario: on wherever the relaxation is above 1e-6
-                u_up = (relaxed.x[u] > 1e-6).astype(int)
-                commitment = np.concatenate([u_up, *_starts_stops(gens, u_up)], axis=None)
-        x0 = None
-        if commitment is not None:
-            # complete the commitment against this round's rows
-            t = time.perf_counter()
-            done = optim.complete(m, uvw, commitment, deadline, scenario)
-            start["start_s"] += time.perf_counter() - t
-            start["start_used"] = done.ok
-            start["eev_usd"] = done.objective if ev is not None and done.ok else None
-            if ev is not None and done.ok:
-                cut = optim.cutoff(done.objective, gap_tol)
-                if not bounds or cut > bounds[-1][1]:  # the last run's bound is lower
-                    bounds.append((bound(cutoff=cut), cut))
-                lb = optim.cutoff_bound(*bounds[-1])
-                # the completion's seconds are in start_s alone
-                answer = optim.certified(replace(done, highs_s=0.0), lb, gap_tol, m.n_integer)
-                if answer is not None:
-                    proved_by = "ev_bound"
-                    return answer
-            x0 = done.x
-        return optim.solve(m, gap_tol=gap_tol, deadline=deadline, start=x0)
-
+    res = bound = x0 = None
+    proved_by = None  # "relaxation", "ev_bound" or the MILP (None)
     try:
-        res = screen.solve(model, solve_round)
+        if scenarios.n_scenarios == 1:
+            t = time.perf_counter()
+            relaxed = screen.solve(
+                model, lambda m: optim.complete(m, np.empty(0, dtype=int), np.empty(0), deadline)
+            )
+            if _integral(gens, relaxed, u, v, w):
+                proved_by = "relaxation"
+                res = optim.certified(relaxed, relaxed.objective, gap_tol, model.n_integer)
+            else:
+                start["start_s"] += time.perf_counter() - t
+                if relaxed.ok:
+                    # on wherever the relaxation is above 1e-6
+                    u_up = (relaxed.x[u] > 1e-6).astype(int)
+                    commitment = np.concatenate([u_up, *_starts_stops(gens, u_up)], axis=None)
+        if commitment is not None:
+            t = time.perf_counter()
+            screen.rounds = 0  # each phase counts its own rounds
+            uvw = np.concatenate([u, v, w], axis=None)
+            done = screen.solve(
+                model, lambda m: optim.complete(m, uvw, commitment, deadline, scenario)
+            )
+            start["start_s"] += time.perf_counter() - t
+            x0 = done.x
+            if ev is not None and done.ok:
+                start["eev_usd"] = done.objective
+                cut = optim.cutoff(done.objective, gap_tol)
+                bound = _ev_bound(ev_model, ev_u, ev.u, cut, gap_tol, deadline)
+                # the completion's seconds are in start_s alone
+                res = optim.certified(
+                    replace(done, highs_s=0.0), optim.cutoff_bound(bound, cut), gap_tol,
+                    model.n_integer,
+                )
+                if res is not None:
+                    proved_by = "ev_bound"
+        if res is None:  # the MILP
+            screen.rounds = 0
+            start["start_used"] = x0 is not None
+            res = screen.solve(
+                model, lambda m: optim.solve(m, gap_tol=gap_tol, deadline=deadline, start=x0)
+            )
     finally:
         if dump_lp:
             model.write_lp(dump_lp)
@@ -545,11 +538,10 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
 
     x = res.x
     u_val, v_val, w_val = commitment_schedule(gens, x, u, v, w, "stochastic commitment")
-    if proved_by is not None:  # no MILP ran in the last round
-        start["start_used"] = False
-    highs = res.highs  # and every bound MILP's run
-    highs["highs_s"] += sum(run.highs_s or 0.0 for run, _ in bounds)
-    highs["mip_node_count"] += sum(run.mip_node_count or 0 for run, _ in bounds)
+    highs = res.highs
+    if bound is not None:  # and the bound MILP's run
+        highs["highs_s"] += bound.highs_s or 0.0
+        highs["mip_node_count"] += bound.mip_node_count or 0
     p_val = np.stack([[x[s].sum(axis=-1) for s in seg] for seg in seg_idx])
     pc_val = np.stack([x[pc] for pc in pc_idx])
     fixed_cost = float(sum(commitment_cost(gens, u_val, v_val)))

@@ -37,27 +37,22 @@ def run_python(code, *args):
 
 
 def force_suc_fallback(monkeypatch):
-    """Make every bound MILP of `solve_suc` read as stopped at a limit once
-    it has run, so that no EV bound certificate holds and each round solves
-    the stochastic MILP (see `stochastic_uc`)."""
+    """Make the bound MILP of `solve_suc` read as stopped at a limit once
+    it has run, so that no EV bound certificate holds and the stochastic
+    MILP runs (see `stochastic_uc`)."""
     spy_ev_bound(monkeypatch, lambda res: dataclasses.replace(res, status="limit"))
 
 
 def spy_ev_bound(monkeypatch, seen=None):
-    """Record every bound MILP `solve_suc` runs, as (cutoff, result) in the
-    list returned; ``seen``, if given, maps each result to the one
+    """Record the bound MILP each `solve_suc` runs, as (cutoff, result) in
+    the list returned; ``seen``, if given, maps each result to the one
     `solve_suc` reads."""
     runs, real = [], stochastic_uc._ev_bound
 
-    def ev_bound(*args):
-        solve = real(*args)
-
-        def run(cutoff):
-            res = solve(cutoff=cutoff)
-            runs.append((cutoff, res))
-            return res if seen is None else seen(res)
-
-        return run
+    def ev_bound(model, u, u_star, cutoff, *args):
+        res = real(model, u, u_star, cutoff, *args)
+        runs.append((cutoff, res))
+        return res if seen is None else seen(res)
 
     monkeypatch.setattr(stochastic_uc, "_ev_bound", ev_bound)
     return runs

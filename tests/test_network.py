@@ -102,22 +102,20 @@ def test_screened_suc_matches_full(congested, monkeypatch):
 
 
 def test_integral_relaxation_over_a_flow_limit_runs_no_milp(congested, monkeypatch):
-    """One certain scenario on the congested network. The first round's LP
-    relaxation is integral, so it is an optimum of that round's screened
-    MILP and the round's answer, although it overloads l1_2: the screen adds
-    the rows it breaks, and no MILP runs at all. The answer is that of the
-    same solve with every relaxation taken as fractional, within gap_tol."""
+    """One certain scenario on the congested network. The first LP
+    relaxation overloads l1_2: the screen adds the rows it breaks and
+    solves the relaxation again until it meets every flow limit. That last
+    relaxation is integral, so it is an optimum of the full MILP and the
+    answer: no MILP runs at all, and the record counts the relaxation's
+    rounds. The answer is that of the same solve with the relaxation taken
+    as fractional, within gap_tol."""
     scen = scenario_set(congested, TimeGrid(6, 1), [np.asarray(LOAD)])
-    looked, added, milps = [], [], []
-    relaxation, solve = stochastic_uc._relaxation, optim.solve
+    relaxations, added, milps = [], [], []
+    complete, solve = optim.complete, optim.solve
     add_rows = network.FlowScreen.add_rows
-
-    def seen(*args):
-        relaxed, integral = relaxation(*args)
-        looked.append((relaxed, integral))
-        return relaxed, integral
-
-    monkeypatch.setattr(stochastic_uc, "_relaxation", seen)
+    monkeypatch.setattr(
+        optim, "complete", lambda *a: relaxations.append(complete(*a)) or relaxations[-1]
+    )
     monkeypatch.setattr(
         network.FlowScreen, "add_rows",
         lambda screen, model, keys: added.append(list(keys)) or add_rows(screen, model, keys),
@@ -126,13 +124,13 @@ def test_integral_relaxation_over_a_flow_limit_runs_no_milp(congested, monkeypat
         optim, "solve", lambda model, *a, **kw: milps.append(model.n_rows) or solve(model, *a, **kw)
     )
     sol = solve_suc(congested, scen)
-    assert milps == [] and len(looked) == sol.record["screen_rounds"] >= 2
-    assert all(integral for _, integral in looked)
+    assert milps == [] and len(relaxations) == sol.record["screen_rounds"] >= 2
     # the rows of the first round are those the first relaxation breaks
     *_, fresh = stochastic_uc._build(congested, scen)
-    assert added[0] == fresh.violated(looked[0][0].x) != []
+    assert added[0] == fresh.violated(relaxations[0].x) != []
+    assert fresh.violated(relaxations[-1].x) == [] and sol.record["start_s"] == 0.0
     assert sol.record["solved_by_relaxation"] and sol.record["mip_node_count"] == 0
-    monkeypatch.setattr(stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False))
+    monkeypatch.setattr(stochastic_uc, "_integral", lambda *a: False)
     plain = solve_suc(congested, scen)
     assert milps and not plain.record["solved_by_relaxation"]
     assert np.array_equal(sol.u, plain.u)

@@ -9,7 +9,6 @@ from frpsim import (
     TimeGrid,
     draw_realization,
     gen_ar1_scenarios,
-    gen_iid_scenarios,
     hourly_to_subhourly,
     load_scenarios,
     save_scenarios,
@@ -30,7 +29,7 @@ def test_zero_sigma_reproduces_forecast():
 
 
 def test_probabilities_are_uniform():
-    scn = gen_iid_scenarios(_profile(), 0.03, n_scenarios=7, seed=1)
+    scn = gen_ar1_scenarios(_profile(), 0.03, 0.0, n_scenarios=7, seed=1)
     assert np.allclose(scn.probabilities, 1.0 / 7.0)
     assert scn.n_scenarios == 7
 
@@ -45,10 +44,11 @@ def test_same_seed_is_bit_identical():
 
 
 def test_iid_equals_ar1_at_rho_zero_bitwise():
+    """At rho = 0 the errors are the sub-stream's independent shocks."""
     fc = _profile()
-    a = gen_iid_scenarios(fc, 0.05, 8, seed=9)
-    b = gen_ar1_scenarios(fc, 0.05, 0.0, 8, seed=9)
-    assert np.array_equal(a.values, b.values)
+    scn = gen_ar1_scenarios(fc, 0.05, 0.0, 8, seed=9)
+    shocks = substream(9, "in-sample").standard_normal((8, 1, fc.grid.n_periods))
+    assert np.array_equal(scn.values, fc.values + shocks * (0.05 * fc.values))
 
 
 def test_rho_out_of_range_rejected():
@@ -61,7 +61,7 @@ def test_rho_out_of_range_rejected():
 
 def test_error_std_tracks_sigma_frac():
     fc = _profile(hours=4, periods_per_hour=1, level=200.0)
-    scn = gen_iid_scenarios(fc, 0.05, n_scenarios=20000, seed=3)
+    scn = gen_ar1_scenarios(fc, 0.05, 0.0, n_scenarios=20000, seed=3)
     err = scn.values[:, 0, :] - 200.0
     assert np.allclose(err.std(axis=0), 0.05 * 200.0, rtol=0.05)
     assert abs(err.mean()) < 0.2
@@ -114,7 +114,7 @@ def test_substream_label_order_matters():
 def test_negative_net_load_is_allowed():
     grid = TimeGrid(hours=3, periods_per_hour=1)
     fc = NetLoadProfile(("b1",), grid, np.array([[-50.0, 0.0, 50.0]]))
-    scn = gen_iid_scenarios(fc, 0.1, 5000, seed=2)
+    scn = gen_ar1_scenarios(fc, 0.1, 0.0, 5000, seed=2)
     err = scn.values[:, 0, :] - fc.values[0]
     # sigma scales with |forecast|: 5, 0, 5
     assert err[:, 1].std() == 0.0

@@ -895,50 +895,112 @@ def test_time_limit_covers_the_ev_solve_and_completion(uc_oracle_case, monkeypat
     assert calls == [("complete", 1.5), ("complete", 0.5)]
 
 
-def test_ev_bound_runs_across_screening_rounds(monkeypatch):
-    """ieee14 with l1_2 cut to 130 MW, two scenarios. The completion of the
-    EV commitment breaks the line limit in the first round, so the screen
-    adds its rows and the next round completes the commitment again, at a
-    cost (EEV) above the first round's cut. The bound MILP runs in each
-    round, at the cut of that round's EEV (`optim.cutoff`), and both runs'
-    HiGHS seconds are the record's. The certified answer is within gap_tol
-    of the optimum of the full model, solved cold with every flow row, and
-    has a clean audit. With every relaxation taken as fractional, the EV
-    MILP runs and the rounds end the same way."""
+def _ieee14(l1_2=None):
+    """ieee14, with line l1_2 cut to +-``l1_2`` MW if given, and the hourly
+    load of hours 4-9 of an ieee14-shaped day (`test_network.LOAD`)."""
     from test_network import LOAD  # test_network imports this module
 
     system = load_system(case_path("ieee14"))
-    system = dataclasses.replace(system, lines=tuple(
-        dataclasses.replace(ln, flow_min=-130.0, flow_max=130.0) if ln.id == "l1_2" else ln
-        for ln in system.lines
-    ))
-    load = np.asarray(LOAD)
-    scn = scenario_set(system, TimeGrid(6, 1), np.stack([load, 1.04 * load]))
+    if l1_2 is not None:
+        system = dataclasses.replace(system, lines=tuple(
+            dataclasses.replace(ln, flow_min=-l1_2, flow_max=l1_2) if ln.id == "l1_2" else ln
+            for ln in system.lines
+        ))
+    return system, np.asarray(LOAD)
+
+
+def _spy_completions(monkeypatch):
+    """Record the models `stochastic_uc._build` returns, and each
+    `optim.complete` call as (model, columns pinned, result)."""
+    built, done = [], []
+    build, complete = stochastic_uc._build, optim.complete
+    monkeypatch.setattr(
+        stochastic_uc, "_build", lambda *a: built.append(build(*a)) or built[-1]
+    )
+
+    def spy(model, cols, *a):
+        done.append((model, cols.size, complete(model, cols, *a)))
+        return done[-1][2]
+
+    monkeypatch.setattr(optim, "complete", spy)
+    return built, done
+
+
+def _cold_with_every_flow_row(system, scn):
+    """The stochastic model of ``scn`` with every flow row, solved cold."""
     model, *_, screen = _build(system, scn)
     screen.add_rows(model, screen.every_row())
-    cold = optim.solve(model)
-    complete, eevs = optim.complete, []
-    monkeypatch.setattr(optim, "complete", lambda *a: eevs.append(complete(*a)) or eevs[-1])
+    return optim.solve(model)
+
+
+def test_ev_bound_runs_once_at_the_screened_completions_cut(monkeypatch):
+    """ieee14 with l1_2 cut to 130 MW, two scenarios. The completion of the
+    EV commitment breaks the line limit, so the screen adds its rows and
+    completes the commitment again, at a higher cost, until it meets every
+    flow limit. The bound MILP then runs once, at the cut of that last
+    completion's cost (`optim.cutoff`), and certifies it: its HiGHS
+    seconds are the record's, and the record's rounds are the
+    completion's. The answer is within gap_tol of the optimum of the full
+    model, solved cold with every flow row, and has a clean audit. With
+    every relaxation taken as fractional, the EV MILP runs and the solve
+    ends the same way."""
+    system, load = _ieee14(l1_2=130.0)
+    scn = scenario_set(system, TimeGrid(6, 1), np.stack([load, 1.04 * load]))
+    cold = _cold_with_every_flow_row(system, scn)
+    built, done = _spy_completions(monkeypatch)
     runs = spy_ev_bound(monkeypatch)
     for fractional in (False, True):
         if fractional:
-            relaxation = stochastic_uc._relaxation
-            monkeypatch.setattr(
-                stochastic_uc, "_relaxation", lambda *a: (relaxation(*a)[0], False)
-            )
-        eevs.clear()
+            monkeypatch.setattr(stochastic_uc, "_integral", lambda *a: False)
+        built.clear()
+        done.clear()
         runs.clear()
         sol = solve_suc(system, scn)
         rec = sol.record
-        assert rec["solved_by_ev_bound"] and rec["screen_rounds"] == 2 and rec["flow_rows"] >= 1
-        # the completions of the EV commitment, one per round, after the EV solve's
-        first, last = (res.objective for res in eevs[-2:])
-        cuts = [optim.cutoff(first, 1e-6), optim.cutoff(last, 1e-6)]
-        assert last > cuts[0] and [c for c, _ in runs] == cuts
-        assert rec["eev_usd"] == sol.objective == last and rec["mip_dual_bound"] == cuts[1]
-        assert rec["highs_s"] == pytest.approx(sum(res.highs_s for _, res in runs))
+        # the completions of the EV commitment, after the EV solve's
+        eevs = [res.objective for model, _, res in done if model is built[-1][0]]
+        assert len(eevs) == rec["screen_rounds"] >= 2 and rec["flow_rows"] >= 1
+        cut = optim.cutoff(eevs[-1], 1e-6)
+        assert eevs[0] < eevs[-1] and [c for c, _ in runs] == [cut]
+        assert rec["solved_by_ev_bound"] and rec["eev_usd"] == sol.objective == eevs[-1]
+        assert rec["mip_dual_bound"] == cut and 0.0 < sol.mip_gap <= 1e-6
+        assert rec["highs_s"] == pytest.approx(runs[0][1].highs_s)
         assert "violations" not in check_suc_solution(system, scn, sol)
         assert abs(sol.objective - cold.objective) <= 1e-6 * abs(cold.objective)
+
+
+def test_fractional_relaxation_over_a_flow_limit_starts_the_milp(monkeypatch):
+    """ieee14 with one scenario whose load rises and falls, at two periods
+    an hour. The first LP relaxation is fractional and overloads a line:
+    the screen adds the rows it breaks and solves the relaxation again
+    until it meets every flow limit. That relaxation, rounded up, is
+    completed on those rows; the completion meets every flow limit, so
+    the MILP starts from it and ends in one round, which the record
+    counts. The answer is within gap_tol of the optimum of the full model,
+    solved cold with every flow row."""
+    system, load = _ieee14()
+    grid = TimeGrid(6, 2)
+    values = np.repeat(load[:, [2]] * [1.0, 1.6, 2.2, 1.4, 0.8, 0.6], 2, axis=1)
+    scn = scenario_set(system, grid, values[None])
+    cold = _cold_with_every_flow_row(system, scn)
+    built, done = _spy_completions(monkeypatch)
+    sol = solve_suc(system, scn)
+    ((_, (u, v, w), *_),) = built
+    *_, fresh = _build(system, scn)
+    relaxations = [res for _, pinned, res in done if not pinned]
+    (completion,) = [res for _, pinned, res in done if pinned]
+    first, last = relaxations[0], relaxations[-1]
+    assert not stochastic_uc._integral(system.generators, first, u, v, w)
+    assert fresh.violated(first.x) and not fresh.violated(last.x)
+    assert completion.ok and not fresh.violated(completion.x)
+    rec = sol.record
+    assert (rec["screen_rounds"], rec["start_used"]) == (1, True)
+    assert not rec["solved_by_relaxation"]
+    assert rec["flow_rows"] >= 1 and rec["start_s"] > 0.0
+    assert abs(sol.objective - cold.objective) <= 1e-6 * abs(cold.objective)
+    # the peak is beyond the fleet, and the model may curtail more at a bus
+    # than its own load, which the audit reports as "shed"; nothing else
+    assert check_suc_solution(system, scn, sol)["violations"].keys() == {"shed"}
 
 
 # The extensive-form answer for corpus day wed at 64 in-sample scenarios,
