@@ -39,18 +39,19 @@ the LP's objective. If that objective is within ``gap_tol`` of the bound,
 ``(objective - bound) / max(1, |objective|) <= gap_tol``, the commitment is
 ``gap_tol``-optimal for B, which is what B's own MILP would prove; the MILP
 is skipped, the LP is B's answer as `optim.certified` gives it (gap to the
-lesser of the bound and the objective, that lesser value its dual bound),
-and the outcome is built from it as from the MILP's. That dual bound still
-holds for B, so B's outcome carries it to a market above B. When the check
-fails, B is cleared by its MILP on the model it has without the check:
-rebuilt if the check's screening added flow rows.
+lesser of the bound and the objective, that lesser value its dual bound,
+``proved_by`` "ladder"), and the outcome is built from it as from the
+MILP's. That dual bound still holds for B, so B's outcome carries it to a
+market above B. When the check fails, B is cleared by its MILP on the
+model it has without the check: rebuilt if the check's screening added
+flow rows.
 
 With a floor: take a market F without a floor and the market F' of the
 same system, bids and requirements with a commitment floor (the harness's
 "suc-free" and "suc-fixed"). If F's commitment meets the floor,
 ``(u >= floor).all()``, F's outcome is F''s, to ``gap_tol``, and nothing is
-built or solved for F': the outcome is F's, certified, its work read as
-zero (`optim.reused`).
+built or solved for F': the outcome is F's, its work read as zero
+(`optim.reused`) and its record's ``proved_by`` "floor".
 
 - F''s model is F's plus lower bounds on ``u``. F's optimum meets those
   bounds and every flow limit, so it is a point of F' at the same cost.
@@ -74,7 +75,7 @@ import numpy as np
 
 from . import dispatch, network, optim
 from .codec import (
-    Table, bool_, check_nonnegative, check_shapes, floats, int_, ints, number_or_null, read_json,
+    Table, check_nonnegative, check_shapes, floats, int_, ints, number_or_null, read_json,
     write_json,
 )
 from .stochastic_uc import (
@@ -133,15 +134,15 @@ class DamOutcome:
     objective: float
     pricing_objective: float
     mip_gap: float | None
-    # the relaxed market's bound proved this commitment; no clearing MILP ran
-    certified: bool = False
     # what the solves did, as the ledger writes it: screening rounds
     # (clearing and pricing together) and the flow rows they added, build
     # seconds, the clearing MILP's size in its last round and its HiGHS
-    # record over its rounds (`optim.SolveResult.highs`), the pricing LP's
-    # HiGHS record under "pricing_lp" and that of a certificate LP that
-    # failed its check under "check_lp" (None if none failed); empty in
-    # files written before it was kept
+    # record over its rounds (`optim.SolveResult.highs`), what proved the
+    # commitment under "proved_by" ("milp", the clearing MILP; "ladder", a
+    # relaxed market's bound; "floor", a relaxed market's commitment that
+    # meets the floor), the pricing LP's HiGHS record under "pricing_lp"
+    # and that of a certificate LP that failed its check under "check_lp"
+    # (None if none failed); empty in files written before it was kept
     record: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -281,8 +282,9 @@ def clear_dam(
     requirements elementwise at most these, or, with ``fix_commitments``,
     these requirements. The caller guarantees it. If its commitment and
     bound certify this market (see the module docstring), no clearing MILP
-    runs and the outcome is ``certified``; under a floor its commitment
-    meets, nothing is built or solved and the outcome is ``relaxed``'s.
+    runs and the record's ``proved_by`` reads "ladder"; under a floor its
+    commitment meets, nothing is built or solved and the outcome is
+    ``relaxed``'s, its ``proved_by`` "floor".
     """
     check_nonnegative("gap_tol", gap_tol)
     if time_limit is not None:
@@ -297,7 +299,7 @@ def clear_dam(
         if fix_commitments.shape != want:
             raise ValueError(f"fix_commitments shape must be {want}")
         if relaxed is not None and (relaxed.u >= fix_commitments).all():
-            return replace(relaxed, certified=True, record=optim.reused(relaxed.record))
+            return replace(relaxed, record={**optim.reused(relaxed.record), "proved_by": "floor"})
         relaxed = None  # its commitment breaks the floor: no certificate
     t_build = time.perf_counter()
     model, idx = _build(system, bids, req, fix_commitments)
@@ -312,15 +314,16 @@ def clear_dam(
             pinned[idx["u"]] = relaxed.u
             lp = screen.solve(model, lambda m: optim.fix_and_resolve(m, pinned))
             # no clearing MILP ran: the LP's seconds are the pricing LP's
-            clearing = optim.certified(replace(lp, highs_s=0.0), bound, gap_tol, model.n_integer)
+            clearing = optim.certified(
+                replace(lp, highs_s=0.0), bound, gap_tol, model.n_integer, "ladder"
+            )
             if clearing is None:
                 check_lp = lp.highs
                 if screen.added:
                     model, idx = _build(system, bids, req, fix_commitments)
                     screen = idx["screen"]
                 screen.rounds = 0  # the clearing counts its own rounds
-        certified = clearing is not None
-        if not certified:
+        if clearing is None:
             deadline = None if time_limit is None else time.perf_counter() + time_limit
             clearing = optim.require_optimal(
                 screen.solve(
@@ -365,11 +368,10 @@ def clear_dam(
         objective=float(clearing.objective),
         pricing_objective=float(lp.objective),
         mip_gap=clearing.mip_gap,
-        certified=certified,
         record={
             "screen_rounds": screen.rounds, "flow_rows": len(screen.added),
-            "build_s": build_s, **clearing.size, **clearing.highs, "pricing_lp": lp.highs,
-            "check_lp": check_lp,
+            "build_s": build_s, **clearing.size, **clearing.highs,
+            "proved_by": clearing.proved_by, "pricing_lp": lp.highs, "check_lp": check_lp,
         },
     )
 
@@ -431,8 +433,7 @@ OUTCOME = Table(DamOutcome, "DAM outcome", (
     ("gen_ids", "gen_ids", list), ("bus_ids", "bus_ids", list), ("hours", "hours", int_),
     ("objective", "objective_usd", float),
     ("pricing_objective", "pricing_objective_usd", float),
-    ("mip_gap", "mip_gap", number_or_null), ("certified", "certified", bool_, False),
-    ("record", "record", dict, {}),
+    ("mip_gap", "mip_gap", number_or_null), ("record", "record", dict, {}),
     ("u", "u", ints), ("v", "v", ints), ("w", "w", ints), ("p", "p", floats),
     ("r_up", "r_up", floats), ("r_dn", "r_dn", floats), ("sf_up", "sf_up", floats),
     ("sf_dn", "sf_dn", floats), ("curtail", "curtail", floats), ("demand", "demand", floats),

@@ -12,13 +12,16 @@ clears a job's markets in that order, each through `clear_dam`. A market
 gets as ``relaxed`` the last market of the job that cleared without a floor
 and whose requirements are, hour by hour, at most its own; the comparison is
 made on the arrays each run, not assumed from the coverages. `clear_dam`
-decides whether that outcome certifies the market (see `dayahead`): a
-percentile level by a pinned-LP check against the lower level's bound,
-skipping its clearing MILP, and suc-fixed, whose requirements are
-suc-free's, where suc-free's commitment meets the stochastic commitment
-everywhere, building and solving nothing. ``bound_from`` names the method
-whose clearing MILP proved the bound. A market that raises fails its own
-cell alone; a failed stochastic pass fails its whole group.
+decides whether that outcome certifies the market (see `dayahead`), and
+its ``dam`` record's ``proved_by`` says how: "ladder", a percentile level
+by a pinned-LP check against the lower level's bound, skipping its
+clearing MILP; "floor", suc-fixed, whose requirements are suc-free's,
+where suc-free's commitment meets the stochastic commitment everywhere,
+building and solving nothing; else "milp", its own clearing MILP. Where it
+is not "milp", ``bound_from`` names the method whose clearing MILP proved
+the bound. The ``suc`` record and the clairvoyant reference carry their
+solve's ``proved_by`` too (see `stochastic_uc`). A market that raises
+fails its own cell alone; a failed stochastic pass fails its whole group.
 
 Every cell clears (or is settled in) the day-ahead market, re-dispatches
 against the day's out-of-sample realization (identical across methods by
@@ -64,7 +67,7 @@ from .dayahead import DamBidSet, clear_dam
 from .realtime import simulate_rtm
 from .requirements import percentile_requirements, suc_requirements
 from .scenarios import NetLoadProfile, ScenarioSet, check_draw, draw_realization, gen_ar1_scenarios
-from .settlement import settle
+from .settlement import MODES, settle
 from .system import load_system
 from .timegrid import TimeGrid
 
@@ -105,7 +108,6 @@ class ExperimentConfig:
     gap_tol: float = 1e-6
     time_limit: float | None = None
     settlement_mode: str = "two"
-    system_path: str | None = None
     # sha256 of the system file's bytes as `load_config` read them
     system_sha256: str | None = None
 
@@ -159,7 +161,9 @@ CONFIG = Table(dict, "config", (
 def load_config(path):
     """Parse an experiment YAML; returns (config, system). A missing,
     mistyped (a list, mapping or value of the wrong type), unknown or out of
-    range key, an unknown method or a day without a bus's net load raises
+    range key, an unknown method or settlement, a day without a bus's net
+    load, or a grid that names a day, method, scenario count or rho twice
+    (rho as a cell id prints it, so that no two cells share an id) raises
     SystemFileError naming the file and the key."""
     where = str(path)
     settings = read_mapping(CONFIG, read_yaml(path), where, strict=True)
@@ -190,18 +194,24 @@ def load_config(path):
             float, oos.get("sigma_frac", settings["sigma_frac"]), where, "out_of_sample sigma_frac"
         ),
         oos_rho=convert(float, oos.get("rho", 0.0), where, "out_of_sample rho"),
-        system_path=system_path,
         system_sha256=hashlib.sha256(text.encode()).hexdigest(),
         **settings,
     )
-    # the grid, the MIP gap, the time limit and the parameters of the run's
-    # draws, checked as they would be drawn: (the key's prefix, sigma_frac,
-    # rho, scenario count, seed)
+    # the settlement, the grid, which names each cell once (rho as its cell
+    # id prints it), the MIP gap, the time limit and the parameters of the
+    # run's draws, checked as they would be drawn: (the key's prefix,
+    # sigma_frac, rho, scenario count, seed)
     draws = [("", cfg.sigma_frac, 0.0, 1, cfg.master_seed),
              ("out_of_sample ", cfg.oos_sigma_frac, cfg.oos_rho, 1)]
     draws += [("", 0.0, rho, 1) for rho in cfg.rho] + [("", 0.0, 0.0, n) for n in cfg.n_scenarios]
     prefix = ""
     try:
+        if cfg.settlement_mode not in MODES:
+            raise ParameterError("settlement", f"one of {MODES}", repr(cfg.settlement_mode))
+        for key, names in (("days", [d.name for d in days]), ("methods", cfg.methods),
+                           ("n_scenarios", cfg.n_scenarios), ("rho", [f"{r:g}" for r in cfg.rho])):
+            if len(set(names)) < len(names):
+                raise ParameterError(key, "free of repeats", names)
         cfg.grid(1)
         check_nonnegative("gap_tol", cfg.gap_tol)
         if cfg.time_limit is not None:
@@ -523,7 +533,7 @@ def _dispatch(system, cfg, job):
                 system, bids, req, fix_commitments=fix, gap_tol=cfg.gap_tol,
                 time_limit=cfg.time_limit, relaxed=None if below is None else below[1],
             )
-            bound_from = below[2] if dam.certified else None
+            bound_from = None if dam.record["proved_by"] == "milp" else below[2]
             cells[cell_id] = _finish_cell(
                 system, cfg, day, method, dam, realized, req, extra, rtms, bound_from,
             )

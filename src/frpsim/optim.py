@@ -291,6 +291,9 @@ class SolveResult:
     cols: int | None = None
     nnz: int | None = None
     binaries: int | None = None
+    # what proved this a MILP's answer: "milp", its own branch and bound
+    # (`_run_highs`), or the certificate `certified` names; None otherwise
+    proved_by: str | None = None
 
     @property
     def ok(self):
@@ -361,20 +364,23 @@ def cutoff_bound(res, cut):
     return cut if res.status == "infeasible" else -np.inf
 
 
-def certified(res, bound, gap_tol, binaries):
+def certified(res, bound, gap_tol, binaries, by):
     """The optimal LP result ``res``, a point of a MILP with ``binaries``
     integer columns, as that MILP's answer if ``bound``, a proven lower
     bound on its optimum (+inf where nothing else is feasible), brings it
     within ``gap_tol`` (`gap`); else None. The answer's gap is to
-    ``min(bound, objective)``, which is its dual bound, and it has no
-    nodes; ``x``, ``duals`` and the work fields are ``res``'s. Every
+    ``min(bound, objective)``, which is its dual bound, it has no nodes,
+    and its ``proved_by`` is ``by``, the certificate's name: "relaxation"
+    (an integral LP relaxation, `stochastic_uc`), "ev_bound" (the EV bound
+    MILP, `stochastic_uc`) or "ladder" (a relaxed market's bound,
+    `dayahead`); ``x``, ``duals`` and the work fields are ``res``'s. Every
     certificate that skips a MILP answers through this."""
     if not (res.ok and gap(res.objective, bound) <= gap_tol):  # a NaN bound certifies nothing
         return None
     best = min(bound, res.objective)
     return replace(
         res, mip_gap=gap(res.objective, best), mip_dual_bound=best, mip_node_count=0,
-        binaries=binaries,
+        binaries=binaries, proved_by=by,
     )
 
 
@@ -668,7 +674,7 @@ def _run_highs(c, a, row_lo, row_hi, lb, ub, integrality, options, start=None, c
     res.x, res.objective = np.array(sol.col_value), info.objective_function_value
     if binaries:
         res.mip_gap, res.mip_node_count = info.mip_gap, info.mip_node_count
-        res.mip_dual_bound = info.mip_dual_bound
+        res.mip_dual_bound, res.proved_by = info.mip_dual_bound, "milp"
         return res
     res.duals = np.array(sol.row_dual)
     if not check:

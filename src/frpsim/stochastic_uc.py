@@ -78,7 +78,7 @@ on a result that meets every flow limit or is not optimal (see
    integrality alone, so its optimum is at most the screened MILP's; an
    integral point is a point of that MILP, so it reaches its optimum; and
    it meets every flow limit, so it is the full model's optimum. The
-   record says ``solved_by_relaxation``, with the relaxation's HiGHS
+   record's ``proved_by`` reads "relaxation", with the relaxation's HiGHS
    seconds as ``highs_s`` and ``start_used`` false.
 2. The completion of a commitment: the EV commitment, or else the last
    relaxation rounded up (a unit is on wherever the relaxation has it on
@@ -117,10 +117,11 @@ limit. If ``optim.gap(EEV, LB) <= gap_tol``, the completion is the answer
 (`optim.certified`, with LB as the bound, so the record's
 ``mip_dual_bound`` reads the cut and its ``mip_gap`` about ``gap_tol``);
 no stochastic MILP runs. Otherwise the MILP phase runs from the
-completion. The record says ``solved_by_ev_bound`` when the completion is
-the answer, with ``start_used`` false; the bound MILP's HiGHS seconds and
-nodes are in ``highs_s`` and ``mip_node_count`` however the solve ends,
-and the certified completion's seconds in ``start_s`` alone.
+completion. The record's ``proved_by`` reads "ev_bound" when the
+completion is the answer, with ``start_used`` false, and "milp" when the
+MILP phase gives it; the bound MILP's HiGHS seconds and nodes are in
+``highs_s`` and ``mip_node_count`` however the solve ends, and the
+certified completion's seconds in ``start_s`` alone.
 
 Proof of the cutoff (see `optim`): branch and bound under the cutoff
 prunes a node only where its bound reaches C, or reaches the incumbent
@@ -347,10 +348,10 @@ class SucSolution:
     # spent on it (the EV solve or the LP relaxation, and the completion),
     # whether the MILP was given one, the EV objective (None if the EV
     # problem has no optimum) and the cost of its completion (None if
-    # infeasible), both None for one scenario; and whether the LP
-    # relaxation was the answer (one scenario), or the EV bound certified
-    # the completion, so no MILP ran; empty in files written before it
-    # was kept
+    # infeasible), both None for one scenario; and what proved the answer
+    # (`optim.SolveResult.proved_by`): "relaxation" (one scenario's
+    # integral LP relaxation), "ev_bound" (the EV bound certified the
+    # completion) or "milp"; empty in files written before it was kept
     record: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -488,7 +489,6 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
         start["ev_usd"] = ev.objective
         commitment = np.concatenate([ev.u, ev.v, ev.w], axis=None)
     res = bound = x0 = None
-    proved_by = None  # "relaxation", "ev_bound" or the MILP (None)
     try:
         if scenarios.n_scenarios == 1:
             t = time.perf_counter()
@@ -496,8 +496,9 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
                 model, lambda m: optim.complete(m, np.empty(0, dtype=int), np.empty(0), deadline)
             )
             if _integral(gens, relaxed, u, v, w):
-                proved_by = "relaxation"
-                res = optim.certified(relaxed, relaxed.objective, gap_tol, model.n_integer)
+                res = optim.certified(
+                    relaxed, relaxed.objective, gap_tol, model.n_integer, "relaxation"
+                )
             else:
                 start["start_s"] += time.perf_counter() - t
                 if relaxed.ok:
@@ -520,10 +521,8 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
                 # the completion's seconds are in start_s alone
                 res = optim.certified(
                     replace(done, highs_s=0.0), optim.cutoff_bound(bound, cut), gap_tol,
-                    model.n_integer,
+                    model.n_integer, "ev_bound",
                 )
-                if res is not None:
-                    proved_by = "ev_bound"
         if res is None:  # the MILP
             screen.rounds = 0
             start["start_used"] = x0 is not None
@@ -561,9 +560,7 @@ def _solve(system, scenarios, gap_tol, deadline, t0, dump_lp=None, ev=None, ev_s
         record={
             "wall_time_s": wall, "screen_rounds": screen.rounds,
             "flow_rows": len(screen.added), "build_s": build_s,
-            **res.size, **highs, **start,
-            "solved_by_relaxation": proved_by == "relaxation",
-            "solved_by_ev_bound": proved_by == "ev_bound",
+            **res.size, **highs, **start, "proved_by": res.proved_by,
         },
     ), model, u
 

@@ -175,9 +175,10 @@ def test_input_validation(two_gen_system):
 
 def test_a_floor_the_relaxed_market_meets_is_settled(two_gen_system, monkeypatch):
     """With a floor, ``relaxed`` is the same market without it. Where its
-    commitment meets the floor, the outcome is its own, certified, its work
-    read as zero, and HiGHS gets no model; where it does not, the market
-    clears by its own MILP, as without ``relaxed``, and runs no check LP."""
+    commitment meets the floor, the outcome is its own, proved by "floor",
+    its work read as zero, and HiGHS gets no model; where it does not, the
+    market clears by its own MILP, as without ``relaxed``, and runs no
+    check LP."""
     bids, req = _bids(two_gen_system, [70.0, 120.0]), zero_requirements(2)
     below = clear_dam(two_gen_system, bids, req)
     cold = clear_dam(two_gen_system, bids, req, fix_commitments=np.ones((2, 2), dtype=int))
@@ -185,15 +186,15 @@ def test_a_floor_the_relaxed_market_meets_is_settled(two_gen_system, monkeypatch
     real = optim._pass_model
     monkeypatch.setattr(optim, "_pass_model", lambda *a: pytest.fail("HiGHS got a model"))
     out = clear_dam(two_gen_system, bids, req, fix_commitments=below.u, relaxed=below)
-    assert out.certified and not below.certified
-    assert out.record == optim.reused(below.record)
+    assert below.record["proved_by"] == "milp"
+    assert out.record == {**optim.reused(below.record), "proved_by": "floor"}
     assert out.record["highs_s"] == 0.0 and out.record["mip_dual_bound"] > 0.0
     for name in ("u", "p", "lmp", "price_up", "objective", "mip_gap"):
         assert np.array_equal(getattr(out, name), getattr(below, name)), name
     monkeypatch.setattr(optim, "_pass_model", real)
     out = clear_dam(two_gen_system, bids, req, fix_commitments=np.ones((2, 2), dtype=int),
                     relaxed=below)
-    assert not out.certified and out.record["check_lp"] is None
+    assert out.record["proved_by"] == "milp" and out.record["check_lp"] is None
     assert np.array_equal(out.u, cold.u) and out.objective == cold.objective
 
 
@@ -202,7 +203,7 @@ def _assert_same_clearing(out, cold):
     the model a cold clearing has: the same answer and record, bit for bit,
     but for the seconds and the failed check's LP, which only ``out``
     records."""
-    assert not out.certified
+    assert out.record["proved_by"] == "milp"
     for name in ("u", "v", "w", "p", "r_up", "r_dn", "lmp", "price_up", "price_dn"):
         assert np.array_equal(getattr(out, name), getattr(cold, name)), name
     assert (out.objective, out.mip_gap) == (cold.objective, cold.mip_gap)
@@ -218,14 +219,15 @@ def _assert_same_clearing(out, cold):
 def test_lower_requirement_certifies_a_higher_one(tmp_path, pricing_system):
     """Up to 15 MW of hour-0 requirement is free (see the redispatch test
     above), so the 10 MW market's commitment and bound certify the 15 MW
-    market: no clearing MILP runs, the record carries the inherited bound,
-    and the outcome is a cold clearing's."""
+    market: no clearing MILP runs, the record carries the inherited bound
+    and reads "ladder", and the outcome is a cold clearing's."""
     bids = _bids(pricing_system, [95.0, 95.0])
     below = clear_dam(pricing_system, bids, FrpRequirements([10.0, 0.0], [0.0, 0.0], "lo"))
     req = FrpRequirements([15.0, 0.0], [0.0, 0.0], "hi")
     out = clear_dam(pricing_system, bids, req, relaxed=below)
     cold = clear_dam(pricing_system, bids, req)
-    assert out.certified and not below.certified and not cold.certified
+    assert out.record["proved_by"] == "ladder"
+    assert below.record["proved_by"] == cold.record["proved_by"] == "milp"
     rec, bound = out.record, below.record["mip_dual_bound"]
     assert (rec["highs_s"], rec["mip_node_count"], rec["mip_dual_bound"]) == (0.0, 0, bound)
     assert out.mip_gap == (out.objective - bound) / max(1.0, abs(out.objective))
@@ -239,8 +241,17 @@ def test_lower_requirement_certifies_a_higher_one(tmp_path, pricing_system):
     assert out.objective == pytest.approx(cold.objective, rel=1e-9)
     assert np.allclose(out.lmp, cold.lmp) and np.allclose(out.price_up, cold.price_up)
     assert all(v <= 1e-6 for v in check_dam_outcome(pricing_system, out, bids, req).values())
-    save_dam_outcome(out, tmp_path / "dam.json")
-    assert load_dam_outcome(tmp_path / "dam.json").certified
+    # the file round trip, and a file written when a certified outcome
+    # carried `"certified": true`, which loads the same, the flag read past
+    path = tmp_path / "dam.json"
+    save_dam_outcome(out, path)
+    doc = json.loads(path.read_text())
+    for written in (doc, doc | {"certified": True}):
+        path.write_text(json.dumps(written))
+        back = load_dam_outcome(path)
+        assert back.record == out.record and back.record["proved_by"] == "ladder"
+        assert (back.objective, back.mip_gap) == (out.objective, out.mip_gap)
+        assert np.array_equal(back.u, out.u) and np.array_equal(back.lmp, out.lmp)
 
 
 def test_binding_higher_requirement_falls_back_to_the_milp(pricing_system):
@@ -270,9 +281,9 @@ def _nested_cases(draw):
 @given(_nested_cases())
 def test_certified_market_matches_a_cold_clearing(case):
     """A market cleared with a lower requirement's outcome as ``relaxed``
-    either is certified, with a cold clearing's commitment and objective
-    within gap_tol and a clean audit, or falls back to the cold clearing
-    itself."""
+    either is proved by "ladder", with a cold clearing's commitment and
+    objective within gap_tol and a clean audit, or falls back to the cold
+    clearing itself."""
     system, loads, (up, dn), (hi_up, hi_dn) = case
     bids = _bids(system, loads)
     try:
@@ -282,9 +293,10 @@ def test_certified_market_matches_a_cold_clearing(case):
     req = FrpRequirements(hi_up, hi_dn, "hi")
     out = clear_dam(system, bids, req, relaxed=below)
     cold = clear_dam(system, bids, req)
-    if not out.certified:
+    if out.record["proved_by"] == "milp":
         _assert_same_clearing(out, cold)
         return
+    assert out.record["proved_by"] == "ladder"
     for name in ("u", "v", "w"):
         assert np.array_equal(getattr(out, name), getattr(cold, name)), name
     assert abs(out.objective - cold.objective) <= 1e-6 * max(1.0, abs(cold.objective))
@@ -368,8 +380,9 @@ def test_older_outcome_files_still_load(tmp_path, two_gen_system):
 
 
 def test_uncertified_outcome_loads_with_or_without_the_flag(tmp_path, two_gen_system):
-    """The writer leaves out `"certified": false`; a file that spells it out,
-    as earlier writers did, loads the same outcome."""
+    """The writer leaves out `"certified"`, a flag earlier writers kept; a
+    file that spells out `"certified": false`, as they did, loads the same
+    outcome."""
     out = clear_dam(
         two_gen_system, _bids(two_gen_system, [70.0, 120.0]), zero_requirements(2)
     )
@@ -381,7 +394,7 @@ def test_uncertified_outcome_loads_with_or_without_the_flag(tmp_path, two_gen_sy
     path.write_text(json.dumps(doc | {"certified": False}))
     loaded.append(load_dam_outcome(path))
     for back in loaded:
-        assert back.certified is False and back.record == out.record
+        assert back.record == out.record
         for name, value in vars(out).items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(getattr(back, name), value), name

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from frpsim import harness, optim, save_system, stochastic_uc
+from frpsim.codec import SystemFileError
 from frpsim.data import corpus_path
 from frpsim.harness import (
     ALL_METHODS,
@@ -89,6 +90,33 @@ def test_config_validation(tmp_path):
     )
     with pytest.raises(ValueError, match="no net load"):
         load_config(bad)
+    # a grid that names a cell or a day twice: two days d1, whose cells
+    # would hold one day's numbers under the other's clairvoyant file; a
+    # repeated scenario count or method, whose cells would be solved twice
+    # and the repeats dropped; and two rhos one cell id prints alike
+    text = _write_inputs(tmp_path, DAYS).read_text()
+    for key, old, new in (
+        ("days", "name: d2", "name: d1"),
+        ("n_scenarios", "n_scenarios: [2, 3]", "n_scenarios: [2, 2]"),
+        ("methods", "rho: [", "methods: [suc-free, p90, p90]\nrho: ["),
+        ("rho", "rho: [0.0, 0.4]", "rho: [0.4, 0.4000001]"),
+    ):
+        assert old in text
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(SystemFileError, match=f"{key} must be free of repeats") as exc:
+            load_config(bad)
+        assert exc.value.field == key
+
+
+def test_unknown_settlement_is_refused_at_load(tmp_path):
+    """An unknown settlement mode fails the config as it loads, naming the
+    key, before any market is solved."""
+    path = _write_inputs(tmp_path, DAYS, extra="settlement: twoo")
+    with pytest.raises(SystemFileError, match="settlement must be one of .*, got 'twoo'") as exc:
+        load_config(path)
+    assert exc.value.field == "settlement"
+    path.write_text(path.read_text().replace("twoo", "dam-only"))
+    assert load_config(path)[0].settlement_mode == "dam-only"
 
 
 def test_full_grid_run_and_reports(tmp_path):
@@ -231,17 +259,19 @@ def _percentile_dams(out, day="d1"):
 def test_percentile_ladder_certifies_higher_levels(tmp_path):
     """A day's percentile levels clear in ascending coverage whatever the
     config's order. Here p90's bound certifies p95, and p95 passes it on to
-    p99: neither runs a clearing MILP, and both name p90 as the source."""
+    p99: neither runs a clearing MILP, both are proved by "ladder", and
+    both name p90 as the source."""
     path = _write_inputs(tmp_path, {"d1": DAYS["d1"]}, extra="methods: [p99, p90, p95]")
     cfg, system = load_config(path)
     out = tmp_path / "out"
     assert run_experiment(system, cfg, str(out)).clean
     dam = _percentile_dams(out)
     assert dam["p90"]["bound_from"] is None and dam["p90"]["highs_s"] > 0.0
+    assert dam["p90"]["proved_by"] == "milp"
     assert dam["p90"]["mip_gap"] <= cfg.gap_tol
     for method in ("p95", "p99"):
         rec = dam[method]
-        assert rec["bound_from"] == "p90"
+        assert (rec["bound_from"], rec["proved_by"]) == ("p90", "ladder")
         assert (rec["highs_s"], rec["mip_node_count"]) == (0.0, 0)
         assert rec["mip_dual_bound"] == dam["p90"]["mip_dual_bound"]
         assert abs(rec["mip_gap"]) <= cfg.gap_tol
@@ -313,10 +343,10 @@ def _suc_pair_config(tmp_path):
 
 def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch):
     """On day a suc-free's market commits every unit-hour the stochastic
-    pass commits, so it settles suc-fixed: the same outcome, certified, from
-    a `clear_dam` call that hands HiGHS nothing. On day e the stochastic
-    pass commits more, and suc-fixed clears by its own MILP with the floor.
-    Every DAM cell is one `clear_dam` call."""
+    pass commits, so it settles suc-fixed: the same outcome, proved by
+    "floor", from a `clear_dam` call that hands HiGHS nothing. On day e the
+    stochastic pass commits more, and suc-fixed clears by its own MILP with
+    the floor. Every DAM cell is one `clear_dam` call."""
     calls, passed = [], []  # (floor, relaxed, HiGHS models) per clear_dam call
     clear, pass_model = harness.clear_dam, optim._pass_model
 
@@ -337,7 +367,7 @@ def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch)
     assert calls[1][2] == 0 and calls[3][2] > 0  # a's suc-fixed solves nothing
     cells = aggregate(str(tmp_path / "out"))
     free, settled = cells["a.suc-free.n2.rho0"], cells["a.suc-fixed.n2.rho0"]
-    assert settled["dam"]["bound_from"] == "suc-free"
+    assert (settled["dam"]["bound_from"], settled["dam"]["proved_by"]) == ("suc-free", "floor")
     for key in ("objective_usd", "mip_gap", "mip_dual_bound", "rows", "nnz", "flow_rows"):
         assert settled["dam"][key] == free["dam"][key], key
     work = ("build_s", "highs_s", "mip_node_count", "screen_rounds")
@@ -347,7 +377,7 @@ def test_suc_free_settles_suc_fixed_where_the_floor_holds(tmp_path, monkeypatch)
     assert settled["rtm"]["shared_from"] == "a.suc-free.n2.rho0"
     cleared = cells["e.suc-fixed.n2.rho0"]["dam"]
     assert cleared["bound_from"] is None and cleared["highs_s"] > 0.0
-    assert cleared["mip_gap"] <= cfg.gap_tol
+    assert cleared["proved_by"] == "milp" and cleared["mip_gap"] <= cfg.gap_tol
 
 
 def test_failed_suc_free_fails_only_its_cell(tmp_path, monkeypatch):
@@ -560,7 +590,7 @@ def test_cell_records_carry_model_sizes(tmp_path, monkeypatch):
         run_experiment(system, cfg, str(tmp_path / "out"))
     cells = aggregate(str(tmp_path / "out"))
     rec = cells["d1.suc-free.n2.rho0"]
-    assert rec["suc"]["solved_by_ev_bound"] is False
+    assert rec["suc"]["proved_by"] == rec["dam"]["proved_by"] == "milp"
     for kind in ("suc", "dam", "rtm"):
         size = rec[kind]
         assert size["rows"] > 0 and size["cols"] > 0 and size["nnz"] >= size["rows"]
@@ -588,7 +618,7 @@ def test_cell_records_carry_model_sizes(tmp_path, monkeypatch):
     # the completion's in start_s
     run_experiment(system, cfg, str(tmp_path / "certified"))
     suc = aggregate(str(tmp_path / "certified"))["d1.suc-free.n2.rho0"]["suc"]
-    assert suc["solved_by_ev_bound"] is True and suc["start_used"] is False
+    assert suc["proved_by"] == "ev_bound" and suc["start_used"] is False
     assert suc["objective_usd"] == suc["eev_usd"]
     assert suc["mip_dual_bound"] == optim.cutoff(suc["objective_usd"], cfg.gap_tol)
     assert suc["ev_usd"] <= suc["objective_usd"] and 0.0 < suc["mip_gap"] <= cfg.gap_tol
@@ -597,11 +627,12 @@ def test_cell_records_carry_model_sizes(tmp_path, monkeypatch):
 
 
 # what every stochastic or clairvoyant solve records: wall and build
-# seconds, gap, screening, model size, HiGHS's record and the MIP start
+# seconds, gap, screening, model size, HiGHS's record, the MIP start and
+# what proved the answer
 SOLVE_KEYS = {
     "wall_time_s", "mip_gap", "screen_rounds", "flow_rows", "build_s",
     "rows", "cols", "nnz", "binaries", "highs_s", "mip_node_count", "mip_dual_bound",
-    "start_s", "start_used", "solved_by_relaxation", "solved_by_ev_bound",
+    "start_s", "start_used", "proved_by",
 }
 
 
@@ -621,7 +652,8 @@ def test_ledger_keys_are_fixed(tmp_path):
     assert set(rec["dam"]) == {
         "objective_usd", "shortfall_up_mw", "shortfall_dn_mw", "screen_rounds",
         "flow_rows", "build_s", "rows", "cols", "nnz", "binaries", "highs_s",
-        "mip_node_count", "mip_dual_bound", "pricing_lp", "check_lp", "mip_gap", "bound_from",
+        "mip_node_count", "mip_dual_bound", "proved_by", "pricing_lp", "check_lp", "mip_gap",
+        "bound_from",
     }
     assert set(rec["dam"]["pricing_lp"]) == {"highs_s", "simplex_iterations"}
     assert set(rec["rtm"]) == {

@@ -155,7 +155,7 @@ def test_ramp_toy_suc_on_a_sub_hourly_grid(solver_inputs, monkeypatch):
     scen = scenario_set(
         system, grid, [base, base + ramp, base - ramp], probs=[0.5, 0.3, 0.2]
     )
-    assert solve_suc(system, scen).record["solved_by_ev_bound"]
+    assert solve_suc(system, scen).record["proved_by"] == "ev_bound"
     certified = [
         FROZEN["suc-ramp-toy-4pph-ev-relaxation"],
         FROZEN["suc-ramp-toy-4pph-ev-rounded"],
@@ -178,7 +178,7 @@ def test_congested_suc_after_its_flow_rows(congested, solver_inputs, monkeypatch
     scen = scenario_set(congested, grid, np.stack([load, 1.04 * load]))
     force_suc_fallback(monkeypatch)
     sol = solve_suc(congested, scen)
-    assert sol.record["flow_rows"] >= 1 and not sol.record["solved_by_ev_bound"]
+    assert sol.record["flow_rows"] >= 1 and sol.record["proved_by"] == "milp"
     assert solver_inputs[-1] == ("milp", FROZEN["suc-congested"])
 
 

@@ -129,10 +129,10 @@ def test_integral_relaxation_over_a_flow_limit_runs_no_milp(congested, monkeypat
     *_, fresh = stochastic_uc._build(congested, scen)
     assert added[0] == fresh.violated(relaxations[0].x) != []
     assert fresh.violated(relaxations[-1].x) == [] and sol.record["start_s"] == 0.0
-    assert sol.record["solved_by_relaxation"] and sol.record["mip_node_count"] == 0
+    assert sol.record["proved_by"] == "relaxation" and sol.record["mip_node_count"] == 0
     monkeypatch.setattr(stochastic_uc, "_integral", lambda *a: False)
     plain = solve_suc(congested, scen)
-    assert milps and not plain.record["solved_by_relaxation"]
+    assert milps and plain.record["proved_by"] == "milp"
     assert np.array_equal(sol.u, plain.u)
     _same_objective(sol.objective, plain.objective)
     assert "violations" not in check_suc_solution(congested, scen, sol, tol=TOL)
@@ -180,7 +180,7 @@ def test_certificate_screens_flow_rows(congested, monkeypatch):
     below = clear_dam(congested, bids, zero_requirements(6))
     req = FrpRequirements([0, 0, 50, 50, 50, 0], [0] * 6, "test")
     out, cold = clear_dam(congested, bids, req, relaxed=below), clear_dam(congested, bids, req)
-    assert out.certified and out.record["flow_rows"] >= 1
+    assert out.record["proved_by"] == "ladder" and out.record["flow_rows"] >= 1
     assert np.array_equal(out.u, cold.u)
     _same_objective(out.objective, cold.objective)
     assert np.allclose(out.lmp, cold.lmp, atol=TOL)

@@ -227,14 +227,15 @@ def _lp_answer():
 
 def test_certified_at_exactly_gap_tol_and_not_above():
     """A gap of exactly ``gap_tol`` certifies the LP as its MILP's answer:
-    that gap, the bound as its dual bound, no nodes and the MILP's integer
-    columns. A bound one ulp lower, or NaN, certifies nothing."""
-    answer = optim.certified(_lp_answer(), 75.0, 0.25, 4)
+    that gap, the bound as its dual bound, no nodes, the MILP's integer
+    columns and the certificate's name as ``proved_by``. A bound one ulp
+    lower, or NaN, certifies nothing."""
+    answer = optim.certified(_lp_answer(), 75.0, 0.25, 4, "ladder")
     assert (answer.mip_gap, answer.mip_dual_bound) == (0.25, 75.0)
-    assert (answer.mip_node_count, answer.binaries) == (0, 4)
+    assert (answer.mip_node_count, answer.binaries, answer.proved_by) == (0, 4, "ladder")
     assert answer.highs == {"highs_s": 0.125, "mip_node_count": 0, "mip_dual_bound": 75.0}
-    assert optim.certified(_lp_answer(), np.nextafter(75.0, -np.inf), 0.25, 4) is None
-    assert optim.certified(_lp_answer(), np.nan, 0.25, 4) is None
+    assert optim.certified(_lp_answer(), np.nextafter(75.0, -np.inf), 0.25, 4, "ladder") is None
+    assert optim.certified(_lp_answer(), np.nan, 0.25, 4, "ladder") is None
 
 
 @pytest.mark.parametrize("bound", [np.inf, 100.5], ids=["infinite", "above"])
@@ -242,26 +243,36 @@ def test_certified_bound_at_or_above_the_objective_gives_gap_zero(bound):
     """+inf (nothing else is feasible) or a bound above the objective, which
     tolerances allow, gives gap 0 and the objective as the dual bound,
     never a negative gap."""
-    answer = optim.certified(_lp_answer(), bound, 0.0, 4)
+    answer = optim.certified(_lp_answer(), bound, 0.0, 4, "relaxation")
     assert (answer.mip_gap, answer.mip_dual_bound) == (0.0, 100.0)
 
 
 @pytest.mark.parametrize("status", ["limit", "infeasible", "error"])
 def test_certified_needs_an_optimal_result(status):
     res = dataclasses.replace(_lp_answer(), status=status)
-    assert optim.certified(res, np.inf, 1e-6, 4) is None
+    assert optim.certified(res, np.inf, 1e-6, 4, "relaxation") is None
 
 
 def test_certified_keeps_the_solution_and_the_work():
     """``x``, ``duals``, the size and the work fields stay the LP's, and the
     LP's result is left as it was."""
     res = _lp_answer()
-    answer = optim.certified(res, 99.0, 0.1, 4)
+    answer = optim.certified(res, 99.0, 0.1, 4, "ev_bound")
     assert answer.x is res.x and answer.duals is res.duals
     for key in ("objective", "highs_s", "simplex_iterations", "rows", "cols", "nnz"):
         assert getattr(answer, key) == getattr(res, key), key
     assert res.binaries == 0
-    assert res.mip_gap is res.mip_dual_bound is res.mip_node_count is None
+    assert res.mip_gap is res.mip_dual_bound is res.mip_node_count is res.proved_by is None
+
+
+def test_a_milps_own_answer_is_proved_by_milp():
+    """A MILP's answer, optimal or an incumbent at a limit, reads "milp";
+    an LP's result, and a MILP without a point, read None."""
+    assert solve(_pair_model()).proved_by == "milp"
+    assert solve(_pair_model(), cutoff=6.0).proved_by is None  # nothing below the cut
+    relaxed = _pair_model()
+    relaxed.integer[:] = False
+    assert solve(relaxed).proved_by is None
 
 
 def _pair_model(scale=1.0):
@@ -321,10 +332,10 @@ def test_the_cut_certifies_at_the_gap_tol_edge(objective, gap_tol, nudged):
     raw = objective - gap_tol * max(1.0, abs(objective))
     cut = optim.cutoff(objective, gap_tol)
     res = dataclasses.replace(_lp_answer(), objective=objective)
-    answer = optim.certified(res, cut, gap_tol, 2)
+    answer = optim.certified(res, cut, gap_tol, 2, "ev_bound")
     assert answer is not None and answer.mip_dual_bound == min(cut, objective)
     assert cut == (np.nextafter(raw, np.inf) if nudged else raw)
-    assert (optim.certified(res, raw, gap_tol, 2) is None) == nudged
+    assert (optim.certified(res, raw, gap_tol, 2, "ev_bound") is None) == nudged
 
 
 def test_a_milp_at_the_cut_of_its_own_optimum_certifies_it():
@@ -337,7 +348,8 @@ def test_a_milp_at_the_cut_of_its_own_optimum_certifies_it():
     assert res.status == "infeasible" or res.objective == pytest.approx(2625.0)
     bound = optim.cutoff_bound(res, cut)
     assert bound == cut
-    answer = optim.certified(dataclasses.replace(_lp_answer(), objective=2625.0), bound, gap_tol, 2)
+    res = dataclasses.replace(_lp_answer(), objective=2625.0)
+    answer = optim.certified(res, bound, gap_tol, 2, "ev_bound")
     assert answer is not None and answer.mip_gap <= gap_tol
 
 

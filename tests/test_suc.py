@@ -475,14 +475,14 @@ def _ev_bound_case(paths, drawn):
     assert abs(sol.objective - cold.objective) <= gap_tol * max(1.0, abs(cold.objective))
     assert "violations" not in check_suc_solution(case[0], scen, sol)
     rec = sol.record
-    if rec["solved_by_ev_bound"]:
+    if rec["proved_by"] == "ev_bound":
         paths["certified"] += 1
         assert rec["eev_usd"] == sol.objective and sol.mip_gap <= gap_tol
         # the EV optimum alone could not certify it: the no-good cut did
         if rec["eev_usd"] - rec["ev_usd"] > gap_tol * max(1.0, abs(rec["eev_usd"])):
             paths["above_ev"] += 1
     else:
-        assert not rec["solved_by_relaxation"]
+        assert rec["proved_by"] == "milp"
         paths["fallback"] += 1
 
 
@@ -639,7 +639,7 @@ def test_ev_start_is_recorded(uc_oracle_case, monkeypatch, tmp_path):
         ("complete", False), ("complete", False), ("solve", True),
         ("complete", False), ("solve", False), ("solve", True),
     ]
-    assert sol.record["solved_by_ev_bound"] is False
+    assert sol.record["proved_by"] == "milp"
     rec = sol.record
     assert rec["ev_usd"] <= sol.objective + 1e-6 <= rec["eev_usd"] + 2e-6
     assert 0.0 < rec["start_s"] < rec["wall_time_s"] and rec["start_used"] is True
@@ -684,7 +684,7 @@ def test_ev_bound_certificate_is_recorded(uc_oracle_case, monkeypatch, tmp_path)
         ("complete", False), ("solve", False),
     ]
     rec = sol.record
-    assert rec["solved_by_ev_bound"] is True and rec["solved_by_relaxation"] is False
+    assert rec["proved_by"] == "ev_bound"
     assert rec["start_used"] is False and rec["eev_usd"] == sol.objective
     assert rec["ev_usd"] <= sol.objective
     cut = optim.cutoff(sol.objective, 1e-6)
@@ -717,7 +717,7 @@ def test_ev_bound_infeasible_when_the_ev_commitment_is_the_only_one(monkeypatch)
     assert [kind for kind, _, _ in calls] == ["complete", "complete", "solve"]
     assert [res.status for _, res in runs] == ["infeasible"]
     rec = sol.record
-    assert rec["solved_by_ev_bound"] and sol.u.tolist() == [[1, 1, 1]]
+    assert rec["proved_by"] == "ev_bound" and sol.u.tolist() == [[1, 1, 1]]
     # 3 * 10 no-load + 0.5 * (150 + 170) MWh * 20
     assert sol.objective == pytest.approx(3230.0)
     cut = optim.cutoff(sol.objective, 1e-6)
@@ -749,7 +749,7 @@ def test_infeasible_ev_completion_solves_cold(monkeypatch):
     ]
     assert sol.record["ev_usd"] == pytest.approx(25.0) and sol.record["eev_usd"] is None
     assert sol.record["start_used"] is False
-    assert sol.record["solved_by_relaxation"] is False
+    assert sol.record["proved_by"] == "milp"
     assert sol.objective == pytest.approx(2625.0)
     assert sol.u.tolist() == [[0], [1]]
     (model, _, _), _ = _suc_and_dam_models((system, [52.5], ([0.0], [0.0])), scn)
@@ -770,7 +770,7 @@ def test_integral_relaxation_runs_no_milp(monkeypatch):
     sol = solve_suc(system, scn)
     assert [kind for kind, _, _ in calls] == ["complete", "complete", "solve"]
     rec = sol.record
-    assert rec["solved_by_relaxation"] is False and rec["solved_by_ev_bound"] is True
+    assert rec["proved_by"] == "ev_bound"
     assert rec["start_used"] is False
     assert rec["mip_dual_bound"] == optim.cutoff(sol.objective, 1e-6)
     assert 0.0 < sol.mip_gap <= 1e-6 and sol.objective == pytest.approx(250.0)
@@ -787,7 +787,7 @@ def test_integral_relaxation_runs_no_milp(monkeypatch):
     # EEV, and the cold MILP commits the flexible unit alone (0.5 * 100 * 50)
     scn = scenario_set(system, TimeGrid(1, 1), [[0.0], [100.0]])
     sol = solve_suc(system, scn)
-    assert not sol.record["solved_by_relaxation"] and sol.record["ev_usd"] == 0.0
+    assert sol.record["proved_by"] == "milp" and sol.record["ev_usd"] == 0.0
     assert sol.u.tolist() == [[0], [1]] and sol.record["eev_usd"] is None
     assert sol.objective == pytest.approx(2500.0)
 
@@ -817,7 +817,7 @@ def test_relaxation_shortcut_keeps_the_optimum(case):
         assert abs(sol.objective - cold.objective) <= gap_tol * max(1.0, abs(cold.objective))
         assert "violations" not in check_suc_solution(system, scn, sol)
         rec = sol.record
-        if rec["solved_by_relaxation"]:
+        if rec["proved_by"] == "relaxation":
             assert scn is one
             assert (sol.mip_gap, rec["mip_node_count"], rec["start_used"]) == (0.0, 0, False)
             assert rec["mip_dual_bound"] == sol.objective and rec["highs_s"] > 0.0
@@ -962,7 +962,7 @@ def test_ev_bound_runs_once_at_the_screened_completions_cut(monkeypatch):
         assert len(eevs) == rec["screen_rounds"] >= 2 and rec["flow_rows"] >= 1
         cut = optim.cutoff(eevs[-1], 1e-6)
         assert eevs[0] < eevs[-1] and [c for c, _ in runs] == [cut]
-        assert rec["solved_by_ev_bound"] and rec["eev_usd"] == sol.objective == eevs[-1]
+        assert rec["proved_by"] == "ev_bound" and rec["eev_usd"] == sol.objective == eevs[-1]
         assert rec["mip_dual_bound"] == cut and 0.0 < sol.mip_gap <= 1e-6
         assert rec["highs_s"] == pytest.approx(runs[0][1].highs_s)
         assert "violations" not in check_suc_solution(system, scn, sol)
@@ -995,7 +995,7 @@ def test_fractional_relaxation_over_a_flow_limit_starts_the_milp(monkeypatch):
     assert completion.ok and not fresh.violated(completion.x)
     rec = sol.record
     assert (rec["screen_rounds"], rec["start_used"]) == (1, True)
-    assert not rec["solved_by_relaxation"]
+    assert rec["proved_by"] == "milp"
     assert rec["flow_rows"] >= 1 and rec["start_s"] > 0.0
     assert abs(sol.objective - cold.objective) <= 1e-6 * abs(cold.objective)
     # the peak is beyond the fleet, and the model may curtail more at a bus
@@ -1058,7 +1058,7 @@ def test_corpus_wed_at_64_scenarios_runs_no_stochastic_milp(monkeypatch):
     (ev_model, *_), (suc_model, *_) = built
     assert solved and all(m is ev_model for m in solved) and suc_model.n_vars > ev_model.n_vars
     assert len(widths) > 64 and max(widths) <= ev_model.n_vars
-    assert sol.record["solved_by_ev_bound"]
+    assert sol.record["proved_by"] == "ev_bound"
     objective, u = WED_64
     assert sol.objective == pytest.approx(objective, rel=1e-12)
     assert ["".join(map(str, row)) for row in sol.u] == u
@@ -1089,7 +1089,7 @@ def test_ieee14_d1_at_32_scenarios_hands_highs_nothing_wider_than_the_ev_model(
     sol = solve_suc(system, scn, gap_tol=cfg.gap_tol)
     (ev_model, *_), (suc_model, *_) = built
     assert max(widths) <= ev_model.n_vars < suc_model.n_vars and len(widths) > 32
-    assert sol.record["solved_by_ev_bound"]
+    assert sol.record["proved_by"] == "ev_bound"
     objective, u = IEEE14_D1_32
     assert sol.objective == pytest.approx(objective, rel=1e-12)
     assert ["".join(map(str, row)) for row in sol.u] == u
